@@ -19,7 +19,6 @@ from .errors import (
     NotPrimitive,
     NumericalAmbiguity,
     OddLength,
-    Overflow,
     QuadratureFailure,
     ResidualTooLarge,
     StepTooCoarse,

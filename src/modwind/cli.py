@@ -8,10 +8,8 @@ Diagnostics go to stderr; stdout carries data only.
 from __future__ import annotations
 
 import json
-import math
-import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import click
 
@@ -20,7 +18,6 @@ from .errors import (
     InsufficientData,
     ModwindError,
     NotHyperbolic,
-    Overflow,
     QuadratureFailure,
 )
 from .geodesics import (
@@ -49,8 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
-
-THREADS_ENV = "MODWIND_THREADS"
 
 
 class VerificationFailure(ModwindError):
@@ -119,16 +114,8 @@ def _validate_max_length(t: float, minimum: float = 2.0) -> float:
     return t
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _records(t: float, threads: int = 1) -> List[GeodesicRecord]:
-    return enumerate_geodesics(EnumerationConfig(max_length=t, thread_count=threads))
+def _records(t: float) -> List[GeodesicRecord]:
+    return enumerate_geodesics(EnumerationConfig(max_length=t))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -188,16 +175,14 @@ def cli() -> None:
 @click.option("--max-length", "max_length", type=float, required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=str, default=None)
-@click.option("--threads", type=int, default=None)
-def cmd_enumerate(max_length: float, fmt: str, out: Optional[str], threads: Optional[int]) -> None:
+def cmd_enumerate(max_length: float, fmt: str, out: Optional[str]) -> None:
     """All oriented primitive classes with length <= T, one row per class."""
     # short bounds are legal here and just produce a header-only table
     if not (0 < max_length <= MAX_LENGTH_BOUND):
         raise click.UsageError(
             f"--max-length {max_length} outside (0, {MAX_LENGTH_BOUND}]"
         )
-    n_threads = threads if threads is not None else _default_threads()
-    records = _records(max_length, n_threads)
+    records = _records(max_length)
     _emit(_records_csv(records) if fmt == "csv" else _records_json(records), out)
 
 
@@ -365,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationFailure as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return EXIT_VERIFY
-    except (CapExceeded, Overflow, InsufficientData, QuadratureFailure) as exc:
+    except (CapExceeded, InsufficientData, QuadratureFailure) as exc:
         click.echo(f"resource/data error: {exc}", err=True)
         return EXIT_RESOURCE
     except ModwindError as exc:

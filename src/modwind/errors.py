@@ -37,10 +37,6 @@ class CapExceeded(ModwindError):
     """A configured resource cap (length bound, trace cap) was exceeded."""
 
 
-class Overflow(ModwindError):
-    """Integer range guard tripped."""
-
-
 class InsufficientData(ModwindError):
     """Not enough geodesic records for a meaningful statistic."""
 

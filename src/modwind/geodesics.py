@@ -10,9 +10,8 @@ matrix scan is the independent oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     CapExceeded,
@@ -119,11 +118,6 @@ def _word_product_entries(entries: Sequence[int]) -> Tuple[int, int, int, int]:
     return p, q, r, s
 
 
-# class cache: even-parity walk states -> canonical word of their class
-_CLASS_CACHE: Dict[Tuple[int, int, int, int], CyclicWord] = {}
-_CLASS_CACHE_MAX = 1 << 20
-
-
 def matrix_to_word(gamma: Mat2) -> CyclicWord:
     """Cyclic word of the conjugacy class of a primitive hyperbolic matrix, trace > 2.
 
@@ -147,10 +141,6 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     step = 0
     while True:
         state = (p, q, r, s)
-        if step % 2 == 0:
-            cached = _CLASS_CACHE.get(state)
-            if cached is not None:
-                return cached
         key = state + (step % 2,)
         if key in seen:
             start = seen[key]
@@ -185,10 +175,6 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     word = canonical_form(cycle)
     if not is_primitive(word):
         raise NotPrimitive(f"{gamma} is a proper power")
-    if len(_CLASS_CACHE) < _CLASS_CACHE_MAX:
-        for i, st in enumerate(path):
-            if i % 2 == 0:
-                _CLASS_CACHE.setdefault(st, word)
     return word
 
 
@@ -205,21 +191,26 @@ class GeodesicRecord:
 @dataclass(frozen=True)
 class EnumerationConfig:
     max_length: float
-    thread_count: int = 1
-    trace_cap: int = 0  # 0 means: derive from max_length
 
     def __post_init__(self):
         if not (0 < self.max_length <= MAX_LENGTH_BOUND):
             raise CapExceeded(
                 f"max_length {self.max_length} outside (0, {MAX_LENGTH_BOUND}]"
             )
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be positive")
 
 
 def trace_cap_for_length(max_length: float) -> int:
-    """Largest matrix trace whose geodesic fits the length bound: floor(2 cosh(T/2))."""
-    return math.floor(2.0 * math.cosh(max_length / 2.0))
+    """Largest matrix trace t with geodesic_length(t) <= max_length, to within 1e-12.
+
+    This is the census's only length rule: geodesic_length is monotone in the
+    trace, so trace <= cap is the same as length <= max_length.  The float
+    floor of 2 cosh(T/2) can land one below a trace whose length is exactly T,
+    so the cap steps up while the next trace still fits.
+    """
+    cap = math.floor(2.0 * math.cosh(max_length / 2.0))
+    while geodesic_length(cap + 1) <= max_length + _LENGTH_SLACK:
+        cap += 1
+    return cap
 
 
 def _record(entries: Tuple[int, ...], trace: int) -> GeodesicRecord:
@@ -228,7 +219,7 @@ def _record(entries: Tuple[int, ...], trace: int) -> GeodesicRecord:
     return GeodesicRecord(word=word, trace=trace, length=geodesic_length(trace), psi=psi)
 
 
-def _dfs_first_entry(a1: int, cap: int, max_length: float) -> List[Tuple[Tuple[int, ...], int]]:
+def _dfs_first_entry(a1: int, cap: int) -> List[Tuple[Tuple[int, ...], int]]:
     """All canonical primitive words starting with a1, trace <= cap.
 
     Partial products of positive A-factors have non-negative entries that are
@@ -240,8 +231,6 @@ def _dfs_first_entry(a1: int, cap: int, max_length: float) -> List[Tuple[Tuple[i
     out: List[Tuple[Tuple[int, ...], int]] = []
     # stack frames: (entries, p, q, r, s, next_digit)
     m0 = (a1, 1, 1, 0)
-    if a1 + 1 + 1 > cap:  # trace of minimal completion A_{a1} A_1 is p + q + r
-        return out
     stack = [([a1], *m0, 1)]
     while stack:
         entries, p, q, r, s, a = stack.pop()
@@ -258,11 +247,9 @@ def _dfs_first_entry(a1: int, cap: int, max_length: float) -> List[Tuple[Tuple[i
                 continue  # larger a only increases the trace: drop frame
             stack.append((entries, p, q, r, s, a + 1))
             centries = entries + [a]
-            trace = np_ + ns
-            if geodesic_length(trace) <= max_length + _LENGTH_SLACK:
-                tup = tuple(centries)
-                if tup == _min_even_rotation(tup) and is_primitive(tup):
-                    out.append((tup, trace))
+            tup = tuple(centries)
+            if tup == _min_even_rotation(tup) and is_primitive(tup):
+                out.append((tup, np_ + ns))
             stack.append((centries, np_, nq, nr, ns, 1))
         else:
             # minimal even completion of the child is child * A_1
@@ -273,33 +260,17 @@ def _dfs_first_entry(a1: int, cap: int, max_length: float) -> List[Tuple[Tuple[i
     return out
 
 
-def enumerate_by_trace(cap: int, thread_count: int = 1) -> List[GeodesicRecord]:
+def enumerate_by_trace(cap: int) -> List[GeodesicRecord]:
     """All oriented primitive classes with trace <= cap, sorted (trace, word)."""
-    max_length = 2.0 * math.acosh(cap / 2.0) if cap > 2 else 0.0
-    if cap <= 2:
-        return []
-    first_entries = [a1 for a1 in range(1, cap) if a1 + 2 <= cap]
-    if thread_count > 1:
-        with ThreadPoolExecutor(max_workers=thread_count) as pool:
-            chunks = pool.map(
-                lambda a1: _dfs_first_entry(a1, cap, max_length), first_entries
-            )
-            found = [item for chunk in chunks for item in chunk]
-    else:
-        found = [
-            item for a1 in first_entries for item in _dfs_first_entry(a1, cap, max_length)
-        ]
+    # the shortest word starting with a1 is (a1, 1), of trace a1 + 2
+    found = [item for a1 in range(1, cap - 1) for item in _dfs_first_entry(a1, cap)]
     found.sort(key=lambda item: (item[1], item[0]))
     return [_record(entries, trace) for entries, trace in found]
 
 
 def enumerate_geodesics(config: EnumerationConfig) -> List[GeodesicRecord]:
     """Every oriented primitive class with length <= max_length, deterministic order."""
-    cap = config.trace_cap or trace_cap_for_length(config.max_length)
-    records = enumerate_by_trace(cap, config.thread_count)
-    return [
-        rec for rec in records if rec.length <= config.max_length + _LENGTH_SLACK
-    ]
+    return enumerate_by_trace(trace_cap_for_length(config.max_length))
 
 
 def brute_force_classes(trace_max: int) -> List[CyclicWord]:

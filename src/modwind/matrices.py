@@ -21,7 +21,6 @@ __all__ = [
     "S",
     "QuadraticIrrational",
     "FixedPointPair",
-    "mat_mul",
     "sawtooth",
     "dedekind_sum",
     "dedekind_sum_direct",
@@ -94,10 +93,6 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 T = Mat2(1, 1, 0, 1)
 S = Mat2(0, -1, 1, 0)
-
-
-def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    return x @ y
 
 
 def sawtooth(x: Fraction) -> Fraction:

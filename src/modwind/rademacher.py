@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import NonIntegralPhi
-from .matrices import IDENTITY, Mat2, S, T, dedekind_sum, omega, sign0
+from .matrices import IDENTITY, Mat2, S, dedekind_sum, omega, sign0
 
 __all__ = [
     "SymbolValues",

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .geodesics import (
     EnumerationConfig,
@@ -236,7 +236,7 @@ def suite_phi_word(rng: random.Random, count: int = 10000) -> SuiteResult:
     return res
 
 
-def suite_word_census(max_length: float, thread_count: int = 1) -> SuiteResult:
+def suite_word_census(max_length: float) -> SuiteResult:
     """Structural invariants of the full census up to max_length."""
     res = SuiteResult("word_census", 0, 0)
     records = enumerate_geodesics(EnumerationConfig(max_length=max_length))
@@ -256,10 +256,6 @@ def suite_word_census(max_length: float, thread_count: int = 1) -> SuiteResult:
         half = rec.word.entries[: n // 2]
         if n // 2 % 2 == 1 and rec.word.entries == half * 2:
             res.check(rec.psi == 0, f"inert class with psi != 0: {rec.word.entries}")
-    threaded = enumerate_geodesics(
-        EnumerationConfig(max_length=max_length, thread_count=4)
-    )
-    res.check(threaded == records, "thread count changed enumeration output")
     return res
 
 

@@ -68,10 +68,11 @@ class TestEnumerate:
             (r.word.entries, r.trace, float("%.12g" % r.length), r.psi) for r in records
         ] == rows
 
-    def test_thread_independence(self, capsys):
-        _, single, _ = run(capsys, "enumerate", "--max-length", "9", "--threads", "1")
-        _, multi, _ = run(capsys, "enumerate", "--max-length", "9", "--threads", "4")
-        assert single == multi
+    def test_bound_equal_to_a_length_lists_its_classes(self, capsys):
+        # 2.633915793849633 is the length of trace 4, the length of 1-2 and 2-1
+        code, out, _ = run(capsys, "enumerate", "--max-length", "2.633915793849633")
+        assert code == 0
+        assert [row[0] for row in parse_csv(out)] == [(1, 1), (1, 2), (2, 1)]
 
     def test_bad_length(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-length", "25")

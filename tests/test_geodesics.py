@@ -12,6 +12,7 @@ from modwind.errors import (
 )
 from modwind.geodesics import (
     CyclicWord,
+    MAX_LENGTH_BOUND,
     EnumerationConfig,
     brute_force_classes,
     canonical_form,
@@ -121,11 +122,15 @@ class TestTraceCap:
     def test_values(self):
         assert trace_cap_for_length(geodesic_length(5)) == 5
         assert trace_cap_for_length(14.0) == int(2 * math.cosh(7.0))
+        # a bound equal to a trace's own length must admit that trace
+        for n in range(3, trace_cap_for_length(MAX_LENGTH_BOUND) + 1):
+            assert trace_cap_for_length(geodesic_length(n)) == n
 
-    def test_boundary_included(self):
-        t = geodesic_length(17)
+    @pytest.mark.parametrize("n", [4, 9, 17])
+    def test_boundary_included(self, n):
+        t = geodesic_length(n)
         records = enumerate_geodesics(EnumerationConfig(max_length=t))
-        assert max(r.trace for r in records) == 17
+        assert max(r.trace for r in records) == n
 
 
 class TestEnumerate:
@@ -152,11 +157,6 @@ class TestEnumerate:
         records = enumerate_by_trace(25)
         keys = [(r.trace, r.word.entries) for r in records]
         assert keys == sorted(keys)
-
-    def test_thread_count_independence(self):
-        single = enumerate_geodesics(EnumerationConfig(max_length=9.0))
-        multi = enumerate_geodesics(EnumerationConfig(max_length=9.0, thread_count=4))
-        assert single == multi
 
     def test_length_bound_guard(self):
         with pytest.raises(CapExceeded):

@@ -220,3 +220,16 @@ class TestE2Period:
             w = tuple(rng.randint(1, 9) for _ in range(n))
             g = word_to_matrix(w)
             assert e2_period(g) == pytest.approx(psi_cf(w), abs=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="e2_period misses its 1e-6 tolerance or raises QuadratureFailure "
+        "on these long words; ROADMAP item 2 (one batched forms layer) is to fix it",
+    )
+    @pytest.mark.parametrize(
+        "w",
+        [(387, 2, 3, 6), (172, 4, 3, 6), (3, 2, 3, 2, 3, 2, 2, 2, 3, 3, 1, 3)],
+        ids=lambda w: "-".join(map(str, w)),
+    )
+    def test_long_words_known_defect(self, w):
+        assert e2_period(word_to_matrix(w)) == pytest.approx(psi_cf(w), abs=1e-6)
