@@ -28,7 +28,7 @@ print(f"psi via the alternating sum   : {psi_cf(word)}")
 
 # numerical routes: both track the discriminant form along one period of
 # the geodesic axis and land on the same integer
-res = winding_index(gamma, collect_samples=True)
+res = winding_index(gamma)
 print(f"\nwinding index                 : {res.index}")
 print(f"  residual {res.residual:.2e} after {res.steps} steps")
 period = e2_period(gamma)

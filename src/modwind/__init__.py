@@ -17,7 +17,6 @@ from .errors import (
     NonPositiveModulus,
     NotHyperbolic,
     NotPrimitive,
-    NumericalAmbiguity,
     OddLength,
     QuadratureFailure,
     ResidualTooLarge,

@@ -17,10 +17,6 @@ class NonPositiveModulus(ModwindError):
     """Dedekind sum requested with modulus k < 1."""
 
 
-class NumericalAmbiguity(ModwindError):
-    """A quantity that must round to an integer was too far from one."""
-
-
 class NonIntegralPhi(ModwindError):
     """Internal consistency failure: the closed-form Dedekind symbol was not an integer."""
 

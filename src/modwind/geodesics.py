@@ -101,21 +101,18 @@ def is_primitive(word) -> bool:
     return True
 
 
-def word_to_matrix(word) -> Mat2:
-    """Product of the factors (a 1; 1 0) over the word entries."""
-    entries = tuple(getattr(word, "entries", word))
-    validate_entries(entries)
-    p, q, r, s = 1, 0, 0, 1
-    for a in entries:
-        p, q, r, s = p * a + q, p, r * a + s, r
-    return Mat2(p, q, r, s)
-
-
 def _word_product_entries(entries: Sequence[int]) -> Tuple[int, int, int, int]:
     p, q, r, s = 1, 0, 0, 1
     for a in entries:
         p, q, r, s = p * a + q, p, r * a + s, r
     return p, q, r, s
+
+
+def word_to_matrix(word) -> Mat2:
+    """Product of the factors (a 1; 1 0) over the word entries."""
+    entries = tuple(getattr(word, "entries", word))
+    validate_entries(entries)
+    return Mat2(*_word_product_entries(entries))
 
 
 def matrix_to_word(gamma: Mat2) -> CyclicWord:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import NonPositiveModulus, NotHyperbolic, NumericalAmbiguity
+from .errors import NonPositiveModulus, NotHyperbolic
 
 __all__ = [
     "Mat2",
@@ -139,37 +139,27 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return s
 
 
-def _j_exact(g: Mat2, z_re: Fraction, z_im: Fraction) -> tuple:
-    """j(g, z) = c z + d evaluated with exact rational real/imaginary parts."""
-    return (g.c * z_re + g.d, g.c * z_im)
-
-
-def _phase(re: Fraction, im: Fraction) -> float:
-    # atan2(+0.0, x<0) = pi, matching arg in (-pi, pi].
-    return math.atan2(float(im), float(re))
+def _quarter_turns(m: Mat2) -> int:
+    """arg j(m, z) in quarter turns, rounded: sign(c) if c != 0, else 0 (d > 0) or 2 (d < 0)."""
+    if m.c:
+        return 1 if m.c > 0 else -1
+    return 0 if m.d > 0 else 2
 
 
 def omega(g: Mat2, h: Mat2) -> int:
-    """Branch cocycle (arg j(g,hz) + arg j(h,z) - arg j(gh,z)) / 2pi at z = i.
+    """Branch cocycle (arg j(g,hz) + arg j(h,z) - arg j(gh,z)) / 2pi, principal args.
 
-    The value is z-independent and lies in {-1, 0, 1}; the real/imaginary
-    parts of every j are computed as exact rationals so the principal-branch
-    decision is never made from a rounded sign.
+    The value is z-independent and lies in {-1, 0, 1}; it is decided from the
+    signs of c and d alone (Kirby & Melvin, Math. Ann. 1994).  Since
+    Im j(m, z) = c Im z, each arg lies strictly within a quarter turn of
+    q(m) pi/2 when c != 0 and equals it when c = 0, with q = _quarter_turns.
+    So 2 pi omega = R pi/2 + E with R = q(g) + q(h) - q(gh).  If no c is zero,
+    R is odd and |E| < 3 pi/2; if one is zero, |E| < pi, so the integer omega
+    forces R = 0 mod 4; if all are zero, E = 0.  Two c's are never the only
+    zeros (upper triangular matrices form a group).  In every case
+    omega = floor((R + 1) / 4).
     """
-    # h(i) = (b d' + a c' + i) / (c'^2 + d'^2) with h = (a b; c' d')
-    den = h.c * h.c + h.d * h.d
-    hz_re = Fraction(h.a * h.c + h.b * h.d, den)
-    hz_im = Fraction(1, den)
-    arg_g = _phase(*_j_exact(g, hz_re, hz_im))
-    arg_h = _phase(*_j_exact(h, Fraction(0), Fraction(1)))
-    arg_gh = _phase(*_j_exact(g @ h, Fraction(0), Fraction(1)))
-    value = (arg_g + arg_h - arg_gh) / (2.0 * math.pi)
-    n = round(value)
-    if abs(value - n) > 1e-6:
-        raise NumericalAmbiguity(f"omega residual {value - n} for {g}, {h}")
-    if n not in (-1, 0, 1):
-        raise NumericalAmbiguity(f"omega out of range: {n}")
-    return n
+    return (_quarter_turns(g) + _quarter_turns(h) - _quarter_turns(g @ h) + 1) // 4
 
 
 @dataclass(frozen=True)

@@ -92,22 +92,18 @@ def phi_word(factors: Iterable[Tuple[str, int]]) -> int:
 def ts_factors(gamma: Mat2) -> list:
     """Decompose gamma as a word in T and S (S^2 = -I absorbs the sign).
 
-    Peels T^n S from the left with n chosen to shrink |a| below |c|, a
-    rounded Euclid step, until c = 0; the remainder is +-T^m.  The product
-    is re-multiplied and checked against the input.
+    Peels T^n S from the left with n the nearest integer to a/c, a rounded
+    Euclid step that at least halves |c|, until c = 0; the remainder is
+    +-T^m.  The product is re-multiplied and checked against the input.
     """
     factors = []
     g = gamma
     s_inv = Mat2(0, 1, -1, 0)
-    guard = 0
     while g.c != 0:
-        n = round(g.a / g.c)
+        n = (2 * g.a + g.c) // (2 * g.c)
         g = s_inv @ Mat2(1, -n, 0, 1) @ g
         factors.append(("T", n))
         factors.append(("S", 1))
-        guard += 1
-        if guard > 10000:
-            raise ValueError(f"T/S decomposition did not terminate for {gamma}")
     if g.a == 1:
         if g.b:
             factors.append(("T", g.b))

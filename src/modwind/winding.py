@@ -32,9 +32,7 @@ from .errors import (
 from .matrices import Mat2, fixed_points, geodesic_length
 
 __all__ = [
-    "QSeries",
     "LogDeltaValue",
-    "PathSample",
     "WindingResult",
     "SERIES_TERMS",
     "DELTA_SERIES",
@@ -56,20 +54,15 @@ _BASE_STEP = 0.05
 _HEIGHT_STEP = 0.15
 _MAX_HALVINGS = 24
 _RESIDUAL_LIMIT = 1e-3
+_QUAD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """Exact integer q-expansion coefficients c_0 .. c_N of a modular form."""
-
-    kind: str
-    coefficients: Tuple[int, ...]
-
-    def eval(self, q: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * q + c
-        return acc
+def _horner(coeffs: Tuple[int, ...], q: complex) -> complex:
+    """Sum of coeffs[n] q^n."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return acc
 
 
 def _delta_q_coefficients(n_terms: int) -> List[int]:
@@ -87,28 +80,34 @@ def _sigma1(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
-# Delta/q (so the leading coefficient is for q^0; the explicit factor q is
-# restored in log form inside delta_eval)
-DELTA_SERIES = QSeries("delta", tuple(_delta_q_coefficients(SERIES_TERMS)))
-E2HOL_SERIES = QSeries(
-    "e2hol", tuple([1] + [-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)])
-)
+# Integer q-expansion coefficients c_0 .. c_N.  DELTA_SERIES is Delta/q (so
+# the leading coefficient is for q^0; the explicit factor q is restored in
+# log form inside delta_eval); E2HOL_SERIES is the holomorphic part of E2.
+DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
+E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
 
 
-def _reduce(z: complex) -> Tuple[complex, Mat2]:
+def _reduce(z: complex) -> Tuple[complex, complex]:
+    """(z_red, j): z folded into the fundamental domain by some (a b; c d) in
+    SL(2,Z), and the automorphy factor j = c z + d of that matrix.
+
+    The matrix is tracked as four ints: T^-n maps (a, b) to (a - n c, b - n d)
+    and S maps (a, b, c, d) to (-c, -d, a, b).
+    """
     if z.imag <= 0.0:
         raise NonPositiveImaginary(f"Im z = {z.imag}")
-    m = Mat2(1, 0, 0, 1)
+    a, b, c, d = 1, 0, 0, 1
+    w = z
     for _ in range(10000):
-        n = round(z.real)
+        n = round(w.real)
         if n:
-            z = complex(z.real - n, z.imag)
-            m = Mat2(1, -n, 0, 1) @ m
-        if abs(z) < 1.0 - 1e-15:
-            z = -1.0 / z
-            m = Mat2(0, -1, 1, 0) @ m
+            w = complex(w.real - n, w.imag)
+            a, b = a - n * c, b - n * d
+        if abs(w) < 1.0 - 1e-15:
+            w = -1.0 / w
+            a, b, c, d = -c, -d, a, b
         else:
-            return z, m
+            return w, c * z + d
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
@@ -120,8 +119,7 @@ def reduce_to_fundamental(z: complex) -> Tuple[complex, float, float]:
     arg_offset is reported mod 2 pi; weight 12 kills the branch ambiguity of
     the individual principal arguments.
     """
-    z_red, m = _reduce(z)
-    j = m.c * z + m.d
+    z_red, j = _reduce(z)
     return z_red, math.remainder(-12.0 * cmath.phase(j), _TWO_PI), -12.0 * math.log(abs(j))
 
 
@@ -139,10 +137,9 @@ class LogDeltaValue:
 
 def _delta_parts(z: complex) -> Tuple[float, float, float]:
     """(log|Delta|, wrapped arg, reduced height) at z."""
-    z_red, m = _reduce(z)
+    z_red, j = _reduce(z)
     q = cmath.exp(2j * math.pi * z_red)
-    tail = DELTA_SERIES.eval(q)
-    j = m.c * z + m.d
+    tail = _horner(DELTA_SERIES, q)
     log_abs = -_TWO_PI * z_red.imag + math.log(abs(tail)) - 12.0 * math.log(abs(j))
     arg = _TWO_PI * z_red.real + cmath.phase(tail) - 12.0 * cmath.phase(j)
     return log_abs, math.remainder(arg, _TWO_PI), z_red.imag
@@ -156,10 +153,9 @@ def delta_eval(z: complex) -> LogDeltaValue:
 
 def e2_completed(z: complex) -> complex:
     """Weight 2 completed Eisenstein series: q-series minus 3/(pi y), folded."""
-    z_red, m = _reduce(z)
+    z_red, j = _reduce(z)
     q = cmath.exp(2j * math.pi * z_red)
-    value = E2HOL_SERIES.eval(q) - 3.0 / (math.pi * z_red.imag)
-    j = m.c * z + m.d
+    value = _horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)
     return value / (j * j)
 
 
@@ -209,31 +205,20 @@ def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    t: float
-    z: complex
-    accumulated_arg: float
-
-
-@dataclass(frozen=True)
 class WindingResult:
     index: int
     residual: float
     steps: int
-    samples: Tuple[PathSample, ...] = ()
 
 
-def _wrapped_arg_f(axis: _Axis, t: float) -> Tuple[float, float, complex]:
-    """(arg F(t) mod 2 pi, reduced height, z) with F = Delta(z) z'(t)^6."""
-    z = axis.point(t)
-    _, arg_delta, y_red = _delta_parts(z)
+def _wrapped_arg_f(axis: _Axis, t: float) -> Tuple[float, float]:
+    """(arg F(t) mod 2 pi, reduced height) with F = Delta(z) z'(t)^6."""
+    _, arg_delta, y_red = _delta_parts(axis.point(t))
     arg = arg_delta + 6.0 * cmath.phase(axis.velocity(t))
-    return math.remainder(arg, _TWO_PI), y_red, z
+    return math.remainder(arg, _TWO_PI), y_red
 
 
-def winding_index(
-    gamma: Mat2, step_scale: float = 1.0, collect_samples: bool = False
-) -> WindingResult:
+def winding_index(gamma: Mat2, step_scale: float = 1.0) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
     The argument is unwrapped step by step; the step shrinks where the folded
@@ -249,13 +234,12 @@ def winding_index(
     total = 0.0
     steps = 0
     t = 0.0
-    prev_arg, y_red, z0 = _wrapped_arg_f(axis, t)
-    samples: List[PathSample] = [PathSample(0.0, z0, 0.0)] if collect_samples else []
+    prev_arg, y_red = _wrapped_arg_f(axis, t)
     while t < ell:
         dt = step_scale * min(_BASE_STEP, _HEIGHT_STEP / max(1.0, y_red))
         for attempt in range(_MAX_HALVINGS + 1):
             t_next = min(t + dt, ell)
-            cur_arg, cur_y, cur_z = _wrapped_arg_f(axis, t_next)
+            cur_arg, cur_y = _wrapped_arg_f(axis, t_next)
             inc = math.remainder(cur_arg - prev_arg, _TWO_PI)
             if abs(inc) < 0.5 * math.pi:
                 break
@@ -266,19 +250,15 @@ def winding_index(
         prev_arg, y_red = cur_arg, cur_y
         t = t_next
         steps += 1
-        if collect_samples:
-            samples.append(PathSample(t, cur_z, total))
     turns = total / _TWO_PI
     index = round(turns)
     residual = abs(turns - index)
     if residual >= _RESIDUAL_LIMIT:
         raise ResidualTooLarge(f"winding total {turns} turns for {gamma}")
-    return WindingResult(
-        index=index, residual=residual, steps=steps, samples=tuple(samples)
-    )
+    return WindingResult(index=index, residual=residual, steps=steps)
 
 
-def e2_period(gamma: Mat2, tol: float = 1e-9) -> float:
+def e2_period(gamma: Mat2) -> float:
     """Period of the closed 1-form E2(z) dz over one loop of the geodesic.
 
     The interval is cut into pieces of bounded length and each piece handed
@@ -291,26 +271,18 @@ def e2_period(gamma: Mat2, tol: float = 1e-9) -> float:
     axis = _axis_for(gamma)
     ell = axis.length
     pieces = max(4, math.ceil(ell / 0.25))
-    total_re = 0.0
-    total_im = 0.0
+    total = 0j
 
-    def integrand(t: float, part: int) -> float:
-        v = e2_completed(axis.point(t)) * axis.velocity(t)
-        return v.real if part == 0 else v.imag
+    def integrand(t: float) -> complex:
+        return e2_completed(axis.point(t)) * axis.velocity(t)
 
     for k in range(pieces):
         a = ell * k / pieces
         b = ell * (k + 1) / pieces
-        for part in (0, 1):
-            val, err = quad(integrand, a, b, args=(part,), epsabs=tol, limit=200)
-            if err > 100 * tol + 1e-12:
-                raise QuadratureFailure(
-                    f"estimated error {err} on [{a}, {b}] for {gamma}"
-                )
-            if part == 0:
-                total_re += val
-            else:
-                total_im += val
-    if abs(total_im) > 1e-6:
-        raise QuadratureFailure(f"period has imaginary part {total_im} for {gamma}")
-    return total_re
+        val, err = quad(integrand, a, b, epsabs=_QUAD_TOL, limit=200, complex_func=True)
+        if max(err.real, err.imag) > 100 * _QUAD_TOL + 1e-12:
+            raise QuadratureFailure(f"estimated error {err} on [{a}, {b}] for {gamma}")
+        total += val
+    if abs(total.imag) > 1e-6:
+        raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
+    return total.real

@@ -106,6 +106,13 @@ class TestPsi:
         code, out, _ = run(capsys, "psi", "--matrix", "-22,-3,-7,-1", "--method", "all")
         assert code == 0
 
+    def test_cocycle_on_entries_beyond_float_range(self, capsys):
+        matrix = f"{10**400},{10**400 - 1},1,1"
+        code, out, _ = run(capsys, "psi", "--matrix", matrix, "--method", "cocycle")
+        assert code == 0
+        _, exact, _ = run(capsys, "psi", "--matrix", matrix, "--method", "dedekind")
+        assert out.split(": ")[1] == exact.split(": ")[1]
+
     def test_determinant_error(self, capsys):
         code, _, err = run(capsys, "psi", "--matrix", "1,1,1,1")
         assert code == 1

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +21,47 @@ def test_all_names_exist(module):
 
 def test_modules_with_exports_found():
     assert sum(hasattr(m, "__all__") for m in MODULES) >= 6
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = sorted(
+    path
+    for pattern in ("src/modwind/*.py", "tests/*.py", "demos/*.py")
+    for path in ROOT.glob(pattern)
+    if path != ROOT / "src" / "modwind" / "__init__.py"  # re-exports only
+)
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import (other than from __future__) that are never read.
+
+    A name listed in the module's __all__ counts as read.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_import_detected():
+    assert unused_imports("import cmath\nfrom math import pi, tau\nx = pi\n") == ["cmath", "tau"]
+    assert unused_imports("from __future__ import annotations\n") == []
+    assert unused_imports("from os import sep\n__all__ = ['sep']\n") == []
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

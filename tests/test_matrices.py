@@ -1,10 +1,11 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from modwind.errors import NonPositiveModulus, NotHyperbolic, NumericalAmbiguity
+from modwind.errors import NonPositiveModulus, NotHyperbolic
 from modwind.matrices import (
     IDENTITY,
     Mat2,
@@ -156,6 +157,30 @@ class TestOmega:
         for _ in range(200):
             g, h, l = (random_element(rng) for _ in range(3))
             assert omega(g, h) + omega(g @ h, l) == omega(g, h @ l) + omega(h, l)
+
+    def test_matches_definition_on_small_entries(self):
+        # every SL(2,Z) matrix with entries in -3..3, c = 0 and negative
+        # diagonals included; the reference is the defining sum of principal
+        # arguments at z = i, in floating point
+        r = range(-3, 4)
+        small = [
+            Mat2(a, b, c, d)
+            for a in r for b in r for c in r for d in r
+            if a * d - b * c == 1
+        ]
+        assert len(small) == 116
+
+        def j(m, z):
+            return m.c * z + m.d
+
+        for g in small:
+            for h in small:
+                hz = (h.a * 1j + h.b) / j(h, 1j)
+                turns = (
+                    cmath.phase(j(g, hz)) + cmath.phase(j(h, 1j)) - cmath.phase(j(g @ h, 1j))
+                ) / (2 * math.pi)
+                assert abs(turns - round(turns)) < 1e-9
+                assert omega(g, h) == round(turns), (g, h)
 
 
 class TestFixedPoints:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from modwind.errors import NonPositiveEntry, OddLength
-from modwind.matrices import IDENTITY, Mat2, S, T, omega, sign0
+from modwind.matrices import IDENTITY, Mat2, omega, sign0
 from modwind.rademacher import (
     chi_r,
     phi_closed,
@@ -136,6 +136,12 @@ class TestPsiCocycle:
         for _ in range(500):
             g = random_element(rng)
             assert psi_cocycle(g) == psi(g)
+
+    def test_entries_beyond_float_range(self):
+        # a / c = 10^400 overflows a float division
+        g = Mat2(10**400, 10**400 - 1, 1, 1)
+        assert psi_cocycle(g) == psi(g)
+        assert omega(g, g) == 0
 
     def test_ts_factors_reconstruct(self):
         rng = random.Random(61)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import pytest
