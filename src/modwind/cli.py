@@ -19,6 +19,8 @@ from .errors import (
     ModwindError,
     NotHyperbolic,
     QuadratureFailure,
+    ResidualTooLarge,
+    StepTooCoarse,
 )
 from .geodesics import (
     EnumerationConfig,
@@ -350,7 +352,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationFailure as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return EXIT_VERIFY
-    except (CapExceeded, InsufficientData, QuadratureFailure) as exc:
+    except (
+        CapExceeded,
+        InsufficientData,
+        QuadratureFailure,
+        ResidualTooLarge,
+        StepTooCoarse,
+    ) as exc:
         click.echo(f"resource/data error: {exc}", err=True)
         return EXIT_RESOURCE
     except ModwindError as exc:

@@ -10,9 +10,15 @@ Two independent numerical routes to the same integer:
   E2 is the weight 2 completed Eisenstein series (the holomorphic q-series
   minus 3 / (pi y)).
 
-Both evaluate the forms only after folding the point into the standard
-fundamental domain, so the q-series always runs at |q| <= exp(-pi sqrt(3))
-where forty terms leave a tail below 1e-22.
+Both evaluate the forms on numpy arrays of points, only after folding each
+point into the standard fundamental domain, so the q-series always runs at
+|q| <= exp(-pi sqrt(3)) where forty terms leave a tail below 1e-22.
+
+Both integrate over the centred window t in [-l/2, l/2].  The integrands
+are l-periodic, so any window of length l gives the same total, but the fold
+amplifies the rounding error of z(t) by y_red / y: starting at t = 0 would
+drive the axis point down to y ~ R e^-l, the centred window stops at
+y ~ R e^(-l/2).
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from .errors import (
+    CapExceeded,
     NonPositiveImaginary,
     NotHyperbolic,
     QuadratureFailure,
@@ -55,11 +64,26 @@ _HEIGHT_STEP = 0.15
 _MAX_HALVINGS = 24
 _RESIDUAL_LIMIT = 1e-3
 _QUAD_TOL = 1e-9
+_FOLD_STEPS = 10000
+# The fold keeps its matrix entries as float64 integers.  Below 2^52 every
+# product n c and difference a - n c whose result is also below 2^52 is
+# exact, so j = c z + d is exactly the automorphy factor of an SL(2,Z) matrix.
+_EXACT_ENTRY = 2.0**52
+# Points per evaluation batch, so temporaries do not grow with the word.
+_CHUNK = 1 << 16
+# winding_index nodes per class: 2^19 nodes hold a cusp excursion of about
+# 78,000 turns (about 6.7 nodes per turn) in 12 MB of node arrays.
+_MAX_NODES = 1 << 19
+# e2_period panels per class.  Each accepted panel may carry an error estimate
+# of _QUAD_TOL / _MAX_PANELS, so the accepted estimates sum to at most _QUAD_TOL.
+_MAX_PANELS = 1 << 14
+_PANEL_TOL = _QUAD_TOL / _MAX_PANELS
+_PANEL_WIDTH = 0.25
 
 
-def _horner(coeffs: Tuple[int, ...], q: complex) -> complex:
-    """Sum of coeffs[n] q^n."""
-    acc = 0j
+def _horner(coeffs: Tuple[int, ...], q):
+    """Sum of coeffs[n] q^n, elementwise over an array q."""
+    acc = np.zeros_like(q)
     for c in reversed(coeffs):
         acc = acc * q + c
     return acc
@@ -87,28 +111,83 @@ DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
 
 
-def _reduce(z: complex) -> Tuple[complex, complex]:
-    """(z_red, j): z folded into the fundamental domain by some (a b; c d) in
-    SL(2,Z), and the automorphy factor j = c z + d of that matrix.
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    The matrix is tracked as four ints: T^-n maps (a, b) to (a - n c, b - n d)
-    and S maps (a, b, c, d) to (-c, -d, a, b).
+    Newton's method on P_n from the Tricomi initial guesses, with P_n and its
+    derivative from the three-term recurrence.
     """
-    if z.imag <= 0.0:
-        raise NonPositiveImaginary(f"Im z = {z.imag}")
-    a, b, c, d = 1, 0, 0, 1
-    w = z
-    for _ in range(10000):
-        n = round(w.real)
-        if n:
-            w = complex(w.real - n, w.imag)
-            a, b = a - n * c, b - n * d
-        if abs(w) < 1.0 - 1e-15:
-            w = -1.0 / w
-            a, b, c, d = -c, -d, a, b
-        else:
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
+
+
+def _wrap(x):
+    """x reduced to [-pi, pi], elementwise."""
+    return x - _TWO_PI * np.rint(x / _TWO_PI)
+
+
+def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(z_red, j): each point of the 1-D array z folded into the fundamental
+    domain by some (a b; c d) in SL(2,Z), and the automorphy factor
+    j = c z + d of that matrix.
+
+    Each step translates by T^-n with n the nearest integer to Re w, mapping
+    (a, b) to (a - n c, b - n d), then applies S, mapping (a, b, c, d) to
+    (-c, -d, a, b), wherever |w| < 1.  Only the points S moved take the next
+    step.
+    """
+    if not np.all(z.imag > 0.0):
+        raise NonPositiveImaginary(f"Im z = {z.imag.min()}")
+    w = z.copy()
+    a, b = np.ones(z.shape), np.zeros(z.shape)
+    c, d = np.zeros(z.shape), np.ones(z.shape)
+    moving = np.arange(z.size)
+    for _ in range(_FOLD_STEPS):
+        n = np.rint(w[moving].real)
+        wm = w[moving] - n
+        am = a[moving] - n * c[moving]
+        bm = b[moving] - n * d[moving]
+        flip = np.abs(wm) < 1.0 - 1e-15
+        # (a, b) enter j only once S moves them to (c, d)
+        entering = np.abs(np.concatenate([am[flip], bm[flip]]))
+        if entering.size and entering.max() >= _EXACT_ENTRY:
+            raise CapExceeded(f"fold matrix entries reach 2^52 at Im z = {z.imag.min()}")
+        cm, dm = c[moving], d[moving]
+        w[moving] = np.where(flip, -1.0 / wm, wm)
+        a[moving] = np.where(flip, -cm, am)
+        b[moving] = np.where(flip, -dm, bm)
+        c[moving] = np.where(flip, am, cm)
+        d[moving] = np.where(flip, bm, dm)
+        moving = moving[flip]
+        if moving.size == 0:
             return w, c * z + d
     raise RuntimeError("fundamental domain reduction did not terminate")
+
+
+def _delta_parts(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|Delta|, arg Delta in [-pi, pi], reduced height) at each point of z."""
+    z_red, j = _reduce(z)
+    q = np.exp(2j * math.pi * z_red)
+    tail = _horner(DELTA_SERIES, q)
+    log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) - 12.0 * np.log(np.abs(j))
+    arg = _TWO_PI * z_red.real + np.angle(tail) - 12.0 * np.angle(j)
+    return log_abs, _wrap(arg), z_red.imag
+
+
+def _e2(z: np.ndarray) -> np.ndarray:
+    """Completed E2 at each point of z."""
+    z_red, j = _reduce(z)
+    q = np.exp(2j * math.pi * z_red)
+    return (_horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)) / (j * j)
 
 
 def reduce_to_fundamental(z: complex) -> Tuple[complex, float, float]:
@@ -119,7 +198,7 @@ def reduce_to_fundamental(z: complex) -> Tuple[complex, float, float]:
     arg_offset is reported mod 2 pi; weight 12 kills the branch ambiguity of
     the individual principal arguments.
     """
-    z_red, j = _reduce(z)
+    z_red, j = (complex(v[0]) for v in _reduce(np.array([z], dtype=complex)))
     return z_red, math.remainder(-12.0 * cmath.phase(j), _TWO_PI), -12.0 * math.log(abs(j))
 
 
@@ -135,28 +214,15 @@ class LogDeltaValue:
     arg_mod_2pi: float
 
 
-def _delta_parts(z: complex) -> Tuple[float, float, float]:
-    """(log|Delta|, wrapped arg, reduced height) at z."""
-    z_red, j = _reduce(z)
-    q = cmath.exp(2j * math.pi * z_red)
-    tail = _horner(DELTA_SERIES, q)
-    log_abs = -_TWO_PI * z_red.imag + math.log(abs(tail)) - 12.0 * math.log(abs(j))
-    arg = _TWO_PI * z_red.real + cmath.phase(tail) - 12.0 * cmath.phase(j)
-    return log_abs, math.remainder(arg, _TWO_PI), z_red.imag
-
-
 def delta_eval(z: complex) -> LogDeltaValue:
     """Discriminant form in log form, exact in the modular transformation."""
-    log_abs, arg, _ = _delta_parts(z)
-    return LogDeltaValue(log_modulus=log_abs, arg_mod_2pi=arg)
+    log_abs, arg, _ = _delta_parts(np.array([z], dtype=complex))
+    return LogDeltaValue(log_modulus=float(log_abs[0]), arg_mod_2pi=float(arg[0]))
 
 
 def e2_completed(z: complex) -> complex:
     """Weight 2 completed Eisenstein series: q-series minus 3/(pi y), folded."""
-    z_red, j = _reduce(z)
-    q = cmath.exp(2j * math.pi * z_red)
-    value = _horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)
-    return value / (j * j)
+    return complex(_e2(np.array([z], dtype=complex))[0])
 
 
 @dataclass(frozen=True)
@@ -166,7 +232,8 @@ class _Axis:
     The column sign s = sign(alpha - alpha_bar) keeps det g > 0 so that g
     maps the upper half-plane to itself; either sign conjugates gamma to the
     same diagonal dilation, so z(t) runs from the repelling to the attracting
-    fixed point at unit speed in both cases.
+    fixed point at unit speed in both cases.  point and velocity take a
+    float or an array of floats.
     """
 
     alpha: float
@@ -174,12 +241,12 @@ class _Axis:
     sign: float
     length: float
 
-    def point(self, t: float) -> complex:
-        w = 1j * math.exp(t)
+    def point(self, t):
+        w = 1j * np.exp(t)
         return (self.alpha * w + self.sign * self.alpha_bar) / (w + self.sign)
 
-    def velocity(self, t: float) -> complex:
-        w = 1j * math.exp(t)
+    def velocity(self, t):
+        w = 1j * np.exp(t)
         den = w + self.sign
         return self.sign * (self.alpha - self.alpha_bar) * w / (den * den)
 
@@ -201,7 +268,14 @@ def _axis_for(gamma: Mat2) -> _Axis:
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
     """Axis point and velocity (z(t), dz/dt) at flow time t from z(0) = g(i)."""
     axis = _axis_for(gamma)
-    return axis.point(t), axis.velocity(t)
+    return complex(axis.point(t)), complex(axis.velocity(t))
+
+
+def _in_chunks(fn, t: np.ndarray) -> np.ndarray:
+    """fn over t in slices of at most _CHUNK points, joined on the last axis."""
+    if t.size <= _CHUNK:
+        return fn(t)
+    return np.concatenate([fn(t[k : k + _CHUNK]) for k in range(0, t.size, _CHUNK)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,78 +285,124 @@ class WindingResult:
     steps: int
 
 
-def _wrapped_arg_f(axis: _Axis, t: float) -> Tuple[float, float]:
-    """(arg F(t) mod 2 pi, reduced height) with F = Delta(z) z'(t)^6."""
-    _, arg_delta, y_red = _delta_parts(axis.point(t))
-    arg = arg_delta + 6.0 * cmath.phase(axis.velocity(t))
-    return math.remainder(arg, _TWO_PI), y_red
+def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
+    """Split interval k of the grid t into pieces[k] equal parts.
+
+    pieces holds whole numbers as floats, so a huge request is counted, not
+    wrapped; values[:, i] belongs to node t[i]; only the new nodes are
+    evaluated.
+    """
+    count = t.size - pieces.size + pieces.sum()
+    if count > _MAX_NODES:
+        raise CapExceeded(f"winding grid needs {count:.0f} nodes (cap {_MAX_NODES})")
+    count = int(count)
+    pieces = pieces.astype(np.int64)
+    # in-place steps keep the transients at a few arrays of `count` entries
+    offset = np.arange(count - 1)
+    offset -= np.repeat(np.cumsum(pieces) - pieces, pieces)
+    new_t = np.empty(count)
+    new_t[:-1] = np.repeat(np.diff(t) / pieces, pieces)
+    new_t[:-1] *= offset
+    new_t[:-1] += np.repeat(t[:-1], pieces)
+    new_t[-1] = t[-1]
+    fresh = np.append(offset > 0, False)
+    del offset
+    new_values = np.empty((values.shape[0], count))
+    new_values[:, ~fresh] = values
+    new_values[:, fresh] = _in_chunks(evaluate, new_t[fresh])
+    return new_t, new_values
 
 
 def winding_index(gamma: Mat2, step_scale: float = 1.0) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
-    The argument is unwrapped step by step; the step shrinks where the folded
-    point sits high in the cusp (that is where the argument turns fastest,
-    at rate about 2 pi y) and is halved on the spot whenever one increment
-    reaches pi/2, so no turn can be skipped.  step_scale < 1 refines the
-    base step; the reported index must not depend on it.
+    The argument is unwrapped over a grid that is refined in batches.  Every
+    interval is at most step_scale * min(0.05, 0.15 / max(1, y)) long, with y
+    the reduced height at its left node (the argument turns at rate about
+    2 pi y high in the cusp); then every interval whose increment reaches
+    pi/2 is bisected, at most 24 times, so no turn can be skipped.
+    step_scale < 1 refines the grid; the reported index must not depend on it.
     """
     if not (0.0 < step_scale <= 1.0):
         raise ValueError(f"step_scale {step_scale} outside (0, 1]")
     axis = _axis_for(gamma)
     ell = axis.length
-    total = 0.0
-    steps = 0
-    t = 0.0
-    prev_arg, y_red = _wrapped_arg_f(axis, t)
-    while t < ell:
-        dt = step_scale * min(_BASE_STEP, _HEIGHT_STEP / max(1.0, y_red))
-        for attempt in range(_MAX_HALVINGS + 1):
-            t_next = min(t + dt, ell)
-            cur_arg, cur_y = _wrapped_arg_f(axis, t_next)
-            inc = math.remainder(cur_arg - prev_arg, _TWO_PI)
-            if abs(inc) < 0.5 * math.pi:
-                break
-            dt *= 0.5
-        else:
-            raise StepTooCoarse(f"argument jump near t = {t} for {gamma}")
-        total += inc
-        prev_arg, y_red = cur_arg, cur_y
-        t = t_next
-        steps += 1
-    turns = total / _TWO_PI
+
+    def arg_f(t):
+        """(arg F in [-pi, pi], reduced height) at each t, as two rows."""
+        _, arg_delta, y_red = _delta_parts(axis.point(t))
+        return np.stack([_wrap(arg_delta + 6.0 * np.angle(axis.velocity(t))), y_red])
+
+    intervals = math.ceil(ell / (step_scale * _BASE_STEP))
+    if intervals + 1 > _MAX_NODES:
+        raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
+    t = np.linspace(-0.5 * ell, 0.5 * ell, intervals + 1)
+    values = _in_chunks(arg_f, t)
+    halvings = 0
+    while True:
+        dt = step_scale * np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, values[1, :-1]))
+        # the factor forgives the rounding of np.linspace and of earlier splits
+        pieces = np.ceil(np.diff(t) / dt * (1.0 - 1e-12))
+        if (pieces > 1).any():
+            t, values = _refine(t, values, pieces, arg_f)
+            continue
+        inc = _wrap(np.diff(values[0]))
+        coarse = np.abs(inc) >= 0.5 * math.pi
+        if not coarse.any():
+            break
+        if halvings == _MAX_HALVINGS:
+            raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
+        halvings += 1
+        t, values = _refine(t, values, 1.0 + coarse, arg_f)
+    turns = float(inc.sum()) / _TWO_PI
     index = round(turns)
     residual = abs(turns - index)
     if residual >= _RESIDUAL_LIMIT:
         raise ResidualTooLarge(f"winding total {turns} turns for {gamma}")
-    return WindingResult(index=index, residual=residual, steps=steps)
+    return WindingResult(index=index, residual=residual, steps=inc.size)
 
 
 def e2_period(gamma: Mat2) -> float:
     """Period of the closed 1-form E2(z) dz over one loop of the geodesic.
 
-    The interval is cut into pieces of bounded length and each piece handed
-    to adaptive quadrature; the integrand is smooth (the completed series is
-    real-analytic across fold boundaries) but turns quickly inside cusp
-    excursions.
+    Adaptive 16-point Gauss-Legendre panels: each round evaluates both halves
+    of every open panel in one batch and accepts a panel once the halves
+    agree with the whole to _QUAD_TOL / _MAX_PANELS.  The integrand is
+    smooth (the completed series is real-analytic across fold boundaries)
+    but turns quickly inside cusp excursions, where the panels split.
     """
-    from scipy.integrate import quad
-
     axis = _axis_for(gamma)
     ell = axis.length
-    pieces = max(4, math.ceil(ell / 0.25))
+
+    def panel_sums(lo, hi):
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+        f = _in_chunks(lambda s: _e2(axis.point(s)) * axis.velocity(s), t.ravel())
+        return half * (f.reshape(t.shape) * _GL_WEIGHTS).sum(axis=1)
+
+    pieces = max(4, math.ceil(ell / _PANEL_WIDTH))
+    if pieces > _MAX_PANELS:
+        raise QuadratureFailure(f"{pieces} panels needed (cap {_MAX_PANELS}) for {gamma}")
+    edges = np.linspace(-0.5 * ell, 0.5 * ell, pieces + 1)
+    lo, hi = edges[:-1], edges[1:]
+    whole = panel_sums(lo, hi)
     total = 0j
-
-    def integrand(t: float) -> complex:
-        return e2_completed(axis.point(t)) * axis.velocity(t)
-
-    for k in range(pieces):
-        a = ell * k / pieces
-        b = ell * (k + 1) / pieces
-        val, err = quad(integrand, a, b, epsabs=_QUAD_TOL, limit=200, complex_func=True)
-        if max(err.real, err.imag) > 100 * _QUAD_TOL + 1e-12:
-            raise QuadratureFailure(f"estimated error {err} on [{a}, {b}] for {gamma}")
-        total += val
+    accepted = 0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        halves = panel_sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves[: lo.size], halves[lo.size :]
+        done = np.abs(left + right - whole) <= _PANEL_TOL
+        total += (left[done] + right[done]).sum()
+        accepted += int(done.sum())
+        split = ~done
+        if accepted + 2 * int(split.sum()) > _MAX_PANELS:
+            raise QuadratureFailure(
+                f"error estimate above {_PANEL_TOL:.1e} on over {_MAX_PANELS} panels for {gamma}"
+            )
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        whole = np.concatenate([left[split], right[split]])
     if abs(total.imag) > 1e-6:
         raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
     return total.real

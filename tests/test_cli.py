@@ -1,9 +1,12 @@
 import json
 import math
+import time
 
 import pytest
 
+from modwind import cli
 from modwind.cli import main
+from modwind.errors import ResidualTooLarge, StepTooCoarse
 from modwind.geodesics import EnumerationConfig, enumerate_geodesics
 
 
@@ -135,6 +138,31 @@ class TestIndex:
         code, out, _ = run(capsys, "index", "--matrix", "22,3,7,1")
         assert code == 0
         assert json.loads(out)["index"] == -4
+
+    @pytest.mark.parametrize("error", [StepTooCoarse, ResidualTooLarge])
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch, error):
+        def fail(gamma):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "winding_index", fail)
+        assert run(capsys, "index", "--word", "3-7")[0] == 3
+
+
+# A cusp excursion of about 1e9 turns: the winding grid would need about 1e10
+# nodes and the period cannot reach its error budget in double precision, so
+# both refuse up front instead of running for hours.
+@pytest.mark.parametrize(
+    "argv",
+    [("index", "--word", "1-1000000000"), ("psi", "--word", "1-1000000000", "--method", "period")],
+    ids=["index", "period"],
+)
+def test_huge_word_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "resource/data error" in err
+    assert time.perf_counter() - start < 20.0
 
 
 class TestStatsCommands:

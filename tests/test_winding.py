@@ -1,11 +1,16 @@
+import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modwind.errors import NonPositiveImaginary, NotHyperbolic
+from modwind import winding
+from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic
 from modwind.geodesics import word_to_matrix
-from modwind.matrices import Mat2
+from modwind.matrices import Mat2, geodesic_length
 from modwind.rademacher import psi, psi_cf
 from modwind.winding import (
     DELTA_SERIES,
@@ -21,6 +26,85 @@ from modwind.winding import (
 
 def random_upper_half(rng):
     return complex(rng.uniform(-8, 8), math.exp(rng.uniform(math.log(0.05), 2.0)))
+
+
+# Scalar reference for the batched forms layer: the fold one point at a time
+# with the matrix as exact Python ints, and Delta and E2 summed by a scalar
+# Horner loop.
+
+
+def scalar_reduce(z):
+    a, b, c, d = 1, 0, 0, 1
+    w = z
+    for _ in range(10000):
+        n = round(w.real)
+        if n:
+            w = complex(w.real - n, w.imag)
+            a, b = a - n * c, b - n * d
+        if abs(w) < 1.0 - 1e-15:
+            w = -1.0 / w
+            a, b, c, d = -c, -d, a, b
+        else:
+            return w, c * z + d
+    raise RuntimeError("fold did not terminate")
+
+
+def scalar_horner(coeffs, q):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return acc
+
+
+def scalar_delta(z):
+    """(log|Delta|, arg Delta) at z."""
+    z_red, j = scalar_reduce(z)
+    tail = scalar_horner(DELTA_SERIES, cmath.exp(2j * math.pi * z_red))
+    log_abs = -2 * math.pi * z_red.imag + math.log(abs(tail)) - 12.0 * math.log(abs(j))
+    arg = 2 * math.pi * z_red.real + cmath.phase(tail) - 12.0 * cmath.phase(j)
+    return log_abs, arg
+
+
+def scalar_e2(z):
+    z_red, j = scalar_reduce(z)
+    q = cmath.exp(2j * math.pi * z_red)
+    return (scalar_horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)) / (j * j)
+
+
+class TestBatchedLayer:
+    # Fixed before the comparison was run: the batched layer reorders no sum,
+    # but numpy's complex division and exp may differ from Python's in the
+    # last bits, amplified at most by the fold.
+    TOL = 1e-12
+
+    def test_matches_scalar_reference(self):
+        rng = random.Random(43)
+        zs = [random_upper_half(rng) for _ in range(2000)]
+        log_abs, arg, _ = winding._delta_parts(np.array(zs))
+        e2 = winding._e2(np.array(zs))
+        for k, z in enumerate(zs):
+            ref_log, ref_arg = scalar_delta(z)
+            assert abs(log_abs[k] - ref_log) <= self.TOL * max(1.0, abs(ref_log))
+            # arg[k] is wrapped to [-pi, pi]; ref_arg is not
+            assert abs(math.remainder(arg[k] - ref_arg, 2 * math.pi)) <= self.TOL * max(
+                1.0, abs(arg[k])
+            )
+            ref_e2 = scalar_e2(z)
+            assert abs(e2[k] - ref_e2) <= self.TOL * max(1.0, abs(ref_e2))
+
+    def test_fold_refuses_inexact_matrix(self):
+        # the fold of z = 0.3 + 1e-40 i needs c near 6e16 (Im j = c Im z from
+        # the scalar fold's exact ints); float64 entries past 2^52 would give a
+        # wrong j
+        _, j = scalar_reduce(0.3 + 1e-40j)
+        assert abs(j.imag / 1e-40) > 2.0**52
+        with pytest.raises(CapExceeded):
+            reduce_to_fundamental(0.3 + 1e-40j)
+
+    def test_gauss_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.abs(winding._GL_NODES - nodes).max() < 1e-15
+        assert np.abs(winding._GL_WEIGHTS - weights).max() < 1e-15
 
 
 class TestSeriesTables:
@@ -208,15 +292,49 @@ class TestE2Period:
             g = word_to_matrix(w)
             assert e2_period(g) == pytest.approx(psi_cf(w), abs=1e-6)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="e2_period misses its 1e-6 tolerance or raises QuadratureFailure "
-        "on these long words; ROADMAP item 2 (one batched forms layer) is to fix it",
-    )
-    @pytest.mark.parametrize(
-        "w",
-        [(387, 2, 3, 6), (172, 4, 3, 6), (3, 2, 3, 2, 3, 2, 2, 2, 3, 3, 1, 3)],
-        ids=lambda w: "-".join(map(str, w)),
-    )
-    def test_long_words_known_defect(self, w):
-        assert e2_period(word_to_matrix(w)) == pytest.approx(psi_cf(w), abs=1e-6)
+    def test_large_partial_quotient(self):
+        g = word_to_matrix((1, 3000))
+        assert winding_index(g).index == -2999
+        assert e2_period(g) == pytest.approx(-2999.0, abs=1e-6)
+
+
+# Words longer than the census the acceptance tests sample (T = 14); the first
+# three missed the 1e-6 tolerance when both routes started the loop at t = 0.
+@pytest.mark.parametrize(
+    "w",
+    [
+        (387, 2, 3, 6),
+        (172, 4, 3, 6),
+        (3, 2, 3, 2, 3, 2, 2, 2, 3, 3, 1, 3),
+        (6, 5, 209, 2),
+        (6, 1, 393, 3),
+    ],
+    ids=lambda w: "-".join(map(str, w)),
+)
+def test_long_words(w):
+    g = word_to_matrix(w)
+    assert winding_index(g).index == psi_cf(w)
+    assert e2_period(g) == pytest.approx(psi_cf(w), abs=1e-6)
+
+
+@st.composite
+def words_up_to_length_24(draw):
+    """2 to 12 entries in 1..400, cut to the longest even prefix of length <= 24.
+
+    Every two-entry prefix qualifies: its trace is at most 400^2 + 2.
+    """
+    entries = draw(st.lists(st.integers(1, 400), min_size=2, max_size=12))
+    w = tuple(entries[: len(entries) - len(entries) % 2])
+    while geodesic_length(word_to_matrix(w).trace) > 24.0:
+        w = w[:-2]
+    return w
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(words_up_to_length_24())
+def test_routes_match_psi_property(w):
+    g = word_to_matrix(w)
+    index = winding_index(g).index
+    assert index == psi_cf(w)
+    assert winding_index(g.inverse()).index == -index
+    assert abs(e2_period(g) - psi_cf(w)) <= 1e-6
