@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
 
 import click
 
@@ -23,6 +24,7 @@ from .errors import (
     StepTooCoarse,
 )
 from .geodesics import (
+    Census,
     EnumerationConfig,
     GeodesicRecord,
     MAX_LENGTH_BOUND,
@@ -116,37 +118,45 @@ def _validate_max_length(t: float, minimum: float = 2.0) -> float:
     return t
 
 
-def _records(t: float) -> List[GeodesicRecord]:
+def _records(t: float) -> Census:
     return enumerate_geodesics(EnumerationConfig(max_length=t))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """The file named by out, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _records_csv(records: Sequence[GeodesicRecord]) -> str:
-    lines = ["word,trace,length,psi"]
+def _emit(text: str, out: Optional[str]) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _write_csv(records: Iterable[GeodesicRecord], fh: TextIO) -> None:
+    fh.write("word,trace,length,psi\n")
     for rec in records:
-        word = "-".join(str(a) for a in rec.word.entries)
-        lines.append(f"{word},{rec.trace},{_fmt_real(rec.length)},{rec.psi}")
-    return "\n".join(lines) + "\n"
+        word = "-".join(map(str, rec.word.entries))
+        fh.write(f"{word},{rec.trace},{_fmt_real(rec.length)},{rec.psi}\n")
 
 
-def _records_json(records: Sequence[GeodesicRecord]) -> str:
-    rows = [
-        {
+def _write_json(records: Iterable[GeodesicRecord], fh: TextIO) -> None:
+    """One JSON list of row objects, written row by row with the default separators."""
+    sep = "["
+    for rec in records:
+        row = {
             "word": list(rec.word.entries),
             "trace": rec.trace,
             "length": float(_fmt_real(rec.length)),
             "psi": rec.psi,
         }
-        for rec in records
-    ]
-    return json.dumps(rows) + "\n"
+        fh.write(sep + json.dumps(row))
+        sep = ", "
+    fh.write("[]\n" if sep == "[" else "]\n")
 
 
 def _psi_by_method(gamma: Mat2, method: str):
@@ -185,7 +195,8 @@ def cmd_enumerate(max_length: float, fmt: str, out: Optional[str]) -> None:
             f"--max-length {max_length} outside (0, {MAX_LENGTH_BOUND}]"
         )
     records = _records(max_length)
-    _emit(_records_csv(records) if fmt == "csv" else _records_json(records), out)
+    with _output(out) as fh:
+        (_write_csv if fmt == "csv" else _write_json)(records, fh)
 
 
 @cli.command("psi")

@@ -3,18 +3,24 @@
 A word (a1, ..., a2n) names the conjugacy class of A_{a1} ... A_{a2n} with
 A_a = (a 1; 1 0).  Conjugation acts by rotation through an even offset, so the
 canonical representative is the lexicographically minimal even rotation.
-Enumeration is a pruned depth-first walk over canonical words; the brute-force
-matrix scan is the independent oracle.
+Read as a word over digit pairs, a canonical primitive word is a Lyndon word,
+and the census is the FKM walk over Lyndon words of bounded trace, stored in
+columns; the brute-force matrix scan is the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from .errors import (
     CapExceeded,
+    DomainError,
     NonPositiveEntry,
     NotHyperbolic,
     NotPrimitive,
@@ -25,13 +31,17 @@ from .matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked
 __all__ = [
     "CyclicWord",
     "GeodesicRecord",
+    "Census",
     "EnumerationConfig",
     "MAX_LENGTH_BOUND",
+    "CENSUS_MEMORY_BUDGET",
     "validate_entries",
     "canonical_form",
     "is_primitive",
     "word_to_matrix",
     "matrix_to_word",
+    "li",
+    "estimated_census_size",
     "trace_cap_for_length",
     "enumerate_geodesics",
     "enumerate_by_trace",
@@ -39,8 +49,17 @@ __all__ = [
 ]
 
 MAX_LENGTH_BOUND = 20.0
+# A census is refused up front when its estimated peak memory exceeds this,
+# which admits T up to about 17.98.
+CENSUS_MEMORY_BUDGET = 512 * 2**20
+# Peak memory growth per class of a census and its statistics: 132 B measured
+# at T = 15 and at T = 17, plus room for the longer words of larger T.
+_CENSUS_BYTES_PER_CLASS = 140
 _BRUTE_FORCE_TRACE_LIMIT = 50
 _LENGTH_SLACK = 1e-12
+# Census iteration converts this many rows of each column to Python at a time.
+_ROWS_PER_CHUNK = 4096
+_EULER_GAMMA = 0.5772156649015329
 
 
 def validate_entries(entries: Sequence[int]) -> None:
@@ -185,6 +204,40 @@ class GeodesicRecord:
     psi: int
 
 
+def _li_from_log(log_x: float) -> float:
+    """gamma + ln ln x + sum_n (ln x)^n / (n n!), the logarithmic integral from 0."""
+    total = 0.0
+    term = 1.0  # (ln x)^n / n!
+    n = 0
+    while True:
+        n += 1
+        term *= log_x / n
+        total += term / n
+        if n > log_x and term < 1e-17 * total:
+            return _EULER_GAMMA + math.log(log_x) + total
+
+
+_LI_2 = _li_from_log(math.log(2.0))
+
+
+def li(x: float) -> float:
+    """Logarithmic integral with lower limit 2: int_2^x dt / log t.
+
+    The series has positive terms only, so it needs no cancellation.
+    """
+    if not 2 <= x < math.inf:
+        raise DomainError(f"x = {x} outside [2, inf)")
+    return _li_from_log(math.log(x)) - _LI_2
+
+
+def estimated_census_size(max_length: float) -> float:
+    """li(e^T), the prime geodesic theorem's count of classes of length <= T.
+
+    At T = 15 it gives 234,955 against the 234,832 classes of the census.
+    """
+    return li(math.exp(max_length)) if max_length > math.log(2.0) else 0.0
+
+
 @dataclass(frozen=True)
 class EnumerationConfig:
     max_length: float
@@ -193,6 +246,12 @@ class EnumerationConfig:
         if not (0 < self.max_length <= MAX_LENGTH_BOUND):
             raise CapExceeded(
                 f"max_length {self.max_length} outside (0, {MAX_LENGTH_BOUND}]"
+            )
+        size = estimated_census_size(self.max_length)
+        if size * _CENSUS_BYTES_PER_CLASS > CENSUS_MEMORY_BUDGET:
+            raise CapExceeded(
+                f"a census at length {self.max_length} has about {size:.3g} classes, "
+                f"over the memory budget of {CENSUS_MEMORY_BUDGET // 2**20} MiB"
             )
 
 
@@ -210,62 +269,147 @@ def trace_cap_for_length(max_length: float) -> int:
     return cap
 
 
-def _record(entries: Tuple[int, ...], trace: int) -> GeodesicRecord:
-    word = CyclicWord(entries)
-    psi = sum(a if i % 2 == 0 else -a for i, a in enumerate(entries))
-    return GeodesicRecord(word=word, trace=trace, length=geodesic_length(trace), psi=psi)
+class Census(Sequence):
+    """Every class of a census, stored as columns in (trace, word) order.
 
-
-def _dfs_first_entry(a1: int, cap: int) -> List[Tuple[Tuple[int, ...], int]]:
-    """All canonical primitive words starting with a1, trace <= cap.
-
-    Partial products of positive A-factors have non-negative entries that are
-    monotone in every digit and non-decreasing under extension, so a branch is
-    pruned as soon as the trace of its minimal even completion exceeds the cap.
-    Canonical words satisfy entries[0] <= entries[i] for every even i, which
-    prunes even positions below a1.
+    Row i is the class with entries digits[start[i]:stop[i]], matrix trace
+    trace[i], length length[i] and winding number psi[i].  Indexing and
+    iteration build a GeodesicRecord view of a row from Python ints on each
+    access; no per-row object is stored.
     """
-    out: List[Tuple[Tuple[int, ...], int]] = []
-    # stack frames: (entries, p, q, r, s, next_digit)
-    m0 = (a1, 1, 1, 0)
-    stack = [([a1], *m0, 1)]
-    while stack:
-        entries, p, q, r, s, a = stack.pop()
-        depth = len(entries)
-        even_pos = depth % 2 == 0  # next digit lands at even index (0-based)
-        if even_pos and a < a1:
-            a = a1
-        # child product
-        np_, nq, nr, ns = p * a + q, p, r * a + s, r
-        child_len = depth + 1
-        if child_len % 2 == 0:
-            # completions of the child (if any) only grow the trace
-            if np_ + ns > cap:
-                continue  # larger a only increases the trace: drop frame
-            stack.append((entries, p, q, r, s, a + 1))
-            centries = entries + [a]
-            tup = tuple(centries)
-            if tup == _min_even_rotation(tup) and is_primitive(tup):
-                out.append((tup, np_ + ns))
-            stack.append((centries, np_, nq, nr, ns, 1))
-        else:
-            # minimal even completion of the child is child * A_1
-            if np_ + nq + nr > cap:
-                continue
-            stack.append((entries, p, q, r, s, a + 1))
-            stack.append((entries + [a], np_, nq, nr, ns, 1))
-    return out
+
+    __slots__ = ("trace", "psi", "length", "start", "stop", "digits")
+
+    def __init__(self, trace, psi, length, start, stop, digits):
+        self.trace = trace  # int64
+        self.psi = psi  # int64
+        self.length = length  # float64
+        self.start = start  # int32 row bounds into digits
+        self.stop = stop
+        self.digits = digits  # int32, the words of all rows
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def __getitem__(self, i: int) -> GeodesicRecord:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} of a census of {n}")
+        i %= n
+        return GeodesicRecord(
+            word=CyclicWord(tuple(self.digits[self.start[i] : self.stop[i]].tolist())),
+            trace=int(self.trace[i]),
+            length=float(self.length[i]),
+            psi=int(self.psi[i]),
+        )
+
+    def __iter__(self) -> Iterator[GeodesicRecord]:
+        digits = self.digits
+        for lo in range(0, len(self), _ROWS_PER_CHUNK):
+            hi = lo + _ROWS_PER_CHUNK
+            for start, stop, trace, length, psi in zip(
+                self.start[lo:hi].tolist(),
+                self.stop[lo:hi].tolist(),
+                self.trace[lo:hi].tolist(),
+                self.length[lo:hi].tolist(),
+                self.psi[lo:hi].tolist(),
+            ):
+                word = CyclicWord(tuple(digits[start:stop].tolist()))
+                yield GeodesicRecord(word=word, trace=trace, length=length, psi=psi)
 
 
-def enumerate_by_trace(cap: int) -> List[GeodesicRecord]:
+def _lyndon_walk(cap: int):
+    """Every class of trace <= cap, in lexicographic order of its word, as
+    array buffers (digits, row ends, traces, psi values).
+
+    A class is a Lyndon word over digit pairs (a_{2i-1}, a_{2i}): its minimal
+    even rotation is itself, and it is no power of an even block.  This is
+    the FKM walk over prenecklaces (Duval 1988; Ruskey, Savage and Wang
+    1992).  A prenecklace of n pairs with period p has the children that
+    append the pair p places back (period p again) or any larger pair (period
+    n + 1); it is a Lyndon word exactly when p = n, so every child except the
+    repeat is a class.  Preorder with children in ascending order is
+    lexicographic order.
+
+    The product (p q; r s) of the factors A_a = (a 1; 1 0) has non-negative
+    entries, and appending the pair (a, b) multiplies it by
+    A_a A_b = (ab + 1, a; b, 1).  With u = pa + q and v = ra + s the child is
+    (ub + p, u; vb + r, v), of trace ub + p + v.  The trace grows with a, b
+    and every further pair, so no prefix of a class is over the cap, and the
+    largest b is (cap - p - v) // u.  For a above the repeated pair's a0 the
+    smallest pair is (a, 1), so only (a, 1) over the cap ends the loop over
+    a; at a = a0 the pairs start at b0.
+    """
+    digits = array("i")
+    ends = array("q")
+    traces = array("q")
+    psis = array("q")
+    word: List[int] = []
+
+    def visit(p, q, r, s, period, w, a0, b0):
+        # children of the prenecklace `word` of n pairs and period `period`,
+        # product (p q; r s) and alternating sum w; (a0, b0) is the pair
+        # `period` places back, (1, 1) at the root
+        n = len(word) >> 1
+        a = a0
+        while True:
+            u = p * a + q
+            v = r * a + s
+            b_max = (cap - p - v) // u
+            if b_max < 1:
+                return
+            for b in range(b0 if a == a0 else 1, b_max + 1):
+                P = u * b + p
+                R = v * b + r
+                ww = w + a - b
+                word.append(a)
+                word.append(b)
+                if n and a == a0 and b == b0:
+                    child_period = period
+                else:
+                    child_period = n + 1
+                    digits.extend(word)
+                    ends.append(len(digits))
+                    traces.append(P + v)
+                    psis.append(ww)
+                # the smallest pair (1, 1) gives the child's cheapest child
+                if 2 * P + u + R + v <= cap:
+                    k = 2 * (n + 1 - child_period)
+                    visit(P, u, R, v, child_period, ww, word[k], word[k + 1])
+                del word[-2:]
+            a += 1
+
+    visit(1, 0, 0, 1, 1, 0, 1, 1)
+    return digits, ends, traces, psis
+
+
+def enumerate_by_trace(cap: int) -> Census:
     """All oriented primitive classes with trace <= cap, sorted (trace, word)."""
-    # the shortest word starting with a1 is (a1, 1), of trace a1 + 2
-    found = [item for a1 in range(1, cap - 1) for item in _dfs_first_entry(a1, cap)]
-    found.sort(key=lambda item: (item[1], item[0]))
-    return [_record(entries, trace) for entries, trace in found]
+    digits, ends, traces, psis = _lyndon_walk(cap)
+    if len(digits) > np.iinfo(np.int32).max:
+        raise CapExceeded(f"{len(digits)} digits overflow the int32 row bounds")
+    # the walk emits words in lexicographic order, so a stable sort by trace
+    # gives (trace, word) order; the row bounds move, the digits stay
+    trace = np.frombuffer(traces, dtype=np.int64)
+    order = np.argsort(trace, kind="stable")
+    stop = np.frombuffer(ends, dtype=np.int64)
+    start = np.concatenate((np.zeros(1, np.int64), stop[:-1]))[order].astype(np.int32)
+    stop = stop[order].astype(np.int32)
+    trace = trace[order]
+    psi = np.frombuffer(psis, dtype=np.int64)[order]
+    del order, traces, psis, ends  # freed before the length column is built
+    lengths = np.array([geodesic_length(t) for t in range(3, cap + 1)], dtype=np.float64)
+    return Census(
+        trace=trace,
+        psi=psi,
+        length=lengths[trace - 3],
+        start=start,
+        stop=stop,
+        digits=np.frombuffer(digits, dtype=np.int32),
+    )
 
 
-def enumerate_geodesics(config: EnumerationConfig) -> List[GeodesicRecord]:
+def enumerate_geodesics(config: EnumerationConfig) -> Census:
     """Every oriented primitive class with length <= max_length, deterministic order."""
     return enumerate_by_trace(trace_cap_for_length(config.max_length))
 
@@ -276,8 +420,6 @@ def brute_force_classes(trace_max: int) -> List[CyclicWord]:
     """
     if trace_max > _BRUTE_FORCE_TRACE_LIMIT:
         raise CapExceeded(f"trace_max {trace_max} > {_BRUTE_FORCE_TRACE_LIMIT}")
-    import numpy as np
-
     bound = trace_max * trace_max
     words = set()
     c_vals = np.concatenate(

@@ -16,10 +16,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence
 
+from .errors import CapExceeded
 from .geodesics import (
     EnumerationConfig,
     GeodesicRecord,
     enumerate_geodesics,
+    estimated_census_size,
     is_primitive,
     matrix_to_word,
     word_to_matrix,
@@ -43,7 +45,12 @@ from .rademacher import (
 )
 from .winding import e2_period, winding_index
 
-__all__ = ["SuiteResult", "run_all", "ALL_SUITES"]
+__all__ = ["SuiteResult", "run_all", "ALL_SUITES", "VERIFY_MAX_CLASSES"]
+
+# word_census checks every class of the census with the exact symbols, at
+# about 150 us a class, so run_all refuses a census estimated above this
+# (T of about 15) before any suite runs.
+VERIFY_MAX_CLASSES = 250_000
 
 
 @dataclass
@@ -340,6 +347,12 @@ ALL_SUITES = [
 def run_all(
     max_length: float = 12.0, sample: int = 500, seed: int = 0
 ) -> List[SuiteResult]:
+    size = estimated_census_size(max_length)
+    if size > VERIFY_MAX_CLASSES:
+        raise CapExceeded(
+            f"verify at length {max_length} would check about {size:.3g} classes "
+            f"(at most {VERIFY_MAX_CLASSES})"
+        )
     rng = random.Random(seed)
     results = [
         suite_dedekind_reciprocity(random.Random(rng.random())),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -76,6 +77,35 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--max-length", "2.633915793849633")
         assert code == 0
         assert [row[0] for row in parse_csv(out)] == [(1, 1), (1, 2), (2, 1)]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--max-length", "12"), "6343939155ed2c2d179e70820b81b88c2dd8f8d3f0a584ac9acb1c5242736762"),
+            (("--max-length", "14"), "272a7265f088acbc25ef5e509ebdd3b84c56d915c671517e6a5eaf13ac24c34d"),
+            (
+                ("--max-length", "12", "--format", "json"),
+                "8e0fb5345b8b997e0467d86c4b458bc64970581e927123b5623747f7c8279299",
+            ),
+        ],
+        ids=["csv12", "csv14", "json12"],
+    )
+    def test_output_bytes_pinned(self, capsys, argv, digest):
+        # SHA-256 of the output of the depth-first enumerator and the
+        # whole-string writers that the Lyndon walk and the streaming writers
+        # replaced
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_over_memory_budget_fails_fast(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--max-length", "20", "--out", str(path))
+        assert code == 3
+        assert out == "" and not path.exists()
+        assert "memory budget" in err
+        assert time.perf_counter() - start < 5.0
 
     def test_bad_length(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max-length", "25")
@@ -220,3 +250,13 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--max-length", "25")
         assert code == 1
         assert err
+
+    def test_census_bound_fails_fast(self, capsys):
+        # T = 16 is within the census's memory budget, but word_census would
+        # check about 595,000 classes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max-length", "16")
+        assert code == 3
+        assert out == ""
+        assert "classes" in err
+        assert time.perf_counter() - start < 5.0

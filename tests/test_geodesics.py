@@ -1,8 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modwind import geodesics
 from modwind.errors import (
     CapExceeded,
     NonPositiveEntry,
@@ -11,13 +15,17 @@ from modwind.errors import (
     OddLength,
 )
 from modwind.geodesics import (
+    CENSUS_MEMORY_BUDGET,
+    Census,
     CyclicWord,
+    GeodesicRecord,
     MAX_LENGTH_BOUND,
     EnumerationConfig,
     brute_force_classes,
     canonical_form,
     enumerate_by_trace,
     enumerate_geodesics,
+    estimated_census_size,
     is_primitive,
     matrix_to_word,
     trace_cap_for_length,
@@ -25,6 +33,60 @@ from modwind.geodesics import (
 )
 from modwind.matrices import Mat2, geodesic_length
 from modwind.rademacher import psi, psi_cf
+
+
+def _min_even_rotation(entries):
+    return min(entries[k:] + entries[:k] for k in range(0, len(entries), 2))
+
+
+def _reference_first_entry(a1, cap):
+    """Canonical primitive words starting with a1, trace <= cap, by a pruned DFS.
+
+    Partial products of positive A-factors have non-negative entries that are
+    monotone in every digit and non-decreasing under extension, so a branch is
+    pruned as soon as the trace of its minimal even completion exceeds the cap.
+    Canonical words satisfy entries[0] <= entries[i] for every even i, which
+    prunes even positions below a1.
+    """
+    out = []
+    # stack frames: (entries, p, q, r, s, next_digit)
+    stack = [([a1], a1, 1, 1, 0, 1)]
+    while stack:
+        entries, p, q, r, s, a = stack.pop()
+        depth = len(entries)
+        if depth % 2 == 0 and a < a1:
+            a = a1
+        np_, nq, nr, ns = p * a + q, p, r * a + s, r
+        if (depth + 1) % 2 == 0:
+            if np_ + ns > cap:
+                continue  # larger a only increases the trace
+            stack.append((entries, p, q, r, s, a + 1))
+            tup = tuple(entries + [a])
+            if tup == _min_even_rotation(tup) and is_primitive(tup):
+                out.append((tup, np_ + ns))
+            stack.append((entries + [a], np_, nq, nr, ns, 1))
+        else:
+            # minimal even completion of the child is child * A_1
+            if np_ + nq + nr > cap:
+                continue
+            stack.append((entries, p, q, r, s, a + 1))
+            stack.append((entries + [a], np_, nq, nr, ns, 1))
+    return out
+
+
+def reference_census(cap):
+    """Rows (word, trace, psi, length) of every class of trace <= cap, sorted
+    (trace, word): the depth-first enumerator the Lyndon walk replaced."""
+    found = [item for a1 in range(1, cap - 1) for item in _reference_first_entry(a1, cap)]
+    found.sort(key=lambda item: (item[1], item[0]))
+    return [
+        (entries, trace, sum(entries[0::2]) - sum(entries[1::2]), geodesic_length(trace))
+        for entries, trace in found
+    ]
+
+
+def rows(census):
+    return [(r.word.entries, r.trace, r.psi, r.length) for r in census]
 
 
 class TestCanonicalForm:
@@ -209,3 +271,72 @@ class TestOrientationInvolution:
             half = r.word.entries[: n // 2]
             if (n // 2) % 2 == 1 and r.word.entries == half * 2:
                 assert r.psi == 0
+
+
+class TestCensus:
+    def test_matches_reference_at_length_twelve(self):
+        cap = trace_cap_for_length(12.0)
+        census = enumerate_by_trace(cap)
+        expect = reference_census(cap)
+        assert len(expect) == 14904
+        assert rows(census) == expect
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(min_value=3, max_value=80))
+    def test_matches_reference_property(self, cap):
+        assert rows(enumerate_by_trace(cap)) == reference_census(cap)
+
+    def test_columns(self):
+        census = enumerate_by_trace(60)
+        assert [c.dtype for c in (census.trace, census.psi, census.length)] == [
+            np.int64,
+            np.int64,
+            np.float64,
+        ]
+        assert census.digits.dtype == np.int32
+        # one length per trace, bit for bit the scalar formula
+        assert all(
+            length == geodesic_length(trace)
+            for trace, length in zip(census.trace.tolist(), census.length.tolist())
+        )
+
+    def test_row_views(self):
+        census = enumerate_by_trace(30)
+        n = len(census)
+        listed = list(census)
+        assert len(listed) == n
+        assert [census[i] for i in range(n)] == listed
+        assert census[-1] == listed[-1] and census[-n] == listed[0]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                census[i]
+        rec = census[-1]
+        assert isinstance(rec, GeodesicRecord) and isinstance(rec.word, CyclicWord)
+        assert {type(rec.trace), type(rec.psi), type(rec.length)} == {int, float}
+        assert all(type(a) is int for a in rec.word.entries)
+        assert rec in listed and len(set(listed)) == n
+
+    def test_empty(self):
+        census = enumerate_by_trace(2)
+        assert isinstance(census, Census)
+        assert len(census) == 0 and list(census) == []
+
+
+class TestCensusBudget:
+    def test_estimate_tracks_the_census(self):
+        assert estimated_census_size(15.0) == pytest.approx(234832, rel=1e-3)
+        assert estimated_census_size(12.0) == pytest.approx(14904, rel=1e-2)
+        assert estimated_census_size(0.5) == 0.0
+
+    def test_over_budget_refused_up_front(self):
+        with pytest.raises(CapExceeded):
+            EnumerationConfig(max_length=MAX_LENGTH_BOUND)
+        EnumerationConfig(max_length=15.0)
+
+    def test_guard_reads_the_estimate(self, monkeypatch):
+        per_class = CENSUS_MEMORY_BUDGET / estimated_census_size(5.0)
+        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 1.01 * per_class)
+        with pytest.raises(CapExceeded):
+            EnumerationConfig(max_length=5.0)
+        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
+        EnumerationConfig(max_length=5.0)

@@ -1,9 +1,15 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from modwind.errors import DomainError, InsufficientData
 from modwind.geodesics import EnumerationConfig, enumerate_by_trace, enumerate_geodesics
+from modwind.matrices import geodesic_length
 from modwind.stats import (
     cauchy_compare,
     density_table,
@@ -19,6 +25,96 @@ from modwind.stats import (
 @pytest.fixture(scope="module")
 def census12():
     return enumerate_geodesics(EnumerationConfig(max_length=12.0))
+
+
+@pytest.fixture(scope="module")
+def records12(census12):
+    return list(census12)
+
+
+# The loops the numpy reductions replaced, over the records of length <= T.
+
+
+def loop_histogram(records, T):
+    counts = {}
+    for rec in records:
+        if rec.length <= T:
+            counts[rec.psi] = counts.get(rec.psi, 0) + 1
+    return counts
+
+
+def loop_ks(records, T):
+    values = sorted((3.0 / math.pi) * rec.psi / rec.length for rec in records if rec.length <= T)
+    n = len(values)
+    ks = 0.0
+    for i, u in enumerate(values):
+        f = 0.5 + math.atan(u) / math.pi
+        ks = max(ks, abs((i + 1) / n - f), abs(i / n - f))
+    return ks
+
+
+def loop_twisted(records, T, r):
+    return sum(
+        cmath.exp(2j * math.pi * r * rec.psi / 12.0) * rec.length
+        for rec in records
+        if rec.length <= T
+    )
+
+
+class TestAgainstLoops:
+    """The reductions against the loops on the T = 12 census at several windows.
+
+    Counts must be equal.  A float sum of n terms changes by at most
+    n * 2^-52 times the sum of their magnitudes when its order changes, and
+    the KS statistic by a few ulps of atan; these bounds were set before the
+    comparison was run.
+    """
+
+    WINDOWS = (8.0, 10.5, 12.0)
+
+    def test_counts(self, census12, records12):
+        for T in self.WINDOWS:
+            assert winding_histogram(census12, T).counts == loop_histogram(records12, T)
+        for T in self.WINDOWS[1:]:
+            psis = [rec.psi for rec in records12 if rec.length <= T]
+            for q in (1, 2, 3, 5):
+                expect = {a: sum(1 for x in psis if x % q == a) / len(psis) for a in range(q)}
+                assert equidistribution(census12, T, q) == expect
+
+    def test_cauchy(self, census12, records12):
+        for T in (10.5, 12.0):
+            assert abs(cauchy_compare(census12, T).ks_statistic - loop_ks(records12, T)) <= 1e-12
+
+    def test_twisted(self, census12, records12):
+        for T in self.WINDOWS:
+            lengths = [rec.length for rec in records12 if rec.length <= T]
+            bound = len(lengths) * 2.0**-52 * sum(lengths)
+            for r in (-0.45, 0.0, 0.3, 0.6, 6.0, 12.0):
+                assert abs(twisted_sum(census12, T, r).sum - loop_twisted(records12, T, r)) <= bound
+
+    def test_plain_iterable_matches_census(self, census12, records12):
+        listed = records12
+        assert winding_histogram(listed, 10.5) == winding_histogram(census12, 10.5)
+        assert cauchy_compare(listed, 10.5) == cauchy_compare(census12, 10.5)
+        assert equidistribution(iter(listed), 10.5, 3) == equidistribution(census12, 10.5, 3)
+        assert twisted_sum(listed, 10.5, 0.25) == twisted_sum(census12, 10.5, 0.25)
+
+
+class TestLengthRule:
+    # 3.1e-15 below the length of trace 4: within the census's 1e-12 slack
+    T = 2.63391579384963
+
+    def test_window_is_the_census(self):
+        assert geodesic_length(4) - self.T < 1e-14
+        records = enumerate_geodesics(EnumerationConfig(max_length=self.T))
+        assert [r.word.entries for r in records] == [(1, 1), (1, 2), (2, 1)]
+        for recs in (records, list(records)):
+            hist = winding_histogram(recs, self.T)
+            assert hist.total == 3
+            assert hist.counts == {0: 1, -1: 1, 1: 1}
+            assert twisted_sum(recs, self.T, 0.0).sum == pytest.approx(
+                sum(r.length for r in records), rel=1e-15
+            )
 
 
 class TestWindingHistogram:
@@ -67,6 +163,8 @@ class TestPredictedPiN:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             predicted_pi_n(0, 1.0)
+        with pytest.raises(DomainError):
+            predicted_pi_n(0, 1e9)
 
 
 class TestDensityTable:
@@ -171,3 +269,17 @@ class TestLi:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             li(1.5)
+        for x in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                li(x)
+
+
+def test_needs_neither_scipy_nor_mpmath():
+    code = (
+        "import sys, modwind; modwind.li(1e6); modwind.predicted_pi_n(1, 10.0); "
+        "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 import pytest
 
+from modwind import verify
+from modwind.errors import CapExceeded
 from modwind.geodesics import EnumerationConfig, enumerate_geodesics
-from modwind.verify import stratified_sample
+from modwind.verify import VERIFY_MAX_CLASSES, run_all, stratified_sample
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +37,10 @@ class TestStratifiedSample:
         traces = sorted(r.trace for r in picked)
         median = traces[len(traces) // 2]
         assert traces[0] < median < traces[-1]
+
+
+class TestRunAllBound:
+    def test_guard_reads_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(verify, "estimated_census_size", lambda T: VERIFY_MAX_CLASSES + 1)
+        with pytest.raises(CapExceeded):
+            run_all(max_length=5.0)
