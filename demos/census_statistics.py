@@ -25,7 +25,7 @@ print(f"  {len(records)} classes, largest trace {records[-1].trace}")
 
 # prime geodesic theorem: the length sum tracks e^T and the raw count
 # tracks li(e^T)
-length_sum = sum(r.length for r in records)
+length_sum = float(records.length.sum())
 print(f"\nsum of lengths / e^T      = {length_sum / math.exp(T):.4f}")
 print(f"class count / li(e^T)     = {len(records) / li(math.exp(T)):.4f}")
 

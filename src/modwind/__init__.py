@@ -47,8 +47,6 @@ from .matrices import (
     sign0,
 )
 from .rademacher import (
-    MultiplierValue,
-    SymbolValues,
     chi_r,
     phi_closed,
     phi_word,
@@ -56,7 +54,6 @@ from .rademacher import (
     psi_cf,
     psi_cocycle,
     s_symbol,
-    symbol_values,
     ts_factors,
 )
 from .stats import (

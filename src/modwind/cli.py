@@ -8,9 +8,10 @@ Diagnostics go to stderr; stdout carries data only.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
+from typing import Iterator, List, Optional, Sequence, TextIO
 
 import click
 
@@ -26,7 +27,6 @@ from .errors import (
 from .geodesics import (
     Census,
     EnumerationConfig,
-    GeodesicRecord,
     MAX_LENGTH_BOUND,
     CyclicWord,
     canonical_form,
@@ -50,6 +50,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
+
+# The stats tables (--n-range, --r-grid, --modulus) are refused above this
+# many rows before the census is built.
+MAX_TABLE_ROWS = 10_000
 
 
 class VerificationFailure(ModwindError):
@@ -86,7 +90,12 @@ def _parse_word(text: str) -> CyclicWord:
         raise click.UsageError(str(exc))
 
 
-def _parse_range(text: str) -> List[int]:
+def _check_rows(rows: int, what: str) -> None:
+    if rows > MAX_TABLE_ROWS:
+        raise click.UsageError(f"{what} asks for {rows:,} rows (at most {MAX_TABLE_ROWS:,})")
+
+
+def _parse_range(text: str) -> range:
     """Integer range 'a..b' inclusive."""
     try:
         lo, hi = text.split("..")
@@ -95,7 +104,8 @@ def _parse_range(text: str) -> List[int]:
         raise click.UsageError(f"bad range {text!r} (want a..b)")
     if hi_i < lo_i:
         raise click.UsageError(f"empty range {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    _check_rows(hi_i - lo_i + 1, f"--n-range {text}")
+    return range(lo_i, hi_i + 1)
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -104,10 +114,12 @@ def _parse_grid(text: str) -> List[float]:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise click.UsageError(f"bad grid {text!r} (want start:stop:step)")
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise click.UsageError(f"bad grid {text!r}")
-    n = int(round((stop - start) / step))
-    return [start + k * step for k in range(n + 1)]
+    # the quotient overflows to inf for a tiny step or a huge span
+    rows = round(min((stop - start) / step, MAX_TABLE_ROWS)) + 1
+    _check_rows(rows, f"--r-grid {text}")
+    return [start + k * step for k in range(rows)]
 
 
 def _validate_max_length(t: float, minimum: float = 2.0) -> float:
@@ -118,7 +130,7 @@ def _validate_max_length(t: float, minimum: float = 2.0) -> float:
     return t
 
 
-def _records(t: float) -> Census:
+def _census(t: float) -> Census:
     return enumerate_geodesics(EnumerationConfig(max_length=t))
 
 
@@ -137,22 +149,22 @@ def _emit(text: str, out: Optional[str]) -> None:
         fh.write(text)
 
 
-def _write_csv(records: Iterable[GeodesicRecord], fh: TextIO) -> None:
+def _write_csv(census: Census, fh: TextIO) -> None:
     fh.write("word,trace,length,psi\n")
-    for rec in records:
-        word = "-".join(map(str, rec.word.entries))
-        fh.write(f"{word},{rec.trace},{_fmt_real(rec.length)},{rec.psi}\n")
+    for entries, trace, length, psi_val in census.rows():
+        word = "-".join(map(str, entries))
+        fh.write(f"{word},{trace},{_fmt_real(length)},{psi_val}\n")
 
 
-def _write_json(records: Iterable[GeodesicRecord], fh: TextIO) -> None:
+def _write_json(census: Census, fh: TextIO) -> None:
     """One JSON list of row objects, written row by row with the default separators."""
     sep = "["
-    for rec in records:
+    for entries, trace, length, psi_val in census.rows():
         row = {
-            "word": list(rec.word.entries),
-            "trace": rec.trace,
-            "length": float(_fmt_real(rec.length)),
-            "psi": rec.psi,
+            "word": list(entries),
+            "trace": trace,
+            "length": float(_fmt_real(length)),
+            "psi": psi_val,
         }
         fh.write(sep + json.dumps(row))
         sep = ", "
@@ -194,9 +206,9 @@ def cmd_enumerate(max_length: float, fmt: str, out: Optional[str]) -> None:
         raise click.UsageError(
             f"--max-length {max_length} outside (0, {MAX_LENGTH_BOUND}]"
         )
-    records = _records(max_length)
+    census = _census(max_length)
     with _output(out) as fh:
-        (_write_csv if fmt == "csv" else _write_json)(records, fh)
+        (_write_csv if fmt == "csv" else _write_json)(census, fh)
 
 
 @cli.command("psi")
@@ -267,7 +279,7 @@ def cmd_stats_density(max_length: float, n_range: str, csv_out: Optional[str]) -
     """Empirical vs predicted winding densities, one row per n."""
     _validate_max_length(max_length)
     ns = _parse_range(n_range)
-    hist = winding_histogram(_records(max_length), max_length)
+    hist = winding_histogram(_census(max_length), max_length)
     lines = ["n,empirical,predicted"]
     for n, emp, pred in density_table(hist, ns):
         lines.append(f"{n},{_fmt_real(emp)},{_fmt_real(pred)}")
@@ -280,8 +292,8 @@ def cmd_stats_density(max_length: float, n_range: str, csv_out: Optional[str]) -
 def cmd_stats_cauchy(max_length: float, csv_out: Optional[str]) -> None:
     """KS comparison of (3/pi) psi/length against the standard Cauchy law."""
     _validate_max_length(max_length)
-    records = _records(max_length)
-    report = cauchy_compare(records, max_length)
+    census = _census(max_length)
+    report = cauchy_compare(census, max_length)
     if csv_out:
         lines = ["u,empirical,predicted"]
         for (u, emp), (_, ref) in zip(report.empirical_cdf, report.reference_cdf):
@@ -289,7 +301,7 @@ def cmd_stats_cauchy(max_length: float, csv_out: Optional[str]) -> None:
         _emit("\n".join(lines) + "\n", csv_out)
     click.echo(
         json.dumps(
-            {"T": max_length, "count": len(records), "ks_statistic": report.ks_statistic}
+            {"T": max_length, "count": len(census), "ks_statistic": report.ks_statistic}
         )
     )
 
@@ -303,7 +315,8 @@ def cmd_stats_equidist(max_length: float, modulus: int, csv_out: Optional[str]) 
     _validate_max_length(max_length)
     if modulus < 1:
         raise click.UsageError(f"--modulus {modulus} < 1")
-    table = equidistribution(_records(max_length), max_length, modulus)
+    _check_rows(modulus, "--modulus")
+    table = equidistribution(_census(max_length), max_length, modulus)
     lines = ["residue,empirical,predicted"]
     for a in range(modulus):
         lines.append(f"{a},{_fmt_real(table[a])},{_fmt_real(1.0 / modulus)}")
@@ -322,11 +335,13 @@ def cmd_stats_twisted(
     _validate_max_length(max_length)
     if (r_grid is None) == (r_single is None):
         raise click.UsageError("give exactly one of --r or --r-grid")
+    if r_single is not None and not math.isfinite(r_single):
+        raise click.UsageError(f"--r {r_single} is not finite")
     rs = _parse_grid(r_grid) if r_grid is not None else [r_single]
-    records = _records(max_length)
+    census = _census(max_length)
     lines = ["r,abs_sum,main_term,relative_error"]
     for r in rs:
-        rep = twisted_sum(records, max_length, r)
+        rep = twisted_sum(census, max_length, r)
         main = _fmt_real(rep.main_term) if rep.main_term is not None else ""
         rel = _fmt_real(rep.relative_error) if rep.relative_error is not None else ""
         lines.append(f"{_fmt_real(r)},{_fmt_real(abs(rep.sum))},{main},{rel}")
@@ -352,9 +367,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cli.main(args=list(argv) if argv is not None else None, standalone_mode=False)
         return EXIT_OK
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE

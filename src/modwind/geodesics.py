@@ -112,7 +112,7 @@ def is_primitive(word) -> bool:
 
     Doubled odd blocks are primitive; they encode the inert geodesics.
     """
-    entries = tuple(getattr(word, "entries", word))
+    entries = tuple(word)
     n = len(entries)
     for block in range(2, n, 2):
         if n % block == 0 and entries == entries[:block] * (n // block):
@@ -129,7 +129,7 @@ def _word_product_entries(entries: Sequence[int]) -> Tuple[int, int, int, int]:
 
 def word_to_matrix(word) -> Mat2:
     """Product of the factors (a 1; 1 0) over the word entries."""
-    entries = tuple(getattr(word, "entries", word))
+    entries = tuple(word)
     validate_entries(entries)
     return Mat2(*_word_product_entries(entries))
 
@@ -273,9 +273,10 @@ class Census(Sequence):
     """Every class of a census, stored as columns in (trace, word) order.
 
     Row i is the class with entries digits[start[i]:stop[i]], matrix trace
-    trace[i], length length[i] and winding number psi[i].  Indexing and
-    iteration build a GeodesicRecord view of a row from Python ints on each
-    access; no per-row object is stored.
+    trace[i], length length[i] and winding number psi[i].  This class is
+    the only reader of that row layout: rows() yields each row as Python
+    values, and indexing and iteration build a GeodesicRecord view of a row
+    on each access; no per-row object is stored.
     """
 
     __slots__ = ("trace", "psi", "length", "start", "stop", "digits")
@@ -303,19 +304,33 @@ class Census(Sequence):
             psi=int(self.psi[i]),
         )
 
-    def __iter__(self) -> Iterator[GeodesicRecord]:
-        digits = self.digits
+    def rows(self) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
+        """Every row as Python values (entries, trace, length, psi), in order.
+
+        Each chunk of rows gathers its digits with one numpy take, so no
+        per-row view or numpy slice is built.
+        """
         for lo in range(0, len(self), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
-            for start, stop, trace, length, psi in zip(
-                self.start[lo:hi].tolist(),
-                self.stop[lo:hi].tolist(),
+            start = self.start[lo:hi]
+            sizes = self.stop[lo:hi] - start
+            ends = np.cumsum(sizes)
+            # position of every digit of the chunk, row after row
+            take = np.arange(ends[-1]) + np.repeat(start - (ends - sizes), sizes)
+            flat = self.digits[take].tolist()
+            begin = 0
+            for end, trace, length, psi in zip(
+                ends.tolist(),
                 self.trace[lo:hi].tolist(),
                 self.length[lo:hi].tolist(),
                 self.psi[lo:hi].tolist(),
             ):
-                word = CyclicWord(tuple(digits[start:stop].tolist()))
-                yield GeodesicRecord(word=word, trace=trace, length=length, psi=psi)
+                yield tuple(flat[begin:end]), trace, length, psi
+                begin = end
+
+    def __iter__(self) -> Iterator[GeodesicRecord]:
+        for entries, trace, length, psi in self.rows():
+            yield GeodesicRecord(CyclicWord(entries), trace, length, psi)
 
 
 def _lyndon_walk(cap: int):

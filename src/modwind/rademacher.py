@@ -9,23 +9,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from .errors import NonIntegralPhi
 from .matrices import IDENTITY, Mat2, S, dedekind_sum, omega, sign0
 
 __all__ = [
-    "SymbolValues",
-    "MultiplierValue",
     "phi_closed",
     "phi_word",
     "psi",
     "psi_cf",
     "s_symbol",
     "chi_r",
-    "symbol_values",
     "word_factor_matrix",
     "ts_factors",
     "psi_cocycle",
@@ -33,19 +29,6 @@ __all__ = [
 
 # area of the modular orbifold is pi/3, so pi/V = 3 and 4*pi/V = 12
 _PI_OVER_V = 3
-
-
-@dataclass(frozen=True)
-class SymbolValues:
-    phi: int
-    s_symbol: int
-    psi: int
-
-
-@dataclass(frozen=True)
-class MultiplierValue:
-    value: complex
-    r: float
 
 
 def phi_closed(gamma: Mat2) -> int:
@@ -135,7 +118,7 @@ def psi_cf(word) -> int:
     Accepts a CyclicWord or any even-length sequence of positive integers.
     Even rotations leave the alternating sum unchanged.
     """
-    entries: Sequence[int] = getattr(word, "entries", word)
+    entries = tuple(word)
     from .geodesics import validate_entries  # local import to avoid a cycle
 
     validate_entries(entries)
@@ -163,10 +146,6 @@ def s_symbol(gamma: Mat2) -> int:
     return -2 * _PI_OVER_V + neg.b + 12 * omega(-IDENTITY, neg)
 
 
-def chi_r(gamma: Mat2, r: float) -> MultiplierValue:
+def chi_r(gamma: Mat2, r: float) -> complex:
     """Weight-r multiplier system value exp(i pi r S(gamma) / 6)."""
-    return MultiplierValue(cmath.exp(1j * math.pi * r * s_symbol(gamma) / 6.0), r)
-
-
-def symbol_values(gamma: Mat2) -> SymbolValues:
-    return SymbolValues(phi=phi_closed(gamma), s_symbol=s_symbol(gamma), psi=psi(gamma))
+    return cmath.exp(1j * math.pi * r * s_symbol(gamma) / 6.0)

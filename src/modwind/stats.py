@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InsufficientData, QuadratureFailure
-from .geodesics import Census, GeodesicRecord, li, trace_cap_for_length
+from .geodesics import Census, li, trace_cap_for_length
 from .winding import _GL_NODES, _GL_WEIGHTS
 
 __all__ = [
@@ -62,36 +62,30 @@ class TwistedSumReport:
     relative_error: Optional[float]
 
 
-def _window(records: Iterable[GeodesicRecord], T: float) -> Tuple[np.ndarray, np.ndarray]:
-    """psi (int64) and length (float64) of the records of length <= T.
+def _window(census: Census, T: float) -> Tuple[np.ndarray, np.ndarray]:
+    """psi (int64) and length (float64) of the classes of length <= T.
 
     The window is the census's own length rule, trace <= trace_cap_for_length(T).
     A Census is in trace order, so its window is a leading slice of its
-    columns; any other iterable of records is converted once.
+    columns.
     """
-    cap = trace_cap_for_length(T)
-    if isinstance(records, Census):
-        rows = int(np.searchsorted(records.trace, cap, side="right"))
-        return records.psi[:rows], records.length[:rows]
-    records = list(records)
-    keep = np.array([rec.trace <= cap for rec in records], dtype=bool)
-    psi = np.array([rec.psi for rec in records], dtype=np.int64)
-    length = np.array([rec.length for rec in records], dtype=np.float64)
-    return psi[keep], length[keep]
+    rows = int(np.searchsorted(census.trace, trace_cap_for_length(T), side="right"))
+    return census.psi[:rows], census.length[:rows]
 
 
-def winding_histogram(records: Iterable[GeodesicRecord], T: float) -> WindingHistogram:
-    psi, _ = _window(records, T)
+def winding_histogram(census: Census, T: float) -> WindingHistogram:
+    psi, _ = _window(census, T)
     values, counts = np.unique(psi, return_counts=True)
     return WindingHistogram(
         T=T, counts=dict(zip(values.tolist(), counts.tolist())), total=len(psi)
     )
 
 
-def predicted_pi_n(n: int, T: float, k: int = 12) -> float:
+def predicted_pi_n(n: int, T: float) -> float:
     """Predicted count of prime geodesics of length <= T with winding n.
 
-    (4/(kT)) * integral_2^{e^T} log t / ((log t)^2 + (4 pi n / k)^2) dt,
+    (4/(12T)) * integral_2^{e^T} log t / ((log t)^2 + (4 pi n / 12)^2) dt,
+    where 12 is 4 pi over the area pi/3 of the modular orbifold,
     evaluated after the substitution u = log t by the 16-point Gauss-Legendre
     rule on fixed panels of width at most 1/2.  The error estimate is the
     change when every panel is halved.
@@ -100,7 +94,7 @@ def predicted_pi_n(n: int, T: float, k: int = 12) -> float:
         raise DomainError(f"T = {T} < 2")
     if T > _MAX_EXPONENT:
         raise DomainError(f"T = {T}: e^T overflows a float")
-    c2 = (4.0 * math.pi * n / k) ** 2
+    c2 = (4.0 * math.pi * n / 12) ** 2
     lo = math.log(2.0)
     panels = math.ceil((T - lo) / _PANEL_WIDTH)
 
@@ -114,13 +108,13 @@ def predicted_pi_n(n: int, T: float, k: int = 12) -> float:
     err = abs(val - coarse)
     if not err <= 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"predicted_pi_n error estimate {err}")
-    return 4.0 / (k * T) * val
+    return 4.0 / (12 * T) * val
 
 
-def limiting_density(n: int, T: float, k: int = 12) -> float:
-    """Limiting winding density (4/k) T / (T^2 + (4 pi n / k)^2)."""
-    c = 4.0 * math.pi * n / k
-    return (4.0 / k) * T / (T * T + c * c)
+def limiting_density(n: int, T: float) -> float:
+    """Limiting winding density (4/12) T / (T^2 + (4 pi n / 12)^2)."""
+    c = 4.0 * math.pi * n / 12
+    return (4.0 / 12) * T / (T * T + c * c)
 
 
 def density_table(
@@ -139,9 +133,9 @@ def _cauchy_cdf(u: float) -> float:
     return 0.5 + math.atan(u) / math.pi
 
 
-def cauchy_compare(records: Iterable[GeodesicRecord], T: float) -> DistributionReport:
+def cauchy_compare(census: Census, T: float) -> DistributionReport:
     """KS distance between (3/pi) psi/length and the standard Cauchy law."""
-    psi, length = _window(records, T)
+    psi, length = _window(census, T)
     n = len(psi)
     if n < _MIN_SAMPLE:
         raise InsufficientData(f"{n} records (need {_MIN_SAMPLE})")
@@ -158,13 +152,11 @@ def cauchy_compare(records: Iterable[GeodesicRecord], T: float) -> DistributionR
     )
 
 
-def equidistribution(
-    records: Iterable[GeodesicRecord], T: float, q: int
-) -> Dict[int, float]:
+def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
     """Fraction of prime geodesics of length <= T with psi in each class mod q."""
     if q < 1:
         raise DomainError(f"modulus {q} < 1")
-    psi, _ = _window(records, T)
+    psi, _ = _window(census, T)
     total = len(psi)
     if total < _MIN_SAMPLE and q > 1:
         raise InsufficientData(f"{total} records (need {_MIN_SAMPLE})")
@@ -174,7 +166,7 @@ def equidistribution(
     return {a: counts[a] / total for a in range(q)}
 
 
-def twisted_sum(records: Iterable[GeodesicRecord], T: float, r: float) -> TwistedSumReport:
+def twisted_sum(census: Census, T: float, r: float) -> TwistedSumReport:
     """Length sum twisted by the weight-r character e^{2 pi i r psi / 12}.
 
     The lengths are summed per value of psi first, so there is one
@@ -182,9 +174,9 @@ def twisted_sum(records: Iterable[GeodesicRecord], T: float, r: float) -> Twiste
     e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the error for |r| < 1/2,
     so main_term and relative_error are reported only in that range.
     """
-    if abs(r) > 12:
-        raise DomainError(f"|r| = {abs(r)} > 12")
-    psi, length = _window(records, T)
+    if not abs(r) <= 12:  # NaN included
+        raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
+    psi, length = _window(census, T)
     lo = int(psi.min()) if len(psi) else 0
     weight = np.bincount(psi - lo, weights=length)
     phase = np.exp(2j * math.pi * r * np.arange(lo, lo + len(weight)) / 12.0)

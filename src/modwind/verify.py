@@ -14,12 +14,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .errors import CapExceeded
 from .geodesics import (
+    Census,
     EnumerationConfig,
     GeodesicRecord,
+    canonical_form,
     enumerate_geodesics,
     estimated_census_size,
     is_primitive,
@@ -45,7 +47,7 @@ from .rademacher import (
 )
 from .winding import e2_period, winding_index
 
-__all__ = ["SuiteResult", "run_all", "ALL_SUITES", "VERIFY_MAX_CLASSES"]
+__all__ = ["SuiteResult", "run_all", "VERIFY_MAX_CLASSES"]
 
 # word_census checks every class of the census with the exact symbols, at
 # about 150 us a class, so run_all refuses a census estimated above this
@@ -148,8 +150,8 @@ def suite_multiplier_law(rng: random.Random, count: int = 1000) -> SuiteResult:
         h = _random_element(rng)
         w = omega(g, h)
         for r in (0.3, 1.0, 2.5):
-            lhs = chi_r(g @ h, r).value
-            rhs = chi_r(g, r).value * chi_r(h, r).value * cmath.exp(2j * math.pi * r * w)
+            lhs = chi_r(g @ h, r)
+            rhs = chi_r(g, r) * chi_r(h, r) * cmath.exp(2j * math.pi * r * w)
             res.check(abs(lhs - rhs) <= 1e-9, f"law failed at r={r}, {g}, {h}")
     return res
 
@@ -243,59 +245,52 @@ def suite_phi_word(rng: random.Random, count: int = 10000) -> SuiteResult:
     return res
 
 
-def suite_word_census(max_length: float) -> SuiteResult:
-    """Structural invariants of the full census up to max_length."""
+def suite_word_census(census: Census) -> SuiteResult:
+    """Structural invariants of the full census."""
     res = SuiteResult("word_census", 0, 0)
-    records = enumerate_geodesics(EnumerationConfig(max_length=max_length))
-    by_word = {rec.word.entries: rec for rec in records}
-    res.check(len(records) > 0, "empty census")
-    for rec in records:
-        m = word_to_matrix(rec.word)
-        res.check(psi_cf(rec.word) == psi(m) == rec.psi, f"psi mismatch at {rec.word.entries}")
-        res.check(m.trace == rec.trace, f"trace mismatch at {rec.word.entries}")
-        rev = rec.word.reversed()
-        res.check(rev.entries in by_word, f"reversal missing for {rec.word.entries}")
-        res.check(
-            by_word[rev.entries].psi == -rec.psi,
-            f"reversal psi not negated at {rec.word.entries}",
-        )
-        n = len(rec.word.entries)
-        half = rec.word.entries[: n // 2]
-        if n // 2 % 2 == 1 and rec.word.entries == half * 2:
-            res.check(rec.psi == 0, f"inert class with psi != 0: {rec.word.entries}")
+    psi_of = {entries: psi_val for entries, _, _, psi_val in census.rows()}
+    res.check(len(census) > 0, "empty census")
+    for entries, trace, _, psi_val in census.rows():
+        m = word_to_matrix(entries)
+        res.check(psi_cf(entries) == psi(m) == psi_val, f"psi mismatch at {entries}")
+        res.check(m.trace == trace, f"trace mismatch at {entries}")
+        rev = canonical_form(entries[::-1]).entries
+        res.check(rev in psi_of, f"reversal missing for {entries}")
+        res.check(psi_of.get(rev) == -psi_val, f"reversal psi not negated at {entries}")
+        n = len(entries)
+        if n // 2 % 2 == 1 and entries == entries[: n // 2] * 2:
+            res.check(psi_val == 0, f"inert class with psi != 0: {entries}")
     return res
 
 
-def stratified_sample(
-    records: Sequence[GeodesicRecord], size: int, seed: int
-) -> List[GeodesicRecord]:
+def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicRecord]:
     """Deterministic sample spread over the trace range, forcing in words
-    with a large partial quotient (entry >= 50)."""
+    with a large partial quotient (entry >= 50).
+
+    The census is in (trace, word) order, so the sample draws row indices
+    and builds views only of the rows it picks.
+    """
     rng = random.Random(seed)
-    pool = sorted(records, key=lambda r: (r.trace, r.word.entries))
-    if len(pool) <= size:
-        return pool
-    big_entry = [r for r in pool if max(r.word.entries) >= 50]
-    forced = rng.sample(big_entry, min(len(big_entry), max(10, size // 10)))
-    chosen = {r.word.entries: r for r in forced}
+    n = len(census)
+    if n <= size:
+        return list(census)
+    big_entry = [i for i, row in enumerate(census.rows()) if max(row[0]) >= 50]
+    chosen = set(rng.sample(big_entry, min(len(big_entry), max(10, size // 10))))
     strata = 5
     per = (size - len(chosen)) // strata + 1
-    n = len(pool)
     for s in range(strata):
-        block = pool[n * s // strata : n * (s + 1) // strata]
-        for r in rng.sample(block, min(per, len(block))):
-            chosen.setdefault(r.word.entries, r)
+        block = range(n * s // strata, n * (s + 1) // strata)
+        for i in rng.sample(block, min(per, len(block))):
+            chosen.add(i)
             if len(chosen) >= size:
                 break
-    return sorted(chosen.values(), key=lambda r: (r.trace, r.word.entries))[:size]
+    return [census[i] for i in sorted(chosen)[:size]]
 
 
-def suite_winding_sample(max_length: float, sample: int, seed: int) -> SuiteResult:
+def suite_winding_sample(census: Census, sample: int, seed: int) -> SuiteResult:
     """winding index = psi = E2 period on a stratified sample of classes."""
     res = SuiteResult("winding_sample", 0, 0)
-    records = enumerate_geodesics(EnumerationConfig(max_length=max_length))
-    picked = stratified_sample(records, sample, seed)
-    for rec in picked:
+    for rec in stratified_sample(census, sample, seed):
         m = word_to_matrix(rec.word)
         wi = winding_index(m)
         res.check(
@@ -328,22 +323,6 @@ def suite_roundtrip(rng: random.Random, count: int = 300) -> SuiteResult:
     return res
 
 
-ALL_SUITES = [
-    "dedekind_reciprocity",
-    "omega_cocycle",
-    "multiplier_law",
-    "s_cocycle",
-    "psi_conjugacy",
-    "psi_homogeneity",
-    "phi_power_recursion",
-    "phi_limit",
-    "phi_word_vs_closed",
-    "word_roundtrip",
-    "word_census",
-    "winding_sample",
-]
-
-
 def run_all(
     max_length: float = 12.0, sample: int = 500, seed: int = 0
 ) -> List[SuiteResult]:
@@ -365,7 +344,8 @@ def run_all(
         suite_phi_limit(random.Random(rng.random())),
         suite_phi_word(random.Random(rng.random())),
         suite_roundtrip(random.Random(rng.random())),
-        suite_word_census(max_length),
-        suite_winding_sample(max_length, sample, seed),
     ]
+    census = enumerate_geodesics(EnumerationConfig(max_length=max_length))
+    results.append(suite_word_census(census))
+    results.append(suite_winding_sample(census, sample, seed))
     return results

@@ -6,6 +6,8 @@ period identities on a stratified sample, enumeration against the brute-force
 oracle, and the counting and distribution statistics at length bound 14.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -186,3 +188,9 @@ class TestVerificationSuites:
             "word_census",
             "winding_sample",
         }
+        # the report of the run_all that built the census once per suite and
+        # sampled it by sorting
+        report = json.dumps([r.as_dict() for r in results])
+        assert hashlib.sha256(report.encode()).hexdigest() == (
+            "9ccda9d9ffba30edec698763b009c398834c3ed0c59ca74c8513203e0b0a8653"
+        )

@@ -245,6 +245,37 @@ class TestStatsCommands:
         assert out.strip().split("\n")[1].endswith(",,")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats-twisted", "--r-grid", "0:inf:1"),
+            ("stats-twisted", "--r-grid", "nan:1:1"),
+            ("stats-twisted", "--r-grid", "0:12:1e-9"),
+            ("stats-twisted", "--r-grid", "-1e308:1e308:1"),
+            ("stats-twisted", "--r", "nan"),
+            ("stats-twisted", "--r", "inf"),
+            ("stats-density", "--n-range", "-1000000000..1000000000"),
+            ("stats-equidist", "--modulus", "100000000"),
+        ],
+        ids=["grid-inf", "grid-nan", "grid-rows", "grid-span", "r-nan", "r-inf", "n-range", "modulus"],
+    )
+    def test_table_refused_before_the_census(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_census", lambda t: pytest.fail("census built"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--max-length", "15", *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert time.perf_counter() - start < 5.0
+
+    def test_largest_table_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "stats-equidist", "--max-length", "10", "--modulus", str(cli.MAX_TABLE_ROWS)
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == cli.MAX_TABLE_ROWS + 1
+
+
 class TestVerifyCommand:
     def test_cap_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--max-length", "25")

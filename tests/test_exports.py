@@ -65,3 +65,31 @@ def test_unused_import_detected():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ROW_LAYOUT = ("start", "stop", "digits")
+LAYOUT_SCANNED = sorted(
+    path
+    for pattern in ("src/modwind/*.py", "demos/*.py")
+    for path in ROOT.glob(pattern)
+    if path != ROOT / "src" / "modwind" / "geodesics.py"
+)
+
+
+def row_layout_reads(source: str) -> list:
+    """Attributes of the census row layout (start, stop, digits) that the source reads."""
+    return sorted(
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ROW_LAYOUT
+    )
+
+
+def test_row_layout_read_detected():
+    source = "census.digits[census.start[0] : census.stop[0]]\ncensus.psi\nstart = 1\n"
+    assert row_layout_reads(source) == ["digits", "start", "stop"]
+
+
+@pytest.mark.parametrize("path", LAYOUT_SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_geodesics_reads_the_row_layout(path):
+    assert row_layout_reads(path.read_text()) == []

@@ -316,10 +316,20 @@ class TestCensus:
         assert all(type(a) is int for a in rec.word.entries)
         assert rec in listed and len(set(listed)) == n
 
+    def test_rows_are_the_indexed_rows(self):
+        # 14,904 rows: four chunks, the last one partial
+        census = enumerate_by_trace(trace_cap_for_length(12.0))
+        listed = list(census.rows())
+        assert len(listed) == len(census)
+        for i, (entries, trace, length, psi) in enumerate(listed):
+            rec = census[i]
+            assert (entries, trace, length, psi) == (rec.word.entries, rec.trace, rec.length, rec.psi)
+        assert {type(trace), type(length), type(psi), type(entries[0])} == {int, float}
+
     def test_empty(self):
         census = enumerate_by_trace(2)
         assert isinstance(census, Census)
-        assert len(census) == 0 and list(census) == []
+        assert len(census) == 0 and list(census) == [] and list(census.rows()) == []
 
 
 class TestCensusBudget:

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from modwind import verify
 from modwind.errors import CapExceeded
-from modwind.geodesics import EnumerationConfig, enumerate_geodesics
+from modwind.geodesics import EnumerationConfig, enumerate_by_trace, enumerate_geodesics
 from modwind.verify import VERIFY_MAX_CLASSES, run_all, stratified_sample
 
 
@@ -28,9 +30,20 @@ class TestStratifiedSample:
 
     def test_small_pool_returned_whole(self, census12):
         pool = [r for r in census12 if r.trace <= 5]
-        assert stratified_sample(pool, 50, seed=0) == sorted(
-            pool, key=lambda r: (r.trace, r.word.entries)
-        )
+        assert stratified_sample(enumerate_by_trace(5), 50, seed=0) == pool
+
+    @pytest.mark.parametrize(
+        "T, digest",
+        [
+            (12.0, "6f483510a0b57160bcff1419687a2e500a9c387c52d0e04804b569a7219d675e"),
+            (14.0, "88d9a86bfb11431d9a7019b2592542bc30e00536754b8ede061ca2a91052d1fc"),
+        ],
+    )
+    def test_picks_pinned(self, T, digest):
+        # the picks of the sort-based sampler this one replaced
+        picked = stratified_sample(enumerate_geodesics(EnumerationConfig(T)), 500, 0)
+        text = repr([(r.word.entries, r.trace, r.psi) for r in picked])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_spreads_over_traces(self, census12):
         picked = stratified_sample(census12, 200, seed=3)
