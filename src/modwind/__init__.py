@@ -20,6 +20,7 @@ from .errors import (
     OddLength,
     QuadratureFailure,
     ResidualTooLarge,
+    ResourceError,
     StepTooCoarse,
 )
 from .geodesics import (
@@ -67,6 +68,7 @@ from .stats import (
     predicted_pi_n,
     limiting_density,
     twisted_sum,
+    twisted_sums,
     winding_histogram,
 )
 from .verify import run_all

@@ -15,15 +15,7 @@ from typing import Iterator, List, Optional, Sequence, TextIO
 
 import click
 
-from .errors import (
-    CapExceeded,
-    InsufficientData,
-    ModwindError,
-    NotHyperbolic,
-    QuadratureFailure,
-    ResidualTooLarge,
-    StepTooCoarse,
-)
+from .errors import ModwindError, NotHyperbolic, ResourceError
 from .geodesics import (
     Census,
     EnumerationConfig,
@@ -40,7 +32,7 @@ from .stats import (
     cauchy_compare,
     density_table,
     equidistribution,
-    twisted_sum,
+    twisted_sums,
     winding_histogram,
 )
 from .verify import run_all
@@ -340,11 +332,10 @@ def cmd_stats_twisted(
     rs = _parse_grid(r_grid) if r_grid is not None else [r_single]
     census = _census(max_length)
     lines = ["r,abs_sum,main_term,relative_error"]
-    for r in rs:
-        rep = twisted_sum(census, max_length, r)
+    for rep in twisted_sums(census, max_length, rs):
         main = _fmt_real(rep.main_term) if rep.main_term is not None else ""
         rel = _fmt_real(rep.relative_error) if rep.relative_error is not None else ""
-        lines.append(f"{_fmt_real(r)},{_fmt_real(abs(rep.sum))},{main},{rel}")
+        lines.append(f"{_fmt_real(rep.r)},{_fmt_real(abs(rep.sum))},{main},{rel}")
     _emit("\n".join(lines) + "\n", csv_out)
 
 
@@ -375,13 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationFailure as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return EXIT_VERIFY
-    except (
-        CapExceeded,
-        InsufficientData,
-        QuadratureFailure,
-        ResidualTooLarge,
-        StepTooCoarse,
-    ) as exc:
+    except ResourceError as exc:
         click.echo(f"resource/data error: {exc}", err=True)
         return EXIT_RESOURCE
     except ModwindError as exc:

@@ -29,23 +29,27 @@ class NonPositiveEntry(ModwindError):
     """Cyclic word contains an entry < 1."""
 
 
-class CapExceeded(ModwindError):
+class ResourceError(ModwindError):
+    """Insufficient data, numerical failure or a refused cap: exit 3."""
+
+
+class CapExceeded(ResourceError):
     """A configured resource cap (length bound, trace cap) was exceeded."""
 
 
-class InsufficientData(ModwindError):
+class InsufficientData(ResourceError):
     """Not enough geodesic records for a meaningful statistic."""
 
 
-class QuadratureFailure(ModwindError):
+class QuadratureFailure(ResourceError):
     """Numerical integration did not converge to the requested accuracy."""
 
 
-class StepTooCoarse(ModwindError):
+class StepTooCoarse(ResourceError):
     """Argument tracking step produced an increment >= pi/2."""
 
 
-class ResidualTooLarge(ModwindError):
+class ResidualTooLarge(ResourceError):
     """Winding total was too far from an integer multiple of 2*pi."""
 
 

@@ -14,7 +14,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -57,6 +57,8 @@ CENSUS_MEMORY_BUDGET = 512 * 2**20
 _CENSUS_BYTES_PER_CLASS = 140
 _BRUTE_FORCE_TRACE_LIMIT = 50
 _LENGTH_SLACK = 1e-12
+# Conjugation steps matrix_to_word takes before it gives up.
+_WALK_STEPS = 100000
 # Census iteration converts this many rows of each column to Python at a time.
 _ROWS_PER_CHUNK = 4096
 _EULER_GAMMA = 0.5772156649015329
@@ -134,15 +136,29 @@ def word_to_matrix(word) -> Mat2:
     return Mat2(*_word_product_entries(entries))
 
 
+def _cf_walk(gamma: Mat2, sqrt_floor: int) -> Iterator[Tuple[int, Tuple[int, int, int, int]]]:
+    """Digit a and next state A_a^{-1} sigma A_a of each continued-fraction step from gamma."""
+    p, q, r, s = gamma.entries()
+    for _ in range(_WALK_STEPS):
+        # attracting fixed point is (p - s + sqrt(D)) / (2 r) since trace > 2
+        a = floor_quadratic(p - s, 2 * r, sqrt_floor)
+        p, q, r, s = r * a + s, r, p * a + q - a * (r * a + s), p - a * r
+        yield a, (p, q, r, s)
+    raise RuntimeError(f"continued-fraction walk did not cycle for {gamma}")
+
+
 def matrix_to_word(gamma: Mat2) -> CyclicWord:
     """Cyclic word of the conjugacy class of a primitive hyperbolic matrix, trace > 2.
 
     Walks gamma along the continued-fraction map of its attracting fixed point
-    by exact conjugation steps sigma -> A_a^{-1} sigma A_a.  A single step
-    conjugates by a determinant -1 matrix, so cycle detection keys on
-    (state, step parity): the extracted cycle is then an even-length word whose
-    product is SL(2,Z)-conjugate to gamma.  Everything is exact integer
-    arithmetic; no floating point is used.
+    alpha by exact conjugation steps sigma -> A_a^{-1} sigma A_a, two at a time
+    so that each pass conjugates by a determinant +1 matrix.  After one step
+    alpha > 1.  By Galois' theorem the continued fraction of alpha is purely
+    periodic iff alpha is reduced (alpha > 1, -1 < alpha' < 0), and the walk
+    reaches a reduced state after finitely many steps and stays reduced.  The
+    digits read from the first reduced state until it comes back form an
+    even-length word whose product is SL(2,Z)-conjugate to gamma.  Everything
+    is exact integer arithmetic; no floating point is used.
     """
     t = gamma.trace
     if t <= 2:
@@ -150,43 +166,23 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     D = t * t - 4
     sqrt_floor = isqrt_checked(D)
 
-    p, q, r, s = gamma.entries()
-    seen: Dict[Tuple[int, int, int, int, int], int] = {}
-    path: List[Tuple[int, int, int, int]] = []
-    digits: List[int] = []
-    step = 0
-    while True:
-        state = (p, q, r, s)
-        key = state + (step % 2,)
-        if key in seen:
-            start = seen[key]
-            if start % 2 == 1:
-                # the cycle product must sit at even conjugation distance from
-                # gamma; the walk is deterministic, so rotating the entry point
-                # one step forward stays inside the cycle
-                cycle = tuple(digits[start + 1 :]) + (digits[start],)
-                cycle_state = path[start + 1]
-            else:
-                cycle = tuple(digits[start:])
-                cycle_state = path[start]
+    walk = _cf_walk(gamma, sqrt_floor)
+    pairs = zip(walk, walk)
+    for _, (_, (p, q, r, s)) in pairs:
+        # alpha' = (p - s - sqrt(D)) / (2 r) lies in (-1, 0); this forces r > 0
+        if p - s <= sqrt_floor < p - s + 2 * r:
             break
-        seen[key] = step
-        path.append(state)
-        # attracting fixed point is (p - s + sqrt(D)) / (2 r) since trace > 2
-        a = floor_quadratic(p - s, 2 * r, sqrt_floor)
-        # sigma' = A_a^{-1} sigma A_a
-        p, q, r, s = r * a + s, r, p * a + q - a * (r * a + s), p - a * r
-        digits.append(a)
-        step += 1
-        if step > 100000:
-            raise RuntimeError(f"continued-fraction walk did not cycle for {gamma}")
+    start = (p, q, r, s)
+    cycle: List[int] = []
+    for (a, _), (b, state) in pairs:
+        cycle += (a, b)
+        if state == start:
+            break
 
-    for a in cycle:
-        if a < 1:
-            raise RuntimeError(f"non-positive digit {a} in cycle for {gamma}")
-    prod = _word_product_entries(cycle)
-    if prod != cycle_state:
-        # cycle_state must then be a proper power of the cycle product
+    if min(cycle) < 1:
+        raise RuntimeError(f"non-positive digit in cycle for {gamma}")
+    if _word_product_entries(cycle) != start:
+        # start must then be a proper power of the cycle product
         raise NotPrimitive(f"{gamma} is a proper power")
     word = canonical_form(cycle)
     if not is_primitive(word):

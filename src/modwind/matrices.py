@@ -119,16 +119,15 @@ def dedekind_sum_direct(h: int, k: int) -> Fraction:
 def dedekind_sum(h: int, k: int) -> Fraction:
     """Dedekind sum s(h, k), exact rational, via the reciprocity recursion.
 
-    Depends only on h mod k.  Falls back to direct summation when
-    gcd(h, k) > 1 (never hit on SL(2,Z) inputs, where gcd(d, c) = 1).
+    Depends only on h mod k, and s(gh, gk) = s(h, k): summing over mu = nu + k m
+    (nu mod k, m mod g), ((gh mu / gk)) = ((h nu / k)) does not depend on m, and
+    sum_{m mod g} ((nu / gk + m / g)) = ((nu / k)) by the distribution relation.
     """
     if k < 1:
         raise NonPositiveModulus(f"k = {k}")
     h %= k
-    if k == 1 or h == 0:
-        return Fraction(0)
-    if gcd(h, k) != 1:
-        return dedekind_sum_direct(h, k)
+    g = gcd(h, k)
+    h, k = h // g, k // g
     # s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk))/12  and  s(k,h) = s(k mod h, h)
     s = Fraction(0)
     sign = 1

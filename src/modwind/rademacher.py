@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import NonIntegralPhi
+from .geodesics import validate_entries
 from .matrices import IDENTITY, Mat2, S, dedekind_sum, omega, sign0
 
 __all__ = [
@@ -119,8 +120,6 @@ def psi_cf(word) -> int:
     Even rotations leave the alternating sum unchanged.
     """
     entries = tuple(word)
-    from .geodesics import validate_entries  # local import to avoid a cycle
-
     validate_entries(entries)
     return sum(a if i % 2 == 0 else -a for i, a in enumerate(entries))
 

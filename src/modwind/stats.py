@@ -30,6 +30,7 @@ __all__ = [
     "cauchy_compare",
     "equidistribution",
     "twisted_sum",
+    "twisted_sums",
     "li",
 ]
 
@@ -166,24 +167,34 @@ def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
     return {a: counts[a] / total for a in range(q)}
 
 
-def twisted_sum(census: Census, T: float, r: float) -> TwistedSumReport:
-    """Length sum twisted by the weight-r character e^{2 pi i r psi / 12}.
+def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedSumReport]:
+    """Length sums twisted by the weight-r character e^{2 pi i r psi / 12}, one per r.
 
-    The lengths are summed per value of psi first, so there is one
-    exponential per distinct psi.  The exponential main term
+    The lengths are summed per value of psi once for the whole grid, so each
+    r costs one exponential per distinct psi.  The exponential main term
     e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the error for |r| < 1/2,
     so main_term and relative_error are reported only in that range.
     """
-    if not abs(r) <= 12:  # NaN included
-        raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
+    for r in rs:
+        if not abs(r) <= 12:  # NaN included
+            raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
     psi, length = _window(census, T)
     lo = int(psi.min()) if len(psi) else 0
     weight = np.bincount(psi - lo, weights=length)
-    phase = np.exp(2j * math.pi * r * np.arange(lo, lo + len(weight)) / 12.0)
-    total = complex(phase @ weight)
-    if abs(r) < 0.5:
-        s0 = 1.0 - abs(r) / 2.0
-        main = math.exp(T * s0) / s0
-        rel = abs(total - main) / main
-        return TwistedSumReport(r=r, sum=total, main_term=main, relative_error=rel)
-    return TwistedSumReport(r=r, sum=total, main_term=None, relative_error=None)
+    values = np.arange(lo, lo + len(weight))
+    reports = []
+    for r in rs:
+        phase = np.exp(2j * math.pi * r * values / 12.0)
+        total = complex(phase @ weight)
+        main = rel = None
+        if abs(r) < 0.5:
+            s0 = 1.0 - abs(r) / 2.0
+            main = math.exp(T * s0) / s0
+            rel = abs(total - main) / main
+        reports.append(TwistedSumReport(r=r, sum=total, main_term=main, relative_error=rel))
+    return reports
+
+
+def twisted_sum(census: Census, T: float, r: float) -> TwistedSumReport:
+    """twisted_sums at the single weight r."""
+    return twisted_sums(census, T, (r,))[0]

@@ -313,18 +313,15 @@ def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
     return new_t, new_values
 
 
-def winding_index(gamma: Mat2, step_scale: float = 1.0) -> WindingResult:
+def winding_index(gamma: Mat2) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
     The argument is unwrapped over a grid that is refined in batches.  Every
-    interval is at most step_scale * min(0.05, 0.15 / max(1, y)) long, with y
-    the reduced height at its left node (the argument turns at rate about
-    2 pi y high in the cusp); then every interval whose increment reaches
-    pi/2 is bisected, at most 24 times, so no turn can be skipped.
-    step_scale < 1 refines the grid; the reported index must not depend on it.
+    interval is at most min(0.05, 0.15 / max(1, y)) long, with y the reduced
+    height at its left node (the argument turns at rate about 2 pi y high in
+    the cusp); then every interval whose increment reaches pi/2 is bisected,
+    at most 24 times, so no turn can be skipped.
     """
-    if not (0.0 < step_scale <= 1.0):
-        raise ValueError(f"step_scale {step_scale} outside (0, 1]")
     axis = _axis_for(gamma)
     ell = axis.length
 
@@ -333,14 +330,14 @@ def winding_index(gamma: Mat2, step_scale: float = 1.0) -> WindingResult:
         _, arg_delta, y_red = _delta_parts(axis.point(t))
         return np.stack([_wrap(arg_delta + 6.0 * np.angle(axis.velocity(t))), y_red])
 
-    intervals = math.ceil(ell / (step_scale * _BASE_STEP))
+    intervals = math.ceil(ell / _BASE_STEP)
     if intervals + 1 > _MAX_NODES:
         raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
     t = np.linspace(-0.5 * ell, 0.5 * ell, intervals + 1)
     values = _in_chunks(arg_f, t)
     halvings = 0
     while True:
-        dt = step_scale * np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, values[1, :-1]))
+        dt = np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, values[1, :-1]))
         # the factor forgives the rounding of np.linspace and of earlier splits
         pieces = np.ceil(np.diff(t) / dt * (1.0 - 1e-12))
         if (pieces > 1).any():

@@ -7,7 +7,15 @@ import pytest
 
 from modwind import cli
 from modwind.cli import main
-from modwind.errors import ResidualTooLarge, StepTooCoarse
+from modwind.errors import (
+    CapExceeded,
+    DomainError,
+    InsufficientData,
+    QuadratureFailure,
+    ResidualTooLarge,
+    ResourceError,
+    StepTooCoarse,
+)
 from modwind.geodesics import EnumerationConfig, enumerate_geodesics
 
 
@@ -169,13 +177,28 @@ class TestIndex:
         assert code == 0
         assert json.loads(out)["index"] == -4
 
-    @pytest.mark.parametrize("error", [StepTooCoarse, ResidualTooLarge])
+    # every ResourceError exits 3; any other library error exits 1
+    @pytest.mark.parametrize("error", ResourceError.__subclasses__() + [DomainError])
     def test_numerical_failure_exits_3(self, capsys, monkeypatch, error):
         def fail(gamma):
             raise error("injected")
 
         monkeypatch.setattr(cli, "winding_index", fail)
-        assert run(capsys, "index", "--word", "3-7")[0] == 3
+        code, out, err = run(capsys, "index", "--word", "3-7")
+        if issubclass(error, ResourceError):
+            assert (code, err) == (3, "resource/data error: injected\n")
+        else:
+            assert (code, err) == (1, "error: injected\n")
+        assert out == ""
+
+    def test_resource_errors(self):
+        assert set(ResourceError.__subclasses__()) == {
+            CapExceeded,
+            InsufficientData,
+            QuadratureFailure,
+            ResidualTooLarge,
+            StepTooCoarse,
+        }
 
 
 # A cusp excursion of about 1e9 turns: the winding grid would need about 1e10

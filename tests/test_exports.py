@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import modwind
+from modwind import errors
 
 MODULES = [
     importlib.import_module(f"modwind.{info.name}")
@@ -93,3 +94,31 @@ def test_row_layout_read_detected():
 @pytest.mark.parametrize("path", LAYOUT_SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_geodesics_reads_the_row_layout(path):
     assert row_layout_reads(path.read_text()) == []
+
+
+def raised_names(source: str) -> set:
+    """Names of the exception classes that the source's raise statements raise."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_raised_error_detected():
+    source = "raise A('x')\nraise B\nraise errors.C(1) from None\ntry:\n    f()\nexcept D:\n    raise\n"
+    assert raised_names(source) == {"A", "B", "C"}
+
+
+def test_every_leaf_error_is_raised():
+    classes = [
+        c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__
+    ]
+    leaves = {c.__name__ for c in classes if not c.__subclasses__()}
+    raised = set().union(*(raised_names(p.read_text()) for p in ROOT.glob("src/modwind/*.py")))
+    assert len(leaves) >= 12
+    assert sorted(leaves - raised) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modwind import geodesics
+from modwind import geodesics, verify
 from modwind.errors import (
     CapExceeded,
     NonPositiveEntry,
@@ -31,7 +31,7 @@ from modwind.geodesics import (
     trace_cap_for_length,
     word_to_matrix,
 )
-from modwind.matrices import Mat2, geodesic_length
+from modwind.matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked
 from modwind.rademacher import psi, psi_cf
 
 
@@ -72,6 +72,57 @@ def _reference_first_entry(a1, cap):
             stack.append((entries, p, q, r, s, a + 1))
             stack.append((entries + [a], np_, nq, nr, ns, 1))
     return out
+
+
+def reference_matrix_to_word(gamma):
+    """The cycle-detection walk matrix_to_word replaced: it keys every state on
+    (p, q, r, s, step parity) and cuts the first repeat out of the path."""
+    t = gamma.trace
+    if t <= 2:
+        raise NotHyperbolic(f"trace {t} (need trace > 2)")
+    D = t * t - 4
+    sqrt_floor = isqrt_checked(D)
+    p, q, r, s = gamma.entries()
+    seen, path, digits = {}, [], []
+    step = 0
+    while True:
+        state = (p, q, r, s)
+        key = state + (step % 2,)
+        if key in seen:
+            start = seen[key]
+            if start % 2 == 1:
+                # rotate the entry point one step forward, to even distance from gamma
+                cycle = tuple(digits[start + 1 :]) + (digits[start],)
+                cycle_state = path[start + 1]
+            else:
+                cycle = tuple(digits[start:])
+                cycle_state = path[start]
+            break
+        seen[key] = step
+        path.append(state)
+        a = floor_quadratic(p - s, 2 * r, sqrt_floor)
+        p, q, r, s = r * a + s, r, p * a + q - a * (r * a + s), p - a * r
+        digits.append(a)
+        step += 1
+        if step > 100000:
+            raise RuntimeError(f"continued-fraction walk did not cycle for {gamma}")
+    for a in cycle:
+        if a < 1:
+            raise RuntimeError(f"non-positive digit {a} in cycle for {gamma}")
+    if word_to_matrix(cycle).entries() != cycle_state:
+        raise NotPrimitive(f"{gamma} is a proper power")
+    word = canonical_form(cycle)
+    if not is_primitive(word):
+        raise NotPrimitive(f"{gamma} is a proper power")
+    return word
+
+
+def outcome(to_word, gamma):
+    """The word to_word returns for gamma, or the type of the error it raises."""
+    try:
+        return to_word(gamma).entries
+    except Exception as exc:
+        return type(exc)
 
 
 def reference_census(cap):
@@ -178,6 +229,43 @@ class TestMatrixToWord:
     def test_mirror_classes_distinct(self):
         assert matrix_to_word(word_to_matrix((1, 2))).entries == (1, 2)
         assert matrix_to_word(word_to_matrix((2, 1))).entries == (2, 1)
+
+    def test_matches_reference_on_seeded_inputs(self):
+        # conjugates of either sign, every fifth a proper power and every
+        # seventh shifted past 2^64 by a conjugation with a huge T power
+        rng = random.Random(1)
+        big = Mat2(1, 2**70 + 3, 0, 1)
+        outcomes = set()
+        for i in range(20000):
+            g = verify._random_hyperbolic(rng)
+            if i % 5 == 0:
+                g = g.power(rng.randint(2, 3))
+            if i % 7 == 0:
+                g = big @ g @ big.inverse()
+            expect = outcome(reference_matrix_to_word, g)
+            assert outcome(matrix_to_word, g) == expect, g
+            outcomes.add(expect if isinstance(expect, type) else tuple)
+        assert outcomes == {tuple, NotHyperbolic, NotPrimitive}
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        st.lists(st.integers(1, 2**66), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.integers(-2**66, 2**66),
+        st.integers(-2**66, 2**66),
+    )
+    def test_matches_reference_property(self, block, power, m, n):
+        # an odd block is doubled, which is primitive; power > 1 is not
+        w = tuple(block) * (1 + len(block) % 2) * power
+        tau = Mat2(1, m, 0, 1) @ Mat2(0, -1, 1, 0) @ Mat2(1, n, 0, 1)
+        g = tau @ word_to_matrix(w) @ tau.inverse()
+        assert outcome(matrix_to_word, g) == outcome(reference_matrix_to_word, g)
+
+    def test_huge_entries(self):
+        g = Mat2(10**400, 10**400 - 1, 1, 1)
+        assert matrix_to_word(g) == reference_matrix_to_word(g)
+        for w in ((1, 100000), (3, 2, 3, 2, 3, 2, 2, 2, 3, 3, 1, 3)):
+            assert matrix_to_word(word_to_matrix(w)).entries == canonical_form(w).entries
 
 
 class TestTraceCap:

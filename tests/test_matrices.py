@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,26 @@ class TestDedekindSum:
             k = rng.randint(1, 200)
             h = rng.randint(0, k)
             assert dedekind_sum(h, k) == dedekind_sum_direct(h % k if k > 1 else 0, k)
+
+    def test_non_coprime_matches_direct(self):
+        # these pairs go through s(gh, gk) = s(h, k) before the recursion
+        pairs = [(h, k) for k in range(1, 61) for h in range(k) if math.gcd(h, k) > 1]
+        rng = random.Random(19)
+        while len(pairs) < 800:
+            k = rng.randint(2, 300)
+            h = rng.randint(0, k - 1)
+            if math.gcd(h, k) > 1:
+                pairs.append((h, k))
+        for h, k in pairs:
+            assert dedekind_sum(h, k) == dedekind_sum_direct(h, k), (h, k)
+
+    def test_non_coprime_is_fast(self):
+        # a direct sum over 400,002 terms takes about 10 s
+        start = time.perf_counter()
+        value = dedekind_sum(2, 400002)
+        assert time.perf_counter() - start < 0.1
+        k = 200001  # s(1, k) = (k - 1)(k - 2) / (12 k)
+        assert value == Fraction((k - 1) * (k - 2), 12 * k)
 
     def test_reciprocity(self):
         rng = random.Random(17)

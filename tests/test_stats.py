@@ -18,6 +18,7 @@ from modwind.stats import (
     predicted_pi_n,
     limiting_density,
     twisted_sum,
+    twisted_sums,
     winding_histogram,
 )
 
@@ -245,6 +246,17 @@ class TestTwistedSum:
         for r in (12.5, -12.5, math.inf, math.nan):
             with pytest.raises(DomainError):
                 twisted_sum(census12, 12.0, r)
+
+    def test_grid_is_the_single_sums(self, census12):
+        rs = [-12.0, -0.45, 0.0, 0.25, 0.5, 3.7, 12.0]
+        assert twisted_sums(census12, 12.0, rs) == [twisted_sum(census12, 12.0, r) for r in rs]
+        assert twisted_sums(census12, 12.0, []) == []
+
+    def test_grid_checked_before_the_census_is_read(self):
+        # the census argument is never touched when a weight is out of range
+        for bad in (12.5, math.nan):
+            with pytest.raises(DomainError):
+                twisted_sums(None, 12.0, [0.0, 0.1, bad])
 
 
 class TestLi:

@@ -257,10 +257,15 @@ class TestWindingIndex:
             )
             assert winding_index(tau @ g @ tau.inverse()).index == expected
 
-    def test_step_refinement_stable(self):
-        for w in ((1, 2), (3, 7), (1, 1, 2, 3)):
-            g = word_to_matrix(w)
-            assert winding_index(g).index == winding_index(g, step_scale=0.5).index
+    def test_step_refinement_stable(self, monkeypatch):
+        gammas = [word_to_matrix(w) for w in ((1, 2), (3, 7), (1, 1, 2, 3))]
+        coarse = [winding_index(g) for g in gammas]
+        # halve both step limits: the reported index must not depend on the grid
+        monkeypatch.setattr(winding, "_BASE_STEP", 0.5 * winding._BASE_STEP)
+        monkeypatch.setattr(winding, "_HEIGHT_STEP", 0.5 * winding._HEIGHT_STEP)
+        fine = [winding_index(g) for g in gammas]
+        assert [r.index for r in fine] == [r.index for r in coarse]
+        assert all(f.steps > c.steps for f, c in zip(fine, coarse))
 
     def test_large_partial_quotient(self):
         g = word_to_matrix((1, 60))
