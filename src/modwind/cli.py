@@ -20,10 +20,10 @@ from .geodesics import (
     Census,
     EnumerationConfig,
     MAX_LENGTH_BOUND,
-    CyclicWord,
     canonical_form,
     enumerate_geodesics,
     matrix_to_word,
+    validate_entries,
     word_to_matrix,
 )
 from .matrices import Mat2
@@ -43,6 +43,11 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
 
+# --matrix and --word are refused when an entry of the matrix has more bits;
+# every psi method then finishes or fails within a few seconds (README).
+MAX_ENTRY_BITS = 4096
+_LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
+
 # The stats tables (--n-range, --r-grid, --modulus) are refused above this
 # many rows before the census is built.
 MAX_TABLE_ROWS = 10_000
@@ -56,29 +61,40 @@ def _fmt_real(x: float) -> str:
     return "%.12g" % x
 
 
-def _parse_matrix(text: str) -> Mat2:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise click.UsageError(f"--matrix wants a,b,c,d, got {text!r}")
+def _check_bits(bits: float, what: str) -> None:
+    if bits > MAX_ENTRY_BITS:
+        raise click.UsageError(f"{what} gives a matrix entry of more than {MAX_ENTRY_BITS} bits")
+
+
+def _parse_gamma(matrix_text: Optional[str], word_text: Optional[str]) -> Mat2:
+    """gamma from --matrix a,b,c,d or --word; entries past MAX_ENTRY_BITS bits are refused."""
+    if (matrix_text is None) == (word_text is None):
+        raise click.UsageError("give exactly one of --matrix or --word")
+    if matrix_text is not None:
+        what, text, sep = "--matrix", matrix_text, ","
+    else:
+        what, text, sep = "--word", word_text, "-" if "-" in word_text else ","
     try:
-        a, b, c, d = (int(p) for p in parts)
-    except ValueError:
-        raise click.UsageError(f"non-integer matrix entry in {text!r}")
-    try:
-        return Mat2(a, b, c, d)
+        ints = tuple(int(p) for p in text.split(sep))
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-def _parse_word(text: str) -> CyclicWord:
-    sep = "-" if "-" in text else ","
+        raise click.UsageError(f"bad {what}: {exc}")
+    if word_text is not None:
+        try:
+            validate_entries(ints)
+            # the product's first entry is at least the product of the digits
+            # and at least the Fibonacci number F(n + 1) > phi^(n - 1), so a
+            # long word is refused before it is rotated or multiplied out
+            low = max(sum(a.bit_length() - 1 for a in ints), (len(ints) - 1) * _LOG2_PHI)
+            _check_bits(low, what)
+            ints = word_to_matrix(canonical_form(ints)).entries()
+        except ModwindError as exc:
+            raise click.UsageError(str(exc))
+    elif len(ints) != 4:
+        raise click.UsageError(f"--matrix wants a,b,c,d, got {len(ints)} entries")
+    _check_bits(max(abs(x).bit_length() for x in ints), what)
     try:
-        entries = tuple(int(p) for p in text.split(sep))
-    except ValueError:
-        raise click.UsageError(f"bad word {text!r}")
-    try:
-        return canonical_form(entries)
-    except ModwindError as exc:
+        return Mat2(*ints)
+    except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -114,12 +130,9 @@ def _parse_grid(text: str) -> List[float]:
     return [start + k * step for k in range(rows)]
 
 
-def _validate_max_length(t: float, minimum: float = 2.0) -> float:
-    if not (minimum <= t <= MAX_LENGTH_BOUND):
-        raise click.UsageError(
-            f"--max-length {t} outside [{minimum}, {MAX_LENGTH_BOUND}]"
-        )
-    return t
+def _validate_max_length(t: float) -> None:
+    if not (2.0 <= t <= MAX_LENGTH_BOUND):
+        raise click.UsageError(f"--max-length {t} outside [2.0, {MAX_LENGTH_BOUND}]")
 
 
 def _census(t: float) -> Census:
@@ -213,12 +226,7 @@ def cmd_enumerate(max_length: float, fmt: str, out: Optional[str]) -> None:
 )
 def cmd_psi(matrix_text: Optional[str], word_text: Optional[str], method: str) -> None:
     """Rademacher symbol of a matrix or word, by one or all methods."""
-    if (matrix_text is None) == (word_text is None):
-        raise click.UsageError("give exactly one of --matrix or --word")
-    if matrix_text is not None:
-        gamma = _parse_matrix(matrix_text)
-    else:
-        gamma = word_to_matrix(_parse_word(word_text))
+    gamma = _parse_gamma(matrix_text, word_text)
     methods = ["cf", "dedekind", "cocycle", "index", "period"] if method == "all" else [method]
     values = {}
     for m in methods:
@@ -233,17 +241,12 @@ def cmd_psi(matrix_text: Optional[str], word_text: Optional[str], method: str) -
             click.echo(f"{m}: {_fmt_real(v)}")
         else:
             click.echo(f"{m}: {v}")
-    if method == "all":
-        ints = {m: round(v) for m, v in values.items()}
-        ref = next(iter(ints.values()))
-        bad = {m for m, v in ints.items() if v != ref}
-        bad |= {
-            m
-            for m, v in values.items()
-            if isinstance(v, float) and abs(v - round(v)) > 1e-6
-        }
-        if bad:
-            raise VerificationFailure(f"methods disagree: {values}")
+    # every value must round to the same integer, each float within 1e-6 of it
+    if method == "all" and (
+        len({round(v) for v in values.values()}) > 1
+        or any(abs(v - round(v)) > 1e-6 for v in values.values())
+    ):
+        raise VerificationFailure(f"methods disagree: {values}")
 
 
 @cli.command("index")
@@ -251,14 +254,9 @@ def cmd_psi(matrix_text: Optional[str], word_text: Optional[str], method: str) -
 @click.option("--word", "word_text", type=str, default=None)
 def cmd_index(matrix_text: Optional[str], word_text: Optional[str]) -> None:
     """Winding index of the discriminant form along one closed geodesic."""
-    if (matrix_text is None) == (word_text is None):
-        raise click.UsageError("give exactly one of --matrix or --word")
-    if matrix_text is not None:
-        gamma = _parse_matrix(matrix_text)
-        if gamma.trace < -2:
-            gamma = -gamma
-    else:
-        gamma = word_to_matrix(_parse_word(word_text))
+    gamma = _parse_gamma(matrix_text, word_text)
+    if gamma.trace < -2:
+        gamma = -gamma
     result = winding_index(gamma)
     click.echo(json.dumps({"index": result.index, "residual": result.residual}))
 

@@ -26,7 +26,7 @@ from .errors import (
     NotPrimitive,
     OddLength,
 )
-from .matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked
+from .matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked, short_int
 
 __all__ = [
     "CyclicWord",
@@ -69,7 +69,7 @@ def validate_entries(entries: Sequence[int]) -> None:
         raise OddLength(f"word length {len(entries)} is not a positive even number")
     for a in entries:
         if a < 1:
-            raise NonPositiveEntry(f"entry {a} < 1")
+            raise NonPositiveEntry(f"entry {short_int(a)} < 1")
 
 
 def _min_even_rotation(entries: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -144,7 +144,7 @@ def _cf_walk(gamma: Mat2, sqrt_floor: int) -> Iterator[Tuple[int, Tuple[int, int
         a = floor_quadratic(p - s, 2 * r, sqrt_floor)
         p, q, r, s = r * a + s, r, p * a + q - a * (r * a + s), p - a * r
         yield a, (p, q, r, s)
-    raise RuntimeError(f"continued-fraction walk did not cycle for {gamma}")
+    raise CapExceeded(f"continued-fraction walk did not cycle in {_WALK_STEPS} steps for {gamma}")
 
 
 def matrix_to_word(gamma: Mat2) -> CyclicWord:
@@ -162,7 +162,7 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     """
     t = gamma.trace
     if t <= 2:
-        raise NotHyperbolic(f"trace {t} (need trace > 2)")
+        raise NotHyperbolic(f"trace {short_int(t)} (need trace > 2)")
     D = t * t - 4
     sqrt_floor = isqrt_checked(D)
 

@@ -1,8 +1,8 @@
 """Exact arithmetic on SL(2,Z): matrices, Dedekind sums, the branch cocycle, fixed points.
 
-All operations are pure functions on immutable values.  Python integers are
-arbitrary precision, so the "overflow must be detected" contract is satisfied
-vacuously; the resource caps live in the enumeration layer.
+Everything is computed on Python integers, which do not overflow.  Rationals
+appear only in the value of dedekind_sum and in its oracle; fixed_points
+returns floats for the numerical routes.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Tuple
 
 from .errors import NonPositiveModulus, NotHyperbolic
 
@@ -19,8 +20,6 @@ __all__ = [
     "IDENTITY",
     "T",
     "S",
-    "QuadraticIrrational",
-    "FixedPointPair",
     "sawtooth",
     "dedekind_sum",
     "dedekind_sum_direct",
@@ -28,19 +27,23 @@ __all__ = [
     "fixed_points",
     "geodesic_length",
     "sign0",
+    "short_int",
 ]
 
 
 def sign0(x) -> int:
     """Sign with sign0(0) = 0."""
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
+def short_int(x: int) -> str:
+    """x in decimal, or its sign and bit length past 256 bits (str() fails past 4,300 digits)."""
+    if x.bit_length() <= 256:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
+@dataclass(frozen=True, repr=False)
 class Mat2:
     """Unimodular integer 2x2 matrix (a b; c d) with det = 1, checked on construction."""
 
@@ -52,6 +55,10 @@ class Mat2:
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant is not 1: {self}")
+
+    def __repr__(self) -> str:
+        a, b, c, d = map(short_int, self.entries())
+        return f"Mat2(a={a}, b={b}, c={c}, d={d})"
 
     @property
     def trace(self) -> int:
@@ -83,9 +90,6 @@ class Mat2:
             n >>= 1
         return result
 
-    def is_hyperbolic(self) -> bool:
-        return abs(self.trace) > 2
-
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
@@ -106,36 +110,53 @@ def sawtooth(x: Fraction) -> Fraction:
 def dedekind_sum_direct(h: int, k: int) -> Fraction:
     """Dedekind sum by direct summation of sum_mu ((mu/k))((h mu/k)).
 
-    O(k); kept as the independent oracle for the reciprocity recursion.
+    O(k); kept as the independent oracle for dedekind_sum.
     """
     if k < 1:
-        raise NonPositiveModulus(f"k = {k}")
+        raise NonPositiveModulus(f"k = {short_int(k)}")
     total = Fraction(0)
     for mu in range(1, k):
         total += sawtooth(Fraction(mu, k)) * sawtooth(Fraction(h * mu, k))
     return total
 
 
+def _dedekind12(h: int, k: int) -> int:
+    """12 k s(h, k) for coprime 0 <= h < k, in one Euclid pass over k / h.
+
+    With a_1..a_n the Euclid quotients of k / h and h' = h^-1 mod k in [0, k),
+    12 k s(h, k) = k (a_1 - a_2 + ... +- a_n) + h + h' - k c_n, c_n = 3 for odd
+    n and 1 for even n (Hickerson, J. reine angew. Math. 290, 1977; Knuth,
+    TAOCP Vol. 2, 3.3.3).  Proof by induction on n, with G = 12 s.  n = 1:
+    h = h' = 1, a_1 = k, and k G(1, k) = (k - 1)(k - 2).  n > 1: k = a_1 h + r
+    with h >= 2, h / r has the quotients a_2..a_n, and r' = r^-1 = k^-1 mod h.
+    Reciprocity G(h, k) + G(r, h) = h/k + k/h + 1/(hk) - 3 and the hypothesis
+    give G(h, k) = a_1 - a_2 + ... + h/k + 1/(hk) - r'/h - 3 + c_(n-1).  As
+    x = h h' + k r' is 1 mod hk with 0 < x < 2hk and h', r' >= 1, x = hk + 1,
+    so 1/(hk) - r'/h = h'/k - 1 and c_n = 4 - c_(n-1).  k = 1 is the empty sum.
+    """
+    if k == 1:
+        return 0
+    total, sign, a, b = 0, 1, k, h
+    while b:
+        total += sign * (a // b)
+        a, b, sign = b, a % b, -sign
+    # sign is -1 after an odd number of quotients
+    return k * total + h + pow(h, -1, k) - k * (3 if sign < 0 else 1)
+
+
 def dedekind_sum(h: int, k: int) -> Fraction:
-    """Dedekind sum s(h, k), exact rational, via the reciprocity recursion.
+    """Dedekind sum s(h, k), exact rational, from the integer form _dedekind12.
 
     Depends only on h mod k, and s(gh, gk) = s(h, k): summing over mu = nu + k m
     (nu mod k, m mod g), ((gh mu / gk)) = ((h nu / k)) does not depend on m, and
     sum_{m mod g} ((nu / gk + m / g)) = ((nu / k)) by the distribution relation.
     """
     if k < 1:
-        raise NonPositiveModulus(f"k = {k}")
+        raise NonPositiveModulus(f"k = {short_int(k)}")
     h %= k
     g = gcd(h, k)
     h, k = h // g, k // g
-    # s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk))/12  and  s(k,h) = s(k mod h, h)
-    s = Fraction(0)
-    sign = 1
-    while h:
-        s += sign * (Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12)
-        sign = -sign
-        h, k = k % h, h
-    return s
+    return Fraction(_dedekind12(h, k), 12 * k)
 
 
 def _quarter_turns(m: Mat2) -> int:
@@ -161,41 +182,17 @@ def omega(g: Mat2, h: Mat2) -> int:
     return (_quarter_turns(g) + _quarter_turns(h) - _quarter_turns(g @ h) + 1) // 4
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
-    """Exact real algebraic number p + q*sqrt(D) with rational p, q and non-square D > 0."""
-
-    p: Fraction
-    q: Fraction
-    D: int
-
-    def __float__(self) -> float:
-        return float(self.p) + float(self.q) * math.sqrt(self.D)
-
-
-@dataclass(frozen=True)
-class FixedPointPair:
-    """Attracting (alpha) and repelling (alpha_bar) boundary fixed points of a hyperbolic matrix."""
-
-    alpha: QuadraticIrrational
-    alpha_bar: QuadraticIrrational
-
-
-def fixed_points(gamma: Mat2) -> FixedPointPair:
-    """Exact fixed points (a - d +- sqrt(tr^2 - 4)) / (2c), attracting one first."""
+def fixed_points(gamma: Mat2) -> Tuple[float, float]:
+    """Fixed points (a - d +- sqrt(tr^2 - 4)) / (2c) as floats, attracting one first."""
     t = gamma.trace
-    if abs(t) <= 2 or gamma.c == 0:
-        raise NotHyperbolic(f"{gamma} has trace {t}, c = {gamma.c}")
-    D = t * t - 4
-    p = Fraction(gamma.a - gamma.d, 2 * gamma.c)
-    q = Fraction(1, 2 * gamma.c)
-    plus = QuadraticIrrational(p, q, D)
-    minus = QuadraticIrrational(p, -q, D)
+    if abs(t) <= 2:
+        raise NotHyperbolic(f"{gamma} has trace {t}")
+    p = (gamma.a - gamma.d) / (2 * gamma.c)
     # c alpha + d is the eigenvalue at alpha; it exceeds 1 in modulus (attracting)
     # for the + root iff trace > 2.
-    if t > 2:
-        return FixedPointPair(plus, minus)
-    return FixedPointPair(minus, plus)
+    q = (1 if t > 2 else -1) / (2 * gamma.c)
+    root = math.sqrt(t * t - 4)
+    return p + q * root, p - q * root
 
 
 def geodesic_length(trace: int) -> float:

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .errors import NonIntegralPhi
 from .geodesics import validate_entries
-from .matrices import IDENTITY, Mat2, S, dedekind_sum, omega, sign0
+from .matrices import IDENTITY, Mat2, _dedekind12, omega, sign0
 
 __all__ = [
     "phi_closed",
@@ -33,72 +32,74 @@ _PI_OVER_V = 3
 
 
 def phi_closed(gamma: Mat2) -> int:
-    """Dedekind symbol: (a+d)/c - 12 sign(c) s(d,|c|) for c != 0, else b/d."""
-    if gamma.c == 0:
-        value = Fraction(gamma.b, gamma.d)
-    else:
-        value = Fraction(gamma.trace, gamma.c) - 12 * sign0(gamma.c) * dedekind_sum(
-            gamma.d, abs(gamma.c)
-        )
-    if value.denominator != 1:
-        raise NonIntegralPhi(f"phi({gamma}) = {value}")
-    return int(value)
+    """Dedekind symbol (a+d)/c - 12 sign(c) s(d,|c|) for c != 0, else b/d.
+
+    For c != 0 this is (a + d - 12 |c| s(d, |c|)) / c, an exact integer
+    division, since 12 |c| s(d, |c|) is an integer and gcd(d, c) = 1.
+    """
+    a, b, c, d = gamma.entries()
+    if c == 0:
+        return b * d  # d = +-1
+    phi, rem = divmod(a + d - _dedekind12(d % abs(c), abs(c)), c)
+    if rem:
+        raise NonIntegralPhi(f"phi({gamma}) is not an integer")
+    return phi
+
+
+# S^n for n mod 4: I, S, -I, -S
+_S_POWERS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
+
+
+def _factor_entries(kind: str, n: int) -> Tuple[int, int, int, int]:
+    if kind == "T":
+        return 1, n, 0, 1
+    if kind == "S":
+        return _S_POWERS[n % 4]
+    raise ValueError(f"unknown generator {kind!r}")
 
 
 def word_factor_matrix(factor: Tuple[str, int]) -> Mat2:
     """Matrix of a single generator power ('T', n) or ('S', n)."""
-    kind, n = factor
-    if kind == "T":
-        return Mat2(1, n, 0, 1)
-    if kind == "S":
-        return S.power(n)
-    raise ValueError(f"unknown generator {kind!r}")
+    return Mat2(*_factor_entries(*factor))
 
 
-def _factor_phi(factor: Tuple[str, int]) -> int:
-    # base values: phi(T^a) = a; every power of S (S, -I, -S, I) has phi = 0
-    kind, n = factor
-    return n if kind == "T" else 0
+def _fold(factors: Iterable[Tuple[str, int]]) -> Tuple[int, Tuple[int, int, int, int]]:
+    """(phi, entries) of a product of generator powers; phi(T^n) = n, phi(S^n) = 0."""
+    a, b, c, d = 1, 0, 0, 1
+    phi = 0
+    for kind, n in factors:
+        fa, fb, fc, fd = _factor_entries(kind, n)
+        prod_c = c * fa + d * fc
+        phi += (n if kind == "T" else 0) - 3 * sign0(c * fc * prod_c)
+        a, b, c, d = a * fa + b * fc, a * fb + b * fd, prod_c, c * fb + d * fd
+    return phi, (a, b, c, d)
 
 
 def phi_word(factors: Iterable[Tuple[str, int]]) -> int:
     """Dedekind symbol by folding phi(gh) = phi(g) + phi(h) - 3 sign(c_g c_h c_gh)."""
-    acc = IDENTITY
-    phi = 0
-    for factor in factors:
-        f = word_factor_matrix(factor)
-        prod = acc @ f
-        phi += _factor_phi(factor) - 3 * sign0(acc.c * f.c * prod.c)
-        acc = prod
-    return phi
+    return _fold(factors)[0]
 
 
 def ts_factors(gamma: Mat2) -> list:
     """Decompose gamma as a word in T and S (S^2 = -I absorbs the sign).
 
-    Peels T^n S from the left with n the nearest integer to a/c, a rounded
+    Peels T^n S from the left, (a, b, c, d) -> S^-1 T^-n (a, b, c, d) =
+    (c, d, n c - a, n d - b) with n the nearest integer to a/c, a rounded
     Euclid step that at least halves |c|, until c = 0; the remainder is
     +-T^m.  The product is re-multiplied and checked against the input.
     """
     factors = []
-    g = gamma
-    s_inv = Mat2(0, 1, -1, 0)
-    while g.c != 0:
-        n = (2 * g.a + g.c) // (2 * g.c)
-        g = s_inv @ Mat2(1, -n, 0, 1) @ g
-        factors.append(("T", n))
-        factors.append(("S", 1))
-    if g.a == 1:
-        if g.b:
-            factors.append(("T", g.b))
-    else:
-        factors.append(("S", 2))
-        if g.b:
-            factors.append(("T", -g.b))
-    check = IDENTITY
-    for f in factors:
-        check = check @ word_factor_matrix(f)
-    if check != gamma:
+    a, b, c, d = gamma.entries()
+    while c != 0:
+        n = (2 * a + c) // (2 * c)
+        a, b, c, d = c, d, n * c - a, n * d - b
+        factors += [("T", n), ("S", 1)]
+    if a == -1:
+        factors.append(("S", 2))  # -T^m = S^2 T^-m
+        b = -b
+    if b:
+        factors.append(("T", b))
+    if _fold(factors)[1] != gamma.entries():
         raise ValueError(f"T/S decomposition check failed for {gamma}")
     return factors
 

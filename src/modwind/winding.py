@@ -38,7 +38,7 @@ from .errors import (
     ResidualTooLarge,
     StepTooCoarse,
 )
-from .matrices import Mat2, fixed_points, geodesic_length
+from .matrices import Mat2, fixed_points, geodesic_length, short_int
 
 __all__ = [
     "LogDeltaValue",
@@ -253,10 +253,11 @@ class _Axis:
 
 def _axis_for(gamma: Mat2) -> _Axis:
     if gamma.trace <= 2:
-        raise NotHyperbolic(f"trace {gamma.trace} (need trace > 2)")
-    fp = fixed_points(gamma)
-    alpha = float(fp.alpha)
-    alpha_bar = float(fp.alpha_bar)
+        raise NotHyperbolic(f"trace {short_int(gamma.trace)} (need trace > 2)")
+    try:
+        alpha, alpha_bar = fixed_points(gamma)
+    except OverflowError:
+        raise CapExceeded(f"the fixed points of {gamma} are beyond the float range") from None
     return _Axis(
         alpha=alpha,
         alpha_bar=alpha_bar,

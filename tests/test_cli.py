@@ -218,6 +218,39 @@ def test_huge_word_fails_fast(capsys, argv):
     assert time.perf_counter() - start < 20.0
 
 
+
+LONG_WORD = "-".join(["2"] + ["1"] * 100001)  # about 69,000 bits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psi", "--word", LONG_WORD, "--method", "cf"),
+        ("index", "--word", LONG_WORD),
+        ("psi", "--word", f"3-{2**cli.MAX_ENTRY_BITS}", "--method", "all"),
+        ("psi", "--matrix", f"1,{2**cli.MAX_ENTRY_BITS},0,1", "--method", "all"),
+        ("index", "--matrix", f"{2**cli.MAX_ENTRY_BITS + 1},{2**cli.MAX_ENTRY_BITS},1,1"),
+        ("psi", "--matrix", "1,%s,0,1" % ("9" * 5000)),
+    ],
+    ids=["psi-word", "index-word", "digit", "psi-matrix", "index-matrix", "past-int-parsing"],
+)
+def test_oversized_input_fails_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "bits" in err or "bad --matrix" in err
+
+
+def test_entries_at_the_limit_accepted(capsys):
+    big = 2**cli.MAX_ENTRY_BITS - 1
+    code, out, _ = run(capsys, "psi", "--matrix", f"1,{big},0,1", "--method", "cocycle")
+    assert (code, out) == (0, f"cocycle: {big}\n")
+    code, out, _ = run(capsys, "psi", "--word", "2-1-1-1", "--method", "cf")
+    assert (code, out) == (0, "cf: 1\n")
+
+
 class TestStatsCommands:
     def test_density_shape(self, capsys):
         code, out, _ = run(

@@ -122,3 +122,48 @@ def test_every_leaf_error_is_raised():
     raised = set().union(*(raised_names(p.read_text()) for p in ROOT.glob("src/modwind/*.py")))
     assert len(leaves) >= 12
     assert sorted(leaves - raised) == []
+
+
+# The exact layer computes with integers; rationals appear only in the
+# Dedekind-sum oracle, in dedekind_sum's return value, and in verify.
+FRACTION_USERS = {
+    "matrices.py": {"<module>", "sawtooth", "dedekind_sum_direct", "dedekind_sum"},
+    "verify.py": None,  # any
+}
+
+
+def fraction_users(source: str) -> set:
+    """Top-level functions and classes (or "<module>") that name Fraction or the fractions module."""
+    users = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (
+                (isinstance(node, ast.Name) and node.id in ("Fraction", "fractions"))
+                or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+                or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+            ):
+                users.add(owner)
+    return users
+
+
+def test_fraction_use_detected():
+    source = (
+        "from fractions import Fraction as F\n"
+        "def f(x):\n    return F(x) if x else fractions.Fraction(1)\n"
+        "def g(x):\n    return x\n"
+        "class C:\n    def h(self):\n        import fractions\n"
+    )
+    assert fraction_users(source) == {"<module>", "f", "C"}
+    assert fraction_users("def f(x):\n    return Fraction(x)\n") == {"f"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/modwind/*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_fraction_only_in_the_oracle(path):
+    users = fraction_users(path.read_text())
+    allowed = FRACTION_USERS.get(path.name, set())
+    if allowed is not None:
+        assert sorted(users - allowed) == []

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,19 @@ class TestMatrixToWord:
             matrix_to_word(g @ g)
         with pytest.raises(NotPrimitive):
             matrix_to_word(g.power(3))
+
+    def test_errors_on_huge_entries(self, monkeypatch):
+        # str() of an int of more than 4,300 digits raises ValueError; every
+        # message must still format
+        start = time.perf_counter()
+        with pytest.raises(NotPrimitive, match="bit int"):
+            matrix_to_word(word_to_matrix((2**8000, 3)).power(2))
+        with pytest.raises(NotHyperbolic, match="bit int"):
+            matrix_to_word(-word_to_matrix((2**16000, 3)))
+        assert time.perf_counter() - start < 1.0
+        monkeypatch.setattr(geodesics, "_WALK_STEPS", 50)
+        with pytest.raises(CapExceeded, match="bit int"):
+            matrix_to_word(word_to_matrix((2**16000,) + (1,) * 101))
 
     def test_conjugation_invariance(self):
         rng = random.Random(7)

@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modwind.errors import NonPositiveModulus, NotHyperbolic
 from modwind.matrices import (
@@ -18,6 +20,7 @@ from modwind.matrices import (
     geodesic_length,
     omega,
     sawtooth,
+    short_int,
     sign0,
 )
 
@@ -74,8 +77,18 @@ class TestMat2:
     def test_neg_and_trace(self):
         g = Mat2(2, 1, 1, 1)
         assert (-g).trace == -3
-        assert g.is_hyperbolic()
-        assert not T.is_hyperbolic()
+        assert (-g).entries() == (-2, -1, -1, -1)
+        assert T.trace == 2
+
+    def test_repr_of_huge_entries(self):
+        # str() of an int with more than 4,300 digits raises ValueError
+        g = Mat2(1, 2**20000, 0, 1)
+        assert repr(-g) == "Mat2(a=-1, b=-<20001-bit int>, c=0, d=-1)"
+        assert str(Mat2(22, 3, 7, 1)) == "Mat2(a=22, b=3, c=7, d=1)"
+        assert short_int(2**256) == "<257-bit int>"
+        assert short_int(-(2**256 - 1)) == str(-(2**256 - 1))
+        with pytest.raises(ValueError, match="bit int"):
+            Mat2(2**20000, 1, 1, 1)
 
 
 class TestSawtooth:
@@ -93,6 +106,25 @@ class TestSawtooth:
         for _ in range(50):
             x = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
             assert sawtooth(-x) == -sawtooth(x)
+
+
+def reference_dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) by the reciprocity recursion on exact rationals, after dividing out the gcd."""
+    h %= k
+    g = math.gcd(h, k)
+    h, k = h // g, k // g
+    # s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk))/12  and  s(k,h) = s(k mod h, h)
+    s = Fraction(0)
+    sign = 1
+    while h:
+        s += sign * (Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12)
+        sign = -sign
+        h, k = k % h, h
+    return s
+
+
+def reciprocity_rhs(h: int, k: int) -> Fraction:
+    return Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
 
 
 class TestDedekindSum:
@@ -144,11 +176,25 @@ class TestDedekindSum:
             h = rng.randint(1, k - 1)
             if math.gcd(h, k) != 1:
                 continue
-            lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-            rhs = Fraction(-1, 4) + (
-                Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
-            ) / 12
-            assert lhs == rhs
+            assert dedekind_sum(h, k) + dedekind_sum(k, h) == reciprocity_rhs(h, k)
+
+    def test_matches_direct_on_every_small_pair(self):
+        for k in range(1, 81):
+            for h in range(k):
+                assert dedekind_sum(h, k) == dedekind_sum_direct(h, k), (h, k)
+
+    def test_matches_recursion_on_large_pairs(self):
+        rng = random.Random(101)
+        for _ in range(1000):
+            k = rng.randint(1, 2 ** rng.randint(1, 80))
+            h = rng.randint(-(2**80), 2**80) if rng.random() < 0.2 else rng.randint(0, k)
+            assert dedekind_sum(h, k) == reference_dedekind_sum(h, k), (h, k)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.integers(2**64, 2**200), st.integers(1, 2**200))
+    def test_reciprocity_past_two_to_the_64(self, k, h):
+        assume(math.gcd(h, k) == 1)
+        assert dedekind_sum(h, k) + dedekind_sum(k, h) == reciprocity_rhs(h, k)
 
     def test_modulus_guard(self):
         with pytest.raises(NonPositiveModulus):
@@ -206,16 +252,16 @@ class TestOmega:
 
 class TestFixedPoints:
     def test_golden_ratio(self):
-        fp = fixed_points(Mat2(2, 1, 1, 1))
-        assert float(fp.alpha) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-14)
-        assert float(fp.alpha_bar) == pytest.approx((1 - math.sqrt(5)) / 2, abs=1e-14)
+        alpha, alpha_bar = fixed_points(Mat2(2, 1, 1, 1))
+        assert alpha == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-14)
+        assert alpha_bar == pytest.approx((1 - math.sqrt(5)) / 2, abs=1e-14)
 
     def test_quadratic_roots(self):
         g = Mat2(22, 3, 7, 1)
-        fp = fixed_points(g)
-        for x in (float(fp.alpha), float(fp.alpha_bar)):
+        alpha, alpha_bar = fixed_points(g)
+        for x in (alpha, alpha_bar):
             assert 7 * x * x - 21 * x - 3 == pytest.approx(0.0, abs=1e-9)
-        assert float(fp.alpha) > float(fp.alpha_bar)
+        assert alpha > alpha_bar
 
     def test_attracting_is_expanding_eigenline(self):
         rng = random.Random(37)
@@ -224,9 +270,25 @@ class TestFixedPoints:
             g = Mat2(2, 1, 1, 1).power(rng.randint(1, 3))
             if t < 0:
                 g = -g
-            fp = fixed_points(g)
-            lam = g.c * float(fp.alpha) + g.d
+            alpha, _ = fixed_points(g)
+            lam = g.c * alpha + g.d
             assert abs(lam) > 1
+
+    def test_matches_rounded_exact_parts(self):
+        # p + q sqrt(D) with the rationals p = (a - d)/(2c) and q = +-1/(2c)
+        # each rounded to a float once, bit for bit
+        rng = random.Random(41)
+        for i in range(2000):
+            g = random_element(rng, 12)
+            if abs(g.trace) <= 2 or g.c == 0:
+                continue
+            if i % 3 == 0:
+                m = Mat2(1, 2 ** (60 + i % 11), 0, 1)
+                g = m @ g @ m.inverse()
+            p = float(Fraction(g.a - g.d, 2 * g.c))
+            q = float(Fraction(1 if g.trace > 2 else -1, 2 * g.c))
+            root = math.sqrt(g.trace**2 - 4)
+            assert fixed_points(g) == (p + q * root, p + -q * root)
 
     def test_parabolic_rejected(self):
         with pytest.raises(NotHyperbolic):

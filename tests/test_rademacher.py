@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modwind.errors import NonPositiveEntry, OddLength
-from modwind.matrices import IDENTITY, Mat2, omega, sign0
+from modwind.matrices import IDENTITY, Mat2, S, omega, sign0
 from modwind.rademacher import (
     chi_r,
     phi_closed,
@@ -17,7 +19,7 @@ from modwind.rademacher import (
     ts_factors,
     word_factor_matrix,
 )
-from modwind.geodesics import word_to_matrix
+from modwind.geodesics import is_primitive, matrix_to_word, word_to_matrix
 
 from test_matrices import random_element
 
@@ -142,6 +144,12 @@ class TestPsiCocycle:
         assert psi_cocycle(g) == psi(g)
         assert omega(g, g) == 0
 
+    def test_s_powers(self):
+        for n in range(-9, 10):
+            assert word_factor_matrix(("S", n)) == S.power(n)
+        with pytest.raises(ValueError):
+            word_factor_matrix(("U", 1))
+
     def test_ts_factors_reconstruct(self):
         rng = random.Random(61)
         for _ in range(200):
@@ -225,3 +233,51 @@ class TestSymbolValues:
         for _ in range(200):
             g = random_element(rng)
             assert psi(g) == phi_closed(g) - 3 * sign0(g.c * g.trace)
+
+
+BIG = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def sl2_elements(draw):
+    """+-T^n0 S T^n1 S ... T^nm, entries past 2^64, c = 0 when no S is drawn."""
+    g = Mat2(1, draw(BIG), 0, 1)
+    for n in draw(st.lists(BIG, max_size=4)):
+        g = g @ S @ Mat2(1, n, 0, 1)
+    return -g if draw(st.booleans()) else g
+
+
+DIGITS = st.integers(1, 2**66)
+# even words, and doubled odd blocks (the inert classes)
+WORDS = st.one_of(
+    st.lists(st.tuples(DIGITS, DIGITS), min_size=1, max_size=3).map(lambda pairs: sum(pairs, ())),
+    st.sampled_from([1, 3]).flatmap(lambda n: st.lists(DIGITS, min_size=n, max_size=n)).map(
+        lambda block: tuple(block * 2)
+    ),
+)
+
+
+class TestProperties:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sl2_elements())
+    def test_routes_one_and_two_agree(self, g):
+        assert psi(g) == psi_cocycle(g)
+        assert phi_word(ts_factors(g)) == phi_closed(g)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sl2_elements())
+    def test_minus_gamma(self, g):
+        assert psi(-g) == psi(g)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(sl2_elements(), sl2_elements())
+    def test_s_cocycle(self, g, h):
+        assert s_symbol(g @ h) - s_symbol(g) - s_symbol(h) == 12 * omega(g, h)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(WORDS, sl2_elements())
+    def test_route_three_on_primitive_hyperbolics(self, word, tau):
+        assume(is_primitive(word))
+        g = tau @ word_to_matrix(word) @ tau.inverse()
+        assert psi(g) == psi(-g) == psi_cf(matrix_to_word(g if g.trace > 0 else -g))
+        assert psi(g) == psi_cf(word)

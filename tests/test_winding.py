@@ -225,6 +225,19 @@ class TestAxis:
             z, dz = axis_point(g, t)
             assert abs(dz) == pytest.approx(z.imag, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "gamma",
+        [
+            word_to_matrix((2,) + (1,) * 799),  # trace past the float range
+            Mat2(2**1100, 2**1100 * (3 - 2**1100) - 1, 1, 3 - 2**1100),  # (a - d) / 2c too
+        ],
+        ids=["trace", "centre"],
+    )
+    def test_fixed_points_past_the_float_range_refused(self, gamma):
+        for route in (winding_index, e2_period):
+            with pytest.raises(CapExceeded, match="float range"):
+                route(gamma)
+
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
             axis_point(Mat2(1, 1, 0, 1), 0.0)
