@@ -182,10 +182,9 @@ def _psi_by_method(gamma: Mat2, method: str):
         return psi(gamma)
     if method == "cocycle":
         return psi_cocycle(gamma)
-    # the remaining methods live on hyperbolic classes; psi(-g) = psi(g)
+    # the remaining methods live on hyperbolic classes and raise NotHyperbolic
+    # on the others; psi(-g) = psi(g)
     g = gamma if gamma.trace > 0 else -gamma
-    if g.trace <= 2:
-        raise NotHyperbolic(f"method {method} needs |trace| > 2, got {gamma.trace}")
     if method == "cf":
         return psi_cf(matrix_to_word(g))
     if method == "index":

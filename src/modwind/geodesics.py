@@ -39,6 +39,7 @@ __all__ = [
     "canonical_form",
     "is_primitive",
     "word_to_matrix",
+    "reduced_conjugate",
     "matrix_to_word",
     "li",
     "estimated_census_size",
@@ -57,7 +58,7 @@ CENSUS_MEMORY_BUDGET = 512 * 2**20
 _CENSUS_BYTES_PER_CLASS = 140
 _BRUTE_FORCE_TRACE_LIMIT = 50
 _LENGTH_SLACK = 1e-12
-# Conjugation steps matrix_to_word takes before it gives up.
+# Continued-fraction steps a walk takes before it gives up.
 _WALK_STEPS = 100000
 # Census iteration converts this many rows of each column to Python at a time.
 _ROWS_PER_CHUNK = 4096
@@ -72,14 +73,32 @@ def validate_entries(entries: Sequence[int]) -> None:
             raise NonPositiveEntry(f"entry {short_int(a)} < 1")
 
 
-def _min_even_rotation(entries: Tuple[int, ...]) -> Tuple[int, ...]:
-    best = entries
+def _least_even_rotation(entries: Tuple[int, ...]) -> Tuple[int, int]:
+    """(k, p): entries[k:] + entries[:k] is the least even rotation, of period p digits.
+
+    One linear pass of Duval's Lyndon factorization (J. Algorithms 4, 1983) over the
+    word written twice, as a word over digit pairs.  Each round reads from i a power
+    of a Lyndon word u and a proper prefix of u, and steps i past the powers; the least
+    rotation is a power of u in the last round that starts in the first copy.
+    """
     n = len(entries)
-    for k in range(2, n, 2):
-        rot = entries[k:] + entries[:k]
-        if rot < best:
-            best = rot
-    return best
+    twice = entries + entries
+    i = 0
+    while True:
+        # i, j and k index digits and step by whole pairs
+        start, j, k = i, i + 2, i
+        while j < 2 * n:
+            x, y = twice[k], twice[j]
+            if x == y:
+                x, y = twice[k + 1], twice[j + 1]
+            if x > y:
+                break
+            k = i if x < y else k + 2
+            j += 2
+        p = j - k
+        i += (k - i) // p * p + p
+        if i >= n:
+            return start, p
 
 
 @dataclass(frozen=True)
@@ -90,14 +109,8 @@ class CyclicWord:
 
     def __post_init__(self):
         validate_entries(self.entries)
-        if self.entries != _min_even_rotation(self.entries):
+        if _least_even_rotation(self.entries)[0]:
             raise ValueError(f"{self.entries} is not in canonical rotation")
-
-    def reversed(self) -> "CyclicWord":
-        return canonical_form(tuple(reversed(self.entries)))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -105,8 +118,9 @@ class CyclicWord:
 
 def canonical_form(entries: Sequence[int]) -> CyclicWord:
     """Canonical representative: lexicographically minimal even rotation."""
-    validate_entries(entries)
-    return CyclicWord(_min_even_rotation(tuple(entries)))
+    entries = tuple(entries)
+    k, _ = _least_even_rotation(entries)
+    return CyclicWord(entries[k:] + entries[:k])
 
 
 def is_primitive(word) -> bool:
@@ -115,11 +129,8 @@ def is_primitive(word) -> bool:
     Doubled odd blocks are primitive; they encode the inert geodesics.
     """
     entries = tuple(word)
-    n = len(entries)
-    for block in range(2, n, 2):
-        if n % block == 0 and entries == entries[:block] * (n // block):
-            return False
-    return True
+    validate_entries(entries)
+    return _least_even_rotation(entries)[1] == len(entries)
 
 
 def _word_product_entries(entries: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -140,54 +151,56 @@ def _cf_walk(gamma: Mat2, sqrt_floor: int) -> Iterator[Tuple[int, Tuple[int, int
     """Digit a and next state A_a^{-1} sigma A_a of each continued-fraction step from gamma."""
     p, q, r, s = gamma.entries()
     for _ in range(_WALK_STEPS):
-        # attracting fixed point is (p - s + sqrt(D)) / (2 r) since trace > 2
         a = floor_quadratic(p - s, 2 * r, sqrt_floor)
         p, q, r, s = r * a + s, r, p * a + q - a * (r * a + s), p - a * r
         yield a, (p, q, r, s)
     raise CapExceeded(f"continued-fraction walk did not cycle in {_WALK_STEPS} steps for {gamma}")
 
 
-def matrix_to_word(gamma: Mat2) -> CyclicWord:
-    """Cyclic word of the conjugacy class of a primitive hyperbolic matrix, trace > 2.
-
-    Walks gamma along the continued-fraction map of its attracting fixed point
-    alpha by exact conjugation steps sigma -> A_a^{-1} sigma A_a, two at a time
-    so that each pass conjugates by a determinant +1 matrix.  After one step
-    alpha > 1.  By Galois' theorem the continued fraction of alpha is purely
-    periodic iff alpha is reduced (alpha > 1, -1 < alpha' < 0), and the walk
-    reaches a reduced state after finitely many steps and stays reduced.  The
-    digits read from the first reduced state until it comes back form an
-    even-length word whose product is SL(2,Z)-conjugate to gamma.  Everything
-    is exact integer arithmetic; no floating point is used.
-    """
+def _reduced_walk(gamma: Mat2):
+    """(state, pairs): the first reduced state of gamma's walk (reduced_conjugate) and
+    the walk on from it, two steps at a time."""
     t = gamma.trace
     if t <= 2:
         raise NotHyperbolic(f"trace {short_int(t)} (need trace > 2)")
-    D = t * t - 4
-    sqrt_floor = isqrt_checked(D)
-
+    sqrt_floor = isqrt_checked(t * t - 4)
     walk = _cf_walk(gamma, sqrt_floor)
     pairs = zip(walk, walk)
-    for _, (_, (p, q, r, s)) in pairs:
-        # alpha' = (p - s - sqrt(D)) / (2 r) lies in (-1, 0); this forces r > 0
-        if p - s <= sqrt_floor < p - s + 2 * r:
-            break
-    start = (p, q, r, s)
+    p, q, r, s = gamma.entries()
+    # alpha' in (-1, 0) forces r > 0
+    while not 2 * r - sqrt_floor <= p - s <= sqrt_floor < p - s + 2 * r:
+        _, (_, (p, q, r, s)) = next(pairs)
+    return (p, q, r, s), pairs
+
+
+def reduced_conjugate(gamma: Mat2) -> Mat2:
+    """The first reduced conjugate of a matrix of trace > 2 on its continued-fraction walk.
+
+    (p q; r s) is reduced when its attracting fixed point alpha = (p - s + sqrt(D)) / (2 r)
+    has alpha > 1 and -1 < alpha' < 0, as every product of factors A_a = (a 1; 1 0) is;
+    then gamma itself is returned.  Two steps conjugate by a determinant +1 matrix, and
+    after one step alpha > 1.  By Galois' theorem (a purely periodic continued fraction
+    iff reduced) the walk reaches a reduced state in finitely many steps and stays there.
+    """
+    state, _ = _reduced_walk(gamma)
+    return gamma if state == gamma.entries() else Mat2(*state)
+
+
+def matrix_to_word(gamma: Mat2) -> CyclicWord:
+    """Cyclic word of the class of a primitive hyperbolic matrix, trace > 2: the digits the
+    walk reads from the first reduced state until it returns, an even-length word whose
+    product is SL(2,Z)-conjugate to gamma.  No floating point is used."""
+    start, pairs = _reduced_walk(gamma)
     cycle: List[int] = []
     for (a, _), (b, state) in pairs:
         cycle += (a, b)
         if state == start:
             break
-
-    if min(cycle) < 1:
-        raise RuntimeError(f"non-positive digit in cycle for {gamma}")
-    if _word_product_entries(cycle) != start:
-        # start must then be a proper power of the cycle product
+    k, period = _least_even_rotation(cycle)
+    if _word_product_entries(cycle) != start or period != len(cycle):
+        # the walk's product is then a proper power of the cycle product
         raise NotPrimitive(f"{gamma} is a proper power")
-    word = canonical_form(cycle)
-    if not is_primitive(word):
-        raise NotPrimitive(f"{gamma} is a proper power")
-    return word
+    return CyclicWord(tuple(cycle[k:] + cycle[:k]))
 
 
 @dataclass(frozen=True)

@@ -92,22 +92,22 @@ def _random_element(rng: random.Random, max_factors: int = 8) -> Mat2:
     return g
 
 
-def _random_hyperbolic(rng: random.Random, allow_negative: bool = True) -> Mat2:
+def _random_hyperbolic(rng: random.Random) -> Mat2:
     """Random hyperbolic element: conjugated word product, either sign."""
     n = 2 * rng.randint(1, 3)
     word = tuple(rng.randint(1, 9) for _ in range(n))
     g = word_to_matrix(word)
     tau = _random_element(rng, 6)
     g = tau @ g @ tau.inverse()
-    if allow_negative and rng.random() < 0.5:
+    if rng.random() < 0.5:
         g = -g
     return g
 
 
-def suite_dedekind_reciprocity(rng: random.Random, count: int = 1000) -> SuiteResult:
+def suite_dedekind_reciprocity(rng: random.Random) -> SuiteResult:
     """s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/(hk))/12, exact rationals."""
     res = SuiteResult("dedekind_reciprocity", 0, 0)
-    for _ in range(count):
+    for _ in range(1000):
         k = rng.randint(2, 3000)
         h = rng.randint(1, k - 1)
         while gcd(h, k) != 1:
@@ -126,11 +126,11 @@ def suite_dedekind_reciprocity(rng: random.Random, count: int = 1000) -> SuiteRe
     return res
 
 
-def suite_omega_cocycle(rng: random.Random, count: int = 1000) -> SuiteResult:
+def suite_omega_cocycle(rng: random.Random) -> SuiteResult:
     """omega(g,h) + omega(gh,l) = omega(g,hl) + omega(h,l), exact integers."""
     res = SuiteResult("omega_cocycle", 0, 0)
     res.check(omega(-IDENTITY, -IDENTITY) == 1, "omega(-I,-I) != 1")
-    for _ in range(count):
+    for _ in range(1000):
         g = _random_element(rng)
         h = _random_element(rng)
         l = _random_element(rng)
@@ -142,10 +142,10 @@ def suite_omega_cocycle(rng: random.Random, count: int = 1000) -> SuiteResult:
     return res
 
 
-def suite_multiplier_law(rng: random.Random, count: int = 1000) -> SuiteResult:
+def suite_multiplier_law(rng: random.Random) -> SuiteResult:
     """chi_r(g h) = chi_r(g) chi_r(h) exp(2 pi i r omega(g,h)) to 1e-9."""
     res = SuiteResult("multiplier_law", 0, 0)
-    for _ in range(count):
+    for _ in range(1000):
         g = _random_element(rng)
         h = _random_element(rng)
         w = omega(g, h)
@@ -156,10 +156,10 @@ def suite_multiplier_law(rng: random.Random, count: int = 1000) -> SuiteResult:
     return res
 
 
-def suite_s_cocycle(rng: random.Random, count: int = 1000) -> SuiteResult:
+def suite_s_cocycle(rng: random.Random) -> SuiteResult:
     """S(g h) - S(g) - S(h) = 12 omega(g, h), exact integers."""
     res = SuiteResult("s_cocycle", 0, 0)
-    for _ in range(count):
+    for _ in range(1000):
         g = _random_element(rng)
         h = _random_element(rng)
         res.check(
@@ -169,10 +169,10 @@ def suite_s_cocycle(rng: random.Random, count: int = 1000) -> SuiteResult:
     return res
 
 
-def suite_psi_conjugacy(rng: random.Random, count: int = 1000) -> SuiteResult:
+def suite_psi_conjugacy(rng: random.Random) -> SuiteResult:
     """psi is a class function on hyperbolic elements; sign rules."""
     res = SuiteResult("psi_conjugacy", 0, 0)
-    for _ in range(count):
+    for _ in range(1000):
         g = _random_hyperbolic(rng)
         tau = _random_element(rng, 8)
         res.check(psi(tau @ g @ tau.inverse()) == psi(g), f"conjugacy failed at {g}, {tau}")
@@ -181,10 +181,10 @@ def suite_psi_conjugacy(rng: random.Random, count: int = 1000) -> SuiteResult:
     return res
 
 
-def suite_psi_homogeneity(rng: random.Random, count: int = 200) -> SuiteResult:
+def suite_psi_homogeneity(rng: random.Random) -> SuiteResult:
     """psi(g^n) = n psi(g) for hyperbolic g, n in -3..3."""
     res = SuiteResult("psi_homogeneity", 0, 0)
-    for _ in range(count):
+    for _ in range(200):
         g = _random_hyperbolic(rng)
         base = psi(g)
         for n in (-3, -2, -1, 1, 2, 3):
@@ -192,10 +192,10 @@ def suite_psi_homogeneity(rng: random.Random, count: int = 200) -> SuiteResult:
     return res
 
 
-def suite_phi_power_recursion(rng: random.Random, count: int = 200) -> SuiteResult:
+def suite_phi_power_recursion(rng: random.Random) -> SuiteResult:
     """phi(g^n) = n phi(g) - 3 sum_k sign(c_g c_{g^k} c_{g^{k+1}}), exact."""
     res = SuiteResult("phi_power_recursion", 0, 0)
-    for _ in range(count):
+    for _ in range(200):
         g = _random_element(rng)
         base = phi_closed(g)
         powers = [IDENTITY]
@@ -212,10 +212,10 @@ def suite_phi_power_recursion(rng: random.Random, count: int = 200) -> SuiteResu
     return res
 
 
-def suite_phi_limit(rng: random.Random, count: int = 100) -> SuiteResult:
+def suite_phi_limit(rng: random.Random) -> SuiteResult:
     """|phi(g^n)/n - psi(g)| <= 6/n for hyperbolic g, n up to 64."""
     res = SuiteResult("phi_limit", 0, 0)
-    for _ in range(count):
+    for _ in range(100):
         g = _random_hyperbolic(rng)
         target = psi(g)
         for n in (1, 2, 4, 8, 16, 32, 64):
@@ -227,10 +227,10 @@ def suite_phi_limit(rng: random.Random, count: int = 100) -> SuiteResult:
     return res
 
 
-def suite_phi_word(rng: random.Random, count: int = 10000) -> SuiteResult:
+def suite_phi_word(rng: random.Random) -> SuiteResult:
     """phi by cocycle folding over T/S words equals the closed form."""
     res = SuiteResult("phi_word_vs_closed", 0, 0)
-    for _ in range(count):
+    for _ in range(10000):
         length = rng.randint(0, 12)
         factors = []
         g = IDENTITY
@@ -305,18 +305,16 @@ def suite_winding_sample(census: Census, sample: int, seed: int) -> SuiteResult:
     return res
 
 
-def suite_roundtrip(rng: random.Random, count: int = 300) -> SuiteResult:
+def suite_roundtrip(rng: random.Random) -> SuiteResult:
     """matrix_to_word recovers the class of conjugated word products."""
     res = SuiteResult("word_roundtrip", 0, 0)
-    for _ in range(count):
+    for _ in range(300):
         n = 2 * rng.randint(1, 3)
         entries = tuple(rng.randint(1, 9) for _ in range(n))
         if not is_primitive(entries):
             continue
         tau = _random_element(rng, 6)
         g = tau @ word_to_matrix(entries) @ tau.inverse()
-        if g.trace < 0:
-            g = -g
         word = matrix_to_word(g)
         res.check(is_primitive(word), f"roundtrip word imprimitive for {g}")
         res.check(psi_cf(word) == psi(g), f"roundtrip psi mismatch for {g}")
@@ -332,19 +330,13 @@ def run_all(
             f"verify at length {max_length} would check about {size:.3g} classes "
             f"(at most {VERIFY_MAX_CLASSES})"
         )
+    suites = (
+        suite_dedekind_reciprocity, suite_omega_cocycle, suite_multiplier_law, suite_s_cocycle,
+        suite_psi_conjugacy, suite_psi_homogeneity, suite_phi_power_recursion, suite_phi_limit,
+        suite_phi_word, suite_roundtrip,
+    )
     rng = random.Random(seed)
-    results = [
-        suite_dedekind_reciprocity(random.Random(rng.random())),
-        suite_omega_cocycle(random.Random(rng.random())),
-        suite_multiplier_law(random.Random(rng.random())),
-        suite_s_cocycle(random.Random(rng.random())),
-        suite_psi_conjugacy(random.Random(rng.random())),
-        suite_psi_homogeneity(random.Random(rng.random())),
-        suite_phi_power_recursion(random.Random(rng.random())),
-        suite_phi_limit(random.Random(rng.random())),
-        suite_phi_word(random.Random(rng.random())),
-        suite_roundtrip(random.Random(rng.random())),
-    ]
+    results = [suite(random.Random(rng.random())) for suite in suites]
     census = enumerate_geodesics(EnumerationConfig(max_length=max_length))
     results.append(suite_word_census(census))
     results.append(suite_winding_sample(census, sample, seed))

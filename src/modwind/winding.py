@@ -38,6 +38,7 @@ from .errors import (
     ResidualTooLarge,
     StepTooCoarse,
 )
+from .geodesics import reduced_conjugate
 from .matrices import Mat2, fixed_points, geodesic_length, short_int
 
 __all__ = [
@@ -61,7 +62,6 @@ SERIES_TERMS = 40
 _TWO_PI = 2.0 * math.pi
 _BASE_STEP = 0.05
 _HEIGHT_STEP = 0.15
-_MAX_HALVINGS = 24
 _RESIDUAL_LIMIT = 1e-3
 _QUAD_TOL = 1e-9
 _FOLD_STEPS = 10000
@@ -317,13 +317,13 @@ def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
 def winding_index(gamma: Mat2) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
-    The argument is unwrapped over a grid that is refined in batches.  Every
-    interval is at most min(0.05, 0.15 / max(1, y)) long, with y the reduced
-    height at its left node (the argument turns at rate about 2 pi y high in
-    the cusp); then every interval whose increment reaches pi/2 is bisected,
-    at most 24 times, so no turn can be skipped.
+    The argument is unwrapped along the axis of the first reduced conjugate
+    over a grid refined in batches until every interval is at most
+    min(0.05, 0.15 / max(1, y)) long, with y the reduced height at its left
+    node (the argument turns at rate about 2 pi y high in the cusp).  An
+    increment of pi/2 or more could hide a turn, so it raises StepTooCoarse.
     """
-    axis = _axis_for(gamma)
+    axis = _axis_for(reduced_conjugate(gamma))
     ell = axis.length
 
     def arg_f(t):
@@ -336,22 +336,17 @@ def winding_index(gamma: Mat2) -> WindingResult:
         raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
     t = np.linspace(-0.5 * ell, 0.5 * ell, intervals + 1)
     values = _in_chunks(arg_f, t)
-    halvings = 0
     while True:
         dt = np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, values[1, :-1]))
         # the factor forgives the rounding of np.linspace and of earlier splits
         pieces = np.ceil(np.diff(t) / dt * (1.0 - 1e-12))
-        if (pieces > 1).any():
-            t, values = _refine(t, values, pieces, arg_f)
-            continue
-        inc = _wrap(np.diff(values[0]))
-        coarse = np.abs(inc) >= 0.5 * math.pi
-        if not coarse.any():
+        if not (pieces > 1).any():
             break
-        if halvings == _MAX_HALVINGS:
-            raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
-        halvings += 1
-        t, values = _refine(t, values, 1.0 + coarse, arg_f)
+        t, values = _refine(t, values, pieces, arg_f)
+    inc = _wrap(np.diff(values[0]))
+    coarse = np.abs(inc) >= 0.5 * math.pi
+    if coarse.any():
+        raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
     turns = float(inc.sum()) / _TWO_PI
     index = round(turns)
     residual = abs(turns - index)
@@ -361,7 +356,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
 
 
 def e2_period(gamma: Mat2) -> float:
-    """Period of the closed 1-form E2(z) dz over one loop of the geodesic.
+    """Period of the closed 1-form E2(z) dz over one loop of the first reduced conjugate's axis.
 
     Adaptive 16-point Gauss-Legendre panels: each round evaluates both halves
     of every open panel in one batch and accepts a panel once the halves
@@ -369,7 +364,7 @@ def e2_period(gamma: Mat2) -> float:
     smooth (the completed series is real-analytic across fold boundaries)
     but turns quickly inside cusp excursions, where the panels split.
     """
-    axis = _axis_for(gamma)
+    axis = _axis_for(reduced_conjugate(gamma))
     ell = axis.length
 
     def panel_sums(lo, hi):

@@ -16,7 +16,8 @@ from modwind.errors import (
     ResourceError,
     StepTooCoarse,
 )
-from modwind.geodesics import EnumerationConfig, enumerate_geodesics
+from modwind.geodesics import EnumerationConfig, enumerate_geodesics, word_to_matrix
+from modwind.verify import SuiteResult
 
 
 def run(capsys, *argv):
@@ -154,6 +155,11 @@ class TestPsi:
         _, exact, _ = run(capsys, "psi", "--matrix", matrix, "--method", "dedekind")
         assert out.split(": ")[1] == exact.split(": ")[1]
 
+    def test_parabolic_all_methods(self, capsys):
+        # the hyperbolic-only methods are skipped, not reported as errors
+        code, out, _ = run(capsys, "psi", "--matrix", "1,1,0,1", "--method", "all")
+        assert (code, out) == (0, "dedekind: 1\ncocycle: 1\n")
+
     def test_determinant_error(self, capsys):
         code, _, err = run(capsys, "psi", "--matrix", "1,1,1,1")
         assert code == 1
@@ -176,6 +182,20 @@ class TestIndex:
         code, out, _ = run(capsys, "index", "--matrix", "22,3,7,1")
         assert code == 0
         assert json.loads(out)["index"] == -4
+
+    def test_negative_trace_matrix(self, capsys):
+        code, out, _ = run(capsys, "index", "--matrix", "-22,-3,-7,-1")
+        assert code == 0
+        assert out == run(capsys, "index", "--matrix", "22,3,7,1")[1]
+
+    @pytest.mark.parametrize("n", [40, 60, 200])
+    def test_conjugates_with_large_entries(self, capsys, n):
+        # tau (2 1)-word tau^-1 with tau = A_1^n, entries of 54 to 276 bits
+        tau = word_to_matrix((1,) * n)
+        g = tau @ word_to_matrix((2, 1)) @ tau.inverse()
+        code, out, _ = run(capsys, "index", "--matrix", ",".join(map(str, g.entries())))
+        assert code == 0
+        assert json.loads(out)["index"] == 1
 
     # every ResourceError exits 3; any other library error exits 1
     @pytest.mark.parametrize("error", ResourceError.__subclasses__() + [DomainError])
@@ -249,6 +269,16 @@ def test_entries_at_the_limit_accepted(capsys):
     assert (code, out) == (0, f"cocycle: {big}\n")
     code, out, _ = run(capsys, "psi", "--word", "2-1-1-1", "--method", "cf")
     assert (code, out) == (0, "cf: 1\n")
+
+
+def test_long_word_at_the_limit_is_fast(capsys):
+    # 2-1-...-1 of 5,894 digits has 4,092-bit entries; its canonical rotation
+    # is one linear pass (0.47 s when it was a search over every rotation)
+    word = "-".join(["2"] + ["1"] * 5893)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "psi", "--word", word, "--method", "dedekind")
+    assert time.perf_counter() - start < 0.25
+    assert (code, out) == (0, "dedekind: 1\n")
 
 
 class TestStatsCommands:
@@ -333,6 +363,23 @@ class TestStatsCommands:
 
 
 class TestVerifyCommand:
+    def test_small_run_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-length", "8", "--sample", "20")
+        assert code == 0
+        suites = json.loads(out)
+        assert len(suites) == 12
+        assert all(s["failed"] == 0 and s["passed"] > 0 for s in suites)
+
+    def test_failing_suite_exits_2(self, capsys, monkeypatch):
+        def failing(**kwargs):
+            return [SuiteResult("injected", 1, 1, ["note"])]
+
+        monkeypatch.setattr(cli, "run_all", failing)
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert json.loads(out)[0]["failed"] == 1
+        assert err.startswith("verification failure:")
+
     def test_cap_guard(self, capsys):
         code, _, err = run(capsys, "verify", "--max-length", "25")
         assert code == 1

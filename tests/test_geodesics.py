@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -29,6 +30,7 @@ from modwind.geodesics import (
     estimated_census_size,
     is_primitive,
     matrix_to_word,
+    reduced_conjugate,
     trace_cap_for_length,
     word_to_matrix,
 )
@@ -37,7 +39,17 @@ from modwind.rademacher import psi, psi_cf
 
 
 def _min_even_rotation(entries):
+    """Reference least even rotation: the minimum over every even rotation."""
     return min(entries[k:] + entries[:k] for k in range(0, len(entries), 2))
+
+
+def reference_is_primitive(entries):
+    """Reference primitivity: no even block that divides the length repeats to the word."""
+    n = len(entries)
+    for block in range(2, n, 2):
+        if n % block == 0 and entries == entries[:block] * (n // block):
+            return False
+    return True
 
 
 def _reference_first_entry(a1, cap):
@@ -63,7 +75,7 @@ def _reference_first_entry(a1, cap):
                 continue  # larger a only increases the trace
             stack.append((entries, p, q, r, s, a + 1))
             tup = tuple(entries + [a])
-            if tup == _min_even_rotation(tup) and is_primitive(tup):
+            if tup == _min_even_rotation(tup) and reference_is_primitive(tup):
                 out.append((tup, np_ + ns))
             stack.append((entries + [a], np_, nq, nr, ns, 1))
         else:
@@ -110,12 +122,9 @@ def reference_matrix_to_word(gamma):
     for a in cycle:
         if a < 1:
             raise RuntimeError(f"non-positive digit {a} in cycle for {gamma}")
-    if word_to_matrix(cycle).entries() != cycle_state:
+    if word_to_matrix(cycle).entries() != cycle_state or not reference_is_primitive(cycle):
         raise NotPrimitive(f"{gamma} is a proper power")
-    word = canonical_form(cycle)
-    if not is_primitive(word):
-        raise NotPrimitive(f"{gamma} is a proper power")
-    return word
+    return CyclicWord(_min_even_rotation(cycle))
 
 
 def outcome(to_word, gamma):
@@ -168,6 +177,39 @@ class TestCanonicalForm:
             canonical_form((1, -2))
         with pytest.raises(ValueError):
             CyclicWord((2, 1, 1, 3))  # not the minimal even rotation
+
+
+class TestLyndonPass:
+    """The linear pass against the quadratic references."""
+
+    @staticmethod
+    def check(w):
+        assert canonical_form(w).entries == _min_even_rotation(w)
+        assert is_primitive(w) == reference_is_primitive(w)
+
+    def test_every_small_word(self):
+        for pairs in range(1, 6):
+            for w in itertools.product((1, 2, 3), repeat=2 * pairs):
+                self.check(w)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(
+        st.lists(st.integers(1, 2**66), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.integers(0, 24),
+    )
+    def test_matches_reference_property(self, block, power, shift):
+        # powers of a block, doubled when odd, rotated by any offset
+        w = tuple(block) * (1 + len(block) % 2) * power
+        shift %= len(w)
+        self.check(w[shift:] + w[:shift])
+
+    def test_linear_time(self):
+        w = (2,) + (1,) * 199_999
+        start = time.perf_counter()
+        assert canonical_form(w).entries == (1,) * 199_998 + (2, 1)
+        assert is_primitive(w)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsPrimitive:
@@ -282,6 +324,44 @@ class TestMatrixToWord:
             assert matrix_to_word(word_to_matrix(w)).entries == canonical_form(w).entries
 
 
+def is_reduced(g):
+    """alpha > 1 and -1 < alpha' < 0 for the fixed points (a - d +- sqrt(D)) / (2c), exactly."""
+    a, b, c, d = g.entries()
+    root = isqrt_checked(g.trace**2 - 4)
+    # sqrt(D) is irrational, so x < sqrt(D) iff x <= root
+    return c > 0 and 2 * c - (a - d) <= root and a - d <= root < a - d + 2 * c
+
+
+class TestReducedConjugate:
+    def test_word_products_returned_as_they_are(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = word_to_matrix(tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4))))
+            assert reduced_conjugate(g) is g
+
+    def test_conjugates_reduced_in_the_same_class(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4)))
+            if not reference_is_primitive(w):
+                continue
+            tau = verify._random_element(rng, 12)
+            g = tau @ word_to_matrix(w) @ tau.inverse()
+            if g.trace < 0:
+                g = -g
+            red = reduced_conjugate(g)
+            assert is_reduced(red)
+            assert is_reduced(g) == (red is g)
+            assert red.trace == g.trace
+            assert matrix_to_word(red) == matrix_to_word(g) == canonical_form(w)
+
+    def test_rejects_non_hyperbolic(self):
+        with pytest.raises(NotHyperbolic):
+            reduced_conjugate(Mat2(1, 1, 0, 1))
+        with pytest.raises(NotHyperbolic):
+            reduced_conjugate(-word_to_matrix((1, 2)))
+
+
 class TestTraceCap:
     def test_values(self):
         assert trace_cap_for_length(geodesic_length(5)) == 5
@@ -362,7 +442,7 @@ class TestOrientationInvolution:
         records = enumerate_by_trace(30)
         by_word = {r.word.entries: r for r in records}
         for r in records:
-            rev = r.word.reversed()
+            rev = canonical_form(r.word.entries[::-1])
             assert rev.entries in by_word
             assert by_word[rev.entries].psi == -r.psi
 

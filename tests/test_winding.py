@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modwind import winding
-from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic
+from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic, StepTooCoarse
 from modwind.geodesics import word_to_matrix
 from modwind.matrices import Mat2, geodesic_length
 from modwind.rademacher import psi, psi_cf
@@ -226,17 +227,24 @@ class TestAxis:
             assert abs(dz) == pytest.approx(z.imag, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "gamma",
+        "gamma, refused",
         [
-            word_to_matrix((2,) + (1,) * 799),  # trace past the float range
-            Mat2(2**1100, 2**1100 * (3 - 2**1100) - 1, 1, 3 - 2**1100),  # (a - d) / 2c too
+            (word_to_matrix((2,) + (1,) * 799), True),  # trace past the float range
+            # (a - d) / 2c past it too, but the routes read the axis of the
+            # reduced conjugate (2 1; 1 1), so only the trace can refuse
+            (Mat2(2**1100, 2**1100 * (3 - 2**1100) - 1, 1, 3 - 2**1100), False),
         ],
         ids=["trace", "centre"],
     )
-    def test_fixed_points_past_the_float_range_refused(self, gamma):
-        for route in (winding_index, e2_period):
-            with pytest.raises(CapExceeded, match="float range"):
-                route(gamma)
+    def test_fixed_points_past_the_float_range_refused(self, gamma, refused):
+        if refused:
+            for route in (winding_index, e2_period):
+                with pytest.raises(CapExceeded, match="float range"):
+                    route(gamma)
+        else:
+            res = winding_index(gamma)
+            assert res.index == psi(gamma) and res.residual < 1e-3
+            assert e2_period(gamma) == pytest.approx(psi(gamma), abs=1e-6)
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
@@ -284,6 +292,27 @@ class TestWindingIndex:
         g = word_to_matrix((1, 60))
         res = winding_index(g)
         assert res.index == psi(g) == -59
+
+    @pytest.mark.parametrize("n", [40, 60, 200])
+    def test_conjugates_with_large_entries(self, n):
+        # tau (2 1)-word tau^-1 with tau = A_1^n: the fixed points of the
+        # conjugate agree to the float resolution from n of about 40, so an
+        # axis built from them in floats leaves the upper half-plane
+        tau = word_to_matrix((1,) * n)
+        g = tau @ word_to_matrix((2, 1)) @ tau.inverse()
+        res = winding_index(g)
+        assert res.index == psi(g) == 1 and res.residual < 1e-3
+        assert e2_period(g) == pytest.approx(1.0, abs=1e-6)
+
+    def test_coarse_grid_raises_at_once(self, monkeypatch):
+        # the period of (1, 60), about 8.25, in nine intervals that the
+        # height rule never splits: the argument turns 59 times over them
+        monkeypatch.setattr(winding, "_BASE_STEP", 1.0)
+        monkeypatch.setattr(winding, "_HEIGHT_STEP", 1e6)
+        start = time.perf_counter()
+        with pytest.raises(StepTooCoarse, match="argument jump"):
+            winding_index(word_to_matrix((1, 60)))
+        assert time.perf_counter() - start < 1.0
 
     def test_matches_psi_on_sample(self):
         rng = random.Random(37)
