@@ -27,7 +27,6 @@ from .geodesics import (
     CyclicWord,
     EnumerationConfig,
     GeodesicRecord,
-    brute_force_classes,
     canonical_form,
     enumerate_by_trace,
     enumerate_geodesics,

@@ -5,7 +5,7 @@ A_a = (a 1; 1 0).  Conjugation acts by rotation through an even offset, so the
 canonical representative is the lexicographically minimal even rotation.
 Read as a word over digit pairs, a canonical primitive word is a Lyndon word,
 and the census is the FKM walk over Lyndon words of bounded trace, stored in
-columns; the brute-force matrix scan is the independent oracle.
+columns.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "trace_cap_for_length",
     "enumerate_geodesics",
     "enumerate_by_trace",
-    "brute_force_classes",
 ]
 
 MAX_LENGTH_BOUND = 20.0
@@ -56,7 +55,6 @@ CENSUS_MEMORY_BUDGET = 512 * 2**20
 # Peak memory growth per class of a census and its statistics: 132 B measured
 # at T = 15 and at T = 17, plus room for the longer words of larger T.
 _CENSUS_BYTES_PER_CLASS = 140
-_BRUTE_FORCE_TRACE_LIMIT = 50
 _LENGTH_SLACK = 1e-12
 # Continued-fraction steps a walk takes before it gives up.
 _WALK_STEPS = 100000
@@ -436,34 +434,3 @@ def enumerate_by_trace(cap: int) -> Census:
 def enumerate_geodesics(config: EnumerationConfig) -> Census:
     """Every oriented primitive class with length <= max_length, deterministic order."""
     return enumerate_by_trace(trace_cap_for_length(config.max_length))
-
-
-def brute_force_classes(trace_max: int) -> List[CyclicWord]:
-    """Independent oracle: scan SL(2,Z) matrices with entries bounded by trace_max^2,
-    keep 2 < trace <= trace_max, reduce each through matrix_to_word, deduplicate.
-    """
-    if trace_max > _BRUTE_FORCE_TRACE_LIMIT:
-        raise CapExceeded(f"trace_max {trace_max} > {_BRUTE_FORCE_TRACE_LIMIT}")
-    bound = trace_max * trace_max
-    words = set()
-    c_vals = np.concatenate(
-        [np.arange(-bound, 0, dtype=np.int64), np.arange(1, bound + 1, dtype=np.int64)]
-    )
-    for t in range(3, trace_max + 1):
-        a_lo, a_hi = max(-bound, t - bound), min(bound, t + bound)
-        a_vals = np.arange(a_lo, a_hi + 1, dtype=np.int64)
-        n_vals = a_vals * (t - a_vals) - 1  # b*c must equal a*d - 1
-        n_grid = n_vals[:, None]
-        with np.errstate(all="ignore"):
-            b_grid = n_grid // c_vals[None, :]
-        mask = (b_grid * c_vals[None, :] == n_grid) & (np.abs(b_grid) <= bound)
-        ai, ci = np.nonzero(mask)
-        for i, j in zip(ai.tolist(), ci.tolist()):
-            a = int(a_vals[i])
-            c = int(c_vals[j])
-            b = int(b_grid[i, j])
-            try:
-                words.add(matrix_to_word(Mat2(a, b, c, t - a)))
-            except NotPrimitive:
-                continue
-    return sorted(words, key=lambda w: (word_to_matrix(w).trace, w.entries))

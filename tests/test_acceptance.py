@@ -15,7 +15,6 @@ import pytest
 
 from modwind.geodesics import (
     EnumerationConfig,
-    brute_force_classes,
     enumerate_by_trace,
     enumerate_geodesics,
     word_to_matrix,
@@ -30,6 +29,7 @@ from modwind.stats import (
 )
 from modwind.verify import run_all, stratified_sample
 from modwind.winding import e2_period, winding_index
+from test_geodesics import brute_force_classes
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,6 @@ from modwind.geodesics import (
     GeodesicRecord,
     MAX_LENGTH_BOUND,
     EnumerationConfig,
-    brute_force_classes,
     canonical_form,
     enumerate_by_trace,
     enumerate_geodesics,
@@ -85,6 +84,40 @@ def _reference_first_entry(a1, cap):
             stack.append((entries, p, q, r, s, a + 1))
             stack.append((entries + [a], np_, nq, nr, ns, 1))
     return out
+
+
+_BRUTE_FORCE_TRACE_LIMIT = 50
+
+
+def brute_force_classes(trace_max):
+    """Independent oracle: scan SL(2,Z) matrices with entries bounded by trace_max^2,
+    keep 2 < trace <= trace_max, reduce each through matrix_to_word, deduplicate.
+    """
+    if trace_max > _BRUTE_FORCE_TRACE_LIMIT:
+        raise CapExceeded(f"trace_max {trace_max} > {_BRUTE_FORCE_TRACE_LIMIT}")
+    bound = trace_max * trace_max
+    words = set()
+    c_vals = np.concatenate(
+        [np.arange(-bound, 0, dtype=np.int64), np.arange(1, bound + 1, dtype=np.int64)]
+    )
+    for t in range(3, trace_max + 1):
+        a_lo, a_hi = max(-bound, t - bound), min(bound, t + bound)
+        a_vals = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+        n_vals = a_vals * (t - a_vals) - 1  # b*c must equal a*d - 1
+        n_grid = n_vals[:, None]
+        with np.errstate(all="ignore"):
+            b_grid = n_grid // c_vals[None, :]
+        mask = (b_grid * c_vals[None, :] == n_grid) & (np.abs(b_grid) <= bound)
+        ai, ci = np.nonzero(mask)
+        for i, j in zip(ai.tolist(), ci.tolist()):
+            a = int(a_vals[i])
+            c = int(c_vals[j])
+            b = int(b_grid[i, j])
+            try:
+                words.add(matrix_to_word(Mat2(a, b, c, t - a)))
+            except NotPrimitive:
+                continue
+    return sorted(words, key=lambda w: (word_to_matrix(w).trace, w.entries))
 
 
 def reference_matrix_to_word(gamma):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ def scalar_e2(z):
     return (scalar_horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)) / (j * j)
 
 
+def exact_reduce(z):
+    """The fold of the float z in exact rationals, with the batched fold's
+    rules (nearest integer, S inside |w| < 1 - 1e-15); (z_red, j) rounded once."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    limit = Fraction(1.0 - 1e-15) ** 2
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(10000):
+        # w = (a z + b) / (c z + d), Im w = y / |c z + d|^2 since ad - bc = 1
+        norm = (c * x + d) ** 2 + (c * y) ** 2
+        u = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / norm
+        v = y / norm
+        n = round(u)
+        u, a, b = u - n, a - n * c, b - n * d
+        if u * u + v * v >= limit:
+            return complex(u, v), complex(c * x + d, c * y)
+        a, b, c, d = -c, -d, a, b
+    raise RuntimeError("fold did not terminate")
+
+
 class TestBatchedLayer:
     # Fixed before the comparison was run: the batched layer reorders no sum,
     # but numpy's complex division and exp may differ from Python's in the
@@ -95,12 +115,42 @@ class TestBatchedLayer:
 
     def test_fold_refuses_inexact_matrix(self):
         # the fold of z = 0.3 + 1e-40 i needs c near 6e16 (Im j = c Im z from
-        # the scalar fold's exact ints); float64 entries past 2^52 would give a
-        # wrong j
+        # the scalar fold's exact ints); its height is far below the float
+        # spacing of its real part, so the fold refuses it up front
         _, j = scalar_reduce(0.3 + 1e-40j)
         assert abs(j.imag / 1e-40) > 2.0**52
         with pytest.raises(CapExceeded):
             reduce_to_fundamental(0.3 + 1e-40j)
+
+    @pytest.mark.parametrize("z", [0.3 + 1e-20j, 0.3 + 1e-30j], ids=str)
+    def test_fold_refuses_unresolved_point(self, z):
+        # Im z is below 2^-52 |Re z|, so no float fold can place z: the exact
+        # fold of these floats gives -0.3104 + 8.11e11 i and 0.5 + 81.13 i, a
+        # fold with a float matrix -0.25 + 5.63e11 i and -0.375 + 56.34 i
+        with pytest.raises(CapExceeded):
+            reduce_to_fundamental(z)
+
+    def test_fold_accepts_point_above_the_limit(self):
+        y = 0.3 * 2.0**-52
+        for _ in range(16):
+            y = math.nextafter(y, math.inf)
+        # resolved, if only just: the fold's error scale here is about 1
+        z_red, _, _ = reduce_to_fundamental(complex(0.3, y))
+        assert abs(z_red.real) <= 0.5 and abs(z_red) >= 1.0 - 1e-15
+
+    def test_fold_matches_exact_rational_fold(self):
+        # many S steps: the fold's relative error in z_red (against its height)
+        # and in j is about 2^-52 |z| / Im z
+        rng = random.Random(47)
+        zs = [
+            complex(rng.uniform(-4, 4), 10.0 ** rng.uniform(-12, -1)) for _ in range(1000)
+        ]
+        z_red, j = winding._reduce(np.array(zs))
+        for k, z in enumerate(zs):
+            ref_z, ref_j = exact_reduce(z)
+            scale = 4 * 2.0**-52 * abs(z) / z.imag
+            assert abs(z_red[k] - ref_z) / ref_z.imag <= scale
+            assert abs(j[k] - ref_j) / abs(ref_j) <= scale
 
     def test_gauss_legendre_rule(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -115,6 +165,21 @@ class TestSeriesTables:
 
     def test_e2_coefficients(self):
         assert E2HOL_SERIES[:4] == (1, -24, -72, -96)
+
+    def test_series_terms_is_the_least_count_below_the_bound(self):
+        # tails sum |c_n| |q|^n over n > terms at the largest |q| after the fold,
+        # from 60-term tables (the terms past 60 are below 1e-130)
+        q = math.exp(-math.pi * math.sqrt(3.0))
+        delta = winding._delta_q_coefficients(60)
+        e2 = [1] + [24 * winding._sigma1(n) for n in range(1, 61)]
+
+        def tail(coeffs, terms):
+            return sum(abs(c) * q**n for n, c in enumerate(coeffs) if n > terms)
+
+        terms = winding.SERIES_TERMS
+        assert len(DELTA_SERIES) == len(E2HOL_SERIES) == terms + 1
+        assert max(tail(delta, terms), tail(e2, terms)) < 1e-22
+        assert max(tail(delta, terms - 1), tail(e2, terms - 1)) >= 1e-22
 
 
 class TestReduction:
