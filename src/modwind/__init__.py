@@ -72,13 +72,11 @@ from .stats import (
 )
 from .verify import run_all
 from .winding import (
-    LogDeltaValue,
     WindingResult,
     axis_point,
     delta_eval,
     e2_completed,
     e2_period,
-    reduce_to_fundamental,
     winding_index,
 )
 

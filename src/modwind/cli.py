@@ -52,6 +52,10 @@ _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 # many rows before the census is built.
 MAX_TABLE_ROWS = 10_000
 
+# verify --sample is refused above this before the census is built; the
+# winding suite costs about 2.2 ms a sampled class (README).
+MAX_SAMPLE = 10_000
+
 
 class VerificationFailure(ModwindError):
     """Methods that must agree did not, or a verify suite failed."""
@@ -124,8 +128,9 @@ def _parse_grid(text: str) -> List[float]:
         raise click.UsageError(f"bad grid {text!r} (want start:stop:step)")
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise click.UsageError(f"bad grid {text!r}")
-    # the quotient overflows to inf for a tiny step or a huge span
-    rows = round(min((stop - start) / step, MAX_TABLE_ROWS)) + 1
+    # the largest k with start + k step <= stop within rounding; the quotient
+    # overflows to inf for a tiny step or a huge span
+    rows = math.floor(min((stop - start) / step, MAX_TABLE_ROWS) + 1e-9) + 1
     _check_rows(rows, f"--r-grid {text}")
     return [start + k * step for k in range(rows)]
 
@@ -343,8 +348,8 @@ def cmd_stats_twisted(
 def cmd_verify(max_length: float, sample: int, seed: int) -> None:
     """Run every invariant suite; exit 2 if any check fails."""
     _validate_max_length(max_length)
-    if sample < 1:
-        raise click.UsageError(f"--sample {sample} < 1")
+    if not 1 <= sample <= MAX_SAMPLE:
+        raise click.UsageError(f"--sample {sample} outside [1, {MAX_SAMPLE:,}]")
     results = run_all(max_length=max_length, sample=sample, seed=seed)
     click.echo(json.dumps([r.as_dict() for r in results]))
     if any(r.failed for r in results):

@@ -270,6 +270,8 @@ def trace_cap_for_length(max_length: float) -> int:
     floor of 2 cosh(T/2) can land one below a trace whose length is exactly T,
     so the cap steps up while the next trace still fits.
     """
+    if not math.isfinite(max_length):
+        raise DomainError(f"length bound {max_length} is not finite")
     cap = math.floor(2.0 * math.cosh(max_length / 2.0))
     while geodesic_length(cap + 1) <= max_length + _LENGTH_SLACK:
         cap += 1

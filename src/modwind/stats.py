@@ -91,10 +91,8 @@ def predicted_pi_n(n: int, T: float) -> float:
     rule on fixed panels of width at most 1/2.  The error estimate is the
     change when every panel is halved.
     """
-    if T < 2:
-        raise DomainError(f"T = {T} < 2")
-    if T > _MAX_EXPONENT:
-        raise DomainError(f"T = {T}: e^T overflows a float")
+    if not 2 <= T <= _MAX_EXPONENT:
+        raise DomainError(f"T = {T} outside [2, {_MAX_EXPONENT:g}], where e^T is a finite float")
     c2 = (4.0 * math.pi * n / 12) ** 2
     lo = math.log(2.0)
     panels = math.ceil((T - lo) / _PANEL_WIDTH)

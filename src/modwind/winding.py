@@ -27,7 +27,6 @@ y ~ R e^(-l/2).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -37,21 +36,18 @@ import numpy as np
 from .errors import (
     CapExceeded,
     NonPositiveImaginary,
-    NotHyperbolic,
     QuadratureFailure,
     ResidualTooLarge,
     StepTooCoarse,
 )
 from .geodesics import reduced_conjugate
-from .matrices import Mat2, fixed_points, geodesic_length, short_int
+from .matrices import Mat2, fixed_points, geodesic_length
 
 __all__ = [
-    "LogDeltaValue",
     "WindingResult",
     "SERIES_TERMS",
     "DELTA_SERIES",
     "E2HOL_SERIES",
-    "reduce_to_fundamental",
     "delta_eval",
     "e2_completed",
     "axis_point",
@@ -110,7 +106,7 @@ def _sigma1(n: int) -> int:
 
 # Integer q-expansion coefficients c_0 .. c_N.  DELTA_SERIES is Delta/q (so
 # the leading coefficient is for q^0; the explicit factor q is restored in
-# log form inside delta_eval); E2HOL_SERIES is the holomorphic part of E2.
+# log form inside _delta_parts); E2HOL_SERIES is the holomorphic part of E2.
 DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
 
@@ -193,34 +189,14 @@ def _e2(z: np.ndarray) -> np.ndarray:
     return (_horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)) / (j * j)
 
 
-def reduce_to_fundamental(z: complex) -> Tuple[complex, float, float]:
-    """Fold z into the standard fundamental domain.
-
-    Returns (z_reduced, arg_offset, log_scale) with
-    Delta(z) = exp(log_scale + i arg_offset) * Delta(z_reduced).
-    arg_offset is reported mod 2 pi; weight 12 kills the branch ambiguity of
-    the individual principal arguments.
-    """
-    z_red, j = (complex(v[0]) for v in _reduce(np.array([z], dtype=complex)))
-    return z_red, math.remainder(-12.0 * cmath.phase(j), _TWO_PI), -12.0 * math.log(abs(j))
-
-
-@dataclass(frozen=True)
-class LogDeltaValue:
-    """log |Delta(z)| and arg Delta(z) mod 2 pi, stored separately.
+def delta_eval(z: complex) -> Tuple[float, float]:
+    """(log |Delta(z)|, arg Delta(z) in [-pi, pi]), exact in the modular transformation.
 
     |Delta| underflows double precision already for y around 230, so the
     modulus is only ever exposed through its logarithm.
     """
-
-    log_modulus: float
-    arg_mod_2pi: float
-
-
-def delta_eval(z: complex) -> LogDeltaValue:
-    """Discriminant form in log form, exact in the modular transformation."""
     log_abs, arg, _ = _delta_parts(np.array([z], dtype=complex))
-    return LogDeltaValue(log_modulus=float(log_abs[0]), arg_mod_2pi=float(arg[0]))
+    return float(log_abs[0]), float(arg[0])
 
 
 def e2_completed(z: complex) -> complex:
@@ -230,47 +206,41 @@ def e2_completed(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class _Axis:
-    """Geodesic axis z(t) = g(i e^t) with g = (alpha, s alpha_bar; 1, s).
+    """Geodesic axis z(t) = g(i e^t) with g = (alpha, alpha_bar; 1, 1).
 
-    The column sign s = sign(alpha - alpha_bar) keeps det g > 0 so that g
-    maps the upper half-plane to itself; either sign conjugates gamma to the
-    same diagonal dilation, so z(t) runs from the repelling to the attracting
-    fixed point at unit speed in both cases.  point and velocity take a
-    float or an array of floats.
+    alpha > 1 > 0 > alpha_bar on a reduced conjugate, so det g > 0 and g maps
+    the upper half-plane to itself; z(t) runs from the repelling to the
+    attracting fixed point at unit speed.  point and velocity take a float or
+    an array of floats.
     """
 
     alpha: float
     alpha_bar: float
-    sign: float
     length: float
 
     def point(self, t):
         w = 1j * np.exp(t)
-        return (self.alpha * w + self.sign * self.alpha_bar) / (w + self.sign)
+        return (self.alpha * w + self.alpha_bar) / (w + 1.0)
 
     def velocity(self, t):
         w = 1j * np.exp(t)
-        den = w + self.sign
-        return self.sign * (self.alpha - self.alpha_bar) * w / (den * den)
+        den = w + 1.0
+        return (self.alpha - self.alpha_bar) * w / (den * den)
 
 
 def _axis_for(gamma: Mat2) -> _Axis:
-    if gamma.trace <= 2:
-        raise NotHyperbolic(f"trace {short_int(gamma.trace)} (need trace > 2)")
+    """The axis of reduced_conjugate(gamma)."""
+    reduced = reduced_conjugate(gamma)
     try:
-        alpha, alpha_bar = fixed_points(gamma)
+        alpha, alpha_bar = fixed_points(reduced)
     except OverflowError:
-        raise CapExceeded(f"the fixed points of {gamma} are beyond the float range") from None
-    return _Axis(
-        alpha=alpha,
-        alpha_bar=alpha_bar,
-        sign=1.0 if alpha > alpha_bar else -1.0,
-        length=geodesic_length(gamma.trace),
-    )
+        raise CapExceeded(f"the fixed points of {reduced} are beyond the float range") from None
+    return _Axis(alpha=alpha, alpha_bar=alpha_bar, length=geodesic_length(reduced.trace))
 
 
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
-    """Axis point and velocity (z(t), dz/dt) at flow time t from z(0) = g(i)."""
+    """(z(t), dz/dt) at flow time t on the axis of reduced_conjugate(gamma), the
+    axis both routes follow, from z(0) = g(i)."""
     axis = _axis_for(gamma)
     return complex(axis.point(t)), complex(axis.velocity(t))
 
@@ -326,7 +296,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     node (the argument turns at rate about 2 pi y high in the cusp).  An
     increment of pi/2 or more could hide a turn, so it raises StepTooCoarse.
     """
-    axis = _axis_for(reduced_conjugate(gamma))
+    axis = _axis_for(gamma)
     ell = axis.length
 
     def arg_f(t):
@@ -367,7 +337,7 @@ def e2_period(gamma: Mat2) -> float:
     smooth (the completed series is real-analytic across fold boundaries)
     but turns quickly inside cusp excursions, where the panels split.
     """
-    axis = _axis_for(reduced_conjugate(gamma))
+    axis = _axis_for(gamma)
     ell = axis.length
 
     def panel_sums(lo, hi):

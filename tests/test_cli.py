@@ -325,6 +325,30 @@ class TestStatsCommands:
         assert lines[0] == "r,abs_sum,main_term,relative_error"
         assert len(lines) == 20
 
+    @pytest.mark.parametrize(
+        "grid, count, last",
+        [
+            ("0:1:0.6", 2, 0.6),
+            ("0:7:2", 4, 6.0),
+            ("11:12:0.6", 2, 11.6),
+            ("0:0.3:0.1", 4, 0.3),
+            ("-0.45:0.45:0.05", 19, 0.45),
+            ("0:11.9988:0.0012", 10_000, 11.9988),
+        ],
+    )
+    def test_grid_stops_at_its_stop(self, grid, count, last):
+        rs = cli._parse_grid(grid)
+        assert len(rs) == count
+        assert rs[-1] == pytest.approx(last, abs=1e-12)
+
+    def test_grid_ending_inside_the_range_of_r(self, capsys):
+        # 11 + 2 * 0.6 = 12.2 would be past |r| <= 12
+        code, out, _ = run(
+            capsys, "stats-twisted", "--max-length", "8", "--r-grid", "11:12:0.6"
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3
+
     def test_twisted_single_above_half_has_no_main_term(self, capsys):
         code, out, _ = run(capsys, "stats-twisted", "--max-length", "10", "--r", "0.6")
         assert code == 0
@@ -384,6 +408,14 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--max-length", "25")
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("sample", [0, cli.MAX_SAMPLE + 1, 250_000])
+    def test_sample_out_of_range_refused_before_the_census(self, capsys, monkeypatch, sample):
+        monkeypatch.setattr(cli, "run_all", lambda **kwargs: pytest.fail("verify ran"))
+        code, out, err = run(capsys, "verify", "--max-length", "15", "--sample", str(sample))
+        assert code == 1
+        assert out == ""
+        assert "--sample" in err
 
     def test_census_bound_fails_fast(self, capsys):
         # T = 16 is within the census's memory budget, but word_census would

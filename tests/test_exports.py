@@ -167,3 +167,42 @@ def test_fraction_only_in_the_oracle(path):
     allowed = FRACTION_USERS.get(path.name, set())
     if allowed is not None:
         assert sorted(users - allowed) == []
+
+
+# The benchmark and the demos import the program by name, and tier-1 does not
+# run the benchmark, so a deleted public name must fail here.
+IMPORTERS = sorted(
+    path for pattern in ("perfbench/*.py", "demos/*.py") for path in ROOT.glob(pattern)
+)
+
+
+def missing_imports(source: str) -> list:
+    """'module.name' for each name that the source imports from modwind or a
+    modwind submodule and that the module does not define."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and (node.module == "modwind" or node.module.startswith("modwind."))
+        for alias in node.names
+        if not hasattr(importlib.import_module(node.module), alias.name)
+    ]
+
+
+def test_missing_import_detected():
+    source = (
+        "import gen\nfrom gen import anything\nfrom modwind import psi, no_such_name\n"
+        "from modwind.winding import e2_period, LogDeltaValue\n"
+    )
+    assert missing_imports(source) == ["modwind.no_such_name", "modwind.winding.LogDeltaValue"]
+
+
+def test_importers_found():
+    names = {path.parent.name for path in IMPORTERS}
+    assert names == {"perfbench", "demos"}
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_imported_names_exist(path):
+    assert missing_imports(path.read_text()) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from modwind import geodesics, verify
 from modwind.errors import (
     CapExceeded,
+    DomainError,
     NonPositiveEntry,
     NotHyperbolic,
     NotPrimitive,
@@ -402,6 +403,12 @@ class TestTraceCap:
         # a bound equal to a trace's own length must admit that trace
         for n in range(3, trace_cap_for_length(MAX_LENGTH_BOUND) + 1):
             assert trace_cap_for_length(geodesic_length(n)) == n
+
+    @pytest.mark.parametrize("max_length", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_refused(self, max_length):
+        # math.floor would raise ValueError on nan and OverflowError on inf
+        with pytest.raises(DomainError, match="not finite"):
+            trace_cap_for_length(max_length)
 
     @pytest.mark.parametrize("n", [4, 9, 17])
     def test_boundary_included(self, n):

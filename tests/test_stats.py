@@ -154,10 +154,20 @@ class TestPredictedPiN:
         assert 0.80 < partial[-1] / target < 1.0
 
     def test_domain_guard(self):
+        for T in (1.0, 1e9, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                predicted_pi_n(1, T)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf], ids=str)
+def test_non_finite_length_refused_by_the_statistics(census12, T):
+    for stat in (
+        lambda: twisted_sum(census12, T, 0.1),
+        lambda: winding_histogram(census12, T),
+        lambda: cauchy_compare(census12, T),
+    ):
         with pytest.raises(DomainError):
-            predicted_pi_n(0, 1.0)
-        with pytest.raises(DomainError):
-            predicted_pi_n(0, 1e9)
+            stat()
 
 
 class TestDensityTable:

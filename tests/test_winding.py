@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from modwind import winding
 from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic, StepTooCoarse
-from modwind.geodesics import word_to_matrix
-from modwind.matrices import Mat2, geodesic_length
+from modwind.geodesics import reduced_conjugate, word_to_matrix
+from modwind.matrices import Mat2, S, T, geodesic_length
 from modwind.rademacher import psi, psi_cf
 from modwind.winding import (
     DELTA_SERIES,
@@ -21,13 +21,19 @@ from modwind.winding import (
     delta_eval,
     e2_completed,
     e2_period,
-    reduce_to_fundamental,
     winding_index,
 )
 
 
 def random_upper_half(rng):
     return complex(rng.uniform(-8, 8), math.exp(rng.uniform(math.log(0.05), 2.0)))
+
+
+def reduce_to_fundamental(z):
+    """(z_red, arg_offset, log_scale) from the batched fold of the one point z, with
+    Delta(z) = exp(log_scale + i arg_offset) Delta(z_red) and arg_offset mod 2 pi."""
+    z_red, j = (complex(v[0]) for v in winding._reduce(np.array([z], dtype=complex)))
+    return z_red, math.remainder(-12.0 * cmath.phase(j), 2 * math.pi), -12.0 * math.log(abs(j))
 
 
 # Scalar reference for the batched forms layer: the fold one point at a time
@@ -223,30 +229,27 @@ class TestDeltaEval:
         rng = random.Random(11)
         for _ in range(100):
             z = random_upper_half(rng)
-            a = delta_eval(z)
-            b = delta_eval(z + 1)
-            assert a.log_modulus == pytest.approx(b.log_modulus, abs=1e-9)
-            diff = (a.arg_mod_2pi - b.arg_mod_2pi) % (2 * math.pi)
+            log_a, arg_a = delta_eval(z)
+            log_b, arg_b = delta_eval(z + 1)
+            assert log_a == pytest.approx(log_b, abs=1e-9)
+            diff = (arg_a - arg_b) % (2 * math.pi)
             assert min(diff, 2 * math.pi - diff) < 1e-9
 
     def test_real_positive_at_i(self):
-        assert delta_eval(1j).arg_mod_2pi == pytest.approx(0.0, abs=1e-10)
+        assert delta_eval(1j)[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_cusp_decay(self):
-        assert delta_eval(10j).log_modulus + 20 * math.pi == pytest.approx(0.0, abs=1e-8)
+        assert delta_eval(10j)[0] + 20 * math.pi == pytest.approx(0.0, abs=1e-8)
 
     def test_modular_consistency(self):
         # evaluating directly and through an extra fold must agree
         rng = random.Random(13)
         for _ in range(50):
             z = random_upper_half(rng)
-            a = delta_eval(z)
-            zs = -1.0 / z
-            b = delta_eval(zs)
+            log_a, _ = delta_eval(z)
+            log_b, _ = delta_eval(-1.0 / z)
             # Delta(-1/z) = z^12 Delta(z)
-            assert b.log_modulus == pytest.approx(
-                a.log_modulus + 12 * math.log(abs(z)), abs=1e-8
-            )
+            assert log_b == pytest.approx(log_a + 12 * math.log(abs(z)), abs=1e-8)
 
 
 class TestE2Completed:
@@ -290,6 +293,25 @@ class TestAxis:
         for t in (0.0, 0.7, 1.9):
             z, dz = axis_point(g, t)
             assert abs(dz) == pytest.approx(z.imag, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [
+            word_to_matrix((3, 7)).inverse(),
+            word_to_matrix((1, 2, 4, 1)).inverse(),
+            T.power(2) @ S @ word_to_matrix((2, 5)) @ (T.power(2) @ S).inverse(),
+        ],
+        ids=["inverse-3-7", "inverse-1-2-4-1", "conjugate-2-5"],
+    )
+    def test_follows_the_reduced_axis(self, gamma):
+        # none of these is reduced; axis_point follows the axis of the reduced
+        # conjugate, which is the one both routes integrate over
+        g = reduced_conjugate(gamma)
+        assert g != gamma
+        z0, _ = axis_point(gamma, 0.0)
+        z1, _ = axis_point(gamma, geodesic_length(gamma.trace))
+        image = (g.a * z0 + g.b) / (g.c * z0 + g.d)
+        assert abs(z1 - image) <= 1e-10 * abs(image)
 
     @pytest.mark.parametrize(
         "gamma, refused",
