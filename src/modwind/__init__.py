@@ -54,7 +54,6 @@ from .rademacher import (
     psi_cf,
     psi_cocycle,
     s_symbol,
-    ts_factors,
 )
 from .stats import (
     DistributionReport,

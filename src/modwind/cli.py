@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Sequence, TextIO
 
 import click
 
-from .errors import ModwindError, NotHyperbolic, ResourceError
+from .errors import ModwindError, NotHyperbolic, NotPrimitive, ResourceError
 from .geodesics import (
     Census,
     EnumerationConfig,
@@ -236,9 +236,9 @@ def cmd_psi(matrix_text: Optional[str], word_text: Optional[str], method: str) -
     for m in methods:
         try:
             values[m] = _psi_by_method(gamma, m)
-        except NotHyperbolic:
+        except (NotHyperbolic, NotPrimitive):
             if method == "all":
-                continue  # hyperbolic-only method on a non-hyperbolic input
+                continue  # a method that refuses the class, e.g. cf on a proper power
             raise
     for m, v in values.items():
         if isinstance(v, float):

@@ -159,11 +159,11 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return Fraction(_dedekind12(h, k), 12 * k)
 
 
-def _quarter_turns(m: Mat2) -> int:
-    """arg j(m, z) in quarter turns, rounded: sign(c) if c != 0, else 0 (d > 0) or 2 (d < 0)."""
-    if m.c:
-        return 1 if m.c > 0 else -1
-    return 0 if m.d > 0 else 2
+def _quarter_turns(c: int, d: int) -> int:
+    """arg(c z + d) in quarter turns, rounded: sign(c) if c != 0, else 0 (d > 0) or 2 (d < 0)."""
+    if c:
+        return 1 if c > 0 else -1
+    return 0 if d > 0 else 2
 
 
 def omega(g: Mat2, h: Mat2) -> int:
@@ -177,9 +177,11 @@ def omega(g: Mat2, h: Mat2) -> int:
     R is odd and |E| < 3 pi/2; if one is zero, |E| < pi, so the integer omega
     forces R = 0 mod 4; if all are zero, E = 0.  Two c's are never the only
     zeros (upper triangular matrices form a group).  In every case
-    omega = floor((R + 1) / 4).
+    omega = floor((R + 1) / 4).  Only the bottom row of gh is read.
     """
-    return (_quarter_turns(g) + _quarter_turns(h) - _quarter_turns(g @ h) + 1) // 4
+    gh_c, gh_d = g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d
+    turns = _quarter_turns(g.c, g.d) + _quarter_turns(h.c, h.d) - _quarter_turns(gh_c, gh_d)
+    return (turns + 1) // 4
 
 
 def fixed_points(gamma: Mat2) -> Tuple[float, float]:

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 from .errors import NonIntegralPhi
 from .geodesics import validate_entries
-from .matrices import IDENTITY, Mat2, _dedekind12, omega, sign0
+from .matrices import Mat2, _dedekind12, sign0
 
 __all__ = [
     "phi_closed",
@@ -23,7 +23,6 @@ __all__ = [
     "s_symbol",
     "chi_r",
     "word_factor_matrix",
-    "ts_factors",
     "psi_cocycle",
 ]
 
@@ -63,50 +62,46 @@ def word_factor_matrix(factor: Tuple[str, int]) -> Mat2:
     return Mat2(*_factor_entries(*factor))
 
 
-def _fold(factors: Iterable[Tuple[str, int]]) -> Tuple[int, Tuple[int, int, int, int]]:
-    """(phi, entries) of a product of generator powers; phi(T^n) = n, phi(S^n) = 0."""
-    a, b, c, d = 1, 0, 0, 1
-    phi = 0
+def phi_word(factors: Iterable[Tuple[str, int]]) -> int:
+    """Dedekind symbol by folding phi(gh) = phi(g) + phi(h) - 3 sign(c_g c_h c_gh).
+
+    The defect reads only c, and a product's bottom row only its left factor's,
+    so the fold keeps the running c and d alone.
+    """
+    c, d, phi = 0, 1, 0
     for kind, n in factors:
         fa, fb, fc, fd = _factor_entries(kind, n)
         prod_c = c * fa + d * fc
         phi += (n if kind == "T" else 0) - 3 * sign0(c * fc * prod_c)
-        a, b, c, d = a * fa + b * fc, a * fb + b * fd, prod_c, c * fb + d * fd
-    return phi, (a, b, c, d)
-
-
-def phi_word(factors: Iterable[Tuple[str, int]]) -> int:
-    """Dedekind symbol by folding phi(gh) = phi(g) + phi(h) - 3 sign(c_g c_h c_gh)."""
-    return _fold(factors)[0]
-
-
-def ts_factors(gamma: Mat2) -> list:
-    """Decompose gamma as a word in T and S (S^2 = -I absorbs the sign).
-
-    Peels T^n S from the left, (a, b, c, d) -> S^-1 T^-n (a, b, c, d) =
-    (c, d, n c - a, n d - b) with n the nearest integer to a/c, a rounded
-    Euclid step that at least halves |c|, until c = 0; the remainder is
-    +-T^m.  The product is re-multiplied and checked against the input.
-    """
-    factors = []
-    a, b, c, d = gamma.entries()
-    while c != 0:
-        n = (2 * a + c) // (2 * c)
-        a, b, c, d = c, d, n * c - a, n * d - b
-        factors += [("T", n), ("S", 1)]
-    if a == -1:
-        factors.append(("S", 2))  # -T^m = S^2 T^-m
-        b = -b
-    if b:
-        factors.append(("T", b))
-    if _fold(factors)[1] != gamma.entries():
-        raise ValueError(f"T/S decomposition check failed for {gamma}")
-    return factors
+        c, d = prod_c, c * fb + d * fd
+    return phi
 
 
 def psi_cocycle(gamma: Mat2) -> int:
-    """Rademacher symbol with phi computed by cocycle folding over T/S factors."""
-    return phi_word(ts_factors(gamma)) - 3 * sign0(gamma.c * gamma.trace)
+    """Rademacher symbol with phi folded over the T/S factors of gamma in one pass.
+
+    Peels T^n S from the left, (a, b, c, d) -> S^-1 T^-n (a, b, c, d) =
+    (c, d, n c - a, n d - b) with n the nearest integer to a/c, a rounded
+    Euclid step that at least halves |c|, until c = 0; the remainder R is
+    +-T^m with phi(R) = b d.  As phi(T^n S) = n and c(T^n S) = 1, the defect
+    gives phi(T^n S R) = n + phi(R) - 3 sign(c_R c), so each step adds
+    n - 3 sign(c_R c).  The peeled exponents are multiplied back onto R and
+    the product is checked against the input.
+    """
+    a, b, c, d = gamma.entries()
+    phi, steps = 0, []
+    while c != 0:
+        n = (2 * a + c) // (2 * c)
+        next_c = n * c - a
+        phi += n - 3 * sign0(next_c * c)
+        a, b, c, d = c, d, next_c, n * d - b
+        steps.append(n)
+    phi += b * d
+    for n in reversed(steps):  # T^n S (a b; c d) = (n a - c, n b - d; a, b)
+        a, b, c, d = n * a - c, n * b - d, a, b
+    if (a, b, c, d) != gamma.entries():
+        raise ValueError(f"T/S decomposition check failed for {gamma}")
+    return phi - 3 * sign0(gamma.c * gamma.trace)
 
 
 def psi(gamma: Mat2) -> int:
@@ -128,9 +123,10 @@ def psi_cf(word) -> int:
 def s_symbol(gamma: Mat2) -> int:
     """The second Dedekind symbol S, from psi via the trace-sign corrections.
 
-    For c != 0 the three trace-sign cases invert the psi-S relation; for c = 0
-    with negative diagonal the cocycle S(-g) = S(-I) + S(g) + 12 omega(-I, g)
-    extends from the positive-diagonal values S(T^b) = b, with S(-I) = -6.
+    For c != 0 the three trace-sign cases invert the psi-S relation.  For
+    c = 0 gamma is T^b, with S(T^b) = b, or -T^-b: the cocycle
+    S(-g) = S(-I) + S(g) + 12 omega(-I, g) with S(-I) = -6 and
+    omega(-I, T^-b) = 0 (quarter turns 2 + 0 - 2) gives S(-T^-b) = -6 - b.
     """
     t = gamma.trace
     if gamma.c != 0:
@@ -142,8 +138,7 @@ def s_symbol(gamma: Mat2) -> int:
         return p - 2 * _PI_OVER_V * sign0(gamma.c)
     if gamma.d > 0:
         return gamma.b  # gamma = T^b
-    neg = -gamma  # positive diagonal
-    return -2 * _PI_OVER_V + neg.b + 12 * omega(-IDENTITY, neg)
+    return -2 * _PI_OVER_V - gamma.b  # gamma = -T^-b
 
 
 def chi_r(gamma: Mat2, r: float) -> complex:

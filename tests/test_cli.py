@@ -160,6 +160,17 @@ class TestPsi:
         code, out, _ = run(capsys, "psi", "--matrix", "1,1,0,1", "--method", "all")
         assert (code, out) == (0, "dedekind: 1\ncocycle: 1\n")
 
+    def test_proper_power_all_methods(self, capsys):
+        # cf refuses a proper power; --method all reports the other four
+        code, out, _ = run(capsys, "psi", "--word", "1-2-1-2", "--method", "all")
+        assert code == 0
+        values = dict(line.split(": ") for line in out.strip().split("\n"))
+        assert set(values) == {"dedekind", "cocycle", "index", "period"}
+        assert {round(float(v)) for v in values.values()} == {-2}
+        code, out, err = run(capsys, "psi", "--word", "1-2-1-2", "--method", "cf")
+        assert (code, out) == (1, "")
+        assert "proper power" in err
+
     def test_determinant_error(self, capsys):
         code, _, err = run(capsys, "psi", "--matrix", "1,1,1,1")
         assert code == 1

@@ -169,6 +169,46 @@ def test_fraction_only_in_the_oracle(path):
         assert sorted(users - allowed) == []
 
 
+# The exact symbols compute on plain integers: no matrix product, and a Mat2
+# built only where a caller asks for a generator's matrix.
+def matrix_builders(source: str) -> set:
+    """(owner, "@") for each matrix product and (owner, "Mat2") for each Mat2 call,
+    with owner the top-level function or class (or "<module>") that holds it."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.add((owner, "@"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Mat2":
+                found.add((owner, "Mat2"))
+    return found
+
+
+def test_matrix_builder_detected():
+    source = (
+        "I = Mat2(1, 0, 0, 1)\n"
+        "def f(g, h):\n    return g @ h\n"
+        "def k(x):\n    x @= x\n    return Mat2(*x.entries())\n"
+        "def n(x):\n    return x.Mat2(1) * 2\n"
+    )
+    assert matrix_builders(source) == {("<module>", "Mat2"), ("f", "@"), ("k", "@"), ("k", "Mat2")}
+
+
+def test_exact_symbols_compute_on_integers():
+    src = ROOT / "src" / "modwind"
+    rademacher = (src / "rademacher.py").read_text()
+    assert matrix_builders(rademacher) == {("word_factor_matrix", "Mat2")}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(rademacher))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(imported & {"IDENTITY", "S", "T", "omega"}) == []
+    assert ("omega", "@") not in matrix_builders((src / "matrices.py").read_text())
+
+
 # The benchmark and the demos import the program by name, and tier-1 does not
 # run the benchmark, so a deleted public name must fail here.
 IMPORTERS = sorted(

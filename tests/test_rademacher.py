@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modwind.errors import NonPositiveEntry, OddLength
@@ -16,12 +16,49 @@ from modwind.rademacher import (
     psi_cf,
     psi_cocycle,
     s_symbol,
-    ts_factors,
     word_factor_matrix,
 )
 from modwind.geodesics import is_primitive, matrix_to_word, word_to_matrix
 
 from test_matrices import random_element
+
+
+def fold(factors):
+    """(phi, entries) of a product of generator powers; phi(T^n) = n, phi(S^n) = 0."""
+    a, b, c, d = 1, 0, 0, 1
+    phi = 0
+    for kind, n in factors:
+        fa, fb, fc, fd = word_factor_matrix((kind, n)).entries()
+        prod_c = c * fa + d * fc
+        phi += (n if kind == "T" else 0) - 3 * sign0(c * fc * prod_c)
+        a, b, c, d = a * fa + b * fc, a * fb + b * fd, prod_c, c * fb + d * fd
+    return phi, (a, b, c, d)
+
+
+def ts_factors(gamma):
+    """The T/S word that psi_cocycle peels off gamma: T^n S while c != 0, then +-T^m.
+
+    With fold, the two-pass reference for psi_cocycle: the word is built as a
+    list, folded once to check its product against gamma and again for phi.
+    """
+    factors = []
+    a, b, c, d = gamma.entries()
+    while c != 0:
+        n = (2 * a + c) // (2 * c)
+        a, b, c, d = c, d, n * c - a, n * d - b
+        factors += [("T", n), ("S", 1)]
+    if a == -1:
+        factors.append(("S", 2))  # -T^m = S^2 T^-m
+        b = -b
+    if b:
+        factors.append(("T", b))
+    if fold(factors)[1] != gamma.entries():
+        raise ValueError(f"T/S decomposition check failed for {gamma}")
+    return factors
+
+
+def reference_psi_cocycle(gamma):
+    return fold(ts_factors(gamma))[0] - 3 * sign0(gamma.c * gamma.trace)
 
 
 class TestPhiClosed:
@@ -175,6 +212,12 @@ class TestSSymbol:
         for b in range(-4, 5):
             assert s_symbol(Mat2(1, b, 0, 1)) == b
 
+    def test_negated_translations_match_the_cocycle(self):
+        # S(-g) = S(-I) + S(g) + 12 omega(-I, g) on g = T^b
+        for b in range(-50, 51):
+            t = Mat2(1, b, 0, 1)
+            assert s_symbol(-t) == -6 + b + 12 * omega(-IDENTITY, t)
+
     def test_psi_s_gap(self):
         rng = random.Random(67)
         for _ in range(300):
@@ -247,6 +290,16 @@ def sl2_elements(draw):
     return -g if draw(st.booleans()) else g
 
 
+@st.composite
+def small_c_elements(draw):
+    """(a b; c d) with c = +-1 or +-2 and a, d past 2^64; at c = +-2, a / c is a tie."""
+    c = draw(st.sampled_from([1, -1, 2, -2]))
+    a, d = draw(BIG), draw(BIG)
+    if abs(c) == 2:
+        a, d = 2 * a + 1, 2 * d + 1
+    return Mat2(a, (a * d - 1) // c, c, d)
+
+
 DIGITS = st.integers(1, 2**66)
 # even words, and doubled odd blocks (the inert classes)
 WORDS = st.one_of(
@@ -258,10 +311,15 @@ WORDS = st.one_of(
 
 
 class TestProperties:
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(sl2_elements())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.one_of(sl2_elements(), small_c_elements()))
+    @example(Mat2(10**400, 10**400 - 1, 1, 1))
+    @example(Mat2(2, 1, -1, 0))
+    @example(Mat2(3, 1, 2, 1))  # a / c = 3/2 rounds up to 2
+    @example(Mat2(-5, 2, 2, -1))  # -5/2 rounds up to -2
+    @example(Mat2(-3, 2, -2, 1))  # 3/2 at c < 0
     def test_routes_one_and_two_agree(self, g):
-        assert psi(g) == psi_cocycle(g)
+        assert psi_cocycle(g) == psi(g) == reference_psi_cocycle(g)
         assert phi_word(ts_factors(g)) == phi_closed(g)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
