@@ -4,14 +4,13 @@ A word (a1, ..., a2n) names the conjugacy class of A_{a1} ... A_{a2n} with
 A_a = (a 1; 1 0).  Conjugation acts by rotation through an even offset, so the
 canonical representative is the lexicographically minimal even rotation.
 Read as a word over digit pairs, a canonical primitive word is a Lyndon word,
-and the census is the FKM walk over Lyndon words of bounded trace, stored in
-columns.
+and the census is the FKM tree of Lyndon words of bounded trace, built one
+level at a time and stored in columns.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
@@ -52,10 +51,13 @@ MAX_LENGTH_BOUND = 20.0
 # A census is refused up front when its estimated peak memory exceeds this,
 # which admits T up to about 17.98.
 CENSUS_MEMORY_BUDGET = 512 * 2**20
-# Peak memory growth per class of a census and its statistics: 132 B measured
-# at T = 15 and at T = 17, plus room for the longer words of larger T.
+# Peak memory growth per class of a census and its statistics: 114 B at
+# T = 15, 108 B at T = 17 and 101 B at T = 17.98, measured in fresh processes,
+# plus room for the longer words of larger T.
 _CENSUS_BYTES_PER_CLASS = 140
 _LENGTH_SLACK = 1e-12
+# The row bounds are int32, so a census holds at most this many digits.
+_MAX_DIGITS = np.iinfo(np.int32).max
 # Continued-fraction steps a walk takes before it gives up.
 _WALK_STEPS = 100000
 # Census iteration converts this many rows of each column to Python at a time.
@@ -342,95 +344,152 @@ class Census(Sequence):
             yield GeodesicRecord(CyclicWord(entries), trace, length, psi)
 
 
-def _lyndon_walk(cap: int):
-    """Every class of trace <= cap, in lexicographic order of its word, as
-    array buffers (digits, row ends, traces, psi values).
+def _bounds(sizes):
+    """Running sums of the sizes from 0: segment x is bounds[x]:bounds[x + 1]."""
+    bounds = np.zeros(len(sizes) + 1, np.int32)
+    np.cumsum(sizes, out=bounds[1:])
+    return bounds
+
+
+def _segments(sizes):
+    """(owner, place, bounds) of consecutive segments of the given sizes: the
+    segment each item lies in, its place there, and the segment bounds."""
+    bounds = _bounds(sizes)
+    owner = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    place = np.arange(len(owner), dtype=np.int32) - bounds[owner]
+    return owner, place, bounds
+
+
+def _fkm_levels(cap: int):
+    """The FKM tree of the classes of trace <= cap, one level of n pairs at a time.
+
+    Returns (digits, tree, rows).  digits holds the words of the classes, a
+    block per level.  tree[n] is (offsets, is_class, keep) of the children
+    with n + 1 pairs: those of frontier node x are offsets[x]:offsets[x + 1],
+    and the kept ones form the next frontier.  rows[n] is (trace, start,
+    psi) of the classes among them, in the order of their words in digits.
 
     A class is a Lyndon word over digit pairs (a_{2i-1}, a_{2i}): its minimal
-    even rotation is itself, and it is no power of an even block.  This is
-    the FKM walk over prenecklaces (Duval 1988; Ruskey, Savage and Wang
-    1992).  A prenecklace of n pairs with period p has the children that
-    append the pair p places back (period p again) or any larger pair (period
-    n + 1); it is a Lyndon word exactly when p = n, so every child except the
-    repeat is a class.  Preorder with children in ascending order is
-    lexicographic order.
+    even rotation is itself, and it is no power of an even block.  The tree
+    is that of the FKM walk over prenecklaces (Duval 1988; Ruskey, Savage
+    and Wang 1992).  A prenecklace of n pairs with period p has the children
+    that append the pair p places back (period p again) or any larger pair
+    (period n + 1); it is a Lyndon word exactly when p = n, so every child
+    except the repeat is a class.
 
     The product (p q; r s) of the factors A_a = (a 1; 1 0) has non-negative
     entries, and appending the pair (a, b) multiplies it by
     A_a A_b = (ab + 1, a; b, 1).  With u = pa + q and v = ra + s the child is
     (ub + p, u; vb + r, v), of trace ub + p + v.  The trace grows with a, b
     and every further pair, so no prefix of a class is over the cap, and the
-    largest b is (cap - p - v) // u.  For a above the repeated pair's a0 the
-    smallest pair is (a, 1), so only (a, 1) over the cap ends the loop over
-    a; at a = a0 the pairs start at b0.
+    largest b is (cap - p - v) // u, which is at least 1 exactly when
+    (p + r) a + p + q + s <= cap.  The pairs start at the repeated pair
+    (a0, b0), and at (a, 1) for every larger a.  No entry, trace or sum
+    exceeds a few caps, so every column is int32.
     """
-    digits = array("i")
-    ends = array("q")
-    traces = array("q")
-    psis = array("q")
-    word: List[int] = []
+    # the frontier: prenecklaces of n pairs with a child, from the root on,
+    # with products (p q; r s), alternating sums w, periods and words; (a0, b0)
+    # is the pair `period` places back, (1, 1) at the root
+    p, q, r, s, w, period, a0, b0 = (np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1))
+    words = np.empty((1, 0), np.int32)
+    digits = np.empty(0, np.int32)
+    tree, rows = [], []
+    n = 0
+    while len(p):
+        # the a range of each node, then the b range of each a
+        i, k, a_bounds = _segments(np.maximum((cap - p - q - s) // (p + r) - a0 + 1, 0))
+        a = a0[i] + k
+        u = p[i] * a + q[i]
+        v = r[i] * a + s[i]
+        b_lo = np.where(k == 0, b0[i], 1)
+        j, kb, b_bounds = _segments(np.maximum((cap - p[i] - v) // u - b_lo + 1, 0))
+        offsets = b_bounds[a_bounds]
+        # the repeat is the first child, (a0, b0), of a node below the root
+        is_class = (k[j] != 0) | (kb != 0) if n else np.ones(len(j), bool)
+        parent = i[j]
+        a, u, v, b = a[j], u[j], v[j], b_lo[j] + kb
+        del i, k, a_bounds, j, kb, b_bounds, b_lo
+        P = u * b + p[parent]
+        R = v * b + r[parent]
+        w = w[parent] + a - b
+        # the smallest pair (1, 1) gives a child's cheapest child
+        keep = 2 * P + u + R + v <= cap
+        word = np.empty((len(b), 2 * n + 2), np.int32)
+        word[:, : 2 * n] = words[parent]
+        word[:, 2 * n] = a
+        word[:, 2 * n + 1] = b
+        del words, a, b
+        m = int(np.count_nonzero(is_class))
+        begin, size = len(digits), len(digits) + m * (2 * n + 2)
+        if size > _MAX_DIGITS:
+            raise CapExceeded(f"{size} digits overflow the int32 row bounds")
+        digits.resize(size, refcheck=False)
+        np.compress(is_class, word, axis=0, out=digits[begin:].reshape(m, 2 * n + 2))
+        tree.append((offsets, is_class, keep))
+        rows.append(((P + v)[is_class], np.arange(begin, size, 2 * n + 2, dtype=np.int32), w[is_class]))
+        kept = np.flatnonzero(keep)
+        period = np.where(is_class[kept], n + 1, period[parent[kept]])
+        p, q, r, s, w, words = P[kept], u[kept], R[kept], v[kept], w[kept], word[kept]
+        del P, u, R, v, word, parent
+        n += 1
+        back = 2 * (n - period)
+        a0 = words[np.arange(len(kept)), back]
+        b0 = words[np.arange(len(kept)), back + 1]
+        del kept, back
+    return digits, tree, rows
 
-    def visit(p, q, r, s, period, w, a0, b0):
-        # children of the prenecklace `word` of n pairs and period `period`,
-        # product (p q; r s) and alternating sum w; (a0, b0) is the pair
-        # `period` places back, (1, 1) at the root
-        n = len(word) >> 1
-        a = a0
-        while True:
-            u = p * a + q
-            v = r * a + s
-            b_max = (cap - p - v) // u
-            if b_max < 1:
-                return
-            for b in range(b0 if a == a0 else 1, b_max + 1):
-                P = u * b + p
-                R = v * b + r
-                ww = w + a - b
-                word.append(a)
-                word.append(b)
-                if n and a == a0 and b == b0:
-                    child_period = period
-                else:
-                    child_period = n + 1
-                    digits.extend(word)
-                    ends.append(len(digits))
-                    traces.append(P + v)
-                    psis.append(ww)
-                # the smallest pair (1, 1) gives the child's cheapest child
-                if 2 * P + u + R + v <= cap:
-                    k = 2 * (n + 1 - child_period)
-                    visit(P, u, R, v, child_period, ww, word[k], word[k + 1])
-                del word[-2:]
-            a += 1
 
-    visit(1, 0, 0, 1, 1, 0, 1, 1)
-    return digits, ends, traces, psis
+def _preorder_ranks(tree):
+    """For each level of the tree, how many classes precede each of its classes
+    in preorder."""
+    # bottom-up: running sums over each level of the classes in the subtree
+    # of each child, itself included
+    running = []
+    below = None
+    for offsets, is_class, keep in reversed(tree):
+        count = is_class.astype(np.int32)
+        if below is not None:
+            count[keep] += below
+        run = _bounds(count)
+        below = run[offsets[1:]] - run[offsets[:-1]]
+        running.append(run)
+    # top-down: the classes before a child are those before its parent, the
+    # parent if it is a class, and those in the subtrees of its elder siblings
+    ranks = []
+    first = np.zeros(1, np.int32)
+    for offsets, is_class, keep in tree:
+        run = running.pop()
+        before = np.repeat(first - run[offsets[:-1]], np.diff(offsets)) + run[:-1]
+        ranks.append(before[is_class])
+        first = before[keep] + is_class[keep]
+    return ranks
 
 
 def enumerate_by_trace(cap: int) -> Census:
-    """All oriented primitive classes with trace <= cap, sorted (trace, word)."""
-    digits, ends, traces, psis = _lyndon_walk(cap)
-    if len(digits) > np.iinfo(np.int32).max:
-        raise CapExceeded(f"{len(digits)} digits overflow the int32 row bounds")
-    # the walk emits words in lexicographic order, so a stable sort by trace
-    # gives (trace, word) order; the row bounds move, the digits stay
-    trace = np.frombuffer(traces, dtype=np.int64)
-    order = np.argsort(trace, kind="stable")
-    stop = np.frombuffer(ends, dtype=np.int64)
-    start = np.concatenate((np.zeros(1, np.int64), stop[:-1]))[order].astype(np.int32)
-    stop = stop[order].astype(np.int32)
-    trace = trace[order]
-    psi = np.frombuffer(psis, dtype=np.int64)[order]
-    del order, traces, psis, ends  # freed before the length column is built
+    """All oriented primitive classes with trace <= cap, sorted (trace, word).
+
+    Preorder of the FKM tree with children in ascending order is lexicographic
+    order, so the rows are sorted by trace, then preorder rank.  The row
+    bounds move, the digits stay in their level blocks.
+    """
+    digits, tree, rows = _fkm_levels(cap)
+    rank = np.concatenate(_preorder_ranks(tree))
+    del tree
+    trace, start, psi = (np.concatenate(column) for column in zip(*rows))
+    # a class of n pairs has 2n digits
+    widths = np.arange(2, 2 * len(rows) + 2, 2, dtype=np.int32)
+    stop = start + np.repeat(widths, [len(t) for t, _, _ in rows])
+    del rows
+    order = np.argsort(trace.astype(np.int64) * len(trace) + rank)
+    del rank
+    # each column is rebound in turn, so its level-order copy is freed at once
+    trace = trace[order].astype(np.int64)
+    psi = psi[order].astype(np.int64)
+    start = start[order]
+    stop = stop[order]
+    del order
     lengths = np.array([geodesic_length(t) for t in range(3, cap + 1)], dtype=np.float64)
-    return Census(
-        trace=trace,
-        psi=psi,
-        length=lengths[trace - 3],
-        start=start,
-        stop=stop,
-        digits=np.frombuffer(digits, dtype=np.int32),
-    )
+    return Census(trace=trace, psi=psi, length=lengths[trace - 3], start=start, stop=stop, digits=digits)
 
 
 def enumerate_geodesics(config: EnumerationConfig) -> Census:

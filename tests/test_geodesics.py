@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from modwind.geodesics import (
 )
 from modwind.matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked
 from modwind.rademacher import psi, psi_cf
+from modwind.stats import cauchy_compare, equidistribution, twisted_sums, winding_histogram
 
 
 def _min_even_rotation(entries):
@@ -182,6 +184,48 @@ def reference_census(cap):
 
 def rows(census):
     return [(r.word.entries, r.trace, r.psi, r.length) for r in census]
+
+
+def reference_lyndon_walk(cap):
+    """(word, trace, psi) of every class of trace <= cap in lexicographic order
+    of the word: the recursive FKM walk the level expansion replaced.
+
+    A prenecklace of n pairs with period p has the children that append the
+    pair p places back (period p again) or any larger pair (period n + 1);
+    every child except the repeat is a class.  Appending (a, b) to the
+    product (p q; r s) gives (ub + p, u; vb + r, v) with u = pa + q and
+    v = ra + s.
+    """
+    out = []
+    word = []
+
+    def visit(p, q, r, s, period, w, a0, b0):
+        n = len(word) >> 1
+        a = a0
+        while True:
+            u = p * a + q
+            v = r * a + s
+            b_max = (cap - p - v) // u
+            if b_max < 1:
+                return
+            for b in range(b0 if a == a0 else 1, b_max + 1):
+                P = u * b + p
+                R = v * b + r
+                ww = w + a - b
+                word.extend((a, b))
+                if n and a == a0 and b == b0:
+                    child_period = period
+                else:
+                    child_period = n + 1
+                    out.append((tuple(word), P + v, ww))
+                if 2 * P + u + R + v <= cap:
+                    k = 2 * (n + 1 - child_period)
+                    visit(P, u, R, v, child_period, ww, word[k], word[k + 1])
+                del word[-2:]
+            a += 1
+
+    visit(1, 0, 0, 1, 1, 0, 1, 1)
+    return out
 
 
 class TestCanonicalForm:
@@ -554,6 +598,39 @@ class TestCensus:
         assert len(census) == 0 and list(census) == [] and list(census.rows()) == []
 
 
+class TestLevelWalk:
+    """The level-by-level census against the recursive walk, row by row."""
+
+    @staticmethod
+    def check(cap):
+        census = enumerate_by_trace(cap)
+        # a stable sort of the lexicographic walk by trace is the row order
+        expect = sorted(reference_lyndon_walk(cap), key=lambda row: row[1])
+        got = [(entries, trace, psi, length) for entries, trace, length, psi in census.rows()]
+        assert got == [(word, trace, psi, geodesic_length(trace)) for word, trace, psi in expect]
+
+    @pytest.mark.parametrize("cap", [2, 3, 4, 5])
+    def test_root_and_empty_frontier(self, cap):
+        self.check(cap)
+
+    @pytest.mark.parametrize("T", [12.0, 13.0])
+    def test_length_caps(self, T):
+        self.check(trace_cap_for_length(T))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.integers(min_value=3, max_value=400))
+    def test_matches_reference_property(self, cap):
+        self.check(cap)
+
+    def test_digit_guard(self, monkeypatch):
+        digits = len(enumerate_by_trace(30).digits)
+        monkeypatch.setattr(geodesics, "_MAX_DIGITS", digits)
+        assert len(enumerate_by_trace(30).digits) == digits
+        monkeypatch.setattr(geodesics, "_MAX_DIGITS", digits - 1)
+        with pytest.raises(CapExceeded, match="overflow the int32 row bounds"):
+            enumerate_by_trace(30)
+
+
 class TestCensusBudget:
     def test_estimate_tracks_the_census(self):
         assert estimated_census_size(15.0) == pytest.approx(234832, rel=1e-3)
@@ -572,3 +649,20 @@ class TestCensusBudget:
             EnumerationConfig(max_length=5.0)
         monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
         EnumerationConfig(max_length=5.0)
+
+    def test_traced_peak_within_the_guard(self):
+        # the census and its statistics, as the guard's per-class figure counts them
+        T = 13.0
+        tracemalloc.start()
+        try:
+            census = enumerate_geodesics(EnumerationConfig(max_length=T))
+            winding_histogram(census, T)
+            cauchy_compare(census, T)
+            for q in (2, 3, 5):
+                equidistribution(census, T, q)
+            twisted_sums(census, T, [round(-0.45 + 0.05 * k, 2) for k in range(19)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(census) == 37078
+        assert peak / len(census) <= geodesics._CENSUS_BYTES_PER_CLASS
