@@ -343,6 +343,12 @@ class Census(Sequence):
         for entries, trace, length, psi in self.rows():
             yield GeodesicRecord(CyclicWord(entries), trace, length, psi)
 
+    def rows_with_entry_at_least(self, bound: int) -> np.ndarray:
+        """Indices, in order, of the rows with an entry >= bound: a row has one
+        where the running count of such digits grows between its bounds."""
+        count = _bounds(self.digits >= bound)
+        return np.flatnonzero(count[self.stop] > count[self.start])
+
 
 def _bounds(sizes):
     """Running sums of the sizes from 0: segment x is bounds[x]:bounds[x + 1]."""

@@ -274,7 +274,7 @@ def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicReco
     n = len(census)
     if n <= size:
         return list(census)
-    big_entry = [i for i, row in enumerate(census.rows()) if max(row[0]) >= 50]
+    big_entry = census.rows_with_entry_at_least(50).tolist()
     chosen = set(rng.sample(big_entry, min(len(big_entry), max(10, size // 10))))
     strata = 5
     per = (size - len(chosen)) // strata + 1

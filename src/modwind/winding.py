@@ -10,10 +10,13 @@ Two independent numerical routes to the same integer:
   E2 is the weight 2 completed Eisenstein series (the holomorphic q-series
   minus 3 / (pi y)).
 
-Both evaluate the forms on numpy arrays of points, only after folding each
-point into the standard fundamental domain, so the q-series always runs at
-|q| <= exp(-pi sqrt(3)) where eleven terms leave a tail below 1e-22.  The
-fold carries only the point and its automorphy factor j: each S step
+Both evaluate the forms once per round of refinement, on one numpy array of
+every point that round needs (in slices of at most _CHUNK points):
+winding_index reads arg Delta and the reduced height at each new node,
+e2_period E2 at the Gauss-Legendre nodes of each panel it sums.  Each point
+is folded into the standard fundamental domain first, so the q-series always
+runs at |q| <= exp(-pi sqrt(3)) where eleven terms leave a tail below 1e-22.
+The fold carries only the point and its automorphy factor j: each S step
 multiplies j by the point it moves.  It refuses a point whose height is at
 or below the float spacing of its real part; above that, its relative error
 is about 2^-52 |z| / Im z.
@@ -85,7 +88,8 @@ def _horner(coeffs: Tuple[int, ...], q):
     """Sum of coeffs[n] q^n, elementwise over an array q."""
     acc = np.zeros_like(q)
     for c in reversed(coeffs):
-        acc = acc * q + c
+        acc *= q
+        acc += c
     return acc
 
 
@@ -158,28 +162,31 @@ def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     unresolved = z.imag <= _FLOAT_SPACING * np.abs(z.real)
     if unresolved.any():
         raise CapExceeded(f"Im z at or below the float spacing of Re z at z = {z[unresolved][0]}")
-    w = z.copy()
+    w = z - np.rint(z.real)
     j = np.ones_like(z)
-    moving = np.arange(z.size)
+    moving = np.flatnonzero(np.abs(w) < 1.0 - 1e-15)
     for _ in range(_FOLD_STEPS):
-        wm = w[moving] - np.rint(w[moving].real)
-        flip = np.abs(wm) < 1.0 - 1e-15
-        w[moving] = np.where(flip, -1.0 / wm, wm)
-        moving = moving[flip]
-        j[moving] *= wm[flip]
         if moving.size == 0:
             return w, j
+        wm = w[moving]
+        j[moving] *= wm
+        wm = -1.0 / wm
+        wm -= np.rint(wm.real)
+        w[moving] = wm
+        moving = moving[np.abs(wm) < 1.0 - 1e-15]
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
-def _delta_parts(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log|Delta|, arg Delta in [-pi, pi], reduced height) at each point of z."""
+def _delta_series(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z_red, j, tail) at each point of z, with Delta(z) = q tail / j^12 and
+    q = exp(2 pi i z_red): the fold of _reduce and the series Delta/q at z_red."""
     z_red, j = _reduce(z)
-    q = np.exp(2j * math.pi * z_red)
-    tail = _horner(DELTA_SERIES, q)
-    log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) - 12.0 * np.log(np.abs(j))
-    arg = _TWO_PI * z_red.real + np.angle(tail) - 12.0 * np.angle(j)
-    return log_abs, _wrap(arg), z_red.imag
+    return z_red, j, _horner(DELTA_SERIES, np.exp(2j * math.pi * z_red))
+
+
+def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """arg Delta in [-pi, pi] from the parts that _delta_series returns."""
+    return _wrap(_TWO_PI * z_red.real + np.angle(tail) - 12.0 * np.angle(j))
 
 
 def _e2(z: np.ndarray) -> np.ndarray:
@@ -195,8 +202,9 @@ def delta_eval(z: complex) -> Tuple[float, float]:
     |Delta| underflows double precision already for y around 230, so the
     modulus is only ever exposed through its logarithm.
     """
-    log_abs, arg, _ = _delta_parts(np.array([z], dtype=complex))
-    return float(log_abs[0]), float(arg[0])
+    z_red, j, tail = _delta_series(np.array([z], dtype=complex))
+    log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) - 12.0 * np.log(np.abs(j))
+    return float(log_abs[0]), float(_arg_delta(z_red, j, tail)[0])
 
 
 def e2_completed(z: complex) -> complex:
@@ -210,22 +218,19 @@ class _Axis:
 
     alpha > 1 > 0 > alpha_bar on a reduced conjugate, so det g > 0 and g maps
     the upper half-plane to itself; z(t) runs from the repelling to the
-    attracting fixed point at unit speed.  point and velocity take a float or
-    an array of floats.
+    attracting fixed point at unit speed.
     """
 
     alpha: float
     alpha_bar: float
     length: float
 
-    def point(self, t):
-        w = 1j * np.exp(t)
-        return (self.alpha * w + self.alpha_bar) / (w + 1.0)
-
-    def velocity(self, t):
+    def at(self, t):
+        """(z(t), dz/dt) at a float t or at each entry of an array t."""
         w = 1j * np.exp(t)
         den = w + 1.0
-        return (self.alpha - self.alpha_bar) * w / (den * den)
+        z = (self.alpha * w + self.alpha_bar) / den
+        return z, (self.alpha - self.alpha_bar) * w / (den * den)
 
 
 def _axis_for(gamma: Mat2) -> _Axis:
@@ -241,8 +246,8 @@ def _axis_for(gamma: Mat2) -> _Axis:
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
     """(z(t), dz/dt) at flow time t on the axis of reduced_conjugate(gamma), the
     axis both routes follow, from z(0) = g(i)."""
-    axis = _axis_for(gamma)
-    return complex(axis.point(t)), complex(axis.velocity(t))
+    z, dz = _axis_for(gamma).at(t)
+    return complex(z), complex(dz)
 
 
 def _in_chunks(fn, t: np.ndarray) -> np.ndarray:
@@ -301,8 +306,9 @@ def winding_index(gamma: Mat2) -> WindingResult:
 
     def arg_f(t):
         """(arg F in [-pi, pi], reduced height) at each t, as two rows."""
-        _, arg_delta, y_red = _delta_parts(axis.point(t))
-        return np.stack([_wrap(arg_delta + 6.0 * np.angle(axis.velocity(t))), y_red])
+        z, dz = axis.at(t)
+        z_red, j, tail = _delta_series(z)
+        return np.stack([_wrap(_arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)), z_red.imag])
 
     intervals = math.ceil(ell / _BASE_STEP)
     if intervals + 1 > _MAX_NODES:
@@ -331,19 +337,24 @@ def winding_index(gamma: Mat2) -> WindingResult:
 def e2_period(gamma: Mat2) -> float:
     """Period of the closed 1-form E2(z) dz over one loop of the first reduced conjugate's axis.
 
-    Adaptive 16-point Gauss-Legendre panels: each round evaluates both halves
-    of every open panel in one batch and accepts a panel once the halves
-    agree with the whole to _QUAD_TOL / _MAX_PANELS.  The integrand is
+    Adaptive 16-point Gauss-Legendre panels, one batch of evaluations per
+    round: the first round sums every initial panel whole and halved, each
+    later round both halves of every panel still open.  A panel is accepted
+    once its halves agree with the whole to _QUAD_TOL / _MAX_PANELS.  The integrand is
     smooth (the completed series is real-analytic across fold boundaries)
     but turns quickly inside cusp excursions, where the panels split.
     """
     axis = _axis_for(gamma)
     ell = axis.length
 
+    def integrand(s):
+        z, dz = axis.at(s)
+        return _e2(z) * dz
+
     def panel_sums(lo, hi):
         half = 0.5 * (hi - lo)
         t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        f = _in_chunks(lambda s: _e2(axis.point(s)) * axis.velocity(s), t.ravel())
+        f = _in_chunks(integrand, t.ravel())
         return half * (f.reshape(t.shape) * _GL_WEIGHTS).sum(axis=1)
 
     pieces = max(4, math.ceil(ell / _PANEL_WIDTH))
@@ -351,13 +362,13 @@ def e2_period(gamma: Mat2) -> float:
         raise QuadratureFailure(f"{pieces} panels needed (cap {_MAX_PANELS}) for {gamma}")
     edges = np.linspace(-0.5 * ell, 0.5 * ell, pieces + 1)
     lo, hi = edges[:-1], edges[1:]
-    whole = panel_sums(lo, hi)
+    mid = 0.5 * (lo + hi)
+    # the first round sums every panel whole and halved in one batch
+    sums = panel_sums(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    whole, left, right = sums.reshape(3, pieces)
     total = 0j
     accepted = 0
-    while lo.size:
-        mid = 0.5 * (lo + hi)
-        halves = panel_sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = halves[: lo.size], halves[lo.size :]
+    while True:
         done = np.abs(left + right - whole) <= _PANEL_TOL
         total += (left[done] + right[done]).sum()
         accepted += int(done.sum())
@@ -366,9 +377,14 @@ def e2_period(gamma: Mat2) -> float:
             raise QuadratureFailure(
                 f"error estimate above {_PANEL_TOL:.1e} on over {_MAX_PANELS} panels for {gamma}"
             )
+        if done.all():
+            break
         lo, mid, hi = lo[split], mid[split], hi[split]
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         whole = np.concatenate([left[split], right[split]])
+        mid = 0.5 * (lo + hi)
+        halves = panel_sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = halves.reshape(2, lo.size)
     if abs(total.imag) > 1e-6:
         raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
     return total.real

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,3 +249,15 @@ def test_importers_found():
 @pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_imported_names_exist(path):
     assert missing_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in IMPORTERS if p.parent.name == "demos"], ids=lambda p: p.name
+)
+def test_demo_runs(path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -592,10 +592,19 @@ class TestCensus:
             assert (entries, trace, length, psi) == (rec.word.entries, rec.trace, rec.length, rec.psi)
         assert {type(trace), type(length), type(psi), type(entries[0])} == {int, float}
 
+    def test_rows_with_entry_at_least(self):
+        census = enumerate_by_trace(trace_cap_for_length(12.0))
+        maxima = [max(entries) for entries, _, _, _ in census.rows()]
+        assert 50 in maxima
+        for bound in (1, 49, 50, 51, max(maxima), max(maxima) + 1):
+            picked = census.rows_with_entry_at_least(bound).tolist()
+            assert picked == [i for i, top in enumerate(maxima) if top >= bound]
+
     def test_empty(self):
         census = enumerate_by_trace(2)
         assert isinstance(census, Census)
         assert len(census) == 0 and list(census) == [] and list(census.rows()) == []
+        assert census.rows_with_entry_at_least(1).size == 0
 
 
 class TestLevelWalk:

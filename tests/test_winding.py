@@ -107,17 +107,33 @@ class TestBatchedLayer:
     def test_matches_scalar_reference(self):
         rng = random.Random(43)
         zs = [random_upper_half(rng) for _ in range(2000)]
-        log_abs, arg, _ = winding._delta_parts(np.array(zs))
+        arg = winding._arg_delta(*winding._delta_series(np.array(zs)))
         e2 = winding._e2(np.array(zs))
         for k, z in enumerate(zs):
             ref_log, ref_arg = scalar_delta(z)
-            assert abs(log_abs[k] - ref_log) <= self.TOL * max(1.0, abs(ref_log))
+            # only delta_eval forms log|Delta|, from the same _delta_series
+            log_abs, _ = delta_eval(z)
+            assert abs(log_abs - ref_log) <= self.TOL * max(1.0, abs(ref_log))
             # arg[k] is wrapped to [-pi, pi]; ref_arg is not
             assert abs(math.remainder(arg[k] - ref_arg, 2 * math.pi)) <= self.TOL * max(
                 1.0, abs(arg[k])
             )
             ref_e2 = scalar_e2(z)
             assert abs(e2[k] - ref_e2) <= self.TOL * max(1.0, abs(ref_e2))
+
+    @pytest.mark.parametrize("form", ["e2", "arg_delta"])
+    def test_batch_composition(self, form):
+        # e2_period sums its first round's whole and halved panels in one
+        # batch: a point's value must not depend on the points batched with it
+        fn = {
+            "e2": winding._e2,
+            "arg_delta": lambda z: winding._arg_delta(*winding._delta_series(z)),
+        }[form]
+        rng = random.Random(53)
+        z = np.array([random_upper_half(rng) for _ in range(2000)])
+        whole = fn(z)
+        sliced = np.concatenate([fn(part) for part in np.split(z, [300, 1100])])
+        assert np.all(np.abs(whole - sliced) <= 1e-15 * np.maximum(1.0, np.abs(whole)))
 
     def test_fold_refuses_inexact_matrix(self):
         # the fold of z = 0.3 + 1e-40 i needs c near 6e16 (Im j = c Im z from
@@ -162,6 +178,43 @@ class TestBatchedLayer:
         nodes, weights = np.polynomial.legendre.leggauss(16)
         assert np.abs(winding._GL_NODES - nodes).max() < 1e-15
         assert np.abs(winding._GL_WEIGHTS - weights).max() < 1e-15
+
+
+class TestOneEvaluationPerRound:
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Sizes of the batches that winding.<name> receives from now on."""
+        sizes = []
+        fn = getattr(winding, name)
+
+        def counting(z):
+            sizes.append(z.size)
+            return fn(z)
+
+        monkeypatch.setattr(winding, name, counting)
+        return sizes
+
+    def test_e2_period_first_round_is_one_batch(self, monkeypatch):
+        # every panel of (1, 2) is accepted in the first round, which sums
+        # each initial panel whole and halved: 48 nodes a panel, one call
+        sizes = self.counted(monkeypatch, "_e2")
+        g = word_to_matrix((1, 2))
+        assert e2_period(g) == pytest.approx(-1.0, abs=1e-6)
+        panels = max(4, math.ceil(geodesic_length(g.trace) / winding._PANEL_WIDTH))
+        assert sizes == [48 * panels]
+
+    def test_winding_index_one_delta_batch(self, monkeypatch):
+        sizes = self.counted(monkeypatch, "_delta_series")
+        res = winding_index(word_to_matrix((1, 2)))
+        assert sizes == [res.steps + 1]
+
+    def test_refinement_adds_batches(self, monkeypatch):
+        delta = self.counted(monkeypatch, "_delta_series")
+        e2 = self.counted(monkeypatch, "_e2")
+        res = winding_index(word_to_matrix((1, 60)))
+        assert len(delta) >= 2 and sum(delta) == res.steps + 1
+        e2_period(word_to_matrix((1, 200)))
+        assert len(e2) >= 2 and all(size % 32 == 0 for size in e2[1:])
 
 
 class TestSeriesTables:
