@@ -38,7 +38,6 @@ __all__ = [
     "canonical_form",
     "is_primitive",
     "word_to_matrix",
-    "reduced_conjugate",
     "matrix_to_word",
     "li",
     "estimated_census_size",
@@ -147,57 +146,47 @@ def word_to_matrix(word) -> Mat2:
     return Mat2(*_word_product_entries(entries))
 
 
-def _cf_walk(gamma: Mat2, sqrt_floor: int) -> Iterator[Tuple[int, Tuple[int, int, int, int]]]:
-    """Digit a and next state A_a^{-1} sigma A_a of each continued-fraction step from gamma."""
-    p, q, r, s = gamma.entries()
-    for _ in range(_WALK_STEPS):
-        a = floor_quadratic(p - s, 2 * r, sqrt_floor)
-        p, q, r, s = r * a + s, r, p * a + q - a * (r * a + s), p - a * r
-        yield a, (p, q, r, s)
-    raise CapExceeded(f"continued-fraction walk did not cycle in {_WALK_STEPS} steps for {gamma}")
+def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
+    """(P, Q, digits): the first reduced state of the continued-fraction walk on
+    alpha = (P + sqrt(D)) / Q, D = t^2 - 4, and the digits of one period from it.
 
-
-def _reduced_walk(gamma: Mat2):
-    """(state, pairs): the first reduced state of gamma's walk (reduced_conjugate) and
-    the walk on from it, two steps at a time."""
-    t = gamma.trace
+    (a b; c d) of det 1 and trace t > 2 fixes alpha at P = a - d, Q = 2c, and Q
+    divides D - P^2 = 4bc.  A step reads a = floor(alpha) and moves to
+    1 / (alpha - a): P' = aQ - P, Q' = (D - P'^2) / Q, the state of the conjugate
+    A_a^-1 (a b; c d) A_a with A_a = (a 1; 1 0).  Two steps conjugate in SL(2,Z), so
+    the walk is tested at even steps for alpha > 1 and -1 < alpha' < 0, that is
+    Q - sqrt(D) < P < sqrt(D) < P + Q, which every product of factors A_a meets.
+    By Galois' theorem (a purely periodic continued fraction iff reduced) the
+    walk becomes reduced, stays so, and returns after one period.
+    """
     if t <= 2:
         raise NotHyperbolic(f"trace {short_int(t)} (need trace > 2)")
-    sqrt_floor = isqrt_checked(t * t - 4)
-    walk = _cf_walk(gamma, sqrt_floor)
-    pairs = zip(walk, walk)
-    p, q, r, s = gamma.entries()
-    # alpha' in (-1, 0) forces r > 0
-    while not 2 * r - sqrt_floor <= p - s <= sqrt_floor < p - s + 2 * r:
-        _, (_, (p, q, r, s)) = next(pairs)
-    return (p, q, r, s), pairs
-
-
-def reduced_conjugate(gamma: Mat2) -> Mat2:
-    """The first reduced conjugate of a matrix of trace > 2 on its continued-fraction walk.
-
-    (p q; r s) is reduced when its attracting fixed point alpha = (p - s + sqrt(D)) / (2 r)
-    has alpha > 1 and -1 < alpha' < 0, as every product of factors A_a = (a 1; 1 0) is;
-    then gamma itself is returned.  Two steps conjugate by a determinant +1 matrix, and
-    after one step alpha > 1.  By Galois' theorem (a purely periodic continued fraction
-    iff reduced) the walk reaches a reduced state in finitely many steps and stays there.
-    """
-    state, _ = _reduced_walk(gamma)
-    return gamma if state == gamma.entries() else Mat2(*state)
+    D = t * t - 4
+    root = isqrt_checked(D)
+    start, digits = None, []
+    for _ in range(_WALK_STEPS // 2 + 1):
+        if start is None and Q - root <= P <= root < P + Q:
+            start, digits = (P, Q), []
+        elif (P, Q) == start:
+            return P, Q, digits
+        for _ in range(2):
+            a = floor_quadratic(P, Q, root)
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            digits.append(a)
+    raise CapExceeded(f"the walk did not cycle in {_WALK_STEPS} steps at trace {short_int(t)}")
 
 
 def matrix_to_word(gamma: Mat2) -> CyclicWord:
     """Cyclic word of the class of a primitive hyperbolic matrix, trace > 2: the digits the
     walk reads from the first reduced state until it returns, an even-length word whose
     product is SL(2,Z)-conjugate to gamma.  No floating point is used."""
-    start, pairs = _reduced_walk(gamma)
-    cycle: List[int] = []
-    for (a, _), (b, state) in pairs:
-        cycle += (a, b)
-        if state == start:
-            break
+    t = gamma.trace
+    P, Q, cycle = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
     k, period = _least_even_rotation(cycle)
-    if _word_product_entries(cycle) != start or period != len(cycle):
+    p, _, r, s = _word_product_entries(cycle)
+    # with det 1, trace, p - s and 2r fix the product's matrix
+    if (p + s, p - s, 2 * r) != (t, P, Q) or period != len(cycle):
         # the walk's product is then a proper power of the cycle product
         raise NotPrimitive(f"{gamma} is a proper power")
     return CyclicWord(tuple(cycle[k:] + cycle[:k]))
@@ -240,11 +229,28 @@ def li(x: float) -> float:
 
 
 def estimated_census_size(max_length: float) -> float:
-    """li(e^T), the prime geodesic theorem's count of classes of length <= T.
+    """li(e^T), the prime geodesic theorem's count of classes of length <= T, and
+    inf once e^T is past the float range.
 
     At T = 15 it gives 234,955 against the 234,832 classes of the census.
     """
-    return li(math.exp(max_length)) if max_length > math.log(2.0) else 0.0
+    if not max_length > math.log(2.0):
+        return 0.0
+    try:
+        return li(math.exp(max_length))
+    except OverflowError:
+        return math.inf
+
+
+def _check_census_budget(max_length: float) -> None:
+    """Refuse a census of classes of length <= max_length whose estimated peak
+    memory is over CENSUS_MEMORY_BUDGET."""
+    size = estimated_census_size(max_length)
+    if size * _CENSUS_BYTES_PER_CLASS > CENSUS_MEMORY_BUDGET:
+        raise CapExceeded(
+            f"a census at length {max_length} has about {size:.3g} classes, "
+            f"over the memory budget of {CENSUS_MEMORY_BUDGET // 2**20} MiB"
+        )
 
 
 @dataclass(frozen=True)
@@ -256,12 +262,7 @@ class EnumerationConfig:
             raise CapExceeded(
                 f"max_length {self.max_length} outside (0, {MAX_LENGTH_BOUND}]"
             )
-        size = estimated_census_size(self.max_length)
-        if size * _CENSUS_BYTES_PER_CLASS > CENSUS_MEMORY_BUDGET:
-            raise CapExceeded(
-                f"a census at length {self.max_length} has about {size:.3g} classes, "
-                f"over the memory budget of {CENSUS_MEMORY_BUDGET // 2**20} MiB"
-            )
+        _check_census_budget(self.max_length)
 
 
 def trace_cap_for_length(max_length: float) -> int:
@@ -476,8 +477,12 @@ def enumerate_by_trace(cap: int) -> Census:
 
     Preorder of the FKM tree with children in ascending order is lexicographic
     order, so the rows are sorted by trace, then preorder rank.  The row
-    bounds move, the digits stay in their level blocks.
+    bounds move, the digits stay in their level blocks.  A cap below 3 gives
+    an empty census.
     """
+    if cap > 2:
+        # float(cap) overflows past 2^1024, where the budget is long exceeded
+        _check_census_budget(geodesic_length(min(cap, 2**1000)))
     digits, tree, rows = _fkm_levels(cap)
     rank = np.concatenate(_preorder_ranks(tree))
     del tree

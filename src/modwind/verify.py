@@ -277,13 +277,17 @@ def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicReco
     big_entry = census.rows_with_entry_at_least(50).tolist()
     chosen = set(rng.sample(big_entry, min(len(big_entry), max(10, size // 10))))
     strata = 5
-    per = (size - len(chosen)) // strata + 1
+    # none when the forced rows already fill the sample
+    per = max(0, (size - len(chosen)) // strata + 1)
     for s in range(strata):
         block = range(n * s // strata, n * (s + 1) // strata)
         for i in rng.sample(block, min(per, len(block))):
             chosen.add(i)
             if len(chosen) >= size:
                 break
+    if len(chosen) < size:
+        # a stratum's draws can repeat forced rows
+        chosen.update(rng.sample(sorted(set(range(n)) - chosen), size - len(chosen)))
     return [census[i] for i in sorted(chosen)[:size]]
 
 
@@ -324,6 +328,8 @@ def suite_roundtrip(rng: random.Random) -> SuiteResult:
 def run_all(
     max_length: float = 12.0, sample: int = 500, seed: int = 0
 ) -> List[SuiteResult]:
+    # the census guards refuse a bad length before any suite runs
+    config = EnumerationConfig(max_length=max_length)
     size = estimated_census_size(max_length)
     if size > VERIFY_MAX_CLASSES:
         raise CapExceeded(
@@ -337,7 +343,7 @@ def run_all(
     )
     rng = random.Random(seed)
     results = [suite(random.Random(rng.random())) for suite in suites]
-    census = enumerate_geodesics(EnumerationConfig(max_length=max_length))
+    census = enumerate_geodesics(config)
     results.append(suite_word_census(census))
     results.append(suite_winding_sample(census, sample, seed))
     return results

@@ -21,6 +21,11 @@ multiplies j by the point it moves.  It refuses a point whose height is at
 or below the float spacing of its real part; above that, its relative error
 is about 2^-52 |z| / Im z.
 
+Both follow the axis through the fixed points (P +- sqrt(D)) / Q of the first
+reduced state of gamma's continued-fraction walk, alpha > 1 and -1 < alpha' < 0,
+so they are well apart whatever gamma's entries.  A trace whose fixed points
+are past the float range is refused before the walk.
+
 Both integrate over the centred window t in [-l/2, l/2].  The integrands
 are l-periodic, so any window of length l gives the same total, but the fold
 amplifies the rounding error of z(t) by y_red / y: starting at t = 0 would
@@ -43,8 +48,8 @@ from .errors import (
     ResidualTooLarge,
     StepTooCoarse,
 )
-from .geodesics import reduced_conjugate
-from .matrices import Mat2, fixed_points, geodesic_length
+from .geodesics import _reduced_cycle
+from .matrices import Mat2, geodesic_length, short_int
 
 __all__ = [
     "WindingResult",
@@ -216,7 +221,7 @@ def e2_completed(z: complex) -> complex:
 class _Axis:
     """Geodesic axis z(t) = g(i e^t) with g = (alpha, alpha_bar; 1, 1).
 
-    alpha > 1 > 0 > alpha_bar on a reduced conjugate, so det g > 0 and g maps
+    alpha > 1 > 0 > alpha_bar on a reduced state, so det g > 0 and g maps
     the upper half-plane to itself; z(t) runs from the repelling to the
     attracting fixed point at unit speed.
     """
@@ -234,18 +239,21 @@ class _Axis:
 
 
 def _axis_for(gamma: Mat2) -> _Axis:
-    """The axis of reduced_conjugate(gamma)."""
-    reduced = reduced_conjugate(gamma)
+    """The axis through the fixed points (P +- sqrt(D)) / Q of the first reduced state
+    of gamma's walk, computed as fixed_points computes them."""
+    t = gamma.trace
     try:
-        alpha, alpha_bar = fixed_points(reduced)
+        root = math.sqrt(t * t - 4) if t > 2 else 0.0  # the walk refuses t <= 2
     except OverflowError:
-        raise CapExceeded(f"the fixed points of {reduced} are beyond the float range") from None
-    return _Axis(alpha=alpha, alpha_bar=alpha_bar, length=geodesic_length(reduced.trace))
+        raise CapExceeded(f"fixed points of trace {short_int(t)} past the float range") from None
+    P, Q, _ = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    p, q = P / Q, 1 / Q
+    return _Axis(alpha=p + q * root, alpha_bar=p - q * root, length=geodesic_length(t))
 
 
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
-    """(z(t), dz/dt) at flow time t on the axis of reduced_conjugate(gamma), the
-    axis both routes follow, from z(0) = g(i)."""
+    """(z(t), dz/dt) at flow time t on the axis both routes follow, through the fixed
+    points of the first reduced state of gamma's continued-fraction walk, from z(0) = g(i)."""
     z, dz = _axis_for(gamma).at(t)
     return complex(z), complex(dz)
 
@@ -295,8 +303,8 @@ def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
 def winding_index(gamma: Mat2) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
-    The argument is unwrapped along the axis of the first reduced conjugate
-    over a grid refined in batches until every interval is at most
+    The argument is unwrapped along the axis of the first reduced state over
+    a grid refined in batches until every interval is at most
     min(0.05, 0.15 / max(1, y)) long, with y the reduced height at its left
     node (the argument turns at rate about 2 pi y high in the cusp).  An
     increment of pi/2 or more could hide a turn, so it raises StepTooCoarse.
@@ -335,7 +343,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
 
 
 def e2_period(gamma: Mat2) -> float:
-    """Period of the closed 1-form E2(z) dz over one loop of the first reduced conjugate's axis.
+    """Period of the closed 1-form E2(z) dz over one loop of the first reduced state's axis.
 
     Adaptive 16-point Gauss-Legendre panels, one batch of evaluations per
     round: the first round sums every initial panel whole and halved, each

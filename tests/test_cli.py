@@ -405,6 +405,14 @@ class TestVerifyCommand:
         assert len(suites) == 12
         assert all(s["failed"] == 0 and s["passed"] > 0 for s in suites)
 
+    def test_small_sample_at_the_default_length(self, capsys):
+        # fewer than the ten forced large-entry classes
+        code, out, _ = run(capsys, "verify", "--sample", "3")
+        assert code == 0
+        winding = json.loads(out)[-1]
+        assert winding["suite"] == "winding_sample"
+        assert winding["passed"] == 6 and winding["failed"] == 0
+
     def test_failing_suite_exits_2(self, capsys, monkeypatch):
         def failing(**kwargs):
             return [SuiteResult("injected", 1, 1, ["note"])]

@@ -198,18 +198,32 @@ def test_matrix_builder_detected():
     assert matrix_builders(source) == {("<module>", "Mat2"), ("f", "@"), ("k", "@"), ("k", "Mat2")}
 
 
+def imported_names(source: str) -> set:
+    """Names the source imports with from-imports."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
 def test_exact_symbols_compute_on_integers():
     src = ROOT / "src" / "modwind"
     rademacher = (src / "rademacher.py").read_text()
     assert matrix_builders(rademacher) == {("word_factor_matrix", "Mat2")}
-    imported = {
-        alias.name
-        for node in ast.walk(ast.parse(rademacher))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert sorted(imported & {"IDENTITY", "S", "T", "omega"}) == []
+    assert sorted(imported_names(rademacher) & {"IDENTITY", "S", "T", "omega"}) == []
     assert ("omega", "@") not in matrix_builders((src / "matrices.py").read_text())
+
+
+# The continued-fraction walk runs on the two integers (P, Q), and the routes
+# take their axis from its reduced state, not from a rebuilt matrix.
+def test_walk_and_routes_build_no_matrix():
+    src = ROOT / "src" / "modwind"
+    assert matrix_builders((src / "geodesics.py").read_text()) == {("word_to_matrix", "Mat2")}
+    winding = (src / "winding.py").read_text()
+    assert matrix_builders(winding) == set()
+    assert sorted(imported_names(winding) & {"fixed_points", "reduced_conjugate"}) == []
 
 
 # The benchmark and the demos import the program by name, and tier-1 does not

@@ -30,8 +30,8 @@ from modwind.geodesics import (
     enumerate_geodesics,
     estimated_census_size,
     is_primitive,
+    _reduced_cycle,
     matrix_to_word,
-    reduced_conjugate,
     trace_cap_for_length,
     word_to_matrix,
 )
@@ -410,34 +410,56 @@ def is_reduced(g):
     return c > 0 and 2 * c - (a - d) <= root and a - d <= root < a - d + 2 * c
 
 
+def walk(g):
+    """(P, Q, digits) of the walk from g's state (a - d, 2c)."""
+    return _reduced_cycle(g.trace, g.a - g.d, 2 * g.c)
+
+
+def state_matrix(t, P, Q):
+    """The matrix (a b; c d) of trace t with a - d = P and 2c = Q, checked to be integral."""
+    D = t * t - 4
+    assert (t + P) % 2 == 0 and Q % 2 == 0 and (D - P * P) % (2 * Q) == 0
+    return Mat2((t + P) // 2, (D - P * P) // (2 * Q), Q // 2, (t - P) // 2)
+
+
 class TestReducedConjugate:
+    """The walk's first reduced state (P, Q), the reduced conjugate that
+    matrix_to_word and the routes' axis read."""
+
     def test_word_products_returned_as_they_are(self):
         rng = random.Random(11)
         for _ in range(300):
-            g = word_to_matrix(tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4))))
-            assert reduced_conjugate(g) is g
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4)))
+            g = word_to_matrix(w)
+            P, Q, digits = walk(g)
+            assert (P, Q) == (g.a - g.d, 2 * g.c)
+            if reference_is_primitive(w):
+                assert tuple(digits) == w
 
     def test_conjugates_reduced_in_the_same_class(self):
         rng = random.Random(13)
+        cases = [((1, 1), Mat2(2**1100, 2**1100 * (3 - 2**1100) - 1, 1, 3 - 2**1100))]
         for _ in range(300):
             w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4)))
             if not reference_is_primitive(w):
                 continue
             tau = verify._random_element(rng, 12)
             g = tau @ word_to_matrix(w) @ tau.inverse()
-            if g.trace < 0:
-                g = -g
-            red = reduced_conjugate(g)
+            cases.append((w, g if g.trace > 0 else -g))
+        for w, g in cases:
+            t = g.trace
+            P, Q, _ = walk(g)
+            assert (t * t - 4 - P * P) % Q == 0
+            red = state_matrix(t, P, Q)
             assert is_reduced(red)
-            assert is_reduced(g) == (red is g)
-            assert red.trace == g.trace
+            assert is_reduced(g) == (red == g)
             assert matrix_to_word(red) == matrix_to_word(g) == canonical_form(w)
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
-            reduced_conjugate(Mat2(1, 1, 0, 1))
+            walk(Mat2(1, 1, 0, 1))
         with pytest.raises(NotHyperbolic):
-            reduced_conjugate(-word_to_matrix((1, 2)))
+            walk(-word_to_matrix((1, 2)))
 
 
 class TestTraceCap:
@@ -658,6 +680,30 @@ class TestCensusBudget:
             EnumerationConfig(max_length=5.0)
         monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
         EnumerationConfig(max_length=5.0)
+
+    def test_estimate_past_the_float_range(self):
+        # math.exp overflows from T of about 709.78 on
+        assert estimated_census_size(709.0) < math.inf
+        assert estimated_census_size(710.0) == estimated_census_size(1e6) == math.inf
+
+    @pytest.mark.parametrize("cap", [10**5, 10**400])
+    def test_trace_cap_over_budget_refused_up_front(self, cap):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="memory budget"):
+            enumerate_by_trace(cap)
+        assert time.perf_counter() - start < 1.0
+
+    def test_trace_cap_reads_the_same_guard(self, monkeypatch):
+        per_class = CENSUS_MEMORY_BUDGET / estimated_census_size(geodesic_length(30))
+        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 1.01 * per_class)
+        with pytest.raises(CapExceeded):
+            enumerate_by_trace(30)
+        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
+        assert len(enumerate_by_trace(30)) > 0
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 2])
+    def test_cap_below_3_is_empty(self, cap):
+        assert len(enumerate_by_trace(cap)) == 0
 
     def test_traced_peak_within_the_guard(self):
         # the census and its statistics, as the guard's per-class figure counts them

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import time
 
 import pytest
 
@@ -45,6 +47,19 @@ class TestStratifiedSample:
         text = repr([(r.word.entries, r.trace, r.psi) for r in picked])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("size", range(1, 12))
+    def test_small_sizes_exact(self, census12, size):
+        # T = 12 has 1,938 rows with an entry >= 50, and at least 10 of them are forced in
+        picked = stratified_sample(census12, size, seed=0)
+        assert len({r.word.entries for r in picked}) == len(picked) == size
+        assert picked == stratified_sample(census12, size, seed=0)
+
+    @pytest.mark.parametrize("T, size", [(8.0, 200), (12.0, 1000), (14.0, 3000)])
+    def test_exact_when_strata_repeat_forced_rows(self, T, size):
+        census = enumerate_geodesics(EnumerationConfig(T))
+        picked = stratified_sample(census, size, seed=0)
+        assert len({r.word.entries for r in picked}) == len(picked) == size
+
     def test_spreads_over_traces(self, census12):
         picked = stratified_sample(census12, 200, seed=3)
         traces = sorted(r.trace for r in picked)
@@ -53,6 +68,14 @@ class TestStratifiedSample:
 
 
 class TestRunAllBound:
+    @pytest.mark.parametrize("T", [710.0, math.inf, math.nan, -1.0])
+    def test_bad_length_refused_before_any_suite(self, monkeypatch, T):
+        monkeypatch.setattr(verify, "suite_dedekind_reciprocity", lambda rng: pytest.fail("ran"))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            run_all(max_length=T)
+        assert time.perf_counter() - start < 1.0
+
     def test_guard_reads_the_estimate(self, monkeypatch):
         monkeypatch.setattr(verify, "estimated_census_size", lambda T: VERIFY_MAX_CLASSES + 1)
         with pytest.raises(CapExceeded):

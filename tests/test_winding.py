@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from modwind import winding
 from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic, StepTooCoarse
-from modwind.geodesics import reduced_conjugate, word_to_matrix
-from modwind.matrices import Mat2, S, T, geodesic_length
+from modwind.geodesics import _reduced_cycle, word_to_matrix
+from modwind.matrices import Mat2, S, T, fixed_points, geodesic_length
 from modwind.rademacher import psi, psi_cf
 from modwind.winding import (
     DELTA_SERIES,
@@ -23,6 +23,14 @@ from modwind.winding import (
     e2_period,
     winding_index,
 )
+
+
+def reduced_matrix(gamma):
+    """The matrix of gamma's trace at the first reduced state (P, Q) of its walk:
+    a - d = P and 2c = Q."""
+    t = gamma.trace
+    P, Q, _ = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    return Mat2((t + P) // 2, (t * t - 4 - P * P) // (2 * Q), Q // 2, (t - P) // 2)
 
 
 def random_upper_half(rng):
@@ -359,12 +367,22 @@ class TestAxis:
     def test_follows_the_reduced_axis(self, gamma):
         # none of these is reduced; axis_point follows the axis of the reduced
         # conjugate, which is the one both routes integrate over
-        g = reduced_conjugate(gamma)
+        g = reduced_matrix(gamma)
         assert g != gamma
         z0, _ = axis_point(gamma, 0.0)
         z1, _ = axis_point(gamma, geodesic_length(gamma.trace))
         image = (g.a * z0 + g.b) / (g.c * z0 + g.d)
         assert abs(z1 - image) <= 1e-10 * abs(image)
+
+    def test_axis_is_the_fixed_points_of_the_reduced_state(self):
+        # the same floats as fixed_points gives for the matrix of the state
+        rng = random.Random(5)
+        for _ in range(200):
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3)))
+            tau = Mat2(1, rng.randint(-9, 9), 0, 1) @ S @ Mat2(1, rng.randint(-9, 9), 0, 1)
+            gamma = tau @ word_to_matrix(w) @ tau.inverse()
+            axis = winding._axis_for(gamma)
+            assert (axis.alpha, axis.alpha_bar) == fixed_points(reduced_matrix(gamma))
 
     @pytest.mark.parametrize(
         "gamma, refused",
