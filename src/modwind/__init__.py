@@ -41,7 +41,6 @@ from .matrices import (
     S,
     T,
     dedekind_sum,
-    fixed_points,
     geodesic_length,
     omega,
     sign0,

@@ -269,15 +269,26 @@ def trace_cap_for_length(max_length: float) -> int:
     """Largest matrix trace t with geodesic_length(t) <= max_length, to within 1e-12.
 
     This is the census's only length rule: geodesic_length is monotone in the
-    trace, so trace <= cap is the same as length <= max_length.  The float
-    floor of 2 cosh(T/2) can land one below a trace whose length is exactly T,
-    so the cap steps up while the next trace still fits.
+    trace, so trace <= cap is the same as length <= max_length.  The cap is
+    the float floor of 2 cosh(T/2) at T = max(max_length + 1e-12, 0), which
+    rounding can leave a trace or two off; below 2^53 every trace is a float,
+    so a few steps each way settle it.  Past that, geodesic_length is constant
+    over runs of traces that round to one float, and the floor is kept.  A
+    bound below the shortest length, 2 acosh(3/2), gives 2.
     """
-    if not math.isfinite(max_length):
-        raise DomainError(f"length bound {max_length} is not finite")
-    cap = math.floor(2.0 * math.cosh(max_length / 2.0))
-    while geodesic_length(cap + 1) <= max_length + _LENGTH_SLACK:
-        cap += 1
+    try:
+        bound = max_length + _LENGTH_SLACK
+        if not math.isfinite(bound):
+            raise DomainError(f"length bound {max_length} is not finite")
+        cap = math.floor(2.0 * math.cosh(max(bound, 0.0) / 2.0))
+    except OverflowError:
+        # an int bound past the float range, or cosh(T/2) past it
+        raise DomainError("length bound past the float range of cosh(T/2)") from None
+    if cap < 2**53:
+        while cap > 2 and geodesic_length(cap) > bound:
+            cap -= 1
+        while geodesic_length(cap + 1) <= bound:
+            cap += 1
     return cap
 
 
@@ -481,8 +492,7 @@ def enumerate_by_trace(cap: int) -> Census:
     an empty census.
     """
     if cap > 2:
-        # float(cap) overflows past 2^1024, where the budget is long exceeded
-        _check_census_budget(geodesic_length(min(cap, 2**1000)))
+        _check_census_budget(geodesic_length(cap))
     digits, tree, rows = _fkm_levels(cap)
     rank = np.concatenate(_preorder_ranks(tree))
     del tree

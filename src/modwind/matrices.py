@@ -1,8 +1,8 @@
-"""Exact arithmetic on SL(2,Z): matrices, Dedekind sums, the branch cocycle, fixed points.
+"""Exact arithmetic on SL(2,Z): matrices, Dedekind sums, the branch cocycle.
 
 Everything is computed on Python integers, which do not overflow.  Rationals
-appear only in the value of dedekind_sum and in its oracle; fixed_points
-returns floats for the numerical routes.
+appear only in the value of dedekind_sum and in its oracle; geodesic_length
+returns a float.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Tuple
 
 from .errors import NonPositiveModulus, NotHyperbolic
 
@@ -24,7 +23,6 @@ __all__ = [
     "dedekind_sum",
     "dedekind_sum_direct",
     "omega",
-    "fixed_points",
     "geodesic_length",
     "sign0",
     "short_int",
@@ -184,24 +182,18 @@ def omega(g: Mat2, h: Mat2) -> int:
     return (turns + 1) // 4
 
 
-def fixed_points(gamma: Mat2) -> Tuple[float, float]:
-    """Fixed points (a - d +- sqrt(tr^2 - 4)) / (2c) as floats, attracting one first."""
-    t = gamma.trace
-    if abs(t) <= 2:
-        raise NotHyperbolic(f"{gamma} has trace {t}")
-    p = (gamma.a - gamma.d) / (2 * gamma.c)
-    # c alpha + d is the eigenvalue at alpha; it exceeds 1 in modulus (attracting)
-    # for the + root iff trace > 2.
-    q = (1 if t > 2 else -1) / (2 * gamma.c)
-    root = math.sqrt(t * t - 4)
-    return p + q * root, p - q * root
-
-
 def geodesic_length(trace: int) -> float:
-    """Length 2*arccosh(|t|/2) of the closed geodesic with matrix trace t."""
+    """Length 2*arccosh(|t|/2) of the closed geodesic with matrix trace t.
+
+    Past the float range of t / 2 it is 2 log|t|, which the arccosh form
+    equals to float rounding from |t| of about 2^27 on.
+    """
     if abs(trace) <= 2:
         raise NotHyperbolic(f"trace {trace}")
-    return 2.0 * math.acosh(abs(trace) / 2.0)
+    try:
+        return 2.0 * math.acosh(abs(trace) / 2.0)
+    except OverflowError:
+        return 2.0 * math.log(abs(trace))
 
 
 def floor_quadratic(P: int, Q: int, sqrt_floor: int) -> int:

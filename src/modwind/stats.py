@@ -187,6 +187,8 @@ def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedS
         main = rel = None
         if abs(r) < 0.5:
             s0 = 1.0 - abs(r) / 2.0
+            if not T * s0 <= _MAX_EXPONENT:
+                raise DomainError(f"main term e^({T} (1 - |r|/2)) past the float range at r = {r}")
             main = math.exp(T * s0) / s0
             rel = abs(total - main) / main
         reports.append(TwistedSumReport(r=r, sum=total, main_term=main, relative_error=rel))

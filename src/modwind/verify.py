@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List
 
-from .errors import CapExceeded
+from .errors import CapExceeded, DomainError
 from .geodesics import (
     Census,
     EnumerationConfig,
@@ -270,6 +270,8 @@ def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicReco
     The census is in (trace, word) order, so the sample draws row indices
     and builds views only of the rows it picks.
     """
+    if size < 0:
+        raise DomainError(f"sample size {size} is negative")
     rng = random.Random(seed)
     n = len(census)
     if n <= size:
@@ -328,8 +330,11 @@ def suite_roundtrip(rng: random.Random) -> SuiteResult:
 def run_all(
     max_length: float = 12.0, sample: int = 500, seed: int = 0
 ) -> List[SuiteResult]:
-    # the census guards refuse a bad length before any suite runs
+    # the census guards refuse a bad length, and this a bad sample size,
+    # before any suite runs
     config = EnumerationConfig(max_length=max_length)
+    if sample < 0:
+        raise DomainError(f"sample size {sample} is negative")
     size = estimated_census_size(max_length)
     if size > VERIFY_MAX_CLASSES:
         raise CapExceeded(

@@ -48,7 +48,7 @@ from .errors import (
     ResidualTooLarge,
     StepTooCoarse,
 )
-from .geodesics import _reduced_cycle
+from .geodesics import _reduced_cycle, _segments
 from .matrices import Mat2, geodesic_length, short_int
 
 __all__ = [
@@ -240,7 +240,8 @@ class _Axis:
 
 def _axis_for(gamma: Mat2) -> _Axis:
     """The axis through the fixed points (P +- sqrt(D)) / Q of the first reduced state
-    of gamma's walk, computed as fixed_points computes them."""
+    of gamma's walk, D = trace^2 - 4, with P / Q and 1 / Q each rounded to a
+    float once: alpha, alpha_bar = P / Q +- (1 / Q) sqrt(D)."""
     t = gamma.trace
     try:
         root = math.sqrt(t * t - 4) if t > 2 else 0.0  # the walk refuses t <= 2
@@ -282,19 +283,10 @@ def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
     count = t.size - pieces.size + pieces.sum()
     if count > _MAX_NODES:
         raise CapExceeded(f"winding grid needs {count:.0f} nodes (cap {_MAX_NODES})")
-    count = int(count)
-    pieces = pieces.astype(np.int64)
-    # in-place steps keep the transients at a few arrays of `count` entries
-    offset = np.arange(count - 1)
-    offset -= np.repeat(np.cumsum(pieces) - pieces, pieces)
-    new_t = np.empty(count)
-    new_t[:-1] = np.repeat(np.diff(t) / pieces, pieces)
-    new_t[:-1] *= offset
-    new_t[:-1] += np.repeat(t[:-1], pieces)
-    new_t[-1] = t[-1]
-    fresh = np.append(offset > 0, False)
-    del offset
-    new_values = np.empty((values.shape[0], count))
+    interval, place, _ = _segments(pieces.astype(np.int32))
+    new_t = np.append((np.diff(t) / pieces)[interval] * place + t[interval], t[-1])
+    fresh = np.append(place > 0, False)
+    new_values = np.empty((values.shape[0], new_t.size))
     new_values[:, ~fresh] = values
     new_values[:, fresh] = _in_chunks(evaluate, new_t[fresh])
     return new_t, new_values

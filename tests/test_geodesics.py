@@ -476,6 +476,32 @@ class TestTraceCap:
         with pytest.raises(DomainError, match="not finite"):
             trace_cap_for_length(max_length)
 
+    def test_matches_the_stepping_rule(self):
+        # the rule's definition: from the float floor of 2 cosh(T/2), step up
+        # one trace at a time while the next trace's length is within 1e-12 of T
+        rng = random.Random(13)
+        for T in [rng.uniform(0.0, 70.0) for _ in range(2000)] + [0.0, 1.0, 70.0]:
+            cap = math.floor(2.0 * math.cosh(T / 2.0))
+            while geodesic_length(cap + 1) <= T + 1e-12:
+                cap += 1
+            assert trace_cap_for_length(T) == cap, T
+
+    def test_below_the_shortest_length(self):
+        for T in (-1e6, -5.0, 0.0, geodesic_length(3) - 1e-6):
+            assert trace_cap_for_length(T) == 2
+
+    @pytest.mark.parametrize("T", [84.0, 100.0, 710.0, 1400.0])
+    def test_large_bound_at_once(self, T):
+        start = time.perf_counter()
+        cap = trace_cap_for_length(T)
+        assert time.perf_counter() - start < 0.1
+        assert geodesic_length(cap) == pytest.approx(T, rel=1e-14)
+
+    @pytest.mark.parametrize("T", [1500.0, 1e6, 10**400])
+    def test_past_the_range_of_cosh_refused(self, T):
+        with pytest.raises(DomainError, match="float range"):
+            trace_cap_for_length(T)
+
     @pytest.mark.parametrize("n", [4, 9, 17])
     def test_boundary_included(self, n):
         t = geodesic_length(n)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modwind import winding
 from modwind.errors import NonPositiveModulus, NotHyperbolic
+from modwind.geodesics import word_to_matrix
 from modwind.matrices import (
     IDENTITY,
     Mat2,
@@ -16,7 +18,6 @@ from modwind.matrices import (
     T,
     dedekind_sum,
     dedekind_sum_direct,
-    fixed_points,
     geodesic_length,
     omega,
     sawtooth,
@@ -251,50 +252,31 @@ class TestOmega:
 
 
 class TestFixedPoints:
-    def test_golden_ratio(self):
-        alpha, alpha_bar = fixed_points(Mat2(2, 1, 1, 1))
-        assert alpha == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-14)
-        assert alpha_bar == pytest.approx((1 - math.sqrt(5)) / 2, abs=1e-14)
-
-    def test_quadratic_roots(self):
-        g = Mat2(22, 3, 7, 1)
-        alpha, alpha_bar = fixed_points(g)
-        for x in (alpha, alpha_bar):
-            assert 7 * x * x - 21 * x - 3 == pytest.approx(0.0, abs=1e-9)
-        assert alpha > alpha_bar
-
-    def test_attracting_is_expanding_eigenline(self):
-        rng = random.Random(37)
-        for _ in range(50):
-            t = rng.choice([1, -1])
-            g = Mat2(2, 1, 1, 1).power(rng.randint(1, 3))
-            if t < 0:
-                g = -g
-            alpha, _ = fixed_points(g)
-            lam = g.c * alpha + g.d
-            assert abs(lam) > 1
+    # the fixed points of a matrix are read off by winding._axis_for, which
+    # takes them at the first reduced state of the walk; a word product is its
+    # own first state, so there they are the fixed points of the product itself
 
     def test_matches_rounded_exact_parts(self):
         # p + q sqrt(D) with the rationals p = (a - d)/(2c) and q = +-1/(2c)
-        # each rounded to a float once, bit for bit
+        # each rounded to a float once, bit for bit; a third of the words carry
+        # a digit of 2^60 and more
         rng = random.Random(41)
         for i in range(2000):
-            g = random_element(rng, 12)
-            if abs(g.trace) <= 2 or g.c == 0:
-                continue
+            w = [rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3))]
             if i % 3 == 0:
-                m = Mat2(1, 2 ** (60 + i % 11), 0, 1)
-                g = m @ g @ m.inverse()
+                w[rng.randrange(len(w))] = 2 ** (60 + i % 11)
+            g = word_to_matrix(tuple(w))
             p = float(Fraction(g.a - g.d, 2 * g.c))
-            q = float(Fraction(1 if g.trace > 2 else -1, 2 * g.c))
+            q = float(Fraction(1, 2 * g.c))
             root = math.sqrt(g.trace**2 - 4)
-            assert fixed_points(g) == (p + q * root, p + -q * root)
+            axis = winding._axis_for(g)
+            assert (axis.alpha, axis.alpha_bar) == (p + q * root, p + -q * root)
 
     def test_parabolic_rejected(self):
         with pytest.raises(NotHyperbolic):
-            fixed_points(T)
+            winding._axis_for(T)
         with pytest.raises(NotHyperbolic):
-            fixed_points(Mat2(1, 1, 0, 1))
+            winding._axis_for(Mat2(1, 1, 0, 1))
 
 
 class TestGeodesicLength:
@@ -318,6 +300,17 @@ class TestGeodesicLength:
 
     def test_sign_symmetric(self):
         assert geodesic_length(-5) == geodesic_length(5)
+
+    @pytest.mark.parametrize("t", [2**1024, 10**400, -(10**400)])
+    def test_past_the_float_range(self, t):
+        # float(t) overflows here; the length is 2 log|t|
+        assert geodesic_length(t) == 2.0 * math.log(abs(t))
+
+    def test_log_form_agrees_from_2_27(self):
+        # 2 acosh(t/2) = 2 log t - 2/t^2 + ..., so the forms meet to float rounding
+        for e in range(27, 1024, 7):
+            t = 2**e + 3
+            assert geodesic_length(t) == pytest.approx(2.0 * math.log(t), rel=2**-52, abs=0.0)
 
 
 def test_sign0():

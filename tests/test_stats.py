@@ -237,6 +237,12 @@ class TestTwistedSum:
         )
         assert report.main_term == pytest.approx(math.exp(12.0))
 
+    @pytest.mark.parametrize("T", [710.0, 1400.0])
+    def test_main_term_past_the_float_range_refused(self, census12, T):
+        with pytest.raises(DomainError, match="float range"):
+            twisted_sum(census12, T, 0.0)
+        assert twisted_sum(census12, T, 0.5).main_term is None
+
     def test_period_twelve(self, census12):
         a = twisted_sum(census12, 12.0, 0.0)
         b = twisted_sum(census12, 12.0, 12.0)

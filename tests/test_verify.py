@@ -5,7 +5,7 @@ import time
 import pytest
 
 from modwind import verify
-from modwind.errors import CapExceeded
+from modwind.errors import CapExceeded, DomainError
 from modwind.geodesics import EnumerationConfig, enumerate_by_trace, enumerate_geodesics
 from modwind.verify import VERIFY_MAX_CLASSES, run_all, stratified_sample
 
@@ -60,6 +60,14 @@ class TestStratifiedSample:
         picked = stratified_sample(census, size, seed=0)
         assert len({r.word.entries for r in picked}) == len(picked) == size
 
+    @pytest.mark.parametrize("size", [-1, -5])
+    def test_negative_size_refused(self, census12, size):
+        with pytest.raises(DomainError, match="negative"):
+            stratified_sample(census12, size, seed=0)
+
+    def test_size_zero_is_empty(self, census12):
+        assert stratified_sample(census12, 0, seed=0) == []
+
     def test_spreads_over_traces(self, census12):
         picked = stratified_sample(census12, 200, seed=3)
         traces = sorted(r.trace for r in picked)
@@ -80,3 +88,8 @@ class TestRunAllBound:
         monkeypatch.setattr(verify, "estimated_census_size", lambda T: VERIFY_MAX_CLASSES + 1)
         with pytest.raises(CapExceeded):
             run_all(max_length=5.0)
+
+    def test_negative_sample_refused_before_any_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "suite_dedekind_reciprocity", lambda rng: pytest.fail("ran"))
+        with pytest.raises(DomainError, match="negative"):
+            run_all(max_length=5.0, sample=-1)

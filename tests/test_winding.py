@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from modwind import winding
 from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic, StepTooCoarse
 from modwind.geodesics import _reduced_cycle, word_to_matrix
-from modwind.matrices import Mat2, S, T, fixed_points, geodesic_length
+from modwind.matrices import Mat2, S, T, geodesic_length
 from modwind.rademacher import psi, psi_cf
 from modwind.winding import (
     DELTA_SERIES,
@@ -225,6 +225,52 @@ class TestOneEvaluationPerRound:
         assert len(e2) >= 2 and all(size % 32 == 0 for size in e2[1:])
 
 
+class TestRefine:
+    @staticmethod
+    def evaluate(t):
+        return np.stack([np.sin(t), t * t])
+
+    def reference(self, t, values, pieces):
+        """Nodes and values of _refine, one interval and one node at a time."""
+        nodes, columns = [], []
+        for k in range(t.size - 1):
+            step = (t[k + 1] - t[k]) / pieces[k]
+            for m in range(int(pieces[k])):
+                x = step * m + t[k]
+                nodes.append(x)
+                columns.append(values[:, k] if m == 0 else self.evaluate(np.array([x]))[:, 0])
+        nodes.append(t[-1])
+        columns.append(values[:, -1])
+        return np.array(nodes), np.stack(columns, axis=1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        t = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 3.0
+        pieces = rng.integers(1, 7, n - 1).astype(float) if seed else np.ones(n - 1)
+        evaluated = []
+
+        def evaluate(x):
+            evaluated.append(x.size)
+            return self.evaluate(x)
+
+        new_t, new_values = winding._refine(t, self.evaluate(t), pieces, evaluate)
+        ref_t, ref_values = self.reference(t, self.evaluate(t), pieces)
+        assert np.array_equal(new_t, ref_t)
+        assert np.array_equal(new_values, ref_values)
+        # only the new nodes are evaluated
+        assert sum(evaluated) == int((pieces - 1).sum())
+
+    @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
+    def test_over_the_node_cap_refused_at_once(self, pieces):
+        t = np.array([0.0, 1.0])
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="nodes"):
+            winding._refine(t, self.evaluate(t), np.array([pieces]), lambda x: pytest.fail("ran"))
+        assert time.perf_counter() - start < 0.1
+
+
 class TestSeriesTables:
     def test_delta_leading_coefficients(self):
         # Delta/q = 1 - 24q + 252q^2 - 1472q^3 + ...
@@ -375,14 +421,44 @@ class TestAxis:
         assert abs(z1 - image) <= 1e-10 * abs(image)
 
     def test_axis_is_the_fixed_points_of_the_reduced_state(self):
-        # the same floats as fixed_points gives for the matrix of the state
-        rng = random.Random(5)
-        for _ in range(200):
+        # (P +- sqrt(D)) / Q of the walk's first reduced state, with the rationals
+        # P / Q and 1 / Q each rounded to a float once, bit for bit; a third of
+        # the conjugates are shifted by T^(2^60) and more
+        rng = random.Random(41)
+        for i in range(2000):
             w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3)))
             tau = Mat2(1, rng.randint(-9, 9), 0, 1) @ S @ Mat2(1, rng.randint(-9, 9), 0, 1)
+            if i % 3 == 0:
+                tau = T.power(2 ** (60 + i % 11)) @ tau
             gamma = tau @ word_to_matrix(w) @ tau.inverse()
+            t = gamma.trace
+            P, Q, _ = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+            p, q = float(Fraction(P, Q)), float(Fraction(1, Q))
+            root = math.sqrt(t * t - 4)
             axis = winding._axis_for(gamma)
-            assert (axis.alpha, axis.alpha_bar) == fixed_points(reduced_matrix(gamma))
+            assert (axis.alpha, axis.alpha_bar) == (p + q * root, p - q * root)
+
+    def test_golden_ratio_axis(self):
+        axis = winding._axis_for(word_to_matrix((1, 1)))
+        assert axis.alpha == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-14)
+        assert axis.alpha_bar == pytest.approx((1 - math.sqrt(5)) / 2, abs=1e-14)
+
+    def test_quadratic_roots(self):
+        # (3, 7) is (22 3; 7 1), reduced, with fixed points the roots of 7x^2 - 21x - 3
+        axis = winding._axis_for(word_to_matrix((3, 7)))
+        for x in (axis.alpha, axis.alpha_bar):
+            assert 7 * x * x - 21 * x - 3 == pytest.approx(0.0, abs=1e-9)
+        assert axis.alpha > 1 > 0 > axis.alpha_bar > -1
+
+    def test_alpha_on_expanding_eigenline(self):
+        # c alpha + d is the eigenvalue of the reduced state's matrix at alpha
+        rng = random.Random(37)
+        for _ in range(50):
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3)))
+            tau = Mat2(1, rng.randint(-9, 9), 0, 1) @ S
+            gamma = tau @ word_to_matrix(w) @ tau.inverse()
+            g = reduced_matrix(gamma)
+            assert abs(g.c * winding._axis_for(gamma).alpha + g.d) > 1
 
     @pytest.mark.parametrize(
         "gamma, refused",
@@ -407,6 +483,9 @@ class TestAxis:
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
             axis_point(Mat2(1, 1, 0, 1), 0.0)
+        for gamma in (T, -T, S, -word_to_matrix((1, 2))):
+            with pytest.raises(NotHyperbolic):
+                winding._axis_for(gamma)
 
 
 class TestWindingIndex:
