@@ -21,16 +21,20 @@ multiplies j by the point it moves.  It refuses a point whose height is at
 or below the float spacing of its real part; above that, its relative error
 is about 2^-52 |z| / Im z.
 
-Both follow the axis through the fixed points (P +- sqrt(D)) / Q of the first
-reduced state of gamma's continued-fraction walk, alpha > 1 and -1 < alpha' < 0,
-so they are well apart whatever gamma's entries.  A trace whose fixed points
-are past the float range is refused before the walk.
+Both follow the axis of the exact conjugate of gamma whose top, the point
+at t = 0, is the excursion of the first largest digit of the period: the
+continued-fraction walk's first reduced state (P, Q), walked on to that
+digit, gives the fixed points +-(P +- sqrt(D)) / Q.  A trace whose fixed
+points are past the float range is refused before the walk.
 
-Both integrate over the centred window t in [-l/2, l/2].  The integrands
-are l-periodic, so any window of length l gives the same total, but the fold
-amplifies the rounding error of z(t) by y_red / y: starting at t = 0 would
-drive the axis point down to y ~ R e^-l, the centred window stops at
-y ~ R e^(-l/2).
+The integrands are l-periodic, so any window of length l gives the same
+total, but the fold amplifies the rounding error of z(t) by about
+|z| / Im z.  winding_index integrates over the centred window
+t in [-l/2, l/2]: the largest excursion at its middle is folded by a
+translation alone, and its ends stop at y ~ R e^(-l/2), not at y ~ R e^-l.
+e2_period shifts that window so that this amplification is alike at its two
+ends, by at most as far as keeps the largest excursion whole (_axis_for);
+on long words the ends decide whether its panels meet their budget.
 """
 
 from __future__ import annotations
@@ -86,7 +90,9 @@ _MAX_NODES = 1 << 19
 # of _QUAD_TOL / _MAX_PANELS, so the accepted estimates sum to at most _QUAD_TOL.
 _MAX_PANELS = 1 << 14
 _PANEL_TOL = _QUAD_TOL / _MAX_PANELS
-_PANEL_WIDTH = 0.25
+# Initial panel width.  Unit panels of the 16-point rule split only inside
+# excursions; 8 to 12 points on them cost more splits and lose long words.
+_PANEL_WIDTH = 1.0
 
 
 def _horner(coeffs: Tuple[int, ...], q):
@@ -219,42 +225,69 @@ def e2_completed(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class _Axis:
-    """Geodesic axis z(t) = g(i e^t) with g = (alpha, alpha_bar; 1, 1).
+    """Geodesic axis z(t) = g(w) with w = i e^t if alpha > alpha_bar, else -i e^t,
+    and g = (alpha, alpha_bar; 1, 1).
 
-    alpha > 1 > 0 > alpha_bar on a reduced state, so det g > 0 and g maps
-    the upper half-plane to itself; z(t) runs from the repelling to the
-    attracting fixed point at unit speed.
+    det g = alpha - alpha_bar, so g maps the half-plane of w to the upper one;
+    z(t) runs from the repelling fixed point alpha_bar to the attracting one
+    alpha at unit speed, and z(0) is the top of the axis.
     """
 
     alpha: float
     alpha_bar: float
     length: float
+    balance: float  # the centre of e2_period's window, see _axis_for
 
     def at(self, t):
         """(z(t), dz/dt) at a float t or at each entry of an array t."""
-        w = 1j * np.exp(t)
+        w = (1j if self.alpha > self.alpha_bar else -1j) * np.exp(t)
         den = w + 1.0
         z = (self.alpha * w + self.alpha_bar) / den
         return z, (self.alpha - self.alpha_bar) * w / (den * den)
 
 
 def _axis_for(gamma: Mat2) -> _Axis:
-    """The axis through the fixed points (P +- sqrt(D)) / Q of the first reduced state
-    of gamma's walk, D = trace^2 - 4, with P / Q and 1 / Q each rounded to a
-    float once: alpha, alpha_bar = P / Q +- (1 / Q) sqrt(D)."""
+    """The axis of the exact conjugate of gamma whose top is the excursion of the
+    first largest digit a_k of the period, D = trace^2 - 4.
+
+    The walk's first reduced state (P, Q) takes k more steps, P <- aQ - P and
+    Q <- (D - P^2) / Q, and its fixed points (P +- sqrt(D)) / Q are read with
+    P / Q and 1 / Q each rounded to a float once.  Even states are conjugates
+    of gamma in SL(2,Z).  At odd k the conjugate by S T^-a of the state before,
+    a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
+    Either way the large excursion sits at t = 0, where a translation alone
+    folds it.  The axis also carries the centre of e2_period's window.
+    """
     t = gamma.trace
     try:
         root = math.sqrt(t * t - 4) if t > 2 else 0.0  # the walk refuses t <= 2
     except OverflowError:
         raise CapExceeded(f"fixed points of trace {short_int(t)} past the float range") from None
-    P, Q, _ = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    P, Q, digits = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    k = digits.index(max(digits))
+    D = t * t - 4
+    for a in digits[:k]:
+        P = a * Q - P
+        Q = (D - P * P) // Q
     p, q = P / Q, 1 / Q
-    return _Axis(alpha=p + q * root, alpha_bar=p - q * root, length=geodesic_length(t))
+    if k % 2:
+        p, q = -p, -q
+    alpha, alpha_bar, ell = p + q * root, p - q * root, geodesic_length(t)
+    # e2_period's window [b - ell/2, b + ell/2] ends at heights of about
+    # |alpha - alpha_bar| e^-(ell/2 +- b), where the fold amplifies the rounding
+    # of z(t) by about |alpha| / Im z at the attracting end and |alpha_bar| / Im z
+    # at the other.  b = 0.5 log |alpha_bar / alpha| makes the two alike, with
+    # |alpha_bar / alpha| = (D - P^2) / (P + sqrt(D))^2 as 0 < P < sqrt(D).  |b|
+    # is capped so that neither end rises above height about 1, which keeps
+    # the top excursion whole in the middle of the window.
+    balance = 0.5 * math.log(D - P * P) - math.log(P + root)
+    room = max(0.0, 0.5 * ell - math.log(abs(alpha - alpha_bar)))
+    return _Axis(alpha, alpha_bar, ell, min(room, max(-room, balance)))
 
 
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
-    """(z(t), dz/dt) at flow time t on the axis both routes follow, through the fixed
-    points of the first reduced state of gamma's continued-fraction walk, from z(0) = g(i)."""
+    """(z(t), dz/dt) at flow time t on the axis both routes follow: that of the exact
+    conjugate of gamma whose top z(0) is the excursion of the period's largest digit."""
     z, dz = _axis_for(gamma).at(t)
     return complex(z), complex(dz)
 
@@ -271,6 +304,11 @@ class WindingResult:
     index: int
     residual: float
     steps: int
+
+
+def _step(y):
+    """The longest grid step winding_index allows at reduced height y."""
+    return np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, y))
 
 
 def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
@@ -295,10 +333,12 @@ def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
 def winding_index(gamma: Mat2) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
-    The argument is unwrapped along the axis of the first reduced state over
-    a grid refined in batches until every interval is at most
-    min(0.05, 0.15 / max(1, y)) long, with y the reduced height at its left
-    node (the argument turns at rate about 2 pi y high in the cusp).  An
+    The argument is unwrapped along the axis over a grid on which every
+    interval is at most min(0.05, 0.15 / max(1, y)) long, with y the reduced
+    height at its left node (the argument turns at rate about 2 pi y high in
+    the cusp).  An interval of the uniform first grid that breaks the rule is
+    split once, by the rule at a bound on y over the whole interval, so every
+    new left node meets it; the rule is checked again after the split.  An
     increment of pi/2 or more could hide a turn, so it raises StepTooCoarse.
     """
     axis = _axis_for(gamma)
@@ -316,11 +356,16 @@ def winding_index(gamma: Mat2) -> WindingResult:
     t = np.linspace(-0.5 * ell, 0.5 * ell, intervals + 1)
     values = _in_chunks(arg_f, t)
     while True:
-        dt = np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, values[1, :-1]))
+        h = np.diff(t)
+        y = values[1]
         # the factor forgives the rounding of np.linspace and of earlier splits
-        pieces = np.ceil(np.diff(t) / dt * (1.0 - 1e-12))
-        if not (pieces > 1).any():
+        broken = h * (1.0 - 1e-12) > _step(y[:-1])
+        if not broken.any():
             break
+        # log y is 1-Lipschitz in t, so sqrt(y_l y_r) e^(h/2) bounds y over the
+        # interval; y_l keeps a broken interval split where rounding breaks that
+        bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
+        pieces = np.where(broken, np.ceil(h / _step(bound)), 1.0)
         t, values = _refine(t, values, pieces, arg_f)
     inc = _wrap(np.diff(values[0]))
     coarse = np.abs(inc) >= 0.5 * math.pi
@@ -335,14 +380,16 @@ def winding_index(gamma: Mat2) -> WindingResult:
 
 
 def e2_period(gamma: Mat2) -> float:
-    """Period of the closed 1-form E2(z) dz over one loop of the first reduced state's axis.
+    """Period of the closed 1-form E2(z) dz over one loop of the axis.
 
-    Adaptive 16-point Gauss-Legendre panels, one batch of evaluations per
-    round: the first round sums every initial panel whole and halved, each
-    later round both halves of every panel still open.  A panel is accepted
-    once its halves agree with the whole to _QUAD_TOL / _MAX_PANELS.  The integrand is
-    smooth (the completed series is real-analytic across fold boundaries)
-    but turns quickly inside cusp excursions, where the panels split.
+    Adaptive 16-point Gauss-Legendre panels over the window centred at
+    axis.balance, at most _PANEL_WIDTH wide at the start, and one batch of
+    evaluations per round: the first round sums every initial panel whole
+    and halved, each later round both halves of every panel still open.  A
+    panel is accepted once its halves agree with the whole to
+    _QUAD_TOL / _MAX_PANELS.  The integrand is smooth (the completed series
+    is real-analytic across fold boundaries) but turns quickly inside cusp
+    excursions, where the panels split.
     """
     axis = _axis_for(gamma)
     ell = axis.length
@@ -360,7 +407,7 @@ def e2_period(gamma: Mat2) -> float:
     pieces = max(4, math.ceil(ell / _PANEL_WIDTH))
     if pieces > _MAX_PANELS:
         raise QuadratureFailure(f"{pieces} panels needed (cap {_MAX_PANELS}) for {gamma}")
-    edges = np.linspace(-0.5 * ell, 0.5 * ell, pieces + 1)
+    edges = np.linspace(axis.balance - 0.5 * ell, axis.balance + 0.5 * ell, pieces + 1)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     # the first round sums every panel whole and halved in one batch

@@ -77,6 +77,16 @@ class TestWindingIndexTheorem:
                 rec.psi, abs=1e-6
             )
 
+    def test_routes_equal_psi_on_census_to_eleven(self):
+        census = enumerate_geodesics(EnumerationConfig(max_length=11.0))
+        assert len(census) == 5961
+        start = time.perf_counter()
+        for entries, _, _, expected in census.rows():
+            g = word_to_matrix(entries)
+            assert winding_index(g).index == expected
+            assert e2_period(g) == pytest.approx(expected, abs=1e-6)
+        assert time.perf_counter() - start < 60.0
+
 
 class TestEnumerationOracle:
     def test_matches_brute_force_through_cap_thirty(self):

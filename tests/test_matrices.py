@@ -252,24 +252,30 @@ class TestOmega:
 
 
 class TestFixedPoints:
-    # the fixed points of a matrix are read off by winding._axis_for, which
-    # takes them at the first reduced state of the walk; a word product is its
-    # own first state, so there they are the fixed points of the product itself
+    # the fixed points of a matrix are read off by winding._axis_for, which takes
+    # them at the exact conjugate whose top letter is the first largest digit k
+    # of the period; a word product is its own first reduced state, so that
+    # conjugate is the product of the word rotated by k, conjugated by S T^-a
+    # (a the digit before) when k is odd
 
     def test_matches_rounded_exact_parts(self):
-        # p + q sqrt(D) with the rationals p = (a - d)/(2c) and q = +-1/(2c)
-        # each rounded to a float once, bit for bit; a third of the words carry
-        # a digit of 2^60 and more
+        # p + q sqrt(D) with the rationals p = (a - d)/(2c) and q = 1/(2c) of that
+        # conjugate each rounded to a float once, bit for bit; a third of the
+        # words carry a digit of 2^60 and more
         rng = random.Random(41)
         for i in range(2000):
             w = [rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3))]
             if i % 3 == 0:
                 w[rng.randrange(len(w))] = 2 ** (60 + i % 11)
-            g = word_to_matrix(tuple(w))
+            k = w.index(max(w))
+            g = word_to_matrix(tuple(w[k - k % 2 :] + w[: k - k % 2]))
+            if k % 2:
+                B = S @ T.power(-w[k - 1])
+                g = B @ g @ B.inverse()
             p = float(Fraction(g.a - g.d, 2 * g.c))
             q = float(Fraction(1, 2 * g.c))
             root = math.sqrt(g.trace**2 - 4)
-            axis = winding._axis_for(g)
+            axis = winding._axis_for(word_to_matrix(tuple(w)))
             assert (axis.alpha, axis.alpha_bar) == (p + q * root, p + -q * root)
 
     def test_parabolic_rejected(self):
