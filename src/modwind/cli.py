@@ -1,7 +1,7 @@
 """Command line interface: enumeration, symbol computations, statistics, verify.
 
-Exit codes: 0 success, 1 usage or validation error, 2 verification failure
-(a mathematical disagreement or a failed suite), 3 resource or data error.
+Exit codes: 0 success, 1 usage, validation or output file error, 2 verification
+failure (a mathematical disagreement or a failed suite), 3 resource or data error.
 Diagnostics go to stderr; stdout carries data only.
 """
 
@@ -53,7 +53,7 @@ _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 MAX_TABLE_ROWS = 10_000
 
 # verify --sample is refused above this before the census is built; the
-# winding suite costs about 2.2 ms a sampled class (README).
+# winding suite costs about 1.1 ms a sampled class (README).
 MAX_SAMPLE = 10_000
 
 
@@ -146,12 +146,15 @@ def _census(t: float) -> Census:
 
 @contextmanager
 def _output(out: Optional[str]) -> Iterator[TextIO]:
-    """The file named by out, or stdout."""
-    if out:
+    """The file named by out, or stdout; a file that fails to open or write is a usage error."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-    else:
-        yield sys.stdout
+    except OSError as exc:
+        raise click.FileError(out, exc.strerror) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

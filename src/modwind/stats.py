@@ -10,6 +10,7 @@ character-twisted sums.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientData, QuadratureFailure
 from .geodesics import Census, li, trace_cap_for_length
+from .matrices import short_int
 from .winding import _GL_NODES, _GL_WEIGHTS
 
 __all__ = [
@@ -111,7 +113,10 @@ def predicted_pi_n(n: int, T: float) -> float:
 
 
 def limiting_density(n: int, T: float) -> float:
-    """Limiting winding density (4/12) T / (T^2 + (4 pi n / 12)^2)."""
+    """Limiting winding density (4/12) T / (T^2 + (4 pi n / 12)^2) at a finite T > 0."""
+    if not 0 < T <= sys.float_info.max:  # NaN and ints past the float range too
+        raise DomainError(f"T outside (0, {sys.float_info.max:g}]")
+    T = float(T)
     c = 4.0 * math.pi * n / 12
     return (4.0 / 12) * T / (T * T + c * c)
 
@@ -153,8 +158,8 @@ def cauchy_compare(census: Census, T: float) -> DistributionReport:
 
 def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
     """Fraction of prime geodesics of length <= T with psi in each class mod q."""
-    if q < 1:
-        raise DomainError(f"modulus {q} < 1")
+    if not 1 <= q <= np.iinfo(np.int64).max:
+        raise DomainError(f"modulus {short_int(q)} outside [1, 2^63 - 1]")
     psi, _ = _window(census, T)
     total = len(psi)
     if total < _MIN_SAMPLE and q > 1:

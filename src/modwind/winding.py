@@ -52,7 +52,7 @@ from .errors import (
     ResidualTooLarge,
     StepTooCoarse,
 )
-from .geodesics import _reduced_cycle, _segments
+from .geodesics import _reduced_cycle
 from .matrices import Mat2, geodesic_length, short_int
 
 __all__ = [
@@ -311,25 +311,6 @@ def _step(y):
     return np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, y))
 
 
-def _refine(t: np.ndarray, values: np.ndarray, pieces: np.ndarray, evaluate):
-    """Split interval k of the grid t into pieces[k] equal parts.
-
-    pieces holds whole numbers as floats, so a huge request is counted, not
-    wrapped; values[:, i] belongs to node t[i]; only the new nodes are
-    evaluated.
-    """
-    count = t.size - pieces.size + pieces.sum()
-    if count > _MAX_NODES:
-        raise CapExceeded(f"winding grid needs {count:.0f} nodes (cap {_MAX_NODES})")
-    interval, place, _ = _segments(pieces.astype(np.int32))
-    new_t = np.append((np.diff(t) / pieces)[interval] * place + t[interval], t[-1])
-    fresh = np.append(place > 0, False)
-    new_values = np.empty((values.shape[0], new_t.size))
-    new_values[:, ~fresh] = values
-    new_values[:, fresh] = _in_chunks(evaluate, new_t[fresh])
-    return new_t, new_values
-
-
 def winding_index(gamma: Mat2) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
@@ -338,8 +319,9 @@ def winding_index(gamma: Mat2) -> WindingResult:
     height at its left node (the argument turns at rate about 2 pi y high in
     the cusp).  An interval of the uniform first grid that breaks the rule is
     split once, by the rule at a bound on y over the whole interval, so every
-    new left node meets it; the rule is checked again after the split.  An
-    increment of pi/2 or more could hide a turn, so it raises StepTooCoarse.
+    new left node meets it; only new nodes are evaluated, and the rule is
+    checked again.  An increment of pi/2 or more could hide a turn, so it
+    raises StepTooCoarse.
     """
     axis = _axis_for(gamma)
     ell = axis.length
@@ -358,15 +340,24 @@ def winding_index(gamma: Mat2) -> WindingResult:
     while True:
         h = np.diff(t)
         y = values[1]
-        # the factor forgives the rounding of np.linspace and of earlier splits
+        # the factor forgives the rounding of np.linspace and of the split
         broken = h * (1.0 - 1e-12) > _step(y[:-1])
         if not broken.any():
             break
         # log y is 1-Lipschitz in t, so sqrt(y_l y_r) e^(h/2) bounds y over the
         # interval; y_l keeps a broken interval split where rounding breaks that
         bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
-        pieces = np.where(broken, np.ceil(h / _step(bound)), 1.0)
-        t, values = _refine(t, values, pieces, arg_f)
+        pieces = np.where(broken, np.ceil(h / _step(bound)), 1.0)  # floats: counted, not wrapped
+        # node k moves to place bounds[k], with the new nodes evenly between
+        bounds = np.concatenate(([0.0], np.cumsum(pieces)))
+        if bounds[-1] + 1 > _MAX_NODES:
+            raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
+        t = np.interp(np.arange(bounds[-1] + 1), bounds, t)
+        fresh = np.ones(t.size, dtype=bool)
+        fresh[bounds.astype(np.intp)] = False
+        old_values, values = values, np.empty((2, t.size))
+        values[:, ~fresh] = old_values
+        values[:, fresh] = _in_chunks(arg_f, t[fresh])
     inc = _wrap(np.diff(values[0]))
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from modwind import winding
 from modwind.geodesics import (
     EnumerationConfig,
     enumerate_by_trace,
@@ -77,15 +78,27 @@ class TestWindingIndexTheorem:
                 rec.psi, abs=1e-6
             )
 
-    def test_routes_equal_psi_on_census_to_eleven(self):
+    def test_routes_equal_psi_on_census_to_eleven(self, monkeypatch):
+        # and winding_index splits its first grid at most once: at most two
+        # batches of Delta evaluations a class
+        batches = []
+        delta_series = winding._delta_series
+
+        def counting(z):
+            batches[-1] += 1
+            return delta_series(z)
+
+        monkeypatch.setattr(winding, "_delta_series", counting)
         census = enumerate_geodesics(EnumerationConfig(max_length=11.0))
         assert len(census) == 5961
         start = time.perf_counter()
         for entries, _, _, expected in census.rows():
             g = word_to_matrix(entries)
+            batches.append(0)
             assert winding_index(g).index == expected
             assert e2_period(g) == pytest.approx(expected, abs=1e-6)
         assert time.perf_counter() - start < 60.0
+        assert max(batches) <= 2 and 1 in batches and 2 in batches
 
 
 class TestEnumerationOracle:

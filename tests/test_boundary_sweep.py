@@ -24,6 +24,7 @@ LENGTH_CALLS = {
     "trace_cap_for_length": "geodesics.trace_cap_for_length({})",
     "winding_histogram": "stats.winding_histogram(census, {})",
     "predicted_pi_n": "stats.predicted_pi_n(1, {})",
+    "limiting_density": "stats.limiting_density(1, {})",
     "cauchy_compare": "stats.cauchy_compare(census, {})",
     "equidistribution": "stats.equidistribution(census, {}, 3)",
     "twisted_sums": "stats.twisted_sums(census, {}, (0.0, 0.3, 1.0))",

@@ -71,6 +71,13 @@ class TestEnumerate:
         assert out == ""
         assert parse_csv(path.read_text())[0][0] == (1, 1)
 
+    def test_out_path_that_cannot_be_opened(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "enumerate", "--max-length", "3", "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-length", "12")
         assert code == 0
@@ -307,6 +314,14 @@ class TestStatsCommands:
         assert code == 0
         payload = json.loads(out)
         assert 0.0 <= payload["ks_statistic"] <= 1.0
+
+    def test_csv_out_to_a_directory(self, tmp_path, capsys):
+        code, out, err = run(
+            capsys, "stats-cauchy", "--max-length", "10", "--csv-out", str(tmp_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
 
     def test_cauchy_insufficient(self, capsys):
         code, _, err = run(capsys, "stats-cauchy", "--max-length", "8")

@@ -99,6 +99,33 @@ def test_only_geodesics_reads_the_row_layout(path):
     assert row_layout_reads(path.read_text()) == []
 
 
+# The census walk's ragged expansion stays private to the walk.
+WALK_HELPERS = ("_segments", "_bounds")
+
+
+def walk_helper_uses(source: str) -> list:
+    """The census walk's helpers (_segments, _bounds) that the source imports or names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names if alias.name in WALK_HELPERS)
+        elif isinstance(node, ast.Name) and node.id in WALK_HELPERS:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in WALK_HELPERS:
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_walk_helper_use_detected():
+    source = "from .geodesics import _segments\ngeodesics._bounds(x)\n_segments = 1\nsegments(x)\n"
+    assert walk_helper_uses(source) == ["_bounds", "_segments"]
+
+
+@pytest.mark.parametrize("path", LAYOUT_SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_geodesics_uses_the_walk_helpers(path):
+    assert walk_helper_uses(path.read_text()) == []
+
+
 def raised_names(source: str) -> set:
     """Names of the exception classes that the source's raise statements raise."""
     names = set()

@@ -180,6 +180,11 @@ class TestDensityTable:
         values = [limiting_density(n, 12.0) for n in range(0, 6)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("T", [0, 0.0, -1.0, math.nan, math.inf, 10**400], ids=repr)
+    def test_domain_guard(self, T):
+        with pytest.raises(DomainError):
+            limiting_density(0, T)
+
     def test_rows(self, census12):
         hist = winding_histogram(census12, 12.0)
         rows = density_table(hist, range(-2, 3))
@@ -226,6 +231,10 @@ class TestEquidistribution:
     def test_bad_modulus(self, census12):
         with pytest.raises(DomainError):
             equidistribution(census12, 12.0, 0)
+
+    def test_modulus_past_int64(self, census12):
+        with pytest.raises(DomainError, match="modulus"):
+            equidistribution(census12, 12.0, 2**63)
 
 
 class TestTwistedSum:

@@ -250,66 +250,103 @@ class TestOneEvaluationPerRound:
         # one split sized by the height bound of each interval meets the step
         # rule min(0.05, 0.15 / max(1, y)) at every new left node
         delta = self.counted(monkeypatch, "_delta_series")
-        grids = []
-        refine = winding._refine
-
-        def recording(*args):
-            grids.append(refine(*args))
-            return grids[-1]
-
-        monkeypatch.setattr(winding, "_refine", recording)
+        batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         assert winding_index(g).index == psi(g)
-        assert len(delta) <= 2 and len(grids) == 1
-        t, values = grids[0]
+        assert len(delta) <= 2 and len(batches) == 2
+        t, values = final_grid(batches)
         rule = np.minimum(0.05, 0.15 / np.maximum(1.0, values[1, :-1]))
         assert np.all(np.diff(t) <= rule * (1 + 1e-12))
 
 
-class TestRefine:
-    @staticmethod
-    def evaluate(t):
-        return np.stack([np.sin(t), t * t])
+def recorded_batches(monkeypatch):
+    """(t, values) of each batch that winding_index hands to _in_chunks from now on."""
+    batches = []
+    in_chunks = winding._in_chunks
 
-    def reference(self, t, values, pieces):
-        """Nodes and values of _refine, one interval and one node at a time."""
-        nodes, columns = [], []
+    def recording(fn, t):
+        batches.append((t.copy(), in_chunks(fn, t)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(winding, "_in_chunks", recording)
+    return batches
+
+
+def final_grid(batches):
+    """The grid of winding_index and its values: the first grid and the new nodes, in order."""
+    t = np.concatenate([b[0] for b in batches])
+    order = np.argsort(t, kind="stable")
+    return t[order], np.concatenate([b[1] for b in batches], axis=1)[:, order]
+
+
+class TestRefine:
+    """The one split of winding_index's grid, against a reference that splits
+    one interval at a time, with its evaluations recorded."""
+
+    # seed 0 is accepted on the first grid; the others split around a cusp
+    # excursion of their large digit
+    WORDS = [(1, 2), (1, 40), (3, 150, 2, 5), (2, 7, 1, 300), (90, 1, 45, 2), (1, 1, 1, 777)]
+
+    @staticmethod
+    def reference(t, values, new_values):
+        """Nodes and values of the split grid, one interval and one node at a
+        time: interval k of the grid t splits into the parts that the step
+        rule asks for at the height bound over it, and the new nodes take the
+        columns of new_values in order."""
+        h = np.diff(t)
+        y = values[1]
+        bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
+        broken = h * (1.0 - 1e-12) > winding._step(y[:-1])
+        pieces = np.where(broken, np.ceil(h / winding._step(bound)), 1.0)
+        nodes, columns, fresh = [], [], iter(new_values.T)
         for k in range(t.size - 1):
             step = (t[k + 1] - t[k]) / pieces[k]
             for m in range(int(pieces[k])):
-                x = step * m + t[k]
-                nodes.append(x)
-                columns.append(values[:, k] if m == 0 else self.evaluate(np.array([x]))[:, 0])
+                nodes.append(step * m + t[k])
+                columns.append(values[:, k] if m == 0 else next(fresh))
         nodes.append(t[-1])
         columns.append(values[:, -1])
+        assert next(fresh, None) is None
         return np.array(nodes), np.stack(columns, axis=1)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 200))
-        t = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 3.0
-        pieces = rng.integers(1, 7, n - 1).astype(float) if seed else np.ones(n - 1)
-        evaluated = []
-
-        def evaluate(x):
-            evaluated.append(x.size)
-            return self.evaluate(x)
-
-        new_t, new_values = winding._refine(t, self.evaluate(t), pieces, evaluate)
-        ref_t, ref_values = self.reference(t, self.evaluate(t), pieces)
-        assert np.array_equal(new_t, ref_t)
-        assert np.array_equal(new_values, ref_values)
-        # only the new nodes are evaluated
-        assert sum(evaluated) == int((pieces - 1).sum())
+    def test_matches_reference(self, monkeypatch, seed):
+        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        batches = recorded_batches(monkeypatch)
+        res = winding_index(word_to_matrix(self.WORDS[seed]))
+        (t, values), *split = batches
+        assert len(split) == (1 if seed else 0)
+        new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
+        ref_t, ref_values = self.reference(t, values, new_values)
+        # the grid is the reference's, and each node was evaluated once
+        assert np.array_equal(np.sort(np.concatenate([t, new_t])), ref_t)
+        assert sum(delta) == ref_t.size == res.steps + 1
+        # the old values are carried over: the total is read off the reference
+        turns = float(winding._wrap(np.diff(ref_values[0])).sum()) / (2 * math.pi)
+        assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
 
     @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
-    def test_over_the_node_cap_refused_at_once(self, pieces):
-        t = np.array([0.0, 1.0])
+    def test_over_the_node_cap_refused_at_once(self, monkeypatch, pieces):
+        # a step rule that asks for about this many parts of every interval
+        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        monkeypatch.setattr(winding, "_step", lambda y: np.full(np.shape(y), 0.05 / pieces))
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match="nodes"):
-            winding._refine(t, self.evaluate(t), np.array([pieces]), lambda x: pytest.fail("ran"))
+            winding_index(word_to_matrix((1, 2)))
         assert time.perf_counter() - start < 0.1
+        # refused before any node of the split is evaluated
+        assert len(delta) == 1
+
+    def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
+        g = word_to_matrix((1, 60))
+        res = winding_index(g)
+        monkeypatch.setattr(winding, "_MAX_NODES", res.steps + 1)
+        assert winding_index(g) == res
+        monkeypatch.setattr(winding, "_MAX_NODES", res.steps)
+        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        with pytest.raises(CapExceeded, match=f"needs {res.steps + 1} nodes"):
+            winding_index(g)
+        assert len(delta) == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
