@@ -1,10 +1,11 @@
 """Counting statistics of winding numbers over the prime geodesic census.
 
-Everything here reduces the psi and length columns of the enumeration output
-with numpy and compares aggregate observables against their closed-form
-predictions: the prime geodesic theorem, the winding density, the Cauchy limit
-law of the winding-to-length ratio, residue equidistribution, and
-character-twisted sums.
+Every statistic reads only trace and psi, so each one reduces a leading trace
+window of the census's (trace, psi) count table (Census.counts) with numpy, a
+row standing for all classes of its pair, and compares aggregate observables
+against their closed-form predictions: the prime geodesic theorem, the winding
+density, the Cauchy limit law of the winding-to-length ratio, residue
+equidistribution, and character-twisted sums.
 """
 
 from __future__ import annotations
@@ -65,22 +66,34 @@ class TwistedSumReport:
     relative_error: Optional[float]
 
 
-def _window(census: Census, T: float) -> Tuple[np.ndarray, np.ndarray]:
-    """psi (int64) and length (float64) of the classes of length <= T.
+def _window(census: Census, T: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi (int64), count (int64) and length (float64) of the count table's
+    rows of length <= T.
 
     The window is the census's own length rule, trace <= trace_cap_for_length(T).
-    A Census is in trace order, so its window is a leading slice of its
+    The table is in trace order, so its window is a leading slice of its
     columns.
     """
-    rows = int(np.searchsorted(census.trace, trace_cap_for_length(T), side="right"))
-    return census.psi[:rows], census.length[:rows]
+    cap = trace_cap_for_length(T)
+    trace, psi, count, length = census.counts()
+    rows = int(np.searchsorted(trace, cap, side="right"))
+    return psi[:rows], count[:rows], length[:rows]
+
+
+def _by_psi(psi: np.ndarray, weights: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The least psi lo, and the sums of the weights over the rows of each
+    psi from lo on."""
+    lo = int(psi.min()) if len(psi) else 0
+    return lo, np.bincount(psi - lo, weights=weights)
 
 
 def winding_histogram(census: Census, T: float) -> WindingHistogram:
-    psi, _ = _window(census, T)
-    values, counts = np.unique(psi, return_counts=True)
+    psi, count, _ = _window(census, T)
+    lo, per_psi = _by_psi(psi, count)
+    values = np.flatnonzero(per_psi)
+    counts = per_psi[values].astype(np.int64)
     return WindingHistogram(
-        T=T, counts=dict(zip(values.tolist(), counts.tolist())), total=len(psi)
+        T=T, counts=dict(zip((values + lo).tolist(), counts.tolist())), total=int(count.sum())
     )
 
 
@@ -95,7 +108,7 @@ def predicted_pi_n(n: int, T: float) -> float:
     """
     if not 2 <= T <= _MAX_EXPONENT:
         raise DomainError(f"T = {T} outside [2, {_MAX_EXPONENT:g}], where e^T is a finite float")
-    c2 = (4.0 * math.pi * n / 12) ** 2
+    c2 = _kernel_width(n) ** 2
     lo = math.log(2.0)
     panels = math.ceil((T - lo) / _PANEL_WIDTH)
 
@@ -112,12 +125,19 @@ def predicted_pi_n(n: int, T: float) -> float:
     return 4.0 / (12 * T) * val
 
 
+def _kernel_width(n: int) -> float:
+    """4 pi n / 12, where the winding n sits in the density's Cauchy kernel."""
+    if not abs(n) <= sys.float_info.max:  # an int past the float range
+        raise DomainError(f"winding number {short_int(n)} past the float range")
+    return 4.0 * math.pi * n / 12
+
+
 def limiting_density(n: int, T: float) -> float:
     """Limiting winding density (4/12) T / (T^2 + (4 pi n / 12)^2) at a finite T > 0."""
     if not 0 < T <= sys.float_info.max:  # NaN and ints past the float range too
         raise DomainError(f"T outside (0, {sys.float_info.max:g}]")
     T = float(T)
-    c = 4.0 * math.pi * n / 12
+    c = _kernel_width(n)
     return (4.0 / 12) * T / (T * T + c * c)
 
 
@@ -138,17 +158,28 @@ def _cauchy_cdf(u: float) -> float:
 
 
 def cauchy_compare(census: Census, T: float) -> DistributionReport:
-    """KS distance between (3/pi) psi/length and the standard Cauchy law."""
-    psi, length = _window(census, T)
-    n = len(psi)
+    """KS distance between (3/pi) psi/length and the standard Cauchy law.
+
+    The rows of the count table are sorted by value, and the empirical CDF
+    steps by each row's count.  Over the classes of one row the CDF takes
+    every i/n between the counts below and through the row, so its largest
+    distance to the Cauchy CDF is at one of those two ends: the same floats
+    as over the sorted classes, ties between rows included.
+    """
+    psi, count, length = _window(census, T)
+    n = int(count.sum())
     if n < _MIN_SAMPLE:
         raise InsufficientData(f"{n} records (need {_MIN_SAMPLE})")
-    values = np.sort(3.0 / math.pi * psi / length)
+    values = 3.0 / math.pi * psi / length
+    order = np.argsort(values)
+    values = values[order]
+    # classes with a value before or at each row's, from 0 to n
+    through = np.zeros(len(order) + 1, np.int64)
+    np.cumsum(count[order], out=through[1:])
     f = 0.5 + np.arctan(values) / math.pi
-    i = np.arange(n)
-    ks = float(max(np.max(np.abs((i + 1) / n - f)), np.max(np.abs(i / n - f))))
+    ks = float(max(np.max(np.abs(through[1:] / n - f)), np.max(np.abs(through[:-1] / n - f))))
     grid = [-5.0 + 0.1 * j for j in range(101)]
-    below = np.searchsorted(values, grid, side="right").tolist()
+    below = through[np.searchsorted(values, grid, side="right")].tolist()
     empirical = [(u, idx / n) for u, idx in zip(grid, below)]
     reference = [(u, _cauchy_cdf(u)) for u in grid]
     return DistributionReport(
@@ -160,30 +191,30 @@ def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
     """Fraction of prime geodesics of length <= T with psi in each class mod q."""
     if not 1 <= q <= np.iinfo(np.int64).max:
         raise DomainError(f"modulus {short_int(q)} outside [1, 2^63 - 1]")
-    psi, _ = _window(census, T)
-    total = len(psi)
+    psi, count, _ = _window(census, T)
+    total = int(count.sum())
     if total < _MIN_SAMPLE and q > 1:
         raise InsufficientData(f"{total} records (need {_MIN_SAMPLE})")
     if total == 0:
         raise InsufficientData("no records")
-    counts = np.bincount(psi % q, minlength=q).tolist()
+    counts = np.bincount(psi % q, weights=count, minlength=q).astype(np.int64).tolist()
     return {a: counts[a] / total for a in range(q)}
 
 
 def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedSumReport]:
     """Length sums twisted by the weight-r character e^{2 pi i r psi / 12}, one per r.
 
-    The lengths are summed per value of psi once for the whole grid, so each
-    r costs one exponential per distinct psi.  The exponential main term
-    e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the error for |r| < 1/2,
-    so main_term and relative_error are reported only in that range.
+    The lengths times the counts are summed per value of psi once for the
+    whole grid, so each r costs one exponential per distinct psi.  The
+    exponential main term e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the
+    error for |r| < 1/2, so main_term and relative_error are reported only in
+    that range.
     """
     for r in rs:
         if not abs(r) <= 12:  # NaN included
             raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
-    psi, length = _window(census, T)
-    lo = int(psi.min()) if len(psi) else 0
-    weight = np.bincount(psi - lo, weights=length)
+    psi, count, length = _window(census, T)
+    lo, weight = _by_psi(psi, length * count)
     values = np.arange(lo, lo + len(weight))
     reports = []
     for r in rs:

@@ -1,5 +1,6 @@
-"""Boundary sweep: every length or trace entry point, at bounds far past the
-census and past the float range, returns or raises a ModwindError within 1 s.
+"""Boundary sweep: every length, trace or winding entry point, at bounds far
+past the census and past the float range, returns or raises a ModwindError
+within 1 s.
 
 All calls run in one child process that prints each outcome as it finishes,
 so a call that hangs fails the sweep by timeout instead of hanging the suite.
@@ -18,6 +19,7 @@ import pytest
 
 LENGTHS = ("84.0", "100.0", "710.0", "1500.0", "1e6", "10**400")
 TRACES = ("2**53 + 1", "2**1024", "10**400")
+WINDINGS = ("2**53 + 1", "2**1024", "10**400", "-10**400")
 # the census of traces up to 30 stands in for any census: past its largest
 # trace every window is the whole census
 LENGTH_CALLS = {
@@ -34,9 +36,13 @@ TRACE_CALLS = {
     "enumerate_by_trace": "geodesics.enumerate_by_trace({})",
     "estimated_census_size": "geodesics.estimated_census_size({})",
 }
+WINDING_CALLS = {
+    "predicted_pi_n_winding": "stats.predicted_pi_n({}, 5.0)",
+    "limiting_density_winding": "stats.limiting_density({}, 5.0)",
+}
 CASES = {
     name: [call.format(x) for x in inputs]
-    for calls, inputs in ((LENGTH_CALLS, LENGTHS), (TRACE_CALLS, TRACES))
+    for calls, inputs in ((LENGTH_CALLS, LENGTHS), (TRACE_CALLS, TRACES), (WINDING_CALLS, WINDINGS))
     for name, call in calls.items()
 }
 CALL_SECONDS = 1.0

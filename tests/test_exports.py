@@ -99,6 +99,31 @@ def test_only_geodesics_reads_the_row_layout(path):
     assert row_layout_reads(path.read_text()) == []
 
 
+# The statistics read a census through its (trace, psi) count table only, so
+# they have one input path.
+CENSUS_COLUMNS = ("psi", "trace", "length")
+
+
+def census_column_reads(source: str) -> list:
+    """Attributes named like a census column (psi, trace, length) that the source reads."""
+    return sorted(
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in CENSUS_COLUMNS
+    )
+
+
+def test_census_column_read_detected():
+    source = "census.psi[:3] * census.length\ncensus.counts()\ntrace = census\nrec.trace\n"
+    assert census_column_reads(source) == ["length", "psi", "trace"]
+
+
+def test_stats_reads_only_the_count_table():
+    source = (ROOT / "src" / "modwind" / "stats.py").read_text()
+    assert census_column_reads(source) == []
+    assert "counts" in {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+
+
 # The census walk's ragged expansion stays private to the walk.
 WALK_HELPERS = ("_segments", "_bounds")
 

@@ -648,6 +648,15 @@ class TestCensus:
             picked = census.rows_with_entry_at_least(bound).tolist()
             assert picked == [i for i, top in enumerate(maxima) if top >= bound]
 
+    def test_columns_read_only(self):
+        # the commands (tests/test_cli.py) and the demos (tests/test_exports.py)
+        # run on these read-only columns too
+        census = enumerate_by_trace(30)
+        for name in ("trace", "psi", "length", "start", "stop", "digits"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(census, name)[0] = 1
+        assert census.psi.tolist() == [rec.psi for rec in census]
+
     def test_empty(self):
         census = enumerate_by_trace(2)
         assert isinstance(census, Census)

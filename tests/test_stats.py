@@ -3,12 +3,20 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from modwind import geodesics, stats
 from modwind.errors import DomainError, InsufficientData
-from modwind.geodesics import EnumerationConfig, enumerate_by_trace, enumerate_geodesics
+from modwind.geodesics import (
+    EnumerationConfig,
+    enumerate_by_trace,
+    enumerate_geodesics,
+    trace_cap_for_length,
+)
 from modwind.matrices import geodesic_length
 from modwind.stats import (
     cauchy_compare,
@@ -94,6 +102,139 @@ class TestAgainstLoops:
                 assert abs(twisted_sum(census12, T, r).sum - loop_twisted(records12, T, r)) <= bound
 
 
+# The per-class reductions the count table replaced: each reads the census's
+# psi and length columns over the classes of length <= T.
+
+
+def per_class_window(census, T):
+    rows = int(np.searchsorted(census.trace, trace_cap_for_length(T), side="right"))
+    return census.psi[:rows], census.length[:rows]
+
+
+def per_class_histogram(census, T):
+    psi, _ = per_class_window(census, T)
+    values, counts = np.unique(psi, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist())), len(psi)
+
+
+def per_class_cauchy(census, T):
+    """(ks_statistic, empirical_cdf) of cauchy_compare, without its sample guard."""
+    psi, length = per_class_window(census, T)
+    n = len(psi)
+    values = np.sort(3.0 / math.pi * psi / length)
+    f = 0.5 + np.arctan(values) / math.pi
+    i = np.arange(n)
+    ks = float(max(np.max(np.abs((i + 1) / n - f)), np.max(np.abs(i / n - f))))
+    grid = [-5.0 + 0.1 * j for j in range(101)]
+    below = np.searchsorted(values, grid, side="right").tolist()
+    return ks, [(u, idx / n) for u, idx in zip(grid, below)]
+
+
+def per_class_equidistribution(census, T, q):
+    psi, _ = per_class_window(census, T)
+    counts = np.bincount(psi % q, minlength=q).tolist()
+    return {a: counts[a] / len(psi) for a in range(q)}
+
+
+def per_class_twisted(census, T, r):
+    psi, length = per_class_window(census, T)
+    lo = int(psi.min()) if len(psi) else 0
+    weight = np.bincount(psi - lo, weights=length)
+    phase = np.exp(2j * math.pi * r * np.arange(lo, lo + len(weight)) / 12.0)
+    return complex(phase @ weight)
+
+
+class TestCountTable:
+    """Census.counts against the classes, and the statistics on it against
+    the per-class reductions above."""
+
+    WINDOWS = TestAgainstLoops.WINDOWS
+
+    def test_table_is_the_counter(self, census12):
+        trace, psi, count, length = census12.counts()
+        expect = Counter(zip(census12.trace.tolist(), census12.psi.tolist()))
+        rows = list(zip(trace.tolist(), psi.tolist()))
+        assert rows == sorted(expect)
+        assert count.tolist() == [expect[row] for row in rows]
+        assert int(count.sum()) == len(census12)
+        assert [c.dtype for c in (trace, psi, count, length)] == [np.int64, np.int64, np.int64, np.float64]
+        assert length.tolist() == [geodesic_length(t) for t in trace.tolist()]
+
+    def test_kept_and_read_only(self, census12):
+        table = census12.counts()
+        assert census12.counts() is table
+        for column in table:
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = 0
+
+    def test_empty(self):
+        census = enumerate_by_trace(2)
+        assert [len(column) for column in census.counts()] == [0, 0, 0, 0]
+        assert winding_histogram(census, 5.0).total == 0
+        assert twisted_sum(census, 5.0, 0.3).sum == 0
+        with pytest.raises(InsufficientData):
+            equidistribution(census, 5.0, 1)
+
+    def test_three_rows(self):
+        records = enumerate_geodesics(EnumerationConfig(max_length=TestLengthRule.T))
+        trace, psi, count, length = records.counts()
+        assert list(zip(trace.tolist(), psi.tolist(), count.tolist())) == [(3, 0, 1), (4, -1, 1), (4, 1, 1)]
+        assert length.tolist() == records.length.tolist()
+
+    def test_keys_past_int32(self):
+        # (trace - 2) W = 99,999 * 40,001 passes int32: the keys sort as int64
+        trace = np.array([3, 3, 100_001, 100_001, 100_001])
+        psi = np.array([20_000, -20_000, 20_000, 0, 20_000])
+        length = np.array([geodesic_length(t) for t in trace.tolist()])
+        table = geodesics._count_table(trace, psi, length)
+        assert [column.tolist() for column in table] == [
+            [3, 3, 100_001, 100_001],
+            [-20_000, 20_000, 0, 20_000],
+            [1, 1, 1, 2],
+            [geodesic_length(3)] * 2 + [geodesic_length(100_001)] * 2,
+        ]
+
+    def test_benchmark_sequence_builds_the_table_once(self, monkeypatch):
+        # a census of its own, so no earlier test has built its table
+        census = enumerate_geodesics(EnumerationConfig(max_length=12.0))
+        builds = []
+
+        def spy(*columns):
+            builds.append(len(columns[0]))
+            return build(*columns)
+
+        build = geodesics._count_table
+        monkeypatch.setattr(geodesics, "_count_table", spy)
+        hist = winding_histogram(census, 12.0)
+        density_table(hist, range(-5, 6))
+        cauchy_compare(census, 12.0)
+        for q in (2, 3, 5):
+            equidistribution(census, 12.0, q)
+        for k in range(19):
+            twisted_sum(census, 12.0, round(-0.45 + 0.05 * k, 2))
+        assert builds == [len(census)]
+
+    def test_equal_to_the_per_class_reductions(self, census12, monkeypatch):
+        # the sample guards are lifted, so the window at T = 8 is compared too
+        monkeypatch.setattr(stats, "_MIN_SAMPLE", 1)
+        for T in self.WINDOWS:
+            counts, total = per_class_histogram(census12, T)
+            hist = winding_histogram(census12, T)
+            assert (hist.counts, list(hist.counts), hist.total) == (counts, list(counts), total)
+            for q in (1, 2, 3, 5, 7, 12):
+                assert equidistribution(census12, T, q) == per_class_equidistribution(census12, T, q)
+            report = cauchy_compare(census12, T)
+            assert (report.ks_statistic, report.empirical_cdf) == per_class_cauchy(census12, T)
+
+    def test_twisted_near_the_per_class_reduction(self, census12):
+        for T in self.WINDOWS:
+            _, length = per_class_window(census12, T)
+            bound = len(length) * 2.0**-52 * float(length.sum())
+            rs = (-0.45, 0.0, 0.3, 0.6, 3.7, 6.0, 12.0)
+            for r, report in zip(rs, twisted_sums(census12, T, rs)):
+                assert abs(report.sum - per_class_twisted(census12, T, r)) <= bound
+
+
 class TestLengthRule:
     # 3.1e-15 below the length of trace 4: within the census's 1e-12 slack
     T = 2.63391579384963
@@ -157,6 +298,9 @@ class TestPredictedPiN:
         for T in (1.0, 1e9, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 predicted_pi_n(1, T)
+        for n in (10**400, -(10**400), 2**1024):
+            with pytest.raises(DomainError, match="winding number"):
+                predicted_pi_n(n, 5.0)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf], ids=str)
@@ -180,10 +324,17 @@ class TestDensityTable:
         values = [limiting_density(n, 12.0) for n in range(0, 6)]
         assert values == sorted(values, reverse=True)
 
-    @pytest.mark.parametrize("T", [0, 0.0, -1.0, math.nan, math.inf, 10**400], ids=repr)
-    def test_domain_guard(self, T):
+    GUARD_T = (0, 0.0, -1.0, math.nan, math.inf, 10**400)
+    GUARD_N = (10**400, -(10**400), 2**1024)
+
+    @pytest.mark.parametrize(
+        "n, T",
+        [(0, T) for T in GUARD_T] + [(n, 5.0) for n in GUARD_N],
+        ids=[repr(T) for T in GUARD_T] + ["n=10**400", "n=-10**400", "n=2**1024"],
+    )
+    def test_domain_guard(self, n, T):
         with pytest.raises(DomainError):
-            limiting_density(0, T)
+            limiting_density(n, T)
 
     def test_rows(self, census12):
         hist = winding_histogram(census12, 12.0)
