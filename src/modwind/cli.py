@@ -29,6 +29,7 @@ from .geodesics import (
 from .matrices import Mat2
 from .rademacher import psi, psi_cf, psi_cocycle
 from .stats import (
+    MAX_TABLE_ROWS,
     cauchy_compare,
     density_table,
     equidistribution,
@@ -47,10 +48,6 @@ EXIT_RESOURCE = 3
 # every psi method then finishes or fails within a few seconds (README).
 MAX_ENTRY_BITS = 4096
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
-
-# The stats tables (--n-range, --r-grid, --modulus) are refused above this
-# many rows before the census is built.
-MAX_TABLE_ROWS = 10_000
 
 # verify --sample is refused above this before the census is built; the
 # winding suite costs about 1.1 ms a sampled class (README).
@@ -103,6 +100,8 @@ def _parse_gamma(matrix_text: Optional[str], word_text: Optional[str]) -> Mat2:
 
 
 def _check_rows(rows: int, what: str) -> None:
+    """The stats tables (--n-range, --r-grid, --modulus) are refused above
+    MAX_TABLE_ROWS rows before the census is built."""
     if rows > MAX_TABLE_ROWS:
         raise click.UsageError(f"{what} asks for {rows:,} rows (at most {MAX_TABLE_ROWS:,})")
 

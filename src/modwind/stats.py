@@ -23,6 +23,7 @@ from .matrices import short_int
 from .winding import _GL_NODES, _GL_WEIGHTS
 
 __all__ = [
+    "MAX_TABLE_ROWS",
     "WindingHistogram",
     "DistributionReport",
     "TwistedSumReport",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _MIN_SAMPLE = 1000
+# Rows of a table the statistics return (equidistribution) or the CLI prints.
+MAX_TABLE_ROWS = 10_000
 _PANEL_WIDTH = 0.5
 _MAX_EXPONENT = 709.0
 
@@ -188,9 +191,12 @@ def cauchy_compare(census: Census, T: float) -> DistributionReport:
 
 
 def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
-    """Fraction of prime geodesics of length <= T with psi in each class mod q."""
-    if not 1 <= q <= np.iinfo(np.int64).max:
-        raise DomainError(f"modulus {short_int(q)} outside [1, 2^63 - 1]")
+    """Fraction of prime geodesics of length <= T with psi in each class mod q.
+
+    The table has a row per residue, so q is refused above MAX_TABLE_ROWS.
+    """
+    if not 1 <= q <= MAX_TABLE_ROWS:
+        raise DomainError(f"modulus {short_int(q)} outside [1, {MAX_TABLE_ROWS:,}]")
     psi, count, _ = _window(census, T)
     total = int(count.sum())
     if total < _MIN_SAMPLE and q > 1:
@@ -205,7 +211,7 @@ def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedS
     """Length sums twisted by the weight-r character e^{2 pi i r psi / 12}, one per r.
 
     The lengths times the counts are summed per value of psi once for the
-    whole grid, so each r costs one exponential per distinct psi.  The
+    whole grid, so each r costs one real cosine and sine per distinct psi.  The
     exponential main term e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the
     error for |r| < 1/2, so main_term and relative_error are reported only in
     that range.
@@ -218,8 +224,8 @@ def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedS
     values = np.arange(lo, lo + len(weight))
     reports = []
     for r in rs:
-        phase = np.exp(2j * math.pi * r * values / 12.0)
-        total = complex(phase @ weight)
+        x = values * (math.pi * r / 6.0)
+        total = complex(np.cos(x) @ weight, np.sin(x) @ weight)
         main = rel = None
         if abs(r) < 0.5:
             s0 = 1.0 - abs(r) / 2.0

@@ -12,14 +12,16 @@ Two independent numerical routes to the same integer:
 
 Both evaluate the forms once per round of refinement, on one numpy array of
 every point that round needs (in slices of at most _CHUNK points):
-winding_index reads arg Delta and the reduced height at each new node,
-e2_period E2 at the Gauss-Legendre nodes of each panel it sums.  Each point
-is folded into the standard fundamental domain first, so the q-series always
-runs at |q| <= exp(-pi sqrt(3)) where eleven terms leave a tail below 1e-22.
-The fold carries only the point and its automorphy factor j: each S step
-multiplies j by the point it moves.  It refuses a point whose height is at
-or below the float spacing of its real part; above that, its relative error
-is about 2^-52 |z| / Im z.
+winding_index reads arg Delta and the reduced height at each node in at most
+two rounds: |d arg F/dt| <= 6.9452 y_red + 18 (Delta'/Delta = 2 pi i E2 with
+E2*(z) dz invariant, |E2| <= 1.1054 after the fold, |z''/z'| = 1) sizes its
+one split; e2_period E2 at the Gauss-Legendre nodes of each panel it sums.
+Each point is folded into the standard fundamental domain first, so the
+q-series always runs at |q| <= exp(-pi sqrt(3)) where eleven terms leave a
+tail below 1e-22.  The fold carries only the point and its automorphy factor
+j: each S step multiplies j by the point it moves.  It refuses a point whose
+height is at or below the float spacing of its real part; above that, its
+relative error is about 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the period: the
@@ -74,8 +76,11 @@ __all__ = [
 SERIES_TERMS = 11
 
 _TWO_PI = 2.0 * math.pi
-_BASE_STEP = 0.05
-_HEIGHT_STEP = 0.15
+_BASE_STEP = 0.03  # winding_index's first grid, unsplit up to B = 4.9: sets only the cost
+# winding_index's bound |d arg F/dt| <= _E2_RATE y_red + _FLAT_RATE: _E2_RATE is 2 pi
+# sum |c_n| |q|^n over E2HOL_SERIES at the fold's largest |q|, 6.945194..., rounded up
+_E2_RATE = 6.9452
+_FLAT_RATE = 18.0
 _RESIDUAL_LIMIT = 1e-3
 _QUAD_TOL = 1e-9
 _FOLD_STEPS = 10000
@@ -84,7 +89,7 @@ _FLOAT_SPACING = 2.0**-52
 # Points per evaluation batch, so temporaries do not grow with the word.
 _CHUNK = 1 << 16
 # winding_index nodes per class: 2^19 nodes hold a cusp excursion of about
-# 78,000 turns (about 6.7 nodes per turn) in 12 MB of node arrays.
+# 116,000 turns of Delta (about 4.5 nodes per turn) in 12 MB of node arrays.
 _MAX_NODES = 1 << 19
 # e2_period panels per class.  Each accepted panel may carry an error estimate
 # of _QUAD_TOL / _MAX_PANELS, so the accepted estimates sum to at most _QUAD_TOL.
@@ -306,22 +311,22 @@ class WindingResult:
     steps: int
 
 
-def _step(y):
-    """The longest grid step winding_index allows at reduced height y."""
-    return np.minimum(_BASE_STEP, _HEIGHT_STEP / np.maximum(1.0, y))
-
-
 def winding_index(gamma: Mat2) -> WindingResult:
     """Winding number of Delta(z) z'^6 around 0 over one period of the axis.
 
-    The argument is unwrapped along the axis over a grid on which every
-    interval is at most min(0.05, 0.15 / max(1, y)) long, with y the reduced
-    height at its left node (the argument turns at rate about 2 pi y high in
-    the cusp).  An interval of the uniform first grid that breaks the rule is
-    split once, by the rule at a bound on y over the whole interval, so every
-    new left node meets it; only new nodes are evaluated, and the rule is
-    checked again.  An increment of pi/2 or more could hide a turn, so it
-    raises StepTooCoarse.
+    The argument is unwrapped over a grid on which it provably turns by less
+    than pi/2 an interval.  On the unit-speed axis d arg F/dt is
+    Im(2 pi i E2(z) z' + 6 z''/z'), E2 the holomorphic series, and
+    * |E2*(z) z'| = |E2*(z_red)| y_red, as E2*(z) dz is invariant; each of the
+      two 3 / (pi y) terms (E2 = E2* + 3 / (pi y)) adds 6, as |Re z'| <= y;
+    * |E2(z_red)| <= 1.1054 at y_red >= sqrt(3)/2, from the series;
+    * |z''/z'| = 1, which adds 6 more.
+    So |d arg F/dt| <= 6.9452 y_red + 18.  log y_red is 1-Lipschitz in t, so
+    B = max(y_l, sqrt(y_l y_r) e^(h/2)) bounds y_red over an interval of width
+    h; each interval of the uniform first grid splits once into
+    floor(h (6.9452 B + 18) / (pi/2)) + 1 equal parts, and only new nodes are
+    evaluated.  An increment of pi/2 or more could hide a turn, so it raises
+    StepTooCoarse; on this grid only evaluation error can cause one.
     """
     axis = _axis_for(gamma)
     ell = axis.length
@@ -337,21 +342,15 @@ def winding_index(gamma: Mat2) -> WindingResult:
         raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
     t = np.linspace(-0.5 * ell, 0.5 * ell, intervals + 1)
     values = _in_chunks(arg_f, t)
-    while True:
-        h = np.diff(t)
-        y = values[1]
-        # the factor forgives the rounding of np.linspace and of the split
-        broken = h * (1.0 - 1e-12) > _step(y[:-1])
-        if not broken.any():
-            break
-        # log y is 1-Lipschitz in t, so sqrt(y_l y_r) e^(h/2) bounds y over the
-        # interval; y_l keeps a broken interval split where rounding breaks that
-        bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
-        pieces = np.where(broken, np.ceil(h / _step(bound)), 1.0)  # floats: counted, not wrapped
-        # node k moves to place bounds[k], with the new nodes evenly between
-        bounds = np.concatenate(([0.0], np.cumsum(pieces)))
-        if bounds[-1] + 1 > _MAX_NODES:
-            raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
+    h, y = np.diff(t), values[1]
+    # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
+    bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
+    pieces = np.floor(h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)) + 1.0  # floats: not wrapped
+    # node k moves to place bounds[k], with the new nodes evenly between
+    bounds = np.concatenate(([0.0], np.cumsum(pieces)))
+    if bounds[-1] + 1 > _MAX_NODES:
+        raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
+    if bounds[-1] > intervals:
         t = np.interp(np.arange(bounds[-1] + 1), bounds, t)
         fresh = np.ones(t.size, dtype=bool)
         fresh[bounds.astype(np.intp)] = False

@@ -387,6 +387,18 @@ class TestEquidistribution:
         with pytest.raises(DomainError, match="modulus"):
             equidistribution(census12, 12.0, 2**63)
 
+    @pytest.mark.parametrize("q", [stats.MAX_TABLE_ROWS + 1, 2**40, 2**62], ids=str)
+    def test_modulus_past_the_table_bound(self, census12, q):
+        # refused before np.bincount sizes a table of q residues: at 2^40 it
+        # would ask for 8 TiB, and at 2^62 numpy refuses the size
+        with pytest.raises(DomainError, match="modulus"):
+            equidistribution(census12, 12.0, q)
+
+    def test_modulus_at_the_table_bound(self, census12):
+        table = equidistribution(census12, 12.0, stats.MAX_TABLE_ROWS)
+        assert len(table) == stats.MAX_TABLE_ROWS
+        assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestTwistedSum:
     def test_r_zero_is_length_sum(self, census12):

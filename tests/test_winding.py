@@ -247,16 +247,14 @@ class TestOneEvaluationPerRound:
         "w", [(1, 60), (3, 200), (1, 3000)], ids=lambda w: "-".join(map(str, w))
     )
     def test_grid_split_in_one_pass(self, monkeypatch, w):
-        # one split sized by the height bound of each interval meets the step
-        # rule min(0.05, 0.15 / max(1, y)) at every new left node
+        # one split sized by the height bound of each interval bounds the
+        # argument's turn below pi/2 on every interval of the final grid
         delta = self.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         assert winding_index(g).index == psi(g)
         assert len(delta) <= 2 and len(batches) == 2
-        t, values = final_grid(batches)
-        rule = np.minimum(0.05, 0.15 / np.maximum(1.0, values[1, :-1]))
-        assert np.all(np.diff(t) <= rule * (1 + 1e-12))
+        assert np.all(turn_bound(*final_grid(batches)) < 0.5 * math.pi)
 
 
 def recorded_batches(monkeypatch):
@@ -279,6 +277,18 @@ def final_grid(batches):
     return t[order], np.concatenate([b[1] for b in batches], axis=1)[:, order]
 
 
+def height_bound(t, y):
+    """The bound on the reduced height over each interval of the grid t from the
+    heights y at its nodes: log y is 1-Lipschitz in t."""
+    return np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * np.diff(t)))
+
+
+def turn_bound(t, values):
+    """h (c B + 18) on each interval of the grid t: a bound on how far arg F
+    turns over it, with B from the heights in values[1] at the nodes."""
+    return np.diff(t) * (winding._E2_RATE * height_bound(t, values[1]) + 18.0)
+
+
 class TestRefine:
     """The one split of winding_index's grid, against a reference that splits
     one interval at a time, with its evaluations recorded."""
@@ -290,14 +300,10 @@ class TestRefine:
     @staticmethod
     def reference(t, values, new_values):
         """Nodes and values of the split grid, one interval and one node at a
-        time: interval k of the grid t splits into the parts that the step
-        rule asks for at the height bound over it, and the new nodes take the
-        columns of new_values in order."""
-        h = np.diff(t)
-        y = values[1]
-        bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
-        broken = h * (1.0 - 1e-12) > winding._step(y[:-1])
-        pieces = np.where(broken, np.ceil(h / winding._step(bound)), 1.0)
+        time: interval k of the grid t splits into the least number of equal
+        parts on which the turn bound at the height bound over it is below
+        pi/2, and the new nodes take the columns of new_values in order."""
+        pieces = np.floor(turn_bound(t, values) / (0.5 * math.pi)) + 1.0
         nodes, columns, fresh = [], [], iter(new_values.T)
         for k in range(t.size - 1):
             step = (t[k + 1] - t[k]) / pieces[k]
@@ -327,15 +333,33 @@ class TestRefine:
 
     @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
     def test_over_the_node_cap_refused_at_once(self, monkeypatch, pieces):
-        # a step rule that asks for about this many parts of every interval
+        # a rate bound that asks for at least sqrt(3)/2 times this many parts
+        # of every interval, the reduced height being at least sqrt(3)/2
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
-        monkeypatch.setattr(winding, "_step", lambda y: np.full(np.shape(y), 0.05 / pieces))
+        monkeypatch.setattr(winding, "_E2_RATE", pieces * 0.5 * math.pi / winding._BASE_STEP)
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match="nodes"):
             winding_index(word_to_matrix((1, 2)))
         assert time.perf_counter() - start < 0.1
         # refused before any node of the split is evaluated
         assert len(delta) == 1
+
+    @pytest.mark.parametrize(
+        "w",
+        WORDS + [(1, 8000), (1, 30000), (1, 3, 1, 8000), (2, 5000, 3, 9000), (1, 22024)],
+        ids=lambda w: "-".join(map(str, w)),
+    )
+    def test_final_grid_meets_the_bound(self, monkeypatch, w):
+        # the check the split makes unneeded: the turn bound with the height
+        # bound recomputed from the final nodes is below pi/2 on every interval;
+        # at most two batches (of slices of _CHUNK points), each node in one
+        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        batches = recorded_batches(monkeypatch)
+        g = word_to_matrix(w)
+        res = winding_index(g)
+        assert res.index == psi(g)
+        assert len(batches) <= 2 and sum(delta) == res.steps + 1
+        assert np.all(turn_bound(*final_grid(batches)) < 0.5 * math.pi)
 
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
         g = word_to_matrix((1, 60))
@@ -368,6 +392,30 @@ def test_reduced_height_is_1_lipschitz(centre, log_radius, reversed_):
     assert np.all(np.abs(np.diff(np.log(z_red.imag))) <= np.diff(t) + 1e-9)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.floats(-50.0, 50.0),
+    st.floats(math.log(0.01), math.log(1e3)),
+    st.booleans(),
+)
+def test_argument_turns_within_the_rate_bound(centre, log_radius, reversed_):
+    # |d arg F/dt| <= c y_red + 18 along a unit-speed axis, and the height
+    # bound over each interval comes from its end nodes, so on a dense grid
+    # every increment of arg F is within h (c B + 18).  Where that is below pi
+    # (B up to about 2,200, the tops of these axes included) the wrapped
+    # increments are the true ones.  The slack covers the fold's rounding, a
+    # relative 2^-52 |z| / Im z < 3e-10 in j, whose argument counts twelve times
+    radius = math.exp(log_radius)
+    ends = (centre + radius, centre - radius)
+    axis = winding._Axis(*(ends[::-1] if reversed_ else ends), length=12.0, balance=0.0)
+    t = np.linspace(-6.0, 6.0, 60001)
+    z, dz = axis.at(t)
+    z_red, j, tail = winding._delta_series(z)
+    arg_f = winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)
+    inc = np.abs(winding._wrap(np.diff(arg_f)))
+    assert np.all(inc <= turn_bound(t, np.stack([arg_f, z_red.imag])) + 1e-8)
+
+
 class TestSeriesTables:
     def test_delta_leading_coefficients(self):
         # Delta/q = 1 - 24q + 252q^2 - 1472q^3 + ...
@@ -375,6 +423,13 @@ class TestSeriesTables:
 
     def test_e2_coefficients(self):
         assert E2HOL_SERIES[:4] == (1, -24, -72, -96)
+
+    def test_e2_rate_is_the_series_bound_rounded_up(self):
+        # 2 pi sum |c_n| |q|^n of E2 at the largest |q| after the fold, from
+        # a 60-term table, so the tail past SERIES_TERMS is inside it too
+        q = math.exp(-math.pi * math.sqrt(3.0))
+        bound = 2 * math.pi * sum(24 * winding._sigma1(n) * q**n for n in range(1, 61))
+        assert 2 * math.pi + bound < winding._E2_RATE <= 2 * math.pi + bound + 1e-4
 
     def test_series_terms_is_the_least_count_below_the_bound(self):
         # tails sum |c_n| |q|^n over n > terms at the largest |q| after the fold,
@@ -681,9 +736,11 @@ class TestWindingIndex:
     def test_step_refinement_stable(self, monkeypatch):
         gammas = [word_to_matrix(w) for w in ((1, 2), (3, 7), (1, 1, 2, 3))]
         coarse = [winding_index(g) for g in gammas]
-        # halve both step limits: the reported index must not depend on the grid
+        # halve the first step and double both rate terms, which halves every
+        # interval's step: the reported index must not depend on the grid
         monkeypatch.setattr(winding, "_BASE_STEP", 0.5 * winding._BASE_STEP)
-        monkeypatch.setattr(winding, "_HEIGHT_STEP", 0.5 * winding._HEIGHT_STEP)
+        monkeypatch.setattr(winding, "_E2_RATE", 2.0 * winding._E2_RATE)
+        monkeypatch.setattr(winding, "_FLAT_RATE", 2.0 * winding._FLAT_RATE)
         fine = [winding_index(g) for g in gammas]
         assert [r.index for r in fine] == [r.index for r in coarse]
         assert all(f.steps > c.steps for f, c in zip(fine, coarse))
@@ -705,10 +762,11 @@ class TestWindingIndex:
         assert e2_period(g) == pytest.approx(1.0, abs=1e-6)
 
     def test_coarse_grid_raises_at_once(self, monkeypatch):
-        # the period of (1, 60), about 8.25, in nine intervals that the
-        # height rule never splits: the argument turns 59 times over them
+        # the period of (1, 60), about 8.25, in nine intervals that a rate
+        # bound of zero never splits: the argument turns 59 times over them
         monkeypatch.setattr(winding, "_BASE_STEP", 1.0)
-        monkeypatch.setattr(winding, "_HEIGHT_STEP", 1e6)
+        monkeypatch.setattr(winding, "_E2_RATE", 0.0)
+        monkeypatch.setattr(winding, "_FLAT_RATE", 0.0)
         start = time.perf_counter()
         with pytest.raises(StepTooCoarse, match="argument jump"):
             winding_index(word_to_matrix((1, 60)))
