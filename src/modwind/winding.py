@@ -6,16 +6,17 @@ Two independent numerical routes to the same integer:
   period of the geodesic axis and counts full turns.  F is invariant under
   deck transformations, so it is literally periodic in t and the total
   argument change is an exact multiple of 2 pi up to discretisation error.
-* e2_period integrates the closed 1-form E2(z) dz along the same loop, where
-  E2 is the weight 2 completed Eisenstein series (the holomorphic q-series
-  minus 3 / (pi y)).
+* e2_period integrates the closed 1-form E2(z) dz along the same loop by the
+  periodic trapezoidal rule, where E2 is the weight 2 completed Eisenstein
+  series (the holomorphic q-series minus 3 / (pi y)).
 
 Both evaluate the forms once per round of refinement, on one numpy array of
 every point that round needs (in slices of at most _CHUNK points):
 winding_index reads arg Delta and the reduced height at each node in at most
 two rounds: |d arg F/dt| <= 6.9452 y_red + 18 (Delta'/Delta = 2 pi i E2 with
 E2*(z) dz invariant, |E2| <= 1.1054 after the fold, |z''/z'| = 1) sizes its
-one split; e2_period E2 at the Gauss-Legendre nodes of each panel it sums.
+one split; e2_period reads E2 on one uniform grid over the period, then on
+the midpoints that each doubling of that grid adds.
 Each point is folded into the standard fundamental domain first, so the
 q-series always runs at |q| <= exp(-pi sqrt(3)) where eleven terms leave a
 tail below 1e-22.  The fold carries only the point and its automorphy factor
@@ -36,7 +37,7 @@ t in [-l/2, l/2]: the largest excursion at its middle is folded by a
 translation alone, and its ends stop at y ~ R e^(-l/2), not at y ~ R e^-l.
 e2_period shifts that window so that this amplification is alike at its two
 ends, by at most as far as keeps the largest excursion whole (_axis_for);
-on long words the ends decide whether its panels meet their budget.
+on long words the ends decide whether its rounding witness meets its budget.
 """
 
 from __future__ import annotations
@@ -91,13 +92,10 @@ _CHUNK = 1 << 16
 # winding_index nodes per class: 2^19 nodes hold a cusp excursion of about
 # 116,000 turns of Delta (about 4.5 nodes per turn) in 12 MB of node arrays.
 _MAX_NODES = 1 << 19
-# e2_period panels per class.  Each accepted panel may carry an error estimate
-# of _QUAD_TOL / _MAX_PANELS, so the accepted estimates sum to at most _QUAD_TOL.
-_MAX_PANELS = 1 << 14
-_PANEL_TOL = _QUAD_TOL / _MAX_PANELS
-# Initial panel width.  Unit panels of the 16-point rule split only inside
-# excursions; 8 to 12 points on them cost more splits and lose long words.
-_PANEL_WIDTH = 1.0
+_PERIOD_STEP = 0.25  # e2_period's coarse trapezoid spacing: its first batch has 2n nodes
+# e2_period's largest rounding witness: on 243 random long words of length 20 to
+# 60 the error was at most 1.25 times it, so at most 2.5e-7 within budget.
+_ROUNDING_BUDGET = 2e-7
 
 
 def _horner(coeffs: Tuple[int, ...], q):
@@ -129,27 +127,6 @@ def _sigma1(n: int) -> int:
 # log form inside _delta_parts); E2HOL_SERIES is the holomorphic part of E2.
 DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
-
-
-def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on P_n from the Tricomi initial guesses, with P_n and its
-    derivative from the three-term recurrence.  Written out because importing
-    numpy.polynomial.legendre.leggauss adds about 1.2 MB to the peak RSS of a
-    process that only evaluates the forms.
-    """
-    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
 def _wrap(x):
@@ -256,8 +233,10 @@ def _axis_for(gamma: Mat2) -> _Axis:
     first largest digit a_k of the period, D = trace^2 - 4.
 
     The walk's first reduced state (P, Q) takes k more steps, P <- aQ - P and
-    Q <- (D - P^2) / Q, and its fixed points (P +- sqrt(D)) / Q are read with
-    P / Q and 1 / Q each rounded to a float once.  Even states are conjugates
+    Q <- (D - P^2) / Q.  Its fixed points (P +- sqrt(D)) / Q are read as
+    P / Q + (1 / Q) sqrt(D) and -Q' / (P + sqrt(D)), Q' = (D - P^2) / Q the
+    exact integer before Q: (P - sqrt(D)) / Q would keep only about
+    |alpha_bar / alpha| of the bits of alpha_bar.  Even states are conjugates
     of gamma in SL(2,Z).  At odd k the conjugate by S T^-a of the state before,
     a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
     Either way the large excursion sits at t = 0, where a translation alone
@@ -274,10 +253,10 @@ def _axis_for(gamma: Mat2) -> _Axis:
     for a in digits[:k]:
         P = a * Q - P
         Q = (D - P * P) // Q
-    p, q = P / Q, 1 / Q
+    p, q, near = P / Q, 1 / Q, -((D - P * P) // Q) / (P + root)
     if k % 2:
-        p, q = -p, -q
-    alpha, alpha_bar, ell = p + q * root, p - q * root, geodesic_length(t)
+        p, q, near = -p, -q, -near
+    alpha, alpha_bar, ell = p + q * root, near, geodesic_length(t)
     # e2_period's window [b - ell/2, b + ell/2] ends at heights of about
     # |alpha - alpha_bar| e^-(ell/2 +- b), where the fold amplifies the rounding
     # of z(t) by about |alpha| / Im z at the attracting end and |alpha_bar| / Im z
@@ -369,59 +348,48 @@ def winding_index(gamma: Mat2) -> WindingResult:
     return WindingResult(index=index, residual=residual, steps=inc.size)
 
 
-def e2_period(gamma: Mat2) -> float:
-    """Period of the closed 1-form E2(z) dz over one loop of the axis.
+def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
+    """(period, rounding witness) of E2(z) dz over one loop of the axis of gamma.
 
-    Adaptive 16-point Gauss-Legendre panels over the window centred at
-    axis.balance, at most _PANEL_WIDTH wide at the start, and one batch of
-    evaluations per round: the first round sums every initial panel whole
-    and halved, each later round both halves of every panel still open.  A
-    panel is accepted once its halves agree with the whole to
-    _QUAD_TOL / _MAX_PANELS.  The integrand is smooth (the completed series
-    is real-analytic across fold boundaries) but turns quickly inside cusp
-    excursions, where the panels split.
+    The integrand is l-periodic and real-analytic in t, so the trapezoidal
+    rule over one period, on the window centred at axis.balance, converges
+    geometrically.  The first batch of 2n uniform nodes, n = max(4, ceil(l /
+    _PERIOD_STEP)), gives T_n (its even nodes) and T_2n; while |T_2n - T_n| >
+    _QUAD_TOL the grid doubles, one batch of midpoints a round, up to
+    _MAX_NODES.  That check sees the discretisation, not the rounding, so the
+    batches also sum the witness: the fold's relative error scale
+    2^-52 |z| / Im z times |E2(z) dz/dt|.
     """
     axis = _axis_for(gamma)
     ell = axis.length
+    lo = axis.balance - 0.5 * ell
 
-    def integrand(s):
+    def rows(s):
+        """E2(z) dz/dt and its rounding scale at each s, as two rows."""
         z, dz = axis.at(s)
-        return _e2(z) * dz
+        f = _e2(z) * dz
+        return np.stack([f, _FLOAT_SPACING * np.abs(z) / z.imag * np.abs(f)])
 
-    def panel_sums(lo, hi):
-        half = 0.5 * (hi - lo)
-        t = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
-        f = _in_chunks(integrand, t.ravel())
-        return half * (f.reshape(t.shape) * _GL_WEIGHTS).sum(axis=1)
+    # at most 11,360 nodes: the axis refuses a trace past the float range
+    nodes = 2 * max(4, math.ceil(ell / _PERIOD_STEP))
+    h = ell / nodes
+    first = _in_chunks(rows, lo + h * np.arange(nodes))
+    coarse, sums = 2.0 * h * first[0, ::2].sum(), h * first.sum(axis=1)
+    while abs(sums[0] - coarse) > _QUAD_TOL:
+        if 2 * nodes > _MAX_NODES:
+            raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
+        mid = _in_chunks(rows, lo + h * (np.arange(nodes) + 0.5))
+        coarse, sums = sums[0], 0.5 * (sums + h * mid.sum(axis=1))
+        nodes, h = 2 * nodes, 0.5 * h
+    return sums[0], sums[1].real
 
-    pieces = max(4, math.ceil(ell / _PANEL_WIDTH))
-    if pieces > _MAX_PANELS:
-        raise QuadratureFailure(f"{pieces} panels needed (cap {_MAX_PANELS}) for {gamma}")
-    edges = np.linspace(axis.balance - 0.5 * ell, axis.balance + 0.5 * ell, pieces + 1)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    # the first round sums every panel whole and halved in one batch
-    sums = panel_sums(np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    whole, left, right = sums.reshape(3, pieces)
-    total = 0j
-    accepted = 0
-    while True:
-        done = np.abs(left + right - whole) <= _PANEL_TOL
-        total += (left[done] + right[done]).sum()
-        accepted += int(done.sum())
-        split = ~done
-        if accepted + 2 * int(split.sum()) > _MAX_PANELS:
-            raise QuadratureFailure(
-                f"error estimate above {_PANEL_TOL:.1e} on over {_MAX_PANELS} panels for {gamma}"
-            )
-        if done.all():
-            break
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        whole = np.concatenate([left[split], right[split]])
-        mid = 0.5 * (lo + hi)
-        halves = panel_sums(np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = halves.reshape(2, lo.size)
+
+def e2_period(gamma: Mat2) -> float:
+    """Period of the closed 1-form E2(z) dz over one loop of the axis (_trapezoid),
+    refused when its rounding witness is above _ROUNDING_BUDGET."""
+    total, witness = _trapezoid(gamma)
+    if witness > _ROUNDING_BUDGET:
+        raise QuadratureFailure(f"rounding witness {witness:.1e} above budget for {gamma}")
     if abs(total.imag) > 1e-6:
         raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
     return total.real

@@ -260,8 +260,9 @@ class TestFixedPoints:
 
     def test_matches_rounded_exact_parts(self):
         # p + q sqrt(D) with the rationals p = (a - d)/(2c) and q = 1/(2c) of that
-        # conjugate each rounded to a float once, bit for bit; a third of the
-        # words carry a digit of 2^60 and more
+        # conjugate each rounded to a float once, and -2b / (a - d + sqrt(D)), the
+        # other fixed point without the cancellation of p - q sqrt(D), bit for
+        # bit; a third of the words carry a digit of 2^60 and more
         rng = random.Random(41)
         for i in range(2000):
             w = [rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3))]
@@ -276,7 +277,7 @@ class TestFixedPoints:
             q = float(Fraction(1, 2 * g.c))
             root = math.sqrt(g.trace**2 - 4)
             axis = winding._axis_for(word_to_matrix(tuple(w)))
-            assert (axis.alpha, axis.alpha_bar) == (p + q * root, p + -q * root)
+            assert (axis.alpha, axis.alpha_bar) == (p + q * root, -2 * g.b / (g.a - g.d + root))
 
     def test_parabolic_rejected(self):
         with pytest.raises(NotHyperbolic):

@@ -294,6 +294,11 @@ class TestPredictedPiN:
         assert partial == sorted(partial)
         assert 0.80 < partial[-1] / target < 1.0
 
+    def test_gauss_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert np.abs(stats._GL_NODES - nodes).max() < 1e-15
+        assert np.abs(stats._GL_WEIGHTS - weights).max() < 1e-15
+
     def test_domain_guard(self):
         for T in (1.0, 1e9, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modwind import winding
-from modwind.errors import CapExceeded, NonPositiveImaginary, NotHyperbolic, StepTooCoarse
+from modwind.errors import (
+    CapExceeded,
+    NonPositiveImaginary,
+    NotHyperbolic,
+    QuadratureFailure,
+    StepTooCoarse,
+)
 from modwind.geodesics import _reduced_cycle, word_to_matrix
 from modwind.matrices import Mat2, S, T, geodesic_length
 from modwind.rademacher import psi, psi_cf
@@ -23,6 +30,20 @@ from modwind.winding import (
     e2_period,
     winding_index,
 )
+
+
+def long_words(L, count):
+    """count words with digits 1..9 from random.Random(2026), each grown pair by
+    pair until its geodesic length reaches L: the survey behind the long-word
+    frontier that README and ROADMAP quote."""
+    rng = random.Random(2026)
+    words = []
+    for _ in range(count):
+        w = ()
+        while not w or geodesic_length(word_to_matrix(w).trace) < L:
+            w += (rng.randint(1, 9), rng.randint(1, 9))
+        words.append(w)
+    return words
 
 
 def top_conjugate(gamma):
@@ -149,7 +170,7 @@ class TestBatchedLayer:
 
     @pytest.mark.parametrize("form", ["e2", "arg_delta"])
     def test_batch_composition(self, form):
-        # e2_period sums its first round's whole and halved panels in one
+        # e2_period sums its first grid's coarse and fine trapezoid rules from one
         # batch: a point's value must not depend on the points batched with it
         fn = {
             "e2": winding._e2,
@@ -200,11 +221,6 @@ class TestBatchedLayer:
             assert abs(z_red[k] - ref_z) / ref_z.imag <= scale
             assert abs(j[k] - ref_j) / abs(ref_j) <= scale
 
-    def test_gauss_legendre_rule(self):
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert np.abs(winding._GL_NODES - nodes).max() < 1e-15
-        assert np.abs(winding._GL_WEIGHTS - weights).max() < 1e-15
-
 
 class TestOneEvaluationPerRound:
     @staticmethod
@@ -221,13 +237,13 @@ class TestOneEvaluationPerRound:
         return sizes
 
     def test_e2_period_first_round_is_one_batch(self, monkeypatch):
-        # every panel of (1, 2) is accepted in the first round, which sums
-        # each initial panel whole and halved: 48 nodes a panel, one call
+        # (1, 2) converges on the first grid: its 2n nodes, n = max(4, ceil(l / 0.25)),
+        # give both trapezoid sums from one call
         sizes = self.counted(monkeypatch, "_e2")
         g = word_to_matrix((1, 2))
         assert e2_period(g) == pytest.approx(-1.0, abs=1e-6)
-        panels = max(4, math.ceil(geodesic_length(g.trace) / winding._PANEL_WIDTH))
-        assert sizes == [48 * panels]
+        n = max(4, math.ceil(geodesic_length(g.trace) / winding._PERIOD_STEP))
+        assert sizes == [2 * n]
 
     def test_winding_index_one_delta_batch(self, monkeypatch):
         sizes = self.counted(monkeypatch, "_delta_series")
@@ -235,13 +251,22 @@ class TestOneEvaluationPerRound:
         assert sizes == [res.steps + 1]
 
     def test_refinement_adds_batches(self, monkeypatch):
-        # (1, 200, 1, 300): the excursion of 200 sits low on the axis of 300
         delta = self.counted(monkeypatch, "_delta_series")
-        e2 = self.counted(monkeypatch, "_e2")
         res = winding_index(word_to_matrix((1, 60)))
         assert len(delta) >= 2 and sum(delta) == res.steps + 1
-        e2_period(word_to_matrix((1, 200, 1, 300)))
-        assert len(e2) >= 2 and all(size % 32 == 0 for size in e2[1:])
+        # the cusp excursion of (1, 10**7) doubles e2_period's grid: each later
+        # batch is the midpoint after each node of the uniform grid so far
+        batches = recorded_batches(monkeypatch)
+        g = word_to_matrix((1, 10**7))
+        assert e2_period(g) == pytest.approx(psi_cf((1, 10**7)), abs=1e-6)
+        (grid, _), *later = batches
+        assert len(later) >= 2
+        for t, _ in later:
+            grid = np.sort(grid)
+            h = geodesic_length(g.trace) / grid.size
+            assert np.abs(np.diff(grid) - h).max() < 1e-12
+            assert t.size == grid.size and np.abs(t - (grid + 0.5 * h)).max() < 1e-12
+            grid = np.concatenate([grid, t])
 
     @pytest.mark.parametrize(
         "w", [(1, 60), (3, 200), (1, 3000)], ids=lambda w: "-".join(map(str, w))
@@ -576,9 +601,9 @@ class TestAxis:
 
     def test_axis_is_the_fixed_points_of_the_reduced_state(self):
         # (a - d +- sqrt(D)) / 2c of the top conjugate, (P +- sqrt(D)) / Q of the walk's
-        # state k or their negatives, with the rationals (a - d) / 2c and 1 / 2c each
-        # rounded to a float once, bit for bit; a third of the conjugates are
-        # shifted by T^(2^60) and more
+        # state k or their negatives: the first with the rationals (a - d) / 2c and
+        # 1 / 2c each rounded to a float once, the second as -2b / (a - d + sqrt(D)),
+        # bit for bit; a third of the conjugates are shifted by T^(2^60) and more
         rng = random.Random(41)
         odd = 0
         for i in range(2000):
@@ -592,7 +617,7 @@ class TestAxis:
             p, q = float(Fraction(g.a - g.d, 2 * g.c)), float(Fraction(1, 2 * g.c))
             root = math.sqrt(gamma.trace**2 - 4)
             axis = winding._axis_for(gamma)
-            assert (axis.alpha, axis.alpha_bar) == (p + q * root, p - q * root)
+            assert (axis.alpha, axis.alpha_bar) == (p + q * root, -2 * g.b / (g.a - g.d + root))
         assert 500 < odd < 1500
 
     def test_golden_ratio_axis(self):
@@ -668,6 +693,23 @@ class TestAxis:
         assert period == pytest.approx(psi(g), abs=1e-6)
         assert winding_index(g.inverse()).index == -index
         assert e2_period(g.inverse()) == pytest.approx(-period, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "w",
+        [(1, 2), (3, 200), (5, 300, 7, 9000), (2, 9, 2, 8, 6, 7, 1, 5, 9, 1, 7, 4)],
+        ids=lambda w: "-".join(map(str, w)),
+    )
+    def test_fixed_points_within_a_few_float_spacings(self, w):
+        # |alpha_bar| is far below |alpha| on these axes: read as a difference of
+        # two floats near alpha / 2 it lost most of its bits
+        g, _ = top_conjugate(word_to_matrix(w))
+        axis = winding._axis_for(word_to_matrix(w))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = Decimal(g.trace * g.trace - 4).sqrt()
+            exact = [(g.a - g.d + sign * root) / (2 * g.c) for sign in (1, -1)]
+        for got, ref in zip((axis.alpha, axis.alpha_bar), exact):
+            assert abs(Decimal(got) - ref) <= Decimal(2) ** -50 * abs(ref)
 
     def test_e2_window_balances_its_ends(self):
         # uncapped on a long word: the fold's amplification |z| / Im z is alike at
@@ -804,13 +846,58 @@ class TestE2Period:
 
     @pytest.mark.parametrize(
         "w",
-        [(1, 8000), (8000, 1), (1, 20000), (1, 100000), (1, 3, 1, 8000)],
+        [(1, 8000), (8000, 1), (1, 20000), (1, 100000), (1, 3, 1, 8000), (1, 10**6)],
         ids=lambda w: "-".join(map(str, w)),
     )
     def test_one_large_entry(self, w):
         # the large excursion at the top of the axis folds by a translation alone;
         # low on the axis its rounding refused (1, 8000)
         assert e2_period(word_to_matrix(w)) == pytest.approx(psi_cf(w), abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "w",
+        [(5, 300, 7, 9000), (5, 1000, 7, 4000), (2, 2000, 3, 20000), (2, 5000, 3, 9000)],
+        ids=lambda w: "-".join(map(str, w)),
+    )
+    def test_two_large_entries(self, w):
+        # the second excursion sits low on the axis, near the repelling fixed point:
+        # read as (P - sqrt(D)) / Q, its rounding put the first three 3.3e-6 to
+        # 4.3e-5 off, and the last was refused
+        assert e2_period(word_to_matrix(w)) == pytest.approx(psi_cf(w), abs=1e-6)
+
+    # long words at L = 36 to 40 (the first at 40 is also the first at 36): five
+    # are computed, three refused by the witness and one by the node cap
+    SLICE = long_words(36, 5)[1:] + long_words(40, 5)
+
+    def test_rounding_witness_bounds_the_error(self):
+        # the witness sums the fold's error scale; on random long words the error
+        # was at most 1.25 times it, and a word is refused exactly when it is above
+        # budget
+        checked = refused = 0
+        for w in self.SLICE:
+            g = word_to_matrix(w)
+            try:
+                total, witness = winding._trapezoid(g)
+            except QuadratureFailure:
+                continue
+            checked += 1
+            assert abs(total.real - psi_cf(w)) <= 2.0 * witness
+            if witness > winding._ROUNDING_BUDGET:
+                refused += 1
+                with pytest.raises(QuadratureFailure, match="rounding witness"):
+                    e2_period(g)
+            else:
+                assert e2_period(g) == total.real
+        assert (checked, refused) == (8, 3)
+
+    def test_refuse_never_wrong(self):
+        outcomes = set()
+        for w in self.SLICE:
+            try:
+                outcomes.add(abs(e2_period(word_to_matrix(w)) - psi_cf(w)) <= 1e-6)
+            except QuadratureFailure:
+                outcomes.add("refused")
+        assert outcomes == {True, "refused"}
 
 
 # Words longer than the census the acceptance tests sample (T = 14); the first
