@@ -117,7 +117,7 @@ def psi_cf(word) -> int:
     """
     entries = tuple(word)
     validate_entries(entries)
-    return sum(a if i % 2 == 0 else -a for i, a in enumerate(entries))
+    return sum(entries[::2]) - sum(entries[1::2])
 
 
 def s_symbol(gamma: Mat2) -> int:

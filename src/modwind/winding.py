@@ -32,12 +32,12 @@ points are past the float range is refused before the walk.
 
 The integrands are l-periodic, so any window of length l gives the same
 total, but the fold amplifies the rounding error of z(t) by about
-|z| / Im z.  winding_index integrates over the centred window
-t in [-l/2, l/2]: the largest excursion at its middle is folded by a
-translation alone, and its ends stop at y ~ R e^(-l/2), not at y ~ R e^-l.
-e2_period shifts that window so that this amplification is alike at its two
-ends, by at most as far as keeps the largest excursion whole (_axis_for);
-on long words the ends decide whether its rounding witness meets its budget.
+|z| / Im z.  Both routes integrate over one window, t in [b - l/2, b + l/2]
+with b the axis's balance (_axis_for): b makes this amplification alike at
+the two ends, capped so that the largest excursion stays whole in the
+middle, where a translation alone folds it.  On long words the ends decide
+the residual of winding_index and whether the rounding witness of
+e2_period meets its budget.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class _Axis:
     alpha: float
     alpha_bar: float
     length: float
-    balance: float  # the centre of e2_period's window, see _axis_for
+    balance: float  # the centre of both routes' window, see _axis_for
 
     def at(self, t):
         """(z(t), dz/dt) at a float t or at each entry of an array t."""
@@ -240,7 +240,7 @@ def _axis_for(gamma: Mat2) -> _Axis:
     of gamma in SL(2,Z).  At odd k the conjugate by S T^-a of the state before,
     a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
     Either way the large excursion sits at t = 0, where a translation alone
-    folds it.  The axis also carries the centre of e2_period's window.
+    folds it.  The axis also carries the centre of both routes' window.
     """
     t = gamma.trace
     try:
@@ -257,7 +257,7 @@ def _axis_for(gamma: Mat2) -> _Axis:
     if k % 2:
         p, q, near = -p, -q, -near
     alpha, alpha_bar, ell = p + q * root, near, geodesic_length(t)
-    # e2_period's window [b - ell/2, b + ell/2] ends at heights of about
+    # the routes' window [b - ell/2, b + ell/2] ends at heights of about
     # |alpha - alpha_bar| e^-(ell/2 +- b), where the fold amplifies the rounding
     # of z(t) by about |alpha| / Im z at the attracting end and |alpha_bar| / Im z
     # at the other.  b = 0.5 log |alpha_bar / alpha| makes the two alike, with
@@ -319,7 +319,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     intervals = math.ceil(ell / _BASE_STEP)
     if intervals + 1 > _MAX_NODES:
         raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
-    t = np.linspace(-0.5 * ell, 0.5 * ell, intervals + 1)
+    t = np.linspace(axis.balance - 0.5 * ell, axis.balance + 0.5 * ell, intervals + 1)
     values = _in_chunks(arg_f, t)
     h, y = np.diff(t), values[1]
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
@@ -352,13 +352,13 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     """(period, rounding witness) of E2(z) dz over one loop of the axis of gamma.
 
     The integrand is l-periodic and real-analytic in t, so the trapezoidal
-    rule over one period, on the window centred at axis.balance, converges
-    geometrically.  The first batch of 2n uniform nodes, n = max(4, ceil(l /
-    _PERIOD_STEP)), gives T_n (its even nodes) and T_2n; while |T_2n - T_n| >
-    _QUAD_TOL the grid doubles, one batch of midpoints a round, up to
-    _MAX_NODES.  That check sees the discretisation, not the rounding, so the
-    batches also sum the witness: the fold's relative error scale
-    2^-52 |z| / Im z times |E2(z) dz/dt|.
+    rule over one period, on the routes' window centred at axis.balance,
+    converges geometrically.  The first batch of 2n uniform nodes,
+    n = max(4, ceil(l / _PERIOD_STEP)), gives T_n (its even nodes) and T_2n;
+    while |T_2n - T_n| > _QUAD_TOL the grid doubles, one batch of midpoints a
+    round, up to _MAX_NODES.  That check sees the discretisation, not the
+    rounding, so the batches also sum the witness: the fold's relative error
+    scale 2^-52 |z| / Im z times |E2(z) dz/dt|.
     """
     axis = _axis_for(gamma)
     ell = axis.length

@@ -713,7 +713,7 @@ class TestAxis:
 
     def test_e2_window_balances_its_ends(self):
         # uncapped on a long word: the fold's amplification |z| / Im z is alike at
-        # both ends of e2_period's window, 0.5 log |alpha_bar / alpha| from t = 0
+        # both ends of the routes' window, 0.5 log |alpha_bar / alpha| from t = 0
         axis = winding._axis_for(word_to_matrix((2, 9, 2, 8, 6, 7, 1, 5, 9, 1, 7, 4)))
         balance = 0.5 * math.log(abs(axis.alpha_bar / axis.alpha))
         assert axis.balance == pytest.approx(balance, abs=1e-12)
@@ -733,12 +733,33 @@ class TestAxis:
         ids=lambda w: "-".join(map(str, w)),
     )
     def test_e2_window_keeps_the_top_excursion_whole(self, w):
-        # neither end of e2_period's window lies above height 1, so the largest
+        # neither end of the routes' window lies above height 1, so the largest
         # excursion is integrated whole at the top, where a translation folds it
         axis = winding._axis_for(word_to_matrix(w))
         for side in (-1, 1):
             z, _ = axis.at(axis.balance + 0.5 * side * axis.length)
             assert z.imag <= 1.0 + 1e-12
+
+    def test_routes_share_one_window(self, monkeypatch):
+        # both routes read the window [b - l/2, b + l/2] from the axis; b is
+        # uncapped and away from 0 on this word
+        w = (2, 9, 2, 8, 6, 7, 1, 5, 9, 1, 7, 4)
+        axis = winding._axis_for(word_to_matrix(w))
+        assert abs(axis.balance) > 0.1
+        at, calls = winding._Axis.at, []
+
+        def recording(self, t):
+            calls.append(np.atleast_1d(t))
+            return at(self, t)
+
+        monkeypatch.setattr(winding._Axis, "at", recording)
+        winding_index(word_to_matrix(w))
+        first = calls[0]
+        assert first[0] == pytest.approx(axis.balance - 0.5 * axis.length, abs=1e-12)
+        assert first[-1] == pytest.approx(axis.balance + 0.5 * axis.length, abs=1e-12)
+        calls.clear()
+        e2_period(word_to_matrix(w))
+        assert calls[0][0] == pytest.approx(axis.balance - 0.5 * axis.length, abs=1e-12)
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
@@ -864,6 +885,29 @@ class TestE2Period:
         # read as (P - sqrt(D)) / Q, its rounding put the first three 3.3e-6 to
         # 4.3e-5 off, and the last was refused
         assert e2_period(word_to_matrix(w)) == pytest.approx(psi_cf(w), abs=1e-6)
+
+    @staticmethod
+    def assert_index_close(w, tol):
+        res = winding_index(word_to_matrix(w))
+        assert res.index == psi_cf(w) and res.residual < tol, (w, res)
+
+    def test_two_large_entries_index(self):
+        # on the balanced window the residual is about that of e2_period; on the
+        # window centred at t = 0, whose ends sit lower on the axis, it was 6.3e-5
+        self.assert_index_close((2, 5000, 3, 9000), 1e-7)
+
+    def test_seeded_two_large_entries_index(self):
+        # five of these were above 1e-6 (at most 7.0e-6) on the centred window
+        rng = random.Random(5)
+        for x, y in ((2, 3), (1, 1), (5, 7)):
+            for _ in range(4):
+                a, b = int(10 ** rng.uniform(2.5, 3.7)), int(10 ** rng.uniform(2.7, 4.3))
+                self.assert_index_close((x, a, y, b), 1e-7)
+
+    def test_long_words_at_50_index(self):
+        # on the centred window one was refused and the worst residual was 1.4e-4
+        for w in long_words(50, 20):
+            self.assert_index_close(w, 1e-4)
 
     # long words at L = 36 to 40 (the first at 40 is also the first at 36): five
     # are computed, three refused by the witness and one by the node cap
