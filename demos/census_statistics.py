@@ -25,7 +25,8 @@ print(f"  {len(records)} classes, largest trace {records[-1].trace}")
 
 # prime geodesic theorem: the length sum tracks e^T and the raw count
 # tracks li(e^T)
-length_sum = float(records.length.sum())
+_, _, count, length = records.counts()
+length_sum = float(count @ length)
 print(f"\nsum of lengths / e^T      = {length_sum / math.exp(T):.4f}")
 print(f"class count / li(e^T)     = {len(records) / li(math.exp(T)):.4f}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -50,10 +51,10 @@ MAX_LENGTH_BOUND = 20.0
 # A census is refused up front when its estimated peak memory exceeds this,
 # which admits T up to about 17.98.
 CENSUS_MEMORY_BUDGET = 512 * 2**20
-# Peak memory growth per class of a census and its statistics: 91 B at
+# Peak memory growth per class of a census and its statistics: 82 B at
 # T = 15, 83 B at T = 17 and 76 B at T = 17.98, measured in fresh processes
-# (114, 108 and 101 B while the statistics read per-class columns), plus room
-# for the longer words of larger T.
+# (the walk's own peak sets the last two), plus room for the longer words of
+# larger T.
 _CENSUS_BYTES_PER_CLASS = 140
 _LENGTH_SLACK = 1e-12
 # The row bounds are int32, so a census holds at most this many digits.
@@ -66,11 +67,15 @@ _EULER_GAMMA = 0.5772156649015329
 
 
 def validate_entries(entries: Sequence[int]) -> None:
+    """Refuse a word of odd or zero length, with a non-integral entry, or with an entry < 1."""
     if len(entries) % 2 != 0 or len(entries) == 0:
         raise OddLength(f"word length {len(entries)} is not a positive even number")
-    for a in entries:
-        if a < 1:
-            raise NonPositiveEntry(f"entry {short_int(a)} < 1")
+    try:
+        for a in entries:
+            if index(a) < 1:
+                raise NonPositiveEntry(f"entry {short_int(index(a))} < 1")
+    except TypeError:
+        raise DomainError("word entries must be integers") from None
 
 
 def _least_even_rotation(entries: Tuple[int, ...]) -> Tuple[int, int]:
@@ -116,11 +121,20 @@ class CyclicWord:
         return iter(self.entries)
 
 
+def _canonical_word(entries: Tuple[int, ...]) -> CyclicWord:
+    """CyclicWord(entries) without its checks, for entries that this module has
+    validated and put in least even rotation."""
+    word = object.__new__(CyclicWord)
+    object.__setattr__(word, "entries", entries)
+    return word
+
+
 def canonical_form(entries: Sequence[int]) -> CyclicWord:
     """Canonical representative: lexicographically minimal even rotation."""
     entries = tuple(entries)
+    validate_entries(entries)
     k, _ = _least_even_rotation(entries)
-    return CyclicWord(entries[k:] + entries[:k])
+    return _canonical_word(entries[k:] + entries[:k])
 
 
 def is_primitive(word) -> bool:
@@ -190,7 +204,7 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     if (p + s, p - s, 2 * r) != (t, P, Q) or period != len(cycle):
         # the walk's product is then a proper power of the cycle product
         raise NotPrimitive(f"{gamma} is a proper power")
-    return CyclicWord(tuple(cycle[k:] + cycle[:k]))
+    return _canonical_word(tuple(cycle[k:] + cycle[:k]))
 
 
 @dataclass(frozen=True)
@@ -297,23 +311,25 @@ class Census(Sequence):
     """Every class of a census, stored as columns in (trace, word) order.
 
     Row i is the class with entries digits[start[i]:stop[i]], matrix trace
-    trace[i], length length[i] and winding number psi[i].  This class is
-    the only reader of that row layout: rows() yields each row as Python
-    values, and indexing and iteration build a GeodesicRecord view of a row
-    on each access; no per-row object is stored.  The columns are read-only,
-    so the count table that counts() keeps cannot go stale.
+    trace[i], length _lengths[trace[i] - 3] and winding number psi[i]: the
+    length depends on the trace alone, so it is kept once a trace.  This
+    class is the only reader of that row layout: rows() yields each row as
+    Python values, and indexing and iteration build a GeodesicRecord view of
+    a row on each access; no per-row object is stored.  The columns are
+    read-only, so the count table that counts() keeps cannot go stale.
     """
 
-    __slots__ = ("trace", "psi", "length", "start", "stop", "digits", "_counts")
+    __slots__ = ("trace", "psi", "start", "stop", "digits", "_lengths", "_counts")
 
-    def __init__(self, trace, psi, length, start, stop, digits):
+    def __init__(self, trace, psi, start, stop, digits):
         self.trace = trace  # int64
         self.psi = psi  # int64
-        self.length = length  # float64
         self.start = start  # int32 row bounds into digits
         self.stop = stop
         self.digits = digits  # int32, the words of all rows
-        for column in (trace, psi, length, start, stop, digits):
+        top = int(trace[-1]) if len(trace) else 2
+        self._lengths = np.array([geodesic_length(t) for t in range(3, top + 1)], dtype=np.float64)
+        for column in (trace, psi, start, stop, digits, self._lengths):
             column.setflags(write=False)
         self._counts = None
 
@@ -326,17 +342,17 @@ class Census(Sequence):
             raise IndexError(f"row {i} of a census of {n}")
         i %= n
         return GeodesicRecord(
-            word=CyclicWord(tuple(self.digits[self.start[i] : self.stop[i]].tolist())),
+            word=_canonical_word(tuple(self.digits[self.start[i] : self.stop[i]].tolist())),
             trace=int(self.trace[i]),
-            length=float(self.length[i]),
+            length=float(self._lengths[self.trace[i] - 3]),
             psi=int(self.psi[i]),
         )
 
     def rows(self) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
         """Every row as Python values (entries, trace, length, psi), in order.
 
-        Each chunk of rows gathers its digits with one numpy take, so no
-        per-row view or numpy slice is built.
+        Each chunk of rows gathers its digits and its lengths with one numpy
+        take each, so no per-row view or numpy slice is built.
         """
         for lo in range(0, len(self), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
@@ -350,7 +366,7 @@ class Census(Sequence):
             for end, trace, length, psi in zip(
                 ends.tolist(),
                 self.trace[lo:hi].tolist(),
-                self.length[lo:hi].tolist(),
+                self._lengths[self.trace[lo:hi] - 3].tolist(),
                 self.psi[lo:hi].tolist(),
             ):
                 yield tuple(flat[begin:end]), trace, length, psi
@@ -358,13 +374,13 @@ class Census(Sequence):
 
     def __iter__(self) -> Iterator[GeodesicRecord]:
         for entries, trace, length, psi in self.rows():
-            yield GeodesicRecord(CyclicWord(entries), trace, length, psi)
+            yield GeodesicRecord(_canonical_word(entries), trace, length, psi)
 
     def counts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The (trace, psi) count table of the census, built on the first call
         and kept: see _count_table."""
         if self._counts is None:
-            self._counts = _count_table(self.trace, self.psi, self.length)
+            self._counts = _count_table(self.trace, self.psi, self._lengths)
         return self._counts
 
     def rows_with_entry_at_least(self, bound: int) -> np.ndarray:
@@ -374,23 +390,19 @@ class Census(Sequence):
         return np.flatnonzero(count[self.stop] > count[self.start])
 
 
-def _count_table(trace, psi, length):
+def _count_table(trace, psi, lengths):
     """Columns (trace, psi, count, length) with one row per distinct (trace, psi)
     of classes given in trace order, sorted by (trace, psi): the number of
-    classes with that pair, and the length of that trace.  The columns are
-    read-only.
+    classes with that pair, and the length of that trace, read from lengths,
+    which holds the length of trace t at t - 3.  The columns are read-only.
 
     One sort of the keys (trace - 3) W + psi - lo, where lo is the least psi
-    and W the spread of psi, finds the pairs.  The length is the classes' own
-    float for the trace, so every statistic reads the lengths they carry.
+    and W the spread of psi, finds the pairs.
     """
     if len(trace):
         lo = int(psi.min())
         width = int(psi.max()) - lo + 1
         top = int(trace[-1])
-        # the length of each trace, at the trace
-        by_trace = np.empty(top + 1)
-        by_trace[trace] = length
         # int32 keys sort faster; int64 once the keys pass int32
         keys = trace.astype(np.int32 if (top - 2) * width <= np.iinfo(np.int32).max else np.int64)
         keys -= 3
@@ -401,10 +413,10 @@ def _count_table(trace, psi, length):
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         count = np.diff(first, append=len(keys))
         keys = keys[first]
-        trace = keys // width + 3
-        trace, psi, length = trace.astype(np.int64), (keys % width + lo).astype(np.int64), by_trace[trace]
+        row = keys // width
+        trace, psi, length = (row + 3).astype(np.int64), (keys % width + lo).astype(np.int64), lengths[row]
     else:
-        count = np.zeros(0, np.int64)
+        count, length = np.zeros(0, np.int64), np.zeros(0)
     for column in (trace, psi, count, length):
         column.setflags(write=False)
     return trace, psi, count, length
@@ -557,8 +569,7 @@ def enumerate_by_trace(cap: int) -> Census:
     start = start[order]
     stop = stop[order]
     del order
-    lengths = np.array([geodesic_length(t) for t in range(3, cap + 1)], dtype=np.float64)
-    return Census(trace=trace, psi=psi, length=lengths[trace - 3], start=start, stop=stop, digits=digits)
+    return Census(trace=trace, psi=psi, start=start, stop=stop, digits=digits)
 
 
 def enumerate_geodesics(config: EnumerationConfig) -> Census:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import index
 
 from .errors import NonPositiveModulus, NotHyperbolic
 
@@ -51,7 +52,11 @@ class Mat2:
     d: int
 
     def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+        try:
+            a, b, c, d = index(self.a), index(self.b), index(self.c), index(self.d)
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
+        if a * d - b * c != 1:
             raise ValueError(f"determinant is not 1: {self}")
 
     def __repr__(self) -> str:

@@ -50,7 +50,7 @@ from .winding import e2_period, winding_index
 __all__ = ["SuiteResult", "run_all", "VERIFY_MAX_CLASSES"]
 
 # word_census checks every class of the census with the exact symbols, at
-# about 25 us a class (21-27 us at T = 14 on a 2-core x86-64 box), so run_all
+# about 25 us a class (21-26 us at T = 15.06 on a 2-core x86-64 box), so run_all
 # refuses a census estimated above this (T of about 15) before any suite runs.
 VERIFY_MAX_CLASSES = 250_000
 

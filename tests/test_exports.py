@@ -151,6 +151,48 @@ def test_only_geodesics_uses_the_walk_helpers(path):
     assert walk_helper_uses(path.read_text()) == []
 
 
+# Each word is checked once: the library builds its words with the private
+# geodesics._canonical_word after it has validated and rotated them, and the
+# checked CyclicWord(...) is left to outside callers.
+PRIVATE_WORD = "_canonical_word"
+
+
+def word_constructions(source: str) -> list:
+    """'CyclicWord' for each call of CyclicWord(...), and the private word
+    constructor's name for each place that imports or names it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "CyclicWord":
+                found.append("CyclicWord")
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(alias.name for alias in node.names if alias.name == PRIVATE_WORD)
+        elif (isinstance(node, ast.Name) and node.id == PRIVATE_WORD) or (
+            isinstance(node, ast.Attribute) and node.attr == PRIVATE_WORD
+        ):
+            found.append(PRIVATE_WORD)
+    return sorted(found)
+
+
+def test_word_construction_detected():
+    source = (
+        "CyclicWord((1, 2))\ngeodesics.CyclicWord(w)\nword = CyclicWord\n"
+        "from .geodesics import _canonical_word\ngeodesics._canonical_word(e)\n"
+        "def _canonical_word(e):\n    return e\n"
+    )
+    assert word_constructions(source) == ["CyclicWord", "CyclicWord", PRIVATE_WORD, PRIVATE_WORD]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/modwind/*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_library_builds_words_unchecked_in_geodesics_only(path):
+    found = word_constructions(path.read_text())
+    assert "CyclicWord" not in found
+    assert (PRIVATE_WORD in found) == (path.name == "geodesics.py")
+
+
 def raised_names(source: str) -> set:
     """Names of the exception classes that the source's raise statements raise."""
     names = set()

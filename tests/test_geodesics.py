@@ -253,8 +253,46 @@ class TestCanonicalForm:
             canonical_form((1, 2, 3))
         with pytest.raises(NonPositiveEntry):
             canonical_form((1, -2))
-        with pytest.raises(ValueError):
-            CyclicWord((2, 1, 1, 3))  # not the minimal even rotation
+        # the checked constructor refuses each bad word with its own error
+        for word, error in (
+            ((1, 2, 3), OddLength),
+            ((), OddLength),
+            ((1, 0), NonPositiveEntry),
+            ((2, 1, 1, 3), ValueError),  # not the minimal even rotation
+            ((1.5, 1), DomainError),
+        ):
+            with pytest.raises(error):
+                CyclicWord(word)
+
+    def test_non_integral_entries_refused(self):
+        # 2.0 is refused although it equals an int: an entry must be one
+        for word in ((2.5, 1), (1, 2.0), (1, 2, 3, "4")):
+            with pytest.raises(DomainError, match="integers"):
+                canonical_form(word)
+            with pytest.raises(DomainError, match="integers"):
+                is_primitive(word)
+
+    def test_numpy_integers_accepted(self):
+        assert canonical_form(np.array([2, 1, 1, 3])) == CyclicWord((1, 3, 2, 1))
+        with pytest.raises(NonPositiveEntry, match="entry 0 < 1"):
+            canonical_form(np.array([1, 0]))
+
+    def test_refuses_before_it_rotates(self, monkeypatch):
+        rotations = []
+
+        def spy(entries):
+            rotations.append(entries)
+            return rotate(entries)
+
+        rotate = geodesics._least_even_rotation
+        monkeypatch.setattr(geodesics, "_least_even_rotation", spy)
+        bad = (((1, 2, 3), OddLength), ((3, 1, 0, 2), NonPositiveEntry), ((3, 1, 0.5, 2), DomainError))
+        for word, error in bad:
+            with pytest.raises(error):
+                canonical_form(word)
+        assert rotations == []
+        assert canonical_form((2, 1, 1, 3)).entries == (1, 3, 2, 1)
+        assert rotations == [(2, 1, 1, 3)]
 
 
 class TestLyndonPass:
@@ -315,6 +353,12 @@ class TestWordToMatrix:
     def test_rejects_odd(self):
         with pytest.raises(OddLength):
             word_to_matrix((3,))
+
+    def test_rejects_non_integral(self):
+        # refused before a product is built or an entry is formatted
+        for word in ((1.5, 1), (2.5, 0.4)):
+            with pytest.raises(DomainError, match="integers"):
+                word_to_matrix(word)
 
 
 class TestMatrixToWord:
@@ -400,6 +444,48 @@ class TestMatrixToWord:
         assert matrix_to_word(g) == reference_matrix_to_word(g)
         for w in ((1, 100000), (3, 2, 3, 2, 3, 2, 2, 2, 3, 3, 1, 3)):
             assert matrix_to_word(word_to_matrix(w)).entries == canonical_form(w).entries
+
+
+class TestUncheckedWordsAreCanonical:
+    """Every CyclicWord the module builds without checking it again equals the
+    one that the checked constructor builds from its entries."""
+
+    @staticmethod
+    def check(word):
+        assert type(word) is CyclicWord
+        assert all(type(a) is int for a in word.entries)
+        assert word == CyclicWord(word.entries)
+
+    def test_census_rows_iteration_and_indexing(self):
+        census = enumerate_by_trace(trace_cap_for_length(12.0))
+        assert len(census) == 14904
+        for entries, _, _, _ in census.rows():
+            assert all(type(a) is int for a in entries)
+            assert CyclicWord(entries).entries == entries
+        for rec in census:
+            self.check(rec.word)
+        for i in range(len(census)):
+            self.check(census[i].word)
+
+    def test_matrix_to_word_on_conjugates(self):
+        rng = random.Random(17)
+        words = [(1, 8000), (2, 5000, 3, 9000)]
+        while len(words) < 300:
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4)))
+            if is_primitive(w):
+                words.append(w)
+        for w in words:
+            tau = verify._random_element(rng, 12)
+            g = tau @ word_to_matrix(w) @ tau.inverse()
+            word = matrix_to_word(g)
+            self.check(word)
+            assert word.entries == _min_even_rotation(w)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(1, 2**66), min_size=1, max_size=8))
+    def test_canonical_form(self, entries):
+        w = tuple(entries) * (1 + len(entries) % 2)
+        self.check(canonical_form(w))
 
 
 def is_reduced(g):
@@ -602,17 +688,15 @@ class TestCensus:
 
     def test_columns(self):
         census = enumerate_by_trace(60)
-        assert [c.dtype for c in (census.trace, census.psi, census.length)] == [
+        assert [c.dtype for c in (census.trace, census.psi, census.counts()[3])] == [
             np.int64,
             np.int64,
             np.float64,
         ]
         assert census.digits.dtype == np.int32
+        assert not hasattr(census, "length")
         # one length per trace, bit for bit the scalar formula
-        assert all(
-            length == geodesic_length(trace)
-            for trace, length in zip(census.trace.tolist(), census.length.tolist())
-        )
+        assert all(length == geodesic_length(trace) for _, trace, length, _ in census.rows())
 
     def test_row_views(self):
         census = enumerate_by_trace(30)
@@ -652,9 +736,11 @@ class TestCensus:
         # the commands (tests/test_cli.py) and the demos (tests/test_exports.py)
         # run on these read-only columns too
         census = enumerate_by_trace(30)
-        for name in ("trace", "psi", "length", "start", "stop", "digits"):
+        columns = [getattr(census, name) for name in ("trace", "psi", "start", "stop", "digits")]
+        # the lengths are read through the count table
+        for column in columns + [census.counts()[3]]:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(census, name)[0] = 1
+                column[0] = 1
         assert census.psi.tolist() == [rec.psi for rec in census]
 
     def test_empty(self):

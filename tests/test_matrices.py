@@ -61,6 +61,12 @@ class TestMat2:
         with pytest.raises(ValueError):
             Mat2(2, 0, 0, 2)
 
+    def test_non_integral_entries_refused(self):
+        # each has determinant 1, so only the entries' type refuses it
+        for entries in ((2.0, 1.0, 1.0, 1.0), (Fraction(3, 2), 1, 2, 2), (1, 0, 0, True + 0.0)):
+            with pytest.raises(ValueError, match="integers"):
+                Mat2(*entries)
+
     def test_inverse_roundtrip(self):
         rng = random.Random(11)
         for _ in range(100):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from modwind.errors import NonPositiveEntry, OddLength
+from modwind.errors import DomainError, NonPositiveEntry, OddLength
 from modwind.matrices import IDENTITY, Mat2, S, omega, sign0
 from modwind.rademacher import (
     chi_r,
@@ -163,6 +163,16 @@ class TestPsiCf:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveEntry):
             psi_cf((1, 0))
+
+    def test_rejects_non_integral(self):
+        # an alternating sum of floats is not a Rademacher symbol
+        with pytest.raises(DomainError, match="integers"):
+            psi_cf((2.5, 1))
+
+    def test_float_matrix_refused(self):
+        # its determinant is 1.0, so only the entries' type refuses it
+        with pytest.raises(ValueError, match="integers"):
+            psi(Mat2(2.0, 1.0, 1.0, 1.0))
 
 
 class TestPsiCocycle:

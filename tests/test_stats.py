@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -103,12 +104,13 @@ class TestAgainstLoops:
 
 
 # The per-class reductions the count table replaced: each reads the census's
-# psi and length columns over the classes of length <= T.
+# psi column and the length of each row over the classes of length <= T.
 
 
 def per_class_window(census, T):
     rows = int(np.searchsorted(census.trace, trace_cap_for_length(T), side="right"))
-    return census.psi[:rows], census.length[:rows]
+    length = [length for _, _, length, _ in islice(census.rows(), rows)]
+    return census.psi[:rows], np.array(length, dtype=np.float64)
 
 
 def per_class_histogram(census, T):
@@ -179,14 +181,15 @@ class TestCountTable:
         records = enumerate_geodesics(EnumerationConfig(max_length=TestLengthRule.T))
         trace, psi, count, length = records.counts()
         assert list(zip(trace.tolist(), psi.tolist(), count.tolist())) == [(3, 0, 1), (4, -1, 1), (4, 1, 1)]
-        assert length.tolist() == records.length.tolist()
+        assert length.tolist() == [length for _, _, length, _ in records.rows()]
 
     def test_keys_past_int32(self):
         # (trace - 2) W = 99,999 * 40,001 passes int32: the keys sort as int64
         trace = np.array([3, 3, 100_001, 100_001, 100_001])
         psi = np.array([20_000, -20_000, 20_000, 0, 20_000])
-        length = np.array([geodesic_length(t) for t in trace.tolist()])
-        table = geodesics._count_table(trace, psi, length)
+        # the length of trace t at t - 3
+        lengths = np.array([geodesic_length(t) for t in range(3, 100_002)])
+        table = geodesics._count_table(trace, psi, lengths)
         assert [column.tolist() for column in table] == [
             [3, 3, 100_001, 100_001],
             [-20_000, 20_000, 0, 20_000],
