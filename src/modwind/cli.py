@@ -81,7 +81,7 @@ def _parse_gamma(matrix_text: Optional[str], word_text: Optional[str]) -> Mat2:
         raise click.UsageError(f"bad {what}: {exc}")
     if word_text is not None:
         try:
-            validate_entries(ints)
+            ints = validate_entries(ints)
             # the product's first entry is at least the product of the digits
             # and at least the Fibonacci number F(n + 1) > phi^(n - 1), so a
             # long word is refused before it is rotated or multiplied out

@@ -26,7 +26,7 @@ from .errors import (
     NotPrimitive,
     OddLength,
 )
-from .matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked, short_int
+from .matrices import Mat2, geodesic_length, short_int
 
 __all__ = [
     "CyclicWord",
@@ -66,16 +66,22 @@ _ROWS_PER_CHUNK = 4096
 _EULER_GAMMA = 0.5772156649015329
 
 
-def validate_entries(entries: Sequence[int]) -> None:
-    """Refuse a word of odd or zero length, with a non-integral entry, or with an entry < 1."""
+def validate_entries(entries: Sequence[int]) -> Tuple[int, ...]:
+    """The entries as a tuple of Python ints, a CyclicWord's as they are (checked when it
+    was built); refuses odd or zero length, then the first non-integral or < 1 entry."""
+    if isinstance(entries, CyclicWord):
+        return entries.entries
     if len(entries) % 2 != 0 or len(entries) == 0:
         raise OddLength(f"word length {len(entries)} is not a positive even number")
+    ints = []
     try:
-        for a in entries:
-            if index(a) < 1:
-                raise NonPositiveEntry(f"entry {short_int(index(a))} < 1")
+        for a in map(index, entries):
+            if a < 1:
+                raise NonPositiveEntry(f"entry {short_int(a)} < 1")
+            ints.append(a)
     except TypeError:
         raise DomainError("word entries must be integers") from None
+    return tuple(ints)
 
 
 def _least_even_rotation(entries: Tuple[int, ...]) -> Tuple[int, int]:
@@ -113,9 +119,10 @@ class CyclicWord:
     entries: Tuple[int, ...]
 
     def __post_init__(self):
-        validate_entries(self.entries)
-        if _least_even_rotation(self.entries)[0]:
+        entries = validate_entries(self.entries)
+        if _least_even_rotation(entries)[0]:
             raise ValueError(f"{self.entries} is not in canonical rotation")
+        object.__setattr__(self, "entries", entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -131,8 +138,7 @@ def _canonical_word(entries: Tuple[int, ...]) -> CyclicWord:
 
 def canonical_form(entries: Sequence[int]) -> CyclicWord:
     """Canonical representative: lexicographically minimal even rotation."""
-    entries = tuple(entries)
-    validate_entries(entries)
+    entries = validate_entries(entries)
     k, _ = _least_even_rotation(entries)
     return _canonical_word(entries[k:] + entries[:k])
 
@@ -142,8 +148,7 @@ def is_primitive(word) -> bool:
 
     Doubled odd blocks are primitive; they encode the inert geodesics.
     """
-    entries = tuple(word)
-    validate_entries(entries)
+    entries = validate_entries(word)
     return _least_even_rotation(entries)[1] == len(entries)
 
 
@@ -156,9 +161,7 @@ def _word_product_entries(entries: Sequence[int]) -> Tuple[int, int, int, int]:
 
 def word_to_matrix(word) -> Mat2:
     """Product of the factors (a 1; 1 0) over the word entries."""
-    entries = tuple(word)
-    validate_entries(entries)
-    return Mat2(*_word_product_entries(entries))
+    return Mat2(*_word_product_entries(validate_entries(word)))
 
 
 def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
@@ -177,7 +180,7 @@ def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
     if t <= 2:
         raise NotHyperbolic(f"trace {short_int(t)} (need trace > 2)")
     D = t * t - 4
-    root = isqrt_checked(D)
+    root = math.isqrt(D)  # D = t^2 - 4 is never a square for t > 2
     start, digits = None, []
     for _ in range(_WALK_STEPS // 2 + 1):
         if start is None and Q - root <= P <= root < P + Q:
@@ -185,7 +188,7 @@ def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
         elif (P, Q) == start:
             return P, Q, digits
         for _ in range(2):
-            a = floor_quadratic(P, Q, root)
+            a = (P + root) // Q if Q > 0 else ~((P + root) // -Q)
             P = a * Q - P
             Q = (D - P * P) // Q
             digits.append(a)
@@ -551,6 +554,10 @@ def enumerate_by_trace(cap: int) -> Census:
     bounds move, the digits stay in their level blocks.  A cap below 3 gives
     an empty census.
     """
+    try:
+        cap = index(cap)
+    except TypeError:
+        raise DomainError(f"trace cap {cap!r} is not an integer") from None
     if cap > 2:
         _check_census_budget(geodesic_length(cap))
     digits, tree, rows = _fkm_levels(cap)

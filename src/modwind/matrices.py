@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 from operator import index
 
-from .errors import NonPositiveModulus, NotHyperbolic
+from .errors import DomainError, NonPositiveModulus, NotHyperbolic
 
 __all__ = [
     "Mat2",
@@ -42,20 +41,24 @@ def short_int(x: int) -> str:
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Mat2:
-    """Unimodular integer 2x2 matrix (a b; c d) with det = 1, checked on construction."""
+    """Unimodular integer 2x2 matrix (a b; c d), det = 1 checked; entries stored as Python ints."""
 
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
+    def __init__(self, a, b, c, d):
         try:
-            a, b, c, d = index(self.a), index(self.b), index(self.c), index(self.d)
+            a, b, c, d = index(a), index(b), index(c), index(d)
         except TypeError:
             raise ValueError("matrix entries must be integers") from None
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
         if a * d - b * c != 1:
             raise ValueError(f"determinant is not 1: {self}")
 
@@ -148,16 +151,20 @@ def _dedekind12(h: int, k: int) -> int:
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
-    """Dedekind sum s(h, k), exact rational, from the integer form _dedekind12.
+    """Dedekind sum s(h, k) of integers h, k, exact rational, from the integer form _dedekind12.
 
     Depends only on h mod k, and s(gh, gk) = s(h, k): summing over mu = nu + k m
     (nu mod k, m mod g), ((gh mu / gk)) = ((h nu / k)) does not depend on m, and
     sum_{m mod g} ((nu / gk + m / g)) = ((nu / k)) by the distribution relation.
     """
+    try:
+        h, k = index(h), index(k)
+    except TypeError:
+        raise DomainError("h and k must be integers") from None
     if k < 1:
         raise NonPositiveModulus(f"k = {short_int(k)}")
     h %= k
-    g = gcd(h, k)
+    g = math.gcd(h, k)
     h, k = h // g, k // g
     return Fraction(_dedekind12(h, k), 12 * k)
 
@@ -200,17 +207,3 @@ def geodesic_length(trace: int) -> float:
     except OverflowError:
         return 2.0 * math.log(abs(trace))
 
-
-def floor_quadratic(P: int, Q: int, sqrt_floor: int) -> int:
-    """floor((P + sqrt(D)) / Q) for non-square D with isqrt(D) = sqrt_floor."""
-    if Q > 0:
-        return (P + sqrt_floor) // Q
-    # floor(-x) = -ceil(x); ceil is floor + 1 since sqrt(D) is irrational
-    return -((P + sqrt_floor) // (-Q) + 1)
-
-
-def isqrt_checked(D: int) -> int:
-    s = isqrt(D)
-    if s * s == D:
-        raise ValueError(f"{D} is a perfect square")
-    return s

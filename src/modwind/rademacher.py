@@ -112,11 +112,10 @@ def psi(gamma: Mat2) -> int:
 def psi_cf(word) -> int:
     """Rademacher symbol of an A-word as the alternating sum a1 - a2 + ... - a2n.
 
-    Accepts a CyclicWord or any even-length sequence of positive integers.
-    Even rotations leave the alternating sum unchanged.
+    Accepts a CyclicWord, taken as checked, or any even-length sequence of positive
+    integers, converted by validate_entries.  Even rotations leave the sum unchanged.
     """
-    entries = tuple(word)
-    validate_entries(entries)
+    entries = validate_entries(word)
     return sum(entries[::2]) - sum(entries[1::2])
 
 

@@ -1,0 +1,161 @@
+"""Each exact input is checked and converted once, where it enters.
+
+Mat2 and validate_entries turn numpy integers into Python ints, so every
+result computed from them is a Python int equal to the one from Python-int
+input; and a word is refused exactly as the per-entry check below refuses it.
+"""
+
+import json
+from operator import index
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modwind.errors import DomainError, NonPositiveEntry, OddLength
+from modwind.geodesics import (
+    CyclicWord,
+    EnumerationConfig,
+    canonical_form,
+    enumerate_geodesics,
+    matrix_to_word,
+    validate_entries,
+    word_to_matrix,
+)
+from modwind.matrices import Mat2, dedekind_sum, omega, short_int
+from modwind.rademacher import phi_closed, psi, psi_cf, psi_cocycle, s_symbol
+from modwind.winding import WindingResult, e2_period, winding_index
+
+TAU = Mat2(2, 1, 3, 2)
+MATRICES = [
+    g
+    for w in ((3, 7), (2, 1, 1, 3), (1, 2, 3, 4), (5, 1, 1, 1, 2, 2))
+    for g in (word_to_matrix(w), TAU @ word_to_matrix(w) @ TAU.inverse())
+]
+
+
+def ints_of(value):
+    """The integers inside a result: itself, a Mat2's entries, a word's, a WindingResult's."""
+    if isinstance(value, Mat2):
+        return list(value.entries())
+    if isinstance(value, CyclicWord):
+        return list(value.entries)
+    if isinstance(value, WindingResult):
+        return [value.index, value.steps]
+    return [value] if isinstance(value, (int, np.integer)) else []
+
+
+def results(g):
+    return {
+        "psi": psi(g),
+        "psi_cocycle": psi_cocycle(g),
+        "s_symbol": s_symbol(g),
+        "phi_closed": phi_closed(g),
+        "omega": omega(g, TAU),
+        "omega_left": omega(TAU, g),
+        "power": g.power(5),
+        "repr": repr(g),
+        "matrix_to_word": matrix_to_word(g),
+        "winding_index": winding_index(g),
+        "e2_period": e2_period(g),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("g", MATRICES, ids=repr)
+def test_numpy_entries_give_python_results(g, dtype):
+    numpy_g = Mat2(*np.array(g.entries(), dtype))
+    assert numpy_g == g
+    assert all(type(x) is int for x in numpy_g.entries())
+    got, expected = results(numpy_g), results(g)
+    assert got == expected
+    for value in got.values():
+        assert all(type(x) is int for x in ints_of(value))
+
+
+def test_census_digits_make_python_matrices():
+    census = enumerate_geodesics(EnumerationConfig(10.0))
+    assert len(census) > 1000
+    for i in range(len(census)):
+        g = word_to_matrix(census.digits[census.start[i] : census.stop[i]])
+        assert g.trace == census.trace[i]
+        assert psi(g) == census.psi[i]
+        assert all(type(x) is int for x in g.entries())
+
+
+def test_long_int32_word_does_not_wrap():
+    g = word_to_matrix(np.ones(60, np.int32))
+    assert g == word_to_matrix((1,) * 60)
+    assert g.a > np.iinfo(np.int32).max
+
+
+def test_numpy_word_symbol_is_json():
+    word = canonical_form(np.array([2, 1, 1, 3]))
+    assert word == CyclicWord((1, 3, 2, 1))
+    assert all(type(x) is int for x in word.entries)
+    assert json.dumps(psi_cf(word)) == "-1"
+
+
+def test_numpy_dedekind_sum():
+    assert dedekind_sum(np.int64(5), np.int64(7)) == dedekind_sum(5, 7)
+    assert dedekind_sum(np.int32(-5), np.int64(7)) == dedekind_sum(-5, 7)
+    with pytest.raises(DomainError, match="integers"):
+        dedekind_sum(5.0, 7)
+    with pytest.raises(DomainError, match="integers"):
+        dedekind_sum(5, 7.0)
+
+
+def reference_validate(entries):
+    """The per-entry check of a word that the library held before it converted
+    entries: lengths first, then the first bad entry decides."""
+    if len(entries) % 2 != 0 or len(entries) == 0:
+        raise OddLength(f"word length {len(entries)} is not a positive even number")
+    try:
+        for a in entries:
+            if index(a) < 1:
+                raise NonPositiveEntry(f"entry {short_int(index(a))} < 1")
+    except TypeError:
+        raise DomainError("word entries must be integers") from None
+
+
+def outcome(f, word):
+    """(error class, message) that f(word) raises, or ("value", result)."""
+    try:
+        return "value", f(word)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+ENTRY = st.one_of(
+    st.integers(-3, 6),
+    st.integers(2**64, 2**66),
+    st.floats(-2.0, 6.0),
+    st.text(max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(ENTRY, max_size=7))
+def test_refusals_match_the_per_entry_check(word):
+    word = tuple(word)
+    expected = outcome(reference_validate, word)
+    if expected[0] == "value":
+        ints = tuple(index(a) for a in word)
+        rotations = [ints[k:] + ints[:k] for k in range(0, len(ints), 2)]
+        assert validate_entries(word) == ints
+        assert canonical_form(word) == CyclicWord(min(rotations))
+        assert psi_cf(word) == sum(ints[::2]) - sum(ints[1::2])
+        if ints == min(rotations):
+            assert CyclicWord(word).entries == ints
+        else:
+            assert outcome(CyclicWord, word) == (ValueError, f"{word} is not in canonical rotation")
+        return
+    for f in (validate_entries, CyclicWord, canonical_form, psi_cf):
+        assert outcome(f, word) == expected
+
+
+def test_held_word_returned_as_is():
+    w = canonical_form((2, 1, 1, 3))
+    assert validate_entries(w) is w.entries
+    assert validate_entries(CyclicWord((1, 3, 2, 1))) == (1, 3, 2, 1)

@@ -193,6 +193,34 @@ def test_library_builds_words_unchecked_in_geodesics_only(path):
     assert (PRIVATE_WORD in found) == (path.name == "geodesics.py")
 
 
+# validate_entries returns the entries it checked as Python ints, so a reader
+# that drops the result would go on with the unconverted word.
+def bare_validations(source: str) -> list:
+    """Line numbers of the validate_entries calls that stand alone as statements."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", getattr(node.value.func, "attr", None)) == "validate_entries"
+    )
+
+
+def test_bare_validation_detected():
+    source = (
+        "validate_entries(w)\nentries = validate_entries(w)\ngeodesics.validate_entries(w)\n"
+        "f(validate_entries(w))\nif True:\n    validate_entries(w)\n"
+    )
+    assert bare_validations(source) == [1, 3, 6]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/modwind/*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_every_validation_result_is_used(path):
+    assert bare_validations(path.read_text()) == []
+
+
 def raised_names(source: str) -> set:
     """Names of the exception classes that the source's raise statements raise."""
     names = set()

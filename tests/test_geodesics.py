@@ -35,7 +35,7 @@ from modwind.geodesics import (
     trace_cap_for_length,
     word_to_matrix,
 )
-from modwind.matrices import Mat2, floor_quadratic, geodesic_length, isqrt_checked
+from modwind.matrices import Mat2, geodesic_length
 from modwind.rademacher import psi, psi_cf
 from modwind.stats import cauchy_compare, equidistribution, twisted_sums, winding_histogram
 
@@ -121,6 +121,21 @@ def brute_force_classes(trace_max):
             except NotPrimitive:
                 continue
     return sorted(words, key=lambda w: (word_to_matrix(w).trace, w.entries))
+
+
+def isqrt_checked(D):
+    """isqrt(D) for a D that is not a perfect square, as every t^2 - 4 with t > 2 is."""
+    root = math.isqrt(D)
+    assert root * root != D, f"{D} is a perfect square"
+    return root
+
+
+def floor_quadratic(P, Q, sqrt_floor):
+    """floor((P + sqrt(D)) / Q) for non-square D with isqrt(D) = sqrt_floor."""
+    if Q > 0:
+        return (P + sqrt_floor) // Q
+    # floor(-x) = -ceil(x); ceil is floor + 1 since sqrt(D) is irrational
+    return -((P + sqrt_floor) // (-Q) + 1)
 
 
 def reference_matrix_to_word(gamma):
