@@ -113,11 +113,21 @@ def sawtooth(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
+def _integer_pair(h, k) -> tuple[int, int]:
+    """(h, k) as Python ints, or DomainError for a non-integer."""
+    try:
+        return index(h), index(k)
+    except TypeError:
+        raise DomainError("h and k must be integers") from None
+
+
 def dedekind_sum_direct(h: int, k: int) -> Fraction:
     """Dedekind sum by direct summation of sum_mu ((mu/k))((h mu/k)).
 
-    O(k); kept as the independent oracle for dedekind_sum.
+    O(k); kept as the independent oracle for dedekind_sum, and takes h and k as
+    dedekind_sum does.
     """
+    h, k = _integer_pair(h, k)
     if k < 1:
         raise NonPositiveModulus(f"k = {short_int(k)}")
     total = Fraction(0)
@@ -157,10 +167,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     (nu mod k, m mod g), ((gh mu / gk)) = ((h nu / k)) does not depend on m, and
     sum_{m mod g} ((nu / gk + m / g)) = ((nu / k)) by the distribution relation.
     """
-    try:
-        h, k = index(h), index(k)
-    except TypeError:
-        raise DomainError("h and k must be integers") from None
+    h, k = _integer_pair(h, k)
     if k < 1:
         raise NonPositiveModulus(f"k = {short_int(k)}")
     h %= k

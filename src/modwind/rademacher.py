@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import index
 from typing import Iterable, Tuple
 
-from .errors import NonIntegralPhi
+from .errors import DomainError, NonIntegralPhi
 from .geodesics import validate_entries
 from .matrices import Mat2, _dedekind12, sign0
 
@@ -66,10 +67,15 @@ def phi_word(factors: Iterable[Tuple[str, int]]) -> int:
     """Dedekind symbol by folding phi(gh) = phi(g) + phi(h) - 3 sign(c_g c_h c_gh).
 
     The defect reads only c, and a product's bottom row only its left factor's,
-    so the fold keeps the running c and d alone.
+    so the fold keeps the running c and d alone.  Each exponent is converted
+    once, so numpy integers give a Python int.
     """
     c, d, phi = 0, 1, 0
     for kind, n in factors:
+        try:
+            n = index(n)
+        except TypeError:
+            raise DomainError(f"exponent {n!r} is not an integer") from None
         fa, fb, fc, fd = _factor_entries(kind, n)
         prod_c = c * fa + d * fc
         phi += (n if kind == "T" else 0) - 3 * sign0(c * fc * prod_c)

@@ -11,18 +11,19 @@ Two independent numerical routes to the same integer:
   series (the holomorphic q-series minus 3 / (pi y)).
 
 Both evaluate the forms once per round of refinement, on one numpy array of
-every point that round needs (in slices of at most _CHUNK points):
-winding_index reads arg Delta and the reduced height at each node in at most
-two rounds: |d arg F/dt| <= 6.9452 y_red + 18 (Delta'/Delta = 2 pi i E2 with
-E2*(z) dz invariant, |E2| <= 1.1054 after the fold, |z''/z'| = 1) sizes its
-one split; e2_period reads E2 on one uniform grid over the period, then on
-the midpoints that each doubling of that grid adds.
+every point that round needs (in slices of at most _CHUNK points), with a
+numpy pass only where its result is read.  winding_index reads arg F, up to
+2 pi k as only wrapped increments count, and the reduced height at each node
+in at most two rounds, |d arg F/dt| <= 6.9452 y_red + 18 sizing its one
+split; e2_period reads E2(z) dz/dt and its rounding scale on one uniform grid
+over the period, then on the midpoints that each doubling of that grid adds.
+A round costs 50-100 us of numpy dispatch plus about 0.1 us a node (2-core
+x86-64 host, numpy 2.4), so a short class costs mostly per round.
 Each point is folded into the standard fundamental domain first, so the
 q-series always runs at |q| <= exp(-pi sqrt(3)) where eleven terms leave a
-tail below 1e-22.  The fold carries only the point and its automorphy factor
-j: each S step multiplies j by the point it moves.  It refuses a point whose
-height is at or below the float spacing of its real part; above that, its
-relative error is about 2^-52 |z| / Im z.
+tail below 1e-22.  The fold (_reduce) refuses a point whose height is not
+above the float spacing of its real part; above that, its relative error is
+about 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the period: the
@@ -99,11 +100,12 @@ _ROUNDING_BUDGET = 2e-7
 
 
 def _horner(coeffs: Tuple[int, ...], q):
-    """Sum of coeffs[n] q^n, elementwise over an array q."""
-    acc = np.zeros_like(q)
-    for c in reversed(coeffs):
-        acc *= q
+    """Sum of coeffs[n] q^n, elementwise over an array q, from the top coefficient."""
+    acc = q * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
         acc += c
+        acc *= q
+    acc += coeffs[0]
     return acc
 
 
@@ -124,7 +126,7 @@ def _sigma1(n: int) -> int:
 
 # Integer q-expansion coefficients c_0 .. c_N.  DELTA_SERIES is Delta/q (so
 # the leading coefficient is for q^0; the explicit factor q is restored in
-# log form inside _delta_parts); E2HOL_SERIES is the holomorphic part of E2.
+# log form inside delta_eval); E2HOL_SERIES is the holomorphic part of E2.
 DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
 
@@ -146,18 +148,18 @@ def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     Rounding z to a float moves it by up to 2^-53 |z|, which the fold
     amplifies to a relative error of about 2^-52 |z| / Im z in z_red (against
-    its height) and in j.  A point whose height is at or below the float
-    spacing of its real part has lost its position within the float
-    resolution, so it raises CapExceeded.
+    its height) and in j.  A point whose height is not above the float
+    spacing of its real part (or whose real part is NaN) has lost its position,
+    so it raises CapExceeded; Im z <= 0 or NaN raises NonPositiveImaginary first.
     """
-    if not np.all(z.imag > 0.0):
-        raise NonPositiveImaginary(f"Im z = {z.imag.min()}")
-    unresolved = z.imag <= _FLOAT_SPACING * np.abs(z.real)
-    if unresolved.any():
-        raise CapExceeded(f"Im z at or below the float spacing of Re z at z = {z[unresolved][0]}")
+    resolved = z.imag > _FLOAT_SPACING * np.abs(z.real)
+    if not resolved.all():
+        if not (z.imag > 0.0).all():
+            raise NonPositiveImaginary(f"Im z = {z.imag.min()}")
+        raise CapExceeded(f"Im z not above the float spacing of Re z at z = {z[~resolved][0]}")
     w = z - np.rint(z.real)
     j = np.ones_like(z)
-    moving = np.flatnonzero(np.abs(w) < 1.0 - 1e-15)
+    moving = (np.abs(w) < 1.0 - 1e-15).nonzero()[0]
     for _ in range(_FOLD_STEPS):
         if moving.size == 0:
             return w, j
@@ -311,17 +313,21 @@ def winding_index(gamma: Mat2) -> WindingResult:
     ell = axis.length
 
     def arg_f(t):
-        """(arg F in [-pi, pi], reduced height) at each t, as two rows."""
+        """(arg F + 2 pi k, y_red) at each t as two rows, F = Delta(z_red) (dz_red/dt)^6."""
         z, dz = axis.at(t)
         z_red, j, tail = _delta_series(z)
-        return np.stack([_wrap(_arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)), z_red.imag])
+        dz /= j * j  # dz_red/dt
+        arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
+        return np.array([arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag])
 
     intervals = math.ceil(ell / _BASE_STEP)
     if intervals + 1 > _MAX_NODES:
         raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
-    t = np.linspace(axis.balance - 0.5 * ell, axis.balance + 0.5 * ell, intervals + 1)
+    lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
+    t = lo + (hi - lo) / intervals * np.arange(intervals + 1.0)  # np.linspace's nodes
+    t[-1] = hi
     values = _in_chunks(arg_f, t)
-    h, y = np.diff(t), values[1]
+    h, (arg, y) = t[1:] - t[:-1], values  # only arg F is read after the split
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
     bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
     pieces = np.floor(h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)) + 1.0  # floats: not wrapped
@@ -333,10 +339,10 @@ def winding_index(gamma: Mat2) -> WindingResult:
         t = np.interp(np.arange(bounds[-1] + 1), bounds, t)
         fresh = np.ones(t.size, dtype=bool)
         fresh[bounds.astype(np.intp)] = False
-        old_values, values = values, np.empty((2, t.size))
-        values[:, ~fresh] = old_values
-        values[:, fresh] = _in_chunks(arg_f, t[fresh])
-    inc = _wrap(np.diff(values[0]))
+        arg = np.empty(t.size)
+        arg[~fresh] = values[0]
+        arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
+    inc = _wrap(arg[1:] - arg[:-1])
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
@@ -365,10 +371,10 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     lo = axis.balance - 0.5 * ell
 
     def rows(s):
-        """E2(z) dz/dt and its rounding scale at each s, as two rows."""
+        """E2(z) dz/dt and |z| / Im z |E2(z) dz/dt| at each s, as two rows."""
         z, dz = axis.at(s)
         f = _e2(z) * dz
-        return np.stack([f, _FLOAT_SPACING * np.abs(z) / z.imag * np.abs(f)])
+        return np.array([f, np.abs(z) / z.imag * np.abs(f)])
 
     # at most 11,360 nodes: the axis refuses a trace past the float range
     nodes = 2 * max(4, math.ceil(ell / _PERIOD_STEP))
@@ -378,10 +384,10 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     while abs(sums[0] - coarse) > _QUAD_TOL:
         if 2 * nodes > _MAX_NODES:
             raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
-        mid = _in_chunks(rows, lo + h * (np.arange(nodes) + 0.5))
+        mid = _in_chunks(rows, lo + h * np.arange(0.5, nodes))
         coarse, sums = sums[0], 0.5 * (sums + h * mid.sum(axis=1))
         nodes, h = 2 * nodes, 0.5 * h
-    return sums[0], sums[1].real
+    return sums[0], _FLOAT_SPACING * sums[1].real  # a power of 2 scales a sum exactly
 
 
 def e2_period(gamma: Mat2) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modwind.errors import DomainError, NonPositiveEntry, OddLength
+from modwind.errors import DomainError, NonPositiveEntry, NonPositiveModulus, OddLength
 from modwind.geodesics import (
     CyclicWord,
     EnumerationConfig,
@@ -23,8 +23,8 @@ from modwind.geodesics import (
     validate_entries,
     word_to_matrix,
 )
-from modwind.matrices import Mat2, dedekind_sum, omega, short_int
-from modwind.rademacher import phi_closed, psi, psi_cf, psi_cocycle, s_symbol
+from modwind.matrices import Mat2, dedekind_sum, dedekind_sum_direct, omega, short_int
+from modwind.rademacher import phi_closed, phi_word, psi, psi_cf, psi_cocycle, s_symbol
 from modwind.winding import WindingResult, e2_period, winding_index
 
 TAU = Mat2(2, 1, 3, 2)
@@ -104,6 +104,45 @@ def test_numpy_dedekind_sum():
         dedekind_sum(5.0, 7)
     with pytest.raises(DomainError, match="integers"):
         dedekind_sum(5, 7.0)
+
+
+@pytest.mark.parametrize("h, k", [(5, 7), (-5, 7), (3, 1), (0, 4), (12, 9)])
+def test_numpy_dedekind_sum_direct(h, k):
+    # the oracle takes h and k as dedekind_sum does
+    expected = dedekind_sum(h, k)
+    for dtype in (np.int32, np.int64):
+        assert dedekind_sum_direct(dtype(h), dtype(k)) == expected
+        assert dedekind_sum(dtype(h), dtype(k)) == expected
+
+
+@pytest.mark.parametrize("h, k", [(5, 0.5), (5.0, 7), ("5", 7), (5, None)], ids=repr)
+def test_dedekind_sums_refuse_non_integers(h, k):
+    for f in (dedekind_sum, dedekind_sum_direct):
+        with pytest.raises(DomainError, match="integers"):
+            f(h, k)
+
+
+@pytest.mark.parametrize("k", [0, -3, np.int64(0), np.int32(-3)], ids=repr)
+def test_dedekind_sums_refuse_non_positive_modulus(k):
+    for f in (dedekind_sum, dedekind_sum_direct):
+        with pytest.raises(NonPositiveModulus):
+            f(5, k)
+
+
+PHI_FACTORS = [("T", 3), ("S", 1), ("T", 2), ("S", -1), ("T", -4), ("S", 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_numpy_phi_word(dtype):
+    got = phi_word([(kind, dtype(n)) for kind, n in PHI_FACTORS])
+    assert got == phi_word(PHI_FACTORS) and type(got) is int
+
+
+@pytest.mark.parametrize("kind", ["T", "S"])
+@pytest.mark.parametrize("n", [2.5, 1.0, "3", None], ids=repr)
+def test_phi_word_refuses_non_integer_exponents(kind, n):
+    with pytest.raises(DomainError, match="integer"):
+        phi_word([("T", 1), (kind, n)])
 
 
 def reference_validate(entries):

@@ -199,6 +199,28 @@ class TestBatchedLayer:
         with pytest.raises(CapExceeded):
             reduce_to_fundamental(z)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(math.nan, 1e300)], ids=str)
+    def test_fold_refuses_nan_real_part(self, z):
+        # a NaN real part has no position to fold, like an unresolved point
+        with pytest.raises(CapExceeded):
+            winding._reduce(np.array([0.3 + 1j, z]))
+
+    @pytest.mark.parametrize(
+        "z",
+        [complex(0.3, math.nan), complex(math.nan, math.nan), 0.3 + 0j, 0.3 - 1j, -0.3 - 1e-300j],
+        ids=str,
+    )
+    def test_fold_refuses_non_positive_imaginary(self, z):
+        with pytest.raises(NonPositiveImaginary):
+            winding._reduce(np.array([0.3 + 1j, z]))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["below-first", "unresolved-first"])
+    def test_non_positive_imaginary_refused_first(self, order):
+        # one batch holding a point below the real axis and an unresolved one
+        zs = np.array([0.3 - 1j, 0.3 + 1e-20j][::order])
+        with pytest.raises(NonPositiveImaginary):
+            winding._reduce(zs)
+
     def test_fold_accepts_point_above_the_limit(self):
         y = 0.3 * 2.0**-52
         for _ in range(16):
@@ -933,6 +955,24 @@ class TestE2Period:
             else:
                 assert e2_period(g) == total.real
         assert (checked, refused) == (8, 3)
+
+    @pytest.mark.parametrize("w", [(1, 2), (3, 200)], ids=lambda w: "-".join(map(str, w)))
+    def test_rounding_witness_from_its_definition(self, monkeypatch, w):
+        # both converge on the first grid of 2n nodes, over which the witness is
+        # the trapezoid sum of 2^-52 |z| / Im z |E2(z) dz/dt|, E2 from the
+        # scalar reference
+        sizes = TestOneEvaluationPerRound.counted(monkeypatch, "_e2")
+        g = word_to_matrix(w)
+        _, witness = winding._trapezoid(g)
+        ell = geodesic_length(g.trace)
+        nodes = 2 * max(4, math.ceil(ell / winding._PERIOD_STEP))
+        assert sizes == [nodes]
+        h, lo = ell / nodes, winding._axis_for(g).balance - 0.5 * ell
+        terms = []
+        for k in range(nodes):
+            z, dz = axis_point(g, lo + h * k)
+            terms.append(h * 2.0**-52 * abs(z) / z.imag * abs(scalar_e2(z) * dz))
+        assert witness == pytest.approx(math.fsum(terms), rel=1e-12)
 
     def test_refuse_never_wrong(self):
         outcomes = set()
