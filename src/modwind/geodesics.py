@@ -11,10 +11,9 @@ level at a time and stored in columns.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import index
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
     NotPrimitive,
     OddLength,
 )
-from .matrices import Mat2, geodesic_length, short_int
+from .matrices import Mat2, _integer, geodesic_length, short_int
 
 __all__ = [
     "CyclicWord",
@@ -310,8 +309,8 @@ def trace_cap_for_length(max_length: float) -> int:
     return cap
 
 
-class Census(Sequence):
-    """Every class of a census, stored as columns in (trace, word) order.
+class Census:
+    """Every class of a census, stored as int32 columns in (trace, word) order.
 
     Row i is the class with entries digits[start[i]:stop[i]], matrix trace
     trace[i], length _lengths[trace[i] - 3] and winding number psi[i]: the
@@ -325,11 +324,11 @@ class Census(Sequence):
     __slots__ = ("trace", "psi", "start", "stop", "digits", "_lengths", "_counts")
 
     def __init__(self, trace, psi, start, stop, digits):
-        self.trace = trace  # int64
-        self.psi = psi  # int64
-        self.start = start  # int32 row bounds into digits
+        self.trace = trace
+        self.psi = psi
+        self.start = start  # row bounds into digits
         self.stop = stop
-        self.digits = digits  # int32, the words of all rows
+        self.digits = digits  # the words of all rows
         top = int(trace[-1]) if len(trace) else 2
         self._lengths = np.array([geodesic_length(t) for t in range(3, top + 1)], dtype=np.float64)
         for column in (trace, psi, start, stop, digits, self._lengths):
@@ -340,6 +339,7 @@ class Census(Sequence):
         return len(self.trace)
 
     def __getitem__(self, i: int) -> GeodesicRecord:
+        i = index(i)
         n = len(self)
         if not -n <= i < n:
             raise IndexError(f"row {i} of a census of {n}")
@@ -360,20 +360,17 @@ class Census(Sequence):
         for lo in range(0, len(self), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
             start = self.start[lo:hi]
-            sizes = self.stop[lo:hi] - start
-            ends = np.cumsum(sizes)
-            # position of every digit of the chunk, row after row
-            take = np.arange(ends[-1]) + np.repeat(start - (ends - sizes), sizes)
-            flat = self.digits[take].tolist()
-            begin = 0
-            for end, trace, length, psi in zip(
-                ends.tolist(),
+            row, place, bounds = _segments(self.stop[lo:hi] - start)
+            flat = self.digits[start[row] + place].tolist()
+            bounds = bounds.tolist()
+            for begin, end, trace, length, psi in zip(
+                bounds,
+                bounds[1:],
                 self.trace[lo:hi].tolist(),
                 self._lengths[self.trace[lo:hi] - 3].tolist(),
                 self.psi[lo:hi].tolist(),
             ):
                 yield tuple(flat[begin:end]), trace, length, psi
-                begin = end
 
     def __iter__(self) -> Iterator[GeodesicRecord]:
         for entries, trace, length, psi in self.rows():
@@ -554,10 +551,7 @@ def enumerate_by_trace(cap: int) -> Census:
     bounds move, the digits stay in their level blocks.  A cap below 3 gives
     an empty census.
     """
-    try:
-        cap = index(cap)
-    except TypeError:
-        raise DomainError(f"trace cap {cap!r} is not an integer") from None
+    cap = _integer(cap, "trace caps")
     if cap > 2:
         _check_census_budget(geodesic_length(cap))
     digits, tree, rows = _fkm_levels(cap)
@@ -571,8 +565,8 @@ def enumerate_by_trace(cap: int) -> Census:
     order = np.argsort(trace.astype(np.int64) * len(trace) + rank)
     del rank
     # each column is rebound in turn, so its level-order copy is freed at once
-    trace = trace[order].astype(np.int64)
-    psi = psi[order].astype(np.int64)
+    trace = trace[order]
+    psi = psi[order]
     start = start[order]
     stop = stop[order]
     del order

@@ -41,6 +41,15 @@ def short_int(x: int) -> str:
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int by operator.index, or DomainError: `what` (a plural,
+    the kind of x) must be integers."""
+    try:
+        return index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be integers, not {x!r}") from None
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Mat2:
     """Unimodular integer 2x2 matrix (a b; c d), det = 1 checked; entries stored as Python ints."""
@@ -113,21 +122,13 @@ def sawtooth(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
-def _integer_pair(h, k) -> tuple[int, int]:
-    """(h, k) as Python ints, or DomainError for a non-integer."""
-    try:
-        return index(h), index(k)
-    except TypeError:
-        raise DomainError("h and k must be integers") from None
-
-
 def dedekind_sum_direct(h: int, k: int) -> Fraction:
     """Dedekind sum by direct summation of sum_mu ((mu/k))((h mu/k)).
 
     O(k); kept as the independent oracle for dedekind_sum, and takes h and k as
     dedekind_sum does.
     """
-    h, k = _integer_pair(h, k)
+    h, k = _integer(h, "h and k"), _integer(k, "h and k")
     if k < 1:
         raise NonPositiveModulus(f"k = {short_int(k)}")
     total = Fraction(0)
@@ -167,7 +168,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     (nu mod k, m mod g), ((gh mu / gk)) = ((h nu / k)) does not depend on m, and
     sum_{m mod g} ((nu / gk + m / g)) = ((nu / k)) by the distribution relation.
     """
-    h, k = _integer_pair(h, k)
+    h, k = _integer(h, "h and k"), _integer(k, "h and k")
     if k < 1:
         raise NonPositiveModulus(f"k = {short_int(k)}")
     h %= k

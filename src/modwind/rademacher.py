@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import index
 from typing import Iterable, Tuple
 
-from .errors import DomainError, NonIntegralPhi
+from .errors import NonIntegralPhi
 from .geodesics import validate_entries
-from .matrices import Mat2, _dedekind12, sign0
+from .matrices import Mat2, _dedekind12, _integer, sign0
 
 __all__ = [
     "phi_closed",
@@ -72,10 +71,7 @@ def phi_word(factors: Iterable[Tuple[str, int]]) -> int:
     """
     c, d, phi = 0, 1, 0
     for kind, n in factors:
-        try:
-            n = index(n)
-        except TypeError:
-            raise DomainError(f"exponent {n!r} is not an integer") from None
+        n = _integer(n, "exponents")
         fa, fb, fc, fd = _factor_entries(kind, n)
         prod_c = c * fa + d * fc
         phi += (n if kind == "T" else 0) - 3 * sign0(c * fc * prod_c)

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InsufficientData, QuadratureFailure
 from .geodesics import Census, li, trace_cap_for_length
-from .matrices import short_int
+from .matrices import _integer, short_int
 
 __all__ = [
     "MAX_TABLE_ROWS",
@@ -215,6 +215,7 @@ def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
 
     The table has a row per residue, so q is refused above MAX_TABLE_ROWS.
     """
+    q = _integer(q, "moduli")
     if not 1 <= q <= MAX_TABLE_ROWS:
         raise DomainError(f"modulus {short_int(q)} outside [1, {MAX_TABLE_ROWS:,}]")
     psi, count, _ = _window(census, T)
@@ -227,7 +228,7 @@ def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
     return {a: counts[a] / total for a in range(q)}
 
 
-def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedSumReport]:
+def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedSumReport]:
     """Length sums twisted by the weight-r character e^{2 pi i r psi / 12}, one per r.
 
     The lengths times the counts are summed per value of psi once for the
@@ -236,6 +237,10 @@ def twisted_sums(census: Census, T: float, rs: Sequence[float]) -> List[TwistedS
     error for |r| < 1/2, so main_term and relative_error are reported only in
     that range.
     """
+    try:
+        rs = [float(r) for r in rs]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("twist weights must be real numbers in the float range") from None
     for r in rs:
         if not abs(r) <= 12:  # NaN included
             raise DomainError(f"|r| = {abs(r)} outside [0, 12]")

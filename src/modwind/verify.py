@@ -31,6 +31,7 @@ from .geodesics import (
 from .matrices import (
     IDENTITY,
     Mat2,
+    _integer,
     dedekind_sum,
     dedekind_sum_direct,
     omega,
@@ -270,6 +271,7 @@ def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicReco
     The census is in (trace, word) order, so the sample draws row indices
     and builds views only of the rows it picks.
     """
+    size = _integer(size, "sample sizes")
     if size < 0:
         raise DomainError(f"sample size {size} is negative")
     rng = random.Random(seed)
@@ -333,6 +335,7 @@ def run_all(
     # the census guards refuse a bad length, and this a bad sample size,
     # before any suite runs
     config = EnumerationConfig(max_length=max_length)
+    sample = _integer(sample, "sample sizes")
     if sample < 0:
         raise DomainError(f"sample size {sample} is negative")
     size = estimated_census_size(max_length)

@@ -376,7 +376,7 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
         f = _e2(z) * dz
         return np.array([f, np.abs(z) / z.imag * np.abs(f)])
 
-    # at most 11,360 nodes: the axis refuses a trace past the float range
+    # at most 5,680 nodes: l < 709.79, as the axis refuses t^2 - 4 past the float range
     nodes = 2 * max(4, math.ceil(ell / _PERIOD_STEP))
     h = ell / nodes
     first = _in_chunks(rows, lo + h * np.arange(nodes))
@@ -398,4 +398,4 @@ def e2_period(gamma: Mat2) -> float:
         raise QuadratureFailure(f"rounding witness {witness:.1e} above budget for {gamma}")
     if abs(total.imag) > 1e-6:
         raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
-    return total.real
+    return float(total.real)

@@ -704,8 +704,8 @@ class TestCensus:
     def test_columns(self):
         census = enumerate_by_trace(60)
         assert [c.dtype for c in (census.trace, census.psi, census.counts()[3])] == [
-            np.int64,
-            np.int64,
+            np.int32,
+            np.int32,
             np.float64,
         ]
         assert census.digits.dtype == np.int32
@@ -722,6 +722,10 @@ class TestCensus:
         assert census[-1] == listed[-1] and census[-n] == listed[0]
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
+                census[i]
+        assert census[np.int64(-1)] == listed[-1]
+        for i in (2.0, slice(1, 3), "1", None):
+            with pytest.raises(TypeError):
                 census[i]
         rec = census[-1]
         assert isinstance(rec, GeodesicRecord) and isinstance(rec.word, CyclicWord)

@@ -402,6 +402,17 @@ class TestEquidistribution:
         with pytest.raises(DomainError, match="modulus"):
             equidistribution(census12, 12.0, q)
 
+    @pytest.mark.parametrize("q", [3.0, 2.5, "3", None], ids=repr)
+    def test_non_integer_modulus(self, census12, q):
+        with pytest.raises(DomainError, match="moduli must be integers"):
+            equidistribution(census12, 12.0, q)
+
+    def test_numpy_integer_modulus(self, census12):
+        expect = equidistribution(census12, 12.0, 3)
+        for q in (np.int32(3), np.int64(3), np.uint8(3)):
+            table = equidistribution(census12, 12.0, q)
+            assert table == expect and all(type(a) is int for a in table)
+
     def test_modulus_at_the_table_bound(self, census12):
         table = equidistribution(census12, 12.0, stats.MAX_TABLE_ROWS)
         assert len(table) == stats.MAX_TABLE_ROWS
@@ -448,9 +459,18 @@ class TestTwistedSum:
         assert twisted_sums(census12, 12.0, rs) == [twisted_sum(census12, 12.0, r) for r in rs]
         assert twisted_sums(census12, 12.0, []) == []
 
+    def test_grid_read_once(self, census12):
+        rs = [0.1, 0.2]
+        expect = twisted_sums(census12, 12.0, rs)
+        assert len(expect) == 2
+        assert twisted_sums(census12, 12.0, (r for r in rs)) == expect
+        assert twisted_sums(census12, 12.0, np.array(rs)) == expect
+        assert all(type(rep.r) is float for rep in twisted_sums(census12, 12.0, np.array(rs)))
+
     def test_grid_checked_before_the_census_is_read(self):
         # the census argument is never touched when a weight is out of range
-        for bad in (12.5, math.nan):
+        # or not a real number
+        for bad in (12.5, math.nan, 0.1 + 0j, 1j, "x", None, 10**400):
             with pytest.raises(DomainError):
                 twisted_sums(None, 12.0, [0.0, 0.1, bad])
 

@@ -65,6 +65,11 @@ class TestStratifiedSample:
         with pytest.raises(DomainError, match="negative"):
             stratified_sample(census12, size, seed=0)
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "10"], ids=repr)
+    def test_non_integer_size_refused(self, census12, size):
+        with pytest.raises(DomainError, match="sample sizes must be integers"):
+            stratified_sample(census12, size, seed=0)
+
     def test_size_zero_is_empty(self, census12):
         assert stratified_sample(census12, 0, seed=0) == []
 
@@ -93,3 +98,9 @@ class TestRunAllBound:
         monkeypatch.setattr(verify, "suite_dedekind_reciprocity", lambda rng: pytest.fail("ran"))
         with pytest.raises(DomainError, match="negative"):
             run_all(max_length=5.0, sample=-1)
+
+    @pytest.mark.parametrize("sample", [1.5, 2.0, "10", None], ids=repr)
+    def test_non_integer_sample_refused_before_any_suite(self, monkeypatch, sample):
+        monkeypatch.setattr(verify, "suite_dedekind_reciprocity", lambda rng: pytest.fail("ran"))
+        with pytest.raises(DomainError, match="sample sizes must be integers"):
+            run_all(max_length=5.0, sample=sample)

@@ -874,6 +874,10 @@ class TestE2Period:
         assert e2_period(word_to_matrix((1, 2))) == pytest.approx(-1.0, abs=1e-6)
         assert e2_period(word_to_matrix((3, 7))) == pytest.approx(-4.0, abs=1e-6)
 
+    @pytest.mark.parametrize("w", [(1, 1), (1, 2), (1, 3000)], ids=str)
+    def test_python_float(self, w):
+        assert type(e2_period(word_to_matrix(w))) is float
+
     def test_matches_psi_on_sample(self):
         rng = random.Random(41)
         for _ in range(15):
