@@ -30,6 +30,9 @@ from .matrices import Mat2
 from .rademacher import psi, psi_cf, psi_cocycle
 from .stats import (
     MAX_TABLE_ROWS,
+    _kernel_width,
+    _modulus,
+    _weights,
     cauchy_compare,
     density_table,
     equidistribution,
@@ -100,7 +103,7 @@ def _parse_gamma(matrix_text: Optional[str], word_text: Optional[str]) -> Mat2:
 
 
 def _check_rows(rows: int, what: str) -> None:
-    """The stats tables (--n-range, --r-grid, --modulus) are refused above
+    """The stats tables (--n-range, --r-grid) are refused above
     MAX_TABLE_ROWS rows before the census is built."""
     if rows > MAX_TABLE_ROWS:
         raise click.UsageError(f"{what} asks for {rows:,} rows (at most {MAX_TABLE_ROWS:,})")
@@ -275,6 +278,8 @@ def cmd_stats_density(max_length: float, n_range: str, csv_out: Optional[str]) -
     """Empirical vs predicted winding densities, one row per n."""
     _validate_max_length(max_length)
     ns = _parse_range(n_range)
+    for n in (ns[0], ns[-1]):  # |n| is largest at an end of the range
+        _kernel_width(n)
     hist = winding_histogram(_census(max_length), max_length)
     lines = ["n,empirical,predicted"]
     for n, emp, pred in density_table(hist, ns):
@@ -309,9 +314,7 @@ def cmd_stats_cauchy(max_length: float, csv_out: Optional[str]) -> None:
 def cmd_stats_equidist(max_length: float, modulus: int, csv_out: Optional[str]) -> None:
     """Density of each residue class of psi mod q against the flat 1/q."""
     _validate_max_length(max_length)
-    if modulus < 1:
-        raise click.UsageError(f"--modulus {modulus} < 1")
-    _check_rows(modulus, "--modulus")
+    _modulus(modulus)
     table = equidistribution(_census(max_length), max_length, modulus)
     lines = ["residue,empirical,predicted"]
     for a in range(modulus):
@@ -331,9 +334,7 @@ def cmd_stats_twisted(
     _validate_max_length(max_length)
     if (r_grid is None) == (r_single is None):
         raise click.UsageError("give exactly one of --r or --r-grid")
-    if r_single is not None and not math.isfinite(r_single):
-        raise click.UsageError(f"--r {r_single} is not finite")
-    rs = _parse_grid(r_grid) if r_grid is not None else [r_single]
+    rs = _weights(_parse_grid(r_grid) if r_grid is not None else [r_single])
     census = _census(max_length)
     lines = ["r,abs_sum,main_term,relative_error"]
     for rep in twisted_sums(census, max_length, rs):

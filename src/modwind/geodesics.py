@@ -315,10 +315,10 @@ class Census:
     Row i is the class with entries digits[start[i]:stop[i]], matrix trace
     trace[i], length _lengths[trace[i] - 3] and winding number psi[i]: the
     length depends on the trace alone, so it is kept once a trace.  This
-    class is the only reader of that row layout: rows() yields each row as
-    Python values, and indexing and iteration build a GeodesicRecord view of
-    a row on each access; no per-row object is stored.  The columns are
-    read-only, so the count table that counts() keeps cannot go stale.
+    class is the only reader of that row layout, and rows() its one reader of
+    the words: it yields rows as Python values, and iteration builds a
+    GeodesicRecord view of each; no per-row object is stored.  The columns
+    are read-only, so the count table that counts() keeps cannot go stale.
     """
 
     __slots__ = ("trace", "psi", "start", "stop", "digits", "_lengths", "_counts")
@@ -338,39 +338,30 @@ class Census:
     def __len__(self) -> int:
         return len(self.trace)
 
-    def __getitem__(self, i: int) -> GeodesicRecord:
-        i = index(i)
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"row {i} of a census of {n}")
-        i %= n
-        return GeodesicRecord(
-            word=_canonical_word(tuple(self.digits[self.start[i] : self.stop[i]].tolist())),
-            trace=int(self.trace[i]),
-            length=float(self._lengths[self.trace[i] - 3]),
-            psi=int(self.psi[i]),
-        )
-
-    def rows(self) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
-        """Every row as Python values (entries, trace, length, psi), in order.
+    def rows(self, index=None) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
+        """Every row as Python values (entries, trace, length, psi), in order, or
+        the rows at an array of row indices in that order; IndexError for one
+        out of range.
 
         Each chunk of rows gathers its digits and its lengths with one numpy
         take each, so no per-row view or numpy slice is built.
         """
-        for lo in range(0, len(self), _ROWS_PER_CHUNK):
+        for lo in range(0, len(self) if index is None else len(index), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
-            start = self.start[lo:hi]
-            row, place, bounds = _segments(self.stop[lo:hi] - start)
+            at = slice(lo, hi) if index is None else np.asarray(index[lo:hi])
+            start = self.start[at]
+            trace = self.trace[at]
+            row, place, bounds = _segments(self.stop[at] - start)
             flat = self.digits[start[row] + place].tolist()
             bounds = bounds.tolist()
-            for begin, end, trace, length, psi in zip(
+            for begin, end, t, length, psi in zip(
                 bounds,
                 bounds[1:],
-                self.trace[lo:hi].tolist(),
-                self._lengths[self.trace[lo:hi] - 3].tolist(),
-                self.psi[lo:hi].tolist(),
+                trace.tolist(),
+                self._lengths[trace - 3].tolist(),
+                self.psi[at].tolist(),
             ):
-                yield tuple(flat[begin:end]), trace, length, psi
+                yield tuple(flat[begin:end]), t, length, psi
 
     def __iter__(self) -> Iterator[GeodesicRecord]:
         for entries, trace, length, psi in self.rows():

@@ -150,6 +150,7 @@ def predicted_pi_n(n: int, T: float) -> float:
 
 def _kernel_width(n: int) -> float:
     """4 pi n / 12, where the winding n sits in the density's Cauchy kernel."""
+    n = _integer(n, "winding numbers")
     if not abs(n) <= sys.float_info.max:  # an int past the float range
         raise DomainError(f"winding number {short_int(n)} past the float range")
     return 4.0 * math.pi * n / 12
@@ -210,14 +211,17 @@ def cauchy_compare(census: Census, T: float) -> DistributionReport:
     )
 
 
-def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
-    """Fraction of prime geodesics of length <= T with psi in each class mod q.
-
-    The table has a row per residue, so q is refused above MAX_TABLE_ROWS.
-    """
+def _modulus(q: int) -> int:
+    """q as a Python int in [1, MAX_TABLE_ROWS] (the table has a row per residue), or DomainError."""
     q = _integer(q, "moduli")
     if not 1 <= q <= MAX_TABLE_ROWS:
         raise DomainError(f"modulus {short_int(q)} outside [1, {MAX_TABLE_ROWS:,}]")
+    return q
+
+
+def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
+    """Fraction of prime geodesics of length <= T with psi in each class mod q."""
+    q = _modulus(q)
     psi, count, _ = _window(census, T)
     total = int(count.sum())
     if total < _MIN_SAMPLE and q > 1:
@@ -226,6 +230,18 @@ def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
         raise InsufficientData("no records")
     counts = np.bincount(psi % q, weights=count, minlength=q).astype(np.int64).tolist()
     return {a: counts[a] / total for a in range(q)}
+
+
+def _weights(rs: Iterable[float]) -> List[float]:
+    """The twist weights, read once, as Python floats with |r| <= 12, or DomainError."""
+    try:
+        rs = [float(r) for r in rs]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("twist weights must be real numbers in the float range") from None
+    for r in rs:
+        if not abs(r) <= 12:  # NaN included
+            raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
+    return rs
 
 
 def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedSumReport]:
@@ -237,13 +253,7 @@ def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedS
     error for |r| < 1/2, so main_term and relative_error are reported only in
     that range.
     """
-    try:
-        rs = [float(r) for r in rs]
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("twist weights must be real numbers in the float range") from None
-    for r in rs:
-        if not abs(r) <= 12:  # NaN included
-            raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
+    rs = _weights(rs)
     psi, count, length = _window(census, T)
     lo, weight = _by_psi(psi, length * count)
     values = np.arange(lo, lo + len(weight))

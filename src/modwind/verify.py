@@ -20,7 +20,6 @@ from .errors import CapExceeded, DomainError
 from .geodesics import (
     Census,
     EnumerationConfig,
-    GeodesicRecord,
     canonical_form,
     enumerate_geodesics,
     estimated_census_size,
@@ -264,20 +263,17 @@ def suite_word_census(census: Census) -> SuiteResult:
     return res
 
 
-def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicRecord]:
-    """Deterministic sample spread over the trace range, forcing in words
-    with a large partial quotient (entry >= 50).
-
-    The census is in (trace, word) order, so the sample draws row indices
-    and builds views only of the rows it picks.
-    """
+def stratified_sample(census: Census, size: int, seed: int) -> List[int]:
+    """Sorted row indices of a deterministic sample, forcing in words with a
+    large partial quotient (entry >= 50): strata of equal row blocks, which the
+    (trace, word) order of the census spreads over the trace range."""
     size = _integer(size, "sample sizes")
     if size < 0:
         raise DomainError(f"sample size {size} is negative")
     rng = random.Random(seed)
     n = len(census)
     if n <= size:
-        return list(census)
+        return list(range(n))
     big_entry = census.rows_with_entry_at_least(50).tolist()
     chosen = set(rng.sample(big_entry, min(len(big_entry), max(10, size // 10))))
     strata = 5
@@ -292,23 +288,23 @@ def stratified_sample(census: Census, size: int, seed: int) -> List[GeodesicReco
     if len(chosen) < size:
         # a stratum's draws can repeat forced rows
         chosen.update(rng.sample(sorted(set(range(n)) - chosen), size - len(chosen)))
-    return [census[i] for i in sorted(chosen)[:size]]
+    return sorted(chosen)[:size]
 
 
 def suite_winding_sample(census: Census, sample: int, seed: int) -> SuiteResult:
     """winding index = psi = E2 period on a stratified sample of classes."""
     res = SuiteResult("winding_sample", 0, 0)
-    for rec in stratified_sample(census, sample, seed):
-        m = word_to_matrix(rec.word)
+    for entries, _, _, psi_val in census.rows(stratified_sample(census, sample, seed)):
+        m = word_to_matrix(entries)
         wi = winding_index(m)
         res.check(
-            wi.index == rec.psi and wi.residual < 1e-3,
-            f"index {wi.index} != psi {rec.psi} at {rec.word.entries}",
+            wi.index == psi_val and wi.residual < 1e-3,
+            f"index {wi.index} != psi {psi_val} at {entries}",
         )
         period = e2_period(m)
         res.check(
-            abs(period - rec.psi) <= 1e-6,
-            f"period {period} != psi {rec.psi} at {rec.word.entries}",
+            abs(period - psi_val) <= 1e-6,
+            f"period {period} != psi {psi_val} at {entries}",
         )
     return res
 

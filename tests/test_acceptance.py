@@ -44,7 +44,7 @@ def census14():
 @pytest.fixture(scope="module")
 def sample500(census14):
     records, _ = census14
-    return stratified_sample(records, 500, seed=0)
+    return list(records.rows(stratified_sample(records, 500, seed=0)))
 
 
 class TestSymbolAgreement:
@@ -62,21 +62,19 @@ class TestSymbolAgreement:
 class TestWindingIndexTheorem:
     def test_sample_has_large_entries(self, sample500):
         assert len(sample500) == 500
-        assert any(max(r.word.entries) >= 50 for r in sample500)
+        assert any(max(entries) >= 50 for entries, _, _, _ in sample500)
 
     def test_index_equals_psi_on_sample(self, sample500):
         start = time.perf_counter()
-        for rec in sample500:
-            result = winding_index(word_to_matrix(rec.word))
-            assert result.index == rec.psi
+        for entries, _, _, expected in sample500:
+            result = winding_index(word_to_matrix(entries))
+            assert result.index == expected
             assert result.residual < 1e-3
         assert time.perf_counter() - start < 300.0
 
     def test_period_equals_psi_on_sample(self, sample500):
-        for rec in sample500:
-            assert e2_period(word_to_matrix(rec.word)) == pytest.approx(
-                rec.psi, abs=1e-6
-            )
+        for entries, _, _, expected in sample500:
+            assert e2_period(word_to_matrix(entries)) == pytest.approx(expected, abs=1e-6)
 
     def test_routes_equal_psi_on_census_to_eleven(self, monkeypatch):
         # and winding_index splits its first grid at most once: at most two

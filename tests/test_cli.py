@@ -392,8 +392,16 @@ class TestStatsCommands:
             ("stats-twisted", "--r", "inf"),
             ("stats-density", "--n-range", "-1000000000..1000000000"),
             ("stats-equidist", "--modulus", "100000000"),
+            ("stats-twisted", "--r", "13"),
+            ("stats-twisted", "--r", "-12.5"),
+            ("stats-twisted", "--r-grid", "0:13:1"),
+            ("stats-density", "--n-range", f"{10**400 - 2}..{10**400}"),
+            ("stats-density", "--n-range", f"{-(10**400)}..{-(10**400)}"),
         ],
-        ids=["grid-inf", "grid-nan", "grid-rows", "grid-span", "r-nan", "r-inf", "n-range", "modulus"],
+        ids=[
+            "grid-inf", "grid-nan", "grid-rows", "grid-span", "r-nan", "r-inf", "n-range", "modulus",
+            "r-13", "r-minus-12.5", "grid-past-12", "n-range-high-past-float", "n-range-low-past-float",
+        ],
     )
     def test_table_refused_before_the_census(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli, "_census", lambda t: pytest.fail("census built"))

@@ -99,6 +99,42 @@ def test_only_geodesics_reads_the_row_layout(path):
     assert row_layout_reads(path.read_text()) == []
 
 
+def census_layout_readers(source: str) -> list:
+    """Methods of class Census that read the row layout (start, stop, digits)."""
+    (census,) = (
+        node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef) and node.name == "Census"
+    )
+    return sorted(
+        method.name
+        for method in census.body
+        if isinstance(method, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ROW_LAYOUT
+            for node in ast.walk(method)
+        )
+    )
+
+
+def test_census_layout_reader_detected():
+    source = (
+        "class Census:\n"
+        "    def __init__(self, start):\n"
+        "        self.start = start\n"
+        "    def __getitem__(self, i):\n"
+        "        return self.digits[self.start[i] : self.stop[i]]\n"
+        "    def __len__(self):\n"
+        "        return len(self.trace)\n"
+    )
+    assert census_layout_readers(source) == ["__getitem__"]
+
+
+def test_census_reads_its_row_layout_in_rows_only():
+    # every row is read through rows(); rows_with_entry_at_least reads the
+    # bounds and digits as whole columns
+    source = (ROOT / "src" / "modwind" / "geodesics.py").read_text()
+    assert census_layout_readers(source) == ["rows", "rows_with_entry_at_least"]
+
+
 # The statistics read a census through its (trace, psi) count table only, so
 # they have one input path.
 CENSUS_COLUMNS = ("psi", "trace", "length")

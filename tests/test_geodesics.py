@@ -479,8 +479,6 @@ class TestUncheckedWordsAreCanonical:
             assert CyclicWord(entries).entries == entries
         for rec in census:
             self.check(rec.word)
-        for i in range(len(census)):
-            self.check(census[i].word)
 
     def test_matrix_to_word_on_conjugates(self):
         rng = random.Random(17)
@@ -718,30 +716,48 @@ class TestCensus:
         n = len(census)
         listed = list(census)
         assert len(listed) == n
-        assert [census[i] for i in range(n)] == listed
-        assert census[-1] == listed[-1] and census[-n] == listed[0]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                census[i]
-        assert census[np.int64(-1)] == listed[-1]
-        for i in (2.0, slice(1, 3), "1", None):
-            with pytest.raises(TypeError):
-                census[i]
-        rec = census[-1]
+        # iteration is in row order
+        assert [(r.word.entries, r.trace, r.length, r.psi) for r in listed] == list(census.rows())
+        rec = listed[-1]
         assert isinstance(rec, GeodesicRecord) and isinstance(rec.word, CyclicWord)
         assert {type(rec.trace), type(rec.psi), type(rec.length)} == {int, float}
         assert all(type(a) is int for a in rec.word.entries)
-        assert rec in listed and len(set(listed)) == n
+        assert rec in listed and rec in census and len(set(listed)) == n
+        with pytest.raises(TypeError):
+            census[0]
 
     def test_rows_are_the_indexed_rows(self):
         # 14,904 rows: four chunks, the last one partial
         census = enumerate_by_trace(trace_cap_for_length(12.0))
         listed = list(census.rows())
         assert len(listed) == len(census)
-        for i, (entries, trace, length, psi) in enumerate(listed):
-            rec = census[i]
-            assert (entries, trace, length, psi) == (rec.word.entries, rec.trace, rec.length, rec.psi)
+        assert list(census.rows(np.arange(len(census)))) == listed
+        entries, trace, length, psi = listed[-1]
         assert {type(trace), type(length), type(psi), type(entries[0])} == {int, float}
+
+    def test_rows_at_indices(self):
+        census = enumerate_by_trace(trace_cap_for_length(12.0))
+        listed = list(census.rows())
+        n = len(listed)
+        for picks in (
+            [7, 3, 7, 0, n - 1, 3, 3],
+            [-1, -n, 5, -5],
+            [],
+            list(range(4090, 4100)),
+            # 4,095, 4,096 and 4,097 indices: a chunk one short, a full chunk,
+            # and one index past the chunk edge
+            list(range(4095)),
+            list(range(n - 1, n - 4097, -1)),
+            list(range(n - 1, n - 4098, -1)),
+        ):
+            expect = [listed[i] for i in picks]
+            assert list(census.rows(picks)) == expect
+            assert list(census.rows(np.array(picks, np.int32))) == expect
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                list(census.rows([0, i]))
+        with pytest.raises(IndexError):
+            list(enumerate_by_trace(2).rows([0]))
 
     def test_rows_with_entry_at_least(self):
         census = enumerate_by_trace(trace_cap_for_length(12.0))

@@ -306,7 +306,7 @@ class TestPredictedPiN:
         for T in (1.0, 1e9, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 predicted_pi_n(1, T)
-        for n in (10**400, -(10**400), 2**1024):
+        for n in (10**400, -(10**400), 2**1024, 2.5, math.nan, math.inf, "3"):
             with pytest.raises(DomainError, match="winding number"):
                 predicted_pi_n(n, 5.0)
 
@@ -333,16 +333,23 @@ class TestDensityTable:
         assert values == sorted(values, reverse=True)
 
     GUARD_T = (0, 0.0, -1.0, math.nan, math.inf, 10**400)
-    GUARD_N = (10**400, -(10**400), 2**1024)
+    GUARD_N = (10**400, -(10**400), 2**1024, 2.5, 3.0, math.nan, math.inf, "3", None)
 
     @pytest.mark.parametrize(
         "n, T",
         [(0, T) for T in GUARD_T] + [(n, 5.0) for n in GUARD_N],
-        ids=[repr(T) for T in GUARD_T] + ["n=10**400", "n=-10**400", "n=2**1024"],
+        ids=[repr(T) for T in GUARD_T]
+        + ["n=10**400", "n=-10**400", "n=2**1024"]
+        + [f"n={n!r}" for n in GUARD_N[3:]],
     )
     def test_domain_guard(self, n, T):
         with pytest.raises(DomainError):
             limiting_density(n, T)
+
+    def test_numpy_integer_winding(self):
+        for n in (np.int32(-3), np.int64(-3), np.int8(-3)):
+            assert limiting_density(n, 5.0) == limiting_density(-3, 5.0)
+            assert predicted_pi_n(n, 5.0) == predicted_pi_n(-3, 5.0)
 
     def test_rows(self, census12):
         hist = winding_histogram(census12, 12.0)

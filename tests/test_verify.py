@@ -19,20 +19,24 @@ class TestStratifiedSample:
     def test_deterministic(self, census12):
         a = stratified_sample(census12, 200, seed=3)
         b = stratified_sample(census12, 200, seed=3)
-        assert a == b
+        assert a == b == sorted(a)
+        assert all(type(i) is int for i in a)
 
     def test_size_and_uniqueness(self, census12):
         picked = stratified_sample(census12, 200, seed=3)
         assert len(picked) == 200
-        assert len({r.word.entries for r in picked}) == 200
+        assert len({entries for entries, _, _, _ in census12.rows(picked)}) == 200
 
     def test_forces_large_entries(self, census12):
         picked = stratified_sample(census12, 200, seed=3)
-        assert any(max(r.word.entries) >= 50 for r in picked)
+        assert any(max(entries) >= 50 for entries, _, _, _ in census12.rows(picked))
 
     def test_small_pool_returned_whole(self, census12):
-        pool = [r for r in census12 if r.trace <= 5]
-        assert stratified_sample(enumerate_by_trace(5), 50, seed=0) == pool
+        pool = [row for row in census12.rows() if row[1] <= 5]
+        census5 = enumerate_by_trace(5)
+        picked = stratified_sample(census5, 50, seed=0)
+        assert picked == list(range(len(census5)))
+        assert list(census5.rows(picked)) == pool
 
     @pytest.mark.parametrize(
         "T, digest",
@@ -43,22 +47,23 @@ class TestStratifiedSample:
     )
     def test_picks_pinned(self, T, digest):
         # the picks of the sort-based sampler this one replaced
-        picked = stratified_sample(enumerate_geodesics(EnumerationConfig(T)), 500, 0)
-        text = repr([(r.word.entries, r.trace, r.psi) for r in picked])
+        census = enumerate_geodesics(EnumerationConfig(T))
+        picked = stratified_sample(census, 500, 0)
+        text = repr([(entries, trace, psi) for entries, trace, _, psi in census.rows(picked)])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("size", range(1, 12))
     def test_small_sizes_exact(self, census12, size):
         # T = 12 has 1,938 rows with an entry >= 50, and at least 10 of them are forced in
         picked = stratified_sample(census12, size, seed=0)
-        assert len({r.word.entries for r in picked}) == len(picked) == size
+        assert len({entries for entries, _, _, _ in census12.rows(picked)}) == len(picked) == size
         assert picked == stratified_sample(census12, size, seed=0)
 
     @pytest.mark.parametrize("T, size", [(8.0, 200), (12.0, 1000), (14.0, 3000)])
     def test_exact_when_strata_repeat_forced_rows(self, T, size):
         census = enumerate_geodesics(EnumerationConfig(T))
         picked = stratified_sample(census, size, seed=0)
-        assert len({r.word.entries for r in picked}) == len(picked) == size
+        assert len({entries for entries, _, _, _ in census.rows(picked)}) == len(picked) == size
 
     @pytest.mark.parametrize("size", [-1, -5])
     def test_negative_size_refused(self, census12, size):
@@ -75,7 +80,7 @@ class TestStratifiedSample:
 
     def test_spreads_over_traces(self, census12):
         picked = stratified_sample(census12, 200, seed=3)
-        traces = sorted(r.trace for r in picked)
+        traces = sorted(trace for _, trace, _, _ in census12.rows(picked))
         median = traces[len(traces) // 2]
         assert traces[0] < median < traces[-1]
 
