@@ -341,14 +341,19 @@ class Census:
     def rows(self, index=None) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
         """Every row as Python values (entries, trace, length, psi), in order, or
         the rows at an array of row indices in that order; IndexError for one
-        out of range.
+        out of range, TypeError for indices of a non-integer dtype (numpy would
+        read booleans as a mask).
 
         Each chunk of rows gathers its digits and its lengths with one numpy
         take each, so no per-row view or numpy slice is built.
         """
+        if index is not None:
+            index = np.asarray(index)
+            if index.size and index.dtype.kind not in "iu":
+                raise TypeError(f"row indices must be integers, not {index.dtype}")
         for lo in range(0, len(self) if index is None else len(index), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
-            at = slice(lo, hi) if index is None else np.asarray(index[lo:hi])
+            at = slice(lo, hi) if index is None else index[lo:hi]
             start = self.start[at]
             trace = self.trace[at]
             row, place, bounds = _segments(self.stop[at] - start)

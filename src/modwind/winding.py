@@ -17,13 +17,17 @@ numpy pass only where its result is read.  winding_index reads arg F, up to
 in at most two rounds, |d arg F/dt| <= 6.9452 y_red + 18 sizing its one
 split; e2_period reads E2(z) dz/dt and its rounding scale on one uniform grid
 over the period, then on the midpoints that each doubling of that grid adds.
-A round costs 50-100 us of numpy dispatch plus about 0.1 us a node (2-core
-x86-64 host, numpy 2.4), so a short class costs mostly per round.
+A round costs 50-100 us of numpy dispatch plus about 0.09 us a node, or
+0.03-0.04 us at a flat one (2-core x86-64 host, numpy 2.4), so a short
+class costs mostly per round.
 Each point is folded into the standard fundamental domain first, so the
-q-series always runs at |q| <= exp(-pi sqrt(3)) where eleven terms leave a
-tail below 1e-22.  The fold (_reduce) refuses a point whose height is not
-above the float spacing of its real part; above that, its relative error is
-about 2^-52 |z| / Im z.
+q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
+below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
+so there the series is its constant term 1 and is not summed (_series).
+That flattens most nodes of a cusp excursion, among them the heights of
+about 56-59.5 and 112-119 where q or q^2 is subnormal and slow.  The fold
+(_reduce) refuses a point whose height is not above the float spacing of
+its real part; above that, its relative error is about 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the period: the
@@ -76,6 +80,9 @@ __all__ = [
 # are both below 1e-22: 2.5e-23 for Delta/q and 3e-26 for E2 at 11 terms,
 # where 10 terms leave 3.8e-21 for Delta/q.
 SERIES_TERMS = 11
+# From this folded height y up, |q| = e^(-2 pi y) leaves both tails past q^0
+# below 1e-22 too: 8.2e-23 (about 24 |q|), where 8.5 leaves 1.5e-22.
+_FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
 _BASE_STEP = 0.03  # winding_index's first grid, unsplit up to B = 4.9: sets only the cost
@@ -172,11 +179,23 @@ def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
+def _series(coeffs: Tuple[int, ...], z_red: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[n] q^n, q = exp(2 pi i z_red), at each folded point; exactly
+    coeffs[0], with no q formed, where Im z_red >= _FLAT_HEIGHT."""
+    if z_red.imag.max(initial=0.0) < _FLAT_HEIGHT:
+        return _horner(coeffs, np.exp(2j * math.pi * z_red))
+    steep = z_red.imag < _FLAT_HEIGHT
+    value = np.full(z_red.shape, complex(coeffs[0]))
+    if steep.any():
+        value[steep] = _horner(coeffs, np.exp(2j * math.pi * z_red[steep]))
+    return value
+
+
 def _delta_series(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z_red, j, tail) at each point of z, with Delta(z) = q tail / j^12 and
     q = exp(2 pi i z_red): the fold of _reduce and the series Delta/q at z_red."""
     z_red, j = _reduce(z)
-    return z_red, j, _horner(DELTA_SERIES, np.exp(2j * math.pi * z_red))
+    return z_red, j, _series(DELTA_SERIES, z_red)
 
 
 def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -187,8 +206,7 @@ def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray
 def _e2(z: np.ndarray) -> np.ndarray:
     """Completed E2 at each point of z."""
     z_red, j = _reduce(z)
-    q = np.exp(2j * math.pi * z_red)
-    return (_horner(E2HOL_SERIES, q) - 3.0 / (math.pi * z_red.imag)) / (j * j)
+    return (_series(E2HOL_SERIES, z_red) - 3.0 / (math.pi * z_red.imag)) / (j * j)
 
 
 def delta_eval(z: complex) -> Tuple[float, float]:

@@ -384,6 +384,49 @@ def test_walk_and_routes_build_no_matrix():
     assert sorted(imported_names(winding) & {"fixed_points", "reduced_conjugate"}) == []
 
 
+# Both routes sum the q-series in one place, _series, which skips it at the
+# flat nodes: no other function may name _horner or form q, the exponential
+# of an imaginary multiple of the point.
+def series_evaluators(source: str) -> list:
+    """Innermost functions (or "<module>") that name _horner or call exp on an
+    argument holding an imaginary constant."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and name == "_horner":
+            found.add(owner)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "exp":
+            if any(
+                isinstance(leaf, ast.Constant) and isinstance(leaf.value, complex)
+                for arg in node.args
+                for leaf in ast.walk(arg)
+            ):
+                found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_series_evaluator_detected():
+    source = (
+        "def _series(coeffs, z):\n    return _horner(coeffs, np.exp(2j * math.pi * z))\n"
+        "def _e2(z):\n    q = cmath.exp(z * 2j)\n    return q\n"
+        "def at(t):\n    return 1j * np.exp(t)\n"
+        "def outer():\n    def inner(q):\n        return winding._horner(C, q)\n    return inner\n"
+        "series = _horner\n"
+    )
+    assert series_evaluators(source) == ["<module>", "_e2", "_series", "inner"]
+
+
+def test_winding_sums_the_series_in_one_place():
+    assert series_evaluators((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_series"]
+
+
 # The benchmark and the demos import the program by name, and tier-1 does not
 # run the benchmark, so a deleted public name must fail here.
 IMPORTERS = sorted(

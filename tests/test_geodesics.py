@@ -758,6 +758,18 @@ class TestCensus:
                 list(census.rows([0, i]))
         with pytest.raises(IndexError):
             list(enumerate_by_trace(2).rows([0]))
+        # numpy would read booleans as a mask: all five rows, or rows 0, 2 and 4
+        small = enumerate_by_trace(5)
+        assert len(small) == 5
+        for picks in (
+            [True] * 5,
+            [True, False, True, False, True],
+            np.array([1.0, 2.0]),
+            [0.5],
+        ):
+            with pytest.raises(TypeError):
+                list(small.rows(picks))
+        assert list(small.rows(np.array([], np.int64))) == []
 
     def test_rows_with_entry_at_least(self):
         census = enumerate_by_trace(trace_cap_for_length(12.0))

@@ -182,6 +182,48 @@ class TestBatchedLayer:
         sliced = np.concatenate([fn(part) for part in np.split(z, [300, 1100])])
         assert np.all(np.abs(whole - sliced) <= 1e-15 * np.maximum(1.0, np.abs(whole)))
 
+    @staticmethod
+    def flat_and_steep_nodes():
+        """Points either side of the flat height, in both subnormal bands of q
+        (56-59.5 and 112-119) and log-uniform in height from 0.05 to 1e4; at
+        Im z >= 1 the fold only translates, so the height is the folded one."""
+        rng = random.Random(59)
+        flat = winding._FLAT_HEIGHT
+        heights = [flat, math.nextafter(flat, 0.0), math.nextafter(flat, math.inf), 8.5, 8.7]
+        heights += [rng.uniform(56.0, 59.5) for _ in range(100)]
+        heights += [rng.uniform(112.0, 119.0) for _ in range(100)]
+        heights += [math.exp(rng.uniform(math.log(0.05), math.log(1e4))) for _ in range(500)]
+        return np.array([complex(rng.uniform(-8, 8), y) for y in heights])
+
+    def test_flat_tops_match_the_full_series(self):
+        z = self.flat_and_steep_nodes()
+        y_red = winding._reduce(z)[0].imag
+        assert (y_red >= winding._FLAT_HEIGHT).sum() > 300 and (y_red < winding._FLAT_HEIGHT).sum() > 100
+        arg = winding._arg_delta(*winding._delta_series(z))
+        e2 = winding._e2(z)
+        for k, point in enumerate(z.tolist()):
+            ref_log, ref_arg = scalar_delta(point)
+            log_abs, _ = delta_eval(point)
+            assert abs(log_abs - ref_log) <= self.TOL * max(1.0, abs(ref_log))
+            assert abs(math.remainder(arg[k] - ref_arg, 2 * math.pi)) <= self.TOL * max(
+                1.0, abs(arg[k])
+            )
+            ref_e2 = scalar_e2(point)
+            assert abs(e2[k] - ref_e2) <= self.TOL * max(1.0, abs(ref_e2))
+
+    @pytest.mark.parametrize("form", ["e2", "arg_delta"])
+    def test_flat_split_is_per_node(self, form):
+        # a batch of flat and steep nodes against each node alone, bit for bit;
+        # alone means a batch of two copies, because numpy's in-place complex
+        # multiply (in _horner) rounds a one-element array differently
+        fn = {
+            "e2": winding._e2,
+            "arg_delta": lambda z: winding._arg_delta(*winding._delta_series(z)),
+        }[form]
+        z = self.flat_and_steep_nodes()
+        alone = np.concatenate([fn(np.array([point, point]))[:1] for point in z])
+        assert np.array_equal(fn(z), alone)
+
     def test_fold_refuses_inexact_matrix(self):
         # the fold of z = 0.3 + 1e-40 i needs c near 6e16 (Im j = c Im z from
         # the scalar fold's exact ints); its height is far below the float
@@ -302,6 +344,34 @@ class TestOneEvaluationPerRound:
         assert winding_index(g).index == psi(g)
         assert len(delta) <= 2 and len(batches) == 2
         assert np.all(turn_bound(*final_grid(batches)) < 0.5 * math.pi)
+
+
+def test_flat_nodes_skip_the_series(monkeypatch):
+    # the excursion of (1, 240) rises to height 121 through both subnormal
+    # bands of q; no node at or above the flat height reaches _horner
+    heights, series = [], []
+    reduce, horner = winding._reduce, winding._horner
+
+    def recording_reduce(z):
+        z_red, j = reduce(z)
+        heights.append(z_red.imag.copy())
+        return z_red, j
+
+    def recording_horner(coeffs, q):
+        series.append(q.copy())
+        return horner(coeffs, q)
+
+    monkeypatch.setattr(winding, "_reduce", recording_reduce)
+    monkeypatch.setattr(winding, "_horner", recording_horner)
+    g = word_to_matrix((1, 240))
+    assert winding_index(g).index == psi(g)
+    assert e2_period(g) == pytest.approx(psi(g), abs=1e-6)
+    y = np.concatenate(heights)
+    assert ((56.0 <= y) & (y <= 59.5)).any() and ((112.0 <= y) & (y <= 119.0)).any()
+    q = np.concatenate(series)
+    assert q.size == (y < winding._FLAT_HEIGHT).sum() < y.size
+    # |q| = e^(-2 pi y_red), so each q's height is -log |q| / (2 pi)
+    assert np.all(-np.log(np.abs(q)) / (2 * math.pi) < winding._FLAT_HEIGHT + 1e-12)
 
 
 def recorded_batches(monkeypatch):
@@ -492,6 +562,20 @@ class TestSeriesTables:
         assert len(DELTA_SERIES) == len(E2HOL_SERIES) == terms + 1
         assert max(tail(delta, terms), tail(e2, terms)) < 1e-22
         assert max(tail(delta, terms - 1), tail(e2, terms - 1)) >= 1e-22
+
+    def test_flat_height_is_the_least_height_below_the_bound(self):
+        # tails past q^0 at |q| = e^(-2 pi y), from 60-term tables: at or above
+        # the flat height both series are their constant term within 1e-22,
+        # and 0.1 lower at least one tail is not
+        delta = winding._delta_q_coefficients(60)
+        e2 = [1] + [24 * winding._sigma1(n) for n in range(1, 61)]
+
+        def tails(y):
+            q = math.exp(-2 * math.pi * y)
+            return [sum(abs(c) * q**n for n, c in enumerate(coeffs) if n) for coeffs in (delta, e2)]
+
+        assert max(tails(winding._FLAT_HEIGHT)) < 1e-22
+        assert max(tails(winding._FLAT_HEIGHT - 0.1)) >= 1e-22
 
 
 class TestReduction:
