@@ -199,9 +199,7 @@ def _psi_by_method(gamma: Mat2, method: str):
         return psi_cf(matrix_to_word(g))
     if method == "index":
         return winding_index(g).index
-    if method == "period":
-        return e2_period(g)
-    raise click.UsageError(f"unknown method {method!r}")
+    return e2_period(g)
 
 
 @click.group()

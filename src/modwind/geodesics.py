@@ -123,9 +123,6 @@ class CyclicWord:
             raise ValueError(f"{self.entries} is not in canonical rotation")
         object.__setattr__(self, "entries", entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def _canonical_word(entries: Tuple[int, ...]) -> CyclicWord:
     """CyclicWord(entries) without its checks, for entries that this module has
@@ -200,11 +197,13 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     product is SL(2,Z)-conjugate to gamma.  No floating point is used."""
     t = gamma.trace
     P, Q, cycle = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
-    k, period = _least_even_rotation(cycle)
+    # the walk returns after the least even multiple of the period of its
+    # states, which the digits share, so the cycle is no power of a shorter
+    # even block: only gamma can be a proper power, of the cycle's product
+    k, _ = _least_even_rotation(cycle)
     p, _, r, s = _word_product_entries(cycle)
     # with det 1, trace, p - s and 2r fix the product's matrix
-    if (p + s, p - s, 2 * r) != (t, P, Q) or period != len(cycle):
-        # the walk's product is then a proper power of the cycle product
+    if (p + s, p - s, 2 * r) != (t, P, Q):
         raise NotPrimitive(f"{gamma} is a proper power")
     return _canonical_word(tuple(cycle[k:] + cycle[:k]))
 
@@ -341,16 +340,16 @@ class Census:
     def rows(self, index=None) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
         """Every row as Python values (entries, trace, length, psi), in order, or
         the rows at an array of row indices in that order; IndexError for one
-        out of range, TypeError for indices of a non-integer dtype (numpy would
-        read booleans as a mask).
+        out of range, TypeError for indices that are not one axis of integers
+        (numpy would read booleans as a mask).
 
         Each chunk of rows gathers its digits and its lengths with one numpy
         take each, so no per-row view or numpy slice is built.
         """
         if index is not None:
             index = np.asarray(index)
-            if index.size and index.dtype.kind not in "iu":
-                raise TypeError(f"row indices must be integers, not {index.dtype}")
+            if index.ndim != 1 or index.size and index.dtype.kind not in "iu":
+                raise TypeError(f"row indices must be 1-D integers, not {index.ndim}-D {index.dtype}")
         for lo in range(0, len(self) if index is None else len(index), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
             at = slice(lo, hi) if index is None else index[lo:hi]
@@ -398,9 +397,10 @@ def _count_table(trace, psi, lengths):
     if len(trace):
         lo = int(psi.min())
         width = int(psi.max()) - lo + 1
-        top = int(trace[-1])
-        # int32 keys sort faster; int64 once the keys pass int32
-        keys = trace.astype(np.int32 if (top - 2) * width <= np.iinfo(np.int32).max else np.int64)
+        # |psi| <= trace - 3, so with traces up to cap every key is below
+        # (cap - 2)(2 cap - 5): 9.7e8 at the cap of MAX_LENGTH_BOUND, 22,026,
+        # inside int32
+        keys = trace.astype(np.int32)
         keys -= 3
         keys *= width
         keys += psi

@@ -338,9 +338,9 @@ def winding_index(gamma: Mat2) -> WindingResult:
         arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
         return np.array([arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag])
 
+    # at most 23,661 nodes, as l < 709.79 (the axis refuses t^2 - 4 past the float
+    # range); the split's node cap covers this grid too, as bounds[-1] >= intervals
     intervals = math.ceil(ell / _BASE_STEP)
-    if intervals + 1 > _MAX_NODES:
-        raise CapExceeded(f"winding grid needs {intervals + 1} nodes (cap {_MAX_NODES})")
     lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
     t = lo + (hi - lo) / intervals * np.arange(intervals + 1.0)  # np.linspace's nodes
     t[-1] = hi

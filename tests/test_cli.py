@@ -229,6 +229,14 @@ class TestIndex:
             assert (code, err) == (1, "error: injected\n")
         assert out == ""
 
+    def test_residual_refusal_exits_3(self, capsys):
+        # the product of long_words(55, 20)[4] of tests/test_winding.py; --word
+        # would pass its canonical rotation, a conjugate that winding_index computes
+        g = word_to_matrix((9, 5, 9, 7, 5, 9, 9, 8, 7, 7, 4, 5, 5, 1, 1, 3, 8, 9))
+        code, out, err = run(capsys, "index", "--matrix", ",".join(map(str, g.entries())))
+        assert (code, out) == (3, "")
+        assert err.startswith("resource/data error: winding total") and err.count("\n") == 1
+
     def test_resource_errors(self):
         assert set(ResourceError.__subclasses__()) == {
             CapExceeded,
@@ -237,6 +245,45 @@ class TestIndex:
             ResidualTooLarge,
             StepTooCoarse,
         }
+
+
+# The refusals of the argument parsing: exit 1, nothing on stdout, one line on
+# stderr, and no census built.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("psi", "--word", "1-2-3"), "word length 3"),
+        (("psi", "--matrix", "1,2,3"), "--matrix wants a,b,c,d"),
+        (("stats-density", "--max-length", "10", "--n-range", "5"), "bad range"),
+        (("stats-density", "--max-length", "10", "--n-range", "5..1"), "empty range"),
+        (("stats-twisted", "--max-length", "10", "--r-grid", "0:1"), "bad grid"),
+        (("stats-twisted", "--max-length", "10"), "exactly one of --r or --r-grid"),
+        (("stats-twisted", "--max-length", "10", "--r", "0.25", "--r-grid", "0:1:0.25"), "exactly one"),
+    ],
+    ids=["odd-word", "short-matrix", "bad-range", "empty-range", "bad-grid", "no-r", "both-r"],
+)
+def test_parse_refusals(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "_census", lambda t: pytest.fail("census built"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_interrupt_exits_1(capsys, monkeypatch):
+    # click turns a KeyboardInterrupt into Abort, after a bare newline on stderr
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_all", interrupted)
+    assert run(capsys, "verify", "--max-length", "5") == (1, "", "\n")
+
+
+def test_methods_disagree_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "e2_period", lambda g: cli.psi(g) + 1)
+    code, out, err = run(capsys, "psi", "--matrix", "22,3,7,1", "--method", "all")
+    assert code == 2
+    assert out == "cf: -4\ndedekind: -4\ncocycle: -4\nindex: -4\nperiod: -3\n"
+    assert err.startswith("verification failure: methods disagree") and err.count("\n") == 1
 
 
 # A cusp excursion of about 1e9 turns: the winding grid would need about 1e10

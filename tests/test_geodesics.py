@@ -454,6 +454,22 @@ class TestMatrixToWord:
         g = tau @ word_to_matrix(w) @ tau.inverse()
         assert outcome(matrix_to_word, g) == outcome(reference_matrix_to_word, g)
 
+    def test_cycle_is_primitive(self):
+        # the walk returns after the least even multiple of its states' period,
+        # so its cycle is no power of a shorter even block, and only the product
+        # check refuses: every word of 2 to 6 digits in 1..4, squared and cubed
+        short = [w for n in (2, 4) for w in itertools.product(range(1, 5), repeat=n)]
+        powers = [w * k for w in short for k in (2, 3)]
+        for w in short + list(itertools.product(range(1, 5), repeat=6)) + powers:
+            g = word_to_matrix(w)
+            _, _, cycle = _reduced_cycle(g.trace, g.a - g.d, 2 * g.c)
+            assert geodesics._least_even_rotation(tuple(cycle))[1] == len(cycle), w
+            if is_primitive(w):
+                assert matrix_to_word(g) == canonical_form(w)
+            else:
+                with pytest.raises(NotPrimitive):
+                    matrix_to_word(g)
+
     def test_huge_entries(self):
         g = Mat2(10**400, 10**400 - 1, 1, 1)
         assert matrix_to_word(g) == reference_matrix_to_word(g)
@@ -766,8 +782,12 @@ class TestCensus:
             [True, False, True, False, True],
             np.array([1.0, 2.0]),
             [0.5],
+            # not one axis: numpy failed on these with messages about its internals
+            2,
+            np.array([[0, 1], [2, 3]]),
+            [[0], [1]],
         ):
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="row indices must be 1-D integers"):
                 list(small.rows(picks))
         assert list(small.rows(np.array([], np.int64))) == []
 

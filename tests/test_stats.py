@@ -13,6 +13,7 @@ import pytest
 from modwind import geodesics, stats
 from modwind.errors import DomainError, InsufficientData
 from modwind.geodesics import (
+    MAX_LENGTH_BOUND,
     EnumerationConfig,
     enumerate_by_trace,
     enumerate_geodesics,
@@ -183,19 +184,14 @@ class TestCountTable:
         assert list(zip(trace.tolist(), psi.tolist(), count.tolist())) == [(3, 0, 1), (4, -1, 1), (4, 1, 1)]
         assert length.tolist() == [length for _, _, length, _ in records.rows()]
 
-    def test_keys_past_int32(self):
-        # (trace - 2) W = 99,999 * 40,001 passes int32: the keys sort as int64
-        trace = np.array([3, 3, 100_001, 100_001, 100_001])
-        psi = np.array([20_000, -20_000, 20_000, 0, 20_000])
-        # the length of trace t at t - 3
-        lengths = np.array([geodesic_length(t) for t in range(3, 100_002)])
-        table = geodesics._count_table(trace, psi, lengths)
-        assert [column.tolist() for column in table] == [
-            [3, 3, 100_001, 100_001],
-            [-20_000, 20_000, 0, 20_000],
-            [1, 1, 1, 2],
-            [geodesic_length(3)] * 2 + [geodesic_length(100_001)] * 2,
-        ]
+    def test_keys_within_int32(self):
+        # the keys are int32: with |psi| <= trace - 3 and traces up to cap, each
+        # is below (cap - 2)(2 cap - 5), so a larger length bound must fail here
+        cap = trace_cap_for_length(MAX_LENGTH_BOUND)
+        assert cap == 22026
+        assert (cap - 2) * (2 * cap - 5) < np.iinfo(np.int32).max
+        census = enumerate_geodesics(EnumerationConfig(max_length=15.0))
+        assert np.all(np.abs(census.psi) <= census.trace - 3)
 
     def test_benchmark_sequence_builds_the_table_once(self, monkeypatch):
         # a census of its own, so no earlier test has built its table

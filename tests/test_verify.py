@@ -2,12 +2,13 @@ import hashlib
 import math
 import time
 
+import numpy as np
 import pytest
 
 from modwind import verify
 from modwind.errors import CapExceeded, DomainError
-from modwind.geodesics import EnumerationConfig, enumerate_by_trace, enumerate_geodesics
-from modwind.verify import VERIFY_MAX_CLASSES, run_all, stratified_sample
+from modwind.geodesics import Census, EnumerationConfig, enumerate_by_trace, enumerate_geodesics
+from modwind.verify import VERIFY_MAX_CLASSES, run_all, stratified_sample, suite_word_census
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +110,58 @@ class TestRunAllBound:
         monkeypatch.setattr(verify, "suite_dedekind_reciprocity", lambda rng: pytest.fail("ran"))
         with pytest.raises(DomainError, match="sample sizes must be integers"):
             run_all(max_length=5.0, sample=sample)
+
+
+class TestFailureReport:
+    """word_census on a census of trace <= 30 (151 classes) with a wrong
+    column: the counts and notes of the failing checks."""
+
+    @staticmethod
+    def census30(edit):
+        census = enumerate_by_trace(30)
+        # the census's columns are read-only, so the edit works on copies
+        names = ("trace", "psi", "start", "stop", "digits")
+        columns = {name: getattr(census, name).copy() for name in names}
+        edit(columns)
+        return Census(**columns)
+
+    def test_sound_census_passes(self):
+        res = suite_word_census(self.census30(lambda columns: None))
+        assert (res.passed, res.failed, res.details) == (610, 0, [])
+
+    def test_one_wrong_psi(self):
+        # row 5 is (1, 4), of psi -3, and row 7 its reversal (4, 1)
+        def flip(columns):
+            columns["psi"][5] *= -1
+
+        res = suite_word_census(self.census30(flip))
+        assert (res.passed, res.failed) == (607, 3)
+        assert res.details == [
+            "psi mismatch at (1, 4)",
+            "reversal psi not negated at (1, 4)",
+            "reversal psi not negated at (4, 1)",
+        ]
+
+    def test_one_missing_reversal(self):
+        # without row 7, (4, 1), its reversal (1, 4) finds no partner
+        def drop(columns):
+            keep = np.arange(len(columns["trace"])) != 7
+            for name in ("trace", "psi", "start", "stop"):
+                columns[name] = columns[name][keep]
+
+        res = suite_word_census(self.census30(drop))
+        assert (res.passed, res.failed) == (604, 2)
+        assert res.details == ["reversal missing for (1, 4)", "reversal psi not negated at (1, 4)"]
+
+    def test_details_capped_at_twenty(self):
+        def shift(columns):
+            columns["psi"] += 1
+
+        res = suite_word_census(self.census30(shift))
+        assert (res.passed, res.failed, len(res.details)) == (303, 307, 20)
+        assert res.details[:3] == [
+            "psi mismatch at (1, 1)",
+            "reversal psi not negated at (1, 1)",
+            "inert class with psi != 0: (1, 1)",
+        ]
+        assert res.as_dict()["details"] == res.details

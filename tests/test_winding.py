@@ -16,6 +16,7 @@ from modwind.errors import (
     NonPositiveImaginary,
     NotHyperbolic,
     QuadratureFailure,
+    ResidualTooLarge,
     StepTooCoarse,
 )
 from modwind.geodesics import _reduced_cycle, word_to_matrix
@@ -478,6 +479,21 @@ class TestRefine:
         assert len(batches) <= 2 and sum(delta) == res.steps + 1
         assert np.all(turn_bound(*final_grid(batches)) < 0.5 * math.pi)
 
+    def test_first_grid_within_the_node_cap(self, monkeypatch):
+        # the largest trace whose t^2 - 4 is a float has the longest first grid,
+        # far below the cap, so only the split's grid is checked against it
+        top = math.isqrt(2**1024 - 2**970 + 3)
+        assert 2**511 < top < 2**512
+        nodes = math.ceil(geodesic_length(top) / winding._BASE_STEP) + 1
+        assert nodes == 23661 < winding._MAX_NODES
+        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        with pytest.raises(CapExceeded, match="float spacing"):
+            winding_index(word_to_matrix((1, top - 2)))
+        assert delta == [nodes]
+        with pytest.raises(CapExceeded, match="past the float range"):
+            winding_index(word_to_matrix((1, top - 1)))
+        assert delta == [nodes]
+
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
         g = word_to_matrix((1, 60))
         res = winding_index(g)
@@ -929,6 +945,16 @@ class TestWindingIndex:
         res = winding_index(g)
         assert res.index == psi(g) == 1 and res.residual < 1e-3
         assert e2_period(g) == pytest.approx(1.0, abs=1e-6)
+
+    def test_residual_refused(self):
+        # one of the 20 survey words at L = 55 that the residual check refuses:
+        # the turns total misses an integer by more than _RESIDUAL_LIMIT
+        w = long_words(55, 20)[4]
+        assert len(w) == 18
+        start = time.perf_counter()
+        with pytest.raises(ResidualTooLarge, match="winding total"):
+            winding_index(word_to_matrix(w))
+        assert time.perf_counter() - start < 1.0
 
     def test_coarse_grid_raises_at_once(self, monkeypatch):
         # the period of (1, 60), about 8.25, in nine intervals that a rate
