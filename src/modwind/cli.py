@@ -1,7 +1,8 @@
 """Command line interface: enumeration, symbol computations, statistics, verify.
 
 Exit codes: 0 success, 1 usage, validation or output file error, 2 verification
-failure (a mathematical disagreement or a failed suite), 3 resource or data error.
+failure (a mathematical disagreement or a failed suite), 3 resource or data error,
+130 (128 + SIGINT) interrupted, with one `interrupted` line on stderr.
 Diagnostics go to stderr; stdout carries data only.
 """
 
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
+EXIT_INTERRUPT = 130
 
 # --matrix and --word are refused when an entry of the matrix has more bits;
 # every psi method then finishes or fails within a few seconds (README).
@@ -365,7 +367,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE
     except click.exceptions.Abort:
-        return EXIT_USAGE
+        # click has ended the ^C line with a newline on stderr
+        click.echo("interrupted", err=True)
+        return EXIT_INTERRUPT
     except VerificationFailure as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return EXIT_VERIFY

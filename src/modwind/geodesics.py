@@ -50,10 +50,10 @@ MAX_LENGTH_BOUND = 20.0
 # A census is refused up front when its estimated peak memory exceeds this,
 # which admits T up to about 17.98.
 CENSUS_MEMORY_BUDGET = 512 * 2**20
-# Peak memory growth per class of a census and its statistics: 82 B at
-# T = 15, 83 B at T = 17 and 76 B at T = 17.98, measured in fresh processes
-# (the walk's own peak sets the last two), plus room for the longer words of
-# larger T.
+# Peak memory growth per class of a census and its statistics: 76 B at
+# T = 15, 80 B at T = 17 and 75 B at T = 17.98, measured in fresh processes
+# (the walk and the row ordering after it set the last two), plus room for
+# the longer words of larger T.
 _CENSUS_BYTES_PER_CLASS = 140
 _LENGTH_SLACK = 1e-12
 # The row bounds are int32, so a census holds at most this many digits.
@@ -430,18 +430,18 @@ def _segments(sizes):
     segment each item lies in, its place there, and the segment bounds."""
     bounds = _bounds(sizes)
     owner = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    place = np.arange(len(owner), dtype=np.int32) - bounds[owner]
+    place = np.arange(len(owner), dtype=np.int32) - np.take(bounds, owner)
     return owner, place, bounds
 
 
-def _fkm_levels(cap: int):
-    """The FKM tree of the classes of trace <= cap, one level of n pairs at a time.
-
-    Returns (digits, tree, rows).  digits holds the words of the classes, a
-    block per level.  tree[n] is (offsets, is_class, keep) of the children
-    with n + 1 pairs: those of frontier node x are offsets[x]:offsets[x + 1],
-    and the kept ones form the next frontier.  rows[n] is (trace, start,
-    psi) of the classes among them, in the order of their words in digits.
+def _expand(cap: int, frontier: list, digits: np.ndarray):
+    """One level of the FKM tree of trace <= cap: the children of a frontier of
+    prenecklaces of n pairs, the classes' words appended to digits.  frontier is
+    [p, q, r, s, w, period, a0, b0, words], a row a node: product (p q; r s),
+    alternating sum, period, the pair `period` places back and the word with two
+    spare digits; the step empties it, to free each array once read.  Returns
+    (offsets, is_class, keep), x's children at offsets[x]:offsets[x + 1], (trace,
+    start, psi) of the classes and the next frontier; a slice gives the slices.
 
     A class is a Lyndon word over digit pairs (a_{2i-1}, a_{2i}): its minimal
     even rotation is itself, and it is no power of an even block.  The tree
@@ -459,57 +459,65 @@ def _fkm_levels(cap: int):
     largest b is (cap - p - v) // u, which is at least 1 exactly when
     (p + r) a + p + q + s <= cap.  The pairs start at the repeated pair
     (a0, b0), and at (a, 1) for every larger a.  No entry, trace or sum
-    exceeds a few caps, so every column is int32.
+    exceeds a few caps, so every column is int32.  Every gather is a np.take
+    of a contiguous array, faster in numpy than fancy indexing, so a child's
+    word is its parent's row taken whole, with its pair in the spare digits.
     """
-    # the frontier: prenecklaces of n pairs with a child, from the root on,
-    # with products (p q; r s), alternating sums w, periods and words; (a0, b0)
-    # is the pair `period` places back, (1, 1) at the root
-    p, q, r, s, w, period, a0, b0 = (np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1))
-    words = np.empty((1, 0), np.int32)
+    p, q, r, s, w, period, a0, b0, words = frontier
+    frontier.clear()
+    n = words.shape[1] // 2 - 1
+    # the a range of each node, then the b range of each a
+    i, k, a_bounds = _segments(np.maximum((cap - p - q - s) // (p + r) - a0 + 1, 0))
+    a = np.take(a0, i) + k
+    u = np.take(p, i) * a + np.take(q, i)
+    v = np.take(r, i) * a + np.take(s, i)
+    b_lo = np.where(k == 0, np.take(b0, i), 1)
+    j, kb, b_bounds = _segments(np.maximum((cap - np.take(p, i) - v) // u - b_lo + 1, 0))
+    offsets = np.take(b_bounds, a_bounds)
+    # the repeat is the first child, (a0, b0), of a node below the root
+    is_class = (np.take(k, j) != 0) | (kb != 0) if n else np.ones(len(j), bool)
+    parent = np.take(i, j)
+    a, u, v, b = np.take(a, j), np.take(u, j), np.take(v, j), np.take(b_lo, j) + kb
+    del i, k, a_bounds, j, kb, b_bounds, b_lo
+    P = u * b + np.take(p, parent)
+    R = v * b + np.take(r, parent)
+    w = np.take(w, parent) + a - b
+    # the smallest pair (1, 1) gives a child's cheapest child
+    keep = 2 * P + u + R + v <= cap
+    word = np.take(words, parent, axis=0)
+    word[:, 2 * n], word[:, 2 * n + 1] = a, b
+    del a, b, p, q, r, s, a0, b0, words
+    kept = np.flatnonzero(keep)
+    words = np.empty((len(kept), 2 * n + 4), np.int32)
+    words[:, : 2 * n + 2] = np.take(word, kept, axis=0)
+    period = np.where(np.take(is_class, kept), n + 1, np.take(period, np.take(parent, kept)))
+    # each kept row's pair `period` places back, by a take of the flat words
+    back = np.arange(0, words.size, 2 * n + 4, dtype=np.int32) + 2 * (n + 1 - period)
+    frontier = [np.take(x, kept) for x in (P, u, R, v, w)]
+    frontier += [period, np.take(words, back), np.take(words, back + 1), words]
+    # the classes' words go last, once the children's columns are freed
+    trace, w = (P + v)[is_class], w[is_class]
+    del P, u, R, v, parent, kept, back, period, words
+    begin, size = len(digits), len(digits) + len(trace) * (2 * n + 2)
+    if size > _MAX_DIGITS:
+        raise CapExceeded(f"{size} digits overflow the int32 row bounds")
+    digits.resize(size, refcheck=False)
+    # "clip" keeps these in-range rows and, unlike np.compress, does not buffer them
+    np.take(word, np.flatnonzero(is_class), axis=0, out=digits[begin:].reshape(-1, 2 * n + 2), mode="clip")
+    return (offsets, is_class, keep), (trace, np.arange(begin, size, 2 * n + 2, dtype=np.int32), w), frontier
+
+
+def _fkm_levels(cap: int):
+    """The FKM tree of the classes of trace <= cap, one _expand a level: digits,
+    the classes' words in a block a level, and tree and rows, per level of n + 1
+    pairs (offsets, is_class, keep) of its nodes and (trace, start, psi) of its classes."""
+    frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.int32)]
     digits = np.empty(0, np.int32)
     tree, rows = [], []
-    n = 0
-    while len(p):
-        # the a range of each node, then the b range of each a
-        i, k, a_bounds = _segments(np.maximum((cap - p - q - s) // (p + r) - a0 + 1, 0))
-        a = a0[i] + k
-        u = p[i] * a + q[i]
-        v = r[i] * a + s[i]
-        b_lo = np.where(k == 0, b0[i], 1)
-        j, kb, b_bounds = _segments(np.maximum((cap - p[i] - v) // u - b_lo + 1, 0))
-        offsets = b_bounds[a_bounds]
-        # the repeat is the first child, (a0, b0), of a node below the root
-        is_class = (k[j] != 0) | (kb != 0) if n else np.ones(len(j), bool)
-        parent = i[j]
-        a, u, v, b = a[j], u[j], v[j], b_lo[j] + kb
-        del i, k, a_bounds, j, kb, b_bounds, b_lo
-        P = u * b + p[parent]
-        R = v * b + r[parent]
-        w = w[parent] + a - b
-        # the smallest pair (1, 1) gives a child's cheapest child
-        keep = 2 * P + u + R + v <= cap
-        word = np.empty((len(b), 2 * n + 2), np.int32)
-        word[:, : 2 * n] = words[parent]
-        word[:, 2 * n] = a
-        word[:, 2 * n + 1] = b
-        del words, a, b
-        m = int(np.count_nonzero(is_class))
-        begin, size = len(digits), len(digits) + m * (2 * n + 2)
-        if size > _MAX_DIGITS:
-            raise CapExceeded(f"{size} digits overflow the int32 row bounds")
-        digits.resize(size, refcheck=False)
-        np.compress(is_class, word, axis=0, out=digits[begin:].reshape(m, 2 * n + 2))
-        tree.append((offsets, is_class, keep))
-        rows.append(((P + v)[is_class], np.arange(begin, size, 2 * n + 2, dtype=np.int32), w[is_class]))
-        kept = np.flatnonzero(keep)
-        period = np.where(is_class[kept], n + 1, period[parent[kept]])
-        p, q, r, s, w, words = P[kept], u[kept], R[kept], v[kept], w[kept], word[kept]
-        del P, u, R, v, word, parent
-        n += 1
-        back = 2 * (n - period)
-        a0 = words[np.arange(len(kept)), back]
-        b0 = words[np.arange(len(kept)), back + 1]
-        del kept, back
+    while len(frontier[0]):
+        node, row, frontier = _expand(cap, frontier, digits)
+        tree.append(node)
+        rows.append(row)
     return digits, tree, rows
 
 
@@ -525,7 +533,7 @@ def _preorder_ranks(tree):
         if below is not None:
             count[keep] += below
         run = _bounds(count)
-        below = run[offsets[1:]] - run[offsets[:-1]]
+        below = np.take(run, offsets[1:]) - np.take(run, offsets[:-1])
         running.append(run)
     # top-down: the classes before a child are those before its parent, the
     # parent if it is a class, and those in the subtrees of its elder siblings
@@ -558,13 +566,15 @@ def enumerate_by_trace(cap: int) -> Census:
     widths = np.arange(2, 2 * len(rows) + 2, 2, dtype=np.int32)
     stop = start + np.repeat(widths, [len(t) for t, _, _ in rows])
     del rows
-    order = np.argsort(trace.astype(np.int64) * len(trace) + rank)
+    # rank goes before the sort, where the census peaks once the walk is done
+    order = trace.astype(np.int64) * len(trace) + rank
     del rank
+    order = np.argsort(order)
     # each column is rebound in turn, so its level-order copy is freed at once
-    trace = trace[order]
-    psi = psi[order]
-    start = start[order]
-    stop = stop[order]
+    trace = np.take(trace, order)
+    psi = np.take(psi, order)
+    start = np.take(start, order)
+    stop = np.take(stop, order)
     del order
     return Census(trace=trace, psi=psi, start=start, stop=stop, digits=digits)
 

@@ -269,13 +269,14 @@ def test_parse_refusals(capsys, monkeypatch, argv, message):
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
-def test_interrupt_exits_1(capsys, monkeypatch):
-    # click turns a KeyboardInterrupt into Abort, after a bare newline on stderr
+def test_interrupt_exits_130(capsys, monkeypatch):
+    # click turns a KeyboardInterrupt into Abort, after a bare newline on
+    # stderr; main adds one diagnostic line and exits 128 + SIGINT
     def interrupted(**kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "run_all", interrupted)
-    assert run(capsys, "verify", "--max-length", "5") == (1, "", "\n")
+    assert run(capsys, "verify", "--max-length", "5") == (130, "", "\ninterrupted\n")
 
 
 def test_methods_disagree_exits_2(capsys, monkeypatch):

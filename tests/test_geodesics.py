@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -848,6 +849,93 @@ class TestLevelWalk:
         monkeypatch.setattr(geodesics, "_MAX_DIGITS", digits - 1)
         with pytest.raises(CapExceeded, match="overflow the int32 row bounds"):
             enumerate_by_trace(30)
+
+
+def sha256(column):
+    return hashlib.sha256(column.tobytes()).hexdigest()
+
+
+# (dtype, sha256 of the bytes) of each column, taken from the walk that
+# gathered by fancy indexing: the rows, and the level blocks of the digits
+# that start and stop point into
+CENSUS_COLUMNS = {
+    12.0: {
+        "trace": ("int32", "5ced32822bbab7776ec43dd4c69713c872e4b4d83c3ae2253b19023cc28fe825"),
+        "psi": ("int32", "357ed822ee33cb084c9e713af3651617098b633d01edf2dafe388497cced20e5"),
+        "start": ("int32", "03e859fa4c2198653e1ba3d1f50181704902f8036b002d3e544f2a93c82c73ee"),
+        "stop": ("int32", "ff53e798322bdfc8ca6f9ba4b4d1149f0f0c07a2eb289051449508998b5e3089"),
+        "digits": ("int32", "ce90fdeb6e53c41d70fa3dea3933b2e7ed013c3aeb587270ed824112e8cdd1c5"),
+    },
+    15.0: {
+        "trace": ("int32", "1e5a11fa1353ec77d49676a5802f6f3320d2ba1f728233825f616bea55f802ea"),
+        "psi": ("int32", "daaad191e4dc2b0129d84aca0781c875ecb8380876434029fe98619b958599c3"),
+        "start": ("int32", "d680f8f84fd6ba69f80277fa7feb3ced4309f93589cc422e87ba7b329df859ff"),
+        "stop": ("int32", "cbd32fbd0245058f191a202248ee2346b73d3524326af6d3b842e1eb2f42bc71"),
+        "digits": ("int32", "837b3959300c46535af44e5f9fd527228cd767370ed84423f3d650e6def0c9f1"),
+    },
+}
+# (trace, psi, count, length) of counts() at T = 15
+COUNT_TABLE_15 = [
+    ("int64", "106e20a948f548a116a01fb72fb0a4b0513039b23339d34cf1b47524bc4c03cf"),
+    ("int64", "fa380a672f545b950551aa09455bcbfeb239b257b9da4fb42e7230128c7af9b7"),
+    ("int64", "bc2bafd7e12714589f058bde394c832180ff7f8f4d2c1f3896f4ffba8a7ed4d4"),
+    ("float64", "97d6fb5ec80c9fa5d9f6cc29379b5eda9646fa31ecdd03e857cd13c03b84745d"),
+]
+
+
+class TestPinnedCensus:
+    """The census bit for bit: the columns, their dtypes and the digit layout."""
+
+    @pytest.mark.parametrize("T", sorted(CENSUS_COLUMNS))
+    def test_columns(self, T):
+        census = enumerate_geodesics(EnumerationConfig(max_length=T))
+        got = {name: (getattr(census, name).dtype.name, sha256(getattr(census, name))) for name in CENSUS_COLUMNS[T]}
+        assert got == CENSUS_COLUMNS[T]
+
+    def test_count_table(self):
+        table = enumerate_geodesics(EnumerationConfig(max_length=15.0)).counts()
+        assert [(column.dtype.name, sha256(column)) for column in table] == COUNT_TABLE_15
+
+
+class TestExpansionStep:
+    """geodesics._expand on slices of a frontier gives the slices of one call."""
+
+    @staticmethod
+    def expand(cap, frontier, parts):
+        # the frontier in `parts` slices, some empty, each expanded into one
+        # digit buffer: the children's columns, the classes' columns, the
+        # next frontier, each concatenated across the slices, and the digits
+        digits = np.empty(0, np.int32)
+        cuts = np.linspace(0, len(frontier[0]), parts + 1).astype(int)
+        nodes, rows, nexts = [], [], []
+        for lo, hi in zip(cuts, cuts[1:]):
+            (offsets, is_class, keep), row, after = geodesics._expand(cap, [x[lo:hi] for x in frontier], digits)
+            nodes.append((np.diff(offsets), is_class, keep))
+            rows.append(row)
+            nexts.append(after)
+        join = lambda pieces: [np.concatenate(column) for column in zip(*pieces)]
+        return join(nodes) + join(rows) + [digits], join(nexts)
+
+    def test_slices_equal_one_call(self):
+        cap = trace_cap_for_length(12.0)
+        # the root: product (1 0; 0 1), w 0, period 1, (a0, b0) = (1, 1) and
+        # the empty word with its two spare digits
+        frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.int32)]
+        blocks = []
+        while len(frontier[0]):
+            level, after = self.expand(cap, frontier, 1)
+            # the spare digits of the next frontier's words are not written yet
+            whole = level + after[:-1] + [after[-1][:, :-2]]
+            for parts in (2, 7):
+                children, sliced = self.expand(cap, frontier, parts)
+                got = children + sliced[:-1] + [sliced[-1][:, :-2]]
+                assert [c.dtype for c in got] == [c.dtype for c in whole]
+                assert all(np.array_equal(g, c) for g, c in zip(got, whole))
+            blocks.append(level[-1])
+            frontier = after
+        # one call a level is the census's walk
+        assert len(blocks) == 6
+        assert np.array_equal(np.concatenate(blocks), geodesics._fkm_levels(cap)[0])
 
 
 class TestCensusBudget:
