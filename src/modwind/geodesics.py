@@ -566,10 +566,16 @@ def enumerate_by_trace(cap: int) -> Census:
     widths = np.arange(2, 2 * len(rows) + 2, 2, dtype=np.int32)
     stop = start + np.repeat(widths, [len(t) for t, _, _ in rows])
     del rows
-    # rank goes before the sort, where the census peaks once the walk is done
-    order = trace.astype(np.int64) * len(trace) + rank
+    # the rows in preorder, then a stable sort by trace: rank goes before the
+    # sort, where the census peaks once the walk is done.  As uint16 the traces
+    # take numpy's radix sort; the budget refuses caps past 8,055 and
+    # MAX_LENGTH_BOUND caps enumerate_geodesics at 22,026, both below 2^16
+    if cap >= 2**16:
+        raise RuntimeError(f"trace cap {cap} past the uint16 sort of the census")
+    order = np.empty_like(rank)
+    order[rank] = np.arange(len(rank), dtype=rank.dtype)
     del rank
-    order = np.argsort(order)
+    order = np.take(order, np.argsort(np.take(trace, order).astype(np.uint16), kind="stable"))
     # each column is rebound in turn, so its level-order copy is freed at once
     trace = np.take(trace, order)
     psi = np.take(psi, order)

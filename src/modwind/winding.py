@@ -17,6 +17,15 @@ numpy pass only where its result is read.  winding_index reads arg F, up to
 in at most two rounds, |d arg F/dt| <= 6.9452 y_red + 18 sizing its one
 split; e2_period reads E2(z) dz/dt and its rounding scale on one uniform grid
 over the period, then on the midpoints that each doubling of that grid adds.
+winding_index grids only the two arms of the axis either side of its flat
+top [-s, s], where Im z(t) = R / cosh t, R = |alpha - alpha_bar| / 2, is at
+least H = _FLAT_HEIGHT.  There the fold is a translation and Delta/q is 1
+within 1e-22, so arg F = 2 pi Re z + 6 arg z', and on the semicircle both
+terms change in closed form in R: Re z by sigma 2 sqrt(R^2 - H^2) and
+arg z' by -sigma (pi - 2 asin(H / R)), sigma the sign of alpha - alpha_bar.
+A top is refused (_flat_top) where float rounding could put that closed
+form a tenth of _RESIDUAL_LIMIT off.  e2_period's trapezoid needs the whole
+periodic window, so it keeps the top.
 A round costs 50-100 us of numpy dispatch plus about 0.09 us a node, or
 0.03-0.04 us at a flat one (2-core x86-64 host, numpy 2.4), so a short
 class costs mostly per round.
@@ -24,10 +33,11 @@ Each point is folded into the standard fundamental domain first, so the
 q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
 below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
 so there the series is its constant term 1 and is not summed (_series).
-That flattens most nodes of a cusp excursion, among them the heights of
-about 56-59.5 and 112-119 where q or q^2 is subnormal and slow.  The fold
-(_reduce) refuses a point whose height is not above the float spacing of
-its real part; above that, its relative error is about 2^-52 |z| / Im z.
+That flattens most of e2_period's nodes on a cusp excursion, among them
+the heights of about 56-59.5 and 112-119 where q or q^2 is subnormal and
+slow.  The fold (_reduce) refuses a point whose height is not above the
+float spacing of its real part; above that, its relative error is about
+2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the period: the
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -97,8 +107,9 @@ _FOLD_STEPS = 10000
 _FLOAT_SPACING = 2.0**-52
 # Points per evaluation batch, so temporaries do not grow with the word.
 _CHUNK = 1 << 16
-# winding_index nodes per class: 2^19 nodes hold a cusp excursion of about
-# 116,000 turns of Delta (about 4.5 nodes per turn) in 12 MB of node arrays.
+# winding_index nodes per class: 2^19 nodes hold a cusp excursion off the flat
+# top (a second large digit) of about 116,000 turns of Delta (about 4.5 nodes
+# per turn) in 12 MB of node arrays.
 _MAX_NODES = 1 << 19
 _PERIOD_STEP = 0.25  # e2_period's coarse trapezoid spacing: its first batch has 2n nodes
 # e2_period's largest rounding witness: on 243 random long words of length 20 to
@@ -303,6 +314,28 @@ def _in_chunks(fn, t: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(t[k : k + _CHUNK]) for k in range(0, t.size, _CHUNK)], axis=-1)
 
 
+def _uniform_grid(a: float, b: float) -> np.ndarray:
+    """np.linspace's nodes from a to b in the fewest intervals of at most _BASE_STEP."""
+    intervals = math.ceil((b - a) / _BASE_STEP)
+    t = a + (b - a) / intervals * np.arange(intervals + 1.0)
+    t[-1] = b
+    return t
+
+
+def _flat_top(axis: _Axis) -> Optional[Tuple[float, float]]:
+    """(s, turns of F over [-s, s]) where the top of the axis is above _FLAT_HEIGHT,
+    else None: the closed form and rounding bound that winding_index states."""
+    top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+    if top <= _FLAT_HEIGHT:
+        return None
+    if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
+        raise CapExceeded(f"flat top of height {top:.3g} past the float resolution of its turns")
+    sigma = 1.0 if axis.alpha > axis.alpha_bar else -1.0
+    width = 2.0 * math.sqrt((top - _FLAT_HEIGHT) * (top + _FLAT_HEIGHT))
+    turns = width - 3.0 + 6.0 / math.pi * math.asin(_FLAT_HEIGHT / top)
+    return math.acosh(top / _FLAT_HEIGHT), sigma * turns
+
+
 @dataclass(frozen=True)
 class WindingResult:
     index: int
@@ -326,9 +359,43 @@ def winding_index(gamma: Mat2) -> WindingResult:
     floor(h (6.9452 B + 18) / (pi/2)) + 1 equal parts, and only new nodes are
     evaluated.  An increment of pi/2 or more could hide a turn, so it raises
     StepTooCoarse; on this grid only evaluation error can cause one.
+
+    The flat top is not gridded.  On the axis Im z(t) = R / cosh t exactly,
+    R = |alpha - alpha_bar| / 2 the top height, so when R is above
+    H = _FLAT_HEIGHT, Im z >= H exactly on [-s, s], s = acosh(R / H).  There
+    the fold is a translation (j = 1) and Delta/q is 1 within 1e-22, so
+    arg F = 2 pi Re z + 6 arg z'.  Over [-s, s] z runs along the semicircle
+    between its two points of height H, so Re z moves by
+    sigma 2 sqrt(R^2 - H^2) and the tangent turns by -sigma (pi - 2 asin(H/R)),
+    sigma = sign(alpha - alpha_bar), and the continuous change of arg F is,
+    in turns, sigma (2 sqrt(R^2 - H^2) - 3 + (6 / pi) asin(H / R)).  The
+    first grid and the split cover the two arms [lo, -s] and [s, hi], the
+    interval between them is one increment (of `steps`) taken in this closed
+    form, and every check is as above.  The rounding bound: alpha and
+    alpha_bar have opposite signs (their product is -(D - P^2) / Q^2), so
+    |z| <= 2R on the axis.  The arms' end nodes are within about
+    2^-52 |z| <= 2^-51 R of z(+-s) and the closed form is within about
+    2^-50 R of its value, so the term is within about 2^-49 R turns of the
+    change between those nodes.
+    Where that could exceed a tenth of _RESIDUAL_LIMIT, for R above 5.6e10,
+    CapExceeded is raised before any node is evaluated.
     """
     axis = _axis_for(gamma)
     ell = axis.length
+    lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
+    # the first grid has at most 23,663 nodes, as l < 709.79 (the axis refuses t^2 - 4
+    # past the float range); the split's node cap covers it too, as bounds[-1] >= t.size - 1
+    top = _flat_top(axis)
+    if top is None:
+        t, gap, flat = _uniform_grid(lo, hi), None, 0.0
+    else:
+        s, flat = top
+        # the window's ends sit at height about 1 or below, under the flat top
+        if not lo < -s < s < hi:
+            raise RuntimeError(f"flat top [{-s}, {s}] not inside the window [{lo}, {hi}]")
+        left = _uniform_grid(lo, -s)
+        # the arms' grids, with the flat top [-s, s] as interval `gap` between them
+        t, gap = np.concatenate((left, _uniform_grid(s, hi))), left.size - 1
 
     def arg_f(t):
         """(arg F + 2 pi k, y_red) at each t as two rows, F = Delta(z_red) (dz_red/dt)^6."""
@@ -338,22 +405,18 @@ def winding_index(gamma: Mat2) -> WindingResult:
         arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
         return np.array([arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag])
 
-    # at most 23,661 nodes, as l < 709.79 (the axis refuses t^2 - 4 past the float
-    # range); the split's node cap covers this grid too, as bounds[-1] >= intervals
-    intervals = math.ceil(ell / _BASE_STEP)
-    lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
-    t = lo + (hi - lo) / intervals * np.arange(intervals + 1.0)  # np.linspace's nodes
-    t[-1] = hi
     values = _in_chunks(arg_f, t)
     h, (arg, y) = t[1:] - t[:-1], values  # only arg F is read after the split
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
     bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
     pieces = np.floor(h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)) + 1.0  # floats: not wrapped
+    if gap is not None:
+        pieces[gap] = 1.0
     # node k moves to place bounds[k], with the new nodes evenly between
     bounds = np.concatenate(([0.0], np.cumsum(pieces)))
     if bounds[-1] + 1 > _MAX_NODES:
         raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
-    if bounds[-1] > intervals:
+    if bounds[-1] > t.size - 1:
         t = np.interp(np.arange(bounds[-1] + 1), bounds, t)
         fresh = np.ones(t.size, dtype=bool)
         fresh[bounds.astype(np.intp)] = False
@@ -361,10 +424,12 @@ def winding_index(gamma: Mat2) -> WindingResult:
         arg[~fresh] = values[0]
         arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
     inc = _wrap(arg[1:] - arg[:-1])
+    if gap is not None:
+        inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
-    turns = float(inc.sum()) / _TWO_PI
+    turns = float(inc.sum()) / _TWO_PI + flat
     index = round(turns)
     residual = abs(turns - index)
     if residual >= _RESIDUAL_LIMIT:

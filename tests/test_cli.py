@@ -287,12 +287,16 @@ def test_methods_disagree_exits_2(capsys, monkeypatch):
     assert err.startswith("verification failure: methods disagree") and err.count("\n") == 1
 
 
-# A cusp excursion of about 1e9 turns: the winding grid would need about 1e10
-# nodes and the period cannot reach its error budget in double precision, so
-# both refuse up front instead of running for hours.
+# Cusp excursions of about 1e9 turns.  The period cannot reach its error
+# budget in double precision on one; the winding index takes the excursion at
+# the top of its axis in closed form, but a second one, low on the axis, would
+# need about 7e9 grid nodes.  Both refuse up front instead of running for hours.
 @pytest.mark.parametrize(
     "argv",
-    [("index", "--word", "1-1000000000"), ("psi", "--word", "1-1000000000", "--method", "period")],
+    [
+        ("index", "--word", "2-1000000000-3-999999999"),
+        ("psi", "--word", "1-1000000000", "--method", "period"),
+    ],
     ids=["index", "period"],
 )
 def test_huge_word_fails_fast(capsys, argv):
@@ -302,6 +306,14 @@ def test_huge_word_fails_fast(capsys, argv):
     assert out == ""
     assert "resource/data error" in err
     assert time.perf_counter() - start < 20.0
+
+
+def test_huge_cusp_excursion_at_the_top_computed(capsys):
+    # the one excursion of (1, 10^9) is the flat top of the axis
+    code, out, _ = run(capsys, "index", "--word", "1-1000000000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["index"] == -999999999 and payload["residual"] < 1e-6
 
 
 

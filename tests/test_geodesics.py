@@ -977,6 +977,14 @@ class TestCensusBudget:
         monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
         assert len(enumerate_by_trace(30)) > 0
 
+    def test_caps_below_2_to_the_16(self):
+        # enumerate_by_trace sorts the traces as uint16: the budget refuses every
+        # cap past 8,055, and the length bound keeps the config's caps at 22,026
+        geodesics._check_census_budget(geodesic_length(8055))
+        with pytest.raises(CapExceeded, match="memory budget"):
+            geodesics._check_census_budget(geodesic_length(8056))
+        assert trace_cap_for_length(MAX_LENGTH_BOUND) == 22026 < 2**16
+
     @pytest.mark.parametrize("cap", [-1, 0, 1, 2])
     def test_cap_below_3_is_empty(self, cap):
         assert len(enumerate_by_trace(cap)) == 0

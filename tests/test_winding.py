@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from modwind import winding
 from modwind.errors import (
     CapExceeded,
+    ModwindError,
     NonPositiveImaginary,
     NotHyperbolic,
     QuadratureFailure,
@@ -338,13 +339,14 @@ class TestOneEvaluationPerRound:
     )
     def test_grid_split_in_one_pass(self, monkeypatch, w):
         # one split sized by the height bound of each interval bounds the
-        # argument's turn below pi/2 on every interval of the final grid
+        # argument's turn below pi/2 on every interval of the final grid's arms
         delta = self.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         assert winding_index(g).index == psi(g)
         assert len(delta) <= 2 and len(batches) == 2
-        assert np.all(turn_bound(*final_grid(batches)) < 0.5 * math.pi)
+        t, values = final_grid(batches)
+        assert np.all(turn_bound(t, values)[on_the_arms(t, g)] < 0.5 * math.pi)
 
 
 def test_flat_nodes_skip_the_series(monkeypatch):
@@ -407,21 +409,42 @@ def turn_bound(t, values):
     return np.diff(t) * (winding._E2_RATE * height_bound(t, values[1]) + 18.0)
 
 
+def flat_top(gamma):
+    """s with [-s, s] the flat top of the axis of gamma, where Im z(t) =
+    |alpha - alpha_bar| / (2 cosh t) is at least the flat height, or None when
+    the top of the axis is not above it."""
+    axis = winding._axis_for(gamma)
+    top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+    return math.acosh(top / winding._FLAT_HEIGHT) if top > winding._FLAT_HEIGHT else None
+
+
+def on_the_arms(t, gamma):
+    """Mask of the intervals of winding_index's grid t off the flat top: all but
+    the one interval [-s, s], when the axis of gamma has a flat top."""
+    s = flat_top(gamma)
+    arms = np.ones(t.size - 1, dtype=bool)
+    if s is not None:
+        arms = (t[:-1] != -s) | (t[1:] != s)
+        assert (~arms).sum() == 1
+    return arms
+
+
 class TestRefine:
     """The one split of winding_index's grid, against a reference that splits
     one interval at a time, with its evaluations recorded."""
 
     # seed 0 is accepted on the first grid; the others split around a cusp
-    # excursion of their large digit
+    # excursion of their large digit, on the arms either side of its flat top
     WORDS = [(1, 2), (1, 40), (3, 150, 2, 5), (2, 7, 1, 300), (90, 1, 45, 2), (1, 1, 1, 777)]
 
     @staticmethod
-    def reference(t, values, new_values):
+    def reference(t, values, new_values, arms):
         """Nodes and values of the split grid, one interval and one node at a
-        time: interval k of the grid t splits into the least number of equal
-        parts on which the turn bound at the height bound over it is below
-        pi/2, and the new nodes take the columns of new_values in order."""
-        pieces = np.floor(turn_bound(t, values) / (0.5 * math.pi)) + 1.0
+        time: interval k of the grid t on the arms splits into the least number
+        of equal parts on which the turn bound at the height bound over it is
+        below pi/2, the flat top stays one interval, and the new nodes take the
+        columns of new_values in order."""
+        pieces = np.where(arms, np.floor(turn_bound(t, values) / (0.5 * math.pi)) + 1.0, 1.0)
         nodes, columns, fresh = [], [], iter(new_values.T)
         for k in range(t.size - 1):
             step = (t[k + 1] - t[k]) / pieces[k]
@@ -437,16 +460,23 @@ class TestRefine:
     def test_matches_reference(self, monkeypatch, seed):
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
-        res = winding_index(word_to_matrix(self.WORDS[seed]))
+        g = word_to_matrix(self.WORDS[seed])
+        res = winding_index(g)
         (t, values), *split = batches
         assert len(split) == (1 if seed else 0)
+        # seed 0 has no flat top, the others one interval of it in the first grid
+        assert (flat_top(g) is None) == (seed == 0)
         new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
-        ref_t, ref_values = self.reference(t, values, new_values)
+        ref_t, ref_values = self.reference(t, values, new_values, on_the_arms(t, g))
         # the grid is the reference's, and each node was evaluated once
         assert np.array_equal(np.sort(np.concatenate([t, new_t])), ref_t)
         assert sum(delta) == ref_t.size == res.steps + 1
-        # the old values are carried over: the total is read off the reference
-        turns = float(winding._wrap(np.diff(ref_values[0])).sum()) / (2 * math.pi)
+        # the old values are carried over: the total is read off the reference's
+        # arms and the closed form of the flat top
+        inc = winding._wrap(np.diff(ref_values[0]))
+        inc[~on_the_arms(ref_t, g)] = 0.0
+        flat = winding._flat_top(winding._axis_for(g))
+        turns = float(inc.sum()) / winding._TWO_PI + (0.0 if flat is None else flat[1])
         assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
 
     @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
@@ -469,30 +499,41 @@ class TestRefine:
     )
     def test_final_grid_meets_the_bound(self, monkeypatch, w):
         # the check the split makes unneeded: the turn bound with the height
-        # bound recomputed from the final nodes is below pi/2 on every interval;
-        # at most two batches (of slices of _CHUNK points), each node in one
+        # bound recomputed from the final nodes is below pi/2 on every interval
+        # of the arms; at most two batches (of slices of _CHUNK points), each
+        # node in one
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         res = winding_index(g)
         assert res.index == psi(g)
         assert len(batches) <= 2 and sum(delta) == res.steps + 1
-        assert np.all(turn_bound(*final_grid(batches)) < 0.5 * math.pi)
+        t, values = final_grid(batches)
+        assert np.all(turn_bound(t, values)[on_the_arms(t, g)] < 0.5 * math.pi)
 
     def test_first_grid_within_the_node_cap(self, monkeypatch):
         # the largest trace whose t^2 - 4 is a float has the longest first grid,
-        # far below the cap, so only the split's grid is checked against it
+        # two nodes longer where a flat top parts it into two arms, far below
+        # the cap, so only the split's grid is checked against it
         top = math.isqrt(2**1024 - 2**970 + 3)
         assert 2**511 < top < 2**512
         nodes = math.ceil(geodesic_length(top) / winding._BASE_STEP) + 1
-        assert nodes == 23661 < winding._MAX_NODES
+        assert nodes == 23661 and nodes + 2 < winding._MAX_NODES
+        # a word of digits 1 and 2 just below that trace has no flat top: its
+        # first grid is one batch, and the fold refuses the ends of its window
+        g = word_to_matrix((2,) + (1,) * 735)
+        assert flat_top(g) is None and top // 2 < g.trace < top
+        first = math.ceil(geodesic_length(g.trace) / winding._BASE_STEP) + 1
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         with pytest.raises(CapExceeded, match="float spacing"):
+            winding_index(g)
+        assert delta == [first] and first == 23638
+        # (1, top - 2), of trace top, has a flat top past the rounding bound
+        with pytest.raises(CapExceeded, match="flat top"):
             winding_index(word_to_matrix((1, top - 2)))
-        assert delta == [nodes]
         with pytest.raises(CapExceeded, match="past the float range"):
             winding_index(word_to_matrix((1, top - 1)))
-        assert delta == [nodes]
+        assert delta == [first]
 
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
         g = word_to_matrix((1, 60))
@@ -504,6 +545,115 @@ class TestRefine:
         with pytest.raises(CapExceeded, match=f"needs {res.steps + 1} nodes"):
             winding_index(g)
         assert len(delta) == 1
+
+
+class TestFlatTop:
+    """winding_index's closed form over the flat top [-s, s] of the axis."""
+
+    @pytest.mark.parametrize(
+        "w", [(1, 17), (3, 200), (1, 3, 1, 8000), (5, 300, 7, 9000), (1, 10**9)],
+        ids=lambda w: "-".join(map(str, w)),
+    )
+    def test_height_profile(self, w):
+        # Im z(t) = |alpha - alpha_bar| / (2 cosh t), so the top is at t = 0 and
+        # the flat height is reached exactly at +-s
+        axis = winding._axis_for(word_to_matrix(w))
+        t = np.linspace(-0.5 * axis.length, 0.5 * axis.length, 1001)
+        z, _ = axis.at(t)
+        top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+        assert np.allclose(z.imag, top / np.cosh(t), rtol=1e-12, atol=0.0)
+        s, _ = winding._flat_top(axis)
+        z, _ = axis.at(np.array([-s, s]))
+        assert z.imag == pytest.approx(winding._FLAT_HEIGHT, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            (1, 17),
+            (3, 18),
+            (1, 8000),
+            (1, 30000),
+            (1, 3, 1, 8000),
+            (2, 5000, 3, 9000),
+            (2, 20000, 3, 30000),
+            (3, 1, 17, 2),
+            (1, 1, 8000, 1),
+            (5, 7, 9000, 2, 20000, 3),
+        ],
+        ids=lambda w: "-".join(map(str, w)),
+    )
+    def test_closed_form_is_the_wrapped_sum(self, w):
+        # the wrapped increments of arg F over [-s, s], on axes that run either
+        # way (sigma = -1 on the first seven words), on a grid that meets the
+        # rate bound: nodes equally spaced in gd(t) = 2 atan(tanh(t/2)), as
+        # c y + 18 <= (c + 18 / 8.6) y on the top, where y >= 8.6, and
+        # y = R / cosh t = R gd'(t)
+        axis = winding._axis_for(word_to_matrix(w))
+        s, turns = winding._flat_top(axis)
+        top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+        rate = (winding._E2_RATE + 18.0 / winding._FLAT_HEIGHT) * top
+        edge = 2.0 * math.atan(math.tanh(0.5 * s))
+        u = np.linspace(-edge, edge, math.ceil(2.0 * edge * rate / (0.4 * math.pi)) + 1)
+        t = 2.0 * np.arctanh(np.tan(0.5 * u))
+        t[0], t[-1] = -s, s
+
+        def rows(t):
+            z, dz = axis.at(t)
+            z_red, j, tail = winding._delta_series(z)
+            return np.array([winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz), z_red.imag])
+
+        values = winding._in_chunks(rows, t)
+        assert np.all(turn_bound(t, values) < 0.5 * math.pi)
+        wrapped = math.fsum(winding._wrap(np.diff(values[0])).tolist()) / (2 * math.pi)
+        assert abs(turns - wrapped) <= 1e-9
+
+    @pytest.mark.parametrize("w", [(1, 10**12), (1, 10**15), (3, 10**14, 2, 5)], ids=str)
+    def test_rounding_bound_refuses_before_any_node(self, monkeypatch, w):
+        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        with pytest.raises(CapExceeded, match="flat top"):
+            winding_index(word_to_matrix(w))
+        assert delta == []
+
+    def test_rounding_bound_is_a_bound_on_the_top_height(self):
+        # 2^-49 R turns at most a tenth of _RESIDUAL_LIMIT: R up to 5.6e10
+        limit = 0.1 * winding._RESIDUAL_LIMIT * 2.0**49
+        assert 5.6e10 < limit < 5.7e10
+        assert winding._flat_top(winding._Axis(limit, -limit, 60.0, 0.0)) is not None
+        above = float(np.nextafter(limit, math.inf))
+        with pytest.raises(CapExceeded, match="flat top"):
+            winding._flat_top(winding._Axis(above, -above, 60.0, 0.0))
+
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**7, 10**8, 10**9, 10**11])
+    def test_one_huge_entry(self, n):
+        # once refused at the node cap, which (1, 10^5) passed by a third: the
+        # steps are those of the arms, whatever the entry
+        w = (1, n)
+        res = winding_index(word_to_matrix(w))
+        assert res.index == psi_cf(w) == 1 - n
+        assert res.steps == winding_index(word_to_matrix((1, 8000))).steps
+
+
+@st.composite
+def cusp_conjugates(draw):
+    """(w, gamma): a word of 2 to 6 digits in 1..9 with one or two of them raised
+    to up to 10^9, and gamma the product of w conjugated by T^a S T^b, |a|, |b| <= 3."""
+    n = 2 * draw(st.integers(1, 3))
+    w = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(1, 2))):
+        w[draw(st.integers(0, n - 1))] = draw(st.integers(1, 10**9))
+    tau = T.power(draw(st.integers(-3, 3))) @ S @ T.power(draw(st.integers(-3, 3)))
+    return tuple(w), tau @ word_to_matrix(w) @ tau.inverse()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cusp_conjugates())
+def test_cusp_words_computed_or_refused(case):
+    w, gamma = case
+    try:
+        index = winding_index(gamma).index
+    except ModwindError:
+        return
+    assert index == psi_cf(w)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -957,14 +1107,16 @@ class TestWindingIndex:
         assert time.perf_counter() - start < 1.0
 
     def test_coarse_grid_raises_at_once(self, monkeypatch):
-        # the period of (1, 60), about 8.25, in nine intervals that a rate
-        # bound of zero never splits: the argument turns 59 times over them
+        # the period of (1, 60, 1, 59), about 16.5, in intervals of at most 1
+        # that a rate bound of zero never splits: the flat top takes the 60
+        # turns in closed form, but the arm below it runs through the 59 turns
+        # of the second excursion
         monkeypatch.setattr(winding, "_BASE_STEP", 1.0)
         monkeypatch.setattr(winding, "_E2_RATE", 0.0)
         monkeypatch.setattr(winding, "_FLAT_RATE", 0.0)
         start = time.perf_counter()
         with pytest.raises(StepTooCoarse, match="argument jump"):
-            winding_index(word_to_matrix((1, 60)))
+            winding_index(word_to_matrix((1, 60, 1, 59)))
         assert time.perf_counter() - start < 1.0
 
     def test_matches_psi_on_sample(self):
