@@ -4,14 +4,17 @@ README's large-entry paragraph.
 Each row gives the word, the route, its result or the class of the error it
 raised, its error (for the index the residual, the distance of its turns from
 the nearest integer; for the period its distance from psi_cf), the index's
-steps, and the time in ms as the best of three in-process calls.
+steps, and the time in ms as the best of three in-process calls, all on the
+word's product.  The last column, `==` or `!=`, says whether the route gives
+the same result (or error class) on the conjugate of the product by CONJUGATOR:
+both routes read the class, not the matrix that stands for it.
 
 Run with: python3 demos/cusp_frontier.py
 """
 
 import time
 
-from modwind import ModwindError, e2_period, psi_cf, winding_index, word_to_matrix
+from modwind import S, T, ModwindError, e2_period, psi_cf, winding_index, word_to_matrix
 
 WORDS = [
     (1, 7500),
@@ -31,6 +34,7 @@ WORDS = [
     (7, 20000, 3, 15000, 9, 19000),
     (2, 10**9, 3, 10**9 - 1),
 ]
+CONJUGATOR = T.power(3) @ S @ T.power(-2)
 
 
 def best_of_three(route, gamma):
@@ -52,6 +56,17 @@ def entry(n):
     return f"1e{k}" if k >= 5 and n == 10**k else str(n)
 
 
+def same(route, gamma, result):
+    """`==` when the route gives result (or its error class) on the conjugate of gamma."""
+    try:
+        other = route(CONJUGATOR @ gamma @ CONJUGATOR.inverse())
+    except ModwindError as error:
+        other = error
+    if isinstance(result, ModwindError):
+        result, other = type(result), type(other)
+    return "==" if other == result else "!="
+
+
 def row(word, route, gamma):
     result, ms = best_of_three(route, gamma)
     if isinstance(result, ModwindError):
@@ -61,10 +76,11 @@ def row(word, route, gamma):
     else:
         shown, distance, steps = f"{result:.9f}", f"{abs(result - psi_cf(word)):.1e}", ""
     name = "-".join(map(entry, word))
-    return f"{name:>24} {route.__name__:>13} {shown:>22} {distance:>8} {steps:>6} {ms:9.2f}"
+    cells = f"{name:>24} {route.__name__:>13} {shown:>22} {distance:>8} {steps:>6} {ms:9.2f}"
+    return f"{cells} {same(route, gamma, result):>4}"
 
 
-print(f"{'word':>24} {'route':>13} {'result':>22} {'error':>8} {'steps':>6} {'ms':>9}")
+print(f"{'word':>24} {'route':>13} {'result':>22} {'error':>8} {'steps':>6} {'ms':>9} {'conj':>4}")
 for word in WORDS:
     gamma = word_to_matrix(word)
     for route in (winding_index, e2_period):

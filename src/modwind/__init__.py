@@ -11,7 +11,6 @@ from .errors import (
     DomainError,
     InsufficientData,
     ModwindError,
-    NonIntegralPhi,
     NonPositiveEntry,
     NonPositiveImaginary,
     NonPositiveModulus,
@@ -31,6 +30,7 @@ from .geodesics import (
     enumerate_by_trace,
     enumerate_geodesics,
     is_primitive,
+    li,
     matrix_to_word,
     trace_cap_for_length,
     word_to_matrix,
@@ -61,7 +61,6 @@ from .stats import (
     cauchy_compare,
     density_table,
     equidistribution,
-    li,
     predicted_pi_n,
     limiting_density,
     twisted_sum,

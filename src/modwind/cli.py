@@ -12,7 +12,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, TextIO
+from dataclasses import asdict
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO
 
 import click
 
@@ -161,9 +162,19 @@ def _output(out: Optional[str]) -> Iterator[TextIO]:
         raise click.FileError(out, exc.strerror) from None
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _cell(value) -> str:
+    """A float by _fmt_real, None as an empty cell, anything else by str."""
+    if isinstance(value, float):
+        return _fmt_real(value)
+    return "" if value is None else str(value)
+
+
+def _emit_table(header: str, rows: Iterable[Sequence], out: Optional[str]) -> None:
+    """A CSV table, the header line and then a line of cells per row, to out or stdout."""
     with _output(out) as fh:
-        fh.write(text)
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _write_csv(census: Census, fh: TextIO) -> None:
@@ -246,10 +257,7 @@ def cmd_psi(matrix_text: Optional[str], word_text: Optional[str], method: str) -
                 continue  # a method that refuses the class, e.g. cf on a proper power
             raise
     for m, v in values.items():
-        if isinstance(v, float):
-            click.echo(f"{m}: {_fmt_real(v)}")
-        else:
-            click.echo(f"{m}: {v}")
+        click.echo(f"{m}: {_cell(v)}")
     # every value must round to the same integer, each float within 1e-6 of it
     if method == "all" and (
         len({round(v) for v in values.values()}) > 1
@@ -281,10 +289,7 @@ def cmd_stats_density(max_length: float, n_range: str, csv_out: Optional[str]) -
     for n in (ns[0], ns[-1]):  # |n| is largest at an end of the range
         _kernel_width(n)
     hist = winding_histogram(_census(max_length), max_length)
-    lines = ["n,empirical,predicted"]
-    for n, emp, pred in density_table(hist, ns):
-        lines.append(f"{n},{_fmt_real(emp)},{_fmt_real(pred)}")
-    _emit("\n".join(lines) + "\n", csv_out)
+    _emit_table("n,empirical,predicted", density_table(hist, ns), csv_out)
 
 
 @cli.command("stats-cauchy")
@@ -296,10 +301,8 @@ def cmd_stats_cauchy(max_length: float, csv_out: Optional[str]) -> None:
     census = _census(max_length)
     report = cauchy_compare(census, max_length)
     if csv_out:
-        lines = ["u,empirical,predicted"]
-        for (u, emp), (_, ref) in zip(report.empirical_cdf, report.reference_cdf):
-            lines.append(f"{_fmt_real(u)},{_fmt_real(emp)},{_fmt_real(ref)}")
-        _emit("\n".join(lines) + "\n", csv_out)
+        cdfs = zip(report.empirical_cdf, report.reference_cdf)
+        _emit_table("u,empirical,predicted", [(u, emp, ref) for (u, emp), (_, ref) in cdfs], csv_out)
     click.echo(
         json.dumps(
             {"T": max_length, "count": len(census), "ks_statistic": report.ks_statistic}
@@ -316,10 +319,8 @@ def cmd_stats_equidist(max_length: float, modulus: int, csv_out: Optional[str]) 
     _validate_max_length(max_length)
     _modulus(modulus)
     table = equidistribution(_census(max_length), max_length, modulus)
-    lines = ["residue,empirical,predicted"]
-    for a in range(modulus):
-        lines.append(f"{a},{_fmt_real(table[a])},{_fmt_real(1.0 / modulus)}")
-    _emit("\n".join(lines) + "\n", csv_out)
+    rows = [(a, share, 1.0 / modulus) for a, share in table.items()]
+    _emit_table("residue,empirical,predicted", rows, csv_out)
 
 
 @cli.command("stats-twisted")
@@ -335,13 +336,9 @@ def cmd_stats_twisted(
     if (r_grid is None) == (r_single is None):
         raise click.UsageError("give exactly one of --r or --r-grid")
     rs = _weights(_parse_grid(r_grid) if r_grid is not None else [r_single])
-    census = _census(max_length)
-    lines = ["r,abs_sum,main_term,relative_error"]
-    for rep in twisted_sums(census, max_length, rs):
-        main = _fmt_real(rep.main_term) if rep.main_term is not None else ""
-        rel = _fmt_real(rep.relative_error) if rep.relative_error is not None else ""
-        lines.append(f"{_fmt_real(rep.r)},{_fmt_real(abs(rep.sum))},{main},{rel}")
-    _emit("\n".join(lines) + "\n", csv_out)
+    reports = twisted_sums(_census(max_length), max_length, rs)
+    rows = [(rep.r, abs(rep.sum), rep.main_term, rep.relative_error) for rep in reports]
+    _emit_table("r,abs_sum,main_term,relative_error", rows, csv_out)
 
 
 @cli.command("verify")
@@ -354,7 +351,7 @@ def cmd_verify(max_length: float, sample: int, seed: int) -> None:
     if not 1 <= sample <= MAX_SAMPLE:
         raise click.UsageError(f"--sample {sample} outside [1, {MAX_SAMPLE:,}]")
     results = run_all(max_length=max_length, sample=sample, seed=seed)
-    click.echo(json.dumps([r.as_dict() for r in results]))
+    click.echo(json.dumps([asdict(r) for r in results]))
     if any(r.failed for r in results):
         raise VerificationFailure("one or more suites failed")
 

@@ -17,10 +17,6 @@ class NonPositiveModulus(ModwindError):
     """Dedekind sum requested with modulus k < 1."""
 
 
-class NonIntegralPhi(ModwindError):
-    """Internal consistency failure: the closed-form Dedekind symbol was not an integer."""
-
-
 class OddLength(ModwindError):
     """Cyclic word has odd length."""
 

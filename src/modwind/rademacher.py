@@ -11,7 +11,6 @@ import cmath
 import math
 from typing import Iterable, Tuple
 
-from .errors import NonIntegralPhi
 from .geodesics import validate_entries
 from .matrices import Mat2, _dedekind12, _integer, sign0
 
@@ -34,14 +33,15 @@ def phi_closed(gamma: Mat2) -> int:
     """Dedekind symbol (a+d)/c - 12 sign(c) s(d,|c|) for c != 0, else b/d.
 
     For c != 0 this is (a + d - 12 |c| s(d, |c|)) / c, an exact integer
-    division, since 12 |c| s(d, |c|) is an integer and gcd(d, c) = 1.
+    division: 12 |c| s(d, |c|) is an integer congruent to d + d^-1 mod c, and
+    a = d^-1 mod c as ad - bc = 1.
     """
     a, b, c, d = gamma.entries()
     if c == 0:
         return b * d  # d = +-1
     phi, rem = divmod(a + d - _dedekind12(d % abs(c), abs(c)), c)
     if rem:
-        raise NonIntegralPhi(f"phi({gamma}) is not an integer")
+        raise RuntimeError(f"phi({gamma}) is not an integer")
     return phi
 
 
@@ -102,7 +102,7 @@ def psi_cocycle(gamma: Mat2) -> int:
     for n in reversed(steps):  # T^n S (a b; c d) = (n a - c, n b - d; a, b)
         a, b, c, d = n * a - c, n * b - d, a, b
     if (a, b, c, d) != gamma.entries():
-        raise ValueError(f"T/S decomposition check failed for {gamma}")
+        raise RuntimeError(f"T/S decomposition check failed for {gamma}")
     return phi - 3 * sign0(gamma.c * gamma.trace)
 
 

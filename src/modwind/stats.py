@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, InsufficientData, QuadratureFailure
-from .geodesics import Census, li, trace_cap_for_length
+from .geodesics import Census, trace_cap_for_length
 from .matrices import _integer, short_int
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "equidistribution",
     "twisted_sum",
     "twisted_sums",
-    "li",
 ]
 
 _MIN_SAMPLE = 1000

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List
+from typing import List
 
 from .errors import CapExceeded, DomainError
 from .geodesics import (
@@ -69,14 +69,6 @@ class SuiteResult:
             self.failed += 1
             if len(self.details) < 20:
                 self.details.append(note)
-
-    def as_dict(self) -> Dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "failed": self.failed,
-            "details": self.details,
-        }
 
 
 def _random_element(rng: random.Random, max_factors: int = 8) -> Mat2:

@@ -19,10 +19,11 @@ split; e2_period reads E2(z) dz/dt and its rounding scale on one uniform grid
 over the period, then on the midpoints that each doubling of that grid adds.
 winding_index grids only the two arms of the axis either side of its flat
 top [-s, s], where Im z(t) = R / cosh t, R = |alpha - alpha_bar| / 2, is at
-least H = _FLAT_HEIGHT.  There the fold is a translation and Delta/q is 1
-within 1e-22, so arg F = 2 pi Re z + 6 arg z', and on the semicircle both
-terms change in closed form in R: Re z by sigma 2 sqrt(R^2 - H^2) and
-arg z' by -sigma (pi - 2 asin(H / R)), sigma the sign of alpha - alpha_bar.
+least H = _FLAT_HEIGHT (s = 0 where R is not above H).  There the fold is a
+translation and Delta/q is 1 within 1e-22, so arg F = 2 pi Re z + 6 arg z',
+and on the semicircle both terms change in closed form in R: Re z by
+sigma 2 sqrt(R^2 - H^2) and arg z' by -sigma (pi - 2 asin(H / R)), sigma the
+sign of alpha - alpha_bar.
 A top is refused (_flat_top) where float rounding could put that closed
 form a tenth of _RESIDUAL_LIMIT off.  e2_period's trapezoid needs the whole
 periodic window, so it keeps the top.
@@ -40,10 +41,12 @@ float spacing of its real part; above that, its relative error is about
 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
-at t = 0, is the excursion of the first largest digit of the period: the
+at t = 0, is the excursion of the first largest digit of the class's word,
+the least even rotation of the period (as matrix_to_word writes it): the
 continued-fraction walk's first reduced state (P, Q), walked on to that
-digit, gives the fixed points +-(P +- sqrt(D)) / Q.  A trace whose fixed
-points are past the float range is refused before the walk.
+digit, gives the fixed points +-(P +- sqrt(D)) / Q.  The axis, and so both
+routes, depend on the conjugacy class alone.  A trace whose fixed points are
+past the float range is refused before the walk.
 
 The integrands are l-periodic, so any window of length l gives the same
 total, but the fold amplifies the rounding error of z(t) by about
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -70,7 +73,7 @@ from .errors import (
     ResidualTooLarge,
     StepTooCoarse,
 )
-from .geodesics import _reduced_cycle
+from .geodesics import _least_even_rotation, _reduced_cycle
 from .matrices import Mat2, geodesic_length, short_int
 
 __all__ = [
@@ -112,8 +115,8 @@ _CHUNK = 1 << 16
 # per turn) in 12 MB of node arrays.
 _MAX_NODES = 1 << 19
 _PERIOD_STEP = 0.25  # e2_period's coarse trapezoid spacing: its first batch has 2n nodes
-# e2_period's largest rounding witness: on 243 random long words of length 20 to
-# 60 the error was at most 1.25 times it, so at most 2.5e-7 within budget.
+# e2_period's largest rounding witness: on two draws of 243 random words of length
+# 20 to 60 the error was at most 1.25 and 0.78 times it, so 2.5e-7 within budget.
 _ROUNDING_BUDGET = 2e-7
 
 
@@ -261,13 +264,15 @@ class _Axis:
 
 def _axis_for(gamma: Mat2) -> _Axis:
     """The axis of the exact conjugate of gamma whose top is the excursion of the
-    first largest digit a_k of the period, D = trace^2 - 4.
+    first largest digit a_k of the class's word, D = trace^2 - 4.
 
-    The walk's first reduced state (P, Q) takes k more steps, P <- aQ - P and
-    Q <- (D - P^2) / Q.  Its fixed points (P +- sqrt(D)) / Q are read as
-    P / Q + (1 / Q) sqrt(D) and -Q' / (P + sqrt(D)), Q' = (D - P^2) / Q the
-    exact integer before Q: (P - sqrt(D)) / Q would keep only about
-    |alpha_bar / alpha| of the bits of alpha_bar.  Even states are conjugates
+    The word is the walk's period in its least even rotation (matrix_to_word's),
+    so the axis depends on the class alone.  The walk's first reduced state
+    (P, Q) takes k more steps to that digit, P <- aQ - P and Q <- (D - P^2) / Q.
+    Its fixed points (P +- sqrt(D)) / Q are read as P / Q + (1 / Q) sqrt(D)
+    and -Q' / (P + sqrt(D)), Q' = (D - P^2) / Q the exact integer before Q:
+    (P - sqrt(D)) / Q would keep only about |alpha_bar / alpha| of the bits of
+    alpha_bar.  Even states are conjugates
     of gamma in SL(2,Z).  At odd k the conjugate by S T^-a of the state before,
     a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
     Either way the large excursion sits at t = 0, where a translation alone
@@ -279,7 +284,8 @@ def _axis_for(gamma: Mat2) -> _Axis:
     except OverflowError:
         raise CapExceeded(f"fixed points of trace {short_int(t)} past the float range") from None
     P, Q, digits = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
-    k = digits.index(max(digits))
+    r, _ = _least_even_rotation(digits)
+    k = (r + (digits[r:] + digits[:r]).index(max(digits))) % len(digits)
     D = t * t - 4
     for a in digits[:k]:
         P = a * Q - P
@@ -302,7 +308,8 @@ def _axis_for(gamma: Mat2) -> _Axis:
 
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
     """(z(t), dz/dt) at flow time t on the axis both routes follow: that of the exact
-    conjugate of gamma whose top z(0) is the excursion of the period's largest digit."""
+    conjugate of gamma whose top z(0) is the excursion of the first largest digit of
+    the class's word."""
     z, dz = _axis_for(gamma).at(t)
     return complex(z), complex(dz)
 
@@ -322,12 +329,12 @@ def _uniform_grid(a: float, b: float) -> np.ndarray:
     return t
 
 
-def _flat_top(axis: _Axis) -> Optional[Tuple[float, float]]:
+def _flat_top(axis: _Axis) -> Tuple[float, float]:
     """(s, turns of F over [-s, s]) where the top of the axis is above _FLAT_HEIGHT,
-    else None: the closed form and rounding bound that winding_index states."""
+    else (0.0, 0.0): the closed form and rounding bound that winding_index states."""
     top = 0.5 * abs(axis.alpha - axis.alpha_bar)
     if top <= _FLAT_HEIGHT:
-        return None
+        return 0.0, 0.0
     if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
         raise CapExceeded(f"flat top of height {top:.3g} past the float resolution of its turns")
     sigma = 1.0 if axis.alpha > axis.alpha_bar else -1.0
@@ -371,12 +378,13 @@ def winding_index(gamma: Mat2) -> WindingResult:
     in turns, sigma (2 sqrt(R^2 - H^2) - 3 + (6 / pi) asin(H / R)).  The
     first grid and the split cover the two arms [lo, -s] and [s, hi], the
     interval between them is one increment (of `steps`) taken in this closed
-    form, and every check is as above.  The rounding bound: alpha and
-    alpha_bar have opposite signs (their product is -(D - P^2) / Q^2), so
-    |z| <= 2R on the axis.  The arms' end nodes are within about
-    2^-52 |z| <= 2^-51 R of z(+-s) and the closed form is within about
-    2^-50 R of its value, so the term is within about 2^-49 R turns of the
-    change between those nodes.
+    form, and every check is as above; a top at or below H is s = 0, where
+    the arms meet at t = 0 and that increment is 0.  The rounding bound:
+    alpha and alpha_bar have opposite signs (their product is
+    -(D - P^2) / Q^2), so |z| <= 2R on the axis.  The arms' end nodes are
+    within about 2^-52 |z| <= 2^-51 R of z(+-s) and the closed form is within
+    about 2^-50 R of its value, so the term is within about 2^-49 R turns of
+    the change between those nodes.
     Where that could exceed a tenth of _RESIDUAL_LIMIT, for R above 5.6e10,
     CapExceeded is raised before any node is evaluated.
     """
@@ -385,17 +393,14 @@ def winding_index(gamma: Mat2) -> WindingResult:
     lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
     # the first grid has at most 23,663 nodes, as l < 709.79 (the axis refuses t^2 - 4
     # past the float range); the split's node cap covers it too, as bounds[-1] >= t.size - 1
-    top = _flat_top(axis)
-    if top is None:
-        t, gap, flat = _uniform_grid(lo, hi), None, 0.0
-    else:
-        s, flat = top
-        # the window's ends sit at height about 1 or below, under the flat top
-        if not lo < -s < s < hi:
-            raise RuntimeError(f"flat top [{-s}, {s}] not inside the window [{lo}, {hi}]")
-        left = _uniform_grid(lo, -s)
-        # the arms' grids, with the flat top [-s, s] as interval `gap` between them
-        t, gap = np.concatenate((left, _uniform_grid(s, hi))), left.size - 1
+    s, flat = _flat_top(axis)
+    # a reduced state has alpha > 1 > 0 > alpha_bar > -1, so |alpha - alpha_bar| > 1
+    # and |balance| < l/2; the window's ends sit at height about 1 or below
+    if not lo < -s <= s < hi:
+        raise RuntimeError(f"flat top [{-s}, {s}] not inside the window [{lo}, {hi}]")
+    left = _uniform_grid(lo, -s)
+    # the arms' grids, with the flat top [-s, s] as interval `gap` between them
+    t, gap = np.concatenate((left, _uniform_grid(s, hi))), left.size - 1
 
     def arg_f(t):
         """(arg F + 2 pi k, y_red) at each t as two rows, F = Delta(z_red) (dz_red/dt)^6."""
@@ -410,8 +415,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
     bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
     pieces = np.floor(h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)) + 1.0  # floats: not wrapped
-    if gap is not None:
-        pieces[gap] = 1.0
+    pieces[gap] = 1.0
     # node k moves to place bounds[k], with the new nodes evenly between
     bounds = np.concatenate(([0.0], np.cumsum(pieces)))
     if bounds[-1] + 1 > _MAX_NODES:
@@ -424,8 +428,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
         arg[~fresh] = values[0]
         arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
     inc = _wrap(arg[1:] - arg[:-1])
-    if gap is not None:
-        inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
+    inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")

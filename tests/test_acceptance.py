@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -211,7 +212,7 @@ class TestVerificationSuites:
         }
         # the report of the run_all that built the census once per suite and
         # sampled it by sorting
-        report = json.dumps([r.as_dict() for r in results])
+        report = json.dumps([asdict(r) for r in results])
         assert hashlib.sha256(report.encode()).hexdigest() == (
             "9ccda9d9ffba30edec698763b009c398834c3ed0c59ca74c8513203e0b0a8653"
         )

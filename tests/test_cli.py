@@ -230,12 +230,15 @@ class TestIndex:
         assert out == ""
 
     def test_residual_refusal_exits_3(self, capsys):
-        # the product of long_words(55, 20)[4] of tests/test_winding.py; --word
-        # would pass its canonical rotation, a conjugate that winding_index computes
-        g = word_to_matrix((9, 5, 9, 7, 5, 9, 9, 8, 7, 7, 4, 5, 5, 1, 1, 3, 8, 9))
-        code, out, err = run(capsys, "index", "--matrix", ",".join(map(str, g.entries())))
-        assert (code, out) == (3, "")
-        assert err.startswith("resource/data error: winding total") and err.count("\n") == 1
+        # long_words(55, 20)[6] of tests/test_winding.py, as its product and as
+        # --word, which passes its canonical rotation: winding_index reads the
+        # class, so it refuses both
+        w = (9, 5, 8, 3, 7, 8, 2, 5, 8, 6, 2, 4, 7, 3, 8, 1, 2, 1, 8, 9)
+        matrix = ",".join(map(str, word_to_matrix(w).entries()))
+        for argv in (("--matrix", matrix), ("--word", "-".join(map(str, w)))):
+            code, out, err = run(capsys, "index", *argv)
+            assert (code, out) == (3, "")
+            assert err.startswith("resource/data error: winding total") and err.count("\n") == 1
 
     def test_resource_errors(self):
         assert set(ResourceError.__subclasses__()) == {
@@ -478,6 +481,63 @@ class TestStatsCommands:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == cli.MAX_TABLE_ROWS + 1
+
+
+# SHA-256 of the output of each command that writes a table or psi values,
+# as the hand-built line loops that the one table writer replaced wrote them:
+# stdout, then the --csv-out file
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("stats-density", "--max-length", "12", "--n-range", "-7..7"),
+            "434ded8e6c2d674b2d52d6b4f148a696fdd1576ac359032d5b599cfacdf6b72d",
+        ),
+        (
+            ("stats-cauchy", "--max-length", "12", "--csv-out", "{csv}"),
+            "d21fd94ec38b9a751b5b55d2810bb70c6faf5ca26458ac37a9bab410bdf45f40",
+        ),
+        (
+            ("stats-equidist", "--max-length", "12", "--modulus", "7"),
+            "598c022394a9d3ffa0929ac7905c51fc1640035de8b0fe9fa5edbc7ee36beeed",
+        ),
+        (
+            ("stats-twisted", "--max-length", "12", "--r-grid", "-0.6:0.6:0.05"),
+            "7877ae552185cb7e20d414331e019cd387840c5f474f8881308dab68e6c5d800",
+        ),
+        (
+            ("stats-twisted", "--max-length", "12", "--r", "0.25"),
+            "f7a4f56d53ad2413425375a45942742e7297a4287ee2be1ee44bd73d2ba147ad",
+        ),
+        (
+            ("psi", "--word", "5-300-7-9000", "--method", "all"),
+            "724ffd0093e81d3a53cc42b9e72a46f763be2999b2a473412028f0c8fe593d40",
+        ),
+        (
+            ("psi", "--word", "5-300-7-9000", "--method", "period"),
+            "f8986048909cd3fe31f70e258d12b20fcd260acb62ed17fcbeb61d19e6771a07",
+        ),
+        (
+            ("psi", "--word", "5-300-7-9000", "--method", "dedekind"),
+            "f79533dbabd8e15da90263c2a855a5713e8e1ca08c3cb47a02b5f393cfe2d56b",
+        ),
+        (
+            ("psi", "--matrix", "22,3,7,1", "--method", "all"),
+            "fcb3f909d4b78eee9cc5d93f76cf2b834125418a7a18954c1451504a2e3d720c",
+        ),
+    ],
+    ids=[
+        "density12", "cauchy12-csv", "equidist12", "twisted12-grid", "twisted12-r",
+        "psi-all", "psi-period", "psi-dedekind", "psi-all-matrix",
+    ],
+)
+def test_table_bytes_pinned(tmp_path, capsys, argv, digest):
+    csv = tmp_path / "table.csv"
+    code, out, _ = run(capsys, *(arg.format(csv=csv) for arg in argv))
+    assert code == 0
+    if csv.exists():
+        out += csv.read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:

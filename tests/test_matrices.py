@@ -260,9 +260,9 @@ class TestOmega:
 class TestFixedPoints:
     # the fixed points of a matrix are read off by winding._axis_for, which takes
     # them at the exact conjugate whose top letter is the first largest digit k
-    # of the period; a word product is its own first reduced state, so that
-    # conjugate is the product of the word rotated by k, conjugated by S T^-a
-    # (a the digit before) when k is odd
+    # of the class's word, the least even rotation of the period; a word product
+    # is its own first reduced state, so that conjugate is the product of that
+    # word rotated by k, conjugated by S T^-a (a the digit before) when k is odd
 
     def test_matches_rounded_exact_parts(self):
         # p + q sqrt(D) with the rationals p = (a - d)/(2c) and q = 1/(2c) of that
@@ -274,10 +274,11 @@ class TestFixedPoints:
             w = [rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3))]
             if i % 3 == 0:
                 w[rng.randrange(len(w))] = 2 ** (60 + i % 11)
-            k = w.index(max(w))
-            g = word_to_matrix(tuple(w[k - k % 2 :] + w[: k - k % 2]))
+            word = min(w[r:] + w[:r] for r in range(0, len(w), 2))
+            k = word.index(max(word))
+            g = word_to_matrix(tuple(word[k - k % 2 :] + word[: k - k % 2]))
             if k % 2:
-                B = S @ T.power(-w[k - 1])
+                B = S @ T.power(-word[k - 1])
                 g = B @ g @ B.inverse()
             p = float(Fraction(g.a - g.d, 2 * g.c))
             q = float(Fraction(1, 2 * g.c))

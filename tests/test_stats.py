@@ -17,6 +17,7 @@ from modwind.geodesics import (
     EnumerationConfig,
     enumerate_by_trace,
     enumerate_geodesics,
+    li,
     trace_cap_for_length,
 )
 from modwind.matrices import geodesic_length
@@ -24,7 +25,6 @@ from modwind.stats import (
     cauchy_compare,
     density_table,
     equidistribution,
-    li,
     predicted_pi_n,
     limiting_density,
     twisted_sum,

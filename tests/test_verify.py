@@ -1,6 +1,7 @@
 import hashlib
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -164,4 +165,4 @@ class TestFailureReport:
             "reversal psi not negated at (1, 1)",
             "inert class with psi != 0: (1, 1)",
         ]
-        assert res.as_dict()["details"] == res.details
+        assert asdict(res)["details"] == res.details

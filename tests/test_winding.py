@@ -50,7 +50,8 @@ def long_words(L, count):
 
 def top_conjugate(gamma):
     """(g, k): the exact conjugate g of gamma whose axis the routes follow, and the
-    place k of the first largest digit of the period.
+    place k, counted along the walk's period from its first reduced state, of the
+    first largest digit of the class's word (the period's least even rotation).
 
     The matrix of the first reduced state (P, Q) of the walk (a - d = P, 2c = Q)
     is conjugated by A_a A_b over each pair of digits before k, and at odd k
@@ -60,7 +61,9 @@ def top_conjugate(gamma):
     t = gamma.trace
     P, Q, digits = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
     g = Mat2((t + P) // 2, (t * t - 4 - P * P) // (2 * Q), Q // 2, (t - P) // 2)
-    k = digits.index(max(digits))
+    rotations = [tuple(digits[r:] + digits[:r]) for r in range(0, len(digits), 2)]
+    word = min(rotations)
+    k = (2 * rotations.index(word) + word.index(max(word))) % len(digits)
     for i in range(0, k - 1, 2):
         pair = Mat2(digits[i] * digits[i + 1] + 1, digits[i], digits[i + 1], 1)
         g = pair.inverse() @ g @ pair
@@ -411,21 +414,19 @@ def turn_bound(t, values):
 
 def flat_top(gamma):
     """s with [-s, s] the flat top of the axis of gamma, where Im z(t) =
-    |alpha - alpha_bar| / (2 cosh t) is at least the flat height, or None when
+    |alpha - alpha_bar| / (2 cosh t) is at least the flat height, or 0.0 when
     the top of the axis is not above it."""
     axis = winding._axis_for(gamma)
     top = 0.5 * abs(axis.alpha - axis.alpha_bar)
-    return math.acosh(top / winding._FLAT_HEIGHT) if top > winding._FLAT_HEIGHT else None
+    return math.acosh(top / winding._FLAT_HEIGHT) if top > winding._FLAT_HEIGHT else 0.0
 
 
 def on_the_arms(t, gamma):
     """Mask of the intervals of winding_index's grid t off the flat top: all but
-    the one interval [-s, s], when the axis of gamma has a flat top."""
+    the one interval [-s, s], of width 0 where the axis of gamma has no flat top."""
     s = flat_top(gamma)
-    arms = np.ones(t.size - 1, dtype=bool)
-    if s is not None:
-        arms = (t[:-1] != -s) | (t[1:] != s)
-        assert (~arms).sum() == 1
+    arms = (t[:-1] != -s) | (t[1:] != s)
+    assert (~arms).sum() == 1
     return arms
 
 
@@ -464,8 +465,9 @@ class TestRefine:
         res = winding_index(g)
         (t, values), *split = batches
         assert len(split) == (1 if seed else 0)
-        # seed 0 has no flat top, the others one interval of it in the first grid
-        assert (flat_top(g) is None) == (seed == 0)
+        # seed 0 has no flat top (a gap of width 0), the others one interval of it
+        # in the first grid
+        assert (flat_top(g) == 0.0) == (seed == 0)
         new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
         ref_t, ref_values = self.reference(t, values, new_values, on_the_arms(t, g))
         # the grid is the reference's, and each node was evaluated once
@@ -475,8 +477,8 @@ class TestRefine:
         # arms and the closed form of the flat top
         inc = winding._wrap(np.diff(ref_values[0]))
         inc[~on_the_arms(ref_t, g)] = 0.0
-        flat = winding._flat_top(winding._axis_for(g))
-        turns = float(inc.sum()) / winding._TWO_PI + (0.0 if flat is None else flat[1])
+        _, flat = winding._flat_top(winding._axis_for(g))
+        turns = float(inc.sum()) / winding._TWO_PI + flat
         assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
 
     @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
@@ -513,27 +515,28 @@ class TestRefine:
 
     def test_first_grid_within_the_node_cap(self, monkeypatch):
         # the largest trace whose t^2 - 4 is a float has the longest first grid,
-        # two nodes longer where a flat top parts it into two arms, far below
+        # at most two nodes longer as the top parts it into two arms, far below
         # the cap, so only the split's grid is checked against it
         top = math.isqrt(2**1024 - 2**970 + 3)
         assert 2**511 < top < 2**512
         nodes = math.ceil(geodesic_length(top) / winding._BASE_STEP) + 1
         assert nodes == 23661 and nodes + 2 < winding._MAX_NODES
         # a word of digits 1 and 2 just below that trace has no flat top: its
-        # first grid is one batch, and the fold refuses the ends of its window
+        # first grid is one batch, two arms that meet at t = 0 with one node
+        # each, and the fold refuses the ends of its window
         g = word_to_matrix((2,) + (1,) * 735)
-        assert flat_top(g) is None and top // 2 < g.trace < top
+        assert flat_top(g) == 0.0 and top // 2 < g.trace < top
         first = math.ceil(geodesic_length(g.trace) / winding._BASE_STEP) + 1
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         with pytest.raises(CapExceeded, match="float spacing"):
             winding_index(g)
-        assert delta == [first] and first == 23638
+        assert delta == [first + 1] and first == 23638
         # (1, top - 2), of trace top, has a flat top past the rounding bound
         with pytest.raises(CapExceeded, match="flat top"):
             winding_index(word_to_matrix((1, top - 2)))
         with pytest.raises(CapExceeded, match="past the float range"):
             winding_index(word_to_matrix((1, top - 1)))
-        assert delta == [first]
+        assert delta == [first + 1]
 
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
         g = word_to_matrix((1, 60))
@@ -618,7 +621,7 @@ class TestFlatTop:
         # 2^-49 R turns at most a tenth of _RESIDUAL_LIMIT: R up to 5.6e10
         limit = 0.1 * winding._RESIDUAL_LIMIT * 2.0**49
         assert 5.6e10 < limit < 5.7e10
-        assert winding._flat_top(winding._Axis(limit, -limit, 60.0, 0.0)) is not None
+        assert winding._flat_top(winding._Axis(limit, -limit, 60.0, 0.0))[0] > 0.0
         above = float(np.nextafter(limit, math.inf))
         with pytest.raises(CapExceeded, match="flat top"):
             winding._flat_top(winding._Axis(above, -above, 60.0, 0.0))
@@ -654,6 +657,54 @@ def test_cusp_words_computed_or_refused(case):
     except ModwindError:
         return
     assert index == psi_cf(w)
+
+
+@st.composite
+def class_forms(draw):
+    """Four matrices of one conjugacy class: the product of a word, of an even
+    rotation of it, and two conjugates of the product by T^a S T^b, |a|, |b| <= 9,
+    the second shifted by T^(2^60) or more.  The word is short (2 to 6 digits in
+    1..9), long (10 to 16 digits with its largest digit in two or more places),
+    or a cusp word (2 to 6 digits with one or two raised to up to 10^9, the two
+    to the same value when one value is drawn)."""
+    kind = draw(st.sampled_from(["short", "long", "cusp"]))
+    n = 2 * draw(st.integers(5, 8) if kind == "long" else st.integers(1, 3))
+    w = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    if kind == "long":
+        places = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True))
+        for i in places:
+            w[i] = max(w)
+    elif kind == "cusp":
+        places = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        raised = draw(st.lists(st.integers(10, 10**9), min_size=1, max_size=2))
+        for i, value in zip(places, raised * 2):
+            w[i] = value
+    r = 2 * draw(st.integers(0, n // 2 - 1))
+    g = word_to_matrix(w)
+    forms = [g, word_to_matrix(w[r:] + w[:r])]
+    for shift in (0, 2 ** draw(st.integers(60, 70))):
+        tau = T.power(shift + draw(st.integers(-9, 9))) @ S @ T.power(draw(st.integers(-9, 9)))
+        forms.append(tau @ g @ tau.inverse())
+    return tuple(w), forms
+
+
+def outcome(route, gamma):
+    """The route's result at gamma, or the class of the library error it raised."""
+    try:
+        return route(gamma)
+    except ModwindError as error:
+        return type(error)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(class_forms())
+def test_routes_are_class_functions(case):
+    # both routes follow the axis of the class's word, so every form of a class
+    # gives the same bits or the same refusal
+    w, forms = case
+    for route in (winding_index, e2_period):
+        first, *rest = (outcome(route, g) for g in forms)
+        assert all(other == first for other in rest), (route.__name__, w)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -1099,8 +1150,8 @@ class TestWindingIndex:
     def test_residual_refused(self):
         # one of the 20 survey words at L = 55 that the residual check refuses:
         # the turns total misses an integer by more than _RESIDUAL_LIMIT
-        w = long_words(55, 20)[4]
-        assert len(w) == 18
+        w = long_words(55, 20)[6]
+        assert len(w) == 20
         start = time.perf_counter()
         with pytest.raises(ResidualTooLarge, match="winding total"):
             winding_index(word_to_matrix(w))
@@ -1198,7 +1249,7 @@ class TestE2Period:
             self.assert_index_close(w, 1e-4)
 
     # long words at L = 36 to 40 (the first at 40 is also the first at 36): five
-    # are computed, three refused by the witness and one by the node cap
+    # are computed, two refused by the witness and two by the node cap
     SLICE = long_words(36, 5)[1:] + long_words(40, 5)
 
     def test_rounding_witness_bounds_the_error(self):
@@ -1220,7 +1271,7 @@ class TestE2Period:
                     e2_period(g)
             else:
                 assert e2_period(g) == total.real
-        assert (checked, refused) == (8, 3)
+        assert (checked, refused) == (7, 2)
 
     @pytest.mark.parametrize("w", [(1, 2), (3, 200)], ids=lambda w: "-".join(map(str, w)))
     def test_rounding_witness_from_its_definition(self, monkeypatch, w):
