@@ -11,12 +11,8 @@ from .errors import (
     DomainError,
     InsufficientData,
     ModwindError,
-    NonPositiveEntry,
-    NonPositiveImaginary,
-    NonPositiveModulus,
     NotHyperbolic,
     NotPrimitive,
-    OddLength,
     QuadratureFailure,
     ResidualTooLarge,
     ResourceError,

@@ -5,24 +5,20 @@ class ModwindError(Exception):
     """Base class for all library errors."""
 
 
+class DomainError(ModwindError, ValueError):
+    """Argument outside the mathematical domain of the function.
+
+    Also a ValueError, so code that catches ValueError around a Mat2, a
+    CyclicWord or a generator power keeps catching it.
+    """
+
+
 class NotHyperbolic(ModwindError):
     """Matrix has |trace| <= 2 (or is upper triangular) where a hyperbolic one is required."""
 
 
 class NotPrimitive(ModwindError):
     """Matrix is a proper power of another group element."""
-
-
-class NonPositiveModulus(ModwindError):
-    """Dedekind sum requested with modulus k < 1."""
-
-
-class OddLength(ModwindError):
-    """Cyclic word has odd length."""
-
-
-class NonPositiveEntry(ModwindError):
-    """Cyclic word contains an entry < 1."""
 
 
 class ResourceError(ModwindError):
@@ -47,11 +43,3 @@ class StepTooCoarse(ResourceError):
 
 class ResidualTooLarge(ResourceError):
     """Winding total was too far from an integer multiple of 2*pi."""
-
-
-class NonPositiveImaginary(ModwindError):
-    """Point is not in the upper half-plane."""
-
-
-class DomainError(ModwindError):
-    """Argument outside the mathematical domain of the function."""

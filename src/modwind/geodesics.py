@@ -17,14 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    DomainError,
-    NonPositiveEntry,
-    NotHyperbolic,
-    NotPrimitive,
-    OddLength,
-)
+from .errors import CapExceeded, DomainError, NotHyperbolic, NotPrimitive
 from .matrices import Mat2, _integer, geodesic_length, short_int
 
 __all__ = [
@@ -71,12 +64,12 @@ def validate_entries(entries: Sequence[int]) -> Tuple[int, ...]:
     if isinstance(entries, CyclicWord):
         return entries.entries
     if len(entries) % 2 != 0 or len(entries) == 0:
-        raise OddLength(f"word length {len(entries)} is not a positive even number")
+        raise DomainError(f"word length {len(entries)} is not a positive even number")
     ints = []
     try:
         for a in map(index, entries):
             if a < 1:
-                raise NonPositiveEntry(f"entry {short_int(a)} < 1")
+                raise DomainError(f"entry {short_int(a)} < 1")
             ints.append(a)
     except TypeError:
         raise DomainError("word entries must be integers") from None
@@ -120,7 +113,7 @@ class CyclicWord:
     def __post_init__(self):
         entries = validate_entries(self.entries)
         if _least_even_rotation(entries)[0]:
-            raise ValueError(f"{self.entries} is not in canonical rotation")
+            raise DomainError(f"{self.entries} is not in canonical rotation")
         object.__setattr__(self, "entries", entries)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .errors import DomainError, NonPositiveModulus, NotHyperbolic
+from .errors import DomainError, NotHyperbolic
 
 __all__ = [
     "Mat2",
@@ -27,6 +27,11 @@ __all__ = [
     "sign0",
     "short_int",
 ]
+
+# pi/V for the area V = pi/3 of the modular orbifold PSL(2,Z)\H, the one
+# normalisation of the winding statistics and of chi_r.  An int, so 2 and 4
+# times it are exact; 1/V is never formed, as 1 / (pi/3) is an ulp off 3/pi.
+_PI_OVER_AREA = 3
 
 
 def sign0(x) -> int:
@@ -63,13 +68,13 @@ class Mat2:
         try:
             a, b, c, d = index(a), index(b), index(c), index(d)
         except TypeError:
-            raise ValueError("matrix entries must be integers") from None
+            raise DomainError("matrix entries must be integers") from None
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         if a * d - b * c != 1:
-            raise ValueError(f"determinant is not 1: {self}")
+            raise DomainError(f"determinant is not 1: {self}")
 
     def __repr__(self) -> str:
         a, b, c, d = map(short_int, self.entries())
@@ -130,7 +135,7 @@ def dedekind_sum_direct(h: int, k: int) -> Fraction:
     """
     h, k = _integer(h, "h and k"), _integer(k, "h and k")
     if k < 1:
-        raise NonPositiveModulus(f"k = {short_int(k)}")
+        raise DomainError(f"k = {short_int(k)}")
     total = Fraction(0)
     for mu in range(1, k):
         total += sawtooth(Fraction(mu, k)) * sawtooth(Fraction(h * mu, k))
@@ -170,7 +175,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     """
     h, k = _integer(h, "h and k"), _integer(k, "h and k")
     if k < 1:
-        raise NonPositiveModulus(f"k = {short_int(k)}")
+        raise DomainError(f"k = {short_int(k)}")
     h %= k
     g = math.gcd(h, k)
     h, k = h // g, k // g

@@ -11,8 +11,9 @@ import cmath
 import math
 from typing import Iterable, Tuple
 
+from .errors import DomainError
 from .geodesics import validate_entries
-from .matrices import Mat2, _dedekind12, _integer, sign0
+from .matrices import _PI_OVER_AREA, Mat2, _dedekind12, _integer, sign0
 
 __all__ = [
     "phi_closed",
@@ -24,10 +25,6 @@ __all__ = [
     "word_factor_matrix",
     "psi_cocycle",
 ]
-
-# area of the modular orbifold is pi/3, so pi/V = 3 and 4*pi/V = 12
-_PI_OVER_V = 3
-
 
 def phi_closed(gamma: Mat2) -> int:
     """Dedekind symbol (a+d)/c - 12 sign(c) s(d,|c|) for c != 0, else b/d.
@@ -54,7 +51,7 @@ def _factor_entries(kind: str, n: int) -> Tuple[int, int, int, int]:
         return 1, n, 0, 1
     if kind == "S":
         return _S_POWERS[n % 4]
-    raise ValueError(f"unknown generator {kind!r}")
+    raise DomainError(f"unknown generator {kind!r}")
 
 
 def word_factor_matrix(factor: Tuple[str, int]) -> Mat2:
@@ -135,13 +132,13 @@ def s_symbol(gamma: Mat2) -> int:
         if t > 0:
             return p
         if t == 0:
-            return p - _PI_OVER_V * sign0(gamma.c)
-        return p - 2 * _PI_OVER_V * sign0(gamma.c)
+            return p - _PI_OVER_AREA * sign0(gamma.c)
+        return p - 2 * _PI_OVER_AREA * sign0(gamma.c)
     if gamma.d > 0:
         return gamma.b  # gamma = T^b
-    return -2 * _PI_OVER_V - gamma.b  # gamma = -T^-b
+    return -2 * _PI_OVER_AREA - gamma.b  # gamma = -T^-b
 
 
 def chi_r(gamma: Mat2, r: float) -> complex:
-    """Weight-r multiplier system value exp(i pi r S(gamma) / 6)."""
-    return cmath.exp(1j * math.pi * r * s_symbol(gamma) / 6.0)
+    """Weight-r multiplier system value exp(i pi r S(gamma) / 6), 6 = 2 pi / V."""
+    return cmath.exp(1j * math.pi * r * s_symbol(gamma) / (2 * _PI_OVER_AREA))

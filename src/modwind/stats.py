@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientData, QuadratureFailure
 from .geodesics import Census, trace_cap_for_length
-from .matrices import _integer, short_int
+from .matrices import _PI_OVER_AREA, _integer, short_int
 
 __all__ = [
     "MAX_TABLE_ROWS",
@@ -122,15 +122,18 @@ def winding_histogram(census: Census, T: float) -> WindingHistogram:
 def predicted_pi_n(n: int, T: float) -> float:
     """Predicted count of prime geodesics of length <= T with winding n.
 
-    (4/(12T)) * integral_2^{e^T} log t / ((log t)^2 + (4 pi n / 12)^2) dt,
-    where 12 is 4 pi over the area pi/3 of the modular orbifold,
+    (1/(3T)) * integral_2^{e^T} log t / ((log t)^2 + (pi n / 3)^2) dt,
+    where 3 is pi over the area V = pi/3 of the modular orbifold (_PI_OVER_AREA),
     evaluated after the substitution u = log t by the 16-point Gauss-Legendre
     rule on fixed panels of width at most 1/2.  The error estimate is the
     change when every panel is halved.
     """
     if not 2 <= T <= _MAX_EXPONENT:
         raise DomainError(f"T = {T} outside [2, {_MAX_EXPONENT:g}], where e^T is a finite float")
-    c2 = _kernel_width(n) ** 2
+    try:
+        c2 = _kernel_width(n) ** 2
+    except OverflowError:  # a float ** raises past the float range: the kernel is 0 there
+        c2 = math.inf
     lo = math.log(2.0)
     panels = math.ceil((T - lo) / _PANEL_WIDTH)
 
@@ -144,24 +147,24 @@ def predicted_pi_n(n: int, T: float) -> float:
     err = abs(val - coarse)
     if not err <= 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"predicted_pi_n error estimate {err}")
-    return 4.0 / (12 * T) * val
+    return 1.0 / (_PI_OVER_AREA * T) * val
 
 
 def _kernel_width(n: int) -> float:
-    """4 pi n / 12, where the winding n sits in the density's Cauchy kernel."""
+    """pi n / 3 = n V, where the winding n sits in the density's Cauchy kernel."""
     n = _integer(n, "winding numbers")
     if not abs(n) <= sys.float_info.max:  # an int past the float range
         raise DomainError(f"winding number {short_int(n)} past the float range")
-    return 4.0 * math.pi * n / 12
+    return math.pi * n / _PI_OVER_AREA
 
 
 def limiting_density(n: int, T: float) -> float:
-    """Limiting winding density (4/12) T / (T^2 + (4 pi n / 12)^2) at a finite T > 0."""
+    """Limiting winding density (1/3) T / (T^2 + (pi n / 3)^2) at a finite T > 0."""
     if not 0 < T <= sys.float_info.max:  # NaN and ints past the float range too
         raise DomainError(f"T outside (0, {sys.float_info.max:g}]")
     T = float(T)
     c = _kernel_width(n)
-    return (4.0 / 12) * T / (T * T + c * c)
+    return (1.0 / _PI_OVER_AREA) * T / (T * T + c * c)
 
 
 def density_table(
@@ -176,12 +179,8 @@ def density_table(
     ]
 
 
-def _cauchy_cdf(u: float) -> float:
-    return 0.5 + math.atan(u) / math.pi
-
-
 def cauchy_compare(census: Census, T: float) -> DistributionReport:
-    """KS distance between (3/pi) psi/length and the standard Cauchy law.
+    """KS distance between (pi/V) psi/length = (3/pi) psi/length and the standard Cauchy law.
 
     The rows of the count table are sorted by value, and the empirical CDF
     steps by each row's count.  Over the classes of one row the CDF takes
@@ -193,18 +192,22 @@ def cauchy_compare(census: Census, T: float) -> DistributionReport:
     n = int(count.sum())
     if n < _MIN_SAMPLE:
         raise InsufficientData(f"{n} records (need {_MIN_SAMPLE})")
-    values = 3.0 / math.pi * psi / length
+    values = _PI_OVER_AREA / math.pi * psi / length
     order = np.argsort(values)
     values = values[order]
     # classes with a value before or at each row's, from 0 to n
     through = np.zeros(len(order) + 1, np.int64)
     np.cumsum(count[order], out=through[1:])
-    f = 0.5 + np.arctan(values) / math.pi
+
+    def cdf(u: np.ndarray) -> np.ndarray:  # the standard Cauchy law's
+        return 0.5 + np.arctan(u) / math.pi
+
+    f = cdf(values)
     ks = float(max(np.max(np.abs(through[1:] / n - f)), np.max(np.abs(through[:-1] / n - f))))
     grid = [-5.0 + 0.1 * j for j in range(101)]
     below = through[np.searchsorted(values, grid, side="right")].tolist()
     empirical = [(u, idx / n) for u, idx in zip(grid, below)]
-    reference = [(u, _cauchy_cdf(u)) for u in grid]
+    reference = list(zip(grid, cdf(np.array(grid)).tolist()))
     return DistributionReport(
         ks_statistic=ks, empirical_cdf=empirical, reference_cdf=reference
     )
@@ -238,8 +241,8 @@ def _weights(rs: Iterable[float]) -> List[float]:
     except (TypeError, ValueError, OverflowError):
         raise DomainError("twist weights must be real numbers in the float range") from None
     for r in rs:
-        if not abs(r) <= 12:  # NaN included
-            raise DomainError(f"|r| = {abs(r)} outside [0, 12]")
+        if not abs(r) <= 4 * _PI_OVER_AREA:  # NaN included
+            raise DomainError(f"|r| = {abs(r)} outside [0, {4 * _PI_OVER_AREA}]")
     return rs
 
 
@@ -258,7 +261,7 @@ def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedS
     values = np.arange(lo, lo + len(weight))
     reports = []
     for r in rs:
-        x = values * (math.pi * r / 6.0)
+        x = values * (math.pi * r / (2 * _PI_OVER_AREA))
         total = complex(np.cos(x) @ weight, np.sin(x) @ weight)
         main = rel = None
         if abs(r) < 0.5:

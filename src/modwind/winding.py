@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
-    NonPositiveImaginary,
+    DomainError,
     QuadratureFailure,
     ResidualTooLarge,
     StepTooCoarse,
@@ -171,12 +171,12 @@ def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     amplifies to a relative error of about 2^-52 |z| / Im z in z_red (against
     its height) and in j.  A point whose height is not above the float
     spacing of its real part (or whose real part is NaN) has lost its position,
-    so it raises CapExceeded; Im z <= 0 or NaN raises NonPositiveImaginary first.
+    so it raises CapExceeded; Im z <= 0 or NaN raises DomainError first.
     """
     resolved = z.imag > _FLOAT_SPACING * np.abs(z.real)
     if not resolved.all():
         if not (z.imag > 0.0).all():
-            raise NonPositiveImaginary(f"Im z = {z.imag.min()}")
+            raise DomainError(f"Im z = {z.imag.min()}")
         raise CapExceeded(f"Im z not above the float spacing of Re z at z = {z[~resolved][0]}")
     w = z - np.rint(z.real)
     j = np.ones_like(z)
@@ -450,7 +450,9 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     while |T_2n - T_n| > _QUAD_TOL the grid doubles, one batch of midpoints a
     round, up to _MAX_NODES.  That check sees the discretisation, not the
     rounding, so the batches also sum the witness: the fold's relative error
-    scale 2^-52 |z| / Im z times |E2(z) dz/dt|.
+    scale 2^-52 |z| / Im z times |E2(z) dz/dt|.  A witness above
+    _ROUNDING_BUDGET after any batch raises QuadratureFailure at once: more
+    nodes refine the witness's integral but do not shrink it.
     """
     axis = _axis_for(gamma)
     ell = axis.length
@@ -467,21 +469,23 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     h = ell / nodes
     first = _in_chunks(rows, lo + h * np.arange(nodes))
     coarse, sums = 2.0 * h * first[0, ::2].sum(), h * first.sum(axis=1)
-    while abs(sums[0] - coarse) > _QUAD_TOL:
+    while True:
+        witness = _FLOAT_SPACING * sums[1].real  # a power of 2 scales a sum exactly
+        if witness > _ROUNDING_BUDGET:
+            raise QuadratureFailure(f"rounding witness {witness:.1e} above budget for {gamma}")
+        if abs(sums[0] - coarse) <= _QUAD_TOL:
+            return sums[0], witness
         if 2 * nodes > _MAX_NODES:
             raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
         mid = _in_chunks(rows, lo + h * np.arange(0.5, nodes))
         coarse, sums = sums[0], 0.5 * (sums + h * mid.sum(axis=1))
         nodes, h = 2 * nodes, 0.5 * h
-    return sums[0], _FLOAT_SPACING * sums[1].real  # a power of 2 scales a sum exactly
 
 
 def e2_period(gamma: Mat2) -> float:
     """Period of the closed 1-form E2(z) dz over one loop of the axis (_trapezoid),
-    refused when its rounding witness is above _ROUNDING_BUDGET."""
-    total, witness = _trapezoid(gamma)
-    if witness > _ROUNDING_BUDGET:
-        raise QuadratureFailure(f"rounding witness {witness:.1e} above budget for {gamma}")
+    refused as soon as its rounding witness is above _ROUNDING_BUDGET."""
+    total, _ = _trapezoid(gamma)
     if abs(total.imag) > 1e-6:
         raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
     return float(total.real)

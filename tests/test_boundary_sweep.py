@@ -19,7 +19,8 @@ import pytest
 
 LENGTHS = ("84.0", "100.0", "710.0", "1500.0", "1e6", "10**400")
 TRACES = ("2**53 + 1", "2**1024", "10**400")
-WINDINGS = ("2**53 + 1", "2**1024", "10**400", "-10**400")
+# 10**200 and 2 * 10**307: the kernel width is finite, its square past the float range
+WINDINGS = ("2**53 + 1", "10**200", "2 * 10**307", "2**1024", "10**400", "-10**400")
 # the census of traces up to 30 stands in for any census: past its largest
 # trace every window is the whole census
 LENGTH_CALLS = {

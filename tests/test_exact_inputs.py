@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modwind.errors import DomainError, NonPositiveEntry, NonPositiveModulus, OddLength
+from modwind.errors import DomainError
 from modwind.geodesics import (
     CyclicWord,
     EnumerationConfig,
@@ -24,7 +24,7 @@ from modwind.geodesics import (
     word_to_matrix,
 )
 from modwind.matrices import Mat2, dedekind_sum, dedekind_sum_direct, omega, short_int
-from modwind.rademacher import phi_closed, phi_word, psi, psi_cf, psi_cocycle, s_symbol
+from modwind.rademacher import phi_closed, phi_word, psi, psi_cf, psi_cocycle, s_symbol, word_factor_matrix
 from modwind.winding import WindingResult, e2_period, winding_index
 
 TAU = Mat2(2, 1, 3, 2)
@@ -125,7 +125,7 @@ def test_dedekind_sums_refuse_non_integers(h, k):
 @pytest.mark.parametrize("k", [0, -3, np.int64(0), np.int32(-3)], ids=repr)
 def test_dedekind_sums_refuse_non_positive_modulus(k):
     for f in (dedekind_sum, dedekind_sum_direct):
-        with pytest.raises(NonPositiveModulus):
+        with pytest.raises(DomainError, match=f"^k = {int(k)}$"):
             f(5, k)
 
 
@@ -149,11 +149,11 @@ def reference_validate(entries):
     """The per-entry check of a word that the library held before it converted
     entries: lengths first, then the first bad entry decides."""
     if len(entries) % 2 != 0 or len(entries) == 0:
-        raise OddLength(f"word length {len(entries)} is not a positive even number")
+        raise DomainError(f"word length {len(entries)} is not a positive even number")
     try:
         for a in entries:
             if index(a) < 1:
-                raise NonPositiveEntry(f"entry {short_int(index(a))} < 1")
+                raise DomainError(f"entry {short_int(index(a))} < 1")
     except TypeError:
         raise DomainError("word entries must be integers") from None
 
@@ -188,10 +188,27 @@ def test_refusals_match_the_per_entry_check(word):
         if ints == min(rotations):
             assert CyclicWord(word).entries == ints
         else:
-            assert outcome(CyclicWord, word) == (ValueError, f"{word} is not in canonical rotation")
+            assert outcome(CyclicWord, word) == (DomainError, f"{word} is not in canonical rotation")
         return
     for f in (validate_entries, CyclicWord, canonical_form, psi_cf):
         assert outcome(f, word) == expected
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Mat2(1, 1, 1, 1), "determinant is not 1"),
+        (lambda: Mat2(1.0, 0, 0, 1), "matrix entries must be integers"),
+        (lambda: CyclicWord((2, 1, 1, 3)), "not in canonical rotation"),
+        (lambda: word_factor_matrix(("U", 1)), "unknown generator 'U'"),
+    ],
+    ids=["determinant", "entries", "rotation", "generator"],
+)
+def test_bad_argument_is_a_domain_error_and_a_value_error(build, message):
+    # callers that catch ValueError around these, as the CLI does, keep working
+    with pytest.raises(DomainError, match=message) as caught:
+        build()
+    assert isinstance(caught.value, ValueError)
 
 
 def test_held_word_returned_as_is():

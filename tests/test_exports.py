@@ -281,8 +281,45 @@ def test_every_leaf_error_is_raised():
     ]
     leaves = {c.__name__ for c in classes if not c.__subclasses__()}
     raised = set().union(*(raised_names(p.read_text()) for p in ROOT.glob("src/modwind/*.py")))
-    assert len(leaves) >= 12
+    assert len(leaves) >= 8
     assert sorted(leaves - raised) == []
+
+
+# The statistics and the multiplier system read the orbifold's normalisation,
+# pi/V = 3 for the area V = pi/3, from one constant, matrices._PI_OVER_AREA:
+# no 3, 6 (2 pi/V) or 12 (4 pi/V) is written out in them.
+NORMALISATION_VALUES = (3, 6, 12)
+
+
+def normalisation_literals(source: str, functions=None) -> list:
+    """(line, value) of each numeric literal equal to 3, 6 or 12 in the source,
+    or only in its top-level functions named in `functions`."""
+    return sorted(
+        (node.lineno, node.value)
+        for top in ast.parse(source).body
+        if functions is None or (isinstance(top, ast.FunctionDef) and top.name in functions)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and node.value in NORMALISATION_VALUES
+    )
+
+
+def test_normalisation_literal_detected():
+    source = (
+        "def f(x):\n    return 3.0 / x + 12\n"
+        "def g(x):\n    return -6 * x - 4 * N  # 6\n"
+        "Y = 2 * 6\nZ = '3'\nB = True + 3j\n"
+    )
+    assert normalisation_literals(source) == [(2, 3.0), (2, 12), (4, 6), (5, 6)]
+    assert normalisation_literals(source, {"g"}) == [(4, 6)]
+
+
+def test_normalisation_from_one_constant():
+    src = ROOT / "src" / "modwind"
+    assert normalisation_literals((src / "stats.py").read_text()) == []
+    rademacher = (src / "rademacher.py").read_text()
+    assert normalisation_literals(rademacher, {"s_symbol", "chi_r"}) == []
 
 
 # The exact layer computes with integers; rationals appear only in the

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modwind import winding
-from modwind.errors import NonPositiveModulus, NotHyperbolic
+from modwind.errors import DomainError, NotHyperbolic
 from modwind.geodesics import word_to_matrix
 from modwind.matrices import (
     IDENTITY,
@@ -204,9 +204,9 @@ class TestDedekindSum:
         assert dedekind_sum(h, k) + dedekind_sum(k, h) == reciprocity_rhs(h, k)
 
     def test_modulus_guard(self):
-        with pytest.raises(NonPositiveModulus):
+        with pytest.raises(DomainError, match="^k = 0$"):
             dedekind_sum(1, 0)
-        with pytest.raises(NonPositiveModulus):
+        with pytest.raises(DomainError, match="^k = -2$"):
             dedekind_sum_direct(1, -2)
 
 

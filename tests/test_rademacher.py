@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from modwind.errors import DomainError, NonPositiveEntry, OddLength
+from modwind.errors import DomainError
 from modwind.matrices import IDENTITY, Mat2, S, omega, sign0
 from modwind.rademacher import (
     chi_r,
@@ -155,13 +155,13 @@ class TestPsiCf:
             assert psi_cf(word[k:] + word[:k]) == psi_cf(word)
 
     def test_rejects_odd_length(self):
-        with pytest.raises(OddLength):
+        with pytest.raises(DomainError, match="^word length 3 is not a positive even number$"):
             psi_cf((1, 2, 3))
-        with pytest.raises(OddLength):
+        with pytest.raises(DomainError, match="^word length 0 is not a positive even number$"):
             psi_cf(())
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveEntry):
+        with pytest.raises(DomainError, match="^entry 0 < 1$"):
             psi_cf((1, 0))
 
     def test_rejects_non_integral(self):
