@@ -57,7 +57,6 @@ from .stats import (
     cauchy_compare,
     density_table,
     equidistribution,
-    predicted_pi_n,
     limiting_density,
     twisted_sum,
     twisted_sums,

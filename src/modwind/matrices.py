@@ -99,10 +99,11 @@ class Mat2:
         return Mat2(-self.a, -self.b, -self.c, -self.d)
 
     def power(self, n: int) -> "Mat2":
-        if n < 0:
-            return self.inverse().power(-n)
-        result = IDENTITY
+        n = _integer(n, "exponents")
         base = self
+        if n < 0:
+            base, n = self.inverse(), -n
+        result = IDENTITY
         while n:
             if n & 1:
                 result = result @ base
@@ -213,6 +214,7 @@ def geodesic_length(trace: int) -> float:
     Past the float range of t / 2 it is 2 log|t|, which the arccosh form
     equals to float rounding from |t| of about 2^27 on.
     """
+    trace = _integer(trace, "traces")
     if abs(trace) <= 2:
         raise NotHyperbolic(f"trace {trace}")
     try:

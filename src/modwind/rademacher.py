@@ -56,7 +56,8 @@ def _factor_entries(kind: str, n: int) -> Tuple[int, int, int, int]:
 
 def word_factor_matrix(factor: Tuple[str, int]) -> Mat2:
     """Matrix of a single generator power ('T', n) or ('S', n)."""
-    return Mat2(*_factor_entries(*factor))
+    kind, n = factor
+    return Mat2(*_factor_entries(kind, _integer(n, "exponents")))
 
 
 def phi_word(factors: Iterable[Tuple[str, int]]) -> int:

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientData, QuadratureFailure
+from .errors import DomainError, InsufficientData
 from .geodesics import Census, trace_cap_for_length
 from .matrices import _PI_OVER_AREA, _integer, short_int
 
@@ -27,7 +27,6 @@ __all__ = [
     "DistributionReport",
     "TwistedSumReport",
     "winding_histogram",
-    "predicted_pi_n",
     "limiting_density",
     "density_table",
     "cauchy_compare",
@@ -39,29 +38,7 @@ __all__ = [
 _MIN_SAMPLE = 1000
 # Rows of a table the statistics return (equidistribution) or the CLI prints.
 MAX_TABLE_ROWS = 10_000
-_PANEL_WIDTH = 0.5
 _MAX_EXPONENT = 709.0
-
-
-def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on P_n from the Tricomi initial guesses, with P_n and its
-    derivative from the three-term recurrence.  Written out because importing
-    numpy.polynomial.legendre.leggauss adds about 1.2 MB to the peak RSS of a
-    process that only reads the census.
-    """
-    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones_like(x), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 
 
 @dataclass(frozen=True)
@@ -117,37 +94,6 @@ def winding_histogram(census: Census, T: float) -> WindingHistogram:
     return WindingHistogram(
         T=T, counts=dict(zip((values + lo).tolist(), counts.tolist())), total=int(count.sum())
     )
-
-
-def predicted_pi_n(n: int, T: float) -> float:
-    """Predicted count of prime geodesics of length <= T with winding n.
-
-    (1/(3T)) * integral_2^{e^T} log t / ((log t)^2 + (pi n / 3)^2) dt,
-    where 3 is pi over the area V = pi/3 of the modular orbifold (_PI_OVER_AREA),
-    evaluated after the substitution u = log t by the 16-point Gauss-Legendre
-    rule on fixed panels of width at most 1/2.  The error estimate is the
-    change when every panel is halved.
-    """
-    if not 2 <= T <= _MAX_EXPONENT:
-        raise DomainError(f"T = {T} outside [2, {_MAX_EXPONENT:g}], where e^T is a finite float")
-    try:
-        c2 = _kernel_width(n) ** 2
-    except OverflowError:  # a float ** raises past the float range: the kernel is 0 there
-        c2 = math.inf
-    lo = math.log(2.0)
-    panels = math.ceil((T - lo) / _PANEL_WIDTH)
-
-    def integral(m: int) -> float:
-        edges = np.linspace(lo, T, m + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        u = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _GL_NODES
-        return float((half * (u * np.exp(u) / (u * u + c2) @ _GL_WEIGHTS)).sum())
-
-    coarse, val = integral(panels), integral(2 * panels)
-    err = abs(val - coarse)
-    if not err <= 1e-6 * max(1.0, abs(val)):
-        raise QuadratureFailure(f"predicted_pi_n error estimate {err}")
-    return 1.0 / (_PI_OVER_AREA * T) * val
 
 
 def _kernel_width(n: int) -> float:

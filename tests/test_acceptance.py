@@ -3,7 +3,8 @@
 Each test exercises one advertised guarantee of the package at its stated
 tolerance: exact agreement of the symbol computations, the winding index and
 period identities on a stratified sample, enumeration against the brute-force
-oracle, and the counting and distribution statistics at length bound 14.
+oracle and against a count of reduced states from divisors alone, and the
+counting and distribution statistics at length bound 14.
 """
 
 import hashlib
@@ -100,7 +101,74 @@ class TestWindingIndexTheorem:
         assert max(batches) <= 2 and 1 in batches and 2 in batches
 
 
+def reduced_state_counts(cap):
+    """The number of reduced states of each trace t <= cap, from divisors alone.
+
+    With D = t^2 - 4 and r = isqrt(D), the walk's reduced states of trace t
+    are the (P, Q) with 0 < P < sqrt(D) < P + Q, Q - sqrt(D) < P, Q even and
+    2Q | D - P^2.  With Q = 2q they are the P = t (mod 2) with 0 < P <= r and
+    the divisors q of (D - P^2) / 4 with r - P < 2q <= r + P: no continued
+    fraction and no walk.
+    """
+    top = (cap * cap - 4) // 4
+    divisors = [[] for _ in range(top + 1)]
+    for q in range(1, top + 1):
+        for m in range(q, top + 1, q):
+            divisors[m].append(q)
+    counts = [0] * (cap + 1)
+    for t in range(3, cap + 1):
+        D = t * t - 4
+        r = math.isqrt(D)
+        for P in range(2 - t % 2, r + 1, 2):
+            counts[t] += sum(r - P < 2 * q <= r + P for q in divisors[(D - P * P) // 4])
+    return counts
+
+
+def census_state_counts(trace, start, stop, cap):
+    """The number of reduced states of each trace t <= cap, from a census's
+    trace, start and stop columns.
+
+    A class has len(word) / 2 reduced states, its even-step states, and so
+    has each of its proper powers g^k, whose traces follow
+    t_k = t_1 t_(k-1) - t_(k-2) with t_0 = 2.
+    """
+    counts = [0] * (cap + 1)
+    for t1, half in zip(trace.tolist(), ((stop - start) // 2).tolist()):
+        prev, t = 2, t1
+        while t <= cap:
+            counts[t] += half
+            prev, t = t, t1 * t - prev
+    return counts
+
+
+CAP_12 = 403  # trace_cap_for_length(12.0)
+
+
+@pytest.fixture(scope="module")
+def census_cap_12():
+    return enumerate_by_trace(CAP_12)
+
+
+@pytest.fixture(scope="module")
+def states_cap_12():
+    return reduced_state_counts(CAP_12)
+
+
 class TestEnumerationOracle:
+    def test_reduced_states_count_every_class_through_cap_403(self, census_cap_12, states_cap_12):
+        c = census_cap_12
+        assert census_state_counts(c.trace, c.start, c.stop, CAP_12) == states_cap_12
+
+    @pytest.mark.parametrize("mutation", ["dropped", "duplicated"])
+    def test_reduced_state_count_catches_a_row(self, census_cap_12, states_cap_12, mutation):
+        c, i = census_cap_12, len(census_cap_12) // 2
+        rows = list(range(len(c)))
+        if mutation == "dropped":
+            del rows[i]
+        else:
+            rows.insert(i, i)
+        assert census_state_counts(c.trace[rows], c.start[rows], c.stop[rows], CAP_12) != states_cap_12
+
     def test_matches_brute_force_through_cap_thirty(self):
         brute = brute_force_classes(30)
         direct = enumerate_by_trace(30)

@@ -26,7 +26,6 @@ WINDINGS = ("2**53 + 1", "10**200", "2 * 10**307", "2**1024", "10**400", "-10**4
 LENGTH_CALLS = {
     "trace_cap_for_length": "geodesics.trace_cap_for_length({})",
     "winding_histogram": "stats.winding_histogram(census, {})",
-    "predicted_pi_n": "stats.predicted_pi_n(1, {})",
     "limiting_density": "stats.limiting_density(1, {})",
     "cauchy_compare": "stats.cauchy_compare(census, {})",
     "equidistribution": "stats.equidistribution(census, {}, 3)",
@@ -38,7 +37,6 @@ TRACE_CALLS = {
     "estimated_census_size": "geodesics.estimated_census_size({})",
 }
 WINDING_CALLS = {
-    "predicted_pi_n_winding": "stats.predicted_pi_n({}, 5.0)",
     "limiting_density_winding": "stats.limiting_density({}, 5.0)",
 }
 CASES = {

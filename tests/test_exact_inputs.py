@@ -23,7 +23,7 @@ from modwind.geodesics import (
     validate_entries,
     word_to_matrix,
 )
-from modwind.matrices import Mat2, dedekind_sum, dedekind_sum_direct, omega, short_int
+from modwind.matrices import Mat2, dedekind_sum, dedekind_sum_direct, geodesic_length, omega, short_int
 from modwind.rademacher import phi_closed, phi_word, psi, psi_cf, psi_cocycle, s_symbol, word_factor_matrix
 from modwind.winding import WindingResult, e2_period, winding_index
 
@@ -55,6 +55,7 @@ def results(g):
         "omega": omega(g, TAU),
         "omega_left": omega(TAU, g),
         "power": g.power(5),
+        "power_numpy_exponent": g.power(np.int64(-5)),
         "repr": repr(g),
         "matrix_to_word": matrix_to_word(g),
         "winding_index": winding_index(g),
@@ -201,8 +202,17 @@ def test_refusals_match_the_per_entry_check(word):
         (lambda: Mat2(1.0, 0, 0, 1), "matrix entries must be integers"),
         (lambda: CyclicWord((2, 1, 1, 3)), "not in canonical rotation"),
         (lambda: word_factor_matrix(("U", 1)), "unknown generator 'U'"),
+        (lambda: TAU.power(2.5), "exponents must be integers"),
+        (lambda: TAU.power("3"), "exponents must be integers"),
+        (lambda: word_factor_matrix(("S", 2.5)), "exponents must be integers"),
+        (lambda: word_factor_matrix(("S", "1")), "exponents must be integers"),
+        (lambda: geodesic_length(2.5), "traces must be integers"),
+        (lambda: geodesic_length(float("nan")), "traces must be integers"),
     ],
-    ids=["determinant", "entries", "rotation", "generator"],
+    ids=[
+        "determinant", "entries", "rotation", "generator", "power-float", "power-str",
+        "factor-float", "factor-str", "length-float", "length-nan",
+    ],
 )
 def test_bad_argument_is_a_domain_error_and_a_value_error(build, message):
     # callers that catch ValueError around these, as the CLI does, keep working

@@ -36,6 +36,17 @@ SCANNED = sorted(
 )
 
 
+def exported_names(tree: ast.Module) -> set:
+    """The names in the module's __all__ (none if it has no __all__)."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
 def unused_imports(source: str) -> list:
     """Names bound by an import (other than from __future__) that are never read.
 
@@ -43,7 +54,7 @@ def unused_imports(source: str) -> list:
     """
     tree = ast.parse(source)
     imported = set()
-    used = set()
+    used = exported_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -53,10 +64,6 @@ def unused_imports(source: str) -> list:
                 imported.add(alias.asname or alias.name)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
 
 
@@ -513,3 +520,62 @@ def test_demo_runs(path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+# A public function earns its place by a caller in the program, a demo or the
+# benchmark; one that only tests call is dead weight in the API.
+CALLER_SOURCES = sorted(
+    path
+    for pattern in ("src/modwind/*.py", "demos/*.py", "perfbench/*.py")
+    for path in ROOT.glob(pattern)
+    if path.name != "__init__.py" and not path.name.startswith("test_")
+)
+
+
+def names_read(source: str) -> set:
+    """Names the source reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def uncalled_exports(source: str, callers: list) -> list:
+    """Top-level functions in the source's __all__ that no caller source names."""
+    tree = ast.parse(source)
+    exported = exported_names(tree)
+    read = set().union(*map(names_read, callers))
+    return sorted(
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in exported and node.name not in read
+    )
+
+
+def test_uncalled_export_detected():
+    source = (
+        "__all__ = ['f', 'g', 'h', 'C', 'K']\n"
+        "def f():\n    return g()\n"
+        "def g():\n    pass\n"
+        "def h():\n    pass\n"
+        "def private():\n    pass\n"
+        "class C:\n    pass\n"
+        "K = 1\n"
+    )
+    assert uncalled_exports(source, [source]) == ["f", "h"]
+    assert uncalled_exports(source, [source, "import m\nm.f()\nx = h\n"]) == []
+
+
+def test_caller_sources_found():
+    assert {path.parent.name for path in CALLER_SOURCES} == {"modwind", "demos", "perfbench"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in ROOT.glob("src/modwind/*.py") if p.name != "__init__.py"),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_every_exported_function_has_a_caller(path):
+    callers = [p.read_text() for p in CALLER_SOURCES]
+    assert uncalled_exports(path.read_text(), callers) == []

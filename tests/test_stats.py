@@ -25,7 +25,6 @@ from modwind.stats import (
     cauchy_compare,
     density_table,
     equidistribution,
-    predicted_pi_n,
     limiting_density,
     twisted_sum,
     twisted_sums,
@@ -272,41 +271,6 @@ class TestWindingHistogram:
             assert hist.counts.get(-n) == count
 
 
-class TestPredictedPiN:
-    def test_zero_winding_is_li_over_3t(self):
-        # at n = 0 the integrand collapses to 1/log t
-        value = predicted_pi_n(0, 14.0)
-        assert value == pytest.approx(li(math.exp(14.0)) / 42.0, rel=1e-8)
-
-    def test_even_in_n(self):
-        for n in (1, 2, 5):
-            assert predicted_pi_n(n, 10.0) == predicted_pi_n(-n, 10.0)
-
-    def test_partial_sums_approach_total_count(self):
-        # summing the per-winding predictions over |n| <= N recovers the
-        # plain prime geodesic count as N grows; the tail decays like 1/N
-        target = li(math.exp(14.0))
-        partial = [
-            sum(predicted_pi_n(n, 14.0) for n in range(-bound, bound + 1))
-            for bound in (35, 70, 140)
-        ]
-        assert partial == sorted(partial)
-        assert 0.80 < partial[-1] / target < 1.0
-
-    def test_gauss_legendre_rule(self):
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        assert np.abs(stats._GL_NODES - nodes).max() < 1e-15
-        assert np.abs(stats._GL_WEIGHTS - weights).max() < 1e-15
-
-    def test_domain_guard(self):
-        for T in (1.0, 1e9, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError):
-                predicted_pi_n(1, T)
-        for n in (10**400, -(10**400), 2**1024, 2.5, math.nan, math.inf, "3"):
-            with pytest.raises(DomainError, match="winding number"):
-                predicted_pi_n(n, 5.0)
-
-
 @pytest.mark.parametrize("T", [math.nan, math.inf], ids=str)
 def test_non_finite_length_refused_by_the_statistics(census12, T):
     for stat in (
@@ -345,7 +309,6 @@ class TestDensityTable:
     def test_numpy_integer_winding(self):
         for n in (np.int32(-3), np.int64(-3), np.int8(-3)):
             assert limiting_density(n, 5.0) == limiting_density(-3, 5.0)
-            assert predicted_pi_n(n, 5.0) == predicted_pi_n(-3, 5.0)
 
     def test_rows(self, census12):
         hist = winding_histogram(census12, 12.0)
@@ -535,7 +498,7 @@ class TestLi:
 
 def test_needs_neither_scipy_nor_mpmath():
     code = (
-        "import sys, modwind; modwind.li(1e6); modwind.predicted_pi_n(1, 10.0); "
+        "import sys, modwind; modwind.li(1e6); modwind.limiting_density(1, 10.0); "
         "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
