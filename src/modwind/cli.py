@@ -199,15 +199,18 @@ def _write_json(census: Census, fh: TextIO) -> None:
     fh.write("[]\n" if sep == "[" else "]\n")
 
 
+def _positive_trace(gamma: Mat2) -> Mat2:
+    """gamma, negated if its trace is below -2, as psi(-g) = psi(g); other traces stay as given."""
+    return -gamma if gamma.trace < -2 else gamma
+
+
 def _psi_by_method(gamma: Mat2, method: str):
     """One method's value for the Rademacher symbol of gamma."""
     if method == "dedekind":
         return psi(gamma)
     if method == "cocycle":
         return psi_cocycle(gamma)
-    # the remaining methods live on hyperbolic classes and raise NotHyperbolic
-    # on the others; psi(-g) = psi(g)
-    g = gamma if gamma.trace > 0 else -gamma
+    g = _positive_trace(gamma)
     if method == "cf":
         return psi_cf(matrix_to_word(g))
     if method == "index":
@@ -272,9 +275,7 @@ def cmd_psi(matrix_text: Optional[str], word_text: Optional[str], method: str) -
 def cmd_index(matrix_text: Optional[str], word_text: Optional[str]) -> None:
     """Winding index of the discriminant form along one closed geodesic."""
     gamma = _parse_gamma(matrix_text, word_text)
-    if gamma.trace < -2:
-        gamma = -gamma
-    result = winding_index(gamma)
+    result = winding_index(_positive_trace(gamma))
     click.echo(json.dumps({"index": result.index, "residual": result.residual}))
 
 

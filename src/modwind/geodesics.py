@@ -49,8 +49,6 @@ CENSUS_MEMORY_BUDGET = 512 * 2**20
 # the longer words of larger T.
 _CENSUS_BYTES_PER_CLASS = 140
 _LENGTH_SLACK = 1e-12
-# The row bounds are int32, so a census holds at most this many digits.
-_MAX_DIGITS = np.iinfo(np.int32).max
 # Continued-fraction steps a walk takes before it gives up.
 _WALK_STEPS = 100000
 # Census iteration converts this many rows of each column to Python at a time.
@@ -302,28 +300,29 @@ def trace_cap_for_length(max_length: float) -> int:
 
 
 class Census:
-    """Every class of a census, stored as int32 columns in (trace, word) order.
+    """Every class of a census, stored as columns in (trace, word) order.
 
-    Row i is the class with entries digits[start[i]:stop[i]], matrix trace
+    Row i is the class with entries words[level[i]][slot[i]], matrix trace
     trace[i], length _lengths[trace[i] - 3] and winding number psi[i]: the
-    length depends on the trace alone, so it is kept once a trace.  This
+    length depends on the trace alone, so it is kept once a trace.  words[n]
+    is the int32 block of the words of n + 1 pairs, in walk order.  This
     class is the only reader of that row layout, and rows() its one reader of
-    the words: it yields rows as Python values, and iteration builds a
+    single words: it yields rows as Python values, and iteration builds a
     GeodesicRecord view of each; no per-row object is stored.  The columns
     are read-only, so the count table that counts() keeps cannot go stale.
     """
 
-    __slots__ = ("trace", "psi", "start", "stop", "digits", "_lengths", "_counts")
+    __slots__ = ("trace", "psi", "level", "slot", "words", "_lengths", "_counts")
 
-    def __init__(self, trace, psi, start, stop, digits):
+    def __init__(self, trace, psi, level, slot, words):
         self.trace = trace
         self.psi = psi
-        self.start = start  # row bounds into digits
-        self.stop = stop
-        self.digits = digits  # the words of all rows
+        self.level = level  # row i is row slot[i] of words[level[i]]
+        self.slot = slot
+        self.words = words = tuple(words)
         top = int(trace[-1]) if len(trace) else 2
         self._lengths = np.array([geodesic_length(t) for t in range(3, top + 1)], dtype=np.float64)
-        for column in (trace, psi, start, stop, digits, self._lengths):
+        for column in (trace, psi, level, slot, self._lengths, *words):
             column.setflags(write=False)
         self._counts = None
 
@@ -336,8 +335,8 @@ class Census:
         out of range, TypeError for indices that are not one axis of integers
         (numpy would read booleans as a mask).
 
-        Each chunk of rows gathers its digits and its lengths with one numpy
-        take each, so no per-row view or numpy slice is built.
+        Each chunk gathers its lengths with one numpy take and its words with
+        one a level, so no per-row view or numpy slice is built.
         """
         if index is not None:
             index = np.asarray(index)
@@ -346,19 +345,22 @@ class Census:
         for lo in range(0, len(self) if index is None else len(index), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
             at = slice(lo, hi) if index is None else index[lo:hi]
-            start = self.start[at]
-            trace = self.trace[at]
-            row, place, bounds = _segments(self.stop[at] - start)
-            flat = self.digits[start[row] + place].tolist()
-            bounds = bounds.tolist()
-            for begin, end, t, length, psi in zip(
-                bounds,
-                bounds[1:],
+            level, slot, trace = self.level[at], self.slot[at], self.trace[at]
+            # rows grouped by level, words zipped into tuples from the columns, then put back in order
+            by_level = np.argsort(level, kind="stable")
+            bounds = _bounds(np.bincount(level)).tolist()
+            grouped = []
+            for block, begin, end in zip(self.words, bounds, bounds[1:]):
+                grouped += zip(*np.take(block, np.take(slot, by_level[begin:end]), axis=0).T.tolist())
+            place = np.empty_like(by_level)
+            place[by_level] = np.arange(len(by_level))
+            for k, t, length, psi in zip(
+                place.tolist(),
                 trace.tolist(),
                 self._lengths[trace - 3].tolist(),
                 self.psi[at].tolist(),
             ):
-                yield tuple(flat[begin:end]), t, length, psi
+                yield grouped[k], t, length, psi
 
     def __iter__(self) -> Iterator[GeodesicRecord]:
         for entries, trace, length, psi in self.rows():
@@ -372,10 +374,10 @@ class Census:
         return self._counts
 
     def rows_with_entry_at_least(self, bound: int) -> np.ndarray:
-        """Indices, in order, of the rows with an entry >= bound: a row has one
-        where the running count of such digits grows between its bounds."""
-        count = _bounds(self.digits >= bound)
-        return np.flatnonzero(count[self.stop] > count[self.start])
+        """Indices, in order, of the rows with an entry >= bound."""
+        hit = np.concatenate([(block >= bound).any(axis=1) for block in self.words])
+        first = _bounds([len(block) for block in self.words])
+        return np.flatnonzero(hit[first[self.level] + self.slot])
 
 
 def _count_table(trace, psi, lengths):
@@ -403,9 +405,10 @@ def _count_table(trace, psi, lengths):
         count = np.diff(first, append=len(keys))
         keys = keys[first]
         row = keys // width
-        trace, psi, length = (row + 3).astype(np.int64), (keys % width + lo).astype(np.int64), lengths[row]
+        trace, psi, length = row + 3, keys % width + lo, lengths[row]
     else:
         count, length = np.zeros(0, np.int64), np.zeros(0)
+    trace, psi = trace.astype(np.int64), psi.astype(np.int64)
     for column in (trace, psi, count, length):
         column.setflags(write=False)
     return trace, psi, count, length
@@ -427,14 +430,14 @@ def _segments(sizes):
     return owner, place, bounds
 
 
-def _expand(cap: int, frontier: list, digits: np.ndarray):
+def _expand(cap: int, frontier: list):
     """One level of the FKM tree of trace <= cap: the children of a frontier of
-    prenecklaces of n pairs, the classes' words appended to digits.  frontier is
-    [p, q, r, s, w, period, a0, b0, words], a row a node: product (p q; r s),
-    alternating sum, period, the pair `period` places back and the word with two
-    spare digits; the step empties it, to free each array once read.  Returns
-    (offsets, is_class, keep), x's children at offsets[x]:offsets[x + 1], (trace,
-    start, psi) of the classes and the next frontier; a slice gives the slices.
+    prenecklaces of n pairs.  frontier is [p, q, r, s, w, period, a0, b0, words],
+    a row a node: product (p q; r s), alternating sum, period, the pair `period`
+    places back and the word with two spare digits; the step empties it, to free
+    each array once read.  Returns (offsets, is_class, keep), x's children at
+    offsets[x]:offsets[x + 1], (trace, psi, words) of the classes, words their
+    block of 2(n + 1) digits a row, and the next frontier; a slice gives the slices.
 
     A class is a Lyndon word over digit pairs (a_{2i-1}, a_{2i}): its minimal
     even rotation is itself, and it is no power of an even block.  The tree
@@ -491,27 +494,20 @@ def _expand(cap: int, frontier: list, digits: np.ndarray):
     # the classes' words go last, once the children's columns are freed
     trace, w = (P + v)[is_class], w[is_class]
     del P, u, R, v, parent, kept, back, period, words
-    begin, size = len(digits), len(digits) + len(trace) * (2 * n + 2)
-    if size > _MAX_DIGITS:
-        raise CapExceeded(f"{size} digits overflow the int32 row bounds")
-    digits.resize(size, refcheck=False)
-    # "clip" keeps these in-range rows and, unlike np.compress, does not buffer them
-    np.take(word, np.flatnonzero(is_class), axis=0, out=digits[begin:].reshape(-1, 2 * n + 2), mode="clip")
-    return (offsets, is_class, keep), (trace, np.arange(begin, size, 2 * n + 2, dtype=np.int32), w), frontier
+    return (offsets, is_class, keep), (trace, w, np.take(word, np.flatnonzero(is_class), axis=0)), frontier
 
 
 def _fkm_levels(cap: int):
-    """The FKM tree of the classes of trace <= cap, one _expand a level: digits,
-    the classes' words in a block a level, and tree and rows, per level of n + 1
-    pairs (offsets, is_class, keep) of its nodes and (trace, start, psi) of its classes."""
+    """The FKM tree of the classes of trace <= cap, one _expand a level: the tree,
+    per level of n + 1 pairs the (offsets, is_class, keep) of its nodes, then trace,
+    psi and words, per level the columns and the word block of its classes."""
     frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.int32)]
-    digits = np.empty(0, np.int32)
     tree, rows = [], []
     while len(frontier[0]):
-        node, row, frontier = _expand(cap, frontier, digits)
+        node, row, frontier = _expand(cap, frontier)
         tree.append(node)
         rows.append(row)
-    return digits, tree, rows
+    return (tree, *zip(*rows))
 
 
 def _preorder_ranks(tree):
@@ -544,21 +540,20 @@ def enumerate_by_trace(cap: int) -> Census:
     """All oriented primitive classes with trace <= cap, sorted (trace, word).
 
     Preorder of the FKM tree with children in ascending order is lexicographic
-    order, so the rows are sorted by trace, then preorder rank.  The row
-    bounds move, the digits stay in their level blocks.  A cap below 3 gives
-    an empty census.
+    order, so the rows are sorted by trace, then preorder rank.  The level
+    and slot of each row move, the words stay in their blocks.  A cap below 3
+    gives an empty census.
     """
     cap = _integer(cap, "trace caps")
     if cap > 2:
         _check_census_budget(geodesic_length(cap))
-    digits, tree, rows = _fkm_levels(cap)
+    tree, trace, psi, words = _fkm_levels(cap)
     rank = np.concatenate(_preorder_ranks(tree))
     del tree
-    trace, start, psi = (np.concatenate(column) for column in zip(*rows))
-    # a class of n pairs has 2n digits
-    widths = np.arange(2, 2 * len(rows) + 2, 2, dtype=np.int32)
-    stop = start + np.repeat(widths, [len(t) for t, _, _ in rows])
-    del rows
+    trace, psi = np.concatenate(trace), np.concatenate(psi)
+    # n + 1 pairs make a trace of at least the Lucas number L(2n + 2), so below 2^16 a level fits uint8
+    level = np.repeat(np.arange(len(words), dtype=np.uint8), [len(block) for block in words])
+    slot = np.concatenate([np.arange(len(block), dtype=np.int32) for block in words])
     # the rows in preorder, then a stable sort by trace: rank goes before the
     # sort, where the census peaks once the walk is done.  As uint16 the traces
     # take numpy's radix sort; the budget refuses caps past 8,055 and
@@ -572,10 +567,9 @@ def enumerate_by_trace(cap: int) -> Census:
     # each column is rebound in turn, so its level-order copy is freed at once
     trace = np.take(trace, order)
     psi = np.take(psi, order)
-    start = np.take(start, order)
-    stop = np.take(stop, order)
-    del order
-    return Census(trace=trace, psi=psi, start=start, stop=stop, digits=digits)
+    level = np.take(level, order)
+    slot = np.take(slot, order)
+    return Census(trace=trace, psi=psi, level=level, slot=slot, words=words)
 
 
 def enumerate_geodesics(config: EnumerationConfig) -> Census:

@@ -255,13 +255,19 @@ def suite_word_census(census: Census) -> SuiteResult:
     return res
 
 
+def _sample_size(size) -> int:
+    """size as an int; refuses a non-integer or negative one."""
+    size = _integer(size, "sample sizes")
+    if size < 0:
+        raise DomainError(f"sample size {size} is negative")
+    return size
+
+
 def stratified_sample(census: Census, size: int, seed: int) -> List[int]:
     """Sorted row indices of a deterministic sample, forcing in words with a
     large partial quotient (entry >= 50): strata of equal row blocks, which the
     (trace, word) order of the census spreads over the trace range."""
-    size = _integer(size, "sample sizes")
-    if size < 0:
-        raise DomainError(f"sample size {size} is negative")
+    size = _sample_size(size)
     rng = random.Random(seed)
     n = len(census)
     if n <= size:
@@ -323,9 +329,7 @@ def run_all(
     # the census guards refuse a bad length, and this a bad sample size,
     # before any suite runs
     config = EnumerationConfig(max_length=max_length)
-    sample = _integer(sample, "sample sizes")
-    if sample < 0:
-        raise DomainError(f"sample size {sample} is negative")
+    sample = _sample_size(sample)
     size = estimated_census_size(max_length)
     if size > VERIFY_MAX_CLASSES:
         raise CapExceeded(

@@ -124,19 +124,20 @@ def reduced_state_counts(cap):
     return counts
 
 
-def census_state_counts(trace, start, stop, cap):
+def census_state_counts(trace, level, cap):
     """The number of reduced states of each trace t <= cap, from a census's
-    trace, start and stop columns.
+    trace and level columns: a word of level n has 2(n + 1) digits.
 
     A class has len(word) / 2 reduced states, its even-step states, and so
     has each of its proper powers g^k, whose traces follow
     t_k = t_1 t_(k-1) - t_(k-2) with t_0 = 2.
     """
     counts = [0] * (cap + 1)
-    for t1, half in zip(trace.tolist(), ((stop - start) // 2).tolist()):
+    for t1, n in zip(trace.tolist(), level.tolist()):
+        length = 2 * (n + 1)
         prev, t = 2, t1
         while t <= cap:
-            counts[t] += half
+            counts[t] += length // 2
             prev, t = t, t1 * t - prev
     return counts
 
@@ -157,7 +158,7 @@ def states_cap_12():
 class TestEnumerationOracle:
     def test_reduced_states_count_every_class_through_cap_403(self, census_cap_12, states_cap_12):
         c = census_cap_12
-        assert census_state_counts(c.trace, c.start, c.stop, CAP_12) == states_cap_12
+        assert census_state_counts(c.trace, c.level, CAP_12) == states_cap_12
 
     @pytest.mark.parametrize("mutation", ["dropped", "duplicated"])
     def test_reduced_state_count_catches_a_row(self, census_cap_12, states_cap_12, mutation):
@@ -167,7 +168,7 @@ class TestEnumerationOracle:
             del rows[i]
         else:
             rows.insert(i, i)
-        assert census_state_counts(c.trace[rows], c.start[rows], c.stop[rows], CAP_12) != states_cap_12
+        assert census_state_counts(c.trace[rows], c.level[rows], CAP_12) != states_cap_12
 
     def test_matches_brute_force_through_cap_thirty(self):
         brute = brute_force_classes(30)

@@ -178,6 +178,15 @@ class TestPsi:
         assert (code, out) == (1, "")
         assert "proper power" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("psi", "--method", "cf"), ("psi", "--method", "index"), ("psi", "--method", "period"), ("index",)]
+    )
+    def test_parabolic_refusal_names_the_trace_given(self, capsys, argv):
+        # -(1 1; 0 1) has trace -2: both commands flip a matrix's sign below
+        # trace -2 only, so both refuse this one as given
+        code, out, err = run(capsys, *argv, "--matrix=-1,-1,0,-1")
+        assert (code, out, err) == (1, "", "error: trace -2 (need trace > 2)\n")
+
     def test_determinant_error(self, capsys):
         code, _, err = run(capsys, "psi", "--matrix", "1,1,1,1")
         assert code == 1

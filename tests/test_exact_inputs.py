@@ -79,7 +79,7 @@ def test_census_digits_make_python_matrices():
     census = enumerate_geodesics(EnumerationConfig(10.0))
     assert len(census) > 1000
     for i in range(len(census)):
-        g = word_to_matrix(census.digits[census.start[i] : census.stop[i]])
+        g = word_to_matrix(census.words[census.level[i]][census.slot[i]])
         assert g.trace == census.trace[i]
         assert psi(g) == census.psi[i]
         assert all(type(x) is int for x in g.entries())

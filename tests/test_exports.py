@@ -78,7 +78,7 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-ROW_LAYOUT = ("start", "stop", "digits")
+ROW_LAYOUT = ("level", "slot", "words")
 LAYOUT_SCANNED = sorted(
     path
     for pattern in ("src/modwind/*.py", "demos/*.py")
@@ -88,7 +88,7 @@ LAYOUT_SCANNED = sorted(
 
 
 def row_layout_reads(source: str) -> list:
-    """Attributes of the census row layout (start, stop, digits) that the source reads."""
+    """Attributes of the census row layout (level, slot, words) that the source reads."""
     return sorted(
         node.attr
         for node in ast.walk(ast.parse(source))
@@ -97,8 +97,8 @@ def row_layout_reads(source: str) -> list:
 
 
 def test_row_layout_read_detected():
-    source = "census.digits[census.start[0] : census.stop[0]]\ncensus.psi\nstart = 1\n"
-    assert row_layout_reads(source) == ["digits", "start", "stop"]
+    source = "census.words[census.level[0]][census.slot[0]]\ncensus.psi\nslot = 1\n"
+    assert row_layout_reads(source) == ["level", "slot", "words"]
 
 
 @pytest.mark.parametrize("path", LAYOUT_SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
@@ -107,7 +107,7 @@ def test_only_geodesics_reads_the_row_layout(path):
 
 
 def census_layout_readers(source: str) -> list:
-    """Methods of class Census that read the row layout (start, stop, digits)."""
+    """Methods of class Census that read the row layout (level, slot, words)."""
     (census,) = (
         node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef) and node.name == "Census"
     )
@@ -125,10 +125,10 @@ def census_layout_readers(source: str) -> list:
 def test_census_layout_reader_detected():
     source = (
         "class Census:\n"
-        "    def __init__(self, start):\n"
-        "        self.start = start\n"
+        "    def __init__(self, slot):\n"
+        "        self.slot = slot\n"
         "    def __getitem__(self, i):\n"
-        "        return self.digits[self.start[i] : self.stop[i]]\n"
+        "        return self.words[self.level[i]][self.slot[i]]\n"
         "    def __len__(self):\n"
         "        return len(self.trace)\n"
     )
@@ -137,7 +137,7 @@ def test_census_layout_reader_detected():
 
 def test_census_reads_its_row_layout_in_rows_only():
     # every row is read through rows(); rows_with_entry_at_least reads the
-    # bounds and digits as whole columns
+    # level and slot columns and the word blocks whole
     source = (ROOT / "src" / "modwind" / "geodesics.py").read_text()
     assert census_layout_readers(source) == ["rows", "rows_with_entry_at_least"]
 

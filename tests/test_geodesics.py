@@ -716,7 +716,8 @@ class TestCensus:
             np.int32,
             np.float64,
         ]
-        assert census.digits.dtype == np.int32
+        assert [block.dtype for block in census.words] == [np.int32] * len(census.words)
+        assert (census.level.dtype, census.slot.dtype) == (np.uint8, np.int32)
         assert not hasattr(census, "length")
         # one length per trace, bit for bit the scalar formula
         assert all(length == geodesic_length(trace) for _, trace, length, _ in census.rows())
@@ -797,7 +798,7 @@ class TestCensus:
         # the commands (tests/test_cli.py) and the demos (tests/test_exports.py)
         # run on these read-only columns too
         census = enumerate_by_trace(30)
-        columns = [getattr(census, name) for name in ("trace", "psi", "start", "stop", "digits")]
+        columns = [getattr(census, name) for name in ("trace", "psi", "level", "slot")] + list(census.words)
         # the lengths are read through the count table
         for column in columns + [census.counts()[3]]:
             with pytest.raises(ValueError, match="read-only"):
@@ -835,22 +836,14 @@ class TestLevelWalk:
     def test_matches_reference_property(self, cap):
         self.check(cap)
 
-    def test_digit_guard(self, monkeypatch):
-        digits = len(enumerate_by_trace(30).digits)
-        monkeypatch.setattr(geodesics, "_MAX_DIGITS", digits)
-        assert len(enumerate_by_trace(30).digits) == digits
-        monkeypatch.setattr(geodesics, "_MAX_DIGITS", digits - 1)
-        with pytest.raises(CapExceeded, match="overflow the int32 row bounds"):
-            enumerate_by_trace(30)
-
 
 def sha256(column):
     return hashlib.sha256(column.tobytes()).hexdigest()
 
 
 # (dtype, sha256 of the bytes) of each column, taken from the walk that
-# gathered by fancy indexing: the rows, and the level blocks of the digits
-# that start and stop point into
+# gathered by fancy indexing: the rows, and the words laid end to end as
+# digits, with the bounds start and stop of each row's word there
 CENSUS_COLUMNS = {
     12.0: {
         "trace": ("int32", "5ced32822bbab7776ec43dd4c69713c872e4b4d83c3ae2253b19023cc28fe825"),
@@ -879,10 +872,20 @@ COUNT_TABLE_15 = [
 class TestPinnedCensus:
     """The census bit for bit: the columns, their dtypes and the digit layout."""
 
+    @staticmethod
+    def flat_layout(census):
+        """(digits, start, stop): the blocks laid end to end and each row's bounds there."""
+        first = np.cumsum([0] + [block.size for block in census.words[:-1]])
+        width = 2 * (census.level.astype(np.int32) + 1)
+        start = (first[census.level] + census.slot * width).astype(np.int32)
+        digits = np.concatenate([block.ravel() for block in census.words])
+        return {"digits": digits, "start": start, "stop": start + width}
+
     @pytest.mark.parametrize("T", sorted(CENSUS_COLUMNS))
     def test_columns(self, T):
         census = enumerate_geodesics(EnumerationConfig(max_length=T))
-        got = {name: (getattr(census, name).dtype.name, sha256(getattr(census, name))) for name in CENSUS_COLUMNS[T]}
+        columns = {"trace": census.trace, "psi": census.psi, **self.flat_layout(census)}
+        got = {name: (column.dtype.name, sha256(column)) for name, column in columns.items()}
         assert got == CENSUS_COLUMNS[T]
 
     def test_count_table(self):
@@ -890,24 +893,47 @@ class TestPinnedCensus:
         assert [(column.dtype.name, sha256(column)) for column in table] == COUNT_TABLE_15
 
 
+class TestWordBlocks:
+    """The row layout at T = 12: one word block a word length, addressed by level and slot."""
+
+    @pytest.fixture(scope="class")
+    def census(self):
+        return enumerate_geodesics(EnumerationConfig(max_length=12.0))
+
+    def test_blocks_are_read_only_int32_by_word_length(self, census):
+        assert len(census.words) == 6
+        for n, block in enumerate(census.words):
+            assert block.dtype == np.int32 and block.ndim == 2 and block.shape[1] == 2 * (n + 1)
+            assert not block.flags.writeable
+
+    def test_level_and_slot_address_every_block_row_once(self, census):
+        addressed = sorted(zip(census.level.tolist(), census.slot.tolist()))
+        assert addressed == [(n, i) for n, block in enumerate(census.words) for i in range(len(block))]
+
+    def test_bytes_a_class_and_a_digit(self, census):
+        columns = (census.trace, census.psi, census.level, census.slot)
+        digits = sum(block.size for block in census.words)
+        held = sum(column.nbytes for column in columns) + sum(block.nbytes for block in census.words)
+        assert held == 13 * len(census) + 4 * digits
+
+
 class TestExpansionStep:
     """geodesics._expand on slices of a frontier gives the slices of one call."""
 
     @staticmethod
     def expand(cap, frontier, parts):
-        # the frontier in `parts` slices, some empty, each expanded into one
-        # digit buffer: the children's columns, the classes' columns, the
-        # next frontier, each concatenated across the slices, and the digits
-        digits = np.empty(0, np.int32)
+        # the frontier in `parts` slices, some empty, each expanded on its own:
+        # the children's columns, the classes' columns and word block, and the
+        # next frontier, each concatenated across the slices
         cuts = np.linspace(0, len(frontier[0]), parts + 1).astype(int)
         nodes, rows, nexts = [], [], []
         for lo, hi in zip(cuts, cuts[1:]):
-            (offsets, is_class, keep), row, after = geodesics._expand(cap, [x[lo:hi] for x in frontier], digits)
+            (offsets, is_class, keep), row, after = geodesics._expand(cap, [x[lo:hi] for x in frontier])
             nodes.append((np.diff(offsets), is_class, keep))
             rows.append(row)
             nexts.append(after)
         join = lambda pieces: [np.concatenate(column) for column in zip(*pieces)]
-        return join(nodes) + join(rows) + [digits], join(nexts)
+        return join(nodes) + join(rows), join(nexts)
 
     def test_slices_equal_one_call(self):
         cap = trace_cap_for_length(12.0)
@@ -928,7 +954,8 @@ class TestExpansionStep:
             frontier = after
         # one call a level is the census's walk
         assert len(blocks) == 6
-        assert np.array_equal(np.concatenate(blocks), geodesics._fkm_levels(cap)[0])
+        walk = geodesics._fkm_levels(cap)[3]
+        assert len(walk) == 6 and all(np.array_equal(got, block) for got, block in zip(blocks, walk))
 
 
 class TestCensusBudget:
@@ -980,7 +1007,10 @@ class TestCensusBudget:
 
     @pytest.mark.parametrize("cap", [-1, 0, 1, 2])
     def test_cap_below_3_is_empty(self, cap):
-        assert len(enumerate_by_trace(cap)) == 0
+        census = enumerate_by_trace(cap)
+        assert len(census) == 0
+        # the count table's dtypes are those of every other census
+        assert [column.dtype for column in census.counts()] == [np.int64, np.int64, np.int64, np.float64]
 
     def test_traced_peak_within_the_guard(self):
         # the census and its statistics, as the guard's per-class figure counts them

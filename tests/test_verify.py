@@ -121,10 +121,10 @@ class TestFailureReport:
     def census30(edit):
         census = enumerate_by_trace(30)
         # the census's columns are read-only, so the edit works on copies
-        names = ("trace", "psi", "start", "stop", "digits")
+        names = ("trace", "psi", "level", "slot")
         columns = {name: getattr(census, name).copy() for name in names}
         edit(columns)
-        return Census(**columns)
+        return Census(**columns, words=census.words)
 
     def test_sound_census_passes(self):
         res = suite_word_census(self.census30(lambda columns: None))
@@ -147,7 +147,7 @@ class TestFailureReport:
         # without row 7, (4, 1), its reversal (1, 4) finds no partner
         def drop(columns):
             keep = np.arange(len(columns["trace"])) != 7
-            for name in ("trace", "psi", "start", "stop"):
+            for name in ("trace", "psi", "level", "slot"):
                 columns[name] = columns[name][keep]
 
         res = suite_word_census(self.census30(drop))
