@@ -14,9 +14,7 @@ from .errors import (
     NotHyperbolic,
     NotPrimitive,
     QuadratureFailure,
-    ResidualTooLarge,
     ResourceError,
-    StepTooCoarse,
 )
 from .geodesics import (
     CyclicWord,

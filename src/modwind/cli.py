@@ -179,22 +179,22 @@ def _emit_table(header: str, rows: Iterable[Sequence], out: Optional[str]) -> No
 
 def _write_csv(census: Census, fh: TextIO) -> None:
     fh.write("word,trace,length,psi\n")
+    last = None
     for entries, trace, length, psi_val in census.rows():
-        word = "-".join(map(str, entries))
-        fh.write(f"{word},{trace},{_fmt_real(length)},{psi_val}\n")
+        if trace != last:  # rows come in trace order, and a length is its trace's
+            last, middle = trace, f",{trace},{_fmt_real(length)},"
+        fh.write(f"{'-'.join(map(str, entries))}{middle}{psi_val}\n")
 
 
 def _write_json(census: Census, fh: TextIO) -> None:
-    """One JSON list of row objects, written row by row with the default separators."""
-    sep = "["
+    """One JSON list of row objects, written row by row as json.dumps writes them
+    with its default separators; a trace's text is made once, as in _write_csv."""
+    sep, last = "[", None
     for entries, trace, length, psi_val in census.rows():
-        row = {
-            "word": list(entries),
-            "trace": trace,
-            "length": float(_fmt_real(length)),
-            "psi": psi_val,
-        }
-        fh.write(sep + json.dumps(row))
+        if trace != last:
+            number = json.dumps(float(_fmt_real(length)))
+            last, middle = trace, f'], "trace": {trace}, "length": {number}, "psi": '
+        fh.write(f'{sep}{{"word": [{", ".join(map(str, entries))}{middle}{psi_val}}}')
         sep = ", "
     fh.write("[]\n" if sep == "[" else "]\n")
 

@@ -34,12 +34,4 @@ class InsufficientData(ResourceError):
 
 
 class QuadratureFailure(ResourceError):
-    """Numerical integration did not converge to the requested accuracy."""
-
-
-class StepTooCoarse(ResourceError):
-    """Argument tracking step produced an increment >= pi/2."""
-
-
-class ResidualTooLarge(ResourceError):
-    """Winding total was too far from an integer multiple of 2*pi."""
+    """A numerical route's own check did not meet its tolerance."""

@@ -66,13 +66,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    DomainError,
-    QuadratureFailure,
-    ResidualTooLarge,
-    StepTooCoarse,
-)
+from .errors import CapExceeded, DomainError, QuadratureFailure
 from .geodesics import _least_even_rotation, _reduced_cycle
 from .matrices import Mat2, geodesic_length, short_int
 
@@ -365,7 +359,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     h; each interval of the uniform first grid splits once into
     floor(h (6.9452 B + 18) / (pi/2)) + 1 equal parts, and only new nodes are
     evaluated.  An increment of pi/2 or more could hide a turn, so it raises
-    StepTooCoarse; on this grid only evaluation error can cause one.
+    QuadratureFailure; on this grid only evaluation error can cause one.
 
     The flat top is not gridded.  On the axis Im z(t) = R / cosh t exactly,
     R = |alpha - alpha_bar| / 2 the top height, so when R is above
@@ -431,12 +425,12 @@ def winding_index(gamma: Mat2) -> WindingResult:
     inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
-        raise StepTooCoarse(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
+        raise QuadratureFailure(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
     turns = float(inc.sum()) / _TWO_PI + flat
     index = round(turns)
     residual = abs(turns - index)
     if residual >= _RESIDUAL_LIMIT:
-        raise ResidualTooLarge(f"winding total {turns} turns for {gamma}")
+        raise QuadratureFailure(f"winding total {turns} turns for {gamma}")
     return WindingResult(index=index, residual=residual, steps=inc.size)
 
 

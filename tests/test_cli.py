@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +16,7 @@ from modwind.errors import (
     DomainError,
     InsufficientData,
     QuadratureFailure,
-    ResidualTooLarge,
     ResourceError,
-    StepTooCoarse,
 )
 from modwind.geodesics import EnumerationConfig, enumerate_geodesics, word_to_matrix
 from modwind.verify import SuiteResult
@@ -63,6 +65,17 @@ class TestEnumerate:
         assert code == 0
         rows = json.loads(out)
         assert {"word": [3, 7], "trace": 23, "length": 6.26719694789, "psi": -4} in rows
+        # every row round-trips, as in test_csv_roundtrip, and an empty census is []
+        code, out, _ = run(capsys, "enumerate", "--max-length", "12", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        census = enumerate_geodesics(EnumerationConfig(max_length=12.0))
+        assert len(rows) > 10**4
+        assert rows == [
+            {"word": list(e), "trace": t, "length": float("%.12g" % l), "psi": p}
+            for e, t, l, p in census.rows()
+        ]
+        assert run(capsys, "enumerate", "--max-length", "1", "--format", "json") == (0, "[]\n", "")
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
@@ -113,6 +126,20 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_stdout_exits_1_quietly(self, fmt):
+        # a reader that stops early, as `enumerate ... | head -c 100` does:
+        # click's handling of the broken pipe exits 1 and writes nothing
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "modwind.cli", "enumerate", "--max-length", "14", "--format", fmt]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == 1
+        assert err == b""
 
     def test_over_memory_budget_fails_fast(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
@@ -254,8 +281,6 @@ class TestIndex:
             CapExceeded,
             InsufficientData,
             QuadratureFailure,
-            ResidualTooLarge,
-            StepTooCoarse,
         }
 
 
