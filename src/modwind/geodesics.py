@@ -102,7 +102,7 @@ def _least_even_rotation(entries: Tuple[int, ...]) -> Tuple[int, int]:
             return start, p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicWord:
     """Even-length positive word stored in its canonical (minimal even) rotation."""
 
@@ -199,7 +199,7 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     return _canonical_word(tuple(cycle[k:] + cycle[:k]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicRecord:
     """One oriented primitive closed geodesic."""
 
@@ -260,7 +260,7 @@ def _check_census_budget(max_length: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumerationConfig:
     max_length: float
 

@@ -55,7 +55,7 @@ def _integer(x, what: str) -> int:
         raise DomainError(f"{what} must be integers, not {x!r}") from None
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Mat2:
     """Unimodular integer 2x2 matrix (a b; c d), det = 1 checked; entries stored as Python ints."""
 

@@ -41,7 +41,7 @@ MAX_TABLE_ROWS = 10_000
 _MAX_EXPONENT = 709.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindingHistogram:
     """Counts of prime geodesics of length <= T keyed by winding number."""
 
@@ -50,14 +50,14 @@ class WindingHistogram:
     total: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributionReport:
     ks_statistic: float
     empirical_cdf: List[Tuple[float, float]]
     reference_cdf: List[Tuple[float, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistedSumReport:
     r: float
     sum: complex

@@ -57,7 +57,7 @@ __all__ = ["SuiteResult", "run_all", "VERIFY_MAX_CLASSES"]
 VERIFY_MAX_CLASSES = 250_000
 
 
-@dataclass
+@dataclass(slots=True)
 class SuiteResult:
     suite: str
     passed: int

@@ -233,7 +233,7 @@ def e2_completed(z: complex) -> complex:
     return complex(_e2(np.array([z], dtype=complex))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Axis:
     """Geodesic axis z(t) = g(w) with w = i e^t if alpha > alpha_bar, else -i e^t,
     and g = (alpha, alpha_bar; 1, 1).
@@ -337,7 +337,7 @@ def _flat_top(axis: _Axis) -> Tuple[float, float]:
     return math.acosh(top / _FLAT_HEIGHT), sigma * turns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindingResult:
     index: int
     residual: float

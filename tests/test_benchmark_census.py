@@ -1,9 +1,10 @@
-"""The benchmark's census check (perfbench/workloads.py) on a small census.
+"""The benchmark's checks (perfbench/workloads.py) on small inputs.
 
-That check reads the census through iteration and GeodesicRecord, and checks
-every class, its order and the statistics against references of its own.
-The benchmark's modules are imported as they are, without writing bytecode
-next to them.
+The census check reads the census through iteration and GeodesicRecord, and
+checks every class, its order and the statistics against references of its
+own.  The symbols and routes checks read Mat2 through Mat2(*entries), .trace,
+unary minus and @, and CyclicWord through .entries.  The benchmark's modules
+are imported as they are, without writing bytecode next to them.
 """
 
 import sys
@@ -28,3 +29,19 @@ def test_census_workload_passes_at_length_eleven(workloads):
     census.run()
     assert census.failures == []
     assert (census.failed, census.attempted) == (0, 11_922)
+
+
+def test_symbols_workload_passes_on_small_blocks(workloads):
+    symbols = workloads.Symbols(seed=0, rounds=2, block_size=200)
+    symbols.warm()
+    symbols.run()
+    assert symbols.failures == []
+    assert (symbols.failed, symbols.attempted) == (0, 400)
+
+
+def test_routes_workload_passes_on_few_words(workloads):
+    routes = workloads.Routes(seed=0, rounds=2, per_stratum=2)
+    routes.warm()
+    routes.run()
+    assert routes.failures == []
+    assert (routes.failed, routes.attempted) == (0, 12)
