@@ -21,7 +21,7 @@ T = 14.0
 
 print(f"enumerating oriented primitive classes with length <= {T} ...")
 records = enumerate_geodesics(EnumerationConfig(max_length=T))
-print(f"  {len(records)} classes, largest trace {int(records.trace[-1])}")
+print(f"  {len(records)} classes, largest trace {int(records.counts()[0][-1])}")
 
 # prime geodesic theorem: the length sum tracks e^T and the raw count
 # tracks li(e^T)

@@ -300,7 +300,7 @@ def trace_cap_for_length(max_length: float) -> int:
 
 
 class Census:
-    """Every class of a census, stored as columns in (trace, word) order.
+    """Every class of a census, read as columns in (trace, word) order.
 
     Row i is the class with entries words[level[i]][slot[i]], matrix trace
     trace[i], length _lengths[trace[i] - 3] and winding number psi[i]: the
@@ -309,25 +309,58 @@ class Census:
     class is the only reader of that row layout, and rows() its one reader of
     single words: it yields rows as Python values, and iteration builds a
     GeodesicRecord view of each; no per-row object is stored.  The columns
-    are read-only, so the count table that counts() keeps cannot go stale.
+    are read-only, so the tables that counts() and psi_sums() keep cannot go
+    stale.
+
+    Built with the FKM tree (enumerate_by_trace), the columns are kept in walk
+    order, and the first read of a column, a row or the layout puts them in
+    row order and drops the tree, which takes less memory than a rank column.
+    len(), counts() and psi_sums() need no order, so the statistics never sort
+    the rows.  Built without a tree, the columns must be in row order.
     """
 
-    __slots__ = ("trace", "psi", "level", "slot", "words", "_lengths", "_counts")
+    __slots__ = ("_trace", "_psi", "_level", "_slot", "words", "_tree", "_lengths", "_counts", "_last_psi_sums")
 
-    def __init__(self, trace, psi, level, slot, words):
-        self.trace = trace
-        self.psi = psi
-        self.level = level  # row i is row slot[i] of words[level[i]]
-        self.slot = slot
+    def __init__(self, trace, psi, level, slot, words, tree=None):
+        self._trace, self._psi, self._level, self._slot = trace, psi, level, slot
         self.words = words = tuple(words)
-        top = int(trace[-1]) if len(trace) else 2
+        self._tree = tree  # the FKM tree of walk-order columns, None once they are in row order
+        top = int(trace.max()) if len(trace) else 2
         self._lengths = np.array([geodesic_length(t) for t in range(3, top + 1)], dtype=np.float64)
         for column in (trace, psi, level, slot, self._lengths, *words):
             column.setflags(write=False)
-        self._counts = None
+        self._counts = self._last_psi_sums = None
+
+    def _in_row_order(self) -> Census:
+        """The census, its columns put in (trace, preorder) order if they are not yet.
+
+        Preorder of the FKM tree with children in ascending order is
+        lexicographic order, so the rows are sorted by trace, then preorder
+        rank.  The rows go in preorder, then a stable sort by trace: the rank
+        goes before the sort, where the census peaks.  As uint16 the traces
+        take numpy's radix sort (enumerate_by_trace refuses caps past it).
+        """
+        if self._tree is not None:
+            rank = np.concatenate(_preorder_ranks(self._tree))
+            self._tree = None
+            order = np.empty_like(rank)
+            order[rank] = np.arange(len(rank), dtype=rank.dtype)
+            del rank
+            order = np.take(order, np.argsort(np.take(self._trace, order).astype(np.uint16), kind="stable"))
+            # each column is rebound in turn, so its walk-order copy is freed at once
+            for name in ("_trace", "_psi", "_level", "_slot"):
+                column = np.take(getattr(self, name), order)
+                column.setflags(write=False)
+                setattr(self, name, column)
+        return self
+
+    trace = property(lambda self: self._in_row_order()._trace)
+    psi = property(lambda self: self._in_row_order()._psi)
+    level = property(lambda self: self._in_row_order()._level)  # row i is row slot[i] of words[level[i]]
+    slot = property(lambda self: self._in_row_order()._slot)
 
     def __len__(self) -> int:
-        return len(self.trace)
+        return len(self._trace)
 
     def rows(self, index=None) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
         """Every row as Python values (entries, trace, length, psi), in order, or
@@ -370,8 +403,15 @@ class Census:
         """The (trace, psi) count table of the census, built on the first call
         and kept: see _count_table."""
         if self._counts is None:
-            self._counts = _count_table(self.trace, self.psi, self._lengths)
+            self._counts = _count_table(self._trace, self._psi, self._lengths)
         return self._counts
+
+    def psi_sums(self, cap: int) -> Tuple[int, np.ndarray, np.ndarray, int]:
+        """The per-psi table of the classes of trace <= cap, kept for the last
+        cap asked for: see _psi_sums."""
+        if self._last_psi_sums is None or self._last_psi_sums[0] != cap:
+            self._last_psi_sums = cap, _psi_sums(*self.counts(), cap)
+        return self._last_psi_sums[1]
 
     def rows_with_entry_at_least(self, bound: int) -> np.ndarray:
         """Indices, in order, of the rows with an entry >= bound."""
@@ -382,8 +422,8 @@ class Census:
 
 def _count_table(trace, psi, lengths):
     """Columns (trace, psi, count, length) with one row per distinct (trace, psi)
-    of classes given in trace order, sorted by (trace, psi): the number of
-    classes with that pair, and the length of that trace, read from lengths,
+    of the classes, given in any row order, sorted by (trace, psi): the number
+    of classes with that pair, and the length of that trace, read from lengths,
     which holds the length of trace t at t - 3.  The columns are read-only.
 
     One sort of the keys (trace - 3) W + psi - lo, where lo is the least psi
@@ -412,6 +452,23 @@ def _count_table(trace, psi, lengths):
     for column in (trace, psi, count, length):
         column.setflags(write=False)
     return trace, psi, count, length
+
+
+def _psi_sums(trace, psi, count, length, cap):
+    """(lo, count, weight, total) over the count table's rows of trace <= cap:
+    the least psi lo, from lo on the number of classes of each psi and the
+    sum of their lengths, and the number of classes.  The table is in trace
+    order, so the window is a leading slice of its rows.  The arrays are
+    read-only.
+    """
+    rows = int(np.searchsorted(trace, cap, side="right"))
+    psi, count = psi[:rows], count[:rows]
+    lo = int(psi.min()) if rows else 0
+    per_psi = np.bincount(psi - lo, weights=count).astype(np.int64)
+    weight = np.bincount(psi - lo, weights=length[:rows] * count)
+    for column in (per_psi, weight):
+        column.setflags(write=False)
+    return lo, per_psi, weight, int(count.sum())
 
 
 def _bounds(sizes):
@@ -539,37 +596,22 @@ def _preorder_ranks(tree):
 def enumerate_by_trace(cap: int) -> Census:
     """All oriented primitive classes with trace <= cap, sorted (trace, word).
 
-    Preorder of the FKM tree with children in ascending order is lexicographic
-    order, so the rows are sorted by trace, then preorder rank.  The level
-    and slot of each row move, the words stay in their blocks.  A cap below 3
-    gives an empty census.
+    The census keeps the walk's columns and its tree, and sorts its rows on
+    their first read (Census._in_row_order).  The level and slot of each row
+    move, the words stay in their blocks.  A cap below 3 gives an empty census.
     """
     cap = _integer(cap, "trace caps")
     if cap > 2:
         _check_census_budget(geodesic_length(cap))
+    # the budget refuses caps past 8,055 and MAX_LENGTH_BOUND caps
+    # enumerate_geodesics at 22,026, both below 2^16 and the uint16 row sort
+    if cap >= 2**16:
+        raise RuntimeError(f"trace cap {cap} past the uint16 sort of the census")
     tree, trace, psi, words = _fkm_levels(cap)
-    rank = np.concatenate(_preorder_ranks(tree))
-    del tree
-    trace, psi = np.concatenate(trace), np.concatenate(psi)
     # n + 1 pairs make a trace of at least the Lucas number L(2n + 2), so below 2^16 a level fits uint8
     level = np.repeat(np.arange(len(words), dtype=np.uint8), [len(block) for block in words])
     slot = np.concatenate([np.arange(len(block), dtype=np.int32) for block in words])
-    # the rows in preorder, then a stable sort by trace: rank goes before the
-    # sort, where the census peaks once the walk is done.  As uint16 the traces
-    # take numpy's radix sort; the budget refuses caps past 8,055 and
-    # MAX_LENGTH_BOUND caps enumerate_geodesics at 22,026, both below 2^16
-    if cap >= 2**16:
-        raise RuntimeError(f"trace cap {cap} past the uint16 sort of the census")
-    order = np.empty_like(rank)
-    order[rank] = np.arange(len(rank), dtype=rank.dtype)
-    del rank
-    order = np.take(order, np.argsort(np.take(trace, order).astype(np.uint16), kind="stable"))
-    # each column is rebound in turn, so its level-order copy is freed at once
-    trace = np.take(trace, order)
-    psi = np.take(psi, order)
-    level = np.take(level, order)
-    slot = np.take(slot, order)
-    return Census(trace=trace, psi=psi, level=level, slot=slot, words=words)
+    return Census(np.concatenate(trace), np.concatenate(psi), level, slot, words, tree=tree)
 
 
 def enumerate_geodesics(config: EnumerationConfig) -> Census:

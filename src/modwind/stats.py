@@ -1,11 +1,13 @@
 """Counting statistics of winding numbers over the prime geodesic census.
 
-Every statistic reads only trace and psi, so each one reduces a leading trace
-window of the census's (trace, psi) count table (Census.counts) with numpy, a
-row standing for all classes of its pair, and compares aggregate observables
+Every statistic reads only trace and psi, so each one reads a leading trace
+window of the census's (trace, psi) count table (Census.counts), a row
+standing for all classes of its pair, or the per-psi sums of that window
+(Census.psi_sums), built once a window, and compares aggregate observables
 against their closed-form predictions: the prime geodesic theorem, the winding
 density, the Cauchy limit law of the winding-to-length ratio, residue
-equidistribution, and character-twisted sums.
+equidistribution, and character-twisted sums.  No statistic needs the
+census's rows in order, so none sorts them.
 """
 
 from __future__ import annotations
@@ -67,11 +69,12 @@ class TwistedSumReport:
 
 def _window(census: Census, T: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """psi (int64), count (int64) and length (float64) of the count table's
-    rows of length <= T.
+    rows of length <= T, for the one statistic that reads each row, the
+    Cauchy comparison; the others read Census.psi_sums of the same window.
 
     The window is the census's own length rule, trace <= trace_cap_for_length(T).
-    The table is in trace order, so its window is a leading slice of its
-    columns.
+    The table is sorted by trace, whatever order the census's rows are in, so
+    its window is a leading slice of its columns.
     """
     cap = trace_cap_for_length(T)
     trace, psi, count, length = census.counts()
@@ -79,20 +82,11 @@ def _window(census: Census, T: float) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return psi[:rows], count[:rows], length[:rows]
 
 
-def _by_psi(psi: np.ndarray, weights: np.ndarray) -> Tuple[int, np.ndarray]:
-    """The least psi lo, and the sums of the weights over the rows of each
-    psi from lo on."""
-    lo = int(psi.min()) if len(psi) else 0
-    return lo, np.bincount(psi - lo, weights=weights)
-
-
 def winding_histogram(census: Census, T: float) -> WindingHistogram:
-    psi, count, _ = _window(census, T)
-    lo, per_psi = _by_psi(psi, count)
+    lo, per_psi, _, total = census.psi_sums(trace_cap_for_length(T))
     values = np.flatnonzero(per_psi)
-    counts = per_psi[values].astype(np.int64)
     return WindingHistogram(
-        T=T, counts=dict(zip((values + lo).tolist(), counts.tolist())), total=int(count.sum())
+        T=T, counts=dict(zip((values + lo).tolist(), per_psi[values].tolist())), total=total
     )
 
 
@@ -170,13 +164,13 @@ def _modulus(q: int) -> int:
 def equidistribution(census: Census, T: float, q: int) -> Dict[int, float]:
     """Fraction of prime geodesics of length <= T with psi in each class mod q."""
     q = _modulus(q)
-    psi, count, _ = _window(census, T)
-    total = int(count.sum())
+    lo, per_psi, _, total = census.psi_sums(trace_cap_for_length(T))
     if total < _MIN_SAMPLE and q > 1:
         raise InsufficientData(f"{total} records (need {_MIN_SAMPLE})")
     if total == 0:
         raise InsufficientData("no records")
-    counts = np.bincount(psi % q, weights=count, minlength=q).astype(np.int64).tolist()
+    values = np.arange(lo, lo + len(per_psi))
+    counts = np.bincount(values % q, weights=per_psi, minlength=q).astype(np.int64).tolist()
     return {a: counts[a] / total for a in range(q)}
 
 
@@ -195,15 +189,14 @@ def _weights(rs: Iterable[float]) -> List[float]:
 def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedSumReport]:
     """Length sums twisted by the weight-r character e^{2 pi i r psi / 12}, one per r.
 
-    The lengths times the counts are summed per value of psi once for the
-    whole grid, so each r costs one real cosine and sine per distinct psi.  The
+    The lengths times the counts are summed per value of psi once a window
+    (Census.psi_sums), so each r costs one real cosine and sine per psi.  The
     exponential main term e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the
     error for |r| < 1/2, so main_term and relative_error are reported only in
     that range.
     """
     rs = _weights(rs)
-    psi, count, length = _window(census, T)
-    lo, weight = _by_psi(psi, length * count)
+    lo, _, weight, _ = census.psi_sums(trace_cap_for_length(T))
     values = np.arange(lo, lo + len(weight))
     reports = []
     for r in rs:

@@ -193,16 +193,22 @@ class TestCountTable:
         assert np.all(np.abs(census.psi) <= census.trace - 3)
 
     def test_benchmark_sequence_builds_the_table_once(self, monkeypatch):
-        # a census of its own, so no earlier test has built its table
+        calls = {"_count_table": [], "_psi_sums": [], "_preorder_ranks": []}
+
+        def spy(name):
+            build = getattr(geodesics, name)
+
+            def spied(*args):
+                calls[name].append(len(args[0]))
+                return build(*args)
+
+            monkeypatch.setattr(geodesics, name, spied)
+
+        for name in calls:
+            spy(name)
+        # a census of its own, so no earlier test has built its tables or
+        # ordered its rows
         census = enumerate_geodesics(EnumerationConfig(max_length=12.0))
-        builds = []
-
-        def spy(*columns):
-            builds.append(len(columns[0]))
-            return build(*columns)
-
-        build = geodesics._count_table
-        monkeypatch.setattr(geodesics, "_count_table", spy)
         hist = winding_histogram(census, 12.0)
         density_table(hist, range(-5, 6))
         cauchy_compare(census, 12.0)
@@ -210,7 +216,12 @@ class TestCountTable:
             equidistribution(census, 12.0, q)
         for k in range(19):
             twisted_sum(census, 12.0, round(-0.45 + 0.05 * k, 2))
-        assert builds == [len(census)]
+        table_rows = len(census.counts()[0])
+        assert calls == {"_count_table": [len(census)], "_psi_sums": [table_rows], "_preorder_ranks": []}
+        # the first read of a column orders the rows, and a second read does not
+        census.trace
+        census.trace
+        assert calls["_preorder_ranks"] == [len(census.words)]
 
     def test_equal_to_the_per_class_reductions(self, census12, monkeypatch):
         # the sample guards are lifted, so the window at T = 8 is compared too
