@@ -12,7 +12,7 @@ The KS has a floor of about P(psi = 0) / 2, about 1/(6T): a continuous law
 cannot come closer to a sample with that atom at 0.
 
 Run with: python3 demos/statistics_convergence.py [largest T, default 14]
-(at 17.98, the census's cap, it takes about 2 s and 300 MB on a 2-core x86-64 host).
+(at 17.98, just below the census's bound, it takes about 2 s and 300 MB on a 2-core x86-64 host).
 """
 
 import math

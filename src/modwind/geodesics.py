@@ -25,29 +25,28 @@ __all__ = [
     "GeodesicRecord",
     "Census",
     "EnumerationConfig",
+    "MAX_TRACE_CAP",
     "MAX_LENGTH_BOUND",
-    "CENSUS_MEMORY_BUDGET",
     "validate_entries",
     "canonical_form",
     "is_primitive",
     "word_to_matrix",
     "matrix_to_word",
     "li",
-    "estimated_census_size",
     "trace_cap_for_length",
     "enumerate_geodesics",
     "enumerate_by_trace",
 ]
 
-MAX_LENGTH_BOUND = 20.0
-# A census is refused up front when its estimated peak memory exceeds this,
-# which admits T up to about 17.98.
-CENSUS_MEMORY_BUDGET = 512 * 2**20
-# Peak memory growth per class of a census and its statistics: 76 B at
-# T = 15, 80 B at T = 17 and 75 B at T = 17.98, measured in fresh processes
-# (the walk and the row ordering after it set the last two), plus room for
-# the longer words of larger T.
-_CENSUS_BYTES_PER_CLASS = 140
+# The largest trace a census may reach.  At this cap the prime geodesic
+# theorem's count li(e^T) at 140 B a class comes to 511.99 MiB, the last cap
+# within 512 MiB; the commands peak at 64-76 B a class there, measured in
+# fresh processes, so 140 B leaves room for the longer words of larger T.
+# The cap is below 2^16, as the uint16 row sort and the int32 count table
+# keys need.
+MAX_TRACE_CAP = 8055
+# The largest length bound: the length of that trace, 17.988096560397445.
+MAX_LENGTH_BOUND = geodesic_length(MAX_TRACE_CAP)
 _LENGTH_SLACK = 1e-12
 # Continued-fraction steps a walk takes before it gives up.
 _WALK_STEPS = 100000
@@ -235,31 +234,6 @@ def li(x: float) -> float:
     return _li_from_log(math.log(x)) - _LI_2
 
 
-def estimated_census_size(max_length: float) -> float:
-    """li(e^T), the prime geodesic theorem's count of classes of length <= T, and
-    inf once e^T is past the float range.
-
-    At T = 15 it gives 234,955 against the 234,832 classes of the census.
-    """
-    if not max_length > math.log(2.0):
-        return 0.0
-    try:
-        return li(math.exp(max_length))
-    except OverflowError:
-        return math.inf
-
-
-def _check_census_budget(max_length: float) -> None:
-    """Refuse a census of classes of length <= max_length whose estimated peak
-    memory is over CENSUS_MEMORY_BUDGET."""
-    size = estimated_census_size(max_length)
-    if size * _CENSUS_BYTES_PER_CLASS > CENSUS_MEMORY_BUDGET:
-        raise CapExceeded(
-            f"a census at length {max_length} has about {size:.3g} classes, "
-            f"over the memory budget of {CENSUS_MEMORY_BUDGET // 2**20} MiB"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class EnumerationConfig:
     max_length: float
@@ -269,7 +243,6 @@ class EnumerationConfig:
             raise CapExceeded(
                 f"max_length {self.max_length} outside (0, {MAX_LENGTH_BOUND}]"
             )
-        _check_census_budget(self.max_length)
 
 
 def trace_cap_for_length(max_length: float) -> int:
@@ -338,7 +311,7 @@ class Census:
         lexicographic order, so the rows are sorted by trace, then preorder
         rank.  The rows go in preorder, then a stable sort by trace: the rank
         goes before the sort, where the census peaks.  As uint16 the traces
-        take numpy's radix sort (enumerate_by_trace refuses caps past it).
+        take numpy's radix sort (MAX_TRACE_CAP is below 2^16).
         """
         if self._tree is not None:
             rank = np.concatenate(_preorder_ranks(self._tree))
@@ -433,8 +406,7 @@ def _count_table(trace, psi, lengths):
         lo = int(psi.min())
         width = int(psi.max()) - lo + 1
         # |psi| <= trace - 3, so with traces up to cap every key is below
-        # (cap - 2)(2 cap - 5): 9.7e8 at the cap of MAX_LENGTH_BOUND, 22,026,
-        # inside int32
+        # (cap - 2)(2 cap - 5): 1.3e8 at MAX_TRACE_CAP, inside int32
         keys = trace.astype(np.int32)
         keys -= 3
         keys *= width
@@ -598,15 +570,12 @@ def enumerate_by_trace(cap: int) -> Census:
 
     The census keeps the walk's columns and its tree, and sorts its rows on
     their first read (Census._in_row_order).  The level and slot of each row
-    move, the words stay in their blocks.  A cap below 3 gives an empty census.
+    move, the words stay in their blocks.  A cap below 3 gives an empty
+    census, and a cap over MAX_TRACE_CAP is refused before the walk.
     """
     cap = _integer(cap, "trace caps")
-    if cap > 2:
-        _check_census_budget(geodesic_length(cap))
-    # the budget refuses caps past 8,055 and MAX_LENGTH_BOUND caps
-    # enumerate_geodesics at 22,026, both below 2^16 and the uint16 row sort
-    if cap >= 2**16:
-        raise RuntimeError(f"trace cap {cap} past the uint16 sort of the census")
+    if cap > MAX_TRACE_CAP:
+        raise CapExceeded(f"trace cap {short_int(cap)} over MAX_TRACE_CAP, {MAX_TRACE_CAP:,}")
     tree, trace, psi, words = _fkm_levels(cap)
     # n + 1 pairs make a trace of at least the Lucas number L(2n + 2), so below 2^16 a level fits uint8
     level = np.repeat(np.arange(len(words), dtype=np.uint8), [len(block) for block in words])

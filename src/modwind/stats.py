@@ -67,21 +67,6 @@ class TwistedSumReport:
     relative_error: Optional[float]
 
 
-def _window(census: Census, T: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi (int64), count (int64) and length (float64) of the count table's
-    rows of length <= T, for the one statistic that reads each row, the
-    Cauchy comparison; the others read Census.psi_sums of the same window.
-
-    The window is the census's own length rule, trace <= trace_cap_for_length(T).
-    The table is sorted by trace, whatever order the census's rows are in, so
-    its window is a leading slice of its columns.
-    """
-    cap = trace_cap_for_length(T)
-    trace, psi, count, length = census.counts()
-    rows = int(np.searchsorted(trace, cap, side="right"))
-    return psi[:rows], count[:rows], length[:rows]
-
-
 def winding_histogram(census: Census, T: float) -> WindingHistogram:
     lo, per_psi, _, total = census.psi_sums(trace_cap_for_length(T))
     values = np.flatnonzero(per_psi)
@@ -128,7 +113,12 @@ def cauchy_compare(census: Census, T: float) -> DistributionReport:
     distance to the Cauchy CDF is at one of those two ends: the same floats
     as over the sorted classes, ties between rows included.
     """
-    psi, count, length = _window(census, T)
+    # the window is the census's own length rule, trace <= trace_cap_for_length(T);
+    # the count table is sorted by trace, whatever order the census's rows are
+    # in, so the window is a leading slice of its columns
+    trace, psi, count, length = census.counts()
+    rows = int(np.searchsorted(trace, trace_cap_for_length(T), side="right"))
+    psi, count, length = psi[:rows], count[:rows], length[:rows]
     n = int(count.sum())
     if n < _MIN_SAMPLE:
         raise InsufficientData(f"{n} records (need {_MIN_SAMPLE})")

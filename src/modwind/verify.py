@@ -24,9 +24,9 @@ from .geodesics import (
     EnumerationConfig,
     canonical_form,
     enumerate_geodesics,
-    estimated_census_size,
     is_primitive,
     matrix_to_word,
+    trace_cap_for_length,
     word_to_matrix,
 )
 from .matrices import (
@@ -49,12 +49,13 @@ from .rademacher import (
 )
 from .winding import e2_period, winding_index
 
-__all__ = ["SuiteResult", "run_all", "VERIFY_MAX_CLASSES"]
+__all__ = ["SuiteResult", "run_all", "VERIFY_MAX_TRACE_CAP"]
 
 # word_census checks every class of the census with the exact symbols, at
 # about 25 us a class (21-26 us at T = 15.06 on a 2-core x86-64 box), so run_all
-# refuses a census estimated above this (T of about 15) before any suite runs.
-VERIFY_MAX_CLASSES = 250_000
+# refuses a census past this trace cap (249,076 classes, at T below 15.0674)
+# before any suite runs.
+VERIFY_MAX_TRACE_CAP = 1869
 
 
 @dataclass(slots=True)
@@ -332,15 +333,18 @@ def suite_roundtrip(rng: random.Random) -> SuiteResult:
 def run_all(
     max_length: float = 12.0, sample: int = 500, seed: int = 0
 ) -> List[SuiteResult]:
-    # the census guards refuse a bad length, and this a bad sample size,
-    # before any suite runs
+    """Every suite's result, the census's at lengths <= max_length last.
+
+    The census's guard refuses a bad length, and run_all a bad sample size or
+    a trace cap past VERIFY_MAX_TRACE_CAP, before any suite runs.
+    """
     config = EnumerationConfig(max_length=max_length)
     sample = _sample_size(sample)
-    size = estimated_census_size(max_length)
-    if size > VERIFY_MAX_CLASSES:
+    cap = trace_cap_for_length(max_length)
+    if cap > VERIFY_MAX_TRACE_CAP:
         raise CapExceeded(
-            f"verify at length {max_length} would check about {size:.3g} classes "
-            f"(at most {VERIFY_MAX_CLASSES})"
+            f"verify at length {max_length} would check the classes of trace up to {cap:,} "
+            f"(at most {VERIFY_MAX_TRACE_CAP:,})"
         )
     suites = (
         suite_dedekind_reciprocity, suite_omega_cocycle, suite_multiplier_law, suite_s_cocycle,

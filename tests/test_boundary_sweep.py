@@ -34,7 +34,6 @@ LENGTH_CALLS = {
 TRACE_CALLS = {
     "geodesic_length": "matrices.geodesic_length({})",
     "enumerate_by_trace": "geodesics.enumerate_by_trace({})",
-    "estimated_census_size": "geodesics.estimated_census_size({})",
 }
 WINDING_CALLS = {
     "limiting_density_winding": "stats.limiting_density({}, 5.0)",

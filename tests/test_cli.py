@@ -18,8 +18,9 @@ from modwind.errors import (
     QuadratureFailure,
     ResourceError,
 )
-from modwind.geodesics import EnumerationConfig, enumerate_geodesics, word_to_matrix
-from modwind.verify import SuiteResult
+from modwind.geodesics import MAX_LENGTH_BOUND, EnumerationConfig, enumerate_geodesics, word_to_matrix
+from modwind.matrices import geodesic_length
+from modwind.verify import VERIFY_MAX_TRACE_CAP, SuiteResult
 
 
 def run(capsys, *argv):
@@ -145,9 +146,9 @@ class TestEnumerate:
         path = tmp_path / "rows.csv"
         start = time.perf_counter()
         code, out, err = run(capsys, "enumerate", "--max-length", "20", "--out", str(path))
-        assert code == 3
+        assert code == 1
         assert out == "" and not path.exists()
-        assert "memory budget" in err
+        assert "outside" in err
         assert time.perf_counter() - start < 5.0
 
     def test_bad_length(self, capsys):
@@ -614,11 +615,41 @@ class TestVerifyCommand:
         assert "--sample" in err
 
     def test_census_bound_fails_fast(self, capsys):
-        # T = 16 is within the census's memory budget, but word_census would
-        # check about 595,000 classes
+        # T = 16 is within the census's length bound, but its trace cap, 2,980,
+        # is past VERIFY_MAX_TRACE_CAP: word_census would check 594,786 classes
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--max-length", "16")
         assert code == 3
         assert out == ""
         assert "classes" in err
         assert time.perf_counter() - start < 5.0
+
+
+# every command that takes --max-length, with the other arguments it needs
+LENGTH_COMMANDS = {
+    "enumerate": [],
+    "stats-density": [],
+    "stats-cauchy": [],
+    "stats-equidist": ["--modulus", "3"],
+    "stats-twisted": ["--r", "0.5"],
+    "verify": [],
+}
+
+
+@pytest.mark.parametrize("command", list(LENGTH_COMMANDS))
+def test_length_just_past_the_bound_exits_1(capsys, command):
+    T = math.nextafter(MAX_LENGTH_BOUND, math.inf)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--max-length", repr(T), *LENGTH_COMMANDS[command])
+    assert code == 1
+    assert out == "" and "outside" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_just_past_its_trace_cap_exits_3(capsys):
+    T = geodesic_length(VERIFY_MAX_TRACE_CAP + 1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--max-length", repr(T))
+    assert code == 3
+    assert out == "" and "classes" in err
+    assert time.perf_counter() - start < 1.0

@@ -5,6 +5,7 @@ import importlib
 import os
 import pickle
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,34 @@ SCANNED = sorted(
     for path in ROOT.glob(pattern)
     if path != ROOT / "src" / "modwind" / "__init__.py"  # re-exports only
 )
+
+
+def quoted_constants(text: str) -> list:
+    """(name, value) of each `NAME = N` the text quotes, commas dropped from N."""
+    pattern = r"`([A-Z][A-Z0-9_]*) = ([0-9][0-9,]*(?:\.[0-9]+)?)`"
+    return [(name, ast.literal_eval(value.replace(",", ""))) for name, value in re.findall(pattern, text)]
+
+
+def constant_drift(quoted: list) -> list:
+    """The quoted (name, value) pairs that are not the value of that modwind constant."""
+    return [
+        (name, value)
+        for name, value in quoted
+        if {getattr(m, name) for m in MODULES if hasattr(m, name)} != {value}
+    ]
+
+
+def test_readme_constant_drift_detected():
+    text = "`MAX_SAMPLE = 10,000`, `MAX_TRACE_CAP = 8,056`, `NO_SUCH = 1.5` and MAX_SAMPLE = 9"
+    quoted = quoted_constants(text)
+    assert quoted == [("MAX_SAMPLE", 10000), ("MAX_TRACE_CAP", 8056), ("NO_SUCH", 1.5)]
+    assert constant_drift(quoted) == [("MAX_TRACE_CAP", 8056), ("NO_SUCH", 1.5)]
+
+
+def test_readme_quotes_the_constants():
+    quoted = quoted_constants((ROOT / "README.md").read_text())
+    assert {"MAX_TRACE_CAP", "VERIFY_MAX_TRACE_CAP"} <= {name for name, _ in quoted}
+    assert constant_drift(quoted) == []
 
 
 def exported_names(tree: ast.Module) -> set:

@@ -13,17 +13,17 @@ from hypothesis import strategies as st
 from modwind import geodesics, verify
 from modwind.errors import CapExceeded, DomainError, NotHyperbolic, NotPrimitive
 from modwind.geodesics import (
-    CENSUS_MEMORY_BUDGET,
     Census,
     CyclicWord,
     GeodesicRecord,
     MAX_LENGTH_BOUND,
+    MAX_TRACE_CAP,
     EnumerationConfig,
     canonical_form,
     enumerate_by_trace,
     enumerate_geodesics,
-    estimated_census_size,
     is_primitive,
+    li,
     _reduced_cycle,
     matrix_to_word,
     trace_cap_for_length,
@@ -576,7 +576,7 @@ class TestTraceCap:
         assert trace_cap_for_length(geodesic_length(5)) == 5
         assert trace_cap_for_length(14.0) == int(2 * math.cosh(7.0))
         # a bound equal to a trace's own length must admit that trace
-        for n in range(3, trace_cap_for_length(MAX_LENGTH_BOUND) + 1):
+        for n in range(3, 22026 + 1):
             assert trace_cap_for_length(geodesic_length(n)) == n
 
     @pytest.mark.parametrize("max_length", [math.nan, math.inf, -math.inf])
@@ -960,50 +960,50 @@ class TestExpansionStep:
 
 class TestCensusBudget:
     def test_estimate_tracks_the_census(self):
-        assert estimated_census_size(15.0) == pytest.approx(234832, rel=1e-3)
-        assert estimated_census_size(12.0) == pytest.approx(14904, rel=1e-2)
-        assert estimated_census_size(0.5) == 0.0
+        assert li(math.exp(15.0)) == pytest.approx(234832, rel=1e-3)
+        assert li(math.exp(12.0)) == pytest.approx(14904, rel=1e-2)
 
     def test_over_budget_refused_up_front(self):
-        with pytest.raises(CapExceeded):
-            EnumerationConfig(max_length=MAX_LENGTH_BOUND)
+        EnumerationConfig(max_length=MAX_LENGTH_BOUND)
         EnumerationConfig(max_length=15.0)
+        with pytest.raises(CapExceeded, match="outside"):
+            EnumerationConfig(max_length=math.nextafter(MAX_LENGTH_BOUND, math.inf))
 
-    def test_guard_reads_the_estimate(self, monkeypatch):
-        per_class = CENSUS_MEMORY_BUDGET / estimated_census_size(5.0)
-        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 1.01 * per_class)
-        with pytest.raises(CapExceeded):
-            EnumerationConfig(max_length=5.0)
-        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
-        EnumerationConfig(max_length=5.0)
+    def test_cap_is_the_last_within_the_memory_budget(self):
+        # li(e^T) classes at 140 B a class against 512 MiB, T the length of the cap
+        def priced(cap):
+            return 140 * li(math.exp(geodesic_length(cap)))
+
+        assert priced(MAX_TRACE_CAP) <= 512 * 2**20 < priced(MAX_TRACE_CAP + 1)
+        assert MAX_LENGTH_BOUND == geodesic_length(MAX_TRACE_CAP)
 
     def test_estimate_past_the_float_range(self):
-        # math.exp overflows from T of about 709.78 on
-        assert estimated_census_size(709.0) < math.inf
-        assert estimated_census_size(710.0) == estimated_census_size(1e6) == math.inf
+        # math.exp overflows from T of about 709.78 on; the census refuses
+        # such a T by its bound, without the estimate
+        assert li(math.exp(709.0)) < math.inf
+        for T in (710.0, 1e6):
+            with pytest.raises(CapExceeded):
+                EnumerationConfig(max_length=T)
 
-    @pytest.mark.parametrize("cap", [10**5, 10**400])
+    @pytest.mark.parametrize("cap", [MAX_TRACE_CAP + 1, 10**5, 10**400])
     def test_trace_cap_over_budget_refused_up_front(self, cap):
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="memory budget"):
+        with pytest.raises(CapExceeded, match="MAX_TRACE_CAP"):
             enumerate_by_trace(cap)
         assert time.perf_counter() - start < 1.0
 
-    def test_trace_cap_reads_the_same_guard(self, monkeypatch):
-        per_class = CENSUS_MEMORY_BUDGET / estimated_census_size(geodesic_length(30))
-        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 1.01 * per_class)
-        with pytest.raises(CapExceeded):
-            enumerate_by_trace(30)
-        monkeypatch.setattr(geodesics, "_CENSUS_BYTES_PER_CLASS", 0.99 * per_class)
-        assert len(enumerate_by_trace(30)) > 0
+    def test_trace_cap_reads_the_same_guard(self):
+        # the length bound names the largest cap, which enumerate_by_trace accepts,
+        # and the next float names no larger cap
+        assert trace_cap_for_length(MAX_LENGTH_BOUND) == MAX_TRACE_CAP
+        assert trace_cap_for_length(math.nextafter(MAX_LENGTH_BOUND, math.inf)) == MAX_TRACE_CAP
 
     def test_caps_below_2_to_the_16(self):
-        # enumerate_by_trace sorts the traces as uint16: the budget refuses every
-        # cap past 8,055, and the length bound keeps the config's caps at 22,026
-        geodesics._check_census_budget(geodesic_length(8055))
-        with pytest.raises(CapExceeded, match="memory budget"):
-            geodesics._check_census_budget(geodesic_length(8056))
-        assert trace_cap_for_length(MAX_LENGTH_BOUND) == 22026 < 2**16
+        # enumerate_by_trace sorts the traces as uint16 and refuses every cap
+        # past MAX_TRACE_CAP
+        assert MAX_TRACE_CAP < 2**16
+        with pytest.raises(CapExceeded):
+            enumerate_by_trace(2**16)
 
     @pytest.mark.parametrize("cap", [-1, 0, 1, 2])
     def test_cap_below_3_is_empty(self, cap):
@@ -1027,4 +1027,4 @@ class TestCensusBudget:
         finally:
             tracemalloc.stop()
         assert len(census) == 37078
-        assert peak / len(census) <= geodesics._CENSUS_BYTES_PER_CLASS
+        assert peak / len(census) <= 140

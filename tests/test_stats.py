@@ -13,7 +13,7 @@ import pytest
 from modwind import geodesics, stats
 from modwind.errors import DomainError, InsufficientData
 from modwind.geodesics import (
-    MAX_LENGTH_BOUND,
+    MAX_TRACE_CAP,
     EnumerationConfig,
     enumerate_by_trace,
     enumerate_geodesics,
@@ -185,10 +185,8 @@ class TestCountTable:
 
     def test_keys_within_int32(self):
         # the keys are int32: with |psi| <= trace - 3 and traces up to cap, each
-        # is below (cap - 2)(2 cap - 5), so a larger length bound must fail here
-        cap = trace_cap_for_length(MAX_LENGTH_BOUND)
-        assert cap == 22026
-        assert (cap - 2) * (2 * cap - 5) < np.iinfo(np.int32).max
+        # is below (cap - 2)(2 cap - 5), so a larger largest cap must fail here
+        assert (MAX_TRACE_CAP - 2) * (2 * MAX_TRACE_CAP - 5) < np.iinfo(np.int32).max
         census = enumerate_geodesics(EnumerationConfig(max_length=15.0))
         assert np.all(np.abs(census.psi) <= census.trace - 3)
 

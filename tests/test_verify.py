@@ -9,7 +9,8 @@ import pytest
 from modwind import verify
 from modwind.errors import CapExceeded, DomainError
 from modwind.geodesics import Census, EnumerationConfig, enumerate_by_trace, enumerate_geodesics
-from modwind.verify import VERIFY_MAX_CLASSES, run_all, stratified_sample, suite_word_census
+from modwind.matrices import geodesic_length
+from modwind.verify import VERIFY_MAX_TRACE_CAP, run_all, stratified_sample, suite_word_census
 
 
 @pytest.fixture(scope="module")
@@ -96,10 +97,30 @@ class TestRunAllBound:
             run_all(max_length=T)
         assert time.perf_counter() - start < 1.0
 
-    def test_guard_reads_the_estimate(self, monkeypatch):
-        monkeypatch.setattr(verify, "estimated_census_size", lambda T: VERIFY_MAX_CLASSES + 1)
-        with pytest.raises(CapExceeded):
-            run_all(max_length=5.0)
+    def test_guard_reads_the_trace_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "VERIFY_MAX_TRACE_CAP", 4)
+        with pytest.raises(CapExceeded, match="classes"):
+            run_all(max_length=geodesic_length(5))
+
+    def test_verdict_follows_the_trace_cap(self, monkeypatch):
+        # 15.0664 and 15.0672 name the same census, of cap 1,869; a run that
+        # passes the guard reaches the census
+        class Reached(Exception):
+            pass
+
+        def reached(config):
+            raise Reached
+
+        for name in dir(verify):
+            if name.startswith("suite_"):
+                monkeypatch.setattr(verify, name, lambda *args: None)
+        monkeypatch.setattr(verify, "enumerate_geodesics", reached)
+        for T in (15.0664, 15.0672):
+            with pytest.raises(Reached):
+                run_all(max_length=T)
+        with pytest.raises(CapExceeded, match="classes"):
+            run_all(max_length=geodesic_length(VERIFY_MAX_TRACE_CAP + 1))
+        assert len(enumerate_by_trace(VERIFY_MAX_TRACE_CAP)) == 249_076
 
     def test_negative_sample_refused_before_any_suite(self, monkeypatch):
         monkeypatch.setattr(verify, "suite_dedekind_reciprocity", lambda rng: pytest.fail("ran"))
