@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from operator import index
 from typing import Iterator, List, Sequence, Tuple
 
@@ -239,10 +240,17 @@ class EnumerationConfig:
     max_length: float
 
     def __post_init__(self):
-        if not (0 < self.max_length <= MAX_LENGTH_BOUND):
-            raise CapExceeded(
-                f"max_length {self.max_length} outside (0, {MAX_LENGTH_BOUND}]"
-            )
+        T = _real(self.max_length)
+        if not (0 < T <= MAX_LENGTH_BOUND):
+            shown = short_int(T) if isinstance(T, int) else T
+            raise CapExceeded(f"max_length {shown} outside (0, {MAX_LENGTH_BOUND}]")
+
+
+def _real(max_length):
+    """max_length as it is, or DomainError if it is not a real number."""
+    if not isinstance(max_length, Real):
+        raise DomainError(f"length bounds must be real numbers, not {max_length!r}")
+    return max_length
 
 
 def trace_cap_for_length(max_length: float) -> int:
@@ -257,7 +265,7 @@ def trace_cap_for_length(max_length: float) -> int:
     bound below the shortest length, 2 acosh(3/2), gives 2.
     """
     try:
-        bound = max_length + _LENGTH_SLACK
+        bound = _real(max_length) + _LENGTH_SLACK
         if not math.isfinite(bound):
             raise DomainError(f"length bound {max_length} is not finite")
         cap = math.floor(2.0 * math.cosh(max(bound, 0.0) / 2.0))
@@ -275,32 +283,28 @@ def trace_cap_for_length(max_length: float) -> int:
 class Census:
     """Every class of a census, read as columns in (trace, word) order.
 
-    Row i is the class with entries words[level[i]][slot[i]], matrix trace
-    trace[i], length _lengths[trace[i] - 3] and winding number psi[i]: the
-    length depends on the trace alone, so it is kept once a trace.  words[n]
-    is the int32 block of the words of n + 1 pairs, in walk order.  This
-    class is the only reader of that row layout, and rows() its one reader of
-    single words: it yields rows as Python values, and iteration builds a
-    GeodesicRecord view of each; no per-row object is stored.  The columns
-    are read-only, so the tables that counts() and psi_sums() keep cannot go
-    stale.
-
-    Built with the FKM tree (enumerate_by_trace), the columns are kept in walk
-    order, and the first read of a column, a row or the layout puts them in
-    row order and drops the tree, which takes less memory than a rank column.
-    len(), counts() and psi_sums() need no order, so the statistics never sort
-    the rows.  Built without a tree, the columns must be in row order.
+    Row i is the class with entries word walk_index[i] of the blocks words
+    laid end to end, matrix trace trace[i], length _lengths[trace[i] - 3] and
+    winding number psi[i]; words[n] is the int32 block, in walk order, of the
+    words of n + 1 pairs.  Only this class reads that layout, and only rows()
+    reads single words, as Python values; iteration builds a GeodesicRecord
+    view of each row.  The columns are read-only, so the tables of counts()
+    and psi_sums() cannot go stale.  The census is built from the walk's
+    columns and its FKM tree (enumerate_by_trace); the first read of a column
+    or a row puts the rows in order, keeps the order as the walk index and
+    drops the tree.  len(), counts() and psi_sums() need no order, so the
+    statistics never sort the rows.
     """
 
-    __slots__ = ("_trace", "_psi", "_level", "_slot", "words", "_tree", "_lengths", "_counts", "_last_psi_sums")
+    __slots__ = ("_trace", "_psi", "_walk_index", "words", "_tree", "_lengths", "_counts", "_last_psi_sums")
 
-    def __init__(self, trace, psi, level, slot, words, tree=None):
-        self._trace, self._psi, self._level, self._slot = trace, psi, level, slot
+    def __init__(self, trace, psi, words, tree):
+        # the tree of the walk-order columns, None once they are in row order with their walk index
+        self._trace, self._psi, self._tree, self._walk_index = trace, psi, tree, None
         self.words = words = tuple(words)
-        self._tree = tree  # the FKM tree of walk-order columns, None once they are in row order
         top = int(trace.max()) if len(trace) else 2
         self._lengths = np.array([geodesic_length(t) for t in range(3, top + 1)], dtype=np.float64)
-        for column in (trace, psi, level, slot, self._lengths, *words):
+        for column in (trace, psi, self._lengths, *words):
             column.setflags(write=False)
         self._counts = self._last_psi_sums = None
 
@@ -321,16 +325,16 @@ class Census:
             del rank
             order = np.take(order, np.argsort(np.take(self._trace, order).astype(np.uint16), kind="stable"))
             # each column is rebound in turn, so its walk-order copy is freed at once
-            for name in ("_trace", "_psi", "_level", "_slot"):
-                column = np.take(getattr(self, name), order)
+            self._trace = np.take(self._trace, order)
+            self._psi = np.take(self._psi, order)
+            self._walk_index = order
+            for column in (self._trace, self._psi, order):
                 column.setflags(write=False)
-                setattr(self, name, column)
         return self
 
     trace = property(lambda self: self._in_row_order()._trace)
     psi = property(lambda self: self._in_row_order()._psi)
-    level = property(lambda self: self._in_row_order()._level)  # row i is row slot[i] of words[level[i]]
-    slot = property(lambda self: self._in_row_order()._slot)
+    walk_index = property(lambda self: self._in_row_order()._walk_index)
 
     def __len__(self) -> int:
         return len(self._trace)
@@ -342,26 +346,26 @@ class Census:
         (numpy would read booleans as a mask).
 
         Each chunk gathers its lengths with one numpy take and its words with
-        one a level, so no per-row view or numpy slice is built.
+        one a block, so no per-row view or numpy slice is built.
         """
         if index is not None:
             index = np.asarray(index)
             if index.ndim != 1 or index.size and index.dtype.kind not in "iu":
                 raise TypeError(f"row indices must be 1-D integers, not {index.ndim}-D {index.dtype}")
+        first = _bounds([len(block) for block in self.words])
         for lo in range(0, len(self) if index is None else len(index), _ROWS_PER_CHUNK):
             hi = lo + _ROWS_PER_CHUNK
             at = slice(lo, hi) if index is None else index[lo:hi]
-            level, slot, trace = self.level[at], self.slot[at], self.trace[at]
-            # rows grouped by level, words zipped into tuples from the columns, then put back in order
-            by_level = np.argsort(level, kind="stable")
-            bounds = _bounds(np.bincount(level)).tolist()
+            walk, trace = self.walk_index[at], self.trace[at]
+            # words a block at a time from the sorted walk indices, put back in row order
+            by_walk = np.argsort(walk)
+            walk = np.take(walk, by_walk)
+            cuts = np.searchsorted(walk, first).tolist()
             grouped = []
-            for block, begin, end in zip(self.words, bounds, bounds[1:]):
-                grouped += zip(*np.take(block, np.take(slot, by_level[begin:end]), axis=0).T.tolist())
-            place = np.empty_like(by_level)
-            place[by_level] = np.arange(len(by_level))
+            for block, start, begin, end in zip(self.words, first.tolist(), cuts, cuts[1:]):
+                grouped += zip(*np.take(block, walk[begin:end] - start, axis=0).T.tolist())
             for k, t, length, psi in zip(
-                place.tolist(),
+                np.argsort(by_walk).tolist(),
                 trace.tolist(),
                 self._lengths[trace - 3].tolist(),
                 self.psi[at].tolist(),
@@ -389,8 +393,7 @@ class Census:
     def rows_with_entry_at_least(self, bound: int) -> np.ndarray:
         """Indices, in order, of the rows with an entry >= bound."""
         hit = np.concatenate([(block >= bound).any(axis=1) for block in self.words])
-        first = _bounds([len(block) for block in self.words])
-        return np.flatnonzero(hit[first[self.level] + self.slot])
+        return np.flatnonzero(np.take(hit, self.walk_index))
 
 
 def _count_table(trace, psi, lengths):
@@ -568,19 +571,15 @@ def _preorder_ranks(tree):
 def enumerate_by_trace(cap: int) -> Census:
     """All oriented primitive classes with trace <= cap, sorted (trace, word).
 
-    The census keeps the walk's columns and its tree, and sorts its rows on
-    their first read (Census._in_row_order).  The level and slot of each row
-    move, the words stay in their blocks.  A cap below 3 gives an empty
-    census, and a cap over MAX_TRACE_CAP is refused before the walk.
+    The census sorts its rows on their first read (Census._in_row_order).  A
+    cap below 3 gives an empty census, and a cap over MAX_TRACE_CAP is refused
+    before the walk.
     """
     cap = _integer(cap, "trace caps")
     if cap > MAX_TRACE_CAP:
         raise CapExceeded(f"trace cap {short_int(cap)} over MAX_TRACE_CAP, {MAX_TRACE_CAP:,}")
     tree, trace, psi, words = _fkm_levels(cap)
-    # n + 1 pairs make a trace of at least the Lucas number L(2n + 2), so below 2^16 a level fits uint8
-    level = np.repeat(np.arange(len(words), dtype=np.uint8), [len(block) for block in words])
-    slot = np.concatenate([np.arange(len(block), dtype=np.int32) for block in words])
-    return Census(np.concatenate(trace), np.concatenate(psi), level, slot, words, tree=tree)
+    return Census(np.concatenate(trace), np.concatenate(psi), words, tree)
 
 
 def enumerate_geodesics(config: EnumerationConfig) -> Census:

@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from modwind import winding
@@ -124,20 +125,27 @@ def reduced_state_counts(cap):
     return counts
 
 
-def census_state_counts(trace, level, cap):
+def word_pairs(census):
+    """The pairs of each row's word: word walk_index[i] of the blocks laid end
+    to end lies in block n, of words of n + 1 pairs, where n blocks end at or
+    before it."""
+    ends = np.cumsum([len(block) for block in census.words])
+    return np.searchsorted(ends, census.walk_index, side="right") + 1
+
+
+def census_state_counts(trace, pairs, cap):
     """The number of reduced states of each trace t <= cap, from a census's
-    trace and level columns: a word of level n has 2(n + 1) digits.
+    trace column and the pairs of each row's word.
 
     A class has len(word) / 2 reduced states, its even-step states, and so
     has each of its proper powers g^k, whose traces follow
     t_k = t_1 t_(k-1) - t_(k-2) with t_0 = 2.
     """
     counts = [0] * (cap + 1)
-    for t1, n in zip(trace.tolist(), level.tolist()):
-        length = 2 * (n + 1)
+    for t1, n in zip(trace.tolist(), pairs.tolist()):
         prev, t = 2, t1
         while t <= cap:
-            counts[t] += length // 2
+            counts[t] += n
             prev, t = t, t1 * t - prev
     return counts
 
@@ -158,7 +166,7 @@ def states_cap_12():
 class TestEnumerationOracle:
     def test_reduced_states_count_every_class_through_cap_403(self, census_cap_12, states_cap_12):
         c = census_cap_12
-        assert census_state_counts(c.trace, c.level, CAP_12) == states_cap_12
+        assert census_state_counts(c.trace, word_pairs(c), CAP_12) == states_cap_12
 
     @pytest.mark.parametrize("mutation", ["dropped", "duplicated"])
     def test_reduced_state_count_catches_a_row(self, census_cap_12, states_cap_12, mutation):
@@ -168,7 +176,7 @@ class TestEnumerationOracle:
             del rows[i]
         else:
             rows.insert(i, i)
-        assert census_state_counts(c.trace[rows], c.level[rows], CAP_12) != states_cap_12
+        assert census_state_counts(c.trace[rows], word_pairs(c)[rows], CAP_12) != states_cap_12
 
     def test_matches_brute_force_through_cap_thirty(self):
         brute = brute_force_classes(30)

@@ -104,9 +104,17 @@ def class_multiset(cap):
     return +cycles
 
 
-def census_multiset(trace, psi, level):
-    """Counter of (trace, psi, pairs) over a census's columns: a word of level n has n + 1 pairs."""
-    return Counter(zip(trace.tolist(), psi.tolist(), (level.astype(np.int64) + 1).tolist()))
+def word_pairs(census):
+    """The pairs of each row's word: word walk_index[i] of the blocks laid end
+    to end lies in block n, of words of n + 1 pairs, where n blocks end at or
+    before it."""
+    ends = np.cumsum([len(block) for block in census.words])
+    return np.searchsorted(ends, census.walk_index, side="right") + 1
+
+
+def census_multiset(trace, psi, pairs):
+    """Counter of (trace, psi, pairs) over a census's columns."""
+    return Counter(zip(trace.tolist(), psi.tolist(), pairs.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +129,7 @@ def oracle():
 
 def test_oracle_equals_the_census_through_cap_403(census, oracle):
     assert sum(oracle.values()) == len(census) == 14904
-    assert census_multiset(census.trace, census.psi, census.level) == oracle
+    assert census_multiset(census.trace, census.psi, word_pairs(census)) == oracle
 
 
 @pytest.mark.parametrize("mutation", ["dropped", "duplicated", "psi negated"])
@@ -136,4 +144,4 @@ def test_oracle_catches_a_wrong_row(census, oracle, mutation):
     else:
         i = int(np.flatnonzero(psi[i:])[0]) + i
         psi[i] = -psi[i]
-    assert census_multiset(census.trace[rows], psi[rows], census.level[rows]) != oracle
+    assert census_multiset(census.trace[rows], psi[rows], word_pairs(census)[rows]) != oracle

@@ -653,3 +653,60 @@ def test_verify_just_past_its_trace_cap_exits_3(capsys):
     assert code == 3
     assert out == "" and "classes" in err
     assert time.perf_counter() - start < 1.0
+
+
+# The fail-fast rows of the commands' resource contract, each run both in
+# process and in a child process under a 512 MiB address-space limit: the same
+# exit code, nothing on stdout, and the child done within 5 s.  The child reads
+# its arguments from stdin, NUL-separated, since a 100,002-digit word is past
+# the kernel's limit on one argument, and runs the module as
+# `python -m modwind.cli` does.  Every row runs in a fresh directory, so the
+# relative --out path names a directory that does not exist.
+CHILD_CLI = (
+    "import runpy, sys\n"
+    "sys.argv[1:] = sys.stdin.read().split('\\0')\n"
+    "runpy.run_module('modwind.cli', run_name='__main__', alter_sys=True)\n"
+)
+CHILD_ADDRESS_SPACE = 512 * 2**20
+CHILD_SECONDS = 5.0
+PAST_BOUND = repr(math.nextafter(MAX_LENGTH_BOUND, math.inf))
+FAIL_FAST = {
+    **{
+        f"{command}-past-bound": ((command, "--max-length", PAST_BOUND, *extra), 1)
+        for command, extra in LENGTH_COMMANDS.items()
+    },
+    "verify-past-trace-cap": (("verify", "--max-length", repr(geodesic_length(VERIFY_MAX_TRACE_CAP + 1))), 3),
+    "length-nan": (("enumerate", "--max-length", "nan"), 1),
+    "length-inf": (("enumerate", "--max-length", "inf"), 1),
+    "n-range-rows": (("stats-density", "--max-length", "15", "--n-range", f"0..{cli.MAX_TABLE_ROWS}"), 1),
+    "sample": (("verify", "--max-length", "15", "--sample", str(cli.MAX_SAMPLE + 1)), 1),
+    "matrix-bits": (("psi", "--matrix", f"1,{2**cli.MAX_ENTRY_BITS},0,1", "--method", "all"), 1),
+    "long-word": (("psi", "--word", LONG_WORD, "--method", "cf"), 1),
+    "out": (("enumerate", "--max-length", "3", "--out", os.path.join("missing", "rows.csv")), 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(FAIL_FAST.values()), ids=list(FAIL_FAST))
+def test_fail_fast_in_a_child_under_a_memory_limit(tmp_path, monkeypatch, capsys, argv, code):
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[:2] == (code, "")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD_CLI],
+        input="\0".join(argv).encode(),
+        capture_output=True,
+        env=env,
+        cwd=tmp_path,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < CHILD_SECONDS
+    assert (child.returncode, child.stdout) == (code, b"")
+    assert child.stderr.startswith(b"error: " if code == 1 else b"resource/data error: ")

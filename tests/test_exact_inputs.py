@@ -78,8 +78,10 @@ def test_numpy_entries_give_python_results(g, dtype):
 def test_census_digits_make_python_matrices():
     census = enumerate_geodesics(EnumerationConfig(10.0))
     assert len(census) > 1000
+    # the int32 rows of the word blocks laid end to end, in walk order
+    words = [word for block in census.words for word in block]
     for i in range(len(census)):
-        g = word_to_matrix(census.words[census.level[i]][census.slot[i]])
+        g = word_to_matrix(words[census.walk_index[i]])
         assert g.trace == census.trace[i]
         assert psi(g) == census.psi[i]
         assert all(type(x) is int for x in g.entries())

@@ -31,7 +31,14 @@ from modwind.geodesics import (
 )
 from modwind.matrices import Mat2, geodesic_length
 from modwind.rademacher import psi, psi_cf
-from modwind.stats import cauchy_compare, equidistribution, twisted_sums, winding_histogram
+from modwind.stats import (
+    cauchy_compare,
+    density_table,
+    equidistribution,
+    twisted_sum,
+    twisted_sums,
+    winding_histogram,
+)
 
 
 def _min_even_rotation(entries):
@@ -717,7 +724,7 @@ class TestCensus:
             np.float64,
         ]
         assert [block.dtype for block in census.words] == [np.int32] * len(census.words)
-        assert (census.level.dtype, census.slot.dtype) == (np.uint8, np.int32)
+        assert census.walk_index.dtype == np.int32
         assert not hasattr(census, "length")
         # one length per trace, bit for bit the scalar formula
         assert all(length == geodesic_length(trace) for _, trace, length, _ in census.rows())
@@ -798,7 +805,7 @@ class TestCensus:
         # the commands (tests/test_cli.py) and the demos (tests/test_exports.py)
         # run on these read-only columns too
         census = enumerate_by_trace(30)
-        columns = [getattr(census, name) for name in ("trace", "psi", "level", "slot")] + list(census.words)
+        columns = [getattr(census, name) for name in ("trace", "psi", "walk_index")] + list(census.words)
         # the lengths are read through the count table
         for column in columns + [census.counts()[3]]:
             with pytest.raises(ValueError, match="read-only"):
@@ -876,10 +883,12 @@ class TestPinnedCensus:
     def flat_layout(census):
         """(digits, start, stop): the blocks laid end to end and each row's bounds there."""
         first = np.cumsum([0] + [block.size for block in census.words[:-1]])
-        width = 2 * (census.level.astype(np.int32) + 1)
-        start = (first[census.level] + census.slot * width).astype(np.int32)
+        # the bounds of each word in walk order, then of row i's, word walk_index[i]
+        start = np.concatenate([at + block.shape[1] * np.arange(len(block)) for at, block in zip(first, census.words)])
+        stop = start + np.concatenate([np.full(len(block), block.shape[1]) for block in census.words])
+        start, stop = (np.take(x, census.walk_index).astype(np.int32) for x in (start, stop))
         digits = np.concatenate([block.ravel() for block in census.words])
-        return {"digits": digits, "start": start, "stop": start + width}
+        return {"digits": digits, "start": start, "stop": stop}
 
     @pytest.mark.parametrize("T", sorted(CENSUS_COLUMNS))
     def test_columns(self, T):
@@ -894,7 +903,7 @@ class TestPinnedCensus:
 
 
 class TestWordBlocks:
-    """The row layout at T = 12: one word block a word length, addressed by level and slot."""
+    """The row layout at T = 12: one word block a word length, and each row's walk index."""
 
     @pytest.fixture(scope="class")
     def census(self):
@@ -906,15 +915,39 @@ class TestWordBlocks:
             assert block.dtype == np.int32 and block.ndim == 2 and block.shape[1] == 2 * (n + 1)
             assert not block.flags.writeable
 
-    def test_level_and_slot_address_every_block_row_once(self, census):
-        addressed = sorted(zip(census.level.tolist(), census.slot.tolist()))
-        assert addressed == [(n, i) for n, block in enumerate(census.words) for i in range(len(block))]
+    def test_walk_index_addresses_every_block_row_once(self, census):
+        # row i is word walk_index[i] of the blocks laid end to end
+        assert sorted(census.walk_index.tolist()) == list(range(sum(len(block) for block in census.words)))
 
     def test_bytes_a_class_and_a_digit(self, census):
-        columns = (census.trace, census.psi, census.level, census.slot)
+        columns = (census.trace, census.psi, census.walk_index)
         digits = sum(block.size for block in census.words)
         held = sum(column.nbytes for column in columns) + sum(block.nbytes for block in census.words)
-        assert held == 13 * len(census) + 4 * digits
+        assert held == 12 * len(census) + 4 * digits
+
+    @staticmethod
+    def held_bytes(census):
+        """Bytes of the census's arrays of one value a class and of its word
+        blocks: not the tree, the per-trace lengths or the count tables."""
+        arrays = [getattr(census, name) for name in type(census).__slots__]
+        per_class = [x for x in arrays if isinstance(x, np.ndarray) and len(x) == len(census)]
+        return sum(x.nbytes for x in per_class) + sum(block.nbytes for block in census.words)
+
+    def test_statistics_keep_no_layout_column(self):
+        # the statistics of the benchmark's census workload, which need no row
+        # order; the first column read orders the rows and keeps the walk index
+        T = 12.0
+        census = enumerate_geodesics(EnumerationConfig(max_length=T))
+        density_table(winding_histogram(census, T), range(-5, 6))
+        cauchy_compare(census, T)
+        for q in (2, 3, 5):
+            equidistribution(census, T, q)
+        for r in [round(-0.45 + 0.05 * k, 2) for k in range(19)]:
+            twisted_sum(census, T, r)
+        n, digits = len(census), sum(block.size for block in census.words)
+        assert self.held_bytes(census) == 8 * n + 4 * digits
+        census.trace
+        assert self.held_bytes(census) == 12 * n + 4 * digits
 
 
 class TestExpansionStep:
@@ -984,6 +1017,28 @@ class TestCensusBudget:
         for T in (710.0, 1e6):
             with pytest.raises(CapExceeded):
                 EnumerationConfig(max_length=T)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            # str() of an int past 4,300 digits raises ValueError
+            (lambda: EnumerationConfig(10**5000), CapExceeded),
+            (lambda: verify.run_all(max_length=10**5000), CapExceeded),
+            (lambda: EnumerationConfig("15"), DomainError),
+            (lambda: EnumerationConfig(None), DomainError),
+            (lambda: EnumerationConfig(1 + 0j), DomainError),
+            (lambda: trace_cap_for_length("12"), DomainError),
+            (lambda: trace_cap_for_length(None), DomainError),
+        ],
+        ids=["huge-int", "run-all-huge-int", "str", "none", "complex", "cap-str", "cap-none"],
+    )
+    def test_length_bound_refused_by_kind(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_numpy_float_length_bound_accepted(self):
+        assert EnumerationConfig(np.float32(12.0)).max_length == 12.0
+        assert trace_cap_for_length(np.float32(12.0)) == trace_cap_for_length(12.0) == 403
 
     @pytest.mark.parametrize("cap", [MAX_TRACE_CAP + 1, 10**5, 10**400])
     def test_trace_cap_over_budget_refused_up_front(self, cap):
