@@ -19,7 +19,7 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceeded, DomainError, NotHyperbolic, NotPrimitive
-from .matrices import Mat2, _integer, geodesic_length, short_int
+from .matrices import Mat2, _integer, geodesic_length, short_int, short_real
 
 __all__ = [
     "CyclicWord",
@@ -41,10 +41,10 @@ __all__ = [
 
 # The largest trace a census may reach.  At this cap the prime geodesic
 # theorem's count li(e^T) at 140 B a class comes to 511.99 MiB, the last cap
-# within 512 MiB; the commands peak at 64-76 B a class there, measured in
+# within 512 MiB; the commands peak at 35-50 B a class there, measured in
 # fresh processes, so 140 B leaves room for the longer words of larger T.
-# The cap is below 2^16, as the uint16 row sort and the int32 count table
-# keys need.
+# Every digit and trace is at most the cap, below 2^16 for the census's
+# uint16 columns, and |psi| <= cap - 3 < 2^15 for its int16 psi.
 MAX_TRACE_CAP = 8055
 # The largest length bound: the length of that trace, 17.988096560397445.
 MAX_LENGTH_BOUND = geodesic_length(MAX_TRACE_CAP)
@@ -242,8 +242,7 @@ class EnumerationConfig:
     def __post_init__(self):
         T = _real(self.max_length)
         if not (0 < T <= MAX_LENGTH_BOUND):
-            shown = short_int(T) if isinstance(T, int) else T
-            raise CapExceeded(f"max_length {shown} outside (0, {MAX_LENGTH_BOUND}]")
+            raise CapExceeded(f"max_length {short_real(T)} outside (0, {MAX_LENGTH_BOUND}]")
 
 
 def _real(max_length):
@@ -285,15 +284,17 @@ class Census:
 
     Row i is the class with entries word walk_index[i] of the blocks words
     laid end to end, matrix trace trace[i], length _lengths[trace[i] - 3] and
-    winding number psi[i]; words[n] is the int32 block, in walk order, of the
-    words of n + 1 pairs.  Only this class reads that layout, and only rows()
-    reads single words, as Python values; iteration builds a GeodesicRecord
-    view of each row.  The columns are read-only, so the tables of counts()
-    and psi_sums() cannot go stale.  The census is built from the walk's
-    columns and its FKM tree (enumerate_by_trace); the first read of a column
-    or a row puts the rows in order, keeps the order as the walk index and
-    drops the tree.  len(), counts() and psi_sums() need no order, so the
-    statistics never sort the rows.
+    winding number psi[i]; words[n] is the uint16 block, in walk order, of the
+    words of n + 1 pairs.  trace is uint16 and psi int16, so a caller casts
+    them before arithmetic that can leave that range.  Only this class reads
+    that layout, and only rows() reads single words, as Python values;
+    iteration builds a GeodesicRecord view of each row.  The columns are
+    read-only, so the tables of counts() and psi_sums() cannot go stale.  The
+    census is built from the walk's columns and its FKM tree
+    (enumerate_by_trace); the first read of a column or a row puts the rows
+    in order, keeps the order as the walk index and drops the tree.  len(),
+    counts() and psi_sums() need no order, so the statistics never sort the
+    rows.
     """
 
     __slots__ = ("_trace", "_psi", "_walk_index", "words", "_tree", "_lengths", "_counts", "_last_psi_sums")
@@ -314,8 +315,8 @@ class Census:
         Preorder of the FKM tree with children in ascending order is
         lexicographic order, so the rows are sorted by trace, then preorder
         rank.  The rows go in preorder, then a stable sort by trace: the rank
-        goes before the sort, where the census peaks.  As uint16 the traces
-        take numpy's radix sort (MAX_TRACE_CAP is below 2^16).
+        goes before the sort, where the census peaks.  The uint16 traces
+        take numpy's radix sort.
         """
         if self._tree is not None:
             rank = np.concatenate(_preorder_ranks(self._tree))
@@ -323,7 +324,7 @@ class Census:
             order = np.empty_like(rank)
             order[rank] = np.arange(len(rank), dtype=rank.dtype)
             del rank
-            order = np.take(order, np.argsort(np.take(self._trace, order).astype(np.uint16), kind="stable"))
+            order = np.take(order, np.argsort(np.take(self._trace, order), kind="stable"))
             # each column is rebound in turn, so its walk-order copy is freed at once
             self._trace = np.take(self._trace, order)
             self._psi = np.take(self._psi, order)
@@ -487,7 +488,9 @@ def _expand(cap: int, frontier: list):
     largest b is (cap - p - v) // u, which is at least 1 exactly when
     (p + r) a + p + q + s <= cap.  The pairs start at the repeated pair
     (a0, b0), and at (a, 1) for every larger a.  No entry, trace or sum
-    exceeds a few caps, so every column is int32.  Every gather is a np.take
+    exceeds a few caps, so the arithmetic columns are int32.  No digit or
+    trace exceeds the cap and |psi| <= trace - 3, so the words are uint16,
+    and a class's trace uint16 and psi int16.  Every gather is a np.take
     of a contiguous array, faster in numpy than fancy indexing, so a child's
     word is its parent's row taken whole, with its pair in the spare digits.
     """
@@ -516,7 +519,7 @@ def _expand(cap: int, frontier: list):
     word[:, 2 * n], word[:, 2 * n + 1] = a, b
     del a, b, p, q, r, s, a0, b0, words
     kept = np.flatnonzero(keep)
-    words = np.empty((len(kept), 2 * n + 4), np.int32)
+    words = np.empty((len(kept), 2 * n + 4), np.uint16)
     words[:, : 2 * n + 2] = np.take(word, kept, axis=0)
     period = np.where(np.take(is_class, kept), n + 1, np.take(period, np.take(parent, kept)))
     # each kept row's pair `period` places back, by a take of the flat words
@@ -524,7 +527,7 @@ def _expand(cap: int, frontier: list):
     frontier = [np.take(x, kept) for x in (P, u, R, v, w)]
     frontier += [period, np.take(words, back), np.take(words, back + 1), words]
     # the classes' words go last, once the children's columns are freed
-    trace, w = (P + v)[is_class], w[is_class]
+    trace, w = (P + v)[is_class].astype(np.uint16), w[is_class].astype(np.int16)
     del P, u, R, v, parent, kept, back, period, words
     return (offsets, is_class, keep), (trace, w, np.take(word, np.flatnonzero(is_class), axis=0)), frontier
 
@@ -533,7 +536,7 @@ def _fkm_levels(cap: int):
     """The FKM tree of the classes of trace <= cap, one _expand a level: the tree,
     per level of n + 1 pairs the (offsets, is_class, keep) of its nodes, then trace,
     psi and words, per level the columns and the word block of its classes."""
-    frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.int32)]
+    frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.uint16)]
     tree, rows = [], []
     while len(frontier[0]):
         node, row, frontier = _expand(cap, frontier)

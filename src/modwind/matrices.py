@@ -26,6 +26,7 @@ __all__ = [
     "geodesic_length",
     "sign0",
     "short_int",
+    "short_real",
 ]
 
 # pi/V for the area V = pi/3 of the modular orbifold PSL(2,Z)\H, the one
@@ -44,6 +45,17 @@ def short_int(x: int) -> str:
     if x.bit_length() <= 256:
         return str(x)
     return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
+def short_real(x) -> str:
+    """A real number for a message: an int by short_int, any other as a float, or
+    its sign and kind past the float range (str() of a huge Fraction fails)."""
+    if isinstance(x, int):
+        return short_int(x)
+    try:
+        return repr(float(x))
+    except OverflowError:
+        return f"{'-' if x < 0 else ''}<{type(x).__name__} past the float range>"
 
 
 def _integer(x, what: str) -> int:

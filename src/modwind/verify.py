@@ -36,6 +36,7 @@ from .matrices import (
     dedekind_sum,
     dedekind_sum_direct,
     omega,
+    short_real,
     sign0,
 )
 from .rademacher import (
@@ -343,7 +344,7 @@ def run_all(
     cap = trace_cap_for_length(max_length)
     if cap > VERIFY_MAX_TRACE_CAP:
         raise CapExceeded(
-            f"verify at length {max_length} would check the classes of trace up to {cap:,} "
+            f"verify at length {short_real(max_length)} would check the classes of trace up to {cap:,} "
             f"(at most {VERIFY_MAX_TRACE_CAP:,})"
         )
     suites = (

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -719,11 +720,11 @@ class TestCensus:
     def test_columns(self):
         census = enumerate_by_trace(60)
         assert [c.dtype for c in (census.trace, census.psi, census.counts()[3])] == [
-            np.int32,
-            np.int32,
+            np.uint16,
+            np.int16,
             np.float64,
         ]
-        assert [block.dtype for block in census.words] == [np.int32] * len(census.words)
+        assert [block.dtype for block in census.words] == [np.uint16] * len(census.words)
         assert census.walk_index.dtype == np.int32
         assert not hasattr(census, "length")
         # one length per trace, bit for bit the scalar formula
@@ -797,9 +798,13 @@ class TestCensus:
         census = enumerate_by_trace(trace_cap_for_length(12.0))
         maxima = [max(entries) for entries, _, _, _ in census.rows()]
         assert 50 in maxima
-        for bound in (1, 49, 50, 51, max(maxima), max(maxima) + 1):
+        # bounds below 0 and past 2^16 too: numpy 2 compares the uint16 words
+        # with an out-of-range Python int by value, with no wrap
+        edges = (-1, 0, 1, 400, 2**16 - 1, 2**16, 2**70)
+        for bound in (*edges, 49, 50, 51, max(maxima), max(maxima) + 1):
             picked = census.rows_with_entry_at_least(bound).tolist()
             assert picked == [i for i, top in enumerate(maxima) if top >= bound]
+        assert [len(census.rows_with_entry_at_least(bound)) for bound in edges] == [14904] * 3 + [4] + [0] * 3
 
     def test_columns_read_only(self):
         # the commands (tests/test_cli.py) and the demos (tests/test_exports.py)
@@ -848,23 +853,23 @@ def sha256(column):
     return hashlib.sha256(column.tobytes()).hexdigest()
 
 
-# (dtype, sha256 of the bytes) of each column, taken from the walk that
-# gathered by fancy indexing: the rows, and the words laid end to end as
+# (dtype, sha256 of the bytes as int32) of each column, taken from the walk
+# that gathered by fancy indexing: the rows, and the words laid end to end as
 # digits, with the bounds start and stop of each row's word there
 CENSUS_COLUMNS = {
     12.0: {
-        "trace": ("int32", "5ced32822bbab7776ec43dd4c69713c872e4b4d83c3ae2253b19023cc28fe825"),
-        "psi": ("int32", "357ed822ee33cb084c9e713af3651617098b633d01edf2dafe388497cced20e5"),
+        "trace": ("uint16", "5ced32822bbab7776ec43dd4c69713c872e4b4d83c3ae2253b19023cc28fe825"),
+        "psi": ("int16", "357ed822ee33cb084c9e713af3651617098b633d01edf2dafe388497cced20e5"),
         "start": ("int32", "03e859fa4c2198653e1ba3d1f50181704902f8036b002d3e544f2a93c82c73ee"),
         "stop": ("int32", "ff53e798322bdfc8ca6f9ba4b4d1149f0f0c07a2eb289051449508998b5e3089"),
-        "digits": ("int32", "ce90fdeb6e53c41d70fa3dea3933b2e7ed013c3aeb587270ed824112e8cdd1c5"),
+        "digits": ("uint16", "ce90fdeb6e53c41d70fa3dea3933b2e7ed013c3aeb587270ed824112e8cdd1c5"),
     },
     15.0: {
-        "trace": ("int32", "1e5a11fa1353ec77d49676a5802f6f3320d2ba1f728233825f616bea55f802ea"),
-        "psi": ("int32", "daaad191e4dc2b0129d84aca0781c875ecb8380876434029fe98619b958599c3"),
+        "trace": ("uint16", "1e5a11fa1353ec77d49676a5802f6f3320d2ba1f728233825f616bea55f802ea"),
+        "psi": ("int16", "daaad191e4dc2b0129d84aca0781c875ecb8380876434029fe98619b958599c3"),
         "start": ("int32", "d680f8f84fd6ba69f80277fa7feb3ced4309f93589cc422e87ba7b329df859ff"),
         "stop": ("int32", "cbd32fbd0245058f191a202248ee2346b73d3524326af6d3b842e1eb2f42bc71"),
-        "digits": ("int32", "837b3959300c46535af44e5f9fd527228cd767370ed84423f3d650e6def0c9f1"),
+        "digits": ("uint16", "837b3959300c46535af44e5f9fd527228cd767370ed84423f3d650e6def0c9f1"),
     },
 }
 # (trace, psi, count, length) of counts() at T = 15
@@ -894,7 +899,7 @@ class TestPinnedCensus:
     def test_columns(self, T):
         census = enumerate_geodesics(EnumerationConfig(max_length=T))
         columns = {"trace": census.trace, "psi": census.psi, **self.flat_layout(census)}
-        got = {name: (column.dtype.name, sha256(column)) for name, column in columns.items()}
+        got = {name: (column.dtype.name, sha256(column.astype(np.int32))) for name, column in columns.items()}
         assert got == CENSUS_COLUMNS[T]
 
     def test_count_table(self):
@@ -909,10 +914,10 @@ class TestWordBlocks:
     def census(self):
         return enumerate_geodesics(EnumerationConfig(max_length=12.0))
 
-    def test_blocks_are_read_only_int32_by_word_length(self, census):
+    def test_blocks_are_read_only_uint16_by_word_length(self, census):
         assert len(census.words) == 6
         for n, block in enumerate(census.words):
-            assert block.dtype == np.int32 and block.ndim == 2 and block.shape[1] == 2 * (n + 1)
+            assert block.dtype == np.uint16 and block.ndim == 2 and block.shape[1] == 2 * (n + 1)
             assert not block.flags.writeable
 
     def test_walk_index_addresses_every_block_row_once(self, census):
@@ -923,7 +928,8 @@ class TestWordBlocks:
         columns = (census.trace, census.psi, census.walk_index)
         digits = sum(block.size for block in census.words)
         held = sum(column.nbytes for column in columns) + sum(block.nbytes for block in census.words)
-        assert held == 12 * len(census) + 4 * digits
+        # uint16 trace, int16 psi, int32 walk index and uint16 digits
+        assert held == 8 * len(census) + 2 * digits
 
     @staticmethod
     def held_bytes(census):
@@ -945,9 +951,9 @@ class TestWordBlocks:
         for r in [round(-0.45 + 0.05 * k, 2) for k in range(19)]:
             twisted_sum(census, T, r)
         n, digits = len(census), sum(block.size for block in census.words)
-        assert self.held_bytes(census) == 8 * n + 4 * digits
+        assert self.held_bytes(census) == 4 * n + 2 * digits
         census.trace
-        assert self.held_bytes(census) == 12 * n + 4 * digits
+        assert self.held_bytes(census) == 8 * n + 2 * digits
 
 
 class TestExpansionStep:
@@ -972,7 +978,7 @@ class TestExpansionStep:
         cap = trace_cap_for_length(12.0)
         # the root: product (1 0; 0 1), w 0, period 1, (a0, b0) = (1, 1) and
         # the empty word with its two spare digits
-        frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.int32)]
+        frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)] + [np.empty((1, 2), np.uint16)]
         blocks = []
         while len(frontier[0]):
             level, after = self.expand(cap, frontier, 1)
@@ -989,6 +995,7 @@ class TestExpansionStep:
         assert len(blocks) == 6
         walk = geodesics._fkm_levels(cap)[3]
         assert len(walk) == 6 and all(np.array_equal(got, block) for got, block in zip(blocks, walk))
+        assert [block.dtype for block in blocks] == [block.dtype for block in walk]
 
 
 class TestCensusBudget:
@@ -1024,13 +1031,31 @@ class TestCensusBudget:
             # str() of an int past 4,300 digits raises ValueError
             (lambda: EnumerationConfig(10**5000), CapExceeded),
             (lambda: verify.run_all(max_length=10**5000), CapExceeded),
+            # str() of a Fraction formats its numerator, past 4,300 digits here
+            (lambda: EnumerationConfig(Fraction(10**5000)), CapExceeded),
+            (lambda: EnumerationConfig(Fraction(-(10**5000))), CapExceeded),
+            (lambda: verify.run_all(max_length=Fraction(10**5000)), CapExceeded),
+            # within MAX_LENGTH_BOUND, but past verify's cap
+            (lambda: verify.run_all(max_length=Fraction(16 * 10**5000 + 1, 10**5000)), CapExceeded),
             (lambda: EnumerationConfig("15"), DomainError),
             (lambda: EnumerationConfig(None), DomainError),
             (lambda: EnumerationConfig(1 + 0j), DomainError),
             (lambda: trace_cap_for_length("12"), DomainError),
             (lambda: trace_cap_for_length(None), DomainError),
         ],
-        ids=["huge-int", "run-all-huge-int", "str", "none", "complex", "cap-str", "cap-none"],
+        ids=[
+            "huge-int",
+            "run-all-huge-int",
+            "huge-fraction",
+            "huge-negative-fraction",
+            "run-all-huge-fraction",
+            "run-all-long-fraction",
+            "str",
+            "none",
+            "complex",
+            "cap-str",
+            "cap-none",
+        ],
     )
     def test_length_bound_refused_by_kind(self, call, error):
         with pytest.raises(error):
@@ -1054,11 +1079,26 @@ class TestCensusBudget:
         assert trace_cap_for_length(math.nextafter(MAX_LENGTH_BOUND, math.inf)) == MAX_TRACE_CAP
 
     def test_caps_below_2_to_the_16(self):
-        # enumerate_by_trace sorts the traces as uint16 and refuses every cap
-        # past MAX_TRACE_CAP
+        # enumerate_by_trace refuses every cap past MAX_TRACE_CAP.  Digits and
+        # traces are at most the cap, for the uint16 words and trace, and
+        # |psi| <= trace - 3, for the int16 psi.  ROADMAP item 5 raises the cap
+        # toward T = 20, cap 22,026, still inside both limits; a raise past
+        # either fails here first
         assert MAX_TRACE_CAP < 2**16
+        assert MAX_TRACE_CAP - 3 < 2**15
         with pytest.raises(CapExceeded):
             enumerate_by_trace(2**16)
+        cap = trace_cap_for_length(15.0)
+        census = enumerate_by_trace(cap)
+        # the word (cap - 2, 1) has the largest digit and trace, and it and its
+        # reversal the largest |psi|
+        largest = {
+            "digit": (max(int(block.max()) for block in census.words), census.words[0].dtype),
+            "trace": (int(census.trace.max()), census.trace.dtype),
+            "psi": (int(np.abs(census.psi.astype(np.int32)).max()), census.psi.dtype),
+        }
+        assert {name: top for name, (top, _) in largest.items()} == {"digit": cap - 2, "trace": cap, "psi": cap - 3}
+        assert all(top <= np.iinfo(dtype).max for top, dtype in largest.values())
 
     @pytest.mark.parametrize("cap", [-1, 0, 1, 2])
     def test_cap_below_3_is_empty(self, cap):

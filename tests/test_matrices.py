@@ -22,6 +22,7 @@ from modwind.matrices import (
     omega,
     sawtooth,
     short_int,
+    short_real,
     sign0,
 )
 
@@ -94,6 +95,11 @@ class TestMat2:
         assert str(Mat2(22, 3, 7, 1)) == "Mat2(a=22, b=3, c=7, d=1)"
         assert short_int(2**256) == "<257-bit int>"
         assert short_int(-(2**256 - 1)) == str(-(2**256 - 1))
+        # str() of a Fraction formats its numerator and denominator in full
+        assert short_real(Fraction(10**5000)) == "<Fraction past the float range>"
+        assert short_real(Fraction(-(10**5000), 3)) == "-<Fraction past the float range>"
+        assert short_real(Fraction(37, 2)) == short_real(18.5) == "18.5"
+        assert short_real(2**256) == "<257-bit int>"
         with pytest.raises(ValueError, match="bit int"):
             Mat2(2**20000, 1, 1, 1)
 
