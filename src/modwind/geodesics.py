@@ -304,7 +304,9 @@ class Census:
         self._trace, self._psi, self._tree, self._walk_index = trace, psi, tree, None
         self.words = words = tuple(words)
         top = int(trace.max()) if len(trace) else 2
-        self._lengths = np.array([geodesic_length(t) for t in range(3, top + 1)], dtype=np.float64)
+        # geodesic_length's formula without its checks, the same floats for
+        # traces this small
+        self._lengths = np.array([2.0 * math.acosh(t / 2.0) for t in range(3, top + 1)], dtype=np.float64)
         for column in (trace, psi, self._lengths, *words):
             column.setflags(write=False)
         self._counts = self._last_psi_sums = None
@@ -417,14 +419,18 @@ def _count_table(trace, psi, lengths):
         keys += psi
         keys -= lo
         keys.sort()
-        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        # the first row of each run of equal keys
+        first = np.empty(len(keys), bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first = np.flatnonzero(first)
         count = np.diff(first, append=len(keys))
-        keys = keys[first]
-        row = keys // width
-        trace, psi, length = row + 3, keys % width + lo, lengths[row]
+        keys = np.take(keys, first)
+        row = (keys // width).astype(np.int64)
+        trace, psi, length = row + 3, keys - width * row + lo, np.take(lengths, row)
     else:
-        count, length = np.zeros(0, np.int64), np.zeros(0)
-    trace, psi = trace.astype(np.int64), psi.astype(np.int64)
+        trace = psi = count = np.zeros(0, np.int64)
+        length = np.zeros(0)
     for column in (trace, psi, count, length):
         column.setflags(write=False)
     return trace, psi, count, length
@@ -454,13 +460,14 @@ def _bounds(sizes):
     return bounds
 
 
-def _segments(sizes):
-    """(owner, place, bounds) of consecutive segments of the given sizes: the
-    segment each item lies in, its place there, and the segment bounds."""
+def _segments(sizes, first):
+    """(owner, value, bounds) of consecutive segments of the given sizes, segment
+    x counting up from first[x]: the segment each item lies in, its value, and
+    the segment bounds."""
     bounds = _bounds(sizes)
-    owner = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-    place = np.arange(len(owner), dtype=np.int32) - np.take(bounds, owner)
-    return owner, place, bounds
+    owner = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    value = np.arange(len(owner), dtype=np.int32) - np.take(bounds[:-1] - first, owner)
+    return owner, value, bounds
 
 
 def _expand(cap: int, frontier: list):
@@ -487,49 +494,77 @@ def _expand(cap: int, frontier: list):
     and every further pair, so no prefix of a class is over the cap, and the
     largest b is (cap - p - v) // u, which is at least 1 exactly when
     (p + r) a + p + q + s <= cap.  The pairs start at the repeated pair
-    (a0, b0), and at (a, 1) for every larger a.  No entry, trace or sum
-    exceeds a few caps, so the arithmetic columns are int32.  No digit or
-    trace exceeds the cap and |psi| <= trace - 3, so the words are uint16,
-    and a class's trace uint16 and psi int16.  Every gather is a np.take
-    of a contiguous array, faster in numpy than fancy indexing, so a child's
-    word is its parent's row taken whole, with its pair in the spare digits.
+    (a0, b0), and at (a, 1) for every larger a.  So a child with repeated
+    pair (a1, b1) has a child of its own exactly when (a1, b1) or
+    (a1 + 1, 1) fits, and only such children are kept: every node below the
+    root has a child, and keep marks exactly the next level's nodes.  No
+    entry, trace or sum exceeds a few caps, so the arithmetic columns are
+    int32.  No digit or trace exceeds the cap and |psi| <= trace - 3, so the
+    words are uint16, and a class's trace uint16 and psi int16.  Every
+    gather is a np.take of a contiguous array, faster in numpy than fancy
+    indexing, on intp indices where it gathers a whole level, which np.take
+    would otherwise cast on every call; a child's word is its parent's row
+    taken whole, with its pair in the spare digits.
     """
     p, q, r, s, w, period, a0, b0, words = frontier
     frontier.clear()
     n = words.shape[1] // 2 - 1
     # the a range of each node, then the b range of each a
-    i, k, a_bounds = _segments(np.maximum((cap - p - q - s) // (p + r) - a0 + 1, 0))
-    a = np.take(a0, i) + k
-    u = np.take(p, i) * a + np.take(q, i)
+    a_size = np.maximum((cap - p - q - s) // (p + r) - a0 + 1, 0)
+    i, a, a_bounds = _segments(a_size, a0)
+    # a node's first a, if it has one, is a0, whose b range starts at b0
+    starts = np.flatnonzero(a_size)
+    first = np.take(a_bounds, starts)
+    b_lo = np.ones(len(i), np.int32)
+    b_lo[first] = np.take(b0, starts)
+    p_a = np.take(p, i)
+    u = p_a * a + np.take(q, i)
     v = np.take(r, i) * a + np.take(s, i)
-    b_lo = np.where(k == 0, np.take(b0, i), 1)
-    j, kb, b_bounds = _segments(np.maximum((cap - np.take(p, i) - v) // u - b_lo + 1, 0))
+    b_size = np.maximum((cap - p_a - v) // u - b_lo + 1, 0)
+    j, b, b_bounds = _segments(b_size, b_lo)
     offsets = np.take(b_bounds, a_bounds)
-    # the repeat is the first child, (a0, b0), of a node below the root
-    is_class = (np.take(k, j) != 0) | (kb != 0) if n else np.ones(len(j), bool)
+    # the repeat is the first child, (a0, b0), of a node below the root whose
+    # a0 has a b range
+    is_class = np.ones(len(j), bool)
+    if n:
+        is_class[np.take(b_bounds, first[np.take(b_size, first) > 0])] = False
     parent = np.take(i, j)
-    a, u, v, b = np.take(a, j), np.take(u, j), np.take(v, j), np.take(b_lo, j) + kb
-    del i, k, a_bounds, j, kb, b_bounds, b_lo
+    a, u, v = np.take(a, j), np.take(u, j), np.take(v, j)
+    del i, a_size, a_bounds, starts, first, b_lo, p_a, j, b_size, b_bounds
     P = u * b + np.take(p, parent)
     R = v * b + np.take(r, parent)
     w = np.take(w, parent) + a - b
-    # the smallest pair (1, 1) gives a child's cheapest child
-    keep = 2 * P + u + R + v <= cap
+    trace = P + v
     word = np.take(words, parent, axis=0)
     word[:, 2 * n], word[:, 2 * n + 1] = a, b
     del a, b, p, q, r, s, a0, b0, words
-    kept = np.flatnonzero(keep)
+    # no pair is below (1, 1), so a child over the cap with it has no child:
+    # that cheap test first, then the exact one on the rows it leaves
+    kept = np.flatnonzero(trace + P + u + R <= cap)
+    period = np.where(np.take(is_class, kept), n + 1, np.take(period, np.take(parent, kept)))
+    # each row's repeat pair, `period` places back, by a take of the flat words
+    back = kept * (2 * n + 2) + 2 * (n + 1 - period)
+    a0, b0 = np.take(word, back), np.take(word, back + 1)
+    Pk, uk, Rk, vk = (np.take(x, kept) for x in (P, u, R, v))
+    # live: (a0 + 1, 1) fits, or (a0, b0) does.  a0 and b0 are compared with
+    # the largest a and b, quotients as in the a and b ranges, so no product
+    # can leave int32: the cheap test bounds P, u, R and v by the cap
+    a_top = (cap - Pk - uk - vk) // (Pk + Rk)
+    live = (a0 < a_top) | (a0 == a_top) & (b0 <= (cap - Pk - Rk * a0 - vk) // (Pk * a0 + uk))
+    keep = np.zeros(len(P), bool)
+    keep[kept] = live
+    alive = np.flatnonzero(live)
+    kept = np.take(kept, alive)
     words = np.empty((len(kept), 2 * n + 4), np.uint16)
     words[:, : 2 * n + 2] = np.take(word, kept, axis=0)
-    period = np.where(np.take(is_class, kept), n + 1, np.take(period, np.take(parent, kept)))
-    # each kept row's pair `period` places back, by a take of the flat words
-    back = np.arange(0, words.size, 2 * n + 4, dtype=np.int32) + 2 * (n + 1 - period)
     frontier = [np.take(x, kept) for x in (P, u, R, v, w)]
-    frontier += [period, np.take(words, back), np.take(words, back + 1), words]
-    # the classes' words go last, once the children's columns are freed
-    trace, w = (P + v)[is_class].astype(np.uint16), w[is_class].astype(np.int16)
-    del P, u, R, v, parent, kept, back, period, words
-    return (offsets, is_class, keep), (trace, w, np.take(word, np.flatnonzero(is_class), axis=0)), frontier
+    frontier += [np.take(x, alive) for x in (period, a0, b0)] + [words]
+    del Pk, uk, Rk, vk, a_top, live, alive, kept, back, period, a0, b0, words
+    # the classes' columns go last, once the children's columns are freed
+    cls = np.flatnonzero(is_class)
+    trace, w = np.take(trace, cls).astype(np.uint16), np.take(w, cls).astype(np.int16)
+    del P, u, R, v, parent
+    return (offsets, is_class, keep), (trace, w, np.take(word, cls, axis=0)), frontier
 
 
 def _fkm_levels(cap: int):

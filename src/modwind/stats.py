@@ -180,18 +180,24 @@ def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedS
     """Length sums twisted by the weight-r character e^{2 pi i r psi / 12}, one per r.
 
     The lengths times the counts are summed per value of psi once a window
-    (Census.psi_sums), so each r costs one real cosine and sine per psi.  The
+    (Census.psi_sums), so each r costs one real cosine and sine per |psi|:
+    numpy's cos is even and its sin odd to the bit, so each is evaluated
+    once a |psi| and gathered back, the same floats as over every psi.  The
     exponential main term e^{T (1 - |r|/2)} / (1 - |r|/2) only dominates the
     error for |r| < 1/2, so main_term and relative_error are reported only in
     that range.
     """
     rs = _weights(rs)
     lo, _, weight, _ = census.psi_sums(trace_cap_for_length(T))
-    values = np.arange(lo, lo + len(weight))
+    mags = np.abs(np.arange(lo, lo + len(weight)))
+    steps = np.arange(mags.max(initial=0) + 1)
     reports = []
     for r in rs:
-        x = values * (math.pi * r / (2 * _PI_OVER_AREA))
-        total = complex(np.cos(x) @ weight, np.sin(x) @ weight)
+        x = steps * (math.pi * r / (2 * _PI_OVER_AREA))
+        sin = np.take(np.sin(x), mags)
+        # psi ascends from lo, so its negative values lead
+        sin[: max(-lo, 0)] *= -1
+        total = complex(np.take(np.cos(x), mags) @ weight, sin @ weight)
         main = rel = None
         if abs(r) < 0.5:
             s0 = 1.0 - abs(r) / 2.0

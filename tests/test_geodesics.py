@@ -730,6 +730,12 @@ class TestCensus:
         # one length per trace, bit for bit the scalar formula
         assert all(length == geodesic_length(trace) for _, trace, length, _ in census.rows())
 
+    def test_lengths_are_geodesic_length_up_to_the_cap(self):
+        # the census's length table, one entry a trace from 3 to its largest,
+        # bit for bit the scalar formula wherever a census can reach
+        census = Census(np.array([MAX_TRACE_CAP], np.uint16), np.zeros(1, np.int16), (), [])
+        assert census._lengths.tolist() == [geodesic_length(t) for t in range(3, MAX_TRACE_CAP + 1)]
+
     def test_row_views(self):
         census = enumerate_by_trace(30)
         n = len(census)
@@ -996,6 +1002,52 @@ class TestExpansionStep:
         walk = geodesics._fkm_levels(cap)[3]
         assert len(walk) == 6 and all(np.array_equal(got, block) for got, block in zip(blocks, walk))
         assert [block.dtype for block in blocks] == [block.dtype for block in walk]
+
+
+class TestPrunedWalk:
+    """The walk keeps a child for the next level only if it has a child."""
+
+    @pytest.mark.parametrize("cap", [403, 1808])
+    def test_every_node_below_the_root_has_a_child(self, cap):
+        tree = geodesics._fkm_levels(cap)[0]
+        for (_, _, keep), (below, _, _) in zip(tree, tree[1:]):
+            assert keep.sum() == len(below) - 1
+            assert (np.diff(below) > 0).all()
+        assert not tree[-1][2].any()
+
+    def test_frontier_rows_at_length_fifteen(self):
+        tree = geodesics._fkm_levels(trace_cap_for_length(15.0))[0]
+        # the nodes below the root, level by level
+        nodes = [len(offsets) - 1 for offsets, _, _ in tree[1:]]
+        assert nodes == [919, 6756, 9890, 4684, 629, 30]
+        assert sum(nodes) == 22_908
+
+    def test_liveness_cannot_wrap_in_int32(self):
+        # a hand-built node at the largest cap: product (1 0; 0 1), period 1,
+        # repeated pair (1, 1) and first pair (cap - 2, cap - 2).  Its child
+        # (a, b) is (ab + 1, a; b, 1); the first, (1, 1), repeats itself and
+        # every other child repeats the first pair
+        cap, big = MAX_TRACE_CAP, MAX_TRACE_CAP - 2
+        frontier = [np.array([x], np.int32) for x in (1, 0, 0, 1, 0, 1, 1, 1)]
+        frontier.append(np.array([[big, big, 0, 0]], np.uint16))
+        (_, is_class, keep), (_, _, words), _ = geodesics._expand(cap, frontier)
+        assert is_class.tolist() == [False] + [True] * (len(is_class) - 1)
+        a, b = (np.concatenate(([1], words[:, k])).astype(np.int64) for k in (2, 3))
+        P, u, R, v = a * b + 1, a, b, 1
+        a1, b1 = np.where(is_class, big, a), np.where(is_class, big, b)
+
+        def trace(x, y):  # of the child extended by the pair (x, y), in int64
+            return (P * x + u) * y + P + R * x + v
+
+        live = (trace(a1, b1) <= cap) | (trace(a1 + 1, 1) <= cap)
+        assert np.array_equal(keep, live)
+        assert keep.tolist() == [True] + [False] * (len(keep) - 1)
+        # in int32 the repeat pair's product passes 2^31 on tens of thousands
+        # of children, and wraps to a trace within the cap on half of them
+        product = (P * a1 + u) * b1
+        wrapped = product.astype(np.int32) + (P + R * a1 + v).astype(np.int32)
+        assert (product >= 2**31).sum() > 20_000
+        assert (wrapped <= cap).sum() > 10_000
 
 
 class TestCensusBudget:

@@ -26,3 +26,23 @@ def test_row_runs_in_fresh_children(limits_table):
     assert all(0 < seconds < 30 and 10 < rss < 200 for seconds, rss in results)
     line = limits_table.table_line(argv, results)
     assert line.startswith("| `stats-density` | 10 | ") and line.endswith(" MB |")
+
+
+def test_row_bound_met_and_missed(limits_table):
+    if not hasattr(os, "wait4"):
+        pytest.skip("os.wait4 is POSIX only")
+    argv = ("stats-density", "--max-length", "10")
+    assert len(limits_table.measure_row(argv, 30, 200)) == limits_table.RUNS
+    # no child fits in 1 MB, so the first run passes the bound and names the row
+    with pytest.raises(RuntimeError, match="stats-density --max-length 10 took .* past its bound of 30 s and 1 MB"):
+        limits_table.measure_row(argv, 30, 1)
+
+
+def test_script_exits_naming_the_row_past_its_bound(limits_table, monkeypatch):
+    if not hasattr(os, "wait4"):
+        pytest.skip("os.wait4 is POSIX only")
+    monkeypatch.setattr(limits_table, "ROWS", [(("stats-density", "--max-length", "10"), 30, 1)])
+    with pytest.raises(SystemExit) as stop:
+        limits_table.main()
+    # a string exit code is printed to stderr, with exit status 1
+    assert str(stop.value.code).startswith("modwind stats-density --max-length 10 took ")

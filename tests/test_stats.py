@@ -477,6 +477,18 @@ class TestTwistedSum:
         assert twisted_sums(census12, 12.0, np.array(rs)) == expect
         assert all(type(rep.r) is float for rep in twisted_sums(census12, 12.0, np.array(rs)))
 
+    @pytest.mark.parametrize("T", [12.0, 15.0])
+    def test_sums_over_each_psi_magnitude_are_the_full_range_sums(self, T):
+        # cos and sin are evaluated once a |psi| and gathered back; the sums
+        # are the same floats as over every psi of the window
+        census = enumerate_geodesics(EnumerationConfig(max_length=T))
+        lo, _, weight, _ = census.psi_sums(trace_cap_for_length(T))
+        values = np.arange(lo, lo + len(weight))
+        for rs in ([round(-0.45 + 0.05 * k, 2) for k in range(19)], [round(-0.6 + 0.05 * k, 2) for k in range(25)]):
+            for r, report in zip(rs, twisted_sums(census, T, rs)):
+                x = values * (math.pi * r / 6)
+                assert report.sum == complex(np.cos(x) @ weight, np.sin(x) @ weight)
+
     def test_grid_checked_before_the_census_is_read(self):
         # the census argument is never touched when a weight is out of range
         # or not a real number

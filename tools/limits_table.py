@@ -8,12 +8,14 @@ Usage, from the root of a checkout:
 Each row runs RUNS times as a `python -m modwind.cli` child, in a temporary
 directory that takes the `--out` file and is removed after the run.  The
 child's max RSS is the ru_maxrss that os.wait4 returns for it, so no other
-process counts.  A command that exits non-zero stops the script with its
-stderr.
+process counts.  Each row states a bound on the wall time and the max RSS of
+every run.  A command that exits non-zero, or a run past its row's bound,
+stops the script with exit status 1 and a message that names the row.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -31,20 +33,27 @@ from modwind.verify import VERIFY_MAX_TRACE_CAP  # noqa: E402
 RUNS = 2
 T_MAX = repr(MAX_LENGTH_BOUND)
 T_VERIFY = repr(geodesic_length(VERIFY_MAX_TRACE_CAP))
+# (argv, seconds, MB): each run of `modwind argv` takes at most that wall time
+# and max RSS.  The time bounds are about three times the slowest run seen on
+# a 2-core x86-64 box, whose speed varies by up to 2x.  The RSS bounds leave
+# 40 MB or more above the largest run seen, because the allocator's layout
+# alone moves a run's max RSS by 20-40 MB as the launch changes.
 ROWS = [
-    ("enumerate", "--max-length", T_MAX, "--out", "census.csv"),
-    ("enumerate", "--max-length", T_MAX, "--format", "json", "--out", "census.json"),
-    ("stats-density", "--max-length", T_MAX),
-    ("stats-cauchy", "--max-length", T_MAX),
-    ("stats-equidist", "--max-length", T_MAX, "--modulus", "3"),
-    ("stats-twisted", "--max-length", T_MAX, "--r-grid", "-0.45:0.45:0.05"),
-    ("verify", "--max-length", T_VERIFY),
-    ("verify", "--max-length", T_VERIFY, "--sample", "10000"),
+    (("enumerate", "--max-length", T_MAX, "--out", "census.csv"), 30, 300),
+    (("enumerate", "--max-length", T_MAX, "--format", "json", "--out", "census.json"), 30, 300),
+    (("stats-density", "--max-length", T_MAX), 2.5, 230),
+    (("stats-cauchy", "--max-length", T_MAX), 2.5, 230),
+    (("stats-equidist", "--max-length", T_MAX, "--modulus", "3"), 2.5, 230),
+    (("stats-twisted", "--max-length", T_MAX, "--r-grid", "-0.45:0.45:0.05"), 2.5, 230),
+    (("verify", "--max-length", T_VERIFY), 15, 100),
+    (("verify", "--max-length", T_VERIFY, "--sample", "10000"), 25, 120),
 ]
 
 
-def measure_row(argv):
-    """(seconds, max RSS in MB) of each of RUNS runs of `modwind argv`."""
+def measure_row(argv, seconds=math.inf, mb=math.inf):
+    """(seconds, max RSS in MB) of each of RUNS runs of `modwind argv`;
+    RuntimeError, naming the row, for a run that exits non-zero or takes
+    more than `seconds` or `mb` MB of max RSS."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     results = []
     for _ in range(RUNS):
@@ -58,7 +67,7 @@ def measure_row(argv):
                 stderr=stderr,
             )
             _, status, usage = os.wait4(child.pid, 0)
-            seconds = time.perf_counter() - start
+            elapsed = time.perf_counter() - start
             # reaped here, so Popen must not wait for it again
             child.returncode = os.waitstatus_to_exitcode(status)
             if child.returncode != 0:
@@ -66,7 +75,12 @@ def measure_row(argv):
                 message = stderr.read().decode(errors="replace")
                 raise RuntimeError(f"modwind {' '.join(argv)} exited {child.returncode}: {message}")
         # ru_maxrss is in KiB on Linux
-        results.append((seconds, usage.ru_maxrss / 1024))
+        rss = usage.ru_maxrss / 1024
+        if elapsed > seconds or rss > mb:
+            raise RuntimeError(
+                f"modwind {' '.join(argv)} took {elapsed:.2f} s and {rss:.0f} MB, past its bound of {seconds} s and {mb} MB"
+            )
+        results.append((elapsed, rss))
     return results
 
 
@@ -87,8 +101,12 @@ def table_line(argv, results):
 def main():
     print("| command | T | time | peak RSS |")
     print("|---|---|---|---|")
-    for row in ROWS:
-        print(table_line(row, measure_row(row)), flush=True)
+    for argv, seconds, mb in ROWS:
+        try:
+            results = measure_row(argv, seconds, mb)
+        except RuntimeError as exc:
+            sys.exit(str(exc))
+        print(table_line(argv, results), flush=True)
 
 
 if __name__ == "__main__":
