@@ -162,23 +162,37 @@ def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
     the walk is tested at even steps for alpha > 1 and -1 < alpha' < 0, that is
     Q - sqrt(D) < P < sqrt(D) < P + Q, which every product of factors A_a meets.
     By Galois' theorem (a purely periodic continued fraction iff reduced) the
-    walk becomes reduced, stays so, and returns after one period.
+    walk becomes reduced, stays so, and returns after one period.  So it tests
+    reducedness only until the state is reduced, and then compares P and Q
+    with that start at even steps, stepping with Q > 0.  Both phases together
+    take at most _WALK_STEPS steps before they return.
     """
     if t <= 2:
         raise NotHyperbolic(f"trace {short_int(t)} (need trace > 2)")
     D = t * t - 4
     root = math.isqrt(D)  # D = t^2 - 4 is never a square for t > 2
-    start, digits = None, []
-    for _ in range(_WALK_STEPS // 2 + 1):
-        if start is None and Q - root <= P <= root < P + Q:
-            start, digits = (P, Q), []
-        elif (P, Q) == start:
-            return P, Q, digits
+    pairs = _WALK_STEPS // 2
+    for used in range(pairs):
+        if Q - root <= P <= root < P + Q:
+            break
         for _ in range(2):
             a = (P + root) // Q if Q > 0 else ~((P + root) // -Q)
             P = a * Q - P
             Q = (D - P * P) // Q
-            digits.append(a)
+    else:
+        raise CapExceeded(f"the walk did not cycle in {_WALK_STEPS} steps at trace {short_int(t)}")
+    # reduced from here on, so Q > root - P >= 0 at every step
+    start_P, start_Q, digits = P, Q, []
+    for _ in range(pairs - used):
+        a = (P + root) // Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        b = (P + root) // Q
+        P = b * Q - P
+        Q = (D - P * P) // Q
+        digits += a, b
+        if P == start_P and Q == start_Q:
+            return P, Q, digits
     raise CapExceeded(f"the walk did not cycle in {_WALK_STEPS} steps at trace {short_int(t)}")
 
 

@@ -96,19 +96,18 @@ class Mat2:
     def trace(self) -> int:
         return self.a + self.d
 
+    # A product, negation or inverse of Python ints of det 1 is one too, so
+    # these build their result unchecked (_mat2): each matrix is checked once.
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        p, q, r, s = other.a, other.b, other.c, other.d
+        return _mat2(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
 
     def inverse(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return _mat2(self.d, -self.b, -self.c, self.a)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _mat2(-self.a, -self.b, -self.c, -self.d)
 
     def power(self, n: int) -> "Mat2":
         n = _integer(n, "exponents")
@@ -125,6 +124,20 @@ class Mat2:
 
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
+
+
+_set_a, _set_b, _set_c, _set_d = Mat2.a.__set__, Mat2.b.__set__, Mat2.c.__set__, Mat2.d.__set__
+
+
+def _mat2(a: int, b: int, c: int, d: int) -> Mat2:
+    """Mat2(a, b, c, d) without its checks, for Python ints of det 1 derived
+    from checked matrices; the slots' setters store past the frozen __setattr__."""
+    m = object.__new__(Mat2)
+    _set_a(m, a)
+    _set_b(m, b)
+    _set_c(m, c)
+    _set_d(m, d)
+    return m
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
@@ -155,10 +168,11 @@ def dedekind_sum_direct(h: int, k: int) -> Fraction:
     return total
 
 
-def _dedekind12(h: int, k: int) -> int:
-    """12 k s(h, k) for coprime 0 <= h < k, in one Euclid pass over k / h.
+def _dedekind12(h: int, k: int, h_inv: int) -> int:
+    """12 k s(h, k) for coprime 0 <= h < k, in one Euclid pass over k / h, with
+    h_inv = h^-1 mod k in [0, k) from the caller.
 
-    With a_1..a_n the Euclid quotients of k / h and h' = h^-1 mod k in [0, k),
+    With a_1..a_n the Euclid quotients of k / h and h' = h_inv,
     12 k s(h, k) = k (a_1 - a_2 + ... +- a_n) + h + h' - k c_n, c_n = 3 for odd
     n and 1 for even n (Hickerson, J. reine angew. Math. 290, 1977; Knuth,
     TAOCP Vol. 2, 3.3.3).  Proof by induction on n, with G = 12 s.  n = 1:
@@ -176,7 +190,7 @@ def _dedekind12(h: int, k: int) -> int:
         total += sign * (a // b)
         a, b, sign = b, a % b, -sign
     # sign is -1 after an odd number of quotients
-    return k * total + h + pow(h, -1, k) - k * (3 if sign < 0 else 1)
+    return k * total + h + h_inv - k * (3 if sign < 0 else 1)
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -192,7 +206,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     h %= k
     g = math.gcd(h, k)
     h, k = h // g, k // g
-    return Fraction(_dedekind12(h, k), 12 * k)
+    return Fraction(_dedekind12(h, k, pow(h, -1, k)), 12 * k)
 
 
 def _quarter_turns(c: int, d: int) -> int:

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 from .errors import DomainError
 from .geodesics import validate_entries
-from .matrices import _PI_OVER_AREA, Mat2, _dedekind12, _integer, sign0
+from .matrices import _PI_OVER_AREA, Mat2, _dedekind12, _integer, short_int, sign0
 
 __all__ = [
     "phi_closed",
@@ -26,20 +26,26 @@ __all__ = [
     "psi_cocycle",
 ]
 
+def _phi(a: int, b: int, c: int, d: int) -> int:
+    """phi_closed on the entries of a matrix."""
+    if c == 0:
+        return b * d  # d = +-1
+    k = abs(c)
+    phi, rem = divmod(a + d - _dedekind12(d % k, k, a % k), c)
+    if rem:
+        a, b, c, d = map(short_int, (a, b, c, d))
+        raise RuntimeError(f"phi(a={a}, b={b}, c={c}, d={d}) is not an integer")
+    return phi
+
+
 def phi_closed(gamma: Mat2) -> int:
     """Dedekind symbol (a+d)/c - 12 sign(c) s(d,|c|) for c != 0, else b/d.
 
     For c != 0 this is (a + d - 12 |c| s(d, |c|)) / c, an exact integer
     division: 12 |c| s(d, |c|) is an integer congruent to d + d^-1 mod c, and
-    a = d^-1 mod c as ad - bc = 1.
+    a = d^-1 mod c as ad - bc = 1, so d^-1 mod |c| is read as a mod |c|.
     """
-    a, b, c, d = gamma.entries()
-    if c == 0:
-        return b * d  # d = +-1
-    phi, rem = divmod(a + d - _dedekind12(d % abs(c), abs(c)), c)
-    if rem:
-        raise RuntimeError(f"phi({gamma}) is not an integer")
-    return phi
+    return _phi(gamma.a, gamma.b, gamma.c, gamma.d)
 
 
 # S^n for n mod 4: I, S, -I, -S
@@ -88,8 +94,8 @@ def psi_cocycle(gamma: Mat2) -> int:
     n - 3 sign(c_R c).  The peeled exponents are multiplied back onto R and
     the product is checked against the input.
     """
-    a, b, c, d = gamma.entries()
-    phi, steps = 0, []
+    entries = a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    phi, steps, trace_sign = 0, [], sign0(c * (a + d))
     while c != 0:
         n = (2 * a + c) // (2 * c)
         next_c = n * c - a
@@ -99,14 +105,19 @@ def psi_cocycle(gamma: Mat2) -> int:
     phi += b * d
     for n in reversed(steps):  # T^n S (a b; c d) = (n a - c, n b - d; a, b)
         a, b, c, d = n * a - c, n * b - d, a, b
-    if (a, b, c, d) != gamma.entries():
+    if (a, b, c, d) != entries:
         raise RuntimeError(f"T/S decomposition check failed for {gamma}")
-    return phi - 3 * sign0(gamma.c * gamma.trace)
+    return phi - 3 * trace_sign
+
+
+def _psi(a: int, b: int, c: int, d: int) -> int:
+    """psi on the entries of a matrix."""
+    return _phi(a, b, c, d) - 3 * sign0(c * (a + d))
 
 
 def psi(gamma: Mat2) -> int:
     """Rademacher symbol psi = phi - 3 sign(c (a+d))."""
-    return phi_closed(gamma) - 3 * sign0(gamma.c * gamma.trace)
+    return _psi(gamma.a, gamma.b, gamma.c, gamma.d)
 
 
 def psi_cf(word) -> int:
@@ -127,17 +138,17 @@ def s_symbol(gamma: Mat2) -> int:
     S(-g) = S(-I) + S(g) + 12 omega(-I, g) with S(-I) = -6 and
     omega(-I, T^-b) = 0 (quarter turns 2 + 0 - 2) gives S(-T^-b) = -6 - b.
     """
-    t = gamma.trace
-    if gamma.c != 0:
-        p = psi(gamma)
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    if c != 0:
+        p, t = _psi(a, b, c, d), a + d
         if t > 0:
             return p
         if t == 0:
-            return p - _PI_OVER_AREA * sign0(gamma.c)
-        return p - 2 * _PI_OVER_AREA * sign0(gamma.c)
-    if gamma.d > 0:
-        return gamma.b  # gamma = T^b
-    return -2 * _PI_OVER_AREA - gamma.b  # gamma = -T^-b
+            return p - _PI_OVER_AREA * sign0(c)
+        return p - 2 * _PI_OVER_AREA * sign0(c)
+    if d > 0:
+        return b  # gamma = T^b
+    return -2 * _PI_OVER_AREA - b  # gamma = -T^-b
 
 
 def chi_r(gamma: Mat2, r: float) -> complex:

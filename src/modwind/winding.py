@@ -373,8 +373,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     first grid and the split cover the two arms [lo, -s] and [s, hi], the
     interval between them is one increment (of `steps`) taken in this closed
     form, and every check is as above; a top at or below H is s = 0, where
-    the arms meet at t = 0 and that increment is 0.  The rounding bound:
-    alpha and alpha_bar have opposite signs (their product is
+    the arms share their node t = 0 and there is no such interval.  The
+    rounding bound: alpha and alpha_bar have opposite signs (their product is
     -(D - P^2) / Q^2), so |z| <= 2R on the axis.  The arms' end nodes are
     within about 2^-52 |z| <= 2^-51 R of z(+-s) and the closed form is within
     about 2^-50 R of its value, so the term is within about 2^-49 R turns of
@@ -392,9 +392,11 @@ def winding_index(gamma: Mat2) -> WindingResult:
     # and |balance| < l/2; the window's ends sit at height about 1 or below
     if not lo < -s <= s < hi:
         raise RuntimeError(f"flat top [{-s}, {s}] not inside the window [{lo}, {hi}]")
-    left = _uniform_grid(lo, -s)
-    # the arms' grids, with the flat top [-s, s] as interval `gap` between them
-    t, gap = np.concatenate((left, _uniform_grid(s, hi))), left.size - 1
+    left, right = _uniform_grid(lo, -s), _uniform_grid(s, hi)
+    # the arms' grids, with the flat top [-s, s] as interval `gap` between them;
+    # without a flat top they share the node t = 0 and there is no gap
+    gap = left.size - 1 if s else None
+    t = np.concatenate((left, right if s else right[1:]))
 
     def arg_f(t):
         """(arg F + 2 pi k, y_red) at each t as two rows, F = Delta(z_red) (dz_red/dt)^6."""
@@ -409,7 +411,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
     bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
     pieces = np.floor(h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)) + 1.0  # floats: not wrapped
-    pieces[gap] = 1.0
+    if s:
+        pieces[gap] = 1.0
     # node k moves to place bounds[k], with the new nodes evenly between
     bounds = np.concatenate(([0.0], np.cumsum(pieces)))
     if bounds[-1] + 1 > _MAX_NODES:
@@ -422,7 +425,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
         arg[~fresh] = values[0]
         arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
     inc = _wrap(arg[1:] - arg[:-1])
-    inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
+    if s:
+        inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise QuadratureFailure(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")

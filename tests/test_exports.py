@@ -273,6 +273,48 @@ def test_library_builds_words_unchecked_in_geodesics_only(path):
     assert (PRIVATE_WORD in found) == (path.name == "geodesics.py")
 
 
+# Each matrix is checked once, as each word is: matrices.py builds a product,
+# negation or inverse of checked matrices with the private _mat2, and every
+# matrix from outside (cli._parse_gamma, word_to_matrix, word_factor_matrix)
+# is built by the checked Mat2(...).
+PRIVATE_MATRIX = "_mat2"
+
+
+def private_matrix_uses(source: str) -> list:
+    """The private matrix constructor's name for each place that imports or names it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.extend(alias.name for alias in node.names if alias.name == PRIVATE_MATRIX)
+        elif (isinstance(node, ast.Name) and node.id == PRIVATE_MATRIX) or (
+            isinstance(node, ast.Attribute) and node.attr == PRIVATE_MATRIX
+        ):
+            found.append(PRIVATE_MATRIX)
+    return found
+
+
+def test_private_matrix_use_detected():
+    source = (
+        "from .matrices import _mat2\nmatrices._mat2(1, 0, 0, 1)\nm = _mat2\n"
+        "Mat2(1, 0, 0, 1)\nmat2(g)\ng._mat2x\n"
+    )
+    assert private_matrix_uses(source) == [PRIVATE_MATRIX] * 3
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("src/modwind/*.py")), ids=lambda p: str(p.relative_to(ROOT))
+)
+def test_library_builds_matrices_unchecked_in_matrices_only(path):
+    assert bool(private_matrix_uses(path.read_text())) == (path.name == "matrices.py")
+
+
+def test_cli_builds_its_matrix_checked():
+    # word_to_matrix and word_factor_matrix are held to Mat2(...) by the
+    # matrix_builders tests below
+    cli = (ROOT / "src" / "modwind" / "cli.py").read_text()
+    assert ("_parse_gamma", "Mat2") in matrix_builders(cli)
+
+
 # validate_entries returns the entries it checked as Python ints, so a reader
 # that drops the result would go on with the unconverted word.
 def bare_validations(source: str) -> list:

@@ -30,8 +30,8 @@ from modwind.geodesics import (
     trace_cap_for_length,
     word_to_matrix,
 )
-from modwind.matrices import Mat2, geodesic_length
-from modwind.rademacher import psi, psi_cf
+from modwind.matrices import Mat2, S, geodesic_length
+from modwind.rademacher import psi, psi_cf, word_factor_matrix
 from modwind.stats import (
     cauchy_compare,
     density_table,
@@ -577,6 +577,93 @@ class TestReducedConjugate:
             walk(Mat2(1, 1, 0, 1))
         with pytest.raises(NotHyperbolic):
             walk(-word_to_matrix((1, 2)))
+
+
+def one_loop_walk(t, P, Q):
+    """_reduced_cycle as one loop that tests every even state for reducedness and
+    steps with the general floor, reading geodesics._WALK_STEPS as it does."""
+    if t <= 2:
+        raise NotHyperbolic(f"trace {t} (need trace > 2)")
+    D = t * t - 4
+    root = isqrt_checked(D)
+    start, digits = None, []
+    for _ in range(geodesics._WALK_STEPS // 2 + 1):
+        if start is None and Q - root <= P <= root < P + Q:
+            start, digits = (P, Q), []
+        elif (P, Q) == start:
+            return P, Q, digits
+        for _ in range(2):
+            a = floor_quadratic(P, Q, root)
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            digits.append(a)
+    raise CapExceeded(f"the walk did not cycle in {geodesics._WALK_STEPS} steps")
+
+
+def steps_to_reduced(t, P, Q):
+    """Steps the walk takes from (P, Q) to its first reduced even state."""
+    root = isqrt_checked(t * t - 4)
+    steps = 0
+    while not Q - root <= P <= root < P + Q:
+        for _ in range(2):
+            P = floor_quadratic(P, Q, root) * Q - P
+            Q = (t * t - 4 - P * P) // Q
+        steps += 2
+    return steps
+
+
+class TestTwoPhaseWalk:
+    """_reduced_cycle tests reducedness only until the state is reduced, then
+    walks the period with Q > 0: the same states, digits and cap as one loop."""
+
+    @staticmethod
+    def starts():
+        """(t, P, Q) of conjugates of either sign of seeded words and squares of
+        words, every third by a product of 30 factors T^n S, n in 2..5, which
+        puts the start dozens of steps from reduced."""
+        rng = random.Random(23)
+        out = []
+        while len(out) < 600:
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 3)))
+            tau = verify._random_element(rng, 8)
+            if len(out) % 3 == 0:
+                for _ in range(30):
+                    tau = tau @ word_factor_matrix(("T", rng.randint(2, 5))) @ S
+            g = tau @ word_to_matrix(w * rng.randint(1, 2)) @ tau.inverse()
+            g = g if g.trace > 0 else -g
+            out.append((g.trace, g.a - g.d, 2 * g.c))
+        return out
+
+    @staticmethod
+    def outcome(walk, start):
+        """What walk returns from start, or CapExceeded if it raises that."""
+        try:
+            return walk(*start)
+        except CapExceeded:
+            return CapExceeded
+
+    def test_matches_one_loop(self):
+        starts = self.starts()
+        for start in starts:
+            assert _reduced_cycle(*start) == one_loop_walk(*start), start
+        assert any(Q < 0 for _, _, Q in starts)
+        assert max(steps_to_reduced(*start) for start in starts) >= 40
+
+    def test_cap_as_one_loop(self, monkeypatch):
+        # every cap from 0 to 24 steps: starts are cut before they are reduced,
+        # after it, and just before and at their return
+        starts = self.starts()[:120]
+        raised = 0
+        for cap in range(25):
+            monkeypatch.setattr(geodesics, "_WALK_STEPS", cap)
+            for start in starts:
+                got = self.outcome(_reduced_cycle, start)
+                assert got == self.outcome(one_loop_walk, start), (cap, start)
+                raised += got is CapExceeded
+        assert 0 < raised < 25 * len(starts)
+        monkeypatch.setattr(geodesics, "_WALK_STEPS", 4)
+        with pytest.raises(CapExceeded, match="did not cycle in 4 steps"):
+            _reduced_cycle(*starts[0])
 
 
 class TestTraceCap:

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,64 @@ class TestMat2:
         assert short_real(2**256) == "<257-bit int>"
         with pytest.raises(ValueError, match="bit int"):
             Mat2(2**20000, 1, 1, 1)
+
+
+ENTRY_BOUND = 2**4096
+
+
+@st.composite
+def checked_matrices(draw):
+    """A Mat2 built by the checked constructor, entries of up to about 4,096 bits:
+    a random bottom row (c, d) made coprime, a = d^-1 mod c shifted by a multiple
+    of c, and b = (ad - 1) / c; c = 0 gives +-T^b."""
+    c, d = draw(st.integers(-ENTRY_BOUND, ENTRY_BOUND)), draw(st.integers(-ENTRY_BOUND, ENTRY_BOUND))
+    if c == 0:
+        d = 1 if d >= 0 else -1
+        return Mat2(d, draw(st.integers(-ENTRY_BOUND, ENTRY_BOUND)), 0, d)
+    g = math.gcd(c, d)
+    c, d = c // g, d // g
+    a = pow(d, -1, abs(c)) + draw(st.integers(-3, 3)) * c
+    return Mat2(a, (a * d - 1) // c, c, d)
+
+
+class TestDerivedMatricesUnchecked:
+    """Products, negations, inverses and powers of checked matrices are built
+    without the checks: each is still a Mat2 of Python ints that the checked
+    constructor builds equal from its entries, so of det 1."""
+
+    @staticmethod
+    def check(m):
+        assert type(m) is Mat2
+        assert all(type(x) is int for x in m.entries())
+        assert m == Mat2(*m.entries())
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(checked_matrices(), checked_matrices(), st.integers(-6, 6))
+    def test_equal_to_checked_construction(self, g, h, n):
+        for m in (g @ h, h @ g, -g, g.inverse(), g.power(n), h.power(-n)):
+            self.check(m)
+        assert (g @ h).entries() == (
+            g.a * h.a + g.b * h.c, g.a * h.b + g.b * h.d, g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d
+        )
+        assert g @ g.inverse() == IDENTITY and -(-g) == g
+        assert g.power(n) @ g.power(-n) == IDENTITY
+
+    def test_numpy_entries_give_python_ints(self):
+        g = Mat2(*np.array([2, 1, 1, 1], dtype=np.int64))
+        for m in (g @ g, -g, g.inverse(), g.power(-5)):
+            self.check(m)
+
+    def test_large_entries_seen(self):
+        # the strategy reaches the 4,096-bit bound
+        bits = []
+
+        @settings(max_examples=50, derandomize=True, deadline=None)
+        @given(checked_matrices())
+        def collect(g):
+            bits.append(max(abs(x).bit_length() for x in g.entries()))
+
+        collect()
+        assert max(bits) >= 4000
 
 
 class TestSawtooth:

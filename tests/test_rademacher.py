@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modwind.errors import DomainError
-from modwind.matrices import IDENTITY, Mat2, S, omega, sign0
+from modwind.matrices import IDENTITY, Mat2, S, dedekind_sum, omega, sign0
 from modwind.rademacher import (
     chi_r,
     phi_closed,
@@ -76,6 +76,24 @@ class TestPhiClosed:
     def test_reference_value(self):
         # (a+d)/c - 12 sign(c) s(d, |c|) = 23/7 - 12 * s(1, 7)
         assert phi_closed(Mat2(22, 3, 7, 1)) == -1
+
+    def test_matches_dedekind_sum(self):
+        # d^-1 mod |c| is read as a mod |c|; the closed form with s(d, |c|) from
+        # dedekind_sum, which takes its inverse by pow, agrees on both signs of c
+        rng = random.Random(29)
+        big = Mat2(1, 2**70 + 1, 0, 1)
+        signs = set()
+        for i in range(2000):
+            g = random_element(rng, 12)
+            if i % 4 == 0:
+                g = big @ g @ S @ big.inverse()
+            a, _, c, d = g.entries()
+            if c == 0:
+                continue
+            signs.add(sign0(c))
+            expect = (a + d - 12 * abs(c) * dedekind_sum(d, abs(c))) / c
+            assert phi_closed(g) == expect, g
+        assert signs == {1, -1}
 
 
 class TestPhiWord:

@@ -421,10 +421,11 @@ def flat_top(gamma):
 
 def on_the_arms(t, gamma):
     """Mask of the intervals of winding_index's grid t off the flat top: all but
-    the one interval [-s, s], of width 0 where the axis of gamma has no flat top."""
+    the one interval [-s, s], or all where the axis of gamma has no flat top and
+    the arms share the node t = 0."""
     s = flat_top(gamma)
     arms = (t[:-1] != -s) | (t[1:] != s)
-    assert (~arms).sum() == 1
+    assert (~arms).sum() == (1 if s else 0)
     return arms
 
 
@@ -463,8 +464,8 @@ class TestRefine:
         res = winding_index(g)
         (t, values), *split = batches
         assert len(split) == (1 if seed else 0)
-        # seed 0 has no flat top (a gap of width 0), the others one interval of it
-        # in the first grid
+        # seed 0 has no flat top (its arms share t = 0), the others one interval
+        # of it in the first grid
         assert (flat_top(g) == 0.0) == (seed == 0)
         new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
         ref_t, ref_values = self.reference(t, values, new_values, on_the_arms(t, g))
@@ -520,21 +521,21 @@ class TestRefine:
         nodes = math.ceil(geodesic_length(top) / winding._BASE_STEP) + 1
         assert nodes == 23661 and nodes + 2 < winding._MAX_NODES
         # a word of digits 1 and 2 just below that trace has no flat top: its
-        # first grid is one batch, two arms that meet at t = 0 with one node
-        # each, and the fold refuses the ends of its window
+        # first grid is one batch, two arms that share the node t = 0, and the
+        # fold refuses the ends of its window
         g = word_to_matrix((2,) + (1,) * 735)
         assert flat_top(g) == 0.0 and top // 2 < g.trace < top
         first = math.ceil(geodesic_length(g.trace) / winding._BASE_STEP) + 1
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         with pytest.raises(CapExceeded, match="float spacing"):
             winding_index(g)
-        assert delta == [first + 1] and first == 23638
+        assert delta == [first] and first == 23638
         # (1, top - 2), of trace top, has a flat top past the rounding bound
         with pytest.raises(CapExceeded, match="flat top"):
             winding_index(word_to_matrix((1, top - 2)))
         with pytest.raises(CapExceeded, match="past the float range"):
             winding_index(word_to_matrix((1, top - 1)))
-        assert delta == [first + 1]
+        assert delta == [first]
 
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
         g = word_to_matrix((1, 60))
