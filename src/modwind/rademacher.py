@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 from .errors import DomainError
 from .geodesics import validate_entries
-from .matrices import _PI_OVER_AREA, Mat2, _dedekind12, _integer, short_int, sign0
+from .matrices import _PI_OVER_AREA, Mat2, _dedekind12, _integer, sign0
 
 __all__ = [
     "phi_closed",
@@ -31,11 +31,8 @@ def _phi(a: int, b: int, c: int, d: int) -> int:
     if c == 0:
         return b * d  # d = +-1
     k = abs(c)
-    phi, rem = divmod(a + d - _dedekind12(d % k, k, a % k), c)
-    if rem:
-        a, b, c, d = map(short_int, (a, b, c, d))
-        raise RuntimeError(f"phi(a={a}, b={b}, c={c}, d={d}) is not an integer")
-    return phi
+    # exact: _dedekind12 is k (sum - c_n) + d % k + a % k, so a + d less it is a multiple of k
+    return (a + d - _dedekind12(d % k, k, a % k)) // c
 
 
 def phi_closed(gamma: Mat2) -> int:

@@ -11,12 +11,14 @@ Two independent numerical routes to the same integer:
   series (the holomorphic q-series minus 3 / (pi y)).
 
 Both evaluate the forms once per round of refinement, on one numpy array of
-every point that round needs (in slices of at most _CHUNK points), with a
-numpy pass only where its result is read.  winding_index reads arg F, up to
-2 pi k as only wrapped increments count, and the reduced height at each node
-in at most two rounds, |d arg F/dt| <= 6.9452 y_red + 18 sizing its one
-split; e2_period reads E2(z) dz/dt and its rounding scale on one uniform grid
-over the period, then on the midpoints that each doubling of that grid adds.
+every point that round needs (in slices of at most _CHUNK points, each row
+joined on its own), with a numpy pass only where its result is read.
+winding_index reads arg F, up to 2 pi k as only wrapped increments count, and
+the reduced height at each node in at most two rounds, |d arg F/dt| <=
+6.9452 y_red + 18 sizing its one split, which it skips where no interval
+needs one; e2_period reads E2(z) dz/dt and its real rounding scale on one
+uniform grid over the period, then on the midpoints that each doubling of
+that grid adds.
 winding_index grids only the two arms of the axis either side of its flat
 top [-s, s], where Im z(t) = R / cosh t, R = |alpha - alpha_bar| / 2, is at
 least H = _FLAT_HEIGHT (s = 0 where R is not above H).  There the fold is a
@@ -27,8 +29,8 @@ sign of alpha - alpha_bar.
 A top is refused (_flat_top) where float rounding could put that closed
 form a tenth of _RESIDUAL_LIMIT off.  e2_period's trapezoid needs the whole
 periodic window, so it keeps the top.
-A round costs 50-100 us of numpy dispatch plus about 0.09 us a node, or
-0.03-0.04 us at a flat one (2-core x86-64 host, numpy 2.4), so a short
+A round costs 45-75 us of numpy dispatch plus 0.07-0.12 us a node, or
+0.03-0.05 us at a flat one (2-core x86-64 host, numpy 2.4.6), so a short
 class costs mostly per round.
 Each point is folded into the standard fundamental domain first, so the
 q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
@@ -46,7 +48,8 @@ the least even rotation of the period (as matrix_to_word writes it): the
 continued-fraction walk's first reduced state (P, Q), walked on to that
 digit, gives the fixed points +-(P +- sqrt(D)) / Q.  The axis, and so both
 routes, depend on the conjugacy class alone.  A trace whose fixed points are
-past the float range is refused before the walk.
+past the float range is refused before the walk.  The axis of the last
+matrix is kept, as both routes run on one class back to back.
 
 The integrands are l-periodic, so any window of length l gives the same
 total, but the fold amplifies the rounding error of z(t) by about
@@ -60,6 +63,7 @@ e2_period meets its budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -256,6 +260,7 @@ class _Axis:
         return z, (self.alpha - self.alpha_bar) * w / (den * den)
 
 
+@functools.lru_cache(maxsize=1)
 def _axis_for(gamma: Mat2) -> _Axis:
     """The axis of the exact conjugate of gamma whose top is the excursion of the
     first largest digit a_k of the class's word, D = trace^2 - 4.
@@ -271,6 +276,7 @@ def _axis_for(gamma: Mat2) -> _Axis:
     a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
     Either way the large excursion sits at t = 0, where a translation alone
     folds it.  The axis also carries the centre of both routes' window.
+    Only the last axis is kept; a refusal is raised again on every call.
     """
     t = gamma.trace
     try:
@@ -308,11 +314,12 @@ def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
     return complex(z), complex(dz)
 
 
-def _in_chunks(fn, t: np.ndarray) -> np.ndarray:
-    """fn over t in slices of at most _CHUNK points, joined on the last axis."""
+def _in_chunks(fn, t: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """fn's rows over t, computed in slices of at most _CHUNK points and joined row by row."""
     if t.size <= _CHUNK:
         return fn(t)
-    return np.concatenate([fn(t[k : k + _CHUNK]) for k in range(0, t.size, _CHUNK)], axis=-1)
+    parts = [fn(t[k : k + _CHUNK]) for k in range(0, t.size, _CHUNK)]
+    return tuple(np.concatenate(row) for row in zip(*parts))
 
 
 def _uniform_grid(a: float, b: float) -> np.ndarray:
@@ -358,7 +365,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     B = max(y_l, sqrt(y_l y_r) e^(h/2)) bounds y_red over an interval of width
     h; each interval of the uniform first grid splits once into
     floor(h (6.9452 B + 18) / (pi/2)) + 1 equal parts, and only new nodes are
-    evaluated.  An increment of pi/2 or more could hide a turn, so it raises
+    evaluated; where every such ratio is below 1 the first grid is final.  An
+    increment of pi/2 or more could hide a turn, so it raises
     QuadratureFailure; on this grid only evaluation error can cause one.
 
     The flat top is not gridded.  On the axis Im z(t) = R / cosh t exactly,
@@ -386,7 +394,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     ell = axis.length
     lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
     # the first grid has at most 23,663 nodes, as l < 709.79 (the axis refuses t^2 - 4
-    # past the float range); the split's node cap covers it too, as bounds[-1] >= t.size - 1
+    # past the float range), far below the node cap, so only the split is checked against it
     s, flat = _flat_top(axis)
     # a reduced state has alpha > 1 > 0 > alpha_bar > -1, so |alpha - alpha_bar| > 1
     # and |balance| < l/2; the window's ends sit at height about 1 or below
@@ -399,34 +407,37 @@ def winding_index(gamma: Mat2) -> WindingResult:
     t = np.concatenate((left, right if s else right[1:]))
 
     def arg_f(t):
-        """(arg F + 2 pi k, y_red) at each t as two rows, F = Delta(z_red) (dz_red/dt)^6."""
+        """(arg F + 2 pi k, y_red) at each t, F = Delta(z_red) (dz_red/dt)^6."""
         z, dz = axis.at(t)
         z_red, j, tail = _delta_series(z)
         dz /= j * j  # dz_red/dt
         arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
-        return np.array([arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag])
+        return arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag
 
-    values = _in_chunks(arg_f, t)
-    h, (arg, y) = t[1:] - t[:-1], values  # only arg F is read after the split
+    arg, y = _in_chunks(arg_f, t)  # only arg F is read after the split
+    h = t[1:] - t[:-1]
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
     bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
-    pieces = np.floor(h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)) + 1.0  # floats: not wrapped
+    # interval k splits into floor(ratio[k]) + 1 parts, so none does while every ratio is below 1
+    ratio = h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)
     if s:
-        pieces[gap] = 1.0
-    # node k moves to place bounds[k], with the new nodes evenly between
-    bounds = np.concatenate(([0.0], np.cumsum(pieces)))
-    if bounds[-1] + 1 > _MAX_NODES:
-        raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
-    if bounds[-1] > t.size - 1:
+        ratio[gap] = 0.0  # the flat top stays one interval
+    if ratio.max() >= 1.0:
+        # node k moves to place bounds[k], with the new nodes evenly between
+        bounds = np.concatenate(([0.0], np.cumsum(np.floor(ratio) + 1.0)))  # floats: not wrapped
+        if bounds[-1] + 1 > _MAX_NODES:
+            raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
         t = np.interp(np.arange(bounds[-1] + 1), bounds, t)
         fresh = np.ones(t.size, dtype=bool)
         fresh[bounds.astype(np.intp)] = False
-        arg = np.empty(t.size)
-        arg[~fresh] = values[0]
+        first, arg = arg, np.empty(t.size)
+        arg[~fresh] = first
         arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
+        if s:
+            gap = int(bounds[gap])
     inc = _wrap(arg[1:] - arg[:-1])
     if s:
-        inc[int(bounds[gap])] = 0.0  # the flat top's turns are `flat`
+        inc[gap] = 0.0  # the flat top's turns are `flat`
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise QuadratureFailure(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
@@ -457,26 +468,26 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     lo = axis.balance - 0.5 * ell
 
     def rows(s):
-        """E2(z) dz/dt and |z| / Im z |E2(z) dz/dt| at each s, as two rows."""
+        """E2(z) dz/dt and the real |z| / Im z |E2(z) dz/dt| at each s."""
         z, dz = axis.at(s)
         f = _e2(z) * dz
-        return np.array([f, np.abs(z) / z.imag * np.abs(f)])
+        return f, np.abs(z) / z.imag * np.abs(f)
 
     # at most 5,680 nodes: l < 709.79, as the axis refuses t^2 - 4 past the float range
     nodes = 2 * max(4, math.ceil(ell / _PERIOD_STEP))
     h = ell / nodes
-    first = _in_chunks(rows, lo + h * np.arange(nodes))
-    coarse, sums = 2.0 * h * first[0, ::2].sum(), h * first.sum(axis=1)
+    f, scale = _in_chunks(rows, lo + h * np.arange(nodes))
+    coarse, total, scale_sum = 2.0 * h * f[::2].sum(), h * f.sum(), h * scale.sum()
     while True:
-        witness = _FLOAT_SPACING * sums[1].real  # a power of 2 scales a sum exactly
+        witness = _FLOAT_SPACING * scale_sum  # a power of 2 scales a sum exactly
         if witness > _ROUNDING_BUDGET:
             raise QuadratureFailure(f"rounding witness {witness:.1e} above budget for {gamma}")
-        if abs(sums[0] - coarse) <= _QUAD_TOL:
-            return sums[0], witness
+        if abs(total - coarse) <= _QUAD_TOL:
+            return total, witness
         if 2 * nodes > _MAX_NODES:
             raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
-        mid = _in_chunks(rows, lo + h * np.arange(0.5, nodes))
-        coarse, sums = sums[0], 0.5 * (sums + h * mid.sum(axis=1))
+        f, scale = _in_chunks(rows, lo + h * np.arange(0.5, nodes))
+        coarse, total, scale_sum = total, 0.5 * (total + h * f.sum()), 0.5 * (scale_sum + h * scale.sum())
         nodes, h = 2 * nodes, 0.5 * h
 
 

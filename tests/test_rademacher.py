@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from modwind import rademacher
 from modwind.errors import DomainError
 from modwind.matrices import IDENTITY, Mat2, S, dedekind_sum, omega, sign0
 from modwind.rademacher import (
@@ -94,6 +95,31 @@ class TestPhiClosed:
             expect = (a + d - 12 * abs(c) * dedekind_sum(d, abs(c))) / c
             assert phi_closed(g) == expect, g
         assert signs == {1, -1}
+
+    def test_wrong_euclid_quotients_caught_across_routes(self, monkeypatch):
+        # a + d less any k (sum - c_n) + d % k + a % k is a multiple of k = |c|,
+        # so a wrong quotient sum still divides exactly; only the other routes
+        # see it: psi moves by 1 where the Euclid pass takes an odd count
+        def quotients_plus_one(h, k, h_inv):
+            if k == 1:
+                return 0
+            total, sign, a, b = 0, 1, k, h
+            while b:
+                total += sign * (a // b + 1)
+                a, b, sign = b, a % b, -sign
+            return k * total + h + h_inv - k * (3 if sign < 0 else 1)
+
+        rng = random.Random(47)
+        cases = []
+        for _ in range(300):
+            w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4)))
+            conj = random_element(rng, 6)
+            cases.append((w, conj @ word_to_matrix(w) @ conj.inverse()))
+        assert all(psi(g) == psi_cocycle(g) == psi_cf(w) for w, g in cases)
+        monkeypatch.setattr(rademacher, "_dedekind12", quotients_plus_one)
+        wrong = [(w, g) for w, g in cases if psi(g) != psi_cf(w) or psi(g) != psi_cocycle(g)]
+        assert len(wrong) > len(cases) // 4
+        assert all(psi_cocycle(g) == psi_cf(w) for w, g in cases)
 
 
 class TestPhiWord:

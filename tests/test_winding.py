@@ -379,13 +379,15 @@ def test_flat_nodes_skip_the_series(monkeypatch):
 
 
 def recorded_batches(monkeypatch):
-    """(t, values) of each batch that winding_index hands to _in_chunks from now on."""
+    """(t, values) of each batch that winding_index hands to _in_chunks from now on,
+    with the rows that _in_chunks returns stacked into one array."""
     batches = []
     in_chunks = winding._in_chunks
 
     def recording(fn, t):
-        batches.append((t.copy(), in_chunks(fn, t)))
-        return batches[-1][1]
+        rows = in_chunks(fn, t)
+        batches.append((t.copy(), np.array(rows)))
+        return rows
 
     monkeypatch.setattr(winding, "_in_chunks", recording)
     return batches
@@ -456,19 +458,17 @@ class TestRefine:
         assert next(fresh, None) is None
         return np.array(nodes), np.stack(columns, axis=1)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_reference(self, monkeypatch, seed):
+    @classmethod
+    def matches_reference(cls, monkeypatch, g):
+        """The number of split batches of winding_index(g), after checking its grid
+        and result against the reference's."""
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
-        g = word_to_matrix(self.WORDS[seed])
         res = winding_index(g)
         (t, values), *split = batches
-        assert len(split) == (1 if seed else 0)
-        # seed 0 has no flat top (its arms share t = 0), the others one interval
-        # of it in the first grid
-        assert (flat_top(g) == 0.0) == (seed == 0)
+        assert len(split) <= 1
         new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
-        ref_t, ref_values = self.reference(t, values, new_values, on_the_arms(t, g))
+        ref_t, ref_values = cls.reference(t, values, new_values, on_the_arms(t, g))
         # the grid is the reference's, and each node was evaluated once
         assert np.array_equal(np.sort(np.concatenate([t, new_t])), ref_t)
         assert sum(delta) == ref_t.size == res.steps + 1
@@ -479,6 +479,66 @@ class TestRefine:
         _, flat = winding._flat_top(winding._axis_for(g))
         turns = float(inc.sum()) / winding._TWO_PI + flat
         assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
+        return len(split)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference(self, monkeypatch, seed):
+        g = word_to_matrix(self.WORDS[seed])
+        # seed 0 has no flat top (its arms share t = 0), the others one interval
+        # of it in the first grid
+        assert (flat_top(g) == 0.0) == (seed == 0)
+        assert self.matches_reference(monkeypatch, g) == (1 if seed else 0)
+
+    @staticmethod
+    def rate_for_ratio(t, y, target):
+        """The least _E2_RATE at which the largest ratio h (E B + 18) / (pi/2) over
+        the intervals of the grid t, with heights y at its nodes, is target: a
+        bisection on the bits of E, as each float operation of the ratio is
+        monotone in E."""
+        h = t[1:] - t[:-1]
+        bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
+
+        def ratio(bits):
+            e = float(np.int64(bits).view(np.float64))
+            return (h * (e * bound + winding._FLAT_RATE) / (0.5 * math.pi)).max()
+
+        lo, hi = 0, int(np.float64(1e6).view(np.int64))
+        assert ratio(lo) < target <= ratio(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ratio(mid) >= target else (mid, hi)
+        assert ratio(hi) == target
+        return float(np.int64(hi).view(np.float64))
+
+    @pytest.mark.parametrize("target", [float(np.nextafter(1.0, 0.0)), 1.0], ids=["below-1", "1"])
+    def test_split_skipped_while_every_ratio_is_below_1(self, monkeypatch, target):
+        # the rate bound set so that the largest ratio on the first grid of
+        # (1, 2) is the float just below 1, where no interval splits, or 1,
+        # where its interval splits in two: both as the reference splits
+        g = word_to_matrix((1, 2))
+        with monkeypatch.context() as m:
+            batches = recorded_batches(m)
+            winding_index(g)
+        ((t, values),) = batches
+        monkeypatch.setattr(winding, "_E2_RATE", self.rate_for_ratio(t, values[1], target))
+        assert self.matches_reference(monkeypatch, g) == (target == 1.0)
+
+    def test_unsplit_grid_builds_no_split(self, monkeypatch):
+        # (1, 2) passes on its first grid: no parts are summed and no grid is
+        # interpolated; (1, 60) splits and does both once
+        calls = []
+        for name in ("cumsum", "interp"):
+            fn = getattr(np, name)
+
+            def recording(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, recording)
+        winding_index(word_to_matrix((1, 2)))
+        assert calls == []
+        winding_index(word_to_matrix((1, 60)))
+        assert calls == ["cumsum", "interp"]
 
     @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
     def test_over_the_node_cap_refused_at_once(self, monkeypatch, pieces):
@@ -547,6 +607,84 @@ class TestRefine:
         with pytest.raises(CapExceeded, match=f"needs {res.steps + 1} nodes"):
             winding_index(g)
         assert len(delta) == 1
+
+
+@pytest.mark.parametrize("w", [(1, 60), (3, 150, 2, 5), (1, 10**7)], ids=str)
+def test_chunked_rows_join_to_the_same_bits(monkeypatch, w):
+    # slices of 64 points: each batch of both routes is several slices, whose
+    # rows _in_chunks joins row by row; e2_period's grid on (1, 10^7) doubles
+    # at least twice, so its midpoint batches are joined too
+    g = word_to_matrix(w)
+    index, period = repr(winding_index(g)), repr(e2_period(g))
+    monkeypatch.setattr(winding, "_CHUNK", 64)
+    batches = recorded_batches(monkeypatch)
+    assert repr(winding_index(g)) == index
+    assert batches[0][0].size > 64
+    batches.clear()
+    assert repr(e2_period(g)) == period
+    assert all(t.size > 64 for t, _ in batches)
+    assert len(batches) >= (3 if w == (1, 10**7) else 1)
+
+
+class TestLastAxisKept:
+    """_axis_for keeps the axis of the last matrix it was given, as both routes
+    run on one class back to back; a refusal is never kept."""
+
+    G1 = word_to_matrix((3, 150, 2, 5))
+    G2 = word_to_matrix((2, 9, 2, 8, 6, 7, 1, 5, 9, 1, 7, 4))
+    # of trace past the float range's sqrt(t^2 - 4) (TestRefine's top)
+    PAST_THE_FLOAT_RANGE = word_to_matrix((1, math.isqrt(2**1024 - 2**970 + 3) - 1))
+
+    @staticmethod
+    def counted_walks(monkeypatch):
+        """The walks _axis_for starts from now on, with no axis kept."""
+        walks, walk = [], winding._reduced_cycle
+
+        def counting(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(winding, "_reduced_cycle", counting)
+        winding._axis_for.cache_clear()
+        return walks
+
+    def test_interleaved_routes_give_the_bits_of_a_fresh_axis(self):
+        g1, g2 = self.G1, self.G2
+        calls = [(winding_index, g1), (e2_period, g2), (e2_period, g1), (winding_index, g2)]
+        results = [repr(route(g)) for route, g in calls]
+        for (route, g), result in zip(calls, results):
+            winding._axis_for.cache_clear()
+            assert repr(route(g)) == result
+
+    def test_one_walk_a_class(self, monkeypatch):
+        walks = self.counted_walks(monkeypatch)
+        winding_index(self.G1)
+        e2_period(self.G1)
+        assert len(walks) == 1
+        winding._axis_for.cache_clear()
+        walks.clear()
+        winding_index(self.G1)
+        e2_period(self.G2)
+        assert len(walks) == 2
+        # one axis is kept: G2's replaced G1's
+        winding_index(self.G1)
+        assert len(walks) == 3
+
+    @pytest.mark.parametrize(
+        "gamma, refused, walked",
+        [(-word_to_matrix((1, 2)), NotHyperbolic, True), (PAST_THE_FLOAT_RANGE, CapExceeded, False)],
+        ids=["not-hyperbolic", "past-the-float-range"],
+    )
+    def test_refusal_raised_on_every_call(self, monkeypatch, gamma, refused, walked):
+        walks = self.counted_walks(monkeypatch)
+        axis = winding._axis_for(self.G1)
+        for _ in range(3):
+            for route in (winding._axis_for, winding_index, e2_period):
+                with pytest.raises(refused):
+                    route(gamma)
+        # the walk refuses each call again, and the kept axis stays the last one made
+        assert len(walks) == 1 + (9 if walked else 0)
+        assert winding._axis_for(self.G1) is axis and len(walks) == 1 + (9 if walked else 0)
 
 
 class TestFlatTop:

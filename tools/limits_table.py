@@ -7,10 +7,13 @@ Usage, from the root of a checkout:
 
 Each row runs RUNS times as a `python -m modwind.cli` child, in a temporary
 directory that takes the `--out` file and is removed after the run.  The
-child's max RSS is the ru_maxrss that os.wait4 returns for it, so no other
-process counts.  Each row states a bound on the wall time and the max RSS of
-every run.  A command that exits non-zero, or a run past its row's bound,
-stops the script with exit status 1 and a message that names the row.
+child's max RSS is the ru_maxrss that os.wait4 returns for it.  Linux counts
+in it the peak RSS of the process that started it (exec keeps the old address
+space's), so each child is started by a small launcher process, which times
+it and reports its status and usage: no process of the caller's size counts.
+Each row states a bound on the wall time and the max RSS of every run.  A
+command that exits non-zero, or a run past its row's bound, stops the script
+with exit status 1 and a message that names the row.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,6 +52,17 @@ ROWS = [
 ]
 
 
+# Run by `python -c` with the row's argv: starts `modwind argv` and prints its
+# exit code, its wall time in seconds and its ru_maxrss.
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen([sys.executable, "-m", "modwind.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
 def measure_row(argv, seconds=math.inf, mb=math.inf):
     """(seconds, max RSS in MB) of each of RUNS runs of `modwind argv`;
     RuntimeError, naming the row, for a run that exits non-zero or takes
@@ -58,24 +71,17 @@ def measure_row(argv, seconds=math.inf, mb=math.inf):
     results = []
     for _ in range(RUNS):
         with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryFile() as stderr:
-            start = time.perf_counter()
-            child = subprocess.Popen(
-                [sys.executable, "-m", "modwind.cli", *argv],
-                env=env,
-                cwd=cwd,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr,
+            launcher = subprocess.run(
+                [sys.executable, "-c", LAUNCHER, *argv], env=env, cwd=cwd, stdout=subprocess.PIPE, stderr=stderr
             )
-            _, status, usage = os.wait4(child.pid, 0)
-            elapsed = time.perf_counter() - start
-            # reaped here, so Popen must not wait for it again
-            child.returncode = os.waitstatus_to_exitcode(status)
-            if child.returncode != 0:
+            # a launcher that fails before it prints exits non-zero itself
+            code, elapsed, maxrss = launcher.stdout.split() or (launcher.returncode, 0, 0)
+            if int(code) != 0:
                 stderr.seek(0)
                 message = stderr.read().decode(errors="replace")
-                raise RuntimeError(f"modwind {' '.join(argv)} exited {child.returncode}: {message}")
+                raise RuntimeError(f"modwind {' '.join(argv)} exited {int(code)}: {message}")
         # ru_maxrss is in KiB on Linux
-        rss = usage.ru_maxrss / 1024
+        elapsed, rss = float(elapsed), int(maxrss) / 1024
         if elapsed > seconds or rss > mb:
             raise RuntimeError(
                 f"modwind {' '.join(argv)} took {elapsed:.2f} s and {rss:.0f} MB, past its bound of {seconds} s and {mb} MB"
