@@ -50,11 +50,11 @@ def test_script_exits_naming_the_row_past_its_bound(limits_table, monkeypatch):
 
 def test_max_rss_is_the_childs_own(limits_table):
     # a child started straight from this process would report this process's
-    # peak too, as exec keeps the old address space's; 240 MB is past the bound
+    # peak too, as exec keeps the old address space's; 128 MB is past the bound
     if not hasattr(os, "wait4"):
         pytest.skip("os.wait4 is POSIX only")
     import numpy as np
 
-    held = np.ones(240 * 2**20 // 8)
-    results = limits_table.measure_row(("stats-density", "--max-length", "10"), 30, 200)
-    assert held.sum() > 0 and all(10 < rss < 200 for _, rss in results)
+    held = np.ones(128 * 2**20 // 8)
+    results = limits_table.measure_row(("stats-density", "--max-length", "10"), 30, 100)
+    assert held.sum() > 0 and all(10 < rss < 100 for _, rss in results)
