@@ -56,7 +56,7 @@ MAX_ENTRY_BITS = 4096
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 
 # verify --sample is refused above this before the census is built; the
-# winding suite costs about 0.35 ms a sampled class (README).
+# winding suite costs about 0.26 ms a sampled class (README).
 MAX_SAMPLE = 10_000
 
 

@@ -14,11 +14,14 @@ Both evaluate the forms once per round of refinement, on one numpy array of
 every point that round needs (in slices of at most _CHUNK points, each row
 joined on its own), with a numpy pass only where its result is read.
 winding_index reads arg F, up to 2 pi k as only wrapped increments count, and
-the reduced height at each node in at most two rounds, |d arg F/dt| <=
-6.9452 y_red + 18 sizing its one split, which it skips where no interval
-needs one; e2_period reads E2(z) dz/dt and its real rounding scale on one
-uniform grid over the period, then on the midpoints that each doubling of
-that grid adds.
+the reduced height at each node in at most two rounds.  Its grid follows the
+exact rate d arg F/dt = 2 pi Re(E2*(z_red) z_red'), whose bound
+max(6.9452 y_red - 6, 1.132) sizes its splits: one on the closed-form heights
+of the cusp zone before the first round, where a tall top needs it, and one
+on the folded heights, which adds a second round only where an excursion
+stays below height 1 on the axis.  e2_period reads E2(z) dz/dt and its real
+rounding scale on one uniform grid over the period, then on the midpoints
+that each doubling of that grid adds.
 winding_index grids only the two arms of the axis either side of its flat
 top [-s, s], where Im z(t) = R / cosh t, R = |alpha - alpha_bar| / 2, is at
 least H = _FLAT_HEIGHT (s = 0 where R is not above H).  There the fold is a
@@ -29,9 +32,10 @@ sign of alpha - alpha_bar.
 A top is refused (_flat_top) where float rounding could put that closed
 form a tenth of _RESIDUAL_LIMIT off.  e2_period's trapezoid needs the whole
 periodic window, so it keeps the top.
-A round costs 45-75 us of numpy dispatch plus 0.07-0.12 us a node, or
-0.03-0.05 us at a flat one (2-core x86-64 host, numpy 2.4.6), so a short
-class costs mostly per round.
+A round costs 40-72 us of numpy dispatch plus 0.07-0.11 us a node, or
+0.03-0.04 us at a flat one (one batch of 50 to 1,600 nodes, best of 30, in
+four runs on a 2-core x86-64 host, numpy 2.4.6), so a short class costs
+mostly per round.
 Each point is folded into the standard fundamental domain first, so the
 q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
 below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
@@ -96,11 +100,15 @@ SERIES_TERMS = 11
 _FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
-_BASE_STEP = 0.03  # winding_index's first grid, unsplit up to B = 4.9: sets only the cost
-# winding_index's bound |d arg F/dt| <= _E2_RATE y_red + _FLAT_RATE: _E2_RATE is 2 pi
-# sum |c_n| |q|^n over E2HOL_SERIES at the fold's largest |q|, 6.945194..., rounded up
+# winding_index's first grid: sets only the cost.  An interval whose nodes lie at
+# reduced height up to 4.9 needs no split, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2 for h
+# up to 0.0542, so a generic class takes one round.
+_BASE_STEP = 0.054
+# winding_index's bound |d arg F/dt| <= max(_E2_RATE y_red - 6, _RATE_FLOOR): _E2_RATE is
+# 2 pi sum |c_n| |q|^n over E2HOL_SERIES at the fold's largest |q|, 6.945194..., and
+# _RATE_FLOOR is 6 - (4 pi - _E2_RATE) sqrt(3)/2, 1.131923..., each rounded up
 _E2_RATE = 6.9452
-_FLAT_RATE = 18.0
+_RATE_FLOOR = 1.132
 _RESIDUAL_LIMIT = 1e-3
 _QUAD_TOL = 1e-9
 _FOLD_STEPS = 10000
@@ -344,6 +352,37 @@ def _flat_top(axis: _Axis) -> Tuple[float, float]:
     return math.acosh(top / _FLAT_HEIGHT), sigma * turns
 
 
+def _split(t: np.ndarray, y: np.ndarray, gap: int | None):
+    """winding_index's split of the grid t, with reduced heights y at its nodes and the
+    flat top as interval gap (None: no flat top): (the split grid, the places of t's
+    nodes in it, the flat top's interval in it), or None where no interval splits.
+
+    Interval k, of width h, splits into floor(ratio) + 1 equal parts, ratio =
+    h max(_E2_RATE B - 6, _RATE_FLOOR) / (pi/2) with B = max(y_l, sqrt(y_l y_r) e^(h/2));
+    the flat top stays one interval.  More than _MAX_NODES nodes raise CapExceeded
+    before any of them is evaluated.  Every h is at most _BASE_STEP and every B at
+    most max(y) e^(h/2), so where no node is above about 4.9 one max shows that
+    nothing splits.
+    """
+    rate = _E2_RATE * y.max() * math.exp(0.5 * _BASE_STEP) - 6.0
+    if _BASE_STEP * max(rate, _RATE_FLOOR) < 0.5 * math.pi:
+        return None
+    h = t[1:] - t[:-1]
+    # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
+    bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
+    ratio = h * np.maximum(_E2_RATE * bound - 6.0, _RATE_FLOOR) / (0.5 * math.pi)
+    if gap is not None:
+        ratio[gap] = 0.0
+    if ratio.max() < 1.0:
+        return None
+    # node k moves to place bounds[k], with the new nodes evenly between
+    bounds = np.concatenate(([0.0], np.cumsum(np.floor(ratio) + 1.0)))  # floats: not wrapped
+    if bounds[-1] + 1 > _MAX_NODES:
+        raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
+    old = bounds.astype(np.intp)
+    return np.interp(np.arange(bounds[-1] + 1), bounds, t), old, None if gap is None else int(old[gap])
+
+
 @dataclass(frozen=True, slots=True)
 class WindingResult:
     index: int
@@ -356,18 +395,30 @@ def winding_index(gamma: Mat2) -> WindingResult:
 
     The argument is unwrapped over a grid on which it provably turns by less
     than pi/2 an interval.  On the unit-speed axis d arg F/dt is
-    Im(2 pi i E2(z) z' + 6 z''/z'), E2 the holomorphic series, and
-    * |E2*(z) z'| = |E2*(z_red)| y_red, as E2*(z) dz is invariant; each of the
-      two 3 / (pi y) terms (E2 = E2* + 3 / (pi y)) adds 6, as |Re z'| <= y;
-    * |E2(z_red)| <= 1.1054 at y_red >= sqrt(3)/2, from the series;
-    * |z''/z'| = 1, which adds 6 more.
-    So |d arg F/dt| <= 6.9452 y_red + 18.  log y_red is 1-Lipschitz in t, so
-    B = max(y_l, sqrt(y_l y_r) e^(h/2)) bounds y_red over an interval of width
-    h; each interval of the uniform first grid splits once into
-    floor(h (6.9452 B + 18) / (pi/2)) + 1 equal parts, and only new nodes are
-    evaluated; where every such ratio is below 1 the first grid is final.  An
-    increment of pi/2 or more could hide a turn, so it raises
-    QuadratureFailure; on this grid only evaluation error can cause one.
+    Im(2 pi i E2(z) z' + 6 z''/z'), E2 the holomorphic series, and a unit-speed
+    geodesic has z''/z' = -i z'/y, so Im(6 z''/z') = -6 Re z' / y cancels the
+    part 6 Re z' / y that the 3 / (pi y) of E2 = E2* + 3 / (pi y) adds:
+        d arg F/dt = 2 pi Re(E2*(z) z') = 2 pi Re(E2*(z_red) z_red'),
+    as E2*(z) dz is invariant, with |z_red'| = y_red.  So |d arg F/dt| <=
+    |2 pi E2(z_red) y_red - 6|, and 2 pi |E2(z_red) - 1| <= 6.9452 - 2 pi at
+    y_red >= sqrt(3)/2 (the series, _E2_RATE) bounds that by 6.9452 y_red - 6
+    where 2 pi y_red >= 6 and by 6 - (4 pi - 6.9452) y_red <= 1.132
+    (_RATE_FLOOR) below:
+        |d arg F/dt| <= max(6.9452 y_red - 6, 1.132).
+    log y_red is 1-Lipschitz in t, so B = max(y_l, sqrt(y_l y_r) e^(h/2))
+    bounds y_red over an interval of width h, and _split splits each interval
+    into floor(h max(6.9452 B - 6, 1.132) / (pi/2)) + 1 equal parts.
+    Where Im z >= 1 the fold is a translation alone, so y_red = Im z(t) =
+    R / cosh t (below, y_red >= Im z): the uniform first grid is split once on
+    these closed-form heights before any node is evaluated, which splits
+    nothing where R is below about 4.9.  That places every split of the cusp
+    zone ahead of the one round that evaluates the grid.  The
+    grid is then split on the folded heights at its nodes, which is the
+    proof, and only new nodes are evaluated, in a second round; this finds
+    nothing to split unless an excursion stays below height 1 on the axis,
+    where the first split cannot see it.  An increment of pi/2 or more could
+    hide a turn, so it raises QuadratureFailure; on this grid only evaluation
+    error can cause one.
 
     The flat top is not gridded.  On the axis Im z(t) = R / cosh t exactly,
     R = |alpha - alpha_bar| / 2 the top height, so when R is above
@@ -378,7 +429,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     sigma 2 sqrt(R^2 - H^2) and the tangent turns by -sigma (pi - 2 asin(H/R)),
     sigma = sign(alpha - alpha_bar), and the continuous change of arg F is,
     in turns, sigma (2 sqrt(R^2 - H^2) - 3 + (6 / pi) asin(H / R)).  The
-    first grid and the split cover the two arms [lo, -s] and [s, hi], the
+    first grid and the splits cover the two arms [lo, -s] and [s, hi], the
     interval between them is one increment (of `steps`) taken in this closed
     form, and every check is as above; a top at or below H is s = 0, where
     the arms share their node t = 0 and there is no such interval.  The
@@ -393,8 +444,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     axis = _axis_for(gamma)
     ell = axis.length
     lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
-    # the first grid has at most 23,663 nodes, as l < 709.79 (the axis refuses t^2 - 4
-    # past the float range), far below the node cap, so only the split is checked against it
+    # the first grid has at most 13,148 nodes, as l < 709.79 (the axis refuses t^2 - 4
+    # past the float range), far below the node cap, so only the splits are checked against it
     s, flat = _flat_top(axis)
     # a reduced state has alpha > 1 > 0 > alpha_bar > -1, so |alpha - alpha_bar| > 1
     # and |balance| < l/2; the window's ends sit at height about 1 or below
@@ -414,27 +465,21 @@ def winding_index(gamma: Mat2) -> WindingResult:
         arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
         return arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag
 
+    # where Im z >= 1 the fold is a translation alone, so there y_red is Im z(t) = R / cosh t,
+    # and below that it is at least Im z: the split on these heights makes every split of
+    # that zone before any node is evaluated, and the split on the folded heights any other
+    split = _split(t, 0.5 * abs(axis.alpha - axis.alpha_bar) / np.cosh(t), gap)
+    if split:
+        t, _, gap = split
     arg, y = _in_chunks(arg_f, t)  # only arg F is read after the split
-    h = t[1:] - t[:-1]
-    # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
-    bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
-    # interval k splits into floor(ratio[k]) + 1 parts, so none does while every ratio is below 1
-    ratio = h * (_E2_RATE * bound + _FLAT_RATE) / (0.5 * math.pi)
-    if s:
-        ratio[gap] = 0.0  # the flat top stays one interval
-    if ratio.max() >= 1.0:
-        # node k moves to place bounds[k], with the new nodes evenly between
-        bounds = np.concatenate(([0.0], np.cumsum(np.floor(ratio) + 1.0)))  # floats: not wrapped
-        if bounds[-1] + 1 > _MAX_NODES:
-            raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
-        t = np.interp(np.arange(bounds[-1] + 1), bounds, t)
+    split = _split(t, y, gap)
+    if split:
+        t, old, gap = split
         fresh = np.ones(t.size, dtype=bool)
-        fresh[bounds.astype(np.intp)] = False
+        fresh[old] = False
         first, arg = arg, np.empty(t.size)
-        arg[~fresh] = first
+        arg[old] = first
         arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
-        if s:
-            gap = int(bounds[gap])
     inc = _wrap(arg[1:] - arg[:-1])
     if s:
         inc[gap] = 0.0  # the flat top's turns are `flat`

@@ -30,7 +30,7 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     assert fp["cpu_count"] >= 1 and fp["numpy"] == np.__version__ and set(fp["blas"]) == {"name", "version"}
     assert record["config"] == {"runs": 1, "repeats": 7, "seed": 1, "words": {"generic": 1, "long": 0, "cusp": 1}}
     (label, tree), = record["trees"].items()
-    assert label == "head" and set(tree) == {"commit", "dirty", "source_lines", "routes_us"}
+    assert label == "head" and set(tree) == {"commit", "dirty", "source_lines", "routes_us", "winding_steps"}
     assert (tree["commit"], tree["dirty"]) == (None, None) or (
         re.fullmatch("[0-9a-f]{40}", tree["commit"]) and tree["dirty"] in (True, False)
     )
@@ -45,6 +45,36 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
         for q in strata.values():
             # one run: its median and quartiles are its one figure
             assert 0 < q["q1"] == q["median"] == q["q3"] < 1e6
+    # one word a stratum: its median is that word's steps
+    from modwind.geodesics import word_to_matrix
+    from modwind.winding import winding_index
+
+    assert tree["winding_steps"] == {s: winding_index(word_to_matrix(w)).steps for s, w in words}
+
+
+def refusal(bench, monkeypatch, capsys, *args):
+    """The usage error of main(args), after checking that it exits with code 2
+    before any timed run."""
+    runs = []
+    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(tree))
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--tag", "tiny", "--runs", "1", *args])
+    assert exit_.value.code == 2 and runs == []
+    return capsys.readouterr().err
+
+
+def test_out_not_a_directory_refused_before_any_run(bench, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing", tmp_path / "file"):
+        assert "is not a directory" in refusal(bench, monkeypatch, capsys, "--out", str(out))
+    assert not (tmp_path / "missing").exists()
+
+
+def test_base_without_the_package_refused_before_any_run(bench, tmp_path, monkeypatch, capsys):
+    (tmp_path / "src").mkdir()
+    err = refusal(bench, monkeypatch, capsys, "--base", str(tmp_path), "--out", str(tmp_path))
+    assert "holds no src/modwind" in err
+    assert not list(tmp_path.glob("BENCH_*"))
 
 
 def test_words_drawn_per_stratum(bench):

@@ -318,9 +318,11 @@ class TestOneEvaluationPerRound:
         assert sizes == [res.steps + 1]
 
     def test_refinement_adds_batches(self, monkeypatch):
+        # the second excursion of (1, 60, 1, 40) stays below height 1 on the
+        # axis, so only its folded heights split it, in a second round
         delta = self.counted(monkeypatch, "_delta_series")
-        res = winding_index(word_to_matrix((1, 60)))
-        assert len(delta) >= 2 and sum(delta) == res.steps + 1
+        res = winding_index(word_to_matrix((1, 60, 1, 40)))
+        assert len(delta) == 2 and sum(delta) == res.steps + 1
         # the cusp excursion of (1, 10**7) doubles e2_period's grid: each later
         # batch is the midpoint after each node of the uniform grid so far
         batches = recorded_batches(monkeypatch)
@@ -339,15 +341,18 @@ class TestOneEvaluationPerRound:
         "w", [(1, 60), (3, 200), (1, 3000)], ids=lambda w: "-".join(map(str, w))
     )
     def test_grid_split_in_one_pass(self, monkeypatch, w):
-        # one split sized by the height bound of each interval bounds the
-        # argument's turn below pi/2 on every interval of the final grid's arms
+        # one split on the closed-form heights R / cosh t of the cusp excursion,
+        # made before any node is evaluated, bounds the argument's turn below
+        # pi/2 on every interval of the grid's arms: one round, which the split
+        # on the folded heights leaves as it is
         delta = self.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         assert winding_index(g).index == psi(g)
-        assert len(delta) <= 2 and len(batches) == 2
-        t, values = final_grid(batches)
-        assert np.all(turn_bound(t, values)[on_the_arms(t, g)] < 0.5 * math.pi)
+        assert len(delta) == 1 and len(batches) == 1
+        (t, values), = batches
+        assert t.size > first_grid(g).size
+        assert np.all(turn_bound(t, values[1])[on_the_arms(t, g)] < 0.5 * math.pi)
 
 
 def test_flat_nodes_skip_the_series(monkeypatch):
@@ -406,10 +411,15 @@ def height_bound(t, y):
     return np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * np.diff(t)))
 
 
-def turn_bound(t, values):
-    """h (c B + 18) on each interval of the grid t: a bound on how far arg F
-    turns over it, with B from the heights in values[1] at the nodes."""
-    return np.diff(t) * (winding._E2_RATE * height_bound(t, values[1]) + 18.0)
+def rate_bound(y):
+    """max(c y - 6, 1.132): the bound on |d arg F/dt| at reduced height y."""
+    return np.maximum(winding._E2_RATE * y - 6.0, winding._RATE_FLOOR)
+
+
+def turn_bound(t, y):
+    """h max(c B - 6, 1.132) on each interval of the grid t: a bound on how far
+    arg F turns over it, with B from the reduced heights y at the nodes."""
+    return np.diff(t) * rate_bound(height_bound(t, y))
 
 
 def flat_top(gamma):
@@ -431,101 +441,149 @@ def on_the_arms(t, gamma):
     return arms
 
 
-class TestRefine:
-    """The one split of winding_index's grid, against a reference that splits
-    one interval at a time, with its evaluations recorded."""
+def top_height(gamma):
+    """R = |alpha - alpha_bar| / 2, the height of the top of the axis of gamma."""
+    axis = winding._axis_for(gamma)
+    return 0.5 * abs(axis.alpha - axis.alpha_bar)
 
-    # seed 0 is accepted on the first grid; the others split around a cusp
-    # excursion of their large digit, on the arms either side of its flat top
-    WORDS = [(1, 2), (1, 40), (3, 150, 2, 5), (2, 7, 1, 300), (90, 1, 45, 2), (1, 1, 1, 777)]
+
+def first_grid(gamma):
+    """winding_index's first grid: the arms [lo, -s] and [s, hi] of the window,
+    each np.linspace's nodes in the fewest intervals of at most _BASE_STEP, with
+    the node t = 0 shared where the axis of gamma has no flat top."""
+    axis = winding._axis_for(gamma)
+    lo, hi = axis.balance - 0.5 * axis.length, axis.balance + 0.5 * axis.length
+    s = flat_top(gamma)
+    left, right = (np.linspace(a, b, math.ceil((b - a) / winding._BASE_STEP) + 1) for a, b in [(lo, -s), (s, hi)])
+    return np.concatenate((left, right if s else right[1:]))
+
+
+class TestRefine:
+    """winding_index's two splits against a reference that splits one interval
+    at a time, with its evaluations recorded: the split of the first grid on the
+    closed-form heights R / cosh t, made before any node is evaluated, and the
+    split of that grid on the folded heights at its nodes."""
+
+    # (1, 2) is accepted on its first grid; the others split around the cusp
+    # excursion of their large digit, on the arms either side of its flat top,
+    # before their first round, and (90, 1, 45, 2) and (1, 60, 1, 40) split
+    # again, in a second round, around a second excursion that stays below
+    # height 1 on the axis
+    WORDS = [
+        (1, 2),
+        (1, 40),
+        (3, 150, 2, 5),
+        (2, 7, 1, 300),
+        (90, 1, 45, 2),
+        (1, 1, 1, 777),
+        (1, 60, 1, 40),
+        (1, 10**8),
+    ]
+    ROUNDS = [1, 1, 1, 1, 2, 1, 2, 1]
 
     @staticmethod
-    def reference(t, values, new_values, arms):
-        """Nodes and values of the split grid, one interval and one node at a
-        time: interval k of the grid t on the arms splits into the least number
-        of equal parts on which the turn bound at the height bound over it is
-        below pi/2, the flat top stays one interval, and the new nodes take the
-        columns of new_values in order."""
-        pieces = np.where(arms, np.floor(turn_bound(t, values) / (0.5 * math.pi)) + 1.0, 1.0)
-        nodes, columns, fresh = [], [], iter(new_values.T)
+    def reference(t, y, arms):
+        """(nodes, new) of the split grid, one interval and one node at a time:
+        interval k of the grid t on the arms splits into the least number of
+        equal parts on which the turn bound at the height bound over it, from the
+        heights y at the nodes, is below pi/2, the flat top stays one interval,
+        and new marks the nodes that the split adds."""
+        pieces = np.where(arms, np.floor(turn_bound(t, y) / (0.5 * math.pi)) + 1.0, 1.0)
+        nodes, new = [], []
         for k in range(t.size - 1):
             step = (t[k + 1] - t[k]) / pieces[k]
             for m in range(int(pieces[k])):
                 nodes.append(step * m + t[k])
-                columns.append(values[:, k] if m == 0 else next(fresh))
+                new.append(m > 0)
         nodes.append(t[-1])
-        columns.append(values[:, -1])
-        assert next(fresh, None) is None
-        return np.array(nodes), np.stack(columns, axis=1)
+        new.append(False)
+        return np.array(nodes), np.array(new)
 
     @classmethod
     def matches_reference(cls, monkeypatch, g):
-        """The number of split batches of winding_index(g), after checking its grid
+        """The sizes of the batches of winding_index(g), after checking its grids
         and result against the reference's."""
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         batches = recorded_batches(monkeypatch)
         res = winding_index(g)
         (t, values), *split = batches
         assert len(split) <= 1
+        # the first round is the first grid split on the closed-form heights
+        first = first_grid(g)
+        pre, _ = cls.reference(first, top_height(g) / np.cosh(first), on_the_arms(first, g))
+        assert np.array_equal(t, pre)
+        # the second, if any, is the nodes that the split on the folded heights
+        # adds, in order, and each node was evaluated once
+        ref_t, new = cls.reference(t, values[1], on_the_arms(t, g))
         new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
-        ref_t, ref_values = cls.reference(t, values, new_values, on_the_arms(t, g))
-        # the grid is the reference's, and each node was evaluated once
-        assert np.array_equal(np.sort(np.concatenate([t, new_t])), ref_t)
+        assert np.array_equal(ref_t[~new], t) and np.array_equal(ref_t[new], new_t)
         assert sum(delta) == ref_t.size == res.steps + 1
         # the old values are carried over: the total is read off the reference's
         # arms and the closed form of the flat top
+        ref_values = np.empty((2, ref_t.size))
+        ref_values[:, ~new], ref_values[:, new] = values, new_values
         inc = winding._wrap(np.diff(ref_values[0]))
         inc[~on_the_arms(ref_t, g)] = 0.0
         _, flat = winding._flat_top(winding._axis_for(g))
         turns = float(inc.sum()) / winding._TWO_PI + flat
         assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
-        return len(split)
+        return [b.size for b, _ in batches]
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(len(WORDS)))
     def test_matches_reference(self, monkeypatch, seed):
         g = word_to_matrix(self.WORDS[seed])
         # seed 0 has no flat top (its arms share t = 0), the others one interval
         # of it in the first grid
         assert (flat_top(g) == 0.0) == (seed == 0)
-        assert self.matches_reference(monkeypatch, g) == (1 if seed else 0)
+        sizes = self.matches_reference(monkeypatch, g)
+        assert len(sizes) == self.ROUNDS[seed]
+        assert (sizes[0] > first_grid(g).size) == (seed > 0)
 
     @staticmethod
-    def rate_for_ratio(t, y, target):
-        """The least _E2_RATE at which the largest ratio h (E B + 18) / (pi/2) over
-        the intervals of the grid t, with heights y at its nodes, is target: a
-        bisection on the bits of E, as each float operation of the ratio is
-        monotone in E."""
+    def rate_for_ratio(t, y, below):
+        """The _E2_RATE at which the largest ratio h max(E B - 6, 1.132) / (pi/2)
+        over the intervals of the grid t, with heights y at its nodes, is 1, or
+        with below the largest E at which it is below 1: a bisection on the bits
+        of E, as each float operation of the ratio is monotone in E."""
         h = t[1:] - t[:-1]
         bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
 
         def ratio(bits):
             e = float(np.int64(bits).view(np.float64))
-            return (h * (e * bound + winding._FLAT_RATE) / (0.5 * math.pi)).max()
+            return (h * np.maximum(e * bound - 6.0, winding._RATE_FLOOR) / (0.5 * math.pi)).max()
 
         lo, hi = 0, int(np.float64(1e6).view(np.int64))
-        assert ratio(lo) < target <= ratio(hi)
+        assert ratio(lo) < 1.0 <= ratio(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if ratio(mid) >= target else (mid, hi)
-        assert ratio(hi) == target
-        return float(np.int64(hi).view(np.float64))
+            lo, hi = (lo, mid) if ratio(mid) >= 1.0 else (mid, hi)
+        assert ratio(lo) < 1.0 == ratio(hi)
+        return float(np.int64(lo if below else hi).view(np.float64))
 
-    @pytest.mark.parametrize("target", [float(np.nextafter(1.0, 0.0)), 1.0], ids=["below-1", "1"])
-    def test_split_skipped_while_every_ratio_is_below_1(self, monkeypatch, target):
+    @pytest.mark.parametrize("below", [True, False], ids=["below-1", "1"])
+    def test_split_skipped_while_every_ratio_is_below_1(self, monkeypatch, below):
         # the rate bound set so that the largest ratio on the first grid of
-        # (1, 2) is the float just below 1, where no interval splits, or 1,
-        # where its interval splits in two: both as the reference splits
+        # (1, 2), at its closed-form heights, is the largest it can be below 1,
+        # where no interval splits before the first round, or 1, where its
+        # interval splits in two: both as the reference splits
         g = word_to_matrix((1, 2))
-        with monkeypatch.context() as m:
-            batches = recorded_batches(m)
-            winding_index(g)
-        ((t, values),) = batches
-        monkeypatch.setattr(winding, "_E2_RATE", self.rate_for_ratio(t, values[1], target))
-        assert self.matches_reference(monkeypatch, g) == (target == 1.0)
+        first = first_grid(g)
+        rate = self.rate_for_ratio(first, top_height(g) / np.cosh(first), below)
+        monkeypatch.setattr(winding, "_E2_RATE", rate)
+        sizes = self.matches_reference(monkeypatch, g)
+        assert sizes[0] == first.size + (not below)
+
+    def test_first_step_leaves_heights_up_to_4_9_unsplit(self):
+        # an interval of the first grid whose nodes lie at height 4.9 or below
+        # has B <= 4.9 e^(h/2); from _BASE_STEP on a thousandth more it would split
+        def ratio(h):
+            return h * (winding._E2_RATE * 4.9 * math.exp(0.5 * h) - 6.0) / (0.5 * math.pi)
+
+        assert ratio(winding._BASE_STEP) < 1.0 <= ratio(winding._BASE_STEP + 1e-3)
 
     def test_unsplit_grid_builds_no_split(self, monkeypatch):
         # (1, 2) passes on its first grid: no parts are summed and no grid is
-        # interpolated; (1, 60) splits and does both once
+        # interpolated; (1, 60) splits before its one round and does both once
         calls = []
         for name in ("cumsum", "interp"):
             fn = getattr(np, name)
@@ -550,8 +608,8 @@ class TestRefine:
         with pytest.raises(CapExceeded, match="nodes"):
             winding_index(word_to_matrix((1, 2)))
         assert time.perf_counter() - start < 0.1
-        # refused before any node of the split is evaluated
-        assert len(delta) == 1
+        # refused by the split on the closed-form heights, before any node is evaluated
+        assert delta == []
 
     @pytest.mark.parametrize(
         "w",
@@ -570,16 +628,16 @@ class TestRefine:
         assert res.index == psi(g)
         assert len(batches) <= 2 and sum(delta) == res.steps + 1
         t, values = final_grid(batches)
-        assert np.all(turn_bound(t, values)[on_the_arms(t, g)] < 0.5 * math.pi)
+        assert np.all(turn_bound(t, values[1])[on_the_arms(t, g)] < 0.5 * math.pi)
 
     def test_first_grid_within_the_node_cap(self, monkeypatch):
         # the largest trace whose t^2 - 4 is a float has the longest first grid,
         # at most two nodes longer as the top parts it into two arms, far below
-        # the cap, so only the split's grid is checked against it
+        # the cap, so only the splits' grids are checked against it
         top = math.isqrt(2**1024 - 2**970 + 3)
         assert 2**511 < top < 2**512
         nodes = math.ceil(geodesic_length(top) / winding._BASE_STEP) + 1
-        assert nodes == 23661 and nodes + 2 < winding._MAX_NODES
+        assert nodes == 13146 and nodes + 2 < winding._MAX_NODES
         # a word of digits 1 and 2 just below that trace has no flat top: its
         # first grid is one batch, two arms that share the node t = 0, and the
         # fold refuses the ends of its window
@@ -589,7 +647,7 @@ class TestRefine:
         delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
         with pytest.raises(CapExceeded, match="float spacing"):
             winding_index(g)
-        assert delta == [first] and first == 23638
+        assert delta == [first] and first == 13133
         # (1, top - 2), of trace top, has a flat top past the rounding bound
         with pytest.raises(CapExceeded, match="flat top"):
             winding_index(word_to_matrix((1, top - 2)))
@@ -598,15 +656,19 @@ class TestRefine:
         assert delta == [first]
 
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
-        g = word_to_matrix((1, 60))
-        res = winding_index(g)
-        monkeypatch.setattr(winding, "_MAX_NODES", res.steps + 1)
-        assert winding_index(g) == res
-        monkeypatch.setattr(winding, "_MAX_NODES", res.steps)
-        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
-        with pytest.raises(CapExceeded, match=f"needs {res.steps + 1} nodes"):
-            winding_index(g)
-        assert len(delta) == 1
+        # (1, 60) is refused by the split before its one round, (1, 60, 1, 40) by
+        # the split on the folded heights, before any node that it adds is evaluated
+        for w, rounds in (((1, 60), 0), ((1, 60, 1, 40), 1)):
+            g = word_to_matrix(w)
+            with monkeypatch.context() as m:
+                res = winding_index(g)
+                m.setattr(winding, "_MAX_NODES", res.steps + 1)
+                assert winding_index(g) == res
+                m.setattr(winding, "_MAX_NODES", res.steps)
+                delta = TestOneEvaluationPerRound.counted(m, "_delta_series")
+                with pytest.raises(CapExceeded, match=f"needs {res.steps + 1} nodes"):
+                    winding_index(g)
+                assert len(delta) == rounds
 
 
 @pytest.mark.parametrize("w", [(1, 60), (3, 150, 2, 5), (1, 10**7)], ids=str)
@@ -726,12 +788,12 @@ class TestFlatTop:
         # the wrapped increments of arg F over [-s, s], on axes that run either
         # way (sigma = -1 on the first seven words), on a grid that meets the
         # rate bound: nodes equally spaced in gd(t) = 2 atan(tanh(t/2)), as
-        # c y + 18 <= (c + 18 / 8.6) y on the top, where y >= 8.6, and
+        # max(c y - 6, 1.132) <= c y on the top, where y >= 8.6, and
         # y = R / cosh t = R gd'(t)
         axis = winding._axis_for(word_to_matrix(w))
         s, turns = winding._flat_top(axis)
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
-        rate = (winding._E2_RATE + 18.0 / winding._FLAT_HEIGHT) * top
+        rate = winding._E2_RATE * top
         edge = 2.0 * math.atan(math.tanh(0.5 * s))
         u = np.linspace(-edge, edge, math.ceil(2.0 * edge * rate / (0.4 * math.pi)) + 1)
         t = 2.0 * np.arctanh(np.tan(0.5 * u))
@@ -743,7 +805,7 @@ class TestFlatTop:
             return np.array([winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz), z_red.imag])
 
         values = winding._in_chunks(rows, t)
-        assert np.all(turn_bound(t, values) < 0.5 * math.pi)
+        assert np.all(turn_bound(t, values[1]) < 0.5 * math.pi)
         wrapped = math.fsum(winding._wrap(np.diff(values[0])).tolist()) / (2 * math.pi)
         assert abs(turns - wrapped) <= 1e-9
 
@@ -870,11 +932,11 @@ def test_reduced_height_is_1_lipschitz(centre, log_radius, reversed_):
     st.booleans(),
 )
 def test_argument_turns_within_the_rate_bound(centre, log_radius, reversed_):
-    # |d arg F/dt| <= c y_red + 18 along a unit-speed axis, and the height
-    # bound over each interval comes from its end nodes, so on a dense grid
-    # every increment of arg F is within h (c B + 18).  Where that is below pi
-    # (B up to about 2,200, the tops of these axes included) the wrapped
-    # increments are the true ones.  The slack covers the fold's rounding, a
+    # |d arg F/dt| <= max(c y_red - 6, 1.132) along a unit-speed axis, and the
+    # height bound over each interval comes from its end nodes, so on a dense
+    # grid every increment of arg F is within h max(c B - 6, 1.132).  Where
+    # that is below pi (B up to about 2,200, the tops of these axes included)
+    # the wrapped increments are the true ones.  The slack covers the fold's rounding, a
     # relative 2^-52 |z| / Im z < 3e-10 in j, whose argument counts twelve times
     radius = math.exp(log_radius)
     ends = (centre + radius, centre - radius)
@@ -884,7 +946,46 @@ def test_argument_turns_within_the_rate_bound(centre, log_radius, reversed_):
     z_red, j, tail = winding._delta_series(z)
     arg_f = winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)
     inc = np.abs(winding._wrap(np.diff(arg_f)))
-    assert np.all(inc <= turn_bound(t, np.stack([arg_f, z_red.imag])) + 1e-8)
+    assert np.all(inc <= turn_bound(t, z_red.imag) + 1e-8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.floats(-50.0, 50.0),
+    st.floats(math.log(0.01), math.log(100.0)),
+    st.booleans(),
+)
+def test_rate_is_the_completed_e2_form(centre, log_radius, reversed_):
+    # on a unit-speed axis z''/z' = -i z'/y, so 6 Im(z''/z') = -6 Re z'/y cancels
+    # the 3 / (pi y) part of E2 in Im(2 pi i E2(z) z'): d arg F/dt is
+    # 2 pi Re(E2*(z) z') = 2 pi Re(E2*(z_red) z_red'), with |z_red'| = y_red,
+    # against central differences of arg F over tops from 0.01 to 100 run
+    # either way.  So at every node |d arg F/dt| <= |2 pi E2(z_red) y_red - 6|
+    # <= max(c y_red - 6, 1.132).  The tolerance covers the differences'
+    # truncation, below 1e-4 of the rate bound here, and the fold's rounding
+    radius = math.exp(log_radius)
+    ends = (centre + radius, centre - radius)
+    axis = winding._Axis(*(ends[::-1] if reversed_ else ends), length=12.0, balance=0.0)
+    t, dt = np.linspace(-6.0, 6.0, 2401), 1e-5
+
+    def arg_f(t):
+        z, dz = axis.at(t)
+        z_red, j, tail = winding._delta_series(z)
+        return winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)
+
+    differences = winding._wrap(arg_f(t + dt) - arg_f(t - dt)) / (2.0 * dt)
+    z, dz = axis.at(t)
+    z_red, j = winding._reduce(z)
+    y = z_red.imag
+    rate = 2.0 * math.pi * (winding._e2(z) * dz).real
+    reduced = 2.0 * math.pi * (winding._e2(z_red) * dz / (j * j)).real
+    assert np.allclose(np.abs(dz) / z.imag, 1.0, rtol=1e-12, atol=0.0)
+    assert np.allclose(np.abs(dz / (j * j)), y, rtol=1e-9, atol=0.0)
+    assert np.all(np.abs(reduced - rate) <= 1e-9 * rate_bound(y))
+    assert np.all(np.abs(differences - rate) <= 1e-4 * rate_bound(y) + 1e-5)
+    e2 = winding._series(E2HOL_SERIES, z_red)
+    assert np.all(np.abs(rate) <= np.abs(2.0 * math.pi * e2 * y - 6.0) * (1.0 + 1e-9))
+    assert np.all(np.abs(rate) <= rate_bound(y))
 
 
 class TestSeriesTables:
@@ -901,6 +1002,14 @@ class TestSeriesTables:
         q = math.exp(-math.pi * math.sqrt(3.0))
         bound = 2 * math.pi * sum(24 * winding._sigma1(n) * q**n for n in range(1, 61))
         assert 2 * math.pi + bound < winding._E2_RATE <= 2 * math.pi + bound + 1e-4
+
+    def test_rate_floor_is_the_low_height_bound_rounded_up(self):
+        # where 2 pi y_red < 6, |2 pi E2 y_red - 6| <= 6 - 2 pi y_red + (c - 2 pi) y_red,
+        # largest at the least reduced height sqrt(3)/2
+        floor = 6.0 - (4.0 * math.pi - winding._E2_RATE) * math.sqrt(3.0) / 2.0
+        assert floor < winding._RATE_FLOOR <= floor + 1e-3
+        # where 2 pi y_red >= 6 the bound is c y_red - 6, which is at most the floor at y_red = 1
+        assert winding._E2_RATE - 6.0 < winding._RATE_FLOOR
 
     def test_series_terms_is_the_least_count_below_the_bound(self):
         # tails sum |c_n| |q|^n over n > terms at the largest |q| after the fold,
@@ -1259,11 +1368,12 @@ class TestWindingIndex:
     def test_step_refinement_stable(self, monkeypatch):
         gammas = [word_to_matrix(w) for w in ((1, 2), (3, 7), (1, 1, 2, 3))]
         coarse = [winding_index(g) for g in gammas]
-        # halve the first step and double both rate terms, which halves every
-        # interval's step: the reported index must not depend on the grid
+        # halve the first step and double the slope and the floor of the rate
+        # bound, which at least doubles it: the reported index must not depend
+        # on the grid
         monkeypatch.setattr(winding, "_BASE_STEP", 0.5 * winding._BASE_STEP)
         monkeypatch.setattr(winding, "_E2_RATE", 2.0 * winding._E2_RATE)
-        monkeypatch.setattr(winding, "_FLAT_RATE", 2.0 * winding._FLAT_RATE)
+        monkeypatch.setattr(winding, "_RATE_FLOOR", 2.0 * winding._RATE_FLOOR)
         fine = [winding_index(g) for g in gammas]
         assert [r.index for r in fine] == [r.index for r in coarse]
         assert all(f.steps > c.steps for f, c in zip(fine, coarse))
@@ -1301,7 +1411,7 @@ class TestWindingIndex:
         # of the second excursion
         monkeypatch.setattr(winding, "_BASE_STEP", 1.0)
         monkeypatch.setattr(winding, "_E2_RATE", 0.0)
-        monkeypatch.setattr(winding, "_FLAT_RATE", 0.0)
+        monkeypatch.setattr(winding, "_RATE_FLOOR", 0.0)
         start = time.perf_counter()
         with pytest.raises(QuadratureFailure, match="argument jump"):
             winding_index(word_to_matrix((1, 60, 1, 59)))

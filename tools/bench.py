@@ -11,9 +11,12 @@ to 50..400), each of geodesic length at most 14.  Each of the K runs is a
 fresh child process that imports modwind from one tree's src/, calls both
 routes on each class in turn, as every caller does, REPEATS times over the
 whole set, and keeps each class's best time; a run's figure for a stratum is
-the mean of those bests.  The file gives the median and quartiles over the K runs.  With
---base, the runs alternate between the tree at PATH ("base") and this one
-("head"), so one file holds a change's before and after on one machine.
+the mean of those bests.  The file gives the median and quartiles over the K runs,
+and the median over a stratum's words of winding_index's steps (its grid's
+intervals), which do not change from run to run.  With --base, the runs
+alternate between the tree at PATH ("base") and this one ("head"), so one file
+holds a change's before and after on one machine.  PATH must hold src/modwind
+and DIR must be a directory, both checked before the first run.
 
 The fingerprint records the CPU count, the machine, Python, numpy, the BLAS
 numpy was built with and OPENBLAS_NUM_THREADS; each tree records its git
@@ -77,7 +80,8 @@ def draw_words(seed, per_stratum):
 
 
 def time_routes(words):
-    """{stratum: {route: mean over its words of each word's best us}} in this process."""
+    """{stratum: {route: mean over its words of each word's best us, "steps": median
+    over its words of winding_index's steps}} in this process."""
     from modwind.geodesics import word_to_matrix
     from modwind.winding import e2_period, winding_index
 
@@ -86,6 +90,7 @@ def time_routes(words):
     winding_index(warm)
     e2_period(warm)
     best = [[math.inf, math.inf] for _ in classes]
+    steps = [winding_index(g).steps for _, g in classes]
     clock = time.perf_counter
     for _ in range(REPEATS):
         for k, (_, g) in enumerate(classes):
@@ -100,6 +105,7 @@ def time_routes(words):
     for stratum in dict.fromkeys(s for s, _ in words):
         rows = [b for (s, _), b in zip(classes, best) if s == stratum]
         out[stratum] = {r: 1e6 * statistics.fmean(b[i] for b in rows) for i, r in enumerate(ROUTES)}
+        out[stratum]["steps"] = statistics.median(n for (s, _), n in zip(classes, steps) if s == stratum)
     return out
 
 
@@ -192,6 +198,7 @@ def report(tag, trees, words, runs):
             "routes_us": {
                 route: {s: quartiles([run[s][route] for run in times[label]]) for s in strata} for route in ROUTES
             },
+            "winding_steps": {s: times[label][0][s]["steps"] for s in strata},
         }
     return out
 
@@ -203,6 +210,11 @@ def main(argv=None):
     ap.add_argument("--runs", type=int, default=6)
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
+    # checked here, as a bad path would otherwise fail only after every timed run
+    if not args.out.is_dir():
+        ap.error(f"--out {args.out} is not a directory")
+    if args.base is not None and not (args.base / "src" / "modwind").is_dir():
+        ap.error(f"--base {args.base} holds no src/modwind")
     trees = [("head", ROOT)] if args.base is None else [("base", args.base.resolve()), ("head", ROOT)]
     record = report(args.tag, trees, draw_words(SEED, PER_STRATUM), args.runs)
     path = args.out / f"BENCH_{args.tag}.json"
