@@ -360,9 +360,9 @@ def _split(t: np.ndarray, y: np.ndarray, gap: int | None):
     Interval k, of width h, splits into floor(ratio) + 1 equal parts, ratio =
     h max(_E2_RATE B - 6, _RATE_FLOOR) / (pi/2) with B = max(y_l, sqrt(y_l y_r) e^(h/2));
     the flat top stays one interval.  More than _MAX_NODES nodes raise CapExceeded
-    before any of them is evaluated.  Every h is at most _BASE_STEP and every B at
-    most max(y) e^(h/2), so where no node is above about 4.9 one max shows that
-    nothing splits.
+    before any of them is evaluated.  Every h off the flat top is at most _BASE_STEP
+    and every B at most max(y) e^(h/2), so where no node is above about 4.9 one
+    max shows that nothing splits.
     """
     rate = _E2_RATE * y.max() * math.exp(0.5 * _BASE_STEP) - 6.0
     if _BASE_STEP * max(rate, _RATE_FLOOR) < 0.5 * math.pi:

@@ -422,12 +422,17 @@ def turn_bound(t, y):
     return np.diff(t) * rate_bound(height_bound(t, y))
 
 
+def top_height(gamma):
+    """R = |alpha - alpha_bar| / 2, the height of the top of the axis of gamma."""
+    axis = winding._axis_for(gamma)
+    return 0.5 * abs(axis.alpha - axis.alpha_bar)
+
+
 def flat_top(gamma):
     """s with [-s, s] the flat top of the axis of gamma, where Im z(t) =
-    |alpha - alpha_bar| / (2 cosh t) is at least the flat height, or 0.0 when
-    the top of the axis is not above it."""
-    axis = winding._axis_for(gamma)
-    top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+    R / cosh t is at least the flat height, or 0.0 when the top of the axis
+    is not above it."""
+    top = top_height(gamma)
     return math.acosh(top / winding._FLAT_HEIGHT) if top > winding._FLAT_HEIGHT else 0.0
 
 
@@ -439,12 +444,6 @@ def on_the_arms(t, gamma):
     arms = (t[:-1] != -s) | (t[1:] != s)
     assert (~arms).sum() == (1 if s else 0)
     return arms
-
-
-def top_height(gamma):
-    """R = |alpha - alpha_bar| / 2, the height of the top of the axis of gamma."""
-    axis = winding._axis_for(gamma)
-    return 0.5 * abs(axis.alpha - axis.alpha_bar)
 
 
 def first_grid(gamma):
