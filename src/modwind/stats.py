@@ -197,7 +197,7 @@ def twisted_sums(census: Census, T: float, rs: Iterable[float]) -> List[TwistedS
         sin = np.take(np.sin(x), mags)
         # psi ascends from lo, so its negative values lead
         sin[: max(-lo, 0)] *= -1
-        total = complex(np.take(np.cos(x), mags) @ weight, sin @ weight)
+        total = complex((np.take(np.cos(x), mags) * weight).sum(), (sin * weight).sum())
         main = rel = None
         if abs(r) < 0.5:
             s0 = 1.0 - abs(r) / 2.0

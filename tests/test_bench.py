@@ -1,7 +1,7 @@
 import importlib.util
 import json
-import math
 import re
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "bench.py"
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +22,16 @@ def bench():
 
 def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     words = [("generic", (1, 2)), ("cusp", (3, 150, 2, 5))]
-    monkeypatch.setattr(bench, "draw_words", lambda seed, per_stratum: words)
-    bench.main(["--tag", "tiny", "--runs", "1", "--out", str(tmp_path)])
+    monkeypatch.setattr(bench, "routes_words", lambda: words)
+    monkeypatch.setattr(bench, "RUNS", 1)
+    monkeypatch.setattr(bench, "OUT", tmp_path)
+    bench.main(["--tag", "tiny"])
     record = json.loads((tmp_path / "BENCH_tiny.json").read_text())
     assert set(record) == {"tag", "fingerprint", "config", "trees"} and record["tag"] == "tiny"
     fp = record["fingerprint"]
     assert set(fp) == {"cpu_count", "machine", "python", "numpy", "blas", "openblas_num_threads"}
     assert fp["cpu_count"] >= 1 and fp["numpy"] == np.__version__ and set(fp["blas"]) == {"name", "version"}
-    assert record["config"] == {"runs": 1, "repeats": 7, "seed": 1, "words": {"generic": 1, "long": 0, "cusp": 1}}
+    assert record["config"] == {"runs": 1, "repeats": 7, "seed": 1, "words": {"generic": 1, "cusp": 1}}
     (label, tree), = record["trees"].items()
     assert label == "head" and set(tree) == {"commit", "dirty", "source_lines", "routes_us", "winding_steps"}
     assert (tree["commit"], tree["dirty"]) == (None, None) or (
@@ -52,39 +55,40 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     assert tree["winding_steps"] == {s: winding_index(word_to_matrix(w)).steps for s, w in words}
 
 
-def refusal(bench, monkeypatch, capsys, *args):
-    """The usage error of main(args), after checking that it exits with code 2
-    before any timed run."""
+def test_times_the_benchmark_routes_words(bench, tmp_path, monkeypatch):
+    # the words handed to each run are perfbench's own, and reading them
+    # leaves nothing under perfbench/
+    before = set(PERFBENCH.rglob("*"))
     runs = []
-    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(tree))
-    with pytest.raises(SystemExit) as exit_:
-        bench.main(["--tag", "tiny", "--runs", "1", *args])
-    assert exit_.value.code == 2 and runs == []
-    return capsys.readouterr().err
-
-
-def test_out_not_a_directory_refused_before_any_run(bench, tmp_path, monkeypatch, capsys):
-    (tmp_path / "file").write_text("")
-    for out in (tmp_path / "missing", tmp_path / "file"):
-        assert "is not a directory" in refusal(bench, monkeypatch, capsys, "--out", str(out))
-    assert not (tmp_path / "missing").exists()
+    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(words) or {})
+    monkeypatch.setattr(bench, "OUT", tmp_path)
+    bench.main(["--tag", "tiny"])
+    expect = runpy.run_path(str(PERFBENCH / "gen.py"))["routes_words"](bench.SEED)
+    assert len(expect) == 120 and runs == [expect] * bench.RUNS == [expect] * 10
+    # no __pycache__ (nor anything else) appears there
+    assert set(PERFBENCH.rglob("*")) == before
 
 
 def test_base_without_the_package_refused_before_any_run(bench, tmp_path, monkeypatch, capsys):
     (tmp_path / "src").mkdir()
-    err = refusal(bench, monkeypatch, capsys, "--base", str(tmp_path), "--out", str(tmp_path))
-    assert "holds no src/modwind" in err
+    runs = []
+    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(tree))
+    monkeypatch.setattr(bench, "OUT", tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        bench.main(["--tag", "tiny", "--base", str(tmp_path)])
+    assert exit_.value.code == 2 and runs == []
+    assert "holds no src/modwind" in capsys.readouterr().err
     assert not list(tmp_path.glob("BENCH_*"))
 
 
-def test_words_drawn_per_stratum(bench):
-    words = bench.draw_words(1, 5)
-    assert words == bench.draw_words(1, 5) != bench.draw_words(2, 5)
-    assert [s for s, _ in words] == [s for s in bench.STRATA for _ in range(5)]
-    assert len({w for _, w in words}) == 15
-    for stratum, w in words:
-        assert len(w) % 2 == 0 and 2.0 * math.acosh(bench.word_trace(w) / 2.0) <= bench.MAX_LENGTH
-        assert (max(w) >= 50) == (stratum == "cusp")
+def test_only_tag_and_base_accepted(bench, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(tree))
+    for option in ("--runs", "--out"):
+        with pytest.raises(SystemExit) as exit_:
+            bench.main(["--tag", "tiny", option, "1"])
+        assert exit_.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert runs == []
 
 
 def test_quartiles(bench):

@@ -519,8 +519,9 @@ class TestStatsCommands:
 
 
 # SHA-256 of the output of each command that writes a table or psi values,
-# as the hand-built line loops that the one table writer replaced wrote them:
-# stdout, then the --csv-out file
+# as the hand-built line loops that the one table writer replaced wrote them
+# (the twisted sums since they are numpy sums, not BLAS dots, which moved one
+# relative error at r = +-0.25 by a last digit): stdout, then the --csv-out file
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -538,11 +539,11 @@ class TestStatsCommands:
         ),
         (
             ("stats-twisted", "--max-length", "12", "--r-grid", "-0.6:0.6:0.05"),
-            "7877ae552185cb7e20d414331e019cd387840c5f474f8881308dab68e6c5d800",
+            "479f55353e678188bf8781d79128e2c06c2c61d548970dc698e27015f44e8fb9",
         ),
         (
             ("stats-twisted", "--max-length", "12", "--r", "0.25"),
-            "f7a4f56d53ad2413425375a45942742e7297a4287ee2be1ee44bd73d2ba147ad",
+            "120db783fd12ee2967290e581c26c8120fbffb17359e211f13f8a4b58786f3f1",
         ),
         (
             ("psi", "--word", "5-300-7-9000", "--method", "all"),
@@ -573,6 +574,24 @@ def test_table_bytes_pinned(tmp_path, capsys, argv, digest):
     if csv.exists():
         out += csv.read_text()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_twisted_table_the_same_on_one_and_two_blas_threads():
+    # the twisted sums make no BLAS call: a second OpenBLAS thread splits a
+    # dot product's sum differently, which moved last digits at this length
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "modwind.cli", "stats-twisted", "--max-length", repr(MAX_LENGTH_BOUND)]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        child = subprocess.run([*argv, "--r-grid", "-0.45:0.45:0.05"], env=env, capture_output=True, timeout=60)
+        assert child.returncode == 0 and child.stderr == b""
+        outs.append(child.stdout)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 20
 
 
 class TestVerifyCommand:

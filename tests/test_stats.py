@@ -487,7 +487,7 @@ class TestTwistedSum:
         for rs in ([round(-0.45 + 0.05 * k, 2) for k in range(19)], [round(-0.6 + 0.05 * k, 2) for k in range(25)]):
             for r, report in zip(rs, twisted_sums(census, T, rs)):
                 x = values * (math.pi * r / 6)
-                assert report.sum == complex(np.cos(x) @ weight, np.sin(x) @ weight)
+                assert report.sum == complex((np.cos(x) * weight).sum(), (np.sin(x) * weight).sum())
 
     def test_grid_checked_before_the_census_is_read(self):
         # the census argument is never touched when a weight is out of range

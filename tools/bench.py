@@ -2,21 +2,21 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench.py --tag TAG [--base PATH] [--runs K] [--out DIR]
+    python3 tools/bench.py --tag TAG [--base PATH]
 
-It times winding_index and e2_period, in us a class, on PER_STRATUM seeded
-words a stratum that it draws itself: generic (2 to 6 digits in 1..6), long
-(8 to 12 digits in 1..3) and cusp (2 or 4 digits in 1..6, one of them raised
-to 50..400), each of geodesic length at most 14.  Each of the K runs is a
-fresh child process that imports modwind from one tree's src/, calls both
-routes on each class in turn, as every caller does, REPEATS times over the
-whole set, and keeps each class's best time; a run's figure for a stratum is
-the mean of those bests.  The file gives the median and quartiles over the K runs,
-and the median over a stratum's words of winding_index's steps (its grid's
-intervals), which do not change from run to run.  With --base, the runs
-alternate between the tree at PATH ("base") and this one ("head"), so one file
-holds a change's before and after on one machine.  PATH must hold src/modwind
-and DIR must be a directory, both checked before the first run.
+It times winding_index and e2_period, in us a class, on the routes workload's
+own words: perfbench/gen.py's routes_words(SEED), 40 generic, long and cusp
+words each, run from source so that no bytecode is written under perfbench/.
+Each of the RUNS runs is a fresh child process that imports modwind from one
+tree's src/, calls both routes on each class in turn, as every caller does,
+REPEATS times over the whole set, and keeps each class's best time; a run's
+figure for a stratum is the mean of those bests.  The file gives the median
+and quartiles over the runs, and the median over a stratum's words of
+winding_index's steps (its grid's intervals), which do not change from run to
+run.  With --base, the runs alternate between the tree at PATH ("base") and
+this one ("head"), so one file holds a change's before and after on one
+machine.  PATH must hold src/modwind, checked before the first run.  The file
+is written to the root of this checkout.
 
 The fingerprint records the CPU count, the machine, Python, numpy, the BLAS
 numpy was built with and OPENBLAS_NUM_THREADS; each tree records its git
@@ -31,52 +31,26 @@ import json
 import math
 import os
 import platform
-import random
+import runpy
 import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STRATA = ("generic", "long", "cusp")
-MAX_LENGTH = 14.0
-PER_STRATUM = 40
+OUT = ROOT
 SEED = 1
+RUNS = 10
 REPEATS = 7
 ROUTES = ("winding_index", "e2_period")
 
 
-def word_trace(word):
-    """Trace of A_a1 ... A_an, A_a = (a 1; 1 0), in plain integers."""
-    p, q, r, s = 1, 0, 0, 1
-    for a in word:
-        p, q, r, s = p * a + q, p, r * a + s, r
-    return p + s
-
-
-def draw_words(seed, per_stratum):
-    """[(stratum, word)]: per_stratum distinct words a stratum, each of geodesic
-    length at most MAX_LENGTH, from random.Random(f"bench-{seed}")."""
-    rng = random.Random(f"bench-{seed}")
-    words, seen = [], set()
-    for stratum in STRATA:
-        count = 0
-        while count < per_stratum:
-            if stratum == "generic":
-                w = [rng.randint(1, 6) for _ in range(rng.choice((2, 4, 6)))]
-            elif stratum == "long":
-                w = [rng.randint(1, 3) for _ in range(rng.choice((8, 10, 12)))]
-            else:
-                w = [rng.randint(1, 6) for _ in range(rng.choice((2, 4)))]
-                w[rng.randrange(len(w))] = rng.randint(50, 400)
-            w = tuple(w)
-            if w in seen or 2.0 * math.acosh(word_trace(w) / 2.0) > MAX_LENGTH:
-                continue
-            seen.add(w)
-            words.append((stratum, w))
-            count += 1
-    return words
+def routes_words():
+    """[(stratum, word)]: the routes workload's words at SEED.  run_path compiles
+    gen.py from its source and writes no bytecode next to it."""
+    return runpy.run_path(str(ROOT / "perfbench" / "gen.py"))["routes_words"](SEED)
 
 
 def time_routes(words):
@@ -170,21 +144,21 @@ def fingerprint():
     }
 
 
-def report(tag, trees, words, runs):
+def report(tag, trees, words):
     """The BENCH record of the named trees [(label, path)] on the words
-    [(stratum, word)], their runs alternating."""
+    [(stratum, word)], their RUNS runs alternating."""
     times = {label: [] for label, _ in trees}
-    for k in range(runs):
+    for k in range(RUNS):
         for label, tree in trees if k % 2 == 0 else trees[::-1]:
             times[label].append(child_run(tree, words))
     out = {
         "tag": tag,
         "fingerprint": fingerprint(),
         "config": {
-            "runs": runs,
+            "runs": RUNS,
             "repeats": REPEATS,
             "seed": SEED,
-            "words": {s: sum(1 for t, _ in words if t == s) for s in STRATA},
+            "words": dict(Counter(s for s, _ in words)),
         },
         "trees": {},
     }
@@ -207,17 +181,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True)
     ap.add_argument("--base", type=Path, help="a second checkout, timed as 'base' against this one")
-    ap.add_argument("--runs", type=int, default=6)
-    ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     # checked here, as a bad path would otherwise fail only after every timed run
-    if not args.out.is_dir():
-        ap.error(f"--out {args.out} is not a directory")
     if args.base is not None and not (args.base / "src" / "modwind").is_dir():
         ap.error(f"--base {args.base} holds no src/modwind")
     trees = [("head", ROOT)] if args.base is None else [("base", args.base.resolve()), ("head", ROOT)]
-    record = report(args.tag, trees, draw_words(SEED, PER_STRATUM), args.runs)
-    path = args.out / f"BENCH_{args.tag}.json"
+    record = report(args.tag, trees, routes_words())
+    path = OUT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
 
