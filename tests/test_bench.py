@@ -64,7 +64,7 @@ def test_times_the_benchmark_routes_words(bench, tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "OUT", tmp_path)
     bench.main(["--tag", "tiny"])
     expect = runpy.run_path(str(PERFBENCH / "gen.py"))["routes_words"](bench.SEED)
-    assert len(expect) == 120 and runs == [expect] * bench.RUNS == [expect] * 10
+    assert len(expect) == 120 and bench.RUNS == 10 and runs == [expect] * 10
     # no __pycache__ (nor anything else) appears there
     assert set(PERFBENCH.rglob("*")) == before
 
