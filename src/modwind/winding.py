@@ -10,37 +10,25 @@ Two independent numerical routes to the same integer:
   periodic trapezoidal rule, where E2 is the weight 2 completed Eisenstein
   series (the holomorphic q-series minus 3 / (pi y)).
 
-Both evaluate the forms once per round of refinement, on one numpy array of
-every point that round needs (in slices of at most _CHUNK points, each row
-joined on its own), with a numpy pass only where its result is read.
-winding_index reads arg F, up to 2 pi k as only wrapped increments count, and
-the reduced height at each node in at most two rounds.  Its grid follows the
-exact rate d arg F/dt = 2 pi Re(E2*(z_red) z_red'), whose bound
-max(6.9452 y_red - 6, 1.132) sizes its splits: one on the closed-form heights
-of the cusp zone before the first round, where a tall top needs it, and one
-on the folded heights, which adds a second round only where an excursion
-stays below height 1 on the axis.  e2_period reads E2(z) dz/dt and its real
-rounding scale on one uniform grid over the period, then on the midpoints
-that each doubling of that grid adds.
-winding_index grids only the two arms of the axis either side of its flat
-top [-s, s], where Im z(t) = R / cosh t, R = |alpha - alpha_bar| / 2, is at
-least H = _FLAT_HEIGHT (s = 0 where R is not above H).  There the fold is a
-translation and Delta/q is 1 within 1e-22, so arg F = 2 pi Re z + 6 arg z',
-and on the semicircle both terms change in closed form in R: Re z by
-sigma 2 sqrt(R^2 - H^2) and arg z' by -sigma (pi - 2 asin(H / R)), sigma the
-sign of alpha - alpha_bar.
-A top is refused (_flat_top) where float rounding could put that closed
-form a tenth of _RESIDUAL_LIMIT off.  e2_period's trapezoid needs the whole
-periodic window, so it keeps the top.
+Both read one first round a class (_Round, kept for the last class by
+_first_round): one uniform periodic grid over the window,
+t_k = lo + k l / m for k = 0..m, m even and l / m <= _BASE_STEP, followed by
+the nodes of winding_index's split on the closed-form heights, each folded
+once (_nodes); each route sums its own series on it (_series).  e2_period
+reads the grid's first m nodes, a leading slice, as T_m and their even nodes
+as T_(m/2), then evaluates the midpoints that each doubling adds.
+winding_index reads every node in grid order, node m closing the period,
+takes the flat top of the axis in closed form (_top_turns), and splits
+again, in a second round, only where the axis runs below height 1.
 A round costs 40-72 us of numpy dispatch plus 0.07-0.11 us a node, or
 0.03-0.04 us at a flat one (one batch of 50 to 1,600 nodes, best of 30, in
 four runs on a 2-core x86-64 host, numpy 2.4.6), so a short class costs
-mostly per round.
+mostly per round, and the shared first round saves the second route's.
 Each point is folded into the standard fundamental domain first, so the
 q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
 below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
-so there the series is its constant term 1 and is not summed (_series).
-That flattens most of e2_period's nodes on a cusp excursion, among them
+so there the series is its constant term 1 and q is not formed (_q).
+That flattens most of the nodes on a cusp excursion, among them
 the heights of about 56-59.5 and 112-119 where q or q^2 is subnormal and
 slow.  The fold (_reduce) refuses a point whose height is not above the
 float spacing of its real part; above that, its relative error is about
@@ -52,8 +40,7 @@ the least even rotation of the period (as matrix_to_word writes it): the
 continued-fraction walk's first reduced state (P, Q), walked on to that
 digit, gives the fixed points +-(P +- sqrt(D)) / Q.  The axis, and so both
 routes, depend on the conjugacy class alone.  A trace whose fixed points are
-past the float range is refused before the walk.  The axis of the last
-matrix is kept, as both routes run on one class back to back.
+past the float range is refused before the walk.
 
 The integrands are l-periodic, so any window of length l gives the same
 total, but the fold amplifies the rounding error of z(t) by about
@@ -100,9 +87,9 @@ SERIES_TERMS = 11
 _FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
-# winding_index's first grid: sets only the cost.  An interval whose nodes lie at
-# reduced height up to 4.9 needs no split, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2 for h
-# up to 0.0542, so a generic class takes one round.
+# The first round's grid step bound: sets only the cost.  An interval whose nodes lie
+# at reduced height up to 4.9 needs no split, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2
+# for h up to 0.0542, so a generic class takes one round.
 _BASE_STEP = 0.054
 # winding_index's bound |d arg F/dt| <= max(_E2_RATE y_red - 6, _RATE_FLOOR): _E2_RATE is
 # 2 pi sum |c_n| |q|^n over E2HOL_SERIES at the fold's largest |q|, 6.945194..., and
@@ -116,11 +103,11 @@ _FOLD_STEPS = 10000
 _FLOAT_SPACING = 2.0**-52
 # Points per evaluation batch, so temporaries do not grow with the word.
 _CHUNK = 1 << 16
-# winding_index nodes per class: 2^19 nodes hold a cusp excursion off the flat
+# Nodes per class of either route: 2^19 nodes hold a cusp excursion off the flat
 # top (a second large digit) of about 116,000 turns of Delta (about 4.5 nodes
-# per turn) in 12 MB of node arrays.
+# per turn).  A first round keeps at most 73 bytes a node, 38 MB at this cap, but
+# its split cuts an interval in two at most, so it holds at most 2 m + 1 nodes.
 _MAX_NODES = 1 << 19
-_PERIOD_STEP = 0.25  # e2_period's coarse trapezoid spacing: its first batch has 2n nodes
 # e2_period's largest rounding witness: on two draws of 243 random words of length
 # 20 to 60 the error was at most 1.25 and 0.78 times it, so 2.5e-7 within budget.
 _ROUNDING_BUDGET = 2e-7
@@ -199,15 +186,23 @@ def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
-def _series(coeffs: Tuple[int, ...], z_red: np.ndarray) -> np.ndarray:
-    """Sum of coeffs[n] q^n, q = exp(2 pi i z_red), at each folded point; exactly
-    coeffs[0], with no q formed, where Im z_red >= _FLAT_HEIGHT."""
-    if z_red.imag.max(initial=0.0) < _FLAT_HEIGHT:
-        return _horner(coeffs, np.exp(2j * math.pi * z_red))
+def _q(z_red: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(q, steep): steep marks the folded points below _FLAT_HEIGHT, and q is
+    exp(2 pi i z_red) at those points alone, in order."""
     steep = z_red.imag < _FLAT_HEIGHT
-    value = np.full(z_red.shape, complex(coeffs[0]))
-    if steep.any():
-        value[steep] = _horner(coeffs, np.exp(2j * math.pi * z_red[steep]))
+    if steep.all():
+        return np.exp(2j * math.pi * z_red), steep
+    return np.exp(2j * math.pi * z_red[steep]), steep
+
+
+def _series(coeffs: Tuple[int, ...], q: np.ndarray, steep: np.ndarray) -> np.ndarray:
+    """Sum of coeffs[n] q^n at each steep point, from the q of _q; exactly
+    coeffs[0] at the others, where every term past q^0 is below 1e-22."""
+    if q.size == steep.size:
+        return _horner(coeffs, q)
+    value = np.full(steep.shape, complex(coeffs[0]))
+    if q.size:
+        value[steep] = _horner(coeffs, q)
     return value
 
 
@@ -215,7 +210,7 @@ def _delta_series(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z_red, j, tail) at each point of z, with Delta(z) = q tail / j^12 and
     q = exp(2 pi i z_red): the fold of _reduce and the series Delta/q at z_red."""
     z_red, j = _reduce(z)
-    return z_red, j, _series(DELTA_SERIES, z_red)
+    return z_red, j, _series(DELTA_SERIES, *_q(z_red))
 
 
 def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -226,7 +221,7 @@ def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray
 def _e2(z: np.ndarray) -> np.ndarray:
     """Completed E2 at each point of z."""
     z_red, j = _reduce(z)
-    return (_series(E2HOL_SERIES, z_red) - 3.0 / (math.pi * z_red.imag)) / (j * j)
+    return (_series(E2HOL_SERIES, *_q(z_red)) - 3.0 / (math.pi * z_red.imag)) / (j * j)
 
 
 def delta_eval(z: complex) -> Tuple[float, float]:
@@ -268,7 +263,6 @@ class _Axis:
         return z, (self.alpha - self.alpha_bar) * w / (den * den)
 
 
-@functools.lru_cache(maxsize=1)
 def _axis_for(gamma: Mat2) -> _Axis:
     """The axis of the exact conjugate of gamma whose top is the excursion of the
     first largest digit a_k of the class's word, D = trace^2 - 4.
@@ -284,7 +278,6 @@ def _axis_for(gamma: Mat2) -> _Axis:
     a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
     Either way the large excursion sits at t = 0, where a translation alone
     folds it.  The axis also carries the centre of both routes' window.
-    Only the last axis is kept; a refusal is raised again on every call.
     """
     t = gamma.trace
     try:
@@ -318,7 +311,7 @@ def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
     """(z(t), dz/dt) at flow time t on the axis both routes follow: that of the exact
     conjugate of gamma whose top z(0) is the excursion of the first largest digit of
     the class's word."""
-    z, dz = _axis_for(gamma).at(t)
+    z, dz = _first_round(gamma).axis.at(t)
     return complex(z), complex(dz)
 
 
@@ -330,57 +323,166 @@ def _in_chunks(fn, t: np.ndarray) -> Tuple[np.ndarray, ...]:
     return tuple(np.concatenate(row) for row in zip(*parts))
 
 
-def _uniform_grid(a: float, b: float) -> np.ndarray:
-    """np.linspace's nodes from a to b in the fewest intervals of at most _BASE_STEP."""
-    intervals = math.ceil((b - a) / _BASE_STEP)
-    t = a + (b - a) / intervals * np.arange(intervals + 1.0)
-    t[-1] = b
-    return t
+def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(z_red, dz_red/dt, q, steep, |z| / Im z) at each t on the axis: the fold of
+    z(t), its derivative (dz/dt) / j^2 there, q and steep from _q, and the real
+    scale of the fold's rounding that e2_period's witness reads."""
+    z, dz = axis.at(t)
+    z_red, j = _reduce(z)
+    dz /= j * j
+    return (z_red, dz, *_q(z_red), np.abs(z) / z.imag)
 
 
-def _flat_top(axis: _Axis) -> Tuple[float, float]:
-    """(s, turns of F over [-s, s]) where the top of the axis is above _FLAT_HEIGHT,
-    else (0.0, 0.0): the closed form and rounding bound that winding_index states."""
+def _arg_f(z_red, dz_red, q, steep) -> np.ndarray:
+    """arg F + 2 pi k at each node, F = Delta(z_red) (dz_red/dt)^6, from _nodes' rows."""
+    tail = _series(DELTA_SERIES, q, steep)
+    arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
+    return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real)
+
+
+def _e2_rows(z_red, dz_red, q, steep, scale) -> Tuple[np.ndarray, np.ndarray]:
+    """E2(z) dz/dt = E2(z_red) dz_red/dt and the real |z| / Im z |E2(z) dz/dt| at
+    each node, from _nodes' rows."""
+    f = (_series(E2HOL_SERIES, q, steep) - 3.0 / (math.pi * z_red.imag)) * dz_red
+    return f, scale * np.abs(f)
+
+
+def _flat_top(axis: _Axis) -> float:
+    """s with [-s, s] the flat top of the axis, where Im z(t) = R / cosh t is at least
+    _FLAT_HEIGHT, or 0.0 where R is not above it: CapExceeded where the closed form
+    of its turns could be a tenth of _RESIDUAL_LIMIT off (winding_index)."""
     top = 0.5 * abs(axis.alpha - axis.alpha_bar)
     if top <= _FLAT_HEIGHT:
-        return 0.0, 0.0
+        return 0.0
     if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
         raise CapExceeded(f"flat top of height {top:.3g} past the float resolution of its turns")
+    return math.acosh(top / _FLAT_HEIGHT)
+
+
+def _top_turns(axis: _Axis, ta: float, tb: float) -> float:
+    """The turns of F from ta to tb in the flat top, in closed form (winding_index)."""
     sigma = 1.0 if axis.alpha > axis.alpha_bar else -1.0
-    width = 2.0 * math.sqrt((top - _FLAT_HEIGHT) * (top + _FLAT_HEIGHT))
-    turns = width - 3.0 + 6.0 / math.pi * math.asin(_FLAT_HEIGHT / top)
-    return math.acosh(top / _FLAT_HEIGHT), sigma * turns
+    top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+    width = top * (math.tanh(tb) - math.tanh(ta))
+    return sigma * (width - 3.0 / math.pi * (math.atan(math.sinh(tb)) - math.atan(math.sinh(ta))))
 
 
-def _split(t: np.ndarray, y: np.ndarray, gap: int | None):
-    """winding_index's split of the grid t, with reduced heights y at its nodes and the
-    flat top as interval gap (None: no flat top): (the split grid, the places of t's
-    nodes in it, the flat top's interval in it), or None where no interval splits.
-
-    Interval k, of width h, splits into floor(ratio) + 1 equal parts, ratio =
-    h max(_E2_RATE B - 6, _RATE_FLOOR) / (pi/2) with B = max(y_l, sqrt(y_l y_r) e^(h/2));
-    the flat top stays one interval.  More than _MAX_NODES nodes raise CapExceeded
-    before any of them is evaluated.  Every h off the flat top is at most _BASE_STEP
-    and every B at most max(y) e^(h/2), so where no node is above about 4.9 one
-    max shows that nothing splits.
-    """
-    rate = _E2_RATE * y.max() * math.exp(0.5 * _BASE_STEP) - 6.0
-    if _BASE_STEP * max(rate, _RATE_FLOOR) < 0.5 * math.pi:
-        return None
+def _ratio(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """h max(_E2_RATE B - 6, _RATE_FLOOR) / (pi/2) on each interval of the grid t, of
+    width h, with B = max(y_l, sqrt(y_l y_r) e^(h/2)) from the reduced heights y at
+    its nodes: an interval splits into floor of this plus one equal parts."""
     h = t[1:] - t[:-1]
     # y_l keeps the bound where rounding breaks sqrt(y_l y_r) e^(h/2) >= y_l
     bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
-    ratio = h * np.maximum(_E2_RATE * bound - 6.0, _RATE_FLOOR) / (0.5 * math.pi)
-    if gap is not None:
-        ratio[gap] = 0.0
+    return h * np.maximum(_E2_RATE * bound - 6.0, _RATE_FLOOR) / (0.5 * math.pi)
+
+
+def _may_split(top: float) -> bool:
+    """False where no interval of a grid of steps up to _BASE_STEP whose nodes are at
+    reduced height up to top can split: every B is at most top e^(h/2), so where top
+    is below about 4.9 one max shows it."""
+    rate = _E2_RATE * top * math.exp(0.5 * _BASE_STEP) - 6.0
+    return _BASE_STEP * max(rate, _RATE_FLOOR) >= 0.5 * math.pi
+
+
+def _split(t: np.ndarray, ratio: np.ndarray):
+    """(the split grid, the places of t's nodes in it) with interval k of the grid t in
+    floor(ratio[k]) + 1 equal parts, or None where no ratio reaches 1.  More than
+    _MAX_NODES nodes raise CapExceeded before any of them is evaluated."""
     if ratio.max() < 1.0:
         return None
     # node k moves to place bounds[k], with the new nodes evenly between
     bounds = np.concatenate(([0.0], np.cumsum(np.floor(ratio) + 1.0)))  # floats: not wrapped
     if bounds[-1] + 1 > _MAX_NODES:
         raise CapExceeded(f"winding grid needs {bounds[-1] + 1:.0f} nodes (cap {_MAX_NODES})")
-    old = bounds.astype(np.intp)
-    return np.interp(np.arange(bounds[-1] + 1), bounds, t), old, None if gap is None else int(old[gap])
+    return np.interp(np.arange(bounds[-1] + 1), bounds, t), bounds.astype(np.intp)
+
+
+class _Round:
+    """The first round of both routes on one class: its axis, the uniform periodic
+    grid of m intervals over the window followed by the nodes of winding_index's
+    split on the closed-form heights (t), and the rows of _nodes at t, folded on
+    their first read (nodes).  Each array is read-only.
+
+    winding_index's plan is made here (_plan), before any node is evaluated, as
+    the split's nodes join the round: t[order] is its grid in order (order None
+    where nothing splits), and in that order gap is the flat top's interval
+    between the first and last nodes of the uniform grid in [-s, s] (None where
+    fewer than two are), flat its turns, and ends the places (i0, i1) of two
+    nodes at height 1 or more on the axis, whose intervals between need no
+    second split ((0, 0) where there are none).  refusal is the plan's
+    CapExceeded message, raised by winding_index alone: e2_period reads the
+    grid whatever winding_index's plan is.
+    """
+
+    def __init__(self, axis: _Axis):
+        self.axis = axis
+        ell = axis.length
+        # at most 13,146 intervals, as l < 709.79 (the axis refuses t^2 - 4 past the
+        # float range): far below the node cap, so only the split is checked against it
+        self.m = 2 * math.ceil(0.5 * ell / _BASE_STEP)
+        self.t = axis.balance - 0.5 * ell + ell / self.m * np.arange(self.m + 1.0)
+        self.order, self.gap, self.flat, self.ends, self.refusal = None, None, 0.0, (0, 0), None
+        try:
+            self._plan()
+        except CapExceeded as refusal:
+            self.refusal = str(refusal)
+        self.t.flags.writeable = False
+
+    def _plan(self) -> None:
+        """winding_index's plan on the uniform grid self.t: CapExceeded, before any
+        attribute is set, past the flat top's rounding bound or the node cap."""
+        axis, m, grid = self.axis, self.m, self.t
+        lo, h = grid[0], axis.length / m
+        top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+        s = _flat_top(axis)
+        # the grid nodes k in [-s, s], from k h in [-s - lo, s - lo]
+        a, b = max(0, math.ceil((-s - lo) / h)), min(m, math.floor((s - lo) / h))
+        gap = s > 0.0 and b > a
+        split = None
+        # where Im z >= 1 the fold is a translation alone, so there y_red is Im z(t) =
+        # R / cosh t, at most R
+        if _may_split(top):
+            ratio = _ratio(grid, top / np.cosh(grid))
+            if gap:
+                ratio[a:b] = 0.0  # the flat top stays one interval
+            split = _split(grid, ratio)
+        place = range(m + 1)
+        if split:
+            fine, place = split
+            fresh = np.ones(fine.size, dtype=bool)
+            fresh[place] = False
+            self.t = np.concatenate((grid, fine[fresh]))
+            self.order = np.empty(fine.size, dtype=np.intp)
+            self.order[place] = np.arange(m + 1)
+            self.order[fresh] = np.arange(m + 1, fine.size)
+            self.order.flags.writeable = False
+        if gap:
+            self.gap = (int(place[a]), int(place[b]))
+            self.flat = _top_turns(axis, float(grid[a]), float(grid[b]))
+        if top > 1.0:
+            # grid nodes k with lo + k h in [-acosh R, acosh R], where Im z(t) >= 1, one
+            # more step inside at either end so that rounding cannot let one out
+            c = math.acosh(top)
+            i0, i1 = max(0, math.ceil((-c - lo) / h) + 1), min(m, math.floor((c - lo) / h) - 1)
+            if i1 > i0:
+                self.ends = (int(place[i0]), int(place[i1]))
+
+    @functools.cached_property
+    def nodes(self) -> Tuple[np.ndarray, ...]:
+        """(z_red, dz_red/dt, q, steep, |z| / Im z) at t, from _nodes."""
+        rows = _in_chunks(functools.partial(_nodes, self.axis), self.t)
+        for row in rows:
+            row.flags.writeable = False
+        return rows
+
+
+@functools.lru_cache(maxsize=1)
+def _first_round(gamma: Mat2) -> _Round:
+    """The first round of the class of gamma, kept for the last class, as every
+    caller runs both routes on one class back to back; a refusal of the axis or of
+    the fold is raised again on every call."""
+    return _Round(_axis_for(gamma))
 
 
 @dataclass(frozen=True, slots=True)
@@ -406,92 +508,88 @@ def winding_index(gamma: Mat2) -> WindingResult:
     (_RATE_FLOOR) below:
         |d arg F/dt| <= max(6.9452 y_red - 6, 1.132).
     log y_red is 1-Lipschitz in t, so B = max(y_l, sqrt(y_l y_r) e^(h/2))
-    bounds y_red over an interval of width h, and _split splits each interval
-    into floor(h max(6.9452 B - 6, 1.132) / (pi/2)) + 1 equal parts.
-    Where Im z >= 1 the fold is a translation alone, so y_red = Im z(t) =
-    R / cosh t (below, y_red >= Im z): the uniform first grid is split once on
-    these closed-form heights before any node is evaluated, which splits
-    nothing where R is below about 4.9.  That places every split of the cusp
-    zone ahead of the one round that evaluates the grid.  The
-    grid is then split on the folded heights at its nodes, which is the
-    proof, and only new nodes are evaluated, in a second round; this finds
-    nothing to split unless an excursion stays below height 1 on the axis,
-    where the first split cannot see it.  An increment of pi/2 or more could
-    hide a turn, so it raises QuadratureFailure; on this grid only evaluation
-    error can cause one.
+    bounds y_red over an interval of width h, and a split cuts each interval
+    into floor(h max(6.9452 B - 6, 1.132) / (pi/2)) + 1 equal parts (_ratio).
 
-    The flat top is not gridded.  On the axis Im z(t) = R / cosh t exactly,
-    R = |alpha - alpha_bar| / 2 the top height, so when R is above
+    The grid is the first round's (_Round): the uniform periodic grid, node m
+    closing the period, split once on closed-form heights before any node is
+    evaluated.  Where Im z(t) >= 1 the fold is a translation alone (|w| >=
+    Im w >= 1 after it), so y_red = Im z(t) = R / cosh t exactly, and below
+    height 1 y_red >= Im z.  Im z(t) = R / cosh t is largest at t = 0, so an
+    interval whose two nodes are at height 1 or more lies there whole, and its
+    parts from the closed-form split meet the bound: that places every split of
+    the cusp zone in the first round.  The remaining intervals are those with
+    a node below height 1: the window's two ends, |t| > acosh R (every interval
+    where no node reaches height 1, as when R <= 1), each with the interval
+    that crosses into the zone.  Only these are split again, on the folded
+    heights at their nodes, and only the new nodes are evaluated, in a second
+    round; this finds nothing to split unless an excursion stays below height
+    1 on the axis, where the closed-form heights cannot see it.  An increment
+    of pi/2 or more could hide a turn, so it raises QuadratureFailure; on this
+    grid only evaluation error can cause one.
+
+    The flat top is not stepped through.  On the axis Im z(t) = R / cosh t
+    exactly, R = |alpha - alpha_bar| / 2 the top height, so when R is above
     H = _FLAT_HEIGHT, Im z >= H exactly on [-s, s], s = acosh(R / H).  There
     the fold is a translation (j = 1) and Delta/q is 1 within 1e-22, so
-    arg F = 2 pi Re z + 6 arg z'.  Over [-s, s] z runs along the semicircle
-    between its two points of height H, so Re z moves by
-    sigma 2 sqrt(R^2 - H^2) and the tangent turns by -sigma (pi - 2 asin(H/R)),
-    sigma = sign(alpha - alpha_bar), and the continuous change of arg F is,
-    in turns, sigma (2 sqrt(R^2 - H^2) - 3 + (6 / pi) asin(H / R)).  The
-    first grid and the splits cover the two arms [lo, -s] and [s, hi], the
-    interval between them is one increment (of `steps`) taken in this closed
-    form, and every check is as above; a top at or below H is s = 0, where
-    the arms share their node t = 0 and there is no such interval.  The
-    rounding bound: alpha and alpha_bar have opposite signs (their product is
-    -(D - P^2) / Q^2), so |z| <= 2R on the axis.  The arms' end nodes are
-    within about 2^-52 |z| <= 2^-51 R of z(+-s) and the closed form is within
-    about 2^-50 R of its value, so the term is within about 2^-49 R turns of
-    the change between those nodes.
-    Where that could exceed a tenth of _RESIDUAL_LIMIT, for R above 5.6e10,
-    CapExceeded is raised before any node is evaluated.
+    arg F = 2 pi Re z + 6 arg z'.  On the semicircle of centre c,
+    z(t) = c + sigma R tanh t + i R / cosh t and z'(t) = sigma R sech t
+    (sech t - sigma i tanh t), so arg z' = const - sigma gd t with
+    gd t = atan(sinh t), and between the grid's first and last nodes t_a <= t_b
+    in [-s, s] F turns by sigma (R (tanh t_b - tanh t_a) -
+    (3 / pi) (gd t_b - gd t_a)), sigma = sign(alpha - alpha_bar); at
+    t_a = -s, t_b = s this is sigma (2 sqrt(R^2 - H^2) - 3 + (6 / pi) asin(H / R)).
+    That interval is one increment (of `steps`) taken in closed form, and the
+    grid's nodes inside it, which e2_period reads, are skipped; with fewer than
+    two nodes in [-s, s] there is no such interval.  The rounding bound:
+    alpha and alpha_bar have opposite signs (their product is -(D - P^2) / Q^2),
+    so |z| <= 2R on the axis.  The nodes t_a and t_b are evaluated within about
+    2^-52 |z| <= 2^-51 R of z(t_a) and z(t_b), and the closed form is within
+    about 2^-50 R of its value, so the term is within about 2^-49 R turns of the
+    change between those nodes.  Where that could exceed a tenth of
+    _RESIDUAL_LIMIT, for R above 5.6e10, CapExceeded is raised before any node
+    is evaluated, on every call, as is a split past _MAX_NODES.
     """
-    axis = _axis_for(gamma)
-    ell = axis.length
-    lo, hi = axis.balance - 0.5 * ell, axis.balance + 0.5 * ell
-    # the first grid has at most 13,148 nodes, as l < 709.79 (the axis refuses t^2 - 4
-    # past the float range), far below the node cap, so only the splits are checked against it
-    s, flat = _flat_top(axis)
-    # a reduced state has alpha > 1 > 0 > alpha_bar > -1, so |alpha - alpha_bar| > 1
-    # and |balance| < l/2; the window's ends sit at height about 1 or below
-    if not lo < -s <= s < hi:
-        raise RuntimeError(f"flat top [{-s}, {s}] not inside the window [{lo}, {hi}]")
-    left, right = _uniform_grid(lo, -s), _uniform_grid(s, hi)
-    # the arms' grids, with the flat top [-s, s] as interval `gap` between them;
-    # without a flat top they share the node t = 0 and there is no gap
-    gap = left.size - 1 if s else None
-    t = np.concatenate((left, right if s else right[1:]))
-
-    def arg_f(t):
-        """(arg F + 2 pi k, y_red) at each t, F = Delta(z_red) (dz_red/dt)^6."""
-        z, dz = axis.at(t)
-        z_red, j, tail = _delta_series(z)
-        dz /= j * j  # dz_red/dt
-        arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
-        return arg + 6.0 * np.arctan2(dz.imag, dz.real), z_red.imag
-
-    # where Im z >= 1 the fold is a translation alone, so there y_red is Im z(t) = R / cosh t,
-    # and below that it is at least Im z: the split on these heights makes every split of
-    # that zone before any node is evaluated, and the split on the folded heights any other
-    split = _split(t, 0.5 * abs(axis.alpha - axis.alpha_bar) / np.cosh(t), gap)
+    rnd = _first_round(gamma)
+    if rnd.refusal is not None:
+        raise CapExceeded(rnd.refusal)
+    z_red, dz_red, q, steep, _ = rnd.nodes
+    arg, y, t = _arg_f(z_red, dz_red, q, steep), z_red.imag, rnd.t
+    if rnd.order is not None:
+        arg, y, t = arg[rnd.order], y[rnd.order], t[rnd.order]
+    # only the intervals with a node below height 1 on the axis: [0, i0) and [i1, n - 1)
+    i0, i1 = rnd.ends
+    low = [(lo, hi) for lo, hi in ((0, i0), (i1, t.size - 1)) if hi > lo]
+    split = None
+    if _may_split(max((y[lo : hi + 1].max() for lo, hi in low), default=0.0)):
+        ratio = np.zeros(t.size - 1)
+        for lo, hi in low:
+            ratio[lo:hi] = _ratio(t[lo : hi + 1], y[lo : hi + 1])
+        split = _split(t, ratio)
+    gap = rnd.gap
     if split:
-        t, _, gap = split
-    arg, y = _in_chunks(arg_f, t)  # only arg F is read after the split
-    split = _split(t, y, gap)
-    if split:
-        t, old, gap = split
+        t, old = split
         fresh = np.ones(t.size, dtype=bool)
         fresh[old] = False
         first, arg = arg, np.empty(t.size)
         arg[old] = first
-        arg[fresh] = _in_chunks(arg_f, t[fresh])[0]
+        arg[fresh] = _arg_f(*_in_chunks(functools.partial(_nodes, rnd.axis), t[fresh])[:4])
+        if gap:
+            gap = (int(old[gap[0]]), int(old[gap[1]]))
     inc = _wrap(arg[1:] - arg[:-1])
-    if s:
-        inc[gap] = 0.0  # the flat top's turns are `flat`
+    steps = inc.size
+    if gap:
+        inc[gap[0] : gap[1]] = 0.0  # the flat top's turns are rnd.flat
+        steps -= gap[1] - gap[0] - 1
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise QuadratureFailure(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
-    turns = float(inc.sum()) / _TWO_PI + flat
+    turns = float(inc.sum()) / _TWO_PI + rnd.flat
     index = round(turns)
     residual = abs(turns - index)
     if residual >= _RESIDUAL_LIMIT:
         raise QuadratureFailure(f"winding total {turns} turns for {gamma}")
-    return WindingResult(index=index, residual=residual, steps=inc.size)
+    return WindingResult(index=index, residual=residual, steps=steps)
 
 
 def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
@@ -499,29 +597,23 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
 
     The integrand is l-periodic and real-analytic in t, so the trapezoidal
     rule over one period, on the routes' window centred at axis.balance,
-    converges geometrically.  The first batch of 2n uniform nodes,
-    n = max(4, ceil(l / _PERIOD_STEP)), gives T_n (its even nodes) and T_2n;
-    while |T_2n - T_n| > _QUAD_TOL the grid doubles, one batch of midpoints a
-    round, up to _MAX_NODES.  That check sees the discretisation, not the
-    rounding, so the batches also sum the witness: the fold's relative error
-    scale 2^-52 |z| / Im z times |E2(z) dz/dt|.  A witness above
-    _ROUNDING_BUDGET after any batch raises QuadratureFailure at once: more
-    nodes refine the witness's integral but do not shrink it.
+    converges geometrically.  The first round's grid (_Round) has m uniform
+    intervals of at most _BASE_STEP, m even: its first m nodes give T_m and
+    their even nodes T_(m/2).  While |T_m - T_(m/2)| > _QUAD_TOL the grid
+    doubles, one batch of midpoints a round, up to _MAX_NODES.  That check
+    sees the discretisation, not the rounding, so the batches also sum the
+    witness: the fold's relative error scale 2^-52 |z| / Im z times
+    |E2(z) dz/dt|.  A witness above _ROUNDING_BUDGET after any batch raises
+    QuadratureFailure at once: more nodes refine the witness's integral but
+    do not shrink it.
     """
-    axis = _axis_for(gamma)
-    ell = axis.length
-    lo = axis.balance - 0.5 * ell
-
-    def rows(s):
-        """E2(z) dz/dt and the real |z| / Im z |E2(z) dz/dt| at each s."""
-        z, dz = axis.at(s)
-        f = _e2(z) * dz
-        return f, np.abs(z) / z.imag * np.abs(f)
-
-    # at most 5,680 nodes: l < 709.79, as the axis refuses t^2 - 4 past the float range
-    nodes = 2 * max(4, math.ceil(ell / _PERIOD_STEP))
-    h = ell / nodes
-    f, scale = _in_chunks(rows, lo + h * np.arange(nodes))
+    rnd = _first_round(gamma)
+    axis, nodes = rnd.axis, rnd.m
+    lo, h = axis.balance - 0.5 * axis.length, axis.length / nodes
+    z_red, dz_red, q, steep, scale = rnd.nodes
+    # the grid's first m nodes lead the round, and q holds its steep nodes in order
+    steep = steep[:nodes]
+    f, scale = _e2_rows(z_red[:nodes], dz_red[:nodes], q[: np.count_nonzero(steep)], steep, scale[:nodes])
     coarse, total, scale_sum = 2.0 * h * f[::2].sum(), h * f.sum(), h * scale.sum()
     while True:
         witness = _FLOAT_SPACING * scale_sum  # a power of 2 scales a sum exactly
@@ -531,7 +623,7 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
             return total, witness
         if 2 * nodes > _MAX_NODES:
             raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
-        f, scale = _in_chunks(rows, lo + h * np.arange(0.5, nodes))
+        f, scale = _in_chunks(lambda s: _e2_rows(*_nodes(axis, s)), lo + h * np.arange(0.5, nodes))
         coarse, total, scale_sum = total, 0.5 * (total + h * f.sum()), 0.5 * (scale_sum + h * scale.sum())
         nodes, h = 2 * nodes, 0.5 * h
 

@@ -81,15 +81,15 @@ class TestWindingIndexTheorem:
 
     def test_routes_equal_psi_on_census_to_eleven(self, monkeypatch):
         # and winding_index splits its first grid at most once: at most two
-        # batches of Delta evaluations a class
+        # rounds of node evaluations a class, the first shared with e2_period
         batches = []
-        delta_series = winding._delta_series
+        nodes = winding._nodes
 
-        def counting(z):
+        def counting(axis, t):
             batches[-1] += 1
-            return delta_series(z)
+            return nodes(axis, t)
 
-        monkeypatch.setattr(winding, "_delta_series", counting)
+        monkeypatch.setattr(winding, "_nodes", counting)
         census = enumerate_geodesics(EnumerationConfig(max_length=11.0))
         assert len(census) == 5961
         start = time.perf_counter()
@@ -97,7 +97,9 @@ class TestWindingIndexTheorem:
             g = word_to_matrix(entries)
             batches.append(0)
             assert winding_index(g).index == expected
+            batches.append(0)
             assert e2_period(g) == pytest.approx(expected, abs=1e-6)
+            batches.pop()
         assert time.perf_counter() - start < 60.0
         assert max(batches) <= 2 and 1 in batches and 2 in batches
 

@@ -42,12 +42,16 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     assert sorted(lines) == sorted(modules + ["total"])
     assert lines["total"] == sum(lines[m] for m in modules)
     assert lines["winding.py"] == len((ROOT / "src" / "modwind" / "winding.py").read_text().splitlines())
-    assert set(tree["routes_us"]) == {"winding_index", "e2_period"}
+    assert set(tree["routes_us"]) == {"winding_index", "e2_period", "both"}
     for strata in tree["routes_us"].values():
         assert set(strata) == {"generic", "cusp"}
         for q in strata.values():
             # one run: its median and quartiles are its one figure
             assert 0 < q["q1"] == q["median"] == q["q3"] < 1e6
+    # a class's best time of both routes together is at least each route's best
+    for stratum in ("generic", "cusp"):
+        both = tree["routes_us"]["both"][stratum]["median"]
+        assert both >= max(tree["routes_us"][r][stratum]["median"] for r in ("winding_index", "e2_period"))
     # one word a stratum: its median is that word's steps
     from modwind.geodesics import word_to_matrix
     from modwind.winding import winding_index

@@ -267,10 +267,10 @@ class TestIndex:
         assert out == ""
 
     def test_residual_refusal_exits_3(self, capsys):
-        # long_words(55, 20)[6] of tests/test_winding.py, as its product and as
+        # long_words(55, 20)[10] of tests/test_winding.py, as its product and as
         # --word, which passes its canonical rotation: winding_index reads the
         # class, so it refuses both
-        w = (9, 5, 8, 3, 7, 8, 2, 5, 8, 6, 2, 4, 7, 3, 8, 1, 2, 1, 8, 9)
+        w = (4, 2, 9, 7, 1, 4, 3, 1, 9, 1, 8, 4, 8, 1, 3, 9, 4, 9, 3, 3, 3, 7)
         matrix = ",".join(map(str, word_to_matrix(w).entries()))
         for argv in (("--matrix", matrix), ("--word", "-".join(map(str, w)))):
             code, out, err = run(capsys, "index", *argv)

@@ -1,9 +1,11 @@
 import cmath
 import math
 import random
+import runpy
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from modwind.rademacher import psi, psi_cf
 from modwind.winding import (
     DELTA_SERIES,
     E2HOL_SERIES,
+    WindingResult,
     axis_point,
     delta_eval,
     e2_completed,
@@ -289,46 +292,51 @@ class TestBatchedLayer:
             assert abs(j[k] - ref_j) / abs(ref_j) <= scale
 
 
+def counted(monkeypatch, name="_nodes"):
+    """Sizes of the batches of points (the last argument) that winding.<name>
+    receives from now on, with no first round kept."""
+    sizes = []
+    fn = getattr(winding, name)
+
+    def counting(*args):
+        sizes.append(args[-1].size)
+        return fn(*args)
+
+    monkeypatch.setattr(winding, name, counting)
+    winding._first_round.cache_clear()
+    return sizes
+
+
 class TestOneEvaluationPerRound:
-    @staticmethod
-    def counted(monkeypatch, name):
-        """Sizes of the batches that winding.<name> receives from now on."""
-        sizes = []
-        fn = getattr(winding, name)
-
-        def counting(z):
-            sizes.append(z.size)
-            return fn(z)
-
-        monkeypatch.setattr(winding, name, counting)
-        return sizes
-
     def test_e2_period_first_round_is_one_batch(self, monkeypatch):
-        # (1, 2) converges on the first grid: its 2n nodes, n = max(4, ceil(l / 0.25)),
-        # give both trapezoid sums from one call
-        sizes = self.counted(monkeypatch, "_e2")
+        # (1, 2) converges on the first round: its uniform grid of m intervals,
+        # m = 2 ceil(l / (2 * 0.054)), gives both trapezoid sums, and its m + 1
+        # nodes (node m closes the period for winding_index) are one call
+        sizes = counted(monkeypatch)
         g = word_to_matrix((1, 2))
         assert e2_period(g) == pytest.approx(-1.0, abs=1e-6)
-        n = max(4, math.ceil(geodesic_length(g.trace) / winding._PERIOD_STEP))
-        assert sizes == [2 * n]
+        assert sizes == [first_grid(g).size] == [grid_intervals(g) + 1]
 
     def test_winding_index_one_delta_batch(self, monkeypatch):
-        sizes = self.counted(monkeypatch, "_delta_series")
+        sizes = counted(monkeypatch)
         res = winding_index(word_to_matrix((1, 2)))
         assert sizes == [res.steps + 1]
 
     def test_refinement_adds_batches(self, monkeypatch):
         # the second excursion of (1, 60, 1, 40) stays below height 1 on the
         # axis, so only its folded heights split it, in a second round
-        delta = self.counted(monkeypatch, "_delta_series")
-        res = winding_index(word_to_matrix((1, 60, 1, 40)))
-        assert len(delta) == 2 and sum(delta) == res.steps + 1
+        delta = counted(monkeypatch)
+        g = word_to_matrix((1, 60, 1, 40))
+        res = winding_index(g)
+        assert len(delta) == 2 and sum(delta) == res.steps + 1 + inside_the_top(g)
         # the cusp excursion of (1, 10**7) doubles e2_period's grid: each later
         # batch is the midpoint after each node of the uniform grid so far
         batches = recorded_batches(monkeypatch)
+        winding._first_round.cache_clear()
         g = word_to_matrix((1, 10**7))
         assert e2_period(g) == pytest.approx(psi_cf((1, 10**7)), abs=1e-6)
-        (grid, _), *later = batches
+        (first, _), *later = batches
+        grid = first[: grid_intervals(g)]
         assert len(later) >= 2
         for t, _ in later:
             grid = np.sort(grid)
@@ -343,55 +351,63 @@ class TestOneEvaluationPerRound:
     def test_grid_split_in_one_pass(self, monkeypatch, w):
         # one split on the closed-form heights R / cosh t of the cusp excursion,
         # made before any node is evaluated, bounds the argument's turn below
-        # pi/2 on every interval of the grid's arms: one round, which the split
-        # on the folded heights leaves as it is
-        delta = self.counted(monkeypatch, "_delta_series")
+        # pi/2 on every interval off the flat top: one round, which the split
+        # on the folded heights at the window's ends leaves as it is
+        delta = counted(monkeypatch)
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         assert winding_index(g).index == psi(g)
         assert len(delta) == 1 and len(batches) == 1
-        (t, values), = batches
+        t, y = final_grid(batches)
         assert t.size > first_grid(g).size
-        assert np.all(turn_bound(t, values[1])[on_the_arms(t, g)] < 0.5 * math.pi)
+        assert np.all(turn_bound(t, y)[off_the_top(t, g)] < 0.5 * math.pi)
 
 
 def test_flat_nodes_skip_the_series(monkeypatch):
     # the excursion of (1, 240) rises to height 121 through both subnormal
-    # bands of q; no node at or above the flat height reaches _horner
-    heights, series = [], []
-    reduce, horner = winding._reduce, winding._horner
+    # bands of q; q is formed once a node, at the nodes below the flat height
+    # alone, and no node at or above it reaches _horner
+    heights, formed, series = [], [], []
+    reduce, q_at, horner = winding._reduce, winding._q, winding._horner
 
     def recording_reduce(z):
         z_red, j = reduce(z)
         heights.append(z_red.imag.copy())
         return z_red, j
 
+    def recording_q(z_red):
+        q, steep = q_at(z_red)
+        formed.append(q.copy())
+        return q, steep
+
     def recording_horner(coeffs, q):
         series.append(q.copy())
         return horner(coeffs, q)
 
     monkeypatch.setattr(winding, "_reduce", recording_reduce)
+    monkeypatch.setattr(winding, "_q", recording_q)
     monkeypatch.setattr(winding, "_horner", recording_horner)
+    winding._first_round.cache_clear()
     g = word_to_matrix((1, 240))
     assert winding_index(g).index == psi(g)
     assert e2_period(g) == pytest.approx(psi(g), abs=1e-6)
     y = np.concatenate(heights)
     assert ((56.0 <= y) & (y <= 59.5)).any() and ((112.0 <= y) & (y <= 119.0)).any()
+    assert np.concatenate(formed).size == (y < winding._FLAT_HEIGHT).sum() < y.size
     q = np.concatenate(series)
-    assert q.size == (y < winding._FLAT_HEIGHT).sum() < y.size
     # |q| = e^(-2 pi y_red), so each q's height is -log |q| / (2 pi)
     assert np.all(-np.log(np.abs(q)) / (2 * math.pi) < winding._FLAT_HEIGHT + 1e-12)
 
 
 def recorded_batches(monkeypatch):
-    """(t, values) of each batch that winding_index hands to _in_chunks from now on,
-    with the rows that _in_chunks returns stacked into one array."""
+    """(t, rows) of each batch that the routes hand to _in_chunks from now on:
+    the rows of _nodes for a round of nodes, those of _e2_rows for a doubling."""
     batches = []
     in_chunks = winding._in_chunks
 
     def recording(fn, t):
         rows = in_chunks(fn, t)
-        batches.append((t.copy(), np.array(rows)))
+        batches.append((t.copy(), rows))
         return rows
 
     monkeypatch.setattr(winding, "_in_chunks", recording)
@@ -399,10 +415,12 @@ def recorded_batches(monkeypatch):
 
 
 def final_grid(batches):
-    """The grid of winding_index and its values: the first grid and the new nodes, in order."""
+    """winding_index's grid and the reduced heights at its nodes: the nodes of each
+    round of _nodes rows, in order."""
     t = np.concatenate([b[0] for b in batches])
+    y = np.concatenate([b[1][0].imag for b in batches])
     order = np.argsort(t, kind="stable")
-    return t[order], np.concatenate([b[1] for b in batches], axis=1)[:, order]
+    return t[order], y[order]
 
 
 def height_bound(t, y):
@@ -436,38 +454,56 @@ def flat_top(gamma):
     return math.acosh(top / winding._FLAT_HEIGHT) if top > winding._FLAT_HEIGHT else 0.0
 
 
-def on_the_arms(t, gamma):
-    """Mask of the intervals of winding_index's grid t off the flat top: all but
-    the one interval [-s, s], or all where the axis of gamma has no flat top and
-    the arms share the node t = 0."""
-    s = flat_top(gamma)
-    arms = (t[:-1] != -s) | (t[1:] != s)
-    assert (~arms).sum() == (1 if s else 0)
-    return arms
+def grid_intervals(gamma):
+    """m, the even number of intervals of the first round's uniform grid: the
+    fewest of at most _BASE_STEP over the window."""
+    return 2 * math.ceil(0.5 * geodesic_length(gamma.trace) / winding._BASE_STEP)
 
 
 def first_grid(gamma):
-    """winding_index's first grid: the arms [lo, -s] and [s, hi] of the window,
-    each np.linspace's nodes in the fewest intervals of at most _BASE_STEP, with
-    the node t = 0 shared where the axis of gamma has no flat top."""
+    """The first round's uniform periodic grid over the window [lo, lo + l]:
+    lo + k l / m for k = 0..m."""
     axis = winding._axis_for(gamma)
-    lo, hi = axis.balance - 0.5 * axis.length, axis.balance + 0.5 * axis.length
-    s = flat_top(gamma)
-    left, right = (np.linspace(a, b, math.ceil((b - a) / winding._BASE_STEP) + 1) for a, b in [(lo, -s), (s, hi)])
-    return np.concatenate((left, right if s else right[1:]))
+    m = grid_intervals(gamma)
+    return axis.balance - 0.5 * axis.length + axis.length / m * np.arange(m + 1.0)
+
+
+def top_nodes(gamma):
+    """The nodes of the first grid in the flat top [-s, s] of the axis of gamma."""
+    t, s = first_grid(gamma), flat_top(gamma)
+    return t[(-s <= t) & (t <= s)] if s else t[:0]
+
+
+def inside_the_top(gamma):
+    """The first grid's nodes strictly between its first and last in the flat top,
+    which winding_index does not step through."""
+    return max(top_nodes(gamma).size - 2, 0)
+
+
+def off_the_top(t, gamma):
+    """Mask of the intervals of winding_index's grid t that it steps through: all
+    but those between the first grid's first and last nodes in the flat top,
+    which it takes as one increment in closed form."""
+    top = top_nodes(gamma)
+    if top.size < 2:
+        return np.ones(t.size - 1, dtype=bool)
+    off = (t[:-1] < top[0]) | (t[1:] > top[-1])
+    assert (~off).sum() == top.size - 1
+    return off
 
 
 class TestRefine:
     """winding_index's two splits against a reference that splits one interval
     at a time, with its evaluations recorded: the split of the first grid on the
     closed-form heights R / cosh t, made before any node is evaluated, and the
-    split of that grid on the folded heights at its nodes."""
+    split on the folded heights at its nodes of the intervals with a node below
+    height 1 on the axis."""
 
     # (1, 2) is accepted on its first grid; the others split around the cusp
-    # excursion of their large digit, on the arms either side of its flat top,
-    # before their first round, and (90, 1, 45, 2) and (1, 60, 1, 40) split
-    # again, in a second round, around a second excursion that stays below
-    # height 1 on the axis
+    # excursion of their large digit, either side of its flat top, before
+    # their first round, and (90, 1, 45, 2) and (1, 60, 1, 40) split again, in
+    # a second round, around a second excursion that stays below height 1 on
+    # the axis
     WORDS = [
         (1, 2),
         (1, 40),
@@ -485,7 +521,7 @@ class TestRefine:
         """(nodes, new) of the split grid, one interval and one node at a time:
         interval k of the grid t on the arms splits into the least number of
         equal parts on which the turn bound at the height bound over it, from the
-        heights y at the nodes, is below pi/2, the flat top stays one interval,
+        heights y at the nodes, is below pi/2, the other intervals stay whole,
         and new marks the nodes that the split adds."""
         pieces = np.where(arms, np.floor(turn_bound(t, y) / (0.5 * math.pi)) + 1.0, 1.0)
         nodes, new = [], []
@@ -502,28 +538,41 @@ class TestRefine:
     def matches_reference(cls, monkeypatch, g):
         """The sizes of the batches of winding_index(g), after checking its grids
         and result against the reference's."""
-        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        delta = counted(monkeypatch)
         batches = recorded_batches(monkeypatch)
         res = winding_index(g)
-        (t, values), *split = batches
+        (t, rows), *split = batches
         assert len(split) <= 1
-        # the first round is the first grid split on the closed-form heights
+        # the first round is the first grid, then the nodes that its split on the
+        # closed-form heights adds, in order
         first = first_grid(g)
-        pre, _ = cls.reference(first, top_height(g) / np.cosh(first), on_the_arms(first, g))
-        assert np.array_equal(t, pre)
-        # the second, if any, is the nodes that the split on the folded heights
-        # adds, in order, and each node was evaluated once
-        ref_t, new = cls.reference(t, values[1], on_the_arms(t, g))
-        new_t, new_values = split[0] if split else (np.empty(0), np.empty((2, 0)))
-        assert np.array_equal(ref_t[~new], t) and np.array_equal(ref_t[new], new_t)
-        assert sum(delta) == ref_t.size == res.steps + 1
+        pre, added = cls.reference(first, top_height(g) / np.cosh(first), off_the_top(first, g))
+        assert np.array_equal(t[: first.size], first) and np.array_equal(t[first.size :], pre[added])
+        y, arg = np.empty(pre.size), np.empty(pre.size)
+        y[~added], y[added] = rows[0].imag[: first.size], rows[0].imag[first.size :]
+        first_arg = winding._arg_f(*rows[:4])
+        arg[~added], arg[added] = first_arg[: first.size], first_arg[first.size :]
+        # the second, if any, is the nodes that the split on the folded heights adds
+        # to the intervals outside [i0, i1], whose nodes are all at height 1 or more
+        # on the axis, in order, and each node was evaluated once
+        i0, i1 = winding._first_round(g).ends
+        assert i1 == i0 == 0 or np.all(top_height(g) / np.cosh(pre[i0 : i1 + 1]) >= 1.0)
+        low = np.ones(pre.size - 1, dtype=bool)
+        low[i0:i1] = False
+        ref_t, new = cls.reference(pre, y, off_the_top(pre, g) & low)
+        new_t, new_rows = split[0] if split else (np.empty(0), None)
+        assert np.array_equal(ref_t[~new], pre) and np.array_equal(ref_t[new], new_t)
+        assert sum(delta) == ref_t.size == res.steps + 1 + inside_the_top(g)
         # the old values are carried over: the total is read off the reference's
-        # arms and the closed form of the flat top
-        ref_values = np.empty((2, ref_t.size))
-        ref_values[:, ~new], ref_values[:, new] = values, new_values
-        inc = winding._wrap(np.diff(ref_values[0]))
-        inc[~on_the_arms(ref_t, g)] = 0.0
-        _, flat = winding._flat_top(winding._axis_for(g))
+        # intervals off the flat top and the closed form between its end nodes
+        ref_arg = np.empty(ref_t.size)
+        ref_arg[~new] = arg
+        if split:
+            ref_arg[new] = winding._arg_f(*new_rows[:4])
+        inc = winding._wrap(np.diff(ref_arg))
+        inc[~off_the_top(ref_t, g)] = 0.0
+        top = top_nodes(g)
+        flat = winding._top_turns(winding._axis_for(g), top[0], top[-1]) if top.size > 1 else 0.0
         turns = float(inc.sum()) / winding._TWO_PI + flat
         assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
         return [b.size for b, _ in batches]
@@ -531,9 +580,8 @@ class TestRefine:
     @pytest.mark.parametrize("seed", range(len(WORDS)))
     def test_matches_reference(self, monkeypatch, seed):
         g = word_to_matrix(self.WORDS[seed])
-        # seed 0 has no flat top (its arms share t = 0), the others one interval
-        # of it in the first grid
-        assert (flat_top(g) == 0.0) == (seed == 0)
+        # seed 0 has no flat top, the others several nodes of the first grid in it
+        assert (top_nodes(g).size == 0) == (seed == 0) and (top_nodes(g).size > 2) == (seed > 0)
         sizes = self.matches_reference(monkeypatch, g)
         assert len(sizes) == self.ROUNDS[seed]
         assert (sizes[0] > first_grid(g).size) == (seed > 0)
@@ -592,6 +640,7 @@ class TestRefine:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np, name, recording)
+        winding._first_round.cache_clear()
         winding_index(word_to_matrix((1, 2)))
         assert calls == []
         winding_index(word_to_matrix((1, 60)))
@@ -601,7 +650,7 @@ class TestRefine:
     def test_over_the_node_cap_refused_at_once(self, monkeypatch, pieces):
         # a rate bound that asks for at least sqrt(3)/2 times this many parts
         # of every interval, the reduced height being at least sqrt(3)/2
-        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        delta = counted(monkeypatch)
         monkeypatch.setattr(winding, "_E2_RATE", pieces * 0.5 * math.pi / winding._BASE_STEP)
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match="nodes"):
@@ -618,32 +667,30 @@ class TestRefine:
     def test_final_grid_meets_the_bound(self, monkeypatch, w):
         # the check the split makes unneeded: the turn bound with the height
         # bound recomputed from the final nodes is below pi/2 on every interval
-        # of the arms; at most two batches (of slices of _CHUNK points), each
+        # stepped through; at most two batches (of slices of _CHUNK points), each
         # node in one
-        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        delta = counted(monkeypatch)
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         res = winding_index(g)
         assert res.index == psi(g)
-        assert len(batches) <= 2 and sum(delta) == res.steps + 1
-        t, values = final_grid(batches)
-        assert np.all(turn_bound(t, values[1])[on_the_arms(t, g)] < 0.5 * math.pi)
+        assert len(batches) <= 2 and sum(delta) == res.steps + 1 + inside_the_top(g)
+        t, y = final_grid(batches)
+        assert np.all(turn_bound(t, y)[off_the_top(t, g)] < 0.5 * math.pi)
 
     def test_first_grid_within_the_node_cap(self, monkeypatch):
         # the largest trace whose t^2 - 4 is a float has the longest first grid,
-        # at most two nodes longer as the top parts it into two arms, far below
-        # the cap, so only the splits' grids are checked against it
+        # far below the cap, so only the splits' grids are checked against it
         top = math.isqrt(2**1024 - 2**970 + 3)
         assert 2**511 < top < 2**512
-        nodes = math.ceil(geodesic_length(top) / winding._BASE_STEP) + 1
-        assert nodes == 13146 and nodes + 2 < winding._MAX_NODES
+        m = 2 * math.ceil(0.5 * geodesic_length(top) / winding._BASE_STEP)
+        assert m == 13146 and m + 1 < winding._MAX_NODES
         # a word of digits 1 and 2 just below that trace has no flat top: its
-        # first grid is one batch, two arms that share the node t = 0, and the
-        # fold refuses the ends of its window
+        # first grid is one batch, and the fold refuses the ends of its window
         g = word_to_matrix((2,) + (1,) * 735)
         assert flat_top(g) == 0.0 and top // 2 < g.trace < top
-        first = math.ceil(geodesic_length(g.trace) / winding._BASE_STEP) + 1
-        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        first = grid_intervals(g) + 1
+        delta = counted(monkeypatch)
         with pytest.raises(CapExceeded, match="float spacing"):
             winding_index(g)
         assert delta == [first] and first == 13133
@@ -660,12 +707,15 @@ class TestRefine:
         for w, rounds in (((1, 60), 0), ((1, 60, 1, 40), 1)):
             g = word_to_matrix(w)
             with monkeypatch.context() as m:
+                nodes = counted(m)
                 res = winding_index(g)
-                m.setattr(winding, "_MAX_NODES", res.steps + 1)
+                full = sum(nodes)
+                m.setattr(winding, "_MAX_NODES", full)
+                winding._first_round.cache_clear()
                 assert winding_index(g) == res
-                m.setattr(winding, "_MAX_NODES", res.steps)
-                delta = TestOneEvaluationPerRound.counted(m, "_delta_series")
-                with pytest.raises(CapExceeded, match=f"needs {res.steps + 1} nodes"):
+                m.setattr(winding, "_MAX_NODES", full - 1)
+                delta = counted(m)
+                with pytest.raises(CapExceeded, match=f"needs {full} nodes"):
                     winding_index(g)
                 assert len(delta) == rounds
 
@@ -676,20 +726,24 @@ def test_chunked_rows_join_to_the_same_bits(monkeypatch, w):
     # rows _in_chunks joins row by row; e2_period's grid on (1, 10^7) doubles
     # at least twice, so its midpoint batches are joined too
     g = word_to_matrix(w)
+    winding._first_round.cache_clear()
     index, period = repr(winding_index(g)), repr(e2_period(g))
     monkeypatch.setattr(winding, "_CHUNK", 64)
     batches = recorded_batches(monkeypatch)
+    winding._first_round.cache_clear()
     assert repr(winding_index(g)) == index
     assert batches[0][0].size > 64
     batches.clear()
+    winding._first_round.cache_clear()
     assert repr(e2_period(g)) == period
     assert all(t.size > 64 for t, _ in batches)
     assert len(batches) >= (3 if w == (1, 10**7) else 1)
 
 
 class TestLastAxisKept:
-    """_axis_for keeps the axis of the last matrix it was given, as both routes
-    run on one class back to back; a refusal is never kept."""
+    """_first_round keeps the first round, and with it the axis, of the last
+    matrix it was given, as both routes run on one class back to back; a
+    refusal is never kept."""
 
     G1 = word_to_matrix((3, 150, 2, 5))
     G2 = word_to_matrix((2, 9, 2, 8, 6, 7, 1, 5, 9, 1, 7, 4))
@@ -698,7 +752,7 @@ class TestLastAxisKept:
 
     @staticmethod
     def counted_walks(monkeypatch):
-        """The walks _axis_for starts from now on, with no axis kept."""
+        """The walks _axis_for starts from now on, with no round kept."""
         walks, walk = [], winding._reduced_cycle
 
         def counting(*args):
@@ -706,7 +760,7 @@ class TestLastAxisKept:
             return walk(*args)
 
         monkeypatch.setattr(winding, "_reduced_cycle", counting)
-        winding._axis_for.cache_clear()
+        winding._first_round.cache_clear()
         return walks
 
     def test_interleaved_routes_give_the_bits_of_a_fresh_axis(self):
@@ -714,7 +768,7 @@ class TestLastAxisKept:
         calls = [(winding_index, g1), (e2_period, g2), (e2_period, g1), (winding_index, g2)]
         results = [repr(route(g)) for route, g in calls]
         for (route, g), result in zip(calls, results):
-            winding._axis_for.cache_clear()
+            winding._first_round.cache_clear()
             assert repr(route(g)) == result
 
     def test_one_walk_a_class(self, monkeypatch):
@@ -722,12 +776,12 @@ class TestLastAxisKept:
         winding_index(self.G1)
         e2_period(self.G1)
         assert len(walks) == 1
-        winding._axis_for.cache_clear()
+        winding._first_round.cache_clear()
         walks.clear()
         winding_index(self.G1)
         e2_period(self.G2)
         assert len(walks) == 2
-        # one axis is kept: G2's replaced G1's
+        # one round is kept: G2's replaced G1's
         winding_index(self.G1)
         assert len(walks) == 3
 
@@ -738,14 +792,112 @@ class TestLastAxisKept:
     )
     def test_refusal_raised_on_every_call(self, monkeypatch, gamma, refused, walked):
         walks = self.counted_walks(monkeypatch)
-        axis = winding._axis_for(self.G1)
+        kept = winding._first_round(self.G1)
         for _ in range(3):
-            for route in (winding._axis_for, winding_index, e2_period):
+            for route in (winding._first_round, winding_index, e2_period):
                 with pytest.raises(refused):
                     route(gamma)
-        # the walk refuses each call again, and the kept axis stays the last one made
+        # the walk refuses each call again, and the kept round stays the last one made
         assert len(walks) == 1 + (9 if walked else 0)
-        assert winding._axis_for(self.G1) is axis and len(walks) == 1 + (9 if walked else 0)
+        assert winding._first_round(self.G1) is kept and len(walks) == 1 + (9 if walked else 0)
+
+
+class TestSharedRound:
+    """Both routes read one first round a class: the result of each, and each
+    refusal, is the same whichever route runs first."""
+
+    WORDS = [(1, 2), (3, 7), (1, 60), (3, 150, 2, 5), (1, 60, 1, 40), (1, 10**7), (2, 5000, 3, 9000)]
+
+    @staticmethod
+    def outcomes(calls):
+        """The bits of each route's result, or its error's class and message, in call order."""
+        out = []
+        for route, gamma in calls:
+            try:
+                result = route(gamma)
+            except ModwindError as error:
+                out.append((type(error), str(error)))
+            else:
+                out.append(repr(result) if isinstance(result, WindingResult) else float(result).hex())
+        return out
+
+    @pytest.mark.parametrize("w", WORDS, ids=lambda w: "-".join(map(str, w)))
+    def test_bits_do_not_depend_on_the_call_order(self, w):
+        g = word_to_matrix(w)
+        winding._first_round.cache_clear()
+        index, period = self.outcomes([(winding_index, g), (e2_period, g)])
+        winding._first_round.cache_clear()
+        assert self.outcomes([(e2_period, g), (winding_index, g)]) == [period, index]
+        for route, result in ((winding_index, index), (e2_period, period)):
+            winding._first_round.cache_clear()
+            assert self.outcomes([(route, g)]) == [result]
+
+    @pytest.mark.parametrize("w", [(1, 2), (3, 150, 2, 5)], ids=lambda w: "-".join(map(str, w)))
+    def test_cached_arrays_are_read_only(self, w):
+        rnd = winding._first_round(word_to_matrix(w))
+        arrays = [rnd.t, *rnd.nodes] + ([] if rnd.order is None else [rnd.order])
+        assert (rnd.order is None) == (w == (1, 2))
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = a[:1]
+            with pytest.raises(ValueError, match="read-only"):
+                a[-1:][0] = a[0]
+
+    def test_the_cache_holds_one_class(self):
+        g1, g2 = word_to_matrix((1, 2)), word_to_matrix((3, 7))
+        winding._first_round.cache_clear()
+        kept = winding._first_round(g1)
+        assert winding._first_round(g1) is kept
+        winding_index(g2)
+        e2_period(g2)
+        info = winding._first_round.cache_info()
+        assert info.maxsize == info.currsize == 1
+        assert winding._first_round(g1) is not kept
+
+    @pytest.mark.parametrize(
+        "w, index, period",
+        [
+            ((1, 10**8), None, (QuadratureFailure, "rounding witness")),
+            ((1, 10**12), (CapExceeded, "flat top"), (QuadratureFailure, "rounding witness")),
+            ((2, 10**9, 3, 10**9 - 1), (CapExceeded, "nodes"), (QuadratureFailure, "rounding witness")),
+        ],
+        ids=["1-1e8", "1-1e12", "2-1e9-3-1e9-1"],
+    )
+    def test_refusals_stay_per_route(self, w, index, period):
+        # each route's refusal is raised on each of its calls, in either order,
+        # and never by the other route
+        g = word_to_matrix(w)
+        winding._first_round.cache_clear()
+        computed = self.outcomes([(winding_index, g)])[0]
+        for first, second in ((winding_index, e2_period), (e2_period, winding_index)):
+            winding._first_round.cache_clear()
+            results = self.outcomes([(first, g), (second, g), (first, g), (second, g)])
+            for route, result in zip((first, second) * 2, results):
+                expect = index if route is winding_index else period
+                if expect is None:
+                    assert result == computed and winding_index(g).index == psi(g)
+                else:
+                    assert result[0] is expect[0] and expect[1] in result[1]
+
+    def test_end_split_builds_no_ratio_on_cusp_words(self, monkeypatch):
+        # the second split reads only the window's ends, which on the routes
+        # workload's 40 cusp words of seed 1 stay far below height 4.9: one max
+        # shows that nothing splits, so no ratio array is built
+        gen = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"))
+        cusp = [w for stratum, w in gen["routes_words"](1) if stratum == "cusp"]
+        assert len(cusp) == 40
+        ratios = counted(monkeypatch, "_ratio")
+        for w in cusp:
+            g = word_to_matrix(w)
+            e2_period(g)
+            ratios.clear()
+            assert winding_index(g).index == psi(g)
+            assert ratios == []
+        # the second excursion of (1, 60, 1, 40) sits below height 1 on the axis,
+        # where the folded heights split it, in a second round
+        nodes = counted(monkeypatch)
+        winding_index(word_to_matrix((1, 60, 1, 40)))
+        assert len(nodes) == 2
 
 
 class TestFlatTop:
@@ -763,9 +915,31 @@ class TestFlatTop:
         z, _ = axis.at(t)
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
         assert np.allclose(z.imag, top / np.cosh(t), rtol=1e-12, atol=0.0)
-        s, _ = winding._flat_top(axis)
+        s = winding._flat_top(axis)
         z, _ = axis.at(np.array([-s, s]))
         assert z.imag == pytest.approx(winding._FLAT_HEIGHT, rel=1e-12)
+
+    @staticmethod
+    def fine_turns(axis, ta, tb):
+        """The wrapped increments of arg F from ta to tb in the flat top, summed in
+        turns, on a grid that meets the rate bound: nodes equally spaced in
+        gd(t) = 2 atan(tanh(t/2)), as max(c y - 6, 1.132) <= c y on the top,
+        where y >= 8.6, and y = R / cosh t = R gd'(t)."""
+        top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+        rate = winding._E2_RATE * top
+        ua, ub = (2.0 * math.atan(math.tanh(0.5 * x)) for x in (ta, tb))
+        u = np.linspace(ua, ub, math.ceil((ub - ua) * rate / (0.4 * math.pi)) + 1)
+        t = 2.0 * np.arctanh(np.tan(0.5 * u))
+        t[0], t[-1] = ta, tb
+
+        def rows(t):
+            z, dz = axis.at(t)
+            z_red, j, tail = winding._delta_series(z)
+            return np.array([winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz), z_red.imag])
+
+        values = winding._in_chunks(rows, t)
+        assert np.all(turn_bound(t, values[1]) < 0.5 * math.pi)
+        return math.fsum(winding._wrap(np.diff(values[0])).tolist()) / (2 * math.pi)
 
     @pytest.mark.parametrize(
         "w",
@@ -784,33 +958,62 @@ class TestFlatTop:
         ids=lambda w: "-".join(map(str, w)),
     )
     def test_closed_form_is_the_wrapped_sum(self, w):
-        # the wrapped increments of arg F over [-s, s], on axes that run either
-        # way (sigma = -1 on the first seven words), on a grid that meets the
-        # rate bound: nodes equally spaced in gd(t) = 2 atan(tanh(t/2)), as
-        # max(c y - 6, 1.132) <= c y on the top, where y >= 8.6, and
-        # y = R / cosh t = R gd'(t)
-        axis = winding._axis_for(word_to_matrix(w))
-        s, turns = winding._flat_top(axis)
+        # the closed form between two nodes of the flat top against the wrapped
+        # increments of arg F over it, on axes that run either way (sigma = -1 on
+        # the first seven words): over the whole top [-s, s], where it is the
+        # formula in R alone, and between the first grid's first and last nodes
+        # in the top and two more of them drawn at random
+        g = word_to_matrix(w)
+        axis = winding._axis_for(g)
+        s = winding._flat_top(axis)
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
-        rate = winding._E2_RATE * top
-        edge = 2.0 * math.atan(math.tanh(0.5 * s))
-        u = np.linspace(-edge, edge, math.ceil(2.0 * edge * rate / (0.4 * math.pi)) + 1)
-        t = 2.0 * np.arctanh(np.tan(0.5 * u))
-        t[0], t[-1] = -s, s
+        sigma = 1.0 if axis.alpha > axis.alpha_bar else -1.0
+        H = winding._FLAT_HEIGHT
+        whole = sigma * (2.0 * math.sqrt((top - H) * (top + H)) - 3.0 + 6.0 / math.pi * math.asin(H / top))
+        assert abs(winding._top_turns(axis, -s, s) - whole) <= 2.0**-49 * top
+        nodes = top_nodes(g)
+        assert nodes.size >= 2
+        a, b = sorted(random.Random(w[1]).sample(range(nodes.size), 2))
+        for ta, tb in ((-s, s), (nodes[0], nodes[-1]), (nodes[a], nodes[b])):
+            assert abs(winding._top_turns(axis, ta, tb) - self.fine_turns(axis, ta, tb)) <= 1e-9
 
-        def rows(t):
-            z, dz = axis.at(t)
-            z_red, j, tail = winding._delta_series(z)
-            return np.array([winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz), z_red.imag])
+    def test_round_takes_the_top_between_its_grid_nodes(self):
+        # the round's flat top interval runs from the first to the last node of
+        # the first grid in [-s, s], where those are two or more
+        for w in [(1, 17), (3, 200), (1, 3, 1, 8000), (1, 10**9)]:
+            g = word_to_matrix(w)
+            rnd = winding._first_round(g)
+            nodes = top_nodes(g)
+            order = np.arange(rnd.t.size) if rnd.order is None else rnd.order
+            a, b = rnd.gap
+            assert (rnd.t[order][a], rnd.t[order][b]) == (nodes[0], nodes[-1]) and b - a == nodes.size - 1
+            assert rnd.flat == winding._top_turns(rnd.axis, nodes[0], nodes[-1])
 
-        values = winding._in_chunks(rows, t)
-        assert np.all(turn_bound(t, values[1]) < 0.5 * math.pi)
-        wrapped = math.fsum(winding._wrap(np.diff(values[0])).tolist()) / (2 * math.pi)
-        assert abs(turns - wrapped) <= 1e-9
+    def test_no_gap_below_two_top_nodes(self):
+        # (9, 17) has one node of its first grid in its top [-s, s], and an axis
+        # whose grid falls either side of its top none: neither has a flat top
+        # interval, and both step through the top on their grid
+        g = word_to_matrix((9, 17))
+        assert flat_top(g) > 0.0 and top_nodes(g).size == 1
+        rnd = winding._first_round(g)
+        assert (rnd.gap, rnd.flat) == (None, 0.0)
+        res = winding_index(g)
+        assert res.index == psi(g) and res.steps + 1 == rnd.t.size
+        s, m = 0.02, 186
+        top = winding._FLAT_HEIGHT * math.cosh(s)
+        h = 10.0 / m
+        for sign in (1.0, -1.0):
+            # nodes at -h/2 + k h, |h/2| > s
+            axis = winding._Axis(sign * top, -sign * top, 10.0, 5.0 - (m // 2 + 0.5) * h)
+            assert winding._flat_top(axis) == pytest.approx(s, rel=1e-12)
+            rnd = winding._Round(axis)
+            grid = rnd.t[: m + 1]
+            assert not np.any((-s <= grid) & (grid <= s))
+            assert rnd.m == m and (rnd.gap, rnd.flat) == (None, 0.0)
 
     @pytest.mark.parametrize("w", [(1, 10**12), (1, 10**15), (3, 10**14, 2, 5)], ids=str)
     def test_rounding_bound_refuses_before_any_node(self, monkeypatch, w):
-        delta = TestOneEvaluationPerRound.counted(monkeypatch, "_delta_series")
+        delta = counted(monkeypatch)
         with pytest.raises(CapExceeded, match="flat top"):
             winding_index(word_to_matrix(w))
         assert delta == []
@@ -819,7 +1022,7 @@ class TestFlatTop:
         # 2^-49 R turns at most a tenth of _RESIDUAL_LIMIT: R up to 5.6e10
         limit = 0.1 * winding._RESIDUAL_LIMIT * 2.0**49
         assert 5.6e10 < limit < 5.7e10
-        assert winding._flat_top(winding._Axis(limit, -limit, 60.0, 0.0))[0] > 0.0
+        assert winding._flat_top(winding._Axis(limit, -limit, 60.0, 0.0)) > 0.0
         above = float(np.nextafter(limit, math.inf))
         with pytest.raises(CapExceeded, match="flat top"):
             winding._flat_top(winding._Axis(above, -above, 60.0, 0.0))
@@ -982,7 +1185,7 @@ def test_rate_is_the_completed_e2_form(centre, log_radius, reversed_):
     assert np.allclose(np.abs(dz / (j * j)), y, rtol=1e-9, atol=0.0)
     assert np.all(np.abs(reduced - rate) <= 1e-9 * rate_bound(y))
     assert np.all(np.abs(differences - rate) <= 1e-4 * rate_bound(y) + 1e-5)
-    e2 = winding._series(E2HOL_SERIES, z_red)
+    e2 = winding._series(E2HOL_SERIES, *winding._q(z_red))
     assert np.all(np.abs(rate) <= np.abs(2.0 * math.pi * e2 * y - 6.0) * (1.0 + 1e-9))
     assert np.all(np.abs(rate) <= rate_bound(y))
 
@@ -1309,8 +1512,8 @@ class TestAxis:
             assert z.imag <= 1.0 + 1e-12
 
     def test_routes_share_one_window(self, monkeypatch):
-        # both routes read the window [b - l/2, b + l/2] from the axis; b is
-        # uncapped and away from 0 on this word
+        # both routes read the window [b - l/2, b + l/2] from the axis, in one
+        # first round; b is uncapped and away from 0 on this word
         w = (2, 9, 2, 8, 6, 7, 1, 5, 9, 1, 7, 4)
         axis = winding._axis_for(word_to_matrix(w))
         assert abs(axis.balance) > 0.1
@@ -1321,13 +1524,18 @@ class TestAxis:
             return at(self, t)
 
         monkeypatch.setattr(winding._Axis, "at", recording)
-        winding_index(word_to_matrix(w))
-        first = calls[0]
-        assert first[0] == pytest.approx(axis.balance - 0.5 * axis.length, abs=1e-12)
-        assert first[-1] == pytest.approx(axis.balance + 0.5 * axis.length, abs=1e-12)
-        calls.clear()
-        e2_period(word_to_matrix(w))
-        assert calls[0][0] == pytest.approx(axis.balance - 0.5 * axis.length, abs=1e-12)
+        for first, second in ((winding_index, e2_period), (e2_period, winding_index)):
+            winding._first_round.cache_clear()
+            calls.clear()
+            first(word_to_matrix(w))
+            grid = calls[0]
+            assert grid[0] == pytest.approx(axis.balance - 0.5 * axis.length, abs=1e-12)
+            m = grid_intervals(word_to_matrix(w))
+            assert grid[m] == pytest.approx(axis.balance + 0.5 * axis.length, abs=1e-12)
+            # the other route reads the same round: the window's first node is
+            # evaluated once, and only winding_index's second round follows
+            second(word_to_matrix(w))
+            assert len(calls) == 2 and calls[1].size < 10 and grid[0] not in calls[1]
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
@@ -1394,10 +1602,10 @@ class TestWindingIndex:
         assert e2_period(g) == pytest.approx(1.0, abs=1e-6)
 
     def test_residual_refused(self):
-        # one of the 20 survey words at L = 55 that the residual check refuses:
+        # the one survey word of the 20 at L = 55 that the residual check refuses:
         # the turns total misses an integer by more than _RESIDUAL_LIMIT
-        w = long_words(55, 20)[6]
-        assert len(w) == 20
+        w = long_words(55, 20)[10]
+        assert len(w) == 22
         start = time.perf_counter()
         with pytest.raises(QuadratureFailure, match="winding total"):
             winding_index(word_to_matrix(w))
@@ -1495,7 +1703,7 @@ class TestE2Period:
             self.assert_index_close(w, 1e-4)
 
     # long words at L = 36 to 40 (the first at 40 is also the first at 36): five
-    # are computed, two refused by the witness and two by the node cap
+    # are computed, four refused by the witness and none by the node cap
     SLICE = long_words(36, 5)[1:] + long_words(40, 5)
 
     def test_rounding_witness_bounds_the_error(self, monkeypatch):
@@ -1519,19 +1727,20 @@ class TestE2Period:
                     e2_period(g)
             else:
                 assert e2_period(g) == total.real
-        assert (checked, refused) == (7, 2)
+        assert (checked, refused) == (9, 4)
 
     @pytest.mark.parametrize("w", [(1, 2), (3, 200)], ids=lambda w: "-".join(map(str, w)))
     def test_rounding_witness_from_its_definition(self, monkeypatch, w):
-        # both converge on the first grid of 2n nodes, over which the witness is
-        # the trapezoid sum of 2^-52 |z| / Im z |E2(z) dz/dt|, E2 from the
-        # scalar reference
-        sizes = TestOneEvaluationPerRound.counted(monkeypatch, "_e2")
+        # both converge on the first round, whose first m nodes are the uniform
+        # grid, over which the witness is the trapezoid sum of
+        # 2^-52 |z| / Im z |E2(z) dz/dt|, E2 from the scalar reference; the
+        # round of (3, 200) also holds the nodes of winding_index's split
+        sizes = counted(monkeypatch)
         g = word_to_matrix(w)
         _, witness = winding._trapezoid(g)
         ell = geodesic_length(g.trace)
-        nodes = 2 * max(4, math.ceil(ell / winding._PERIOD_STEP))
-        assert sizes == [nodes]
+        nodes = grid_intervals(g)
+        assert len(sizes) == 1 and (sizes[0] > nodes + 1) == (w == (3, 200))
         h, lo = ell / nodes, winding._axis_for(g).balance - 0.5 * ell
         terms = []
         for k in range(nodes):

@@ -9,8 +9,12 @@ own words: perfbench/gen.py's routes_words(SEED), 40 generic, long and cusp
 words each, run from source so that no bytecode is written under perfbench/.
 Each of the RUNS runs is a fresh child process that imports modwind from one
 tree's src/, calls both routes on each class in turn, as every caller does,
-REPEATS times over the whole set, and keeps each class's best time; a run's
-figure for a stratum is the mean of those bests.  The file gives the median
+REPEATS times over the whole set, and keeps each class's best time of each
+route and of the two together ("both"); a run's figure for a stratum is the
+mean of those bests.  Work that the routes share, such as a class's first
+round, falls to whichever route runs first (winding_index here), so the
+split between the two routes compares only across trees that share the
+same work; "both" compares across any two.  The file gives the median
 and quartiles over the runs, and the median over a stratum's words of
 winding_index's steps (its grid's intervals), which do not change from run to
 run.  With --base, the runs alternate between the tree at PATH ("base") and
@@ -44,7 +48,7 @@ OUT = ROOT
 SEED = 1
 RUNS = 10
 REPEATS = 7
-ROUTES = ("winding_index", "e2_period")
+ROUTES = ("winding_index", "e2_period", "both")
 
 
 def routes_words():
@@ -54,8 +58,8 @@ def routes_words():
 
 
 def time_routes(words):
-    """{stratum: {route: mean over its words of each word's best us, "steps": median
-    over its words of winding_index's steps}} in this process."""
+    """{stratum: {route: mean over its words of each word's best us, for each of
+    ROUTES, "steps": median over its words of winding_index's steps}} in this process."""
     from modwind.geodesics import word_to_matrix
     from modwind.winding import e2_period, winding_index
 
@@ -63,7 +67,7 @@ def time_routes(words):
     warm = word_to_matrix((7, 58))
     winding_index(warm)
     e2_period(warm)
-    best = [[math.inf, math.inf] for _ in classes]
+    best = [[math.inf] * len(ROUTES) for _ in classes]
     steps = [winding_index(g).steps for _, g in classes]
     clock = time.perf_counter
     for _ in range(REPEATS):
@@ -73,8 +77,8 @@ def time_routes(words):
             middle = clock()
             e2_period(g)
             end = clock()
-            best[k][0] = min(best[k][0], middle - start)
-            best[k][1] = min(best[k][1], end - middle)
+            for i, seconds in enumerate((middle - start, end - middle, end - start)):
+                best[k][i] = min(best[k][i], seconds)
     out = {}
     for stratum in dict.fromkeys(s for s, _ in words):
         rows = [b for (s, _), b in zip(classes, best) if s == stratum]
