@@ -433,7 +433,7 @@ class _Round:
         """winding_index's plan on the uniform grid self.t: CapExceeded, before any
         attribute is set, past the flat top's rounding bound or the node cap."""
         axis, m, grid = self.axis, self.m, self.t
-        lo, h = grid[0], axis.length / m
+        lo, h = axis.balance - 0.5 * axis.length, axis.length / m
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
         s = _flat_top(axis)
         # the grid nodes k in [-s, s], from k h in [-s - lo, s - lo]
