@@ -143,6 +143,11 @@ def _sigma1(n: int) -> int:
 # log form inside delta_eval); E2HOL_SERIES is the holomorphic part of E2.
 DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
+# The same coefficients as complex128 scalars, q's dtype, for _horner: each of its
+# in-place steps then takes numpy's loop for two complex128 operands, which gives
+# the bits of the integer coefficients about a fifth faster.
+_DELTA_C = tuple(map(np.complex128, DELTA_SERIES))
+_E2HOL_C = tuple(map(np.complex128, E2HOL_SERIES))
 
 
 def _wrap(x):
@@ -210,7 +215,7 @@ def _delta_series(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z_red, j, tail) at each point of z, with Delta(z) = q tail / j^12 and
     q = exp(2 pi i z_red): the fold of _reduce and the series Delta/q at z_red."""
     z_red, j = _reduce(z)
-    return z_red, j, _series(DELTA_SERIES, *_q(z_red))
+    return z_red, j, _series(_DELTA_C, *_q(z_red))
 
 
 def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -221,7 +226,7 @@ def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray
 def _e2(z: np.ndarray) -> np.ndarray:
     """Completed E2 at each point of z."""
     z_red, j = _reduce(z)
-    return (_series(E2HOL_SERIES, *_q(z_red)) - 3.0 / (math.pi * z_red.imag)) / (j * j)
+    return (_series(_E2HOL_C, *_q(z_red)) - 3.0 / (math.pi * z_red.imag)) / (j * j)
 
 
 def delta_eval(z: complex) -> Tuple[float, float]:
@@ -335,7 +340,7 @@ def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 def _arg_f(z_red, dz_red, q, steep) -> np.ndarray:
     """arg F + 2 pi k at each node, F = Delta(z_red) (dz_red/dt)^6, from _nodes' rows."""
-    tail = _series(DELTA_SERIES, q, steep)
+    tail = _series(_DELTA_C, q, steep)
     arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
     return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real)
 
@@ -343,7 +348,7 @@ def _arg_f(z_red, dz_red, q, steep) -> np.ndarray:
 def _e2_rows(z_red, dz_red, q, steep, scale) -> Tuple[np.ndarray, np.ndarray]:
     """E2(z) dz/dt = E2(z_red) dz_red/dt and the real |z| / Im z |E2(z) dz/dt| at
     each node, from _nodes' rows."""
-    f = (_series(E2HOL_SERIES, q, steep) - 3.0 / (math.pi * z_red.imag)) * dz_red
+    f = (_series(_E2HOL_C, q, steep) - 3.0 / (math.pi * z_red.imag)) * dz_red
     return f, scale * np.abs(f)
 
 
