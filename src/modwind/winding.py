@@ -484,7 +484,7 @@ class _Round:
 
 @functools.lru_cache(maxsize=1)
 def _first_round(gamma: Mat2) -> _Round:
-    """The first round of the class of gamma, kept for the last class, as every
+    """The first round of the class of gamma, kept for the last matrix, as every
     caller runs both routes on one class back to back; a refusal of the axis or of
     the fold is raised again on every call."""
     return _Round(_axis_for(gamma))
