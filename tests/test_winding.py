@@ -517,13 +517,13 @@ class TestRefine:
     ROUNDS = [1, 1, 1, 1, 2, 1, 2, 1]
 
     @staticmethod
-    def reference(t, y, arms):
+    def reference(t, y, stepped):
         """(nodes, new) of the split grid, one interval and one node at a time:
-        interval k of the grid t on the arms splits into the least number of
+        interval k of the grid t marked in stepped splits into the least number of
         equal parts on which the turn bound at the height bound over it, from the
         heights y at the nodes, is below pi/2, the other intervals stay whole,
         and new marks the nodes that the split adds."""
-        pieces = np.where(arms, np.floor(turn_bound(t, y) / (0.5 * math.pi)) + 1.0, 1.0)
+        pieces = np.where(stepped, np.floor(turn_bound(t, y) / (0.5 * math.pi)) + 1.0, 1.0)
         nodes, new = [], []
         for k in range(t.size - 1):
             step = (t[k + 1] - t[k]) / pieces[k]
@@ -1030,7 +1030,7 @@ class TestFlatTop:
     @pytest.mark.parametrize("n", [10**5, 10**6, 10**7, 10**8, 10**9, 10**11])
     def test_one_huge_entry(self, n):
         # once refused at the node cap, which (1, 10^5) passed by a third: the
-        # steps are those of the arms, whatever the entry
+        # steps are those off the flat top, whatever the entry
         w = (1, n)
         res = winding_index(word_to_matrix(w))
         assert res.index == psi_cf(w) == 1 - n
@@ -1614,8 +1614,8 @@ class TestWindingIndex:
     def test_coarse_grid_raises_at_once(self, monkeypatch):
         # the period of (1, 60, 1, 59), about 16.5, in intervals of at most 1
         # that a rate bound of zero never splits: the flat top takes the 60
-        # turns in closed form, but the arm below it runs through the 59 turns
-        # of the second excursion
+        # turns in closed form, but the window's end below it runs through the
+        # 59 turns of the second excursion
         monkeypatch.setattr(winding, "_BASE_STEP", 1.0)
         monkeypatch.setattr(winding, "_E2_RATE", 0.0)
         monkeypatch.setattr(winding, "_RATE_FLOOR", 0.0)
