@@ -12,14 +12,14 @@ Two independent numerical routes to the same integer:
 
 Both read one first round a class (_Round, kept for the last class by
 _first_round): one uniform periodic grid over the window,
-t_k = lo + k l / m for k = 0..m, m even and l / m <= _BASE_STEP, followed by
-the nodes of winding_index's split on the closed-form heights, each folded
-once (_nodes); each route sums its own series on it (_series).  e2_period
-reads the grid's first m nodes, a leading slice, as T_m and their even nodes
-as T_(m/2), then evaluates the midpoints that each doubling adds.
-winding_index reads every node in grid order, node m closing the period,
-takes the flat top of the axis in closed form (_top_turns), and splits
-again, in a second round, only where the axis runs below height 1.
+t_k = lo + k l / m for k = 0..m, m even and l / m <= _BASE_STEP, each node
+folded once (_nodes); each route sums its own series on it (_series).
+e2_period reads the grid's first m nodes as T_m and their even nodes as
+T_(m/2), then evaluates the midpoints that each doubling adds.
+winding_index reads every node, node m closing the period, takes the cusp
+zone, where the axis runs at height 1 or more, in closed form (_top_turns
+and arg Delta/q at the zone's two end nodes), and splits, in a second
+round, only where the axis runs below height 1.
 A round costs 40-72 us of numpy dispatch plus 0.07-0.11 us a node, or
 0.03-0.04 us at a flat one (one batch of 50 to 1,600 nodes, best of 30, in
 four runs on a 2-core x86-64 host, numpy 2.4.6), so a short class costs
@@ -54,6 +54,7 @@ e2_period meets its budget.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -103,10 +104,9 @@ _FOLD_STEPS = 10000
 _FLOAT_SPACING = 2.0**-52
 # Points per evaluation batch, so temporaries do not grow with the word.
 _CHUNK = 1 << 16
-# Nodes per class of either route: 2^19 nodes hold a cusp excursion off the flat
-# top (a second large digit) of about 116,000 turns of Delta (about 4.5 nodes
-# per turn).  A first round keeps at most 73 bytes a node, 38 MB at this cap, but
-# its split cuts an interval in two at most, so it holds at most 2 m + 1 nodes.
+# Nodes per class of either route: 2^19 nodes hold a cusp excursion off the cusp
+# zone (a second large digit) of about 116,000 turns of Delta (about 4.5 nodes
+# per turn).  A first round is the uniform grid alone, at most 13,147 nodes.
 _MAX_NODES = 1 << 19
 # e2_period's largest rounding witness: on two draws of 243 random words of length
 # 20 to 60 the error was at most 1.25 and 0.78 times it, so 2.5e-7 within budget.
@@ -338,11 +338,12 @@ def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
     return (z_red, dz, *_q(z_red), np.abs(z) / z.imag)
 
 
-def _arg_f(z_red, dz_red, q, steep) -> np.ndarray:
-    """arg F + 2 pi k at each node, F = Delta(z_red) (dz_red/dt)^6, from _nodes' rows."""
+def _arg_f(z_red, dz_red, q, steep) -> Tuple[np.ndarray, np.ndarray]:
+    """(arg F + 2 pi k, Delta/q) at each node, F = Delta(z_red) (dz_red/dt)^6, from
+    _nodes' rows."""
     tail = _series(_DELTA_C, q, steep)
     arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
-    return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real)
+    return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real), tail
 
 
 def _e2_rows(z_red, dz_red, q, steep, scale) -> Tuple[np.ndarray, np.ndarray]:
@@ -352,20 +353,9 @@ def _e2_rows(z_red, dz_red, q, steep, scale) -> Tuple[np.ndarray, np.ndarray]:
     return f, scale * np.abs(f)
 
 
-def _flat_top(axis: _Axis) -> float:
-    """s with [-s, s] the flat top of the axis, where Im z(t) = R / cosh t is at least
-    _FLAT_HEIGHT, or 0.0 where R is not above it: CapExceeded where the closed form
-    of its turns could be a tenth of _RESIDUAL_LIMIT off (winding_index)."""
-    top = 0.5 * abs(axis.alpha - axis.alpha_bar)
-    if top <= _FLAT_HEIGHT:
-        return 0.0
-    if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
-        raise CapExceeded(f"flat top of height {top:.3g} past the float resolution of its turns")
-    return math.acosh(top / _FLAT_HEIGHT)
-
-
 def _top_turns(axis: _Axis, ta: float, tb: float) -> float:
-    """The turns of F from ta to tb in the flat top, in closed form (winding_index)."""
+    """The turns of 2 pi Re z + 6 arg z' from ta to tb in the cusp zone, in closed
+    form: those of F less the change of arg Delta/q (winding_index)."""
     sigma = 1.0 if axis.alpha > axis.alpha_bar else -1.0
     top = 0.5 * abs(axis.alpha - axis.alpha_bar)
     width = top * (math.tanh(tb) - math.tanh(ta))
@@ -405,19 +395,15 @@ def _split(t: np.ndarray, ratio: np.ndarray):
 
 class _Round:
     """The first round of both routes on one class: its axis, the uniform periodic
-    grid of m intervals over the window followed by the nodes of winding_index's
-    split on the closed-form heights (t), and the rows of _nodes at t, folded on
-    their first read (nodes).  Each array is read-only.
+    grid t_k = lo + k l / m, k = 0..m, over the window (t), and the rows of _nodes
+    at t, folded on their first read (nodes).  Each array is read-only.
 
-    winding_index's plan is made here (_plan), before any node is evaluated, as
-    the split's nodes join the round: t[order] is its grid in order (order None
-    where nothing splits), and in that order gap is the flat top's interval
-    between the first and last nodes of the uniform grid in [-s, s] (None where
-    fewer than two are), flat its turns, and ends the places (i0, i1) of two
-    nodes at height 1 or more on the axis, whose intervals between need no
-    second split ((0, 0) where there are none).  refusal is the plan's
-    CapExceeded message, raised by winding_index alone: e2_period reads the
-    grid whatever winding_index's plan is.
+    winding_index's plan is made here, before any node is evaluated: ends is the
+    places (i0, i1) of the first and last grid nodes of the cusp zone, where the
+    axis runs at height 1 or more, one step inside ((0, 0) where fewer than two
+    are), and turns the closed form of the turns of 2 pi Re z + 6 arg z' between
+    them (_top_turns).  refusal is the plan's CapExceeded message, raised by
+    winding_index alone: e2_period reads the grid whatever winding_index's plan is.
     """
 
     def __init__(self, axis: _Axis):
@@ -425,53 +411,22 @@ class _Round:
         ell = axis.length
         # at most 13,146 intervals, as l < 709.79 (the axis refuses t^2 - 4 past the
         # float range): far below the node cap, so only the split is checked against it
-        self.m = 2 * math.ceil(0.5 * ell / _BASE_STEP)
-        self.t = axis.balance - 0.5 * ell + ell / self.m * np.arange(self.m + 1.0)
-        self.order, self.gap, self.flat, self.ends, self.refusal = None, None, 0.0, (0, 0), None
-        try:
-            self._plan()
-        except CapExceeded as refusal:
-            self.refusal = str(refusal)
+        self.m = m = 2 * math.ceil(0.5 * ell / _BASE_STEP)
+        lo, h = axis.balance - 0.5 * ell, ell / m
+        self.t = lo + h * np.arange(m + 1.0)
         self.t.flags.writeable = False
-
-    def _plan(self) -> None:
-        """winding_index's plan on the uniform grid self.t: CapExceeded, before any
-        attribute is set, past the flat top's rounding bound or the node cap."""
-        axis, m, grid = self.axis, self.m, self.t
-        lo, h = axis.balance - 0.5 * axis.length, axis.length / m
+        self.ends, self.turns, self.refusal = (0, 0), 0.0, None
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
-        s = _flat_top(axis)
-        # the grid nodes k in [-s, s], from k h in [-s - lo, s - lo]
-        a, b = max(0, math.ceil((-s - lo) / h)), min(m, math.floor((s - lo) / h))
-        gap = s > 0.0 and b > a
-        split = None
-        # where Im z >= 1 the fold is a translation alone, so there y_red is Im z(t) =
-        # R / cosh t, at most R
-        if _may_split(top):
-            ratio = _ratio(grid, top / np.cosh(grid))
-            if gap:
-                ratio[a:b] = 0.0  # the flat top stays one interval
-            split = _split(grid, ratio)
-        place = range(m + 1)
-        if split:
-            fine, place = split
-            fresh = np.ones(fine.size, dtype=bool)
-            fresh[place] = False
-            self.t = np.concatenate((grid, fine[fresh]))
-            self.order = np.empty(fine.size, dtype=np.intp)
-            self.order[place] = np.arange(m + 1)
-            self.order[fresh] = np.arange(m + 1, fine.size)
-            self.order.flags.writeable = False
-        if gap:
-            self.gap = (int(place[a]), int(place[b]))
-            self.flat = _top_turns(axis, float(grid[a]), float(grid[b]))
-        if top > 1.0:
+        if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
+            self.refusal = f"flat top of height {top:.3g} past the float resolution of its turns"
+        elif top > 1.0:
             # grid nodes k with lo + k h in [-acosh R, acosh R], where Im z(t) >= 1, one
             # more step inside at either end so that rounding cannot let one out
             c = math.acosh(top)
             i0, i1 = max(0, math.ceil((-c - lo) / h) + 1), min(m, math.floor((c - lo) / h) - 1)
             if i1 > i0:
-                self.ends = (int(place[i0]), int(place[i1]))
+                self.ends = (i0, i1)
+                self.turns = _top_turns(axis, float(self.t[i0]), float(self.t[i1]))
 
     @functools.cached_property
     def nodes(self) -> Tuple[np.ndarray, ...]:
@@ -517,79 +472,80 @@ def winding_index(gamma: Mat2) -> WindingResult:
     into floor(h max(6.9452 B - 6, 1.132) / (pi/2)) + 1 equal parts (_ratio).
 
     The grid is the first round's (_Round): the uniform periodic grid, node m
-    closing the period, split once on closed-form heights before any node is
-    evaluated.  Where Im z(t) >= 1 the fold is a translation alone (|w| >=
-    Im w >= 1 after it), so y_red = Im z(t) = R / cosh t exactly, and below
-    height 1 y_red >= Im z.  Im z(t) = R / cosh t is largest at t = 0, so an
-    interval whose two nodes are at height 1 or more lies there whole, and its
-    parts from the closed-form split meet the bound: that places every split of
-    the cusp zone in the first round.  The remaining intervals are those with
-    a node below height 1: the window's two ends, |t| > acosh R (every interval
-    where no node reaches height 1, as when R <= 1), each with the interval
-    that crosses into the zone.  Only these are split again, on the folded
+    closing the period.  Where Im z(t) >= 1 the fold is a translation alone
+    (|w| >= Im w >= 1 after it), so y_red = Im z(t) = R / cosh t exactly, and
+    below height 1 y_red >= Im z.  The cusp zone, between the grid's nodes i0
+    and i1 at height 1 or more, is not stepped through (below).  The remaining
+    intervals are those with a node below height 1: the window's two ends,
+    |t| > acosh R, each with the interval that crosses into the zone (every
+    interval where there is no zone).  Only these are split, on the folded
     heights at their nodes, and only the new nodes are evaluated, in a second
     round; this finds nothing to split unless an excursion stays below height
-    1 on the axis, where the closed-form heights cannot see it.  An increment
-    of pi/2 or more could hide a turn, so it raises QuadratureFailure; on this
-    grid only evaluation error can cause one.
+    1 on the axis.  An increment of pi/2 or more could hide a turn, so it
+    raises QuadratureFailure; on this grid only evaluation error can cause one.
 
-    The flat top is not stepped through.  On the axis Im z(t) = R / cosh t
-    exactly, R = |alpha - alpha_bar| / 2 the top height, so when R is above
-    H = _FLAT_HEIGHT, Im z >= H exactly on [-s, s], s = acosh(R / H).  There
-    the fold is a translation (j = 1) and Delta/q is 1 within 1e-22, so
-    arg F = 2 pi Re z + 6 arg z'.  On the semicircle of centre c,
-    z(t) = c + sigma R tanh t + i R / cosh t and z'(t) = sigma R sech t
+    The cusp zone is taken in closed form.  On the axis Im z(t) = R / cosh t
+    exactly, R = |alpha - alpha_bar| / 2 the top height, so Im z >= 1 exactly
+    on [-c, c], c = acosh R.  There the fold is a translation (j = 1), so
+    arg F = 2 pi Re z + arg Delta/q + 6 arg z'.  On the semicircle of centre x,
+    z(t) = x + sigma R tanh t + i R / cosh t and z'(t) = sigma R sech t
     (sech t - sigma i tanh t), so arg z' = const - sigma gd t with
-    gd t = atan(sinh t), and between the grid's first and last nodes t_a <= t_b
-    in [-s, s] F turns by sigma (R (tanh t_b - tanh t_a) -
-    (3 / pi) (gd t_b - gd t_a)), sigma = sign(alpha - alpha_bar); at
-    t_a = -s, t_b = s this is sigma (2 sqrt(R^2 - H^2) - 3 + (6 / pi) asin(H / R)).
-    That interval is one increment (of `steps`) taken in closed form, and the
-    grid's nodes inside it, which e2_period reads, are skipped; with fewer than
-    two nodes in [-s, s] there is no such interval.  The rounding bound:
+    gd t = atan(sinh t), and between the zone's nodes t_i0 <= t_i1 the first
+    and last terms turn by sigma (R (tanh t_i1 - tanh t_i0) -
+    (3 / pi) (gd t_i1 - gd t_i0)), sigma = sign(alpha - alpha_bar) (_top_turns);
+    at -c, c this is sigma (2 sqrt(R^2 - 1) - 3 + (6 / pi) asin(1 / R)).  There
+    |q| <= e^(-2 pi) too, so |arg Delta/q| <= |log Delta/q| <=
+    24 sum -log(1 - e^(-2 pi n)) = 0.044944...: the principal arg Delta/q is
+    continuous on the zone, and its turns there are the change of its
+    principal value between the zone's two nodes, which the round evaluated.
+    The zone is one increment (of `steps`), and the grid's nodes inside it,
+    which e2_period reads, are skipped.  i0 and i1 are one step inside
+    [-c, c], so that rounding cannot let one out, and with fewer than two
+    nodes there is no zone.  The rounding bound:
     alpha and alpha_bar have opposite signs (their product is -(D - P^2) / Q^2),
-    so |z| <= 2R on the axis.  The nodes t_a and t_b are evaluated within about
-    2^-52 |z| <= 2^-51 R of z(t_a) and z(t_b), and the closed form is within
-    about 2^-50 R of its value, so the term is within about 2^-49 R turns of the
-    change between those nodes.  Where that could exceed a tenth of
-    _RESIDUAL_LIMIT, for R above 5.6e10, CapExceeded is raised before any node
-    is evaluated, on every call, as is a split past _MAX_NODES.
+    so |z| <= 2R on the axis.  The nodes t_i0 and t_i1 are evaluated within
+    about 2^-52 |z| <= 2^-51 R of z(t_i0) and z(t_i1), and the closed form is
+    within about 2^-50 R of its value, so the term is within about 2^-49 R
+    turns of the change between those nodes.  Where that could exceed a tenth
+    of _RESIDUAL_LIMIT, for R above 5.6e10, CapExceeded is raised before any
+    node is evaluated, on every call.  A split past _MAX_NODES raises it before
+    any node that the split adds is evaluated.
     """
     rnd = _first_round(gamma)
     if rnd.refusal is not None:
         raise CapExceeded(rnd.refusal)
     z_red, dz_red, q, steep, _ = rnd.nodes
-    arg, y, t = _arg_f(z_red, dz_red, q, steep), z_red.imag, rnd.t
-    if rnd.order is not None:
-        arg, y, t = arg[rnd.order], y[rnd.order], t[rnd.order]
-    # only the intervals with a node below height 1 on the axis: [0, i0) and [i1, n - 1)
+    (arg, tail), y, t = _arg_f(z_red, dz_red, q, steep), z_red.imag, rnd.t
     i0, i1 = rnd.ends
-    low = [(lo, hi) for lo, hi in ((0, i0), (i1, t.size - 1)) if hi > lo]
+    turns = rnd.turns
+    if i1 > i0:
+        # |arg Delta/q| <= 0.045 where Im z >= 1, so its principal value is continuous there
+        turns += (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / _TWO_PI
+    # only the intervals with a node below height 1 on the axis: [0, i0) and [i1, m)
+    low = [(lo, hi) for lo, hi in ((0, i0), (i1, rnd.m)) if hi > lo]
     split = None
     if _may_split(max((y[lo : hi + 1].max() for lo, hi in low), default=0.0)):
-        ratio = np.zeros(t.size - 1)
+        ratio = np.zeros(rnd.m)
         for lo, hi in low:
             ratio[lo:hi] = _ratio(t[lo : hi + 1], y[lo : hi + 1])
         split = _split(t, ratio)
-    gap = rnd.gap
     if split:
         t, old = split
         fresh = np.ones(t.size, dtype=bool)
         fresh[old] = False
         first, arg = arg, np.empty(t.size)
         arg[old] = first
-        arg[fresh] = _arg_f(*_in_chunks(functools.partial(_nodes, rnd.axis), t[fresh])[:4])
-        if gap:
-            gap = (int(old[gap[0]]), int(old[gap[1]]))
+        arg[fresh] = _arg_f(*_in_chunks(functools.partial(_nodes, rnd.axis), t[fresh])[:4])[0]
+        i0, i1 = int(old[i0]), int(old[i1])
     inc = _wrap(arg[1:] - arg[:-1])
     steps = inc.size
-    if gap:
-        inc[gap[0] : gap[1]] = 0.0  # the flat top's turns are rnd.flat
-        steps -= gap[1] - gap[0] - 1
+    if i1 > i0:
+        inc[i0:i1] = 0.0  # the zone's turns are in turns
+        steps -= i1 - i0 - 1
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
         raise QuadratureFailure(f"argument jump near t = {t[:-1][coarse][0]} for {gamma}")
-    turns = float(inc.sum()) / _TWO_PI + rnd.flat
+    turns += float(inc.sum()) / _TWO_PI
     index = round(turns)
     residual = abs(turns - index)
     if residual >= _RESIDUAL_LIMIT:

@@ -31,9 +31,30 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     fp = record["fingerprint"]
     assert set(fp) == {"cpu_count", "machine", "python", "numpy", "blas", "openblas_num_threads"}
     assert fp["cpu_count"] >= 1 and fp["numpy"] == np.__version__ and set(fp["blas"]) == {"name", "version"}
-    assert record["config"] == {"runs": 1, "repeats": 7, "seed": 1, "words": {"generic": 1, "cusp": 1}}
+    assert record["config"] == {
+        "runs": 1,
+        "repeats": 7,
+        "seed": 1,
+        "words": {"generic": 1, "cusp": 1},
+        "spread_limit": bench.SPREAD,
+    }
     (label, tree), = record["trees"].items()
-    assert label == "head" and set(tree) == {"commit", "dirty", "source_lines", "routes_us", "winding_steps"}
+    assert label == "head" and set(tree) == {
+        "commit",
+        "dirty",
+        "source_lines",
+        "routes_us",
+        "winding_steps",
+        "cpu_pressure",
+        "spread",
+    }
+    # one run: the host's CPU pressure before and after it, null where it cannot be read
+    (pressure,) = tree["cpu_pressure"]
+    assert set(pressure) == {"before", "after"}
+    for value in pressure.values():
+        assert value is None if not bench.PRESSURE.exists() else 0.0 <= value <= 100.0
+    # one run a tree spreads nothing
+    assert tree["spread"] == []
     assert (tree["commit"], tree["dirty"]) == (None, None) or (
         re.fullmatch("[0-9a-f]{40}", tree["commit"]) and tree["dirty"] in (True, False)
     )
@@ -98,3 +119,42 @@ def test_only_tag_and_base_accepted(bench, monkeypatch, capsys):
 def test_quartiles(bench):
     assert bench.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+
+
+def test_cpu_pressure_reads_some_avg10(bench, tmp_path, monkeypatch):
+    path = tmp_path / "cpu"
+    monkeypatch.setattr(bench, "PRESSURE", path)
+    assert bench.cpu_pressure() is None
+    path.write_text(
+        "some avg10=1.04 avg60=1.78 avg300=2.40 total=1416931707\n"
+        "full avg10=0.00 avg60=0.00 avg300=0.00 total=0\n"
+    )
+    assert bench.cpu_pressure() == 1.04
+    for text in ("", "full avg10=3.00\n", "some avg60=1.78\n"):
+        path.write_text(text)
+        assert bench.cpu_pressure() is None
+
+
+def test_each_run_records_the_pressure_around_it(bench, tmp_path, monkeypatch):
+    # the pressure is read just before and just after each child run, in turn
+    readings, events = iter(range(100)), []
+    monkeypatch.setattr(bench, "cpu_pressure", lambda: events.append("read") or float(next(readings)))
+    monkeypatch.setattr(bench, "RUNS", 2)
+    run = {"cusp": {"winding_index": 1.0, "e2_period": 1.0, "both": 2.0, "steps": 5}}
+    monkeypatch.setattr(bench, "child_run", lambda tree, words: events.append(tree) or run)
+    record = bench.report("t", [("base", "B"), ("head", "H")], [("cusp", (1, 2))])
+    assert events == ["read", "B", "read", "read", "H", "read", "read", "H", "read", "read", "B", "read"]
+    assert record["trees"]["base"]["cpu_pressure"] == [{"before": 0.0, "after": 1.0}, {"before": 6.0, "after": 7.0}]
+    assert record["trees"]["head"]["cpu_pressure"] == [{"before": 2.0, "after": 3.0}, {"before": 4.0, "after": 5.0}]
+
+
+def test_spread_flags_wide_quartiles(bench):
+    limit = bench.SPREAD
+    routes = {
+        "both": {"cusp": {"median": 100.0, "q1": 95.0, "q3": 95.0 + 100.0 * limit}},
+        "e2_period": {
+            "cusp": {"median": 100.0, "q1": 95.0, "q3": 95.1 + 100.0 * limit},
+            "long": {"median": 50.0, "q1": 50.0, "q3": 50.0},
+        },
+    }
+    assert bench.spread(routes) == ["e2_period/cusp"]

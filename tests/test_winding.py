@@ -318,9 +318,12 @@ class TestOneEvaluationPerRound:
         assert sizes == [first_grid(g).size] == [grid_intervals(g) + 1]
 
     def test_winding_index_one_delta_batch(self, monkeypatch):
+        # the uniform grid alone, whose nodes inside the cusp zone are not stepped through
         sizes = counted(monkeypatch)
-        res = winding_index(word_to_matrix((1, 2)))
-        assert sizes == [res.steps + 1]
+        g = word_to_matrix((1, 2))
+        res = winding_index(g)
+        assert sizes == [grid_intervals(g) + 1] == [res.steps + 1 + inside_the_zone(g)]
+        assert inside_the_zone(g) > 0
 
     def test_refinement_adds_batches(self, monkeypatch):
         # the second excursion of (1, 60, 1, 40) stays below height 1 on the
@@ -328,7 +331,7 @@ class TestOneEvaluationPerRound:
         delta = counted(monkeypatch)
         g = word_to_matrix((1, 60, 1, 40))
         res = winding_index(g)
-        assert len(delta) == 2 and sum(delta) == res.steps + 1 + inside_the_top(g)
+        assert len(delta) == 2 and sum(delta) == res.steps + 1 + inside_the_zone(g)
         # the cusp excursion of (1, 10**7) doubles e2_period's grid: each later
         # batch is the midpoint after each node of the uniform grid so far
         batches = recorded_batches(monkeypatch)
@@ -349,18 +352,18 @@ class TestOneEvaluationPerRound:
         "w", [(1, 60), (3, 200), (1, 3000)], ids=lambda w: "-".join(map(str, w))
     )
     def test_grid_split_in_one_pass(self, monkeypatch, w):
-        # one split on the closed-form heights R / cosh t of the cusp excursion,
-        # made before any node is evaluated, bounds the argument's turn below
-        # pi/2 on every interval off the flat top: one round, which the split
-        # on the folded heights at the window's ends leaves as it is
+        # the cusp excursion is the cusp zone, taken in closed form, so the
+        # uniform grid bounds the argument's turn below pi/2 on every interval
+        # off the zone: one round, which the split on the folded heights at the
+        # window's ends leaves as it is
         delta = counted(monkeypatch)
         batches = recorded_batches(monkeypatch)
         g = word_to_matrix(w)
         assert winding_index(g).index == psi(g)
         assert len(delta) == 1 and len(batches) == 1
         t, y = final_grid(batches)
-        assert t.size > first_grid(g).size
-        assert np.all(turn_bound(t, y)[off_the_top(t, g)] < 0.5 * math.pi)
+        assert np.array_equal(t, first_grid(g))
+        assert np.all(turn_bound(t, y)[off_the_zone(t, g)] < 0.5 * math.pi)
 
 
 def test_flat_nodes_skip_the_series(monkeypatch):
@@ -446,14 +449,6 @@ def top_height(gamma):
     return 0.5 * abs(axis.alpha - axis.alpha_bar)
 
 
-def flat_top(gamma):
-    """s with [-s, s] the flat top of the axis of gamma, where Im z(t) =
-    R / cosh t is at least the flat height, or 0.0 when the top of the axis
-    is not above it."""
-    top = top_height(gamma)
-    return math.acosh(top / winding._FLAT_HEIGHT) if top > winding._FLAT_HEIGHT else 0.0
-
-
 def grid_intervals(gamma):
     """m, the even number of intervals of the first round's uniform grid: the
     fewest of at most _BASE_STEP over the window."""
@@ -468,40 +463,63 @@ def first_grid(gamma):
     return axis.balance - 0.5 * axis.length + axis.length / m * np.arange(m + 1.0)
 
 
-def top_nodes(gamma):
-    """The nodes of the first grid in the flat top [-s, s] of the axis of gamma."""
-    t, s = first_grid(gamma), flat_top(gamma)
-    return t[(-s <= t) & (t <= s)] if s else t[:0]
+def zone_nodes(gamma):
+    """The nodes of the first grid from the first to the last in winding_index's
+    cusp zone (none without one), as its plan places them, after checking them
+    against the heights R / cosh t on the axis: each is at height 1 or more, and
+    so is at most one more node either side, up to a node within rounding of
+    height 1, where the window ends on cusp words."""
+    t = first_grid(gamma)
+    y = top_height(gamma) / np.cosh(t)
+    i0, i1 = winding._first_round(gamma).ends
+    if i1 == i0:
+        assert (i0, np.count_nonzero(y > 1.0 + 1e-9)) < (1, 5)
+        return t[:0]
+    assert np.all(y[i0 : i1 + 1] >= 1.0)
+    assert i0 < 2 or y[i0 - 2] < 1.0 + 1e-9
+    assert i1 + 2 >= t.size or y[i1 + 2] < 1.0 + 1e-9
+    return t[i0 : i1 + 1]
 
 
-def inside_the_top(gamma):
-    """The first grid's nodes strictly between its first and last in the flat top,
+def inside_the_zone(gamma):
+    """The first grid's nodes strictly between the two that bound the cusp zone,
     which winding_index does not step through."""
-    return max(top_nodes(gamma).size - 2, 0)
+    return max(zone_nodes(gamma).size - 2, 0)
 
 
-def off_the_top(t, gamma):
+def off_the_zone(t, gamma):
     """Mask of the intervals of winding_index's grid t that it steps through: all
-    but those between the first grid's first and last nodes in the flat top,
-    which it takes as one increment in closed form."""
-    top = top_nodes(gamma)
-    if top.size < 2:
+    but those between the two first-grid nodes that bound the cusp zone, which it
+    takes as one increment in closed form."""
+    zone = zone_nodes(gamma)
+    if zone.size < 2:
         return np.ones(t.size - 1, dtype=bool)
-    off = (t[:-1] < top[0]) | (t[1:] > top[-1])
-    assert (~off).sum() == top.size - 1
+    off = (t[:-1] < zone[0]) | (t[1:] > zone[-1])
+    assert (~off).sum() == zone.size - 1
     return off
 
 
-class TestRefine:
-    """winding_index's two splits against a reference that splits one interval
-    at a time, with its evaluations recorded: the split of the first grid on the
-    closed-form heights R / cosh t, made before any node is evaluated, and the
-    split on the folded heights at its nodes of the intervals with a node below
-    height 1 on the axis."""
+def zone_turns(gamma):
+    """The turns of F over the cusp zone in closed form, from the first round: those
+    of 2 pi Re z + 6 arg z' (_top_turns) and the change of the principal arg Delta/q
+    between the zone's two nodes, or 0.0 without a zone."""
+    rnd = winding._first_round(gamma)
+    i0, i1 = rnd.ends
+    if i1 == i0:
+        return 0.0
+    _, tail = winding._arg_f(*rnd.nodes[:4])
+    turns = winding._top_turns(rnd.axis, float(rnd.t[i0]), float(rnd.t[i1]))
+    return turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
 
-    # (1, 2) is accepted on its first grid; the others split around the cusp
-    # excursion of their large digit, either side of its flat top, before
-    # their first round, and (90, 1, 45, 2) and (1, 60, 1, 40) split again, in
+
+class TestRefine:
+    """winding_index's split against a reference that splits one interval at a
+    time, with its evaluations recorded: the first round is the first grid
+    alone, and the intervals with a node below height 1 on the axis are split on
+    the folded heights at their nodes."""
+
+    # (1, 2) is accepted on its first grid, as are the others, whose cusp
+    # excursion is their cusp zone; (90, 1, 45, 2) and (1, 60, 1, 40) split, in
     # a second round, around a second excursion that stays below height 1 on
     # the axis
     WORDS = [
@@ -543,57 +561,51 @@ class TestRefine:
         res = winding_index(g)
         (t, rows), *split = batches
         assert len(split) <= 1
-        # the first round is the first grid, then the nodes that its split on the
-        # closed-form heights adds, in order
+        # the first round is the first grid alone, and the cusp zone is that of
+        # zone_nodes, all at height 1 or more on the axis
         first = first_grid(g)
-        pre, added = cls.reference(first, top_height(g) / np.cosh(first), off_the_top(first, g))
-        assert np.array_equal(t[: first.size], first) and np.array_equal(t[first.size :], pre[added])
-        y, arg = np.empty(pre.size), np.empty(pre.size)
-        y[~added], y[added] = rows[0].imag[: first.size], rows[0].imag[first.size :]
-        first_arg = winding._arg_f(*rows[:4])
-        arg[~added], arg[added] = first_arg[: first.size], first_arg[first.size :]
+        assert np.array_equal(t, first)
+        y = rows[0].imag
+        arg, _ = winding._arg_f(*rows[:4])
+        assert zone_nodes(g).size > 2
         # the second, if any, is the nodes that the split on the folded heights adds
-        # to the intervals outside [i0, i1], whose nodes are all at height 1 or more
-        # on the axis, in order, and each node was evaluated once
-        i0, i1 = winding._first_round(g).ends
-        assert i1 == i0 == 0 or np.all(top_height(g) / np.cosh(pre[i0 : i1 + 1]) >= 1.0)
-        low = np.ones(pre.size - 1, dtype=bool)
-        low[i0:i1] = False
-        ref_t, new = cls.reference(pre, y, off_the_top(pre, g) & low)
+        # to the intervals outside [i0, i1], in order, and each node was evaluated once
+        ref_t, new = cls.reference(first, y, off_the_zone(first, g))
         new_t, new_rows = split[0] if split else (np.empty(0), None)
-        assert np.array_equal(ref_t[~new], pre) and np.array_equal(ref_t[new], new_t)
-        assert sum(delta) == ref_t.size == res.steps + 1 + inside_the_top(g)
+        assert np.array_equal(ref_t[~new], first) and np.array_equal(ref_t[new], new_t)
+        assert sum(delta) == ref_t.size == res.steps + 1 + inside_the_zone(g)
         # the old values are carried over: the total is read off the reference's
-        # intervals off the flat top and the closed form between its end nodes
+        # intervals off the zone and the closed form between its end nodes
         ref_arg = np.empty(ref_t.size)
         ref_arg[~new] = arg
         if split:
-            ref_arg[new] = winding._arg_f(*new_rows[:4])
+            ref_arg[new] = winding._arg_f(*new_rows[:4])[0]
         inc = winding._wrap(np.diff(ref_arg))
-        inc[~off_the_top(ref_t, g)] = 0.0
-        top = top_nodes(g)
-        flat = winding._top_turns(winding._axis_for(g), top[0], top[-1]) if top.size > 1 else 0.0
-        turns = float(inc.sum()) / winding._TWO_PI + flat
+        inc[~off_the_zone(ref_t, g)] = 0.0
+        turns = zone_turns(g) + float(inc.sum()) / winding._TWO_PI
         assert (res.index, res.residual) == (round(turns), abs(turns - round(turns)))
         return [b.size for b, _ in batches]
 
     @pytest.mark.parametrize("seed", range(len(WORDS)))
     def test_matches_reference(self, monkeypatch, seed):
         g = word_to_matrix(self.WORDS[seed])
-        # seed 0 has no flat top, the others several nodes of the first grid in it
-        assert (top_nodes(g).size == 0) == (seed == 0) and (top_nodes(g).size > 2) == (seed > 0)
+        # each has several nodes of the first grid in its cusp zone
+        assert zone_nodes(g).size > 2
         sizes = self.matches_reference(monkeypatch, g)
         assert len(sizes) == self.ROUNDS[seed]
-        assert (sizes[0] > first_grid(g).size) == (seed > 0)
+        assert sizes[0] == first_grid(g).size
 
     @staticmethod
-    def rate_for_ratio(t, y, below):
+    def rate_for_ratio(t, y, below, stepped=None):
         """The _E2_RATE at which the largest ratio h max(E B - 6, 1.132) / (pi/2)
         over the intervals of the grid t, with heights y at its nodes, is 1, or
         with below the largest E at which it is below 1: a bisection on the bits
-        of E, as each float operation of the ratio is monotone in E."""
+        of E, as each float operation of the ratio is monotone in E.  With a mask
+        stepped, only the intervals that it marks count."""
         h = t[1:] - t[:-1]
         bound = np.maximum(y[:-1], np.sqrt(y[:-1] * y[1:]) * np.exp(0.5 * h))
+        if stepped is not None:
+            h, bound = h[stepped], bound[stepped]
 
         def ratio(bits):
             e = float(np.int64(bits).view(np.float64))
@@ -609,16 +621,17 @@ class TestRefine:
 
     @pytest.mark.parametrize("below", [True, False], ids=["below-1", "1"])
     def test_split_skipped_while_every_ratio_is_below_1(self, monkeypatch, below):
-        # the rate bound set so that the largest ratio on the first grid of
-        # (1, 2), at its closed-form heights, is the largest it can be below 1,
-        # where no interval splits before the first round, or 1, where its
-        # interval splits in two: both as the reference splits
+        # the rate bound set so that the largest ratio on the intervals of the
+        # first grid of (1, 2) off its cusp zone, at the folded heights, is the
+        # largest it can be below 1, where no interval splits, or 1, where its
+        # interval splits in two in a second round: both as the reference splits
         g = word_to_matrix((1, 2))
         first = first_grid(g)
-        rate = self.rate_for_ratio(first, top_height(g) / np.cosh(first), below)
+        y = winding._first_round(g).nodes[0].imag
+        rate = self.rate_for_ratio(first, y, below, off_the_zone(first, g))
         monkeypatch.setattr(winding, "_E2_RATE", rate)
         sizes = self.matches_reference(monkeypatch, g)
-        assert sizes[0] == first.size + (not below)
+        assert sizes == [first.size] + ([] if below else [1])
 
     def test_first_step_leaves_heights_up_to_4_9_unsplit(self):
         # an interval of the first grid whose nodes lie at height 4.9 or below
@@ -629,8 +642,9 @@ class TestRefine:
         assert ratio(winding._BASE_STEP) < 1.0 <= ratio(winding._BASE_STEP + 1e-3)
 
     def test_unsplit_grid_builds_no_split(self, monkeypatch):
-        # (1, 2) passes on its first grid: no parts are summed and no grid is
-        # interpolated; (1, 60) splits before its one round and does both once
+        # (1, 2) and (1, 60) pass on their first grid: no parts are summed and no
+        # grid is interpolated; (1, 60, 1, 40) splits in a second round and does
+        # both once
         calls = []
         for name in ("cumsum", "interp"):
             fn = getattr(np, name)
@@ -642,8 +656,9 @@ class TestRefine:
             monkeypatch.setattr(np, name, recording)
         winding._first_round.cache_clear()
         winding_index(word_to_matrix((1, 2)))
-        assert calls == []
         winding_index(word_to_matrix((1, 60)))
+        assert calls == []
+        winding_index(word_to_matrix((1, 60, 1, 40)))
         assert calls == ["cumsum", "interp"]
 
     @pytest.mark.parametrize("pieces", [float(winding._MAX_NODES), 1e300])
@@ -653,11 +668,13 @@ class TestRefine:
         delta = counted(monkeypatch)
         monkeypatch.setattr(winding, "_E2_RATE", pieces * 0.5 * math.pi / winding._BASE_STEP)
         start = time.perf_counter()
+        g = word_to_matrix((1, 2))
         with pytest.raises(CapExceeded, match="nodes"):
-            winding_index(word_to_matrix((1, 2)))
+            winding_index(g)
         assert time.perf_counter() - start < 0.1
-        # refused by the split on the closed-form heights, before any node is evaluated
-        assert delta == []
+        # refused by the split on the folded heights off the cusp zone, after the
+        # first round and before any node that it adds is evaluated
+        assert delta == [first_grid(g).size]
 
     @pytest.mark.parametrize(
         "w",
@@ -674,21 +691,21 @@ class TestRefine:
         g = word_to_matrix(w)
         res = winding_index(g)
         assert res.index == psi(g)
-        assert len(batches) <= 2 and sum(delta) == res.steps + 1 + inside_the_top(g)
+        assert len(batches) <= 2 and sum(delta) == res.steps + 1 + inside_the_zone(g)
         t, y = final_grid(batches)
-        assert np.all(turn_bound(t, y)[off_the_top(t, g)] < 0.5 * math.pi)
+        assert np.all(turn_bound(t, y)[off_the_zone(t, g)] < 0.5 * math.pi)
 
     def test_first_grid_within_the_node_cap(self, monkeypatch):
         # the largest trace whose t^2 - 4 is a float has the longest first grid,
-        # far below the cap, so only the splits' grids are checked against it
+        # far below the cap, so only the split's grid is checked against it
         top = math.isqrt(2**1024 - 2**970 + 3)
         assert 2**511 < top < 2**512
         m = 2 * math.ceil(0.5 * geodesic_length(top) / winding._BASE_STEP)
         assert m == 13146 and m + 1 < winding._MAX_NODES
-        # a word of digits 1 and 2 just below that trace has no flat top: its
-        # first grid is one batch, and the fold refuses the ends of its window
+        # a word of digits 1 and 2 just below that trace: its first grid is one
+        # batch, and the fold refuses the ends of its window
         g = word_to_matrix((2,) + (1,) * 735)
-        assert flat_top(g) == 0.0 and top // 2 < g.trace < top
+        assert top // 2 < g.trace < top
         first = grid_intervals(g) + 1
         delta = counted(monkeypatch)
         with pytest.raises(CapExceeded, match="float spacing"):
@@ -702,9 +719,10 @@ class TestRefine:
         assert delta == [first]
 
     def test_node_cap_admits_the_grid_that_fills_it(self, monkeypatch):
-        # (1, 60) is refused by the split before its one round, (1, 60, 1, 40) by
-        # the split on the folded heights, before any node that it adds is evaluated
-        for w, rounds in (((1, 60), 0), ((1, 60, 1, 40), 1)):
+        # (90, 1, 45, 2) and (1, 60, 1, 40) are refused by the split on the folded
+        # heights, after their first round and before any node that it adds is
+        # evaluated
+        for w, rounds in (((90, 1, 45, 2), 1), ((1, 60, 1, 40), 1)):
             g = word_to_matrix(w)
             with monkeypatch.context() as m:
                 nodes = counted(m)
@@ -834,9 +852,11 @@ class TestSharedRound:
 
     @pytest.mark.parametrize("w", [(1, 2), (3, 150, 2, 5)], ids=lambda w: "-".join(map(str, w)))
     def test_cached_arrays_are_read_only(self, w):
-        rnd = winding._first_round(word_to_matrix(w))
-        arrays = [rnd.t, *rnd.nodes] + ([] if rnd.order is None else [rnd.order])
-        assert (rnd.order is None) == (w == (1, 2))
+        # the round holds the first grid alone, split or not
+        g = word_to_matrix(w)
+        rnd = winding._first_round(g)
+        arrays = [rnd.t, *rnd.nodes]
+        assert np.array_equal(rnd.t, first_grid(g)) and rnd.nodes[0].size == rnd.t.size
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[:1] = a[:1]
@@ -901,7 +921,8 @@ class TestSharedRound:
 
 
 class TestFlatTop:
-    """winding_index's closed form over the flat top [-s, s] of the axis."""
+    """winding_index's closed form over the cusp zone of the axis, where it runs at
+    height 1 or more: the flat top of the axis reaches down to height 1."""
 
     @pytest.mark.parametrize(
         "w", [(1, 17), (3, 200), (1, 3, 1, 8000), (5, 300, 7, 9000), (1, 10**9)],
@@ -909,22 +930,36 @@ class TestFlatTop:
     )
     def test_height_profile(self, w):
         # Im z(t) = |alpha - alpha_bar| / (2 cosh t), so the top is at t = 0 and
-        # the flat height is reached exactly at +-s
+        # height 1 is reached exactly at +-acosh R
         axis = winding._axis_for(word_to_matrix(w))
         t = np.linspace(-0.5 * axis.length, 0.5 * axis.length, 1001)
         z, _ = axis.at(t)
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
         assert np.allclose(z.imag, top / np.cosh(t), rtol=1e-12, atol=0.0)
-        s = winding._flat_top(axis)
-        z, _ = axis.at(np.array([-s, s]))
-        assert z.imag == pytest.approx(winding._FLAT_HEIGHT, rel=1e-12)
+        c = math.acosh(top)
+        z, _ = axis.at(np.array([-c, c]))
+        assert z.imag == pytest.approx(1.0, rel=1e-12)
+
+    def test_tail_argument_bound_at_height_1(self):
+        # |arg Delta/q| <= |log Delta/q| <= 24 sum -log(1 - |q|^n), which at
+        # |q| = e^(-2 pi), height 1, is 0.044944... and grows with |q|: on a
+        # dense grid of Re z at height 1 the argument comes within 2e-4 of it,
+        # and above height 1 it stays below it
+        bound = 24.0 * math.fsum(-math.log1p(-math.exp(-2.0 * math.pi * n)) for n in range(1, 40))
+        assert 0.044944 < bound < 0.044945
+        x = np.linspace(-0.5, 0.5, 200001)
+        for y, least in ((1.0, 0.0448), (1.5, 0.0), (3.0, 0.0), (8.0, 0.0)):
+            _, j, tail = winding._delta_series(x + 1j * y)
+            assert np.all(j == 1.0)
+            arg = np.abs(np.angle(tail))
+            assert least <= arg.max() <= bound
 
     @staticmethod
     def fine_turns(axis, ta, tb):
-        """The wrapped increments of arg F from ta to tb in the flat top, summed in
+        """The wrapped increments of arg F from ta to tb in the cusp zone, summed in
         turns, on a grid that meets the rate bound: nodes equally spaced in
-        gd(t) = 2 atan(tanh(t/2)), as max(c y - 6, 1.132) <= c y on the top,
-        where y >= 8.6, and y = R / cosh t = R gd'(t)."""
+        gd(t) = 2 atan(tanh(t/2)), as max(c y - 6, 1.132) <= c y in the zone,
+        where y >= 1, and y = R / cosh t = R gd'(t)."""
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
         rate = winding._E2_RATE * top
         ua, ub = (2.0 * math.atan(math.tanh(0.5 * x)) for x in (ta, tb))
@@ -940,6 +975,13 @@ class TestFlatTop:
         values = winding._in_chunks(rows, t)
         assert np.all(turn_bound(t, values[1]) < 0.5 * math.pi)
         return math.fsum(winding._wrap(np.diff(values[0])).tolist()) / (2 * math.pi)
+
+    @staticmethod
+    def closed_turns(axis, ta, tb):
+        """The turns of F from ta to tb in the cusp zone in closed form: _top_turns
+        and the change of the principal arg Delta/q, from the series at both ends."""
+        _, _, tail = winding._delta_series(axis.at(np.array([ta, tb]))[0])
+        return winding._top_turns(axis, ta, tb) + (cmath.phase(tail[1]) - cmath.phase(tail[0])) / (2 * math.pi)
 
     @pytest.mark.parametrize(
         "w",
@@ -958,58 +1000,84 @@ class TestFlatTop:
         ids=lambda w: "-".join(map(str, w)),
     )
     def test_closed_form_is_the_wrapped_sum(self, w):
-        # the closed form between two nodes of the flat top against the wrapped
+        # the closed form between two points of the cusp zone against the wrapped
         # increments of arg F over it, on axes that run either way (sigma = -1 on
-        # the first seven words): over the whole top [-s, s], where it is the
-        # formula in R alone, and between the first grid's first and last nodes
-        # in the top and two more of them drawn at random
+        # the first seven words): over the whole zone [-acosh R, acosh R], where
+        # _top_turns is the formula in R alone, between the nodes that bound the
+        # round's zone, and between two more of them drawn at random
         g = word_to_matrix(w)
-        axis = winding._axis_for(g)
-        s = winding._flat_top(axis)
+        rnd = winding._first_round(g)
+        axis = rnd.axis
+        c = math.acosh(top_height(g))
         top = 0.5 * abs(axis.alpha - axis.alpha_bar)
         sigma = 1.0 if axis.alpha > axis.alpha_bar else -1.0
-        H = winding._FLAT_HEIGHT
-        whole = sigma * (2.0 * math.sqrt((top - H) * (top + H)) - 3.0 + 6.0 / math.pi * math.asin(H / top))
-        assert abs(winding._top_turns(axis, -s, s) - whole) <= 2.0**-49 * top
-        nodes = top_nodes(g)
+        whole = sigma * (2.0 * math.sqrt((top - 1.0) * (top + 1.0)) - 3.0 + 6.0 / math.pi * math.asin(1.0 / top))
+        assert abs(winding._top_turns(axis, -c, c) - whole) <= 2.0**-49 * top
+        nodes = zone_nodes(g)
         assert nodes.size >= 2
+        assert zone_turns(g) == self.closed_turns(axis, nodes[0], nodes[-1])
         a, b = sorted(random.Random(w[1]).sample(range(nodes.size), 2))
-        for ta, tb in ((-s, s), (nodes[0], nodes[-1]), (nodes[a], nodes[b])):
-            assert abs(winding._top_turns(axis, ta, tb) - self.fine_turns(axis, ta, tb)) <= 1e-9
+        for ta, tb in ((-c, c), (nodes[0], nodes[-1]), (nodes[a], nodes[b])):
+            assert abs(self.closed_turns(axis, ta, tb) - self.fine_turns(axis, ta, tb)) <= 1e-9
+
+    @pytest.mark.parametrize("top", [1.01, 1.5, 4.0, 8.6, 300.0, 1e4, 1e6, 1e9], ids=str)
+    @pytest.mark.parametrize("sigma", [1.0, -1.0], ids=["up", "down"])
+    def test_zone_turns_on_any_top_height(self, top, sigma):
+        # axes of top height R from just above 1 to past the largest routes word,
+        # either way, with the window off centre (balance 0.3): the round's zone,
+        # taken in closed form, against the wrapped increments of arg F over it,
+        # to the float resolution 2^-49 R of the closed form's turns; past
+        # R = 1e4, where the whole zone takes too many points, the first and the
+        # last five intervals of the zone
+        axis = winding._Axis(sigma * top, -sigma * top, 2.0 * math.acosh(top) + 2.0, 0.3)
+        rnd = winding._Round(axis)
+        i0, i1 = rnd.ends
+        t = rnd.t
+        assert i1 > i0 and np.all(top / np.cosh(t[i0 : i1 + 1]) >= 1.0)
+        assert top / np.cosh(t[0]) < 1.0 and top / np.cosh(t[-1]) < 1.0
+        _, tail = winding._arg_f(*rnd.nodes[:4])
+        closed = rnd.turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
+        assert closed == self.closed_turns(axis, t[i0], t[i1])
+        tol = 1e-9 + 2.0**-49 * top
+        pieces = [(i0, i1)] if top <= 1e4 else [(i0, i0 + 5), (i1 - 5, i1)]
+        for a, b in pieces:
+            assert abs(self.closed_turns(axis, t[a], t[b]) - self.fine_turns(axis, t[a], t[b])) <= tol
 
     def test_round_takes_the_top_between_its_grid_nodes(self):
-        # the round's flat top interval runs from the first to the last node of
-        # the first grid in [-s, s], where those are two or more
-        for w in [(1, 17), (3, 200), (1, 3, 1, 8000), (1, 10**9)]:
+        # the round's zone runs from the second to the next to last node of the
+        # first grid at height 1 or more on the axis, one step inside, where no
+        # node is within rounding of height 1 (the window of a cusp word ends
+        # at about 1 - 2e-8), and its turns are _top_turns between those two nodes
+        for w in [(1, 17), (3, 200), (1, 3, 1, 8000), (5, 300, 7, 9000)]:
             g = word_to_matrix(w)
             rnd = winding._first_round(g)
-            nodes = top_nodes(g)
-            order = np.arange(rnd.t.size) if rnd.order is None else rnd.order
-            a, b = rnd.gap
-            assert (rnd.t[order][a], rnd.t[order][b]) == (nodes[0], nodes[-1]) and b - a == nodes.size - 1
-            assert rnd.flat == winding._top_turns(rnd.axis, nodes[0], nodes[-1])
+            t = first_grid(g)
+            y = top_height(g) / np.cosh(t)
+            assert np.all(np.abs(y - 1.0) > 1e-12)
+            inside = t[y >= 1.0][1:-1]
+            i0, i1 = rnd.ends
+            assert (rnd.t[i0], rnd.t[i1]) == (inside[0], inside[-1]) and i1 - i0 == inside.size - 1
+            assert rnd.turns == winding._top_turns(rnd.axis, inside[0], inside[-1])
 
     def test_no_gap_below_two_top_nodes(self):
-        # (9, 17) has one node of its first grid in its top [-s, s], and an axis
-        # whose grid falls either side of its top none: neither has a flat top
-        # interval, and both step through the top on their grid
-        g = word_to_matrix((9, 17))
-        assert flat_top(g) > 0.0 and top_nodes(g).size == 1
-        rnd = winding._first_round(g)
-        assert (rnd.gap, rnd.flat) == (None, 0.0)
+        # (1, 1) has the least top height of any class, sqrt(5)/2, and a zone;
+        # an axis of top height 1 has none, and nor has one whose grid has only
+        # two nodes at height 1 or more: both step through the top on their grid
+        g = word_to_matrix((1, 1))
+        assert top_height(g) == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-15)
         res = winding_index(g)
-        assert res.index == psi(g) and res.steps + 1 == rnd.t.size
-        s, m = 0.02, 186
-        top = winding._FLAT_HEIGHT * math.cosh(s)
+        assert res.index == psi(g) and res.steps + 1 + inside_the_zone(g) == grid_intervals(g) + 1
+        assert inside_the_zone(g) > 0
+        s, m = 0.06, 186
         h = 10.0 / m
-        for sign in (1.0, -1.0):
-            # nodes at -h/2 + k h, |h/2| > s
-            axis = winding._Axis(sign * top, -sign * top, 10.0, 5.0 - (m // 2 + 0.5) * h)
-            assert winding._flat_top(axis) == pytest.approx(s, rel=1e-12)
-            rnd = winding._Round(axis)
-            grid = rnd.t[: m + 1]
-            assert not np.any((-s <= grid) & (grid <= s))
-            assert rnd.m == m and (rnd.gap, rnd.flat) == (None, 0.0)
+        for top in (1.0, math.cosh(s)):
+            for sign in (1.0, -1.0):
+                # nodes at -h/2 + k h, so +-h/2 in [-s, s] and +-3h/2 not
+                axis = winding._Axis(sign * top, -sign * top, 10.0, 5.0 - (m // 2 + 0.5) * h)
+                rnd = winding._Round(axis)
+                heights = top / np.cosh(rnd.t)
+                assert rnd.m == m and np.count_nonzero(heights >= 1.0) == (2 if top > 1.0 else 0)
+                assert (rnd.ends, rnd.turns, rnd.refusal) == ((0, 0), 0.0, None)
 
     @pytest.mark.parametrize("w", [(1, 10**12), (1, 10**15), (3, 10**14, 2, 5)], ids=str)
     def test_rounding_bound_refuses_before_any_node(self, monkeypatch, w):
@@ -1022,19 +1090,21 @@ class TestFlatTop:
         # 2^-49 R turns at most a tenth of _RESIDUAL_LIMIT: R up to 5.6e10
         limit = 0.1 * winding._RESIDUAL_LIMIT * 2.0**49
         assert 5.6e10 < limit < 5.7e10
-        assert winding._flat_top(winding._Axis(limit, -limit, 60.0, 0.0)) > 0.0
+        rnd = winding._Round(winding._Axis(limit, -limit, 60.0, 0.0))
+        assert rnd.refusal is None and rnd.ends[1] > rnd.ends[0]
         above = float(np.nextafter(limit, math.inf))
-        with pytest.raises(CapExceeded, match="flat top"):
-            winding._flat_top(winding._Axis(above, -above, 60.0, 0.0))
+        rnd = winding._Round(winding._Axis(above, -above, 60.0, 0.0))
+        assert "flat top" in rnd.refusal and (rnd.ends, rnd.turns) == ((0, 0), 0.0)
 
     @pytest.mark.parametrize("n", [10**5, 10**6, 10**7, 10**8, 10**9, 10**11])
     def test_one_huge_entry(self, n):
         # once refused at the node cap, which (1, 10^5) passed by a third: the
-        # steps are those off the flat top, whatever the entry
+        # steps are those off the cusp zone, where the window's ends reach
+        # height 1, and one for the zone, whatever the entry
         w = (1, n)
         res = winding_index(word_to_matrix(w))
         assert res.index == psi_cf(w) == 1 - n
-        assert res.steps == winding_index(word_to_matrix((1, 8000))).steps
+        assert res.steps <= winding_index(word_to_matrix((1, 8000))).steps
 
 
 @st.composite
@@ -1731,16 +1801,15 @@ class TestE2Period:
 
     @pytest.mark.parametrize("w", [(1, 2), (3, 200)], ids=lambda w: "-".join(map(str, w)))
     def test_rounding_witness_from_its_definition(self, monkeypatch, w):
-        # both converge on the first round, whose first m nodes are the uniform
-        # grid, over which the witness is the trapezoid sum of
-        # 2^-52 |z| / Im z |E2(z) dz/dt|, E2 from the scalar reference; the
-        # round of (3, 200) also holds the nodes of winding_index's split
+        # both converge on the first round, the uniform grid of m intervals, over
+        # whose first m nodes the witness is the trapezoid sum of
+        # 2^-52 |z| / Im z |E2(z) dz/dt|, E2 from the scalar reference
         sizes = counted(monkeypatch)
         g = word_to_matrix(w)
         _, witness = winding._trapezoid(g)
         ell = geodesic_length(g.trace)
         nodes = grid_intervals(g)
-        assert len(sizes) == 1 and (sizes[0] > nodes + 1) == (w == (3, 200))
+        assert sizes == [nodes + 1]
         h, lo = ell / nodes, winding._axis_for(g).balance - 0.5 * ell
         terms = []
         for k in range(nodes):

@@ -25,7 +25,12 @@ is written to the root of this checkout.
 The fingerprint records the CPU count, the machine, Python, numpy, the BLAS
 numpy was built with and OPENBLAS_NUM_THREADS; each tree records its git
 commit, whether its src/ differs from that commit, and the lines of each
-module under src/modwind.
+module under src/modwind.  Other load on the host slows the runs, so each
+run records the `some` avg10 of /proc/pressure/cpu (the percentage of the
+last 10 s in which a runnable task waited for a CPU) just before and just
+after it, or null where the file is absent; and a tree lists under "spread"
+each route and stratum whose quartiles lie more than SPREAD of its median
+apart, whose figures a reader should not compare.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ OUT = ROOT
 SEED = 1
 RUNS = 10
 REPEATS = 7
+# (q3 - q1) / median above which a tree's figure for a route and stratum is flagged
+SPREAD = 0.1
+PRESSURE = Path("/proc/pressure/cpu")
 ROUTES = ("winding_index", "e2_period", "both")
 
 
@@ -105,6 +113,26 @@ def child_run(tree, words):
     return json.loads(done.stdout)
 
 
+def cpu_pressure():
+    """The `some` avg10 of PRESSURE, in percent, or None where it cannot be read."""
+    try:
+        some = PRESSURE.read_text().splitlines()[0].split()
+    except (OSError, IndexError):
+        return None
+    fields = dict(field.split("=", 1) for field in some[1:])
+    return float(fields["avg10"]) if some[0] == "some" and "avg10" in fields else None
+
+
+def spread(routes_us):
+    """["route/stratum"] of each figure whose quartiles lie more than SPREAD of its median apart."""
+    return [
+        f"{route}/{stratum}"
+        for route, strata in routes_us.items()
+        for stratum, q in strata.items()
+        if q["q3"] - q["q1"] > SPREAD * q["median"]
+    ]
+
+
 def quartiles(values):
     """{median, q1, q3} of the values; all three the value itself for one."""
     if len(values) == 1:
@@ -152,9 +180,12 @@ def report(tag, trees, words):
     """The BENCH record of the named trees [(label, path)] on the words
     [(stratum, word)], their RUNS runs alternating."""
     times = {label: [] for label, _ in trees}
+    pressure = {label: [] for label, _ in trees}
     for k in range(RUNS):
         for label, tree in trees if k % 2 == 0 else trees[::-1]:
+            before = cpu_pressure()
             times[label].append(child_run(tree, words))
+            pressure[label].append({"before": before, "after": cpu_pressure()})
     out = {
         "tag": tag,
         "fingerprint": fingerprint(),
@@ -163,20 +194,22 @@ def report(tag, trees, words):
             "repeats": REPEATS,
             "seed": SEED,
             "words": dict(Counter(s for s, _ in words)),
+            "spread_limit": SPREAD,
         },
         "trees": {},
     }
     for label, tree in trees:
         strata = times[label][0].keys()
         commit, dirty = git_state(tree)
+        routes_us = {route: {s: quartiles([run[s][route] for run in times[label]]) for s in strata} for route in ROUTES}
         out["trees"][label] = {
             "commit": commit,
             "dirty": dirty,
             "source_lines": source_lines(tree),
-            "routes_us": {
-                route: {s: quartiles([run[s][route] for run in times[label]]) for s in strata} for route in ROUTES
-            },
+            "routes_us": routes_us,
             "winding_steps": {s: times[label][0][s]["steps"] for s in strata},
+            "cpu_pressure": pressure[label],
+            "spread": spread(routes_us),
         }
     return out
 
@@ -193,6 +226,9 @@ def main(argv=None):
     record = report(args.tag, trees, routes_words())
     path = OUT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
+    for label, tree in record["trees"].items():
+        if tree["spread"]:
+            print(f"{label}: quartiles over {SPREAD:.0%} of the median apart: {', '.join(tree['spread'])}", file=sys.stderr)
     print(path)
 
 
