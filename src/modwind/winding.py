@@ -398,12 +398,13 @@ class _Round:
     grid t_k = lo + k l / m, k = 0..m, over the window (t), and the rows of _nodes
     at t, folded on their first read (nodes).  Each array is read-only.
 
-    winding_index's plan is made here, before any node is evaluated: ends is the
-    places (i0, i1) of the first and last grid nodes of the cusp zone, where the
-    axis runs at height 1 or more, one step inside ((0, 0) where fewer than two
-    are), and turns the closed form of the turns of 2 pi Re z + 6 arg z' between
-    them (_top_turns).  refusal is the plan's CapExceeded message, raised by
-    winding_index alone: e2_period reads the grid whatever winding_index's plan is.
+    winding_index's plan is made here, before any node is evaluated: ends is
+    (i0, i1), the places of the first and last grid nodes of the cusp zone, where
+    the axis runs at height 1 or more, taken one step inside ((0, 0) where fewer
+    than two are), and turns is the closed form of the turns of
+    2 pi Re z + 6 arg z' between them (_top_turns).  refusal is the plan's
+    CapExceeded message, raised by winding_index alone: e2_period reads the grid
+    whatever winding_index's plan is.
     """
 
     def __init__(self, axis: _Axis):
@@ -522,11 +523,10 @@ def winding_index(gamma: Mat2) -> WindingResult:
         # |arg Delta/q| <= 0.045 where Im z >= 1, so its principal value is continuous there
         turns += (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / _TWO_PI
     # only the intervals with a node below height 1 on the axis: [0, i0) and [i1, m)
-    low = [(lo, hi) for lo, hi in ((0, i0), (i1, rnd.m)) if hi > lo]
     split = None
-    if _may_split(max((y[lo : hi + 1].max() for lo, hi in low), default=0.0)):
+    if _may_split(max(y[: i0 + 1].max(), y[i1:].max())):
         ratio = np.zeros(rnd.m)
-        for lo, hi in low:
+        for lo, hi in ((0, i0), (i1, rnd.m)):
             ratio[lo:hi] = _ratio(t[lo : hi + 1], y[lo : hi + 1])
         split = _split(t, ratio)
     if split:
@@ -540,7 +540,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
     inc = _wrap(arg[1:] - arg[:-1])
     steps = inc.size
     if i1 > i0:
-        inc[i0:i1] = 0.0  # the zone's turns are in turns
+        inc[i0:i1] = 0.0  # the zone, taken in closed form
         steps -= i1 - i0 - 1
     coarse = np.abs(inc) >= 0.5 * math.pi
     if coarse.any():
