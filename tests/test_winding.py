@@ -473,7 +473,7 @@ def zone_nodes(gamma):
     y = top_height(gamma) / np.cosh(t)
     i0, i1 = winding._first_round(gamma).ends
     if i1 == i0:
-        assert (i0, np.count_nonzero(y > 1.0 + 1e-9)) < (1, 5)
+        assert i0 == 0 and np.count_nonzero(y > 1.0 + 1e-9) < 5
         return t[:0]
     assert np.all(y[i0 : i1 + 1] >= 1.0)
     assert i0 < 2 or y[i0 - 2] < 1.0 + 1e-9
@@ -518,8 +518,8 @@ class TestRefine:
     alone, and the intervals with a node below height 1 on the axis are split on
     the folded heights at their nodes."""
 
-    # (1, 2) is accepted on its first grid, as are the others, whose cusp
-    # excursion is their cusp zone; (90, 1, 45, 2) and (1, 60, 1, 40) split, in
+    # each is accepted on its first grid, its cusp excursion being its cusp
+    # zone, but (90, 1, 45, 2) and (1, 60, 1, 40), which split, in
     # a second round, around a second excursion that stays below height 1 on
     # the axis
     WORDS = [
