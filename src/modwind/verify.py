@@ -53,9 +53,9 @@ from .winding import e2_period, winding_index
 __all__ = ["SuiteResult", "run_all", "VERIFY_MAX_TRACE_CAP"]
 
 # word_census checks every class of the census with the exact symbols, at
-# about 25 us a class (21-26 us at T = 15.06 on a 2-core x86-64 box), so run_all
-# refuses a census past this trace cap (249,076 classes, at T below 15.0674)
-# before any suite runs.
+# about 14 us a class (12-14 us in four timings at T = 15.06, 247,936 classes, on
+# a 2-core x86-64 host, Python 3.11, numpy 2.4), so run_all refuses a census past
+# this trace cap (249,076 classes, at T below 15.0674) before any suite runs.
 VERIFY_MAX_TRACE_CAP = 1869
 
 

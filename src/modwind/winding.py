@@ -13,7 +13,10 @@ Two independent numerical routes to the same integer:
 Both read one first round a class (_Round, kept for the last class by
 _first_round): one uniform periodic grid over the window,
 t_k = lo + k l / m for k = 0..m, m even and l / m <= _BASE_STEP, each node
-folded once (_nodes); each route sums its own series on it (_series).
+folded once (_fold); each route sums its own series on it (_series).  The
+probes delta_eval and e2_completed are that fold and those series at one point
+at dz/dt = 1: a one-element batch, whose in-place complex multiply (_horner)
+numpy may round differently in the last bit from the same node in a longer one.
 e2_period reads the grid's first m nodes as T_m and their even nodes as
 T_(m/2), then evaluates the midpoints that each doubling adds.
 winding_index reads every node, node m closing the period, takes the cusp
@@ -30,9 +33,9 @@ below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
 so there the series is its constant term 1 and q is not formed (_q).
 That flattens most of the nodes on a cusp excursion, among them
 the heights of about 56-59.5 and 112-119 where q or q^2 is subnormal and
-slow.  The fold (_reduce) refuses a point whose height is not above the
-float spacing of its real part; above that, its relative error is about
-2^-52 |z| / Im z.
+slow.  The fold (_reduce, called in _fold alone) refuses a point whose height
+is not above the float spacing of its real part; above that, its relative
+error is about 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the class's word,
@@ -211,38 +214,12 @@ def _series(coeffs: Tuple[int, ...], q: np.ndarray, steep: np.ndarray) -> np.nda
     return value
 
 
-def _delta_series(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z_red, j, tail) at each point of z, with Delta(z) = q tail / j^12 and
-    q = exp(2 pi i z_red): the fold of _reduce and the series Delta/q at z_red."""
+def _fold(z: np.ndarray, dz: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(z_red, dz_red, q, steep, |z| / Im z) at each point z with derivative dz, the
+    one place that folds: _reduce, dz / j^2, _q, and the real scale of the fold's
+    rounding that e2_period's witness reads."""
     z_red, j = _reduce(z)
-    return z_red, j, _series(_DELTA_C, *_q(z_red))
-
-
-def _arg_delta(z_red: np.ndarray, j: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """arg Delta in [-pi, pi] from the parts that _delta_series returns."""
-    return _wrap(_TWO_PI * z_red.real + np.angle(tail) - 12.0 * np.angle(j))
-
-
-def _e2(z: np.ndarray) -> np.ndarray:
-    """Completed E2 at each point of z."""
-    z_red, j = _reduce(z)
-    return (_series(_E2HOL_C, *_q(z_red)) - 3.0 / (math.pi * z_red.imag)) / (j * j)
-
-
-def delta_eval(z: complex) -> Tuple[float, float]:
-    """(log |Delta(z)|, arg Delta(z) in [-pi, pi]), exact in the modular transformation.
-
-    |Delta| underflows double precision already for y around 230, so the
-    modulus is only ever exposed through its logarithm.
-    """
-    z_red, j, tail = _delta_series(np.array([z], dtype=complex))
-    log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) - 12.0 * np.log(np.abs(j))
-    return float(log_abs[0]), float(_arg_delta(z_red, j, tail)[0])
-
-
-def e2_completed(z: complex) -> complex:
-    """Weight 2 completed Eisenstein series: q-series minus 3/(pi y), folded."""
-    return complex(_e2(np.array([z], dtype=complex))[0])
+    return (z_red, dz / (j * j), *_q(z_red), np.abs(z) / z.imag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,18 +306,13 @@ def _in_chunks(fn, t: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(z_red, dz_red/dt, q, steep, |z| / Im z) at each t on the axis: the fold of
-    z(t), its derivative (dz/dt) / j^2 there, q and steep from _q, and the real
-    scale of the fold's rounding that e2_period's witness reads."""
-    z, dz = axis.at(t)
-    z_red, j = _reduce(z)
-    dz /= j * j
-    return (z_red, dz, *_q(z_red), np.abs(z) / z.imag)
+    """_fold's rows at each t on the axis."""
+    return _fold(*axis.at(t))
 
 
 def _arg_f(z_red, dz_red, q, steep) -> Tuple[np.ndarray, np.ndarray]:
     """(arg F + 2 pi k, Delta/q) at each node, F = Delta(z_red) (dz_red/dt)^6, from
-    _nodes' rows."""
+    _fold's rows."""
     tail = _series(_DELTA_C, q, steep)
     arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
     return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real), tail
@@ -348,9 +320,26 @@ def _arg_f(z_red, dz_red, q, steep) -> Tuple[np.ndarray, np.ndarray]:
 
 def _e2_rows(z_red, dz_red, q, steep, scale) -> Tuple[np.ndarray, np.ndarray]:
     """E2(z) dz/dt = E2(z_red) dz_red/dt and the real |z| / Im z |E2(z) dz/dt| at
-    each node, from _nodes' rows."""
+    each node, from _fold's rows."""
     f = (_series(_E2HOL_C, q, steep) - 3.0 / (math.pi * z_red.imag)) * dz_red
     return f, scale * np.abs(f)
+
+
+def delta_eval(z: complex) -> Tuple[float, float]:
+    """(log |Delta(z)|, arg Delta(z) in [-pi, pi]): the routes' fold at dz/dt = 1, where
+    (dz_red)^6 = j^-12, so F = Delta(z_red) j^-12 = Delta(z).  |Delta| underflows double
+    precision already for y around 230, so the modulus is only exposed as its logarithm."""
+    z_red, dz_red, q, steep, _ = _fold(np.array([z], dtype=complex), np.ones(1, dtype=complex))
+    arg, tail = _arg_f(z_red, dz_red, q, steep)
+    log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) + 6.0 * np.log(np.abs(dz_red))
+    return float(log_abs[0]), float(_wrap(arg)[0])
+
+
+def e2_completed(z: complex) -> complex:
+    """Weight 2 completed Eisenstein series, q-series minus 3/(pi y): the routes'
+    E2(z_red) dz_red/dt at dz/dt = 1, which is E2(z)."""
+    f, _ = _e2_rows(*_fold(np.array([z], dtype=complex), np.ones(1, dtype=complex)))
+    return complex(f[0])
 
 
 def _top_turns(axis: _Axis, ta: float, tb: float) -> float:
@@ -395,8 +384,8 @@ def _split(t: np.ndarray, ratio: np.ndarray):
 
 class _Round:
     """The first round of both routes on one class: its axis, the uniform periodic
-    grid t_k = lo + k l / m, k = 0..m, over the window (t), and the rows of _nodes
-    at t, folded on their first read (nodes).  Each array is read-only.
+    grid t_k = lo + k h over the window, h = l / m, k = 0..m (t, lo, h), and the
+    rows of _nodes at t, folded on their first read (nodes).  Each array is read-only.
 
     winding_index's plan is made here, before any node is evaluated: ends is
     (i0, i1), the places of the first and last grid nodes of the cusp zone, where
@@ -413,7 +402,7 @@ class _Round:
         # at most 13,146 intervals, as l < 709.79 (the axis refuses t^2 - 4 past the
         # float range): far below the node cap, so only the split is checked against it
         self.m = m = 2 * math.ceil(0.5 * ell / _BASE_STEP)
-        lo, h = axis.balance - 0.5 * ell, ell / m
+        self.lo, self.h = lo, h = axis.balance - 0.5 * ell, ell / m
         self.t = lo + h * np.arange(m + 1.0)
         self.t.flags.writeable = False
         self.ends, self.turns, self.refusal = (0, 0), 0.0, None
@@ -569,8 +558,7 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     do not shrink it.
     """
     rnd = _first_round(gamma)
-    axis, nodes = rnd.axis, rnd.m
-    lo, h = axis.balance - 0.5 * axis.length, axis.length / nodes
+    axis, nodes, lo, h = rnd.axis, rnd.m, rnd.lo, rnd.h
     z_red, dz_red, q, steep, scale = rnd.nodes
     # the grid's first m nodes lead the round, and q holds its steep nodes in order
     steep = steep[:nodes]

@@ -550,6 +550,40 @@ def test_winding_sums_the_series_in_one_place():
     assert series_evaluators((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_q", "_series"]
 
 
+# Both routes and the one-point probes fold every point in one place, _fold: no
+# other function may name _reduce.
+def fold_callers(source: str) -> list:
+    """Innermost functions (or "<module>") that name _reduce, bare or as an attribute."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and name == "_reduce":
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_fold_caller_detected():
+    source = (
+        "def _reduce(z):\n    return z, 1\n"
+        "def _fold(z, dz):\n    z_red, j = _reduce(z)\n    return z_red, dz / (j * j)\n"
+        "def probe(z):\n    return winding._reduce(z)[0]\n"
+        "def outer():\n    def inner(z):\n        return _reduce(z)\n    return inner\n"
+        "fold = functools.partial(_reduce)\n"
+    )
+    assert fold_callers(source) == ["<module>", "_fold", "inner", "probe"]
+
+
+def test_winding_folds_in_one_place():
+    assert fold_callers((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_fold"]
+
+
 # The benchmark and the demos import the program by name, and tier-1 does not
 # run the benchmark, so a deleted public name must fail here.
 IMPORTERS = sorted(

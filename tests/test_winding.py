@@ -151,6 +151,21 @@ def exact_reduce(z):
     raise RuntimeError("fold did not terminate")
 
 
+def probe_rows(z):
+    """_fold's rows at each point of the array z at dz/dt = 1, as the probes take them."""
+    return winding._fold(z, np.ones_like(z))
+
+
+def arg_delta(z):
+    """arg Delta in [-pi, pi] at each point of z, from _fold's rows: arg F at dz/dt = 1."""
+    return winding._wrap(winding._arg_f(*probe_rows(z)[:4])[0])
+
+
+def e2_at(z):
+    """Completed E2 at each point of z, from _fold's rows: E2(z_red) dz_red at dz/dt = 1."""
+    return winding._e2_rows(*probe_rows(z))[0]
+
+
 class TestBatchedLayer:
     # Fixed before the comparison was run: the batched layer reorders no sum,
     # but numpy's complex division and exp may differ from Python's in the
@@ -160,11 +175,11 @@ class TestBatchedLayer:
     def test_matches_scalar_reference(self):
         rng = random.Random(43)
         zs = [random_upper_half(rng) for _ in range(2000)]
-        arg = winding._arg_delta(*winding._delta_series(np.array(zs)))
-        e2 = winding._e2(np.array(zs))
+        arg = arg_delta(np.array(zs))
+        e2 = e2_at(np.array(zs))
         for k, z in enumerate(zs):
             ref_log, ref_arg = scalar_delta(z)
-            # only delta_eval forms log|Delta|, from the same _delta_series
+            # only delta_eval forms log|Delta|, from the same _fold
             log_abs, _ = delta_eval(z)
             assert abs(log_abs - ref_log) <= self.TOL * max(1.0, abs(ref_log))
             # arg[k] is wrapped to [-pi, pi]; ref_arg is not
@@ -178,10 +193,7 @@ class TestBatchedLayer:
     def test_batch_composition(self, form):
         # e2_period sums its first grid's coarse and fine trapezoid rules from one
         # batch: a point's value must not depend on the points batched with it
-        fn = {
-            "e2": winding._e2,
-            "arg_delta": lambda z: winding._arg_delta(*winding._delta_series(z)),
-        }[form]
+        fn = {"e2": e2_at, "arg_delta": arg_delta}[form]
         rng = random.Random(53)
         z = np.array([random_upper_half(rng) for _ in range(2000)])
         whole = fn(z)
@@ -205,8 +217,8 @@ class TestBatchedLayer:
         z = self.flat_and_steep_nodes()
         y_red = winding._reduce(z)[0].imag
         assert (y_red >= winding._FLAT_HEIGHT).sum() > 300 and (y_red < winding._FLAT_HEIGHT).sum() > 100
-        arg = winding._arg_delta(*winding._delta_series(z))
-        e2 = winding._e2(z)
+        arg = arg_delta(z)
+        e2 = e2_at(z)
         for k, point in enumerate(z.tolist()):
             ref_log, ref_arg = scalar_delta(point)
             log_abs, _ = delta_eval(point)
@@ -222,10 +234,7 @@ class TestBatchedLayer:
         # a batch of flat and steep nodes against each node alone, bit for bit;
         # alone means a batch of two copies, because numpy's in-place complex
         # multiply (in _horner) rounds a one-element array differently
-        fn = {
-            "e2": winding._e2,
-            "arg_delta": lambda z: winding._arg_delta(*winding._delta_series(z)),
-        }[form]
+        fn = {"e2": e2_at, "arg_delta": arg_delta}[form]
         z = self.flat_and_steep_nodes()
         alone = np.concatenate([fn(np.array([point, point]))[:1] for point in z])
         assert np.array_equal(fn(z), alone)
@@ -949,9 +958,10 @@ class TestFlatTop:
         assert 0.044944 < bound < 0.044945
         x = np.linspace(-0.5, 0.5, 200001)
         for y, least in ((1.0, 0.0448), (1.5, 0.0), (3.0, 0.0), (8.0, 0.0)):
-            _, j, tail = winding._delta_series(x + 1j * y)
-            assert np.all(j == 1.0)
-            arg = np.abs(np.angle(tail))
+            rows = probe_rows(x + 1j * y)
+            # dz_red = 1 / j^2 is 1: the fold is a translation alone
+            assert np.all(rows[1] == 1.0)
+            arg = np.abs(np.angle(winding._arg_f(*rows[:4])[1]))
             assert least <= arg.max() <= bound
 
     @staticmethod
@@ -968,9 +978,8 @@ class TestFlatTop:
         t[0], t[-1] = ta, tb
 
         def rows(t):
-            z, dz = axis.at(t)
-            z_red, j, tail = winding._delta_series(z)
-            return np.array([winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz), z_red.imag])
+            z_red, dz_red, q, steep, _ = winding._fold(*axis.at(t))
+            return np.array([winding._arg_f(z_red, dz_red, q, steep)[0], z_red.imag])
 
         values = winding._in_chunks(rows, t)
         assert np.all(turn_bound(t, values[1]) < 0.5 * math.pi)
@@ -980,7 +989,7 @@ class TestFlatTop:
     def closed_turns(axis, ta, tb):
         """The turns of F from ta to tb in the cusp zone in closed form: _top_turns
         and the change of the principal arg Delta/q, from the series at both ends."""
-        _, _, tail = winding._delta_series(axis.at(np.array([ta, tb]))[0])
+        _, tail = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb])))[:4])
         return winding._top_turns(axis, ta, tb) + (cmath.phase(tail[1]) - cmath.phase(tail[0])) / (2 * math.pi)
 
     @pytest.mark.parametrize(
@@ -1214,9 +1223,8 @@ def test_argument_turns_within_the_rate_bound(centre, log_radius, reversed_):
     ends = (centre + radius, centre - radius)
     axis = winding._Axis(*(ends[::-1] if reversed_ else ends), length=12.0, balance=0.0)
     t = np.linspace(-6.0, 6.0, 60001)
-    z, dz = axis.at(t)
-    z_red, j, tail = winding._delta_series(z)
-    arg_f = winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)
+    z_red, dz_red, q, steep, _ = winding._fold(*axis.at(t))
+    arg_f = winding._arg_f(z_red, dz_red, q, steep)[0]
     inc = np.abs(winding._wrap(np.diff(arg_f)))
     assert np.all(inc <= turn_bound(t, z_red.imag) + 1e-8)
 
@@ -1241,16 +1249,14 @@ def test_rate_is_the_completed_e2_form(centre, log_radius, reversed_):
     t, dt = np.linspace(-6.0, 6.0, 2401), 1e-5
 
     def arg_f(t):
-        z, dz = axis.at(t)
-        z_red, j, tail = winding._delta_series(z)
-        return winding._arg_delta(z_red, j, tail) + 6.0 * np.angle(dz)
+        return winding._arg_f(*winding._fold(*axis.at(t))[:4])[0]
 
     differences = winding._wrap(arg_f(t + dt) - arg_f(t - dt)) / (2.0 * dt)
     z, dz = axis.at(t)
     z_red, j = winding._reduce(z)
     y = z_red.imag
-    rate = 2.0 * math.pi * (winding._e2(z) * dz).real
-    reduced = 2.0 * math.pi * (winding._e2(z_red) * dz / (j * j)).real
+    rate = 2.0 * math.pi * winding._e2_rows(*winding._fold(z, dz))[0].real
+    reduced = 2.0 * math.pi * (e2_at(z_red) * dz / (j * j)).real
     assert np.allclose(np.abs(dz) / z.imag, 1.0, rtol=1e-12, atol=0.0)
     assert np.allclose(np.abs(dz / (j * j)), y, rtol=1e-9, atol=0.0)
     assert np.all(np.abs(reduced - rate) <= 1e-9 * rate_bound(y))
