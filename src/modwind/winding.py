@@ -13,7 +13,7 @@ Two independent numerical routes to the same integer:
 Both read one first round a class (_Round, kept for the last class by
 _first_round): one uniform periodic grid over the window,
 t_k = lo + k l / m for k = 0..m, m even and l / m <= _BASE_STEP, each node
-folded once (_fold); each route sums its own series on it (_series).  The
+folded once (_fold); each route sums its own series on it (_horner).  The
 probes delta_eval and e2_completed are that fold and those series at one point
 at dz/dt = 1: a one-element batch, whose in-place complex multiply (_horner)
 numpy may round differently in the last bit from the same node in a longer one.
@@ -23,17 +23,15 @@ winding_index reads every node, node m closing the period, takes the cusp
 zone, where the axis runs at height 1 or more, in closed form (_top_turns
 and arg Delta/q at the zone's two end nodes), and splits, in a second
 round, only where the axis runs below height 1.
-A round costs 40-72 us of numpy dispatch plus 0.07-0.11 us a node, or
-0.03-0.04 us at a flat one (one batch of 50 to 1,600 nodes, best of 30, in
-four runs on a 2-core x86-64 host, numpy 2.4.6), so a short class costs
-mostly per round, and the shared first round saves the second route's.
+A round costs 36-47 us of numpy dispatch plus 0.07-0.08 us a node at any
+height (one batch of 50 to 1,600 nodes, best of 30, in four runs on a 2-core
+x86-64 host, numpy 2.4.6), so a short class costs mostly per round, and the
+shared first round saves the second route's.
 Each point is folded into the standard fundamental domain first, so the
 q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
 below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
-so there the series is its constant term 1 and q is not formed (_q).
-That flattens most of the nodes on a cusp excursion, among them
-the heights of about 56-59.5 and 112-119 where q or q^2 is subnormal and
-slow.  The fold (_reduce, called in _fold alone) refuses a point whose height
+so _q caps q's height there, and every row of the fold holds one entry a
+node.  The fold (_reduce, called in _fold alone) refuses a point whose height
 is not above the float spacing of its real part; above that, its relative
 error is about 2^-52 |z| / Im z.
 
@@ -87,7 +85,8 @@ __all__ = [
 # where 10 terms leave 3.8e-21 for Delta/q.
 SERIES_TERMS = 11
 # From this folded height y up, |q| = e^(-2 pi y) leaves both tails past q^0
-# below 1e-22 too: 8.2e-23 (about 24 |q|), where 8.5 leaves 1.5e-22.
+# below 1e-22 too: 8.2e-23 (about 24 |q|), where 8.5 leaves 1.5e-22.  _q caps
+# q's height here, so that no product in _horner is subnormal.
 _FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
@@ -194,32 +193,20 @@ def _reduce(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     raise RuntimeError("fundamental domain reduction did not terminate")
 
 
-def _q(z_red: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(q, steep): steep marks the folded points below _FLAT_HEIGHT, and q is
-    exp(2 pi i z_red) at those points alone, in order."""
-    steep = z_red.imag < _FLAT_HEIGHT
-    if steep.all():
-        return np.exp(2j * math.pi * z_red), steep
-    return np.exp(2j * math.pi * z_red[steep]), steep
-
-
-def _series(coeffs: Tuple[int, ...], q: np.ndarray, steep: np.ndarray) -> np.ndarray:
-    """Sum of coeffs[n] q^n at each steep point, from the q of _q; exactly
-    coeffs[0] at the others, where every term past q^0 is below 1e-22."""
-    if q.size == steep.size:
-        return _horner(coeffs, q)
-    value = np.full(steep.shape, complex(coeffs[0]))
-    if q.size:
-        value[steep] = _horner(coeffs, q)
-    return value
+def _q(z_red: np.ndarray) -> np.ndarray:
+    """q = exp(2 pi i z_red) at each folded point, its height capped at _FLAT_HEIGHT:
+    past the cap every term of either series past q^0 is below 1e-22 at both heights."""
+    w = z_red.copy()
+    np.minimum(w.imag, _FLAT_HEIGHT, out=w.imag)
+    return np.exp(2j * math.pi * w)
 
 
 def _fold(z: np.ndarray, dz: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(z_red, dz_red, q, steep, |z| / Im z) at each point z with derivative dz, the
-    one place that folds: _reduce, dz / j^2, _q, and the real scale of the fold's
+    """(z_red, dz_red, q, |z| / Im z) at each point z with derivative dz, the one
+    place that folds: _reduce, dz / j^2, _q, and the real scale of the fold's
     rounding that e2_period's witness reads."""
     z_red, j = _reduce(z)
-    return (z_red, dz / (j * j), *_q(z_red), np.abs(z) / z.imag)
+    return z_red, dz / (j * j), _q(z_red), np.abs(z) / z.imag
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,18 +297,18 @@ def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
     return _fold(*axis.at(t))
 
 
-def _arg_f(z_red, dz_red, q, steep) -> Tuple[np.ndarray, np.ndarray]:
+def _arg_f(z_red, dz_red, q) -> Tuple[np.ndarray, np.ndarray]:
     """(arg F + 2 pi k, Delta/q) at each node, F = Delta(z_red) (dz_red/dt)^6, from
     _fold's rows."""
-    tail = _series(_DELTA_C, q, steep)
+    tail = _horner(_DELTA_C, q)
     arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
     return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real), tail
 
 
-def _e2_rows(z_red, dz_red, q, steep, scale) -> Tuple[np.ndarray, np.ndarray]:
+def _e2_rows(z_red, dz_red, q, scale) -> Tuple[np.ndarray, np.ndarray]:
     """E2(z) dz/dt = E2(z_red) dz_red/dt and the real |z| / Im z |E2(z) dz/dt| at
     each node, from _fold's rows."""
-    f = (_series(_E2HOL_C, q, steep) - 3.0 / (math.pi * z_red.imag)) * dz_red
+    f = (_horner(_E2HOL_C, q) - 3.0 / (math.pi * z_red.imag)) * dz_red
     return f, scale * np.abs(f)
 
 
@@ -329,8 +316,8 @@ def delta_eval(z: complex) -> Tuple[float, float]:
     """(log |Delta(z)|, arg Delta(z) in [-pi, pi]): the routes' fold at dz/dt = 1, where
     (dz_red)^6 = j^-12, so F = Delta(z_red) j^-12 = Delta(z).  |Delta| underflows double
     precision already for y around 230, so the modulus is only exposed as its logarithm."""
-    z_red, dz_red, q, steep, _ = _fold(np.array([z], dtype=complex), np.ones(1, dtype=complex))
-    arg, tail = _arg_f(z_red, dz_red, q, steep)
+    z_red, dz_red, q, _ = _fold(np.array([z], dtype=complex), np.ones(1, dtype=complex))
+    arg, tail = _arg_f(z_red, dz_red, q)
     log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) + 6.0 * np.log(np.abs(dz_red))
     return float(log_abs[0]), float(_wrap(arg)[0])
 
@@ -420,7 +407,7 @@ class _Round:
 
     @functools.cached_property
     def nodes(self) -> Tuple[np.ndarray, ...]:
-        """(z_red, dz_red/dt, q, steep, |z| / Im z) at t, from _nodes."""
+        """(z_red, dz_red/dt, q, |z| / Im z) at t, from _nodes."""
         rows = _in_chunks(functools.partial(_nodes, self.axis), self.t)
         for row in rows:
             row.flags.writeable = False
@@ -504,8 +491,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     rnd = _first_round(gamma)
     if rnd.refusal is not None:
         raise CapExceeded(rnd.refusal)
-    z_red, dz_red, q, steep, _ = rnd.nodes
-    (arg, tail), y, t = _arg_f(z_red, dz_red, q, steep), z_red.imag, rnd.t
+    z_red, dz_red, q, _ = rnd.nodes
+    (arg, tail), y, t = _arg_f(z_red, dz_red, q), z_red.imag, rnd.t
     i0, i1 = rnd.ends
     turns = rnd.turns
     if i1 > i0:
@@ -524,7 +511,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
         fresh[old] = False
         first, arg = arg, np.empty(t.size)
         arg[old] = first
-        arg[fresh] = _arg_f(*_in_chunks(functools.partial(_nodes, rnd.axis), t[fresh])[:4])[0]
+        arg[fresh] = _arg_f(*_in_chunks(functools.partial(_nodes, rnd.axis), t[fresh])[:3])[0]
         i0, i1 = int(old[i0]), int(old[i1])
     inc = _wrap(arg[1:] - arg[:-1])
     steps = inc.size
@@ -559,10 +546,8 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     """
     rnd = _first_round(gamma)
     axis, nodes, lo, h = rnd.axis, rnd.m, rnd.lo, rnd.h
-    z_red, dz_red, q, steep, scale = rnd.nodes
-    # the grid's first m nodes lead the round, and q holds its steep nodes in order
-    steep = steep[:nodes]
-    f, scale = _e2_rows(z_red[:nodes], dz_red[:nodes], q[: np.count_nonzero(steep)], steep, scale[:nodes])
+    # the grid's first m nodes lead the round
+    f, scale = _e2_rows(*(row[:nodes] for row in rnd.nodes))
     coarse, total, scale_sum = 2.0 * h * f[::2].sum(), h * f.sum(), h * scale.sum()
     while True:
         witness = _FLOAT_SPACING * scale_sum  # a power of 2 scales a sum exactly

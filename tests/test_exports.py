@@ -507,9 +507,10 @@ def test_walk_and_routes_build_no_matrix():
     assert sorted(imported_names(winding) & {"fixed_points", "reduced_conjugate"}) == []
 
 
-# Both routes form q in one place, _q, which skips the flat nodes, and sum the
-# q-series in one other, _series: no other function may name _horner or form
-# q, the exponential of an imaginary multiple of the point.
+# Both routes form q in one place, _q, which caps its height at the flat height,
+# and sum each q-series in one place, _arg_f for Delta/q and _e2_rows for E2: no
+# other function may name _horner or form q, the exponential of an imaginary
+# multiple of the point.
 def series_evaluators(source: str) -> list:
     """Innermost functions (or "<module>") that name _horner or call exp on an
     argument holding an imaginary constant."""
@@ -547,7 +548,7 @@ def test_series_evaluator_detected():
 
 
 def test_winding_sums_the_series_in_one_place():
-    assert series_evaluators((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_q", "_series"]
+    assert series_evaluators((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_arg_f", "_e2_rows", "_q"]
 
 
 # Both routes and the one-point probes fold every point in one place, _fold: no

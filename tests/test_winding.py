@@ -158,7 +158,7 @@ def probe_rows(z):
 
 def arg_delta(z):
     """arg Delta in [-pi, pi] at each point of z, from _fold's rows: arg F at dz/dt = 1."""
-    return winding._wrap(winding._arg_f(*probe_rows(z)[:4])[0])
+    return winding._wrap(winding._arg_f(*probe_rows(z)[:3])[0])
 
 
 def e2_at(z):
@@ -377,8 +377,8 @@ class TestOneEvaluationPerRound:
 
 def test_flat_nodes_skip_the_series(monkeypatch):
     # the excursion of (1, 240) rises to height 121 through both subnormal
-    # bands of q; q is formed once a node, at the nodes below the flat height
-    # alone, and no node at or above it reaches _horner
+    # bands of q; q is formed once at every node, its height capped at the flat
+    # height, so no q that reaches _horner is above the cap
     heights, formed, series = [], [], []
     reduce, q_at, horner = winding._reduce, winding._q, winding._horner
 
@@ -388,9 +388,9 @@ def test_flat_nodes_skip_the_series(monkeypatch):
         return z_red, j
 
     def recording_q(z_red):
-        q, steep = q_at(z_red)
+        q = q_at(z_red)
         formed.append(q.copy())
-        return q, steep
+        return q
 
     def recording_horner(coeffs, q):
         series.append(q.copy())
@@ -405,10 +405,40 @@ def test_flat_nodes_skip_the_series(monkeypatch):
     assert e2_period(g) == pytest.approx(psi(g), abs=1e-6)
     y = np.concatenate(heights)
     assert ((56.0 <= y) & (y <= 59.5)).any() and ((112.0 <= y) & (y <= 119.0)).any()
-    assert np.concatenate(formed).size == (y < winding._FLAT_HEIGHT).sum() < y.size
+    assert np.concatenate(formed).size == y.size
     q = np.concatenate(series)
     # |q| = e^(-2 pi y_red), so each q's height is -log |q| / (2 pi)
     assert np.all(-np.log(np.abs(q)) / (2 * math.pi) < winding._FLAT_HEIGHT + 1e-12)
+
+
+def test_every_row_holds_one_entry_a_node(monkeypatch):
+    # the second excursion of (1, 60, 1, 40) splits in a second round, and both
+    # rounds hold nodes at or above the flat height: each row of either round,
+    # q among them, has one entry a node
+    batches = recorded_batches(monkeypatch)
+    winding._first_round.cache_clear()
+    g = word_to_matrix((1, 60, 1, 40))
+    assert winding_index(g).index == psi(g)
+    assert len(batches) == 2
+    first, second = batches
+    assert all(a is b for a, b in zip(first[1], winding._first_round(g).nodes))
+    for t, rows in batches:
+        assert len(rows) == 4 and all(row.shape == t.shape for row in rows)
+        assert (rows[0].imag >= winding._FLAT_HEIGHT).any()
+
+
+def test_q_height_is_capped_at_the_flat_height():
+    # from the flat height up, through both subnormal bands of q and up to 1e4,
+    # |q| is e^(-2 pi 8.6), so no q is subnormal; below it q is exp(2 pi i z_red)
+    z_red = winding._reduce(TestBatchedLayer.flat_and_steep_nodes())[0]
+    q = winding._q(z_red)
+    flat = z_red.imag >= winding._FLAT_HEIGHT
+    assert flat.sum() > 300 and z_red.imag.max() > 9e3
+    assert ((56.0 <= z_red.imag) & (z_red.imag <= 59.5)).any()
+    assert ((112.0 <= z_red.imag) & (z_red.imag <= 119.0)).any()
+    cap = math.exp(-2 * math.pi * winding._FLAT_HEIGHT)
+    assert np.all(np.abs(np.abs(q[flat]) / cap - 1.0) <= 1e-15)
+    assert np.array_equal(q[~flat], np.exp(2j * math.pi * z_red[~flat]))
 
 
 def recorded_batches(monkeypatch):
@@ -516,7 +546,7 @@ def zone_turns(gamma):
     i0, i1 = rnd.ends
     if i1 == i0:
         return 0.0
-    _, tail = winding._arg_f(*rnd.nodes[:4])
+    _, tail = winding._arg_f(*rnd.nodes[:3])
     turns = winding._top_turns(rnd.axis, float(rnd.t[i0]), float(rnd.t[i1]))
     return turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
 
@@ -575,7 +605,7 @@ class TestRefine:
         first = first_grid(g)
         assert np.array_equal(t, first)
         y = rows[0].imag
-        arg, _ = winding._arg_f(*rows[:4])
+        arg, _ = winding._arg_f(*rows[:3])
         assert zone_nodes(g).size > 2
         # the second, if any, is the nodes that the split on the folded heights adds
         # to the intervals outside [i0, i1], in order, and each node was evaluated once
@@ -588,7 +618,7 @@ class TestRefine:
         ref_arg = np.empty(ref_t.size)
         ref_arg[~new] = arg
         if split:
-            ref_arg[new] = winding._arg_f(*new_rows[:4])[0]
+            ref_arg[new] = winding._arg_f(*new_rows[:3])[0]
         inc = winding._wrap(np.diff(ref_arg))
         inc[~off_the_zone(ref_t, g)] = 0.0
         turns = zone_turns(g) + float(inc.sum()) / winding._TWO_PI
@@ -961,7 +991,7 @@ class TestFlatTop:
             rows = probe_rows(x + 1j * y)
             # dz_red = 1 / j^2 is 1: the fold is a translation alone
             assert np.all(rows[1] == 1.0)
-            arg = np.abs(np.angle(winding._arg_f(*rows[:4])[1]))
+            arg = np.abs(np.angle(winding._arg_f(*rows[:3])[1]))
             assert least <= arg.max() <= bound
 
     @staticmethod
@@ -978,8 +1008,8 @@ class TestFlatTop:
         t[0], t[-1] = ta, tb
 
         def rows(t):
-            z_red, dz_red, q, steep, _ = winding._fold(*axis.at(t))
-            return np.array([winding._arg_f(z_red, dz_red, q, steep)[0], z_red.imag])
+            z_red, dz_red, q, _ = winding._fold(*axis.at(t))
+            return np.array([winding._arg_f(z_red, dz_red, q)[0], z_red.imag])
 
         values = winding._in_chunks(rows, t)
         assert np.all(turn_bound(t, values[1]) < 0.5 * math.pi)
@@ -989,7 +1019,7 @@ class TestFlatTop:
     def closed_turns(axis, ta, tb):
         """The turns of F from ta to tb in the cusp zone in closed form: _top_turns
         and the change of the principal arg Delta/q, from the series at both ends."""
-        _, tail = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb])))[:4])
+        _, tail = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb])))[:3])
         return winding._top_turns(axis, ta, tb) + (cmath.phase(tail[1]) - cmath.phase(tail[0])) / (2 * math.pi)
 
     @pytest.mark.parametrize(
@@ -1044,7 +1074,7 @@ class TestFlatTop:
         t = rnd.t
         assert i1 > i0 and np.all(top / np.cosh(t[i0 : i1 + 1]) >= 1.0)
         assert top / np.cosh(t[0]) < 1.0 and top / np.cosh(t[-1]) < 1.0
-        _, tail = winding._arg_f(*rnd.nodes[:4])
+        _, tail = winding._arg_f(*rnd.nodes[:3])
         closed = rnd.turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
         assert closed == self.closed_turns(axis, t[i0], t[i1])
         tol = 1e-9 + 2.0**-49 * top
@@ -1223,8 +1253,8 @@ def test_argument_turns_within_the_rate_bound(centre, log_radius, reversed_):
     ends = (centre + radius, centre - radius)
     axis = winding._Axis(*(ends[::-1] if reversed_ else ends), length=12.0, balance=0.0)
     t = np.linspace(-6.0, 6.0, 60001)
-    z_red, dz_red, q, steep, _ = winding._fold(*axis.at(t))
-    arg_f = winding._arg_f(z_red, dz_red, q, steep)[0]
+    z_red, dz_red, q, _ = winding._fold(*axis.at(t))
+    arg_f = winding._arg_f(z_red, dz_red, q)[0]
     inc = np.abs(winding._wrap(np.diff(arg_f)))
     assert np.all(inc <= turn_bound(t, z_red.imag) + 1e-8)
 
@@ -1249,7 +1279,7 @@ def test_rate_is_the_completed_e2_form(centre, log_radius, reversed_):
     t, dt = np.linspace(-6.0, 6.0, 2401), 1e-5
 
     def arg_f(t):
-        return winding._arg_f(*winding._fold(*axis.at(t))[:4])[0]
+        return winding._arg_f(*winding._fold(*axis.at(t))[:3])[0]
 
     differences = winding._wrap(arg_f(t + dt) - arg_f(t - dt)) / (2.0 * dt)
     z, dz = axis.at(t)
@@ -1261,8 +1291,11 @@ def test_rate_is_the_completed_e2_form(centre, log_radius, reversed_):
     assert np.allclose(np.abs(dz / (j * j)), y, rtol=1e-9, atol=0.0)
     assert np.all(np.abs(reduced - rate) <= 1e-9 * rate_bound(y))
     assert np.all(np.abs(differences - rate) <= 1e-4 * rate_bound(y) + 1e-5)
-    e2 = winding._series(E2HOL_SERIES, *winding._q(z_red))
-    assert np.all(np.abs(rate) <= np.abs(2.0 * math.pi * e2 * y - 6.0) * (1.0 + 1e-9))
+    e2 = winding._horner(E2HOL_SERIES, winding._q(z_red))
+    # where E2 is real at the top of the axis the rate is this bound, 2 pi E2 y - 6,
+    # which cancels terms of about 6: one float spacing of each is their rounding
+    cancel = 2.0**-52 * (2.0 * math.pi * np.abs(e2) * y + 6.0)
+    assert np.all(np.abs(rate) <= np.abs(2.0 * math.pi * e2 * y - 6.0) * (1.0 + 1e-9) + cancel)
     assert np.all(np.abs(rate) <= rate_bound(y))
 
 
