@@ -4,10 +4,11 @@ Every statistic reads only trace and psi, so each one reads a leading trace
 window of the census's (trace, psi) count table (Census.counts), a row
 standing for all classes of its pair, or the per-psi sums of that window
 (Census.psi_sums), built once a window, and compares aggregate observables
-against their closed-form predictions: the prime geodesic theorem, the winding
-density, the Cauchy limit law of the winding-to-length ratio, residue
-equidistribution, and character-twisted sums.  No statistic needs the
-census's rows in order, so none sorts them.
+against their closed-form predictions: the winding density, the Cauchy limit
+law of the winding-to-length ratio, residue equidistribution, and
+character-twisted sums.  The prime geodesic theorem's count, li(e^T), is
+geodesics.li; no statistic here reads it.  No statistic needs the census's
+rows in order, so none sorts them.
 """
 
 from __future__ import annotations

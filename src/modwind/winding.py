@@ -11,18 +11,20 @@ Two independent numerical routes to the same integer:
   series (the holomorphic q-series minus 3 / (pi y)).
 
 Both read one first round a class (_Round, kept for the last class by
-_first_round): one uniform periodic grid over the window,
-t_k = lo + k l / m for k = 0..m, m even and l / m <= _BASE_STEP, each node
-folded once (_fold); each route sums its own series on it (_horner).  The
+_first_round), which holds only what both read: the axis, one uniform
+periodic grid over the window, t_k = lo + k l / m for k = 0..m, m even and
+l / m <= _BASE_STEP, and its nodes, each folded once (_fold) and given the
+scale of the fold's rounding that e2_period's witness reads (_nodes).  Each
+route sums its own series on it (_horner) and makes its own plan.  The
 probes delta_eval and e2_completed are that fold and those series at one point
 at dz/dt = 1: a one-element batch, whose in-place complex multiply (_horner)
 numpy may round differently in the last bit from the same node in a longer one.
 e2_period reads the grid's first m nodes as T_m and their even nodes as
 T_(m/2), then evaluates the midpoints that each doubling adds.
 winding_index reads every node, node m closing the period, takes the cusp
-zone, where the axis runs at height 1 or more, in closed form (_top_turns
-and arg Delta/q at the zone's two end nodes), and splits, in a second
-round, only where the axis runs below height 1.
+zone, where the axis runs at height 1 or more, in closed form (its plan,
+_cusp_zone, and arg Delta/q at the zone's two end nodes), and splits, in a
+second round, only where the axis runs below height 1.
 A round costs 36-47 us of numpy dispatch plus 0.07-0.08 us a node at any
 height (one batch of 50 to 1,600 nodes, best of 30, in four runs on a 2-core
 x86-64 host, numpy 2.4.6), so a short class costs mostly per round, and the
@@ -202,11 +204,10 @@ def _q(z_red: np.ndarray) -> np.ndarray:
 
 
 def _fold(z: np.ndarray, dz: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(z_red, dz_red, q, |z| / Im z) at each point z with derivative dz, the one
-    place that folds: _reduce, dz / j^2, _q, and the real scale of the fold's
-    rounding that e2_period's witness reads."""
+    """(z_red, dz_red, q) at each point z with derivative dz, the one place that
+    folds: _reduce, dz / j^2 and _q."""
     z_red, j = _reduce(z)
-    return z_red, dz / (j * j), _q(z_red), np.abs(z) / z.imag
+    return z_red, dz / (j * j), _q(z_red)
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,8 +294,11 @@ def _in_chunks(fn, t: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """_fold's rows at each t on the axis."""
-    return _fold(*axis.at(t))
+    """_fold's rows at each t on the axis and |z| / Im z, the real scale of the fold's
+    rounding: the rows of e2_period's rounds, the one place that forms the scale,
+    which its witness alone reads."""
+    z, dz = axis.at(t)
+    return (*_fold(z, dz), np.abs(z) / z.imag)
 
 
 def _arg_f(z_red, dz_red, q) -> Tuple[np.ndarray, np.ndarray]:
@@ -305,18 +309,16 @@ def _arg_f(z_red, dz_red, q) -> Tuple[np.ndarray, np.ndarray]:
     return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real), tail
 
 
-def _e2_rows(z_red, dz_red, q, scale) -> Tuple[np.ndarray, np.ndarray]:
-    """E2(z) dz/dt = E2(z_red) dz_red/dt and the real |z| / Im z |E2(z) dz/dt| at
-    each node, from _fold's rows."""
-    f = (_horner(_E2HOL_C, q) - 3.0 / (math.pi * z_red.imag)) * dz_red
-    return f, scale * np.abs(f)
+def _e2_rows(z_red, dz_red, q) -> np.ndarray:
+    """E2(z) dz/dt = E2(z_red) dz_red/dt at each node, from _fold's rows."""
+    return (_horner(_E2HOL_C, q) - 3.0 / (math.pi * z_red.imag)) * dz_red
 
 
 def delta_eval(z: complex) -> Tuple[float, float]:
     """(log |Delta(z)|, arg Delta(z) in [-pi, pi]): the routes' fold at dz/dt = 1, where
     (dz_red)^6 = j^-12, so F = Delta(z_red) j^-12 = Delta(z).  |Delta| underflows double
     precision already for y around 230, so the modulus is only exposed as its logarithm."""
-    z_red, dz_red, q, _ = _fold(np.array([z], dtype=complex), np.ones(1, dtype=complex))
+    z_red, dz_red, q = _fold(np.array([z], dtype=complex), np.ones(1, dtype=complex))
     arg, tail = _arg_f(z_red, dz_red, q)
     log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) + 6.0 * np.log(np.abs(dz_red))
     return float(log_abs[0]), float(_wrap(arg)[0])
@@ -325,8 +327,7 @@ def delta_eval(z: complex) -> Tuple[float, float]:
 def e2_completed(z: complex) -> complex:
     """Weight 2 completed Eisenstein series, q-series minus 3/(pi y): the routes'
     E2(z_red) dz_red/dt at dz/dt = 1, which is E2(z)."""
-    f, _ = _e2_rows(*_fold(np.array([z], dtype=complex), np.ones(1, dtype=complex)))
-    return complex(f[0])
+    return complex(_e2_rows(*_fold(np.array([z], dtype=complex), np.ones(1, dtype=complex)))[0])
 
 
 def _top_turns(axis: _Axis, ta: float, tb: float) -> float:
@@ -370,18 +371,10 @@ def _split(t: np.ndarray, ratio: np.ndarray):
 
 
 class _Round:
-    """The first round of both routes on one class: its axis, the uniform periodic
-    grid t_k = lo + k h over the window, h = l / m, k = 0..m (t, lo, h), and the
-    rows of _nodes at t, folded on their first read (nodes).  Each array is read-only.
-
-    winding_index's plan is made here, before any node is evaluated: ends is
-    (i0, i1), the places of the first and last grid nodes of the cusp zone, where
-    the axis runs at height 1 or more, taken one step inside ((0, 0) where fewer
-    than two are), and turns is the closed form of the turns of
-    2 pi Re z + 6 arg z' between them (_top_turns).  refusal is the plan's
-    CapExceeded message, raised by winding_index alone: e2_period reads the grid
-    whatever winding_index's plan is.
-    """
+    """The first round of both routes on one class, only what both read: its axis,
+    the uniform periodic grid t_k = lo + k h over the window, h = l / m, k = 0..m
+    (t, lo, h), and the rows of _nodes at t, folded on their first read (nodes).
+    Each array is read-only."""
 
     def __init__(self, axis: _Axis):
         self.axis = axis
@@ -392,23 +385,12 @@ class _Round:
         self.lo, self.h = lo, h = axis.balance - 0.5 * ell, ell / m
         self.t = lo + h * np.arange(m + 1.0)
         self.t.flags.writeable = False
-        self.ends, self.turns, self.refusal = (0, 0), 0.0, None
-        top = 0.5 * abs(axis.alpha - axis.alpha_bar)
-        if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
-            self.refusal = f"flat top of height {top:.3g} past the float resolution of its turns"
-        elif top > 1.0:
-            # grid nodes k with lo + k h in [-acosh R, acosh R], where Im z(t) >= 1, one
-            # more step inside at either end so that rounding cannot let one out
-            c = math.acosh(top)
-            i0, i1 = max(0, math.ceil((-c - lo) / h) + 1), min(m, math.floor((c - lo) / h) - 1)
-            if i1 > i0:
-                self.ends = (i0, i1)
-                self.turns = _top_turns(axis, float(self.t[i0]), float(self.t[i1]))
 
     @functools.cached_property
     def nodes(self) -> Tuple[np.ndarray, ...]:
-        """(z_red, dz_red/dt, q, |z| / Im z) at t, from _nodes."""
-        rows = _in_chunks(functools.partial(_nodes, self.axis), self.t)
+        """(z_red, dz_red/dt, q, |z| / Im z) at t, from _nodes in one batch: a first
+        grid has at most 13,147 nodes, below _CHUNK."""
+        rows = _nodes(self.axis, self.t)
         for row in rows:
             row.flags.writeable = False
         return rows
@@ -420,6 +402,24 @@ def _first_round(gamma: Mat2) -> _Round:
     caller runs both routes on one class back to back; a refusal of the axis or of
     the fold is raised again on every call."""
     return _Round(_axis_for(gamma))
+
+
+def _cusp_zone(rnd: _Round) -> Tuple[int, int, float]:
+    """winding_index's plan on its first round, made before any node is evaluated:
+    (i0, i1, turns), the places of the first and last grid nodes of the cusp zone,
+    where the axis runs at height 1 or more, taken one step inside ((0, 0, 0.0)
+    where fewer than two are), and the closed form of the turns of
+    2 pi Re z + 6 arg z' between them (_top_turns).  A flat top past the float
+    resolution of those turns raises CapExceeded."""
+    axis, lo, h = rnd.axis, rnd.lo, rnd.h
+    top = 0.5 * abs(axis.alpha - axis.alpha_bar)
+    if 2.0**-49 * top > 0.1 * _RESIDUAL_LIMIT:
+        raise CapExceeded(f"flat top of height {top:.3g} past the float resolution of its turns")
+    # grid nodes k with lo + k h in [-acosh R, acosh R], where Im z(t) >= 1, one more
+    # step inside at either end so that rounding cannot let one out (none for R <= 1)
+    c = math.acosh(max(top, 1.0))
+    i0, i1 = max(0, math.ceil((-c - lo) / h) + 1), min(rnd.m, math.floor((c - lo) / h) - 1)
+    return (i0, i1, _top_turns(axis, float(rnd.t[i0]), float(rnd.t[i1]))) if i1 > i0 else (0, 0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,12 +489,9 @@ def winding_index(gamma: Mat2) -> WindingResult:
     any node that the split adds is evaluated.
     """
     rnd = _first_round(gamma)
-    if rnd.refusal is not None:
-        raise CapExceeded(rnd.refusal)
+    i0, i1, turns = _cusp_zone(rnd)
     z_red, dz_red, q, _ = rnd.nodes
     (arg, tail), y, t = _arg_f(z_red, dz_red, q), z_red.imag, rnd.t
-    i0, i1 = rnd.ends
-    turns = rnd.turns
     if i1 > i0:
         # |arg Delta/q| <= 0.045 where Im z >= 1, so its principal value is continuous there
         turns += (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / _TWO_PI
@@ -511,7 +508,7 @@ def winding_index(gamma: Mat2) -> WindingResult:
         fresh[old] = False
         first, arg = arg, np.empty(t.size)
         arg[old] = first
-        arg[fresh] = _arg_f(*_in_chunks(functools.partial(_nodes, rnd.axis), t[fresh])[:3])[0]
+        arg[fresh] = _arg_f(*_in_chunks(lambda s: _fold(*rnd.axis.at(s)), t[fresh]))[0]
         i0, i1 = int(old[i0]), int(old[i1])
     inc = _wrap(arg[1:] - arg[:-1])
     steps = inc.size
@@ -547,8 +544,9 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     rnd = _first_round(gamma)
     axis, nodes, lo, h = rnd.axis, rnd.m, rnd.lo, rnd.h
     # the grid's first m nodes lead the round
-    f, scale = _e2_rows(*(row[:nodes] for row in rnd.nodes))
-    coarse, total, scale_sum = 2.0 * h * f[::2].sum(), h * f.sum(), h * scale.sum()
+    *rows, scale = (row[:nodes] for row in rnd.nodes)
+    f = _e2_rows(*rows)
+    coarse, total, scale_sum = 2.0 * h * f[::2].sum(), h * f.sum(), h * (scale * np.abs(f)).sum()
     while True:
         witness = _FLOAT_SPACING * scale_sum  # a power of 2 scales a sum exactly
         if witness > _ROUNDING_BUDGET:
@@ -557,8 +555,10 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
             return total, witness
         if 2 * nodes > _MAX_NODES:
             raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
-        f, scale = _in_chunks(lambda s: _e2_rows(*_nodes(axis, s)), lo + h * np.arange(0.5, nodes))
-        coarse, total, scale_sum = total, 0.5 * (total + h * f.sum()), 0.5 * (scale_sum + h * scale.sum())
+        *rows, scale = _in_chunks(functools.partial(_nodes, axis), lo + h * np.arange(0.5, nodes))
+        f = _e2_rows(*rows)
+        scale_sum = 0.5 * (scale_sum + h * (scale * np.abs(f)).sum())
+        coarse, total = total, 0.5 * (total + h * f.sum())
         nodes, h = 2 * nodes, 0.5 * h
 
 

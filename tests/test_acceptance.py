@@ -83,13 +83,13 @@ class TestWindingIndexTheorem:
         # and winding_index splits its first grid at most once: at most two
         # rounds of node evaluations a class, the first shared with e2_period
         batches = []
-        nodes = winding._nodes
+        fold = winding._fold
 
-        def counting(axis, t):
+        def counting(z, dz):
             batches[-1] += 1
-            return nodes(axis, t)
+            return fold(z, dz)
 
-        monkeypatch.setattr(winding, "_nodes", counting)
+        monkeypatch.setattr(winding, "_fold", counting)
         census = enumerate_geodesics(EnumerationConfig(max_length=11.0))
         assert len(census) == 5961
         start = time.perf_counter()

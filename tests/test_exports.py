@@ -585,6 +585,119 @@ def test_winding_folds_in_one_place():
     assert fold_callers((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_fold"]
 
 
+# The shared first round holds only what both routes read.  The scale of the
+# fold's rounding, |z| / Im z of the unfolded point, which e2_period's witness
+# alone reads, is formed in one function, on e2_period's path and on neither
+# probe's, and winding_index does not name it; _Round.__init__ sets only the
+# axis and the grid, so winding_index's zone plan is its own.
+def scale_formers(source: str) -> list:
+    """Innermost functions (or "<module>") that divide abs(x) by x.imag, for one
+    expression x, abs bare or as an attribute."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Div)
+            and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", getattr(node.left.func, "attr", None)) == "abs"
+            and len(node.left.args) == 1
+            and isinstance(node.right, ast.Attribute)
+            and node.right.attr == "imag"
+            and ast.dump(node.left.args[0]) == ast.dump(node.right.value)
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def named_functions(source: str) -> dict:
+    """Each module-level function or class, and the module-level functions and
+    classes whose names appear in its body (a method's names count for its class)."""
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return {
+        node.name: {
+            leaf.id if isinstance(leaf, ast.Name) else leaf.attr
+            for leaf in ast.walk(node)
+            if isinstance(leaf, (ast.Name, ast.Attribute))
+        }
+        & (defined - {node.name})
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def reachable(graph: dict, start: str) -> set:
+    """The names reachable from start in graph, start included."""
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return seen
+
+
+def init_attributes(source: str, cls: str) -> list:
+    """The attributes that cls.__init__ assigns on self, tuple targets included."""
+    init = next(
+        node
+        for top in ast.parse(source).body
+        if isinstance(top, ast.ClassDef) and top.name == cls
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    return sorted(
+        {
+            leaf.attr
+            for node in ast.walk(init)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for leaf in ast.walk(target)
+            if isinstance(leaf, ast.Attribute) and getattr(leaf.value, "id", None) == "self"
+        }
+    )
+
+
+def test_scale_former_and_round_attributes_detected():
+    source = (
+        "def _fold(z, dz):\n    return z, np.abs(z) / z.imag\n"
+        "def _e2(z):\n    return abs(z[0]) / z[0].imag\n"
+        "def _other(z, w):\n    return np.abs(z) / w.imag, abs(z) / z.real\n"
+        "def run(g):\n    return _e2(_fold(g, 1))\n"
+        "class _Round:\n"
+        "    def __init__(self, axis):\n"
+        "        self.axis = axis\n"
+        "        self.lo, self.h = lo, h = 0.0, 1.0\n"
+        "        self.ends: tuple = (0, 0)\n"
+        "        self.refusal += 1\n"
+        "        plan = self.t\n"
+    )
+    assert scale_formers(source) == ["_e2", "_fold"]
+    assert reachable(named_functions(source), "run") == {"run", "_e2", "_fold"}
+    assert init_attributes(source, "_Round") == ["axis", "ends", "h", "lo", "refusal"]
+
+
+def test_only_e2_period_forms_the_fold_scale():
+    source = (ROOT / "src" / "modwind" / "winding.py").read_text()
+    graph = named_functions(source)
+    assert scale_formers(source) == ["_nodes"]
+    assert "_nodes" in reachable(graph, "e2_period")
+    assert all("_nodes" not in reachable(graph, probe) for probe in ("delta_eval", "e2_completed"))
+    assert "_nodes" not in graph["winding_index"]
+
+
+def test_the_first_round_holds_no_plan():
+    source = (ROOT / "src" / "modwind" / "winding.py").read_text()
+    assert init_attributes(source, "_Round") == ["axis", "h", "lo", "m", "t"]
+
+
 # The benchmark and the demos import the program by name, and tier-1 does not
 # run the benchmark, so a deleted public name must fail here.
 IMPORTERS = sorted(

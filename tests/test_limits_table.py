@@ -41,7 +41,7 @@ def test_row_bound_met_and_missed(limits_table):
 def test_script_exits_naming_the_row_past_its_bound(limits_table, monkeypatch):
     if not hasattr(os, "wait4"):
         pytest.skip("os.wait4 is POSIX only")
-    monkeypatch.setattr(limits_table, "ROWS", [(("stats-density", "--max-length", "10"), 30, 1)])
+    monkeypatch.setattr(limits_table, "ROWS", [(("stats-density", "--max-length", "10"), 30, 1, 0)])
     with pytest.raises(SystemExit) as stop:
         limits_table.main()
     # a string exit code is printed to stderr, with exit status 1
@@ -58,3 +58,17 @@ def test_max_rss_is_the_childs_own(limits_table):
     held = np.ones(128 * 2**20 // 8)
     results = limits_table.measure_row(("stats-density", "--max-length", "10"), 30, 100)
     assert held.sum() > 0 and all(10 < rss < 100 for _, rss in results)
+
+
+def test_row_expected_to_exit_3(limits_table):
+    # winding_index refuses this word at its node cap, exit 3 (a resource
+    # limit): the row passes with that code and stops the script with any other
+    if not hasattr(os, "wait4"):
+        pytest.skip("os.wait4 is POSIX only")
+    argv = ("index", "--word", "2-1000000000-3-999999999")
+    assert (argv, 1.5, 110, 3) in limits_table.ROWS
+    results = limits_table.measure_row(argv, 30, 200, 3)
+    assert len(results) == limits_table.RUNS
+    assert limits_table.table_line(argv, results, 3).startswith(f"| `{' '.join(argv)}` | - | 3 | ")
+    with pytest.raises(RuntimeError, match=r"exited 3 \(expected 0\): .*nodes"):
+        limits_table.measure_row(argv, 30, 200)

@@ -158,12 +158,12 @@ def probe_rows(z):
 
 def arg_delta(z):
     """arg Delta in [-pi, pi] at each point of z, from _fold's rows: arg F at dz/dt = 1."""
-    return winding._wrap(winding._arg_f(*probe_rows(z)[:3])[0])
+    return winding._wrap(winding._arg_f(*probe_rows(z))[0])
 
 
 def e2_at(z):
     """Completed E2 at each point of z, from _fold's rows: E2(z_red) dz_red at dz/dt = 1."""
-    return winding._e2_rows(*probe_rows(z))[0]
+    return winding._e2_rows(*probe_rows(z))
 
 
 class TestBatchedLayer:
@@ -301,9 +301,10 @@ class TestBatchedLayer:
             assert abs(j[k] - ref_j) / abs(ref_j) <= scale
 
 
-def counted(monkeypatch, name="_nodes"):
+def counted(monkeypatch, name="_fold"):
     """Sizes of the batches of points (the last argument) that winding.<name>
-    receives from now on, with no first round kept."""
+    receives from now on, with no first round kept: by default those that either
+    route folds, in every round."""
     sizes = []
     fn = getattr(winding, name)
 
@@ -414,16 +415,19 @@ def test_flat_nodes_skip_the_series(monkeypatch):
 
 def test_every_row_holds_one_entry_a_node(monkeypatch):
     # the second excursion of (1, 60, 1, 40) splits in a second round, and both
-    # rounds hold nodes at or above the flat height: each row of either round,
-    # q among them, has one entry a node
+    # rounds hold nodes at or above the flat height: each of the fold's three
+    # rows in either round, q among them, and the first round's scale row, has
+    # one entry a node
     batches = recorded_batches(monkeypatch)
     winding._first_round.cache_clear()
     g = word_to_matrix((1, 60, 1, 40))
     assert winding_index(g).index == psi(g)
     assert len(batches) == 2
-    assert all(a is b for a, b in zip(batches[0][1], winding._first_round(g).nodes))
+    nodes = winding._first_round(g).nodes
+    assert len(nodes) == 4 and all(a is b for a, b in zip(batches[0][1], nodes))
+    assert nodes[3].shape == batches[0][0].shape
     for t, rows in batches:
-        assert len(rows) == 4 and all(row.shape == t.shape for row in rows)
+        assert len(rows) == 3 and all(row.shape == t.shape for row in rows)
         assert (rows[0].imag >= winding._FLAT_HEIGHT).any()
 
 
@@ -442,23 +446,29 @@ def test_q_height_is_capped_at_the_flat_height():
 
 
 def recorded_batches(monkeypatch):
-    """(t, rows) of each batch that the routes hand to _in_chunks from now on:
-    the rows of _nodes for a round of nodes, those of _e2_rows for a doubling."""
+    """(t, rows) of each batch of nodes that the routes fold from now on: the
+    points t on the axis (_Axis.at) and _fold's rows at them.  The first round is
+    one batch, and a later round one batch of up to _CHUNK points."""
     batches = []
-    in_chunks = winding._in_chunks
+    at, fold = winding._Axis.at, winding._fold
 
-    def recording(fn, t):
-        rows = in_chunks(fn, t)
-        batches.append((t.copy(), rows))
+    def recording_at(axis, t):
+        batches.append((np.array(t), []))
+        return at(axis, t)
+
+    def recording_fold(z, dz):
+        rows = fold(z, dz)
+        batches[-1][1].extend(rows)
         return rows
 
-    monkeypatch.setattr(winding, "_in_chunks", recording)
+    monkeypatch.setattr(winding._Axis, "at", recording_at)
+    monkeypatch.setattr(winding, "_fold", recording_fold)
     return batches
 
 
 def final_grid(batches):
     """winding_index's grid and the reduced heights at its nodes: the nodes of each
-    round of _nodes rows, in order."""
+    round of _fold's rows, in order."""
     t = np.concatenate([b[0] for b in batches])
     y = np.concatenate([b[1][0].imag for b in batches])
     order = np.argsort(t, kind="stable")
@@ -510,7 +520,7 @@ def zone_nodes(gamma):
     height 1, where the window ends on cusp words."""
     t = first_grid(gamma)
     y = top_height(gamma) / np.cosh(t)
-    i0, i1 = winding._first_round(gamma).ends
+    i0, i1, _ = winding._cusp_zone(winding._first_round(gamma))
     if i1 == i0:
         assert i0 == 0 and np.count_nonzero(y > 1.0 + 1e-9) < 5
         return t[:0]
@@ -543,11 +553,11 @@ def zone_turns(gamma):
     of 2 pi Re z + 6 arg z' (_top_turns) and the change of the principal arg Delta/q
     between the zone's two nodes, or 0.0 without a zone."""
     rnd = winding._first_round(gamma)
-    i0, i1 = rnd.ends
+    i0, i1, turns = winding._cusp_zone(rnd)
     if i1 == i0:
         return 0.0
     _, tail = winding._arg_f(*rnd.nodes[:3])
-    turns = winding._top_turns(rnd.axis, float(rnd.t[i0]), float(rnd.t[i1]))
+    assert turns == winding._top_turns(rnd.axis, float(rnd.t[i0]), float(rnd.t[i1]))
     return turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
 
 
@@ -777,24 +787,26 @@ class TestRefine:
                 assert len(delta) == rounds
 
 
-@pytest.mark.parametrize("w", [(1, 60), (3, 150, 2, 5), (1, 10**7)], ids=str)
+@pytest.mark.parametrize("w", [(1, 60), (3, 150, 2, 5), (1, 10**7), (1, 60, 1, 40)], ids=str)
 def test_chunked_rows_join_to_the_same_bits(monkeypatch, w):
-    # slices of 64 points: each batch of both routes is several slices, whose
-    # rows _in_chunks joins row by row; e2_period's grid on (1, 10^7) doubles
-    # at least twice, so its midpoint batches are joined too
+    # slices of 64 points: the first round stays one batch of more than 64
+    # nodes, and each later round is several slices, whose rows _in_chunks
+    # joins row by row: winding_index's split of (1, 60, 1, 40), and e2_period's
+    # doublings on (1, 10^7), whose grid doubles at least twice
     g = word_to_matrix(w)
     winding._first_round.cache_clear()
-    index, period = repr(winding_index(g)), repr(e2_period(g))
+    index, witness = repr(winding_index(g)), repr(winding._trapezoid(g))
     monkeypatch.setattr(winding, "_CHUNK", 64)
     batches = recorded_batches(monkeypatch)
-    winding._first_round.cache_clear()
-    assert repr(winding_index(g)) == index
-    assert batches[0][0].size > 64
-    batches.clear()
-    winding._first_round.cache_clear()
-    assert repr(e2_period(g)) == period
-    assert all(t.size > 64 for t, _ in batches)
-    assert len(batches) >= (3 if w == (1, 10**7) else 1)
+    for route, result in ((winding_index, index), (winding._trapezoid, witness)):
+        batches.clear()
+        winding._first_round.cache_clear()
+        assert repr(route(g)) == result
+        (first, _), *later = batches
+        assert first.size == first_grid(g).size > 64
+        assert all(t.size <= 64 for t, _ in later)
+        if (route, w) in ((winding_index, (1, 60, 1, 40)), (winding._trapezoid, (1, 10**7))):
+            assert sum(t.size for t, _ in later) > 128
 
 
 class TestLastAxisKept:
@@ -991,7 +1003,7 @@ class TestFlatTop:
             rows = probe_rows(x + 1j * y)
             # dz_red = 1 / j^2 is 1: the fold is a translation alone
             assert np.all(rows[1] == 1.0)
-            arg = np.abs(np.angle(winding._arg_f(*rows[:3])[1]))
+            arg = np.abs(np.angle(winding._arg_f(*rows)[1]))
             assert least <= arg.max() <= bound
 
     @staticmethod
@@ -1008,7 +1020,7 @@ class TestFlatTop:
         t[0], t[-1] = ta, tb
 
         def rows(t):
-            z_red, dz_red, q, _ = winding._fold(*axis.at(t))
+            z_red, dz_red, q = winding._fold(*axis.at(t))
             return np.array([winding._arg_f(z_red, dz_red, q)[0], z_red.imag])
 
         values = winding._in_chunks(rows, t)
@@ -1019,7 +1031,7 @@ class TestFlatTop:
     def closed_turns(axis, ta, tb):
         """The turns of F from ta to tb in the cusp zone in closed form: _top_turns
         and the change of the principal arg Delta/q, from the series at both ends."""
-        _, tail = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb])))[:3])
+        _, tail = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb]))))
         return winding._top_turns(axis, ta, tb) + (cmath.phase(tail[1]) - cmath.phase(tail[0])) / (2 * math.pi)
 
     @pytest.mark.parametrize(
@@ -1070,12 +1082,12 @@ class TestFlatTop:
         # last five intervals of the zone
         axis = winding._Axis(sigma * top, -sigma * top, 2.0 * math.acosh(top) + 2.0, 0.3)
         rnd = winding._Round(axis)
-        i0, i1 = rnd.ends
+        i0, i1, turns = winding._cusp_zone(rnd)
         t = rnd.t
         assert i1 > i0 and np.all(top / np.cosh(t[i0 : i1 + 1]) >= 1.0)
         assert top / np.cosh(t[0]) < 1.0 and top / np.cosh(t[-1]) < 1.0
         _, tail = winding._arg_f(*rnd.nodes[:3])
-        closed = rnd.turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
+        closed = turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
         assert closed == self.closed_turns(axis, t[i0], t[i1])
         tol = 1e-9 + 2.0**-49 * top
         pieces = [(i0, i1)] if top <= 1e4 else [(i0, i0 + 5), (i1 - 5, i1)]
@@ -1094,9 +1106,9 @@ class TestFlatTop:
             y = top_height(g) / np.cosh(t)
             assert np.all(np.abs(y - 1.0) > 1e-12)
             inside = t[y >= 1.0][1:-1]
-            i0, i1 = rnd.ends
+            i0, i1, turns = winding._cusp_zone(rnd)
             assert (rnd.t[i0], rnd.t[i1]) == (inside[0], inside[-1]) and i1 - i0 == inside.size - 1
-            assert rnd.turns == winding._top_turns(rnd.axis, inside[0], inside[-1])
+            assert turns == winding._top_turns(rnd.axis, inside[0], inside[-1])
 
     def test_no_gap_below_two_top_nodes(self):
         # (1, 1) has the least top height of any class, sqrt(5)/2, and a zone;
@@ -1116,7 +1128,7 @@ class TestFlatTop:
                 rnd = winding._Round(axis)
                 heights = top / np.cosh(rnd.t)
                 assert rnd.m == m and np.count_nonzero(heights >= 1.0) == (2 if top > 1.0 else 0)
-                assert (rnd.ends, rnd.turns, rnd.refusal) == ((0, 0), 0.0, None)
+                assert winding._cusp_zone(rnd) == (0, 0, 0.0)
 
     @pytest.mark.parametrize("w", [(1, 10**12), (1, 10**15), (3, 10**14, 2, 5)], ids=str)
     def test_rounding_bound_refuses_before_any_node(self, monkeypatch, w):
@@ -1129,11 +1141,11 @@ class TestFlatTop:
         # 2^-49 R turns at most a tenth of _RESIDUAL_LIMIT: R up to 5.6e10
         limit = 0.1 * winding._RESIDUAL_LIMIT * 2.0**49
         assert 5.6e10 < limit < 5.7e10
-        rnd = winding._Round(winding._Axis(limit, -limit, 60.0, 0.0))
-        assert rnd.refusal is None and rnd.ends[1] > rnd.ends[0]
+        i0, i1, _ = winding._cusp_zone(winding._Round(winding._Axis(limit, -limit, 60.0, 0.0)))
+        assert i1 > i0
         above = float(np.nextafter(limit, math.inf))
-        rnd = winding._Round(winding._Axis(above, -above, 60.0, 0.0))
-        assert "flat top" in rnd.refusal and (rnd.ends, rnd.turns) == ((0, 0), 0.0)
+        with pytest.raises(CapExceeded, match="flat top"):
+            winding._cusp_zone(winding._Round(winding._Axis(above, -above, 60.0, 0.0)))
 
     @pytest.mark.parametrize("n", [10**5, 10**6, 10**7, 10**8, 10**9, 10**11])
     def test_one_huge_entry(self, n):
@@ -1253,7 +1265,7 @@ def test_argument_turns_within_the_rate_bound(centre, log_radius, reversed_):
     ends = (centre + radius, centre - radius)
     axis = winding._Axis(*(ends[::-1] if reversed_ else ends), length=12.0, balance=0.0)
     t = np.linspace(-6.0, 6.0, 60001)
-    z_red, dz_red, q, _ = winding._fold(*axis.at(t))
+    z_red, dz_red, q = winding._fold(*axis.at(t))
     arg_f = winding._arg_f(z_red, dz_red, q)[0]
     inc = np.abs(winding._wrap(np.diff(arg_f)))
     assert np.all(inc <= turn_bound(t, z_red.imag) + 1e-8)
@@ -1280,13 +1292,13 @@ def test_rate_is_the_completed_e2_form(centre, log_radius, reversed_):
     t, dt = np.linspace(-6.0, 6.0, 2401), 1e-5
 
     def arg_f(t):
-        return winding._arg_f(*winding._fold(*axis.at(t))[:3])[0]
+        return winding._arg_f(*winding._fold(*axis.at(t)))[0]
 
     differences = winding._wrap(arg_f(t + dt) - arg_f(t - dt)) / (2.0 * dt)
     z, dz = axis.at(t)
     z_red, j = winding._reduce(z)
     y = z_red.imag
-    rate = 2.0 * math.pi * winding._e2_rows(*winding._fold(z, dz))[0].real
+    rate = 2.0 * math.pi * winding._e2_rows(*winding._fold(z, dz)).real
     reduced = 2.0 * math.pi * (e2_at(z_red) * dz / (j * j)).real
     assert np.allclose(np.abs(dz) / z.imag, 1.0, rtol=1e-12, atol=0.0)
     assert np.allclose(np.abs(dz / (j * j)), y, rtol=1e-9, atol=0.0)
