@@ -13,29 +13,34 @@ Two independent numerical routes to the same integer:
 Both read one first round a class (_Round, kept for the last class by
 _first_round), which holds only what both read: the axis, one uniform
 periodic grid over the window, t_k = lo + k l / m for k = 0..m, m even and
-l / m <= _BASE_STEP, and its nodes, each folded once (_fold) and given the
-scale of the fold's rounding that e2_period's witness reads (_nodes).  Each
-route sums its own series on it (_horner) and makes its own plan.  The
-probes delta_eval and e2_completed are that fold and those series at one point
-at dz/dt = 1: a one-element batch, whose in-place complex multiply (_horner)
-numpy may round differently in the last bit from the same node in a longer one.
+l / m at most the class's own step (_axis_for: 0.054 where the largest
+digit but the top one is 8 or more, up to 0.15 where it is 2 or less), and
+its nodes, each folded once (_fold) and given the scale of the fold's
+rounding that e2_period's witness reads (_nodes).  Each route sums its own
+series on it, Delta/q as the 24th power of Euler's pentagonal series (_eta)
+and E2 by Horner's rule (_horner), and makes its own plan.  The probes delta_eval and
+e2_completed are that fold and those series at one point at dz/dt = 1: a
+one-element batch, whose in-place complex steps numpy may round differently
+in the last bit from the same node in a longer one.
 e2_period reads the grid's first m nodes as T_m and their even nodes as
 T_(m/2), then evaluates the midpoints that each doubling adds.
 winding_index reads every node, node m closing the period, takes the cusp
 zone, where the axis runs at height 1 or more, in closed form (its plan,
 _cusp_zone, and arg Delta/q at the zone's two end nodes), and splits, in a
-second round, only where the axis runs below height 1.
+second round, only where the axis runs below height 1; the split reads the
+round's own step, so a coarse first round splits wherever its heights ask.
 A round costs 36-47 us of numpy dispatch plus 0.07-0.08 us a node at any
 height (one batch of 50 to 1,600 nodes, best of 30, in four runs on a 2-core
 x86-64 host, numpy 2.4.6), so a short class costs mostly per round, and the
 shared first round saves the second route's.
 Each point is folded into the standard fundamental domain first, so the
-q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms leave a tail
-below 1e-22; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 do,
-so _q caps q's height there, and every row of the fold holds one entry a
-node.  The fold (_reduce, called in _fold alone) refuses a point whose height
-is not above the float spacing of its real part; above that, its relative
-error is about 2^-52 |z| / Im z.
+q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms of E2 leave a
+tail below 1e-22 and the pentagonal series' tail, from q^12 on, is below
+4.4e-29; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 are
+below 1e-22, so _q caps q's height there, and every row of the fold holds
+one entry a node.  The fold (_reduce, called in _fold alone) refuses a point
+whose height is not above the float spacing of its real part; above that,
+its relative error is about 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the class's word,
@@ -82,20 +87,26 @@ __all__ = [
 ]
 
 # With y >= sqrt(3)/2 after reduction, |q| <= exp(-pi sqrt(3)) ~ 4.33e-3.
-# The least count whose truncated tails, sum |c_n| |q|^n over n > SERIES_TERMS,
-# are both below 1e-22: 2.5e-23 for Delta/q and 3e-26 for E2 at 11 terms,
-# where 10 terms leave 3.8e-21 for Delta/q.
+# The truncated tails, sum |c_n| |q|^n over n > SERIES_TERMS, are 2.5e-23 for
+# DELTA_SERIES and 3e-26 for E2 at 11 terms.  Delta/q is summed from Euler's
+# pentagonal series (_eta), so DELTA_SERIES is only the tests' reference, and E2
+# alone would need 10 terms (tail 2.9e-24); 11 are kept, so that E2's bits, and
+# every pinned period, stay as they are.
 SERIES_TERMS = 11
 # From this folded height y up, |q| = e^(-2 pi y) leaves both tails past q^0
 # below 1e-22 too: 8.2e-23 (about 24 |q|), where 8.5 leaves 1.5e-22.  _q caps
-# q's height here, so that no product in _horner is subnormal.
+# q's height here, so that no product in _horner or _eta is subnormal.
 _FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
-# The first round's grid step bound: sets only the cost.  An interval whose nodes lie
-# at reduced height up to 4.9 needs no split, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2
-# for h up to 0.0542, so a generic class takes one round.
+# The first round's grid step bounds, which set only the cost: the step of a class
+# (_axis_for) is the largest at which no interval whose nodes lie at reduced height
+# up to its digits' bound can split, kept in [_BASE_STEP, _MAX_STEP].  _BASE_STEP,
+# the finest, leaves heights up to 4.9 unsplit, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2
+# for h up to 0.0542; at _MAX_STEP e2_period's first check still settles on every
+# class of T <= 11 (at 0.2, 957 of the 5,961 doubled its grid).
 _BASE_STEP = 0.054
+_MAX_STEP = 0.15
 # winding_index's bound |d arg F/dt| <= max(_E2_RATE y_red - 6, _RATE_FLOOR): _E2_RATE is
 # 2 pi sum |c_n| |q|^n over E2HOL_SERIES at the fold's largest |q|, 6.945194..., and
 # _RATE_FLOOR is 6 - (4 pi - _E2_RATE) sqrt(3)/2, 1.131923..., each rounded up
@@ -143,15 +154,28 @@ def _sigma1(n: int) -> int:
 
 
 # Integer q-expansion coefficients c_0 .. c_N.  DELTA_SERIES is Delta/q (so
-# the leading coefficient is for q^0; the explicit factor q is restored in
-# log form inside delta_eval); E2HOL_SERIES is the holomorphic part of E2.
+# the leading coefficient is for q^0), the reference for _eta^24; E2HOL_SERIES is
+# the holomorphic part of E2.
 DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
-# The same coefficients as complex128 scalars, q's dtype, for _horner: each of its
+# E2's coefficients as complex128 scalars, q's dtype, for _horner: each of its
 # in-place steps then takes numpy's loop for two complex128 operands, which gives
 # the bits of the integer coefficients about a fifth faster.
-_DELTA_C = tuple(map(np.complex128, DELTA_SERIES))
 _E2HOL_C = tuple(map(np.complex128, E2HOL_SERIES))
+
+
+def _eta(q):
+    """1 - q - q^2 + q^5 + q^7 at each q, in 8 array passes: Euler's pentagonal series
+    for prod (1 - q^n), whose next terms are -q^12 - q^15, so Delta/q = _eta^24 up to
+    a relative 24 |q|^12 (1 + |q|^3 + ...), at most 1.1e-27 at the fold's largest |q|."""
+    q2 = q * q
+    acc = q2 + 1.0
+    acc *= q2 * q
+    acc -= 1.0
+    acc *= q2
+    acc -= q
+    acc += 1.0
+    return acc
 
 
 def _wrap(x):
@@ -224,6 +248,7 @@ class _Axis:
     alpha_bar: float
     length: float
     balance: float  # the centre of both routes' window, see _axis_for
+    step: float = _BASE_STEP  # the first round's step bound (_axis_for); the finest by default
 
     def at(self, t):
         """(z(t), dz/dt) at a float t or at each entry of an array t."""
@@ -247,7 +272,10 @@ def _axis_for(gamma: Mat2) -> _Axis:
     of gamma in SL(2,Z).  At odd k the conjugate by S T^-a of the state before,
     a = a_(k-1), has the fixed points -(P +- sqrt(D)) / Q, attracting first.
     Either way the large excursion sits at t = 0, where a translation alone
-    folds it.  The axis also carries the centre of both routes' window.
+    folds it.  The axis also carries the centre of both routes' window and the
+    step bound of their first round, set by the largest digit a other than a_k:
+    every reduced state's top is below height a_k/2 + 1, so off a_k's cusp zone
+    the nodes are at reduced height below B = max(1, a/2 + 1) (_FIRST_STEPS).
     """
     t = gamma.trace
     try:
@@ -257,6 +285,7 @@ def _axis_for(gamma: Mat2) -> _Axis:
     P, Q, digits = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
     r, _ = _least_even_rotation(digits)
     k = (r + (digits[r:] + digits[:r]).index(max(digits))) % len(digits)
+    step = _FIRST_STEPS[min(sorted(digits)[-2], len(_FIRST_STEPS) - 1)]
     D = t * t - 4
     for a in digits[:k]:
         P = a * Q - P
@@ -274,7 +303,7 @@ def _axis_for(gamma: Mat2) -> _Axis:
     # the top excursion whole in the middle of the window.
     balance = 0.5 * math.log(D - P * P) - math.log(P + root)
     room = max(0.0, 0.5 * ell - math.log(abs(alpha - alpha_bar)))
-    return _Axis(alpha, alpha_bar, ell, min(room, max(-room, balance)))
+    return _Axis(alpha, alpha_bar, ell, min(room, max(-room, balance)), step)
 
 
 def axis_point(gamma: Mat2, t: float) -> Tuple[complex, complex]:
@@ -302,11 +331,11 @@ def _nodes(axis: _Axis, t: np.ndarray) -> Tuple[np.ndarray, ...]:
 
 
 def _arg_f(z_red, dz_red, q) -> Tuple[np.ndarray, np.ndarray]:
-    """(arg F + 2 pi k, Delta/q) at each node, F = Delta(z_red) (dz_red/dt)^6, from
-    _fold's rows."""
-    tail = _horner(_DELTA_C, q)
-    arg = _TWO_PI * z_red.real + np.arctan2(tail.imag, tail.real)
-    return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real), tail
+    """(arg F + 2 pi k, _eta) at each node, F = Delta(z_red) (dz_red/dt)^6 with
+    Delta/q = _eta^24, from _fold's rows."""
+    eta = _eta(q)
+    arg = _TWO_PI * z_red.real + 24.0 * np.arctan2(eta.imag, eta.real)
+    return arg + 6.0 * np.arctan2(dz_red.imag, dz_red.real), eta
 
 
 def _e2_rows(z_red, dz_red, q) -> np.ndarray:
@@ -319,8 +348,8 @@ def delta_eval(z: complex) -> Tuple[float, float]:
     (dz_red)^6 = j^-12, so F = Delta(z_red) j^-12 = Delta(z).  |Delta| underflows double
     precision already for y around 230, so the modulus is only exposed as its logarithm."""
     z_red, dz_red, q = _fold(np.array([z], dtype=complex), np.ones(1, dtype=complex))
-    arg, tail = _arg_f(z_red, dz_red, q)
-    log_abs = -_TWO_PI * z_red.imag + np.log(np.abs(tail)) + 6.0 * np.log(np.abs(dz_red))
+    arg, eta = _arg_f(z_red, dz_red, q)
+    log_abs = -_TWO_PI * z_red.imag + 24.0 * np.log(np.abs(eta)) + 6.0 * np.log(np.abs(dz_red))
     return float(log_abs[0]), float(_wrap(arg)[0])
 
 
@@ -349,12 +378,28 @@ def _ratio(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return h * np.maximum(_E2_RATE * bound - 6.0, _RATE_FLOOR) / (0.5 * math.pi)
 
 
-def _may_split(top: float) -> bool:
-    """False where no interval of a grid of steps up to _BASE_STEP whose nodes are at
-    reduced height up to top can split: every B is at most top e^(h/2), so where top
-    is below about 4.9 one max shows it."""
-    rate = _E2_RATE * top * math.exp(0.5 * _BASE_STEP) - 6.0
-    return _BASE_STEP * max(rate, _RATE_FLOOR) >= 0.5 * math.pi
+def _may_split(top: float, h: float) -> bool:
+    """False where no interval of a grid of steps up to h whose nodes are at reduced
+    height up to top can split: every B is at most top e^(h/2), so one max shows it."""
+    rate = _E2_RATE * top * math.exp(0.5 * h) - 6.0
+    return h * max(rate, _RATE_FLOOR) >= 0.5 * math.pi
+
+
+def _largest_step(top: float) -> float:
+    """The largest step h in [_BASE_STEP, _MAX_STEP], to 1e-12, at which no interval
+    whose nodes are at reduced height up to top may split (_may_split)."""
+    lo, hi = _BASE_STEP, _MAX_STEP
+    if not _may_split(top, hi):
+        return hi
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _may_split(top, mid) else (mid, hi)
+    return lo
+
+
+# The first round's step bound by the largest digit a other than the top one:
+# _largest_step(max(1, a/2 + 1)).  From a = 8 on, B >= 5, it is _BASE_STEP.
+_FIRST_STEPS = tuple(_largest_step(max(1.0, 0.5 * a + 1.0)) for a in range(9))
 
 
 def _split(t: np.ndarray, ratio: np.ndarray):
@@ -372,16 +417,17 @@ def _split(t: np.ndarray, ratio: np.ndarray):
 
 class _Round:
     """The first round of both routes on one class, only what both read: its axis,
-    the uniform periodic grid t_k = lo + k h over the window, h = l / m, k = 0..m
-    (t, lo, h), and the rows of _nodes at t, folded on their first read (nodes).
-    Each array is read-only."""
+    the uniform periodic grid t_k = lo + k h over the window, h = l / m <= axis.step,
+    k = 0..m (t, lo, h), and the rows of _nodes at t, folded on their first read
+    (nodes).  Each array is read-only."""
 
     def __init__(self, axis: _Axis):
         self.axis = axis
         ell = axis.length
         # at most 13,146 intervals, as l < 709.79 (the axis refuses t^2 - 4 past the
-        # float range): far below the node cap, so only the split is checked against it
-        self.m = m = 2 * math.ceil(0.5 * ell / _BASE_STEP)
+        # float range) and the step is at least _BASE_STEP: far below the node cap, so
+        # only the split is checked against it
+        self.m = m = 2 * math.ceil(0.5 * ell / axis.step)
         self.lo, self.h = lo, h = axis.balance - 0.5 * ell, ell / m
         self.t = lo + h * np.arange(m + 1.0)
         self.t.flags.writeable = False
@@ -448,8 +494,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     bounds y_red over an interval of width h, and a split cuts each interval
     into floor(h max(6.9452 B - 6, 1.132) / (pi/2)) + 1 equal parts (_ratio).
 
-    The grid is the first round's (_Round): the uniform periodic grid, node m
-    closing the period.  Where Im z(t) >= 1 the fold is a translation alone
+    The grid is the first round's (_Round): the uniform periodic grid of the
+    class's own step, node m closing the period.  Where Im z(t) >= 1 the fold is a translation alone
     (|w| >= Im w >= 1 after it), so y_red = Im z(t) = R / cosh t exactly, and
     below height 1 y_red >= Im z.  The cusp zone, between the grid's nodes i0
     and i1 at height 1 or more, is not stepped through (below).  The remaining
@@ -458,7 +504,8 @@ def winding_index(gamma: Mat2) -> WindingResult:
     interval where there is no zone).  Only these are split, on the folded
     heights at their nodes, and only the new nodes are evaluated, in a second
     round; this finds nothing to split unless an excursion stays below height
-    1 on the axis.  An increment of pi/2 or more could hide a turn, so it
+    1 on the axis, or the step set from the digits (_axis_for) is too coarse
+    for the heights met, as the check reads the round's own step.  An increment of pi/2 or more could hide a turn, so it
     raises QuadratureFailure; on this grid only evaluation error can cause one.
 
     The cusp zone is taken in closed form.  On the axis Im z(t) = R / cosh t
@@ -472,9 +519,10 @@ def winding_index(gamma: Mat2) -> WindingResult:
     (3 / pi) (gd t_i1 - gd t_i0)), sigma = sign(alpha - alpha_bar) (_top_turns);
     at -c, c this is sigma (2 sqrt(R^2 - 1) - 3 + (6 / pi) asin(1 / R)).  There
     |q| <= e^(-2 pi) too, so |arg Delta/q| <= |log Delta/q| <=
-    24 sum -log(1 - e^(-2 pi n)) = 0.044944...: the principal arg Delta/q is
-    continuous on the zone, and its turns there are the change of its
-    principal value between the zone's two nodes, which the round evaluated.
+    24 sum -log(1 - e^(-2 pi n)) = 0.044944...: the principal arg Delta/q,
+    24 times the principal arg _eta, is continuous on the zone, and its turns
+    there are the change of its principal value between the zone's two nodes,
+    which the round evaluated.
     The zone is one increment (of `steps`), and the grid's nodes inside it,
     which e2_period reads, are skipped.  i0 and i1 are one step inside
     [-c, c], so that rounding cannot let one out, and with fewer than two
@@ -491,13 +539,14 @@ def winding_index(gamma: Mat2) -> WindingResult:
     rnd = _first_round(gamma)
     i0, i1, turns = _cusp_zone(rnd)
     z_red, dz_red, q, _ = rnd.nodes
-    (arg, tail), y, t = _arg_f(z_red, dz_red, q), z_red.imag, rnd.t
+    (arg, eta), y, t = _arg_f(z_red, dz_red, q), z_red.imag, rnd.t
     if i1 > i0:
-        # |arg Delta/q| <= 0.045 where Im z >= 1, so its principal value is continuous there
-        turns += (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / _TWO_PI
+        # |arg Delta/q| <= 0.045 where Im z >= 1, so 24 times the principal arg _eta is
+        # its principal value, continuous there
+        turns += 24.0 * (cmath.phase(eta[i1]) - cmath.phase(eta[i0])) / _TWO_PI
     # only the intervals with a node below height 1 on the axis: [0, i0) and [i1, m)
     split = None
-    if _may_split(max(y[: i0 + 1].max(), y[i1:].max())):
+    if _may_split(max(y[: i0 + 1].max(), y[i1:].max()), rnd.h):
         ratio = np.zeros(rnd.m)
         for lo, hi in ((0, i0), (i1, rnd.m)):
             ratio[lo:hi] = _ratio(t[lo : hi + 1], y[lo : hi + 1])
@@ -532,7 +581,7 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     The integrand is l-periodic and real-analytic in t, so the trapezoidal
     rule over one period, on the routes' window centred at axis.balance,
     converges geometrically.  The first round's grid (_Round) has m uniform
-    intervals of at most _BASE_STEP, m even: its first m nodes give T_m and
+    intervals of at most the axis's step, m even: its first m nodes give T_m and
     their even nodes T_(m/2).  While |T_m - T_(m/2)| > _QUAD_TOL the grid
     doubles, one batch of midpoints a round, up to _MAX_NODES.  That check
     sees the discretisation, not the rounding, so the batches also sum the

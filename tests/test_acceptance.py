@@ -23,6 +23,7 @@ from modwind.geodesics import (
     enumerate_geodesics,
     word_to_matrix,
 )
+from modwind.matrices import geodesic_length
 from modwind.rademacher import psi, psi_cf, psi_cocycle
 from modwind.stats import (
     cauchy_compare,
@@ -81,12 +82,14 @@ class TestWindingIndexTheorem:
 
     def test_routes_equal_psi_on_census_to_eleven(self, monkeypatch):
         # and winding_index splits its first grid at most once: at most two
-        # rounds of node evaluations a class, the first shared with e2_period
-        batches = []
+        # rounds of node evaluations a class, the first shared with e2_period,
+        # which settles on it; no first round has more nodes than the grid of
+        # steps up to _BASE_STEP, and at most 176 classes take a second round
+        sizes, batches = [], []
         fold = winding._fold
 
         def counting(z, dz):
-            batches[-1] += 1
+            sizes.append(z.size)
             return fold(z, dz)
 
         monkeypatch.setattr(winding, "_fold", counting)
@@ -95,13 +98,15 @@ class TestWindingIndexTheorem:
         start = time.perf_counter()
         for entries, _, _, expected in census.rows():
             g = word_to_matrix(entries)
-            batches.append(0)
+            sizes.clear()
             assert winding_index(g).index == expected
-            batches.append(0)
+            batches.append(len(sizes))
+            assert sizes[0] <= 2 * math.ceil(0.5 * geodesic_length(g.trace) / winding._BASE_STEP) + 1
             assert e2_period(g) == pytest.approx(expected, abs=1e-6)
-            batches.pop()
+            assert len(sizes) == batches[-1]
         assert time.perf_counter() - start < 60.0
         assert max(batches) <= 2 and 1 in batches and 2 in batches
+        assert batches.count(2) <= 176
 
 
 def reduced_state_counts(cap):

@@ -45,6 +45,7 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
         "source_lines",
         "routes_us",
         "winding_steps",
+        "first_round_nodes",
         "cpu_pressure",
         "spread",
     }
@@ -73,11 +74,12 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     for stratum in ("generic", "cusp"):
         both = tree["routes_us"]["both"][stratum]["median"]
         assert both >= max(tree["routes_us"][r][stratum]["median"] for r in ("winding_index", "e2_period"))
-    # one word a stratum: its median is that word's steps
+    # one word a stratum: its medians are that word's steps and first-round nodes
     from modwind.geodesics import word_to_matrix
-    from modwind.winding import winding_index
+    from modwind.winding import _first_round, winding_index
 
     assert tree["winding_steps"] == {s: winding_index(word_to_matrix(w)).steps for s, w in words}
+    assert tree["first_round_nodes"] == {s: _first_round(word_to_matrix(w)).t.size for s, w in words}
 
 
 def test_times_the_benchmark_routes_words(bench, tmp_path, monkeypatch):
@@ -140,7 +142,7 @@ def test_each_run_records_the_pressure_around_it(bench, tmp_path, monkeypatch):
     readings, events = iter(range(100)), []
     monkeypatch.setattr(bench, "cpu_pressure", lambda: events.append("read") or float(next(readings)))
     monkeypatch.setattr(bench, "RUNS", 2)
-    run = {"cusp": {"winding_index": 1.0, "e2_period": 1.0, "both": 2.0, "steps": 5}}
+    run = {"cusp": {"winding_index": 1.0, "e2_period": 1.0, "both": 2.0, "steps": 5, "nodes": 7}}
     monkeypatch.setattr(bench, "child_run", lambda tree, words: events.append(tree) or run)
     record = bench.report("t", [("base", "B"), ("head", "H")], [("cusp", (1, 2))])
     assert events == ["read", "B", "read", "read", "H", "read", "read", "H", "read", "read", "B", "read"]

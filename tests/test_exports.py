@@ -508,9 +508,26 @@ def test_walk_and_routes_build_no_matrix():
 
 
 # Both routes form q in one place, _q, which caps its height at the flat height,
-# and sum each q-series in one place, _arg_f for Delta/q and _e2_rows for E2: no
-# other function may name _horner or form q, the exponential of an imaginary
-# multiple of the point.
+# and sum each q-series in one place: Delta/q as the 24th power of Euler's
+# pentagonal series, formed by _eta, which only _arg_f names, and E2 by Horner's
+# rule in _e2_rows, the one function that names _horner.  No other function may
+# form q, the exponential of an imaginary multiple of the point.
+def name_users(source: str, name: str) -> list:
+    """Innermost functions (or "<module>") that name name, bare or as an attribute."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, (ast.Name, ast.Attribute)) and getattr(node, "id", getattr(node, "attr", None)) == name:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
 def series_evaluators(source: str) -> list:
     """Innermost functions (or "<module>") that name _horner or call exp on an
     argument holding an imaginary constant."""
@@ -548,26 +565,16 @@ def test_series_evaluator_detected():
 
 
 def test_winding_sums_the_series_in_one_place():
-    assert series_evaluators((ROOT / "src" / "modwind" / "winding.py").read_text()) == ["_arg_f", "_e2_rows", "_q"]
+    source = (ROOT / "src" / "modwind" / "winding.py").read_text()
+    assert series_evaluators(source) == ["_e2_rows", "_q"]
+    assert name_users(source, "_eta") == ["_arg_f"]
 
 
 # Both routes and the one-point probes fold every point in one place, _fold: no
 # other function may name _reduce.
 def fold_callers(source: str) -> list:
     """Innermost functions (or "<module>") that name _reduce, bare or as an attribute."""
-    found = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        name = getattr(node, "id", getattr(node, "attr", None))
-        if isinstance(node, (ast.Name, ast.Attribute)) and name == "_reduce":
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source), "<module>")
-    return sorted(found)
+    return name_users(source, "_reduce")
 
 
 def test_fold_caller_detected():

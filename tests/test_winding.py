@@ -342,12 +342,12 @@ class TestOneEvaluationPerRound:
         g = word_to_matrix((1, 60, 1, 40))
         res = winding_index(g)
         assert len(delta) == 2 and sum(delta) == res.steps + 1 + inside_the_zone(g)
-        # the cusp excursion of (1, 10**7) doubles e2_period's grid: each later
-        # batch is the midpoint after each node of the uniform grid so far
+        # the cusp excursions of (2, 5000, 3, 9000) double e2_period's grid: each
+        # later batch is the midpoint after each node of the uniform grid so far
         batches = recorded_batches(monkeypatch)
         winding._first_round.cache_clear()
-        g = word_to_matrix((1, 10**7))
-        assert e2_period(g) == pytest.approx(psi_cf((1, 10**7)), abs=1e-6)
+        g = word_to_matrix((2, 5000, 3, 9000))
+        assert e2_period(g) == pytest.approx(psi_cf((2, 5000, 3, 9000)), abs=1e-6)
         (first, _), *later = batches
         grid = first[: grid_intervals(g)]
         assert len(later) >= 2
@@ -378,11 +378,11 @@ class TestOneEvaluationPerRound:
 
 def test_flat_nodes_skip_the_series(monkeypatch):
     # (the name is historical: flat nodes once skipped the series through a mask)
-    # the excursion of (1, 240) rises to height 121 through both subnormal
+    # the excursion of (1, 232) rises to height 117 through both subnormal
     # bands of q; q is formed once at every node, its height capped at the flat
-    # height, so no q that reaches _horner is above the cap
+    # height, so no q that reaches either series (_eta or _horner) is above the cap
     heights, formed, series = [], [], []
-    reduce, q_at, horner = winding._reduce, winding._q, winding._horner
+    reduce, q_at, horner, eta = winding._reduce, winding._q, winding._horner, winding._eta
 
     def recording_reduce(z):
         z_red, j = reduce(z)
@@ -398,11 +398,16 @@ def test_flat_nodes_skip_the_series(monkeypatch):
         series.append(q.copy())
         return horner(coeffs, q)
 
+    def recording_eta(q):
+        series.append(q.copy())
+        return eta(q)
+
     monkeypatch.setattr(winding, "_reduce", recording_reduce)
     monkeypatch.setattr(winding, "_q", recording_q)
     monkeypatch.setattr(winding, "_horner", recording_horner)
+    monkeypatch.setattr(winding, "_eta", recording_eta)
     winding._first_round.cache_clear()
-    g = word_to_matrix((1, 240))
+    g = word_to_matrix((1, 232))
     assert winding_index(g).index == psi(g)
     assert e2_period(g) == pytest.approx(psi(g), abs=1e-6)
     y = np.concatenate(heights)
@@ -500,8 +505,8 @@ def top_height(gamma):
 
 def grid_intervals(gamma):
     """m, the even number of intervals of the first round's uniform grid: the
-    fewest of at most _BASE_STEP over the window."""
-    return 2 * math.ceil(0.5 * geodesic_length(gamma.trace) / winding._BASE_STEP)
+    fewest of at most the class's first step (_Axis.step) over the window."""
+    return 2 * math.ceil(0.5 * geodesic_length(gamma.trace) / winding._axis_for(gamma).step)
 
 
 def first_grid(gamma):
@@ -550,15 +555,16 @@ def off_the_zone(t, gamma):
 
 def zone_turns(gamma):
     """The turns of F over the cusp zone in closed form, from the first round: those
-    of 2 pi Re z + 6 arg z' (_top_turns) and the change of the principal arg Delta/q
-    between the zone's two nodes, or 0.0 without a zone."""
+    of 2 pi Re z + 6 arg z' (_top_turns) and the change of the principal arg Delta/q,
+    24 times that of the principal arg _eta, between the zone's two nodes, or 0.0
+    without a zone."""
     rnd = winding._first_round(gamma)
     i0, i1, turns = winding._cusp_zone(rnd)
     if i1 == i0:
         return 0.0
-    _, tail = winding._arg_f(*rnd.nodes[:3])
+    _, eta = winding._arg_f(*rnd.nodes[:3])
     assert turns == winding._top_turns(rnd.axis, float(rnd.t[i0]), float(rnd.t[i1]))
-    return turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
+    return turns + 24 * (cmath.phase(eta[i1]) - cmath.phase(eta[i0])) / (2 * math.pi)
 
 
 class TestRefine:
@@ -671,10 +677,11 @@ class TestRefine:
     @pytest.mark.parametrize("below", [True, False], ids=["below-1", "1"])
     def test_split_skipped_while_every_ratio_is_below_1(self, monkeypatch, below):
         # the rate bound set so that the largest ratio on the intervals of the
-        # first grid of (1, 2) off its cusp zone, at the folded heights, is the
+        # first grid of (1, 5) off its cusp zone, at the folded heights, is the
         # largest it can be below 1, where no interval splits, or 1, where its
         # interval splits in two in a second round: both as the reference splits
-        g = word_to_matrix((1, 2))
+        # (on the first grid of (1, 2) no float rate gives a ratio of exactly 1)
+        g = word_to_matrix((1, 5))
         first = first_grid(g)
         y = winding._first_round(g).nodes[0].imag
         rate = self.rate_for_ratio(first, y, below, off_the_zone(first, g))
@@ -689,6 +696,41 @@ class TestRefine:
             return h * (winding._E2_RATE * 4.9 * math.exp(0.5 * h) - 6.0) / (0.5 * math.pi)
 
         assert ratio(winding._BASE_STEP) < 1.0 <= ratio(winding._BASE_STEP + 1e-3)
+
+    def test_first_steps_are_the_largest_unsplit(self):
+        # the step by the largest digit a other than the top one: the largest in
+        # [_BASE_STEP, _MAX_STEP] at which heights up to B = max(1, a/2 + 1) need
+        # no split, to 1e-12, and _BASE_STEP from a = 8 on
+        steps = winding._FIRST_STEPS
+        assert steps[:3] == (winding._MAX_STEP,) * 3 and steps[8] == winding._BASE_STEP
+        assert winding._may_split(5.0, winding._BASE_STEP)
+        for a in range(3, 8):
+            top = 0.5 * a + 1.0
+            assert winding._BASE_STEP < steps[a] < steps[a - 1]
+            assert not winding._may_split(top, steps[a]) and winding._may_split(top, steps[a] + 1e-12)
+        for w, a in (((1, 2), 1), ((1, 60), 1), ((3, 150, 2, 5), 5), ((1, 6, 2, 6), 6), ((1, 60, 1, 40), 40)):
+            assert winding._axis_for(word_to_matrix(w)).step == steps[min(a, 8)]
+
+    @pytest.mark.parametrize("w", [(1, 6, 1, 20), (1, 4, 1, 12)], ids=lambda w: "-".join(map(str, w)))
+    def test_coarser_round_splits_on_its_own_step(self, monkeypatch, w):
+        # every first step set to _MAX_STEP: the folded heights off the cusp zone
+        # stay below 4.9, which a grid of steps up to _BASE_STEP never splits, but
+        # at this round's step they ask for a split, which the second round makes,
+        # and the final grid meets the turn bound on every interval stepped through
+        monkeypatch.setattr(winding, "_FIRST_STEPS", (winding._MAX_STEP,) * len(winding._FIRST_STEPS))
+        batches = recorded_batches(monkeypatch)
+        winding._first_round.cache_clear()
+        g = word_to_matrix(w)
+        rnd = winding._first_round(g)
+        assert winding._BASE_STEP < rnd.h <= winding._MAX_STEP
+        assert winding_index(g).index == psi(g)
+        assert len(batches) == 2
+        i0, i1, _ = winding._cusp_zone(rnd)
+        y = rnd.nodes[0].imag
+        top = max(y[: i0 + 1].max(), y[i1:].max())
+        assert top < 4.9 and not winding._may_split(top, winding._BASE_STEP) and winding._may_split(top, rnd.h)
+        t, y = final_grid(batches)
+        assert np.all(turn_bound(t, y)[off_the_zone(t, g)] < 0.5 * math.pi)
 
     def test_unsplit_grid_builds_no_split(self, monkeypatch):
         # (1, 2) and (1, 60) pass on their first grid: no parts are summed and no
@@ -751,15 +793,16 @@ class TestRefine:
         assert 2**511 < top < 2**512
         m = 2 * math.ceil(0.5 * geodesic_length(top) / winding._BASE_STEP)
         assert m == 13146 and m + 1 < winding._MAX_NODES
-        # a word of digits 1 and 2 just below that trace: its first grid is one
-        # batch, and the fold refuses the ends of its window
-        g = word_to_matrix((2,) + (1,) * 735)
-        assert top // 2 < g.trace < top
+        # a word of two digits 8, whose first step is the finest, and 1s just below
+        # that trace: its first grid is one batch, and the fold refuses the ends of
+        # its window
+        g = word_to_matrix((8, 8) + (1,) * 728)
+        assert top // 2 < g.trace < top and winding._axis_for(g).step == winding._BASE_STEP
         first = grid_intervals(g) + 1
         delta = counted(monkeypatch)
         with pytest.raises(CapExceeded, match="float spacing"):
             winding_index(g)
-        assert delta == [first] and first == 13133
+        assert delta == [first] and first == 13125
         # (1, top - 2), of trace top, has a flat top past the rounding bound
         with pytest.raises(CapExceeded, match="flat top"):
             winding_index(word_to_matrix((1, top - 2)))
@@ -787,28 +830,34 @@ class TestRefine:
                 assert len(delta) == rounds
 
 
-@pytest.mark.parametrize("w", [(1, 60), (3, 150, 2, 5), (1, 10**7), (1, 60, 1, 40)], ids=str)
+@pytest.mark.parametrize(
+    "w", [(1, 60), (3, 150, 2, 5), (1, 10**7), (1, 60, 1, 40), (2, 5000, 3, 9000)], ids=str
+)
 def test_chunked_rows_join_to_the_same_bits(monkeypatch, w):
-    # slices of 64 points: the first round stays one batch of more than 64
+    # slices of 32 points: the first round stays one batch of more than 32
     # nodes, and each later round is several slices, whose rows _in_chunks
     # joins row by row: winding_index's split of (1, 60, 1, 40), and e2_period's
-    # doublings on (1, 10^7), whose grid doubles at least twice
+    # doublings on (1, 10^7), whose grid doubles, and on (2, 5000, 3, 9000),
+    # whose grid doubles at least twice
     g = word_to_matrix(w)
     winding._first_round.cache_clear()
     index, witness = repr(winding_index(g)), repr(winding._trapezoid(g))
-    monkeypatch.setattr(winding, "_CHUNK", 64)
+    monkeypatch.setattr(winding, "_CHUNK", 32)
     batches = recorded_batches(monkeypatch)
     for route, result in ((winding_index, index), (winding._trapezoid, witness)):
         batches.clear()
         winding._first_round.cache_clear()
         assert repr(route(g)) == result
         (first, _), *later = batches
-        assert first.size == first_grid(g).size > 64
-        assert all(t.size <= 64 for t, _ in later)
+        assert first.size == first_grid(g).size > 32
+        assert all(t.size <= 32 for t, _ in later)
         added = sum(t.size for t, _ in later)
         if (route, w) == (winding_index, (1, 60, 1, 40)):
             assert added > 64
         if (route, w) == (winding._trapezoid, (1, 10**7)):
+            # one doubling at least: m midpoints
+            assert added >= first.size - 1 > 64
+        if (route, w) == (winding._trapezoid, (2, 5000, 3, 9000)):
             # at least two doublings: m midpoints, then 2m
             assert added >= 3 * (first.size - 1)
 
@@ -998,8 +1047,8 @@ class TestFlatTop:
     def test_tail_argument_bound_at_height_1(self):
         # |arg Delta/q| <= |log Delta/q| <= 24 sum -log(1 - |q|^n), which at
         # |q| = e^(-2 pi), height 1, is 0.044944... and grows with |q|: on a
-        # dense grid of Re z at height 1 the argument comes within 2e-4 of it,
-        # and above height 1 it stays below it
+        # dense grid of Re z at height 1 the argument, 24 arg _eta, comes within
+        # 2e-4 of it, and above height 1 it stays below it
         bound = 24.0 * math.fsum(-math.log1p(-math.exp(-2.0 * math.pi * n)) for n in range(1, 40))
         assert 0.044944 < bound < 0.044945
         x = np.linspace(-0.5, 0.5, 200001)
@@ -1007,7 +1056,7 @@ class TestFlatTop:
             rows = probe_rows(x + 1j * y)
             # dz_red = 1 / j^2 is 1: the fold is a translation alone
             assert np.all(rows[1] == 1.0)
-            arg = np.abs(np.angle(winding._arg_f(*rows)[1]))
+            arg = 24.0 * np.abs(np.angle(winding._arg_f(*rows)[1]))
             assert least <= arg.max() <= bound
 
     @staticmethod
@@ -1034,9 +1083,10 @@ class TestFlatTop:
     @staticmethod
     def closed_turns(axis, ta, tb):
         """The turns of F from ta to tb in the cusp zone in closed form: _top_turns
-        and the change of the principal arg Delta/q, from the series at both ends."""
-        _, tail = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb]))))
-        return winding._top_turns(axis, ta, tb) + (cmath.phase(tail[1]) - cmath.phase(tail[0])) / (2 * math.pi)
+        and the change of the principal arg Delta/q, 24 times that of the principal
+        arg _eta, from the series at both ends."""
+        _, eta = winding._arg_f(*winding._fold(*axis.at(np.array([ta, tb]))))
+        return winding._top_turns(axis, ta, tb) + 24 * (cmath.phase(eta[1]) - cmath.phase(eta[0])) / (2 * math.pi)
 
     @pytest.mark.parametrize(
         "w",
@@ -1090,8 +1140,8 @@ class TestFlatTop:
         t = rnd.t
         assert i1 > i0 and np.all(top / np.cosh(t[i0 : i1 + 1]) >= 1.0)
         assert top / np.cosh(t[0]) < 1.0 and top / np.cosh(t[-1]) < 1.0
-        _, tail = winding._arg_f(*rnd.nodes[:3])
-        closed = turns + (cmath.phase(tail[i1]) - cmath.phase(tail[i0])) / (2 * math.pi)
+        _, eta = winding._arg_f(*rnd.nodes[:3])
+        closed = turns + 24 * (cmath.phase(eta[i1]) - cmath.phase(eta[i0])) / (2 * math.pi)
         assert closed == self.closed_turns(axis, t[i0], t[i1])
         tol = 1e-9 + 2.0**-49 * top
         pieces = [(i0, i1)] if top <= 1e4 else [(i0, i0 + 5), (i1 - 5, i1)]
@@ -1353,6 +1403,49 @@ class TestSeriesTables:
         assert len(DELTA_SERIES) == len(E2HOL_SERIES) == terms + 1
         assert max(tail(delta, terms), tail(e2, terms)) < 1e-22
         assert max(tail(delta, terms - 1), tail(e2, terms - 1)) >= 1e-22
+        # E2 alone, the one series the routes sum by Horner's rule, would need 10
+        assert 2.8e-24 < tail(e2, terms - 1) < 3e-24
+
+    def test_eta_is_the_pentagonal_series(self):
+        # prod (1 - q^n) to q^11 is 1 - q - q^2 + q^5 + q^7 (Euler's pentagonal
+        # theorem), its next term is -q^12, and its 24th power to q^11 is
+        # DELTA_SERIES, in exact integers
+        def times(a, b):
+            return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(13)]
+
+        product = [1] + [0] * 12
+        for n in range(1, 13):
+            product = times(product, [1] + [0] * (n - 1) + [-1] + [0] * (12 - n))
+        assert product == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
+        power = [1] + [0] * 12
+        for _ in range(24):
+            power = times(power, product[:12] + [0])
+        assert tuple(power[:12]) == DELTA_SERIES
+        # _eta sums those five terms, to a few float spacings
+        q = np.exp(2j * math.pi * (np.linspace(-0.5, 0.5, 41) + 0.9j))
+        assert np.allclose(winding._eta(q), scalar_horner(product[:12], q), rtol=4e-16, atol=0.0)
+
+    def test_pentagonal_tail_at_the_largest_q(self):
+        # the terms past _eta are -q^12 - q^15 + q^22 + ...: at the fold's largest
+        # |q| = e^(-pi sqrt(3)) at most |q|^12 (1 + 2 |q|^3) <= 4.4e-29, so the
+        # relative error of _eta^24 as Delta/q is at most 24 times that over
+        # |_eta| >= 1 - |q| - |q|^2, 1.1e-27
+        q = math.exp(-math.pi * math.sqrt(3.0))
+        tail = q**12 * (1.0 + 2.0 * q**3)
+        assert 4.3e-29 < tail <= 4.4e-29
+        assert 24.0 * tail / (1.0 - q - q * q) <= 1.1e-27
+
+    def test_eta_24_is_delta_over_q_at_folded_points(self):
+        # folded points from the lowest corner, height sqrt(3)/2, to above the
+        # flat height: _eta^24 against DELTA_SERIES by Horner's rule within a
+        # relative 1e-14, both series' truncations being below 1e-22
+        x = np.linspace(-0.5, 0.5, 51)
+        y = np.concatenate(([math.sqrt(3.0) / 2.0], np.linspace(0.87, 10.0, 80)))
+        z_red = winding._reduce((x[:, None] + 1j * y).ravel())[0]
+        assert z_red.imag.min() <= math.sqrt(3.0) / 2.0 + 1e-12 and z_red.imag.max() > winding._FLAT_HEIGHT
+        q = winding._q(z_red)
+        reference = np.array([scalar_horner(DELTA_SERIES, v) for v in q])
+        assert np.abs(winding._eta(q) ** 24 / reference - 1.0).max() <= 1e-14
 
     def test_flat_height_is_the_least_height_below_the_bound(self):
         # tails past q^0 at |q| = e^(-2 pi y), from 60-term tables: at or above
@@ -1701,10 +1794,10 @@ class TestWindingIndex:
     def test_step_refinement_stable(self, monkeypatch):
         gammas = [word_to_matrix(w) for w in ((1, 2), (3, 7), (1, 1, 2, 3))]
         coarse = [winding_index(g) for g in gammas]
-        # halve the first step and double the slope and the floor of the rate
+        # halve every first step and double the slope and the floor of the rate
         # bound, which at least doubles it: the reported index must not depend
         # on the grid
-        monkeypatch.setattr(winding, "_BASE_STEP", 0.5 * winding._BASE_STEP)
+        monkeypatch.setattr(winding, "_FIRST_STEPS", tuple(0.5 * h for h in winding._FIRST_STEPS))
         monkeypatch.setattr(winding, "_E2_RATE", 2.0 * winding._E2_RATE)
         monkeypatch.setattr(winding, "_RATE_FLOOR", 2.0 * winding._RATE_FLOOR)
         fine = [winding_index(g) for g in gammas]
@@ -1742,7 +1835,7 @@ class TestWindingIndex:
         # that a rate bound of zero never splits: the flat top takes the 60
         # turns in closed form, but the window's end below it runs through the
         # 59 turns of the second excursion
-        monkeypatch.setattr(winding, "_BASE_STEP", 1.0)
+        monkeypatch.setattr(winding, "_FIRST_STEPS", (1.0,) * len(winding._FIRST_STEPS))
         monkeypatch.setattr(winding, "_E2_RATE", 0.0)
         monkeypatch.setattr(winding, "_RATE_FLOOR", 0.0)
         start = time.perf_counter()

@@ -15,9 +15,9 @@ mean of those bests.  Work that the routes share, such as a class's first
 round, falls to whichever route runs first (winding_index here), so the
 split between the two routes compares only across trees that share the
 same work; "both" compares across any two.  The file gives the median
-and quartiles over the runs, and the median over a stratum's words of
-winding_index's steps (its grid's intervals), which do not change from run to
-run.  With --base, the runs alternate between the tree at PATH ("base") and
+and quartiles over the runs, and the medians over a stratum's words of
+winding_index's steps (its grid's intervals) and of the nodes of the first
+round that both routes share, which do not change from run to run.  With --base, the runs alternate between the tree at PATH ("base") and
 this one ("head"), so one file holds a change's before and after on one
 machine.  PATH must hold src/modwind, checked before the first run.  The file
 is written to the root of this checkout.
@@ -67,9 +67,10 @@ def routes_words():
 
 def time_routes(words):
     """{stratum: {route: mean over its words of each word's best us, for each of
-    ROUTES, "steps": median over its words of winding_index's steps}} in this process."""
+    ROUTES, "steps": median over its words of winding_index's steps, "nodes": median
+    over its words of the first round's nodes}} in this process."""
     from modwind.geodesics import word_to_matrix
-    from modwind.winding import e2_period, winding_index
+    from modwind.winding import _first_round, e2_period, winding_index
 
     classes = [(stratum, word_to_matrix(w)) for stratum, w in words]
     warm = word_to_matrix((7, 58))
@@ -77,6 +78,7 @@ def time_routes(words):
     e2_period(warm)
     best = [[math.inf] * len(ROUTES) for _ in classes]
     steps = [winding_index(g).steps for _, g in classes]
+    nodes = [_first_round(g).t.size for _, g in classes]
     clock = time.perf_counter
     for _ in range(REPEATS):
         for k, (_, g) in enumerate(classes):
@@ -92,6 +94,7 @@ def time_routes(words):
         rows = [b for (s, _), b in zip(classes, best) if s == stratum]
         out[stratum] = {r: 1e6 * statistics.fmean(b[i] for b in rows) for i, r in enumerate(ROUTES)}
         out[stratum]["steps"] = statistics.median(n for (s, _), n in zip(classes, steps) if s == stratum)
+        out[stratum]["nodes"] = statistics.median(n for (s, _), n in zip(classes, nodes) if s == stratum)
     return out
 
 
@@ -208,6 +211,7 @@ def report(tag, trees, words):
             "source_lines": source_lines(tree),
             "routes_us": routes_us,
             "winding_steps": {s: times[label][0][s]["steps"] for s in strata},
+            "first_round_nodes": {s: times[label][0][s]["nodes"] for s in strata},
             "cpu_pressure": pressure[label],
             "spread": spread(routes_us),
         }
