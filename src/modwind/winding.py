@@ -18,10 +18,10 @@ digit but the top one is 8 or more, up to 0.15 where it is 2 or less), and
 its nodes, each folded once (_fold) and given the scale of the fold's
 rounding that e2_period's witness reads (_nodes).  Each route sums its own
 series on it, Delta/q as the 24th power of Euler's pentagonal series (_eta)
-and E2 by Horner's rule (_horner), and makes its own plan.  The probes delta_eval and
-e2_completed are that fold and those series at one point at dz/dt = 1: a
-one-element batch, whose in-place complex steps numpy may round differently
-in the last bit from the same node in a longer one.
+and E2 by Horner's rule (_horner), and makes its own plan.  The probes
+delta_eval and e2_completed are that fold and those series at one point at
+dz/dt = 1: a one-element batch, whose in-place complex steps numpy may round
+differently in the last bit from the same node in a longer one.
 e2_period reads the grid's first m nodes as T_m and their even nodes as
 T_(m/2), then evaluates the midpoints that each doubling adds.
 winding_index reads every node, node m closing the period, takes the cusp
@@ -99,11 +99,9 @@ SERIES_TERMS = 11
 _FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
-# The first round's grid step bounds, which set only the cost: the step of a class
-# (_axis_for) is the largest at which no interval whose nodes lie at reduced height
-# up to its digits' bound can split, kept in [_BASE_STEP, _MAX_STEP].  _BASE_STEP,
-# the finest, leaves heights up to 4.9 unsplit, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2
-# for h up to 0.0542; at _MAX_STEP e2_period's first check still settles on every
+# The bounds of a class's first step (_FIRST_STEPS), which set only the cost.
+# _BASE_STEP leaves heights up to 4.9 unsplit, as h (_E2_RATE 4.9 e^(h/2) - 6) < pi/2
+# for h up to 0.0542.  At _MAX_STEP e2_period's first check still settles on every
 # class of T <= 11 (at 0.2, 957 of the 5,961 doubled its grid).
 _BASE_STEP = 0.054
 _MAX_STEP = 0.15
@@ -495,18 +493,20 @@ def winding_index(gamma: Mat2) -> WindingResult:
     into floor(h max(6.9452 B - 6, 1.132) / (pi/2)) + 1 equal parts (_ratio).
 
     The grid is the first round's (_Round): the uniform periodic grid of the
-    class's own step, node m closing the period.  Where Im z(t) >= 1 the fold is a translation alone
-    (|w| >= Im w >= 1 after it), so y_red = Im z(t) = R / cosh t exactly, and
-    below height 1 y_red >= Im z.  The cusp zone, between the grid's nodes i0
-    and i1 at height 1 or more, is not stepped through (below).  The remaining
-    intervals are those with a node below height 1: the window's two ends,
-    |t| > acosh R, each with the interval that crosses into the zone (every
-    interval where there is no zone).  Only these are split, on the folded
+    class's own step, node m closing the period.  Where Im z(t) >= 1 the fold
+    is a translation alone (|w| >= Im w >= 1 after it), so
+    y_red = Im z(t) = R / cosh t exactly, and below height 1 y_red >= Im z.
+    The cusp zone, between the grid's nodes i0 and i1 at height 1 or more, is
+    not stepped through (below).  The remaining intervals are those with a
+    node below height 1: the window's two ends, |t| > acosh R, each with the
+    interval that crosses into the zone (every interval where there is no
+    zone).  Only these are split, on the folded
     heights at their nodes, and only the new nodes are evaluated, in a second
     round; this finds nothing to split unless an excursion stays below height
     1 on the axis, or the step set from the digits (_axis_for) is too coarse
-    for the heights met, as the check reads the round's own step.  An increment of pi/2 or more could hide a turn, so it
-    raises QuadratureFailure; on this grid only evaluation error can cause one.
+    for the heights met, as the check reads the round's own step.  An
+    increment of pi/2 or more could hide a turn, so it raises
+    QuadratureFailure; on this grid only evaluation error can cause one.
 
     The cusp zone is taken in closed form.  On the axis Im z(t) = R / cosh t
     exactly, R = |alpha - alpha_bar| / 2 the top height, so Im z >= 1 exactly
