@@ -36,11 +36,11 @@ shared first round saves the second route's.
 Each point is folded into the standard fundamental domain first, so the
 q-series runs at |q| <= exp(-pi sqrt(3)), where eleven terms of E2 leave a
 tail below 1e-22 and the pentagonal series' tail, from q^12 on, is below
-4.4e-29; from folded height 8.6 (_FLAT_HEIGHT) up all terms past q^0 are
-below 1e-22, so _q caps q's height there, and every row of the fold holds
-one entry a node.  The fold (_reduce, called in _fold alone) refuses a point
-whose height is not above the float spacing of its real part; above that,
-its relative error is about 2^-52 |z| / Im z.
+4.4e-29; from folded height 8.6 (_FLAT_HEIGHT) up the terms past q^0 of E2
+and of _eta^24 are below 1e-22, so _q caps q's height there, and every row
+of the fold holds one entry a node.  The fold (_reduce, called in _fold
+alone) refuses a point whose height is not above the float spacing of its
+real part; above that, its relative error is about 2^-52 |z| / Im z.
 
 Both follow the axis of the exact conjugate of gamma whose top, the point
 at t = 0, is the excursion of the first largest digit of the class's word,
@@ -66,7 +66,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -77,7 +77,6 @@ from .matrices import Mat2, geodesic_length, short_int
 __all__ = [
     "WindingResult",
     "SERIES_TERMS",
-    "DELTA_SERIES",
     "E2HOL_SERIES",
     "delta_eval",
     "e2_completed",
@@ -86,16 +85,14 @@ __all__ = [
     "e2_period",
 ]
 
-# With y >= sqrt(3)/2 after reduction, |q| <= exp(-pi sqrt(3)) ~ 4.33e-3.
-# The truncated tails, sum |c_n| |q|^n over n > SERIES_TERMS, are 2.5e-23 for
-# DELTA_SERIES and 3e-26 for E2 at 11 terms.  Delta/q is summed from Euler's
-# pentagonal series (_eta), so DELTA_SERIES is only the tests' reference, and E2
-# alone would need 10 terms (tail 2.9e-24); 11 are kept, so that E2's bits, and
-# every pinned period, stay as they are.
+# With y >= sqrt(3)/2 after reduction, |q| <= exp(-pi sqrt(3)) ~ 4.33e-3.  E2 is summed
+# by Horner's rule to q^SERIES_TERMS, leaving a tail sum |c_n| |q|^n of 3e-26 (2.9e-24
+# at 10 terms); Delta/q is _eta^24, whose q-expansion needs 11 terms for a tail below
+# 1e-22 (2.5e-23).  11 are kept, so that E2's bits, and every pinned period, stay.
 SERIES_TERMS = 11
-# From this folded height y up, |q| = e^(-2 pi y) leaves both tails past q^0
-# below 1e-22 too: 8.2e-23 (about 24 |q|), where 8.5 leaves 1.5e-22.  _q caps
-# q's height here, so that no product in _horner or _eta is subnormal.
+# From this folded height y up, |q| = e^(-2 pi y) leaves the terms past q^0 of E2 and
+# of _eta^24 below 1e-22 in sum: 8.2e-23 (about 24 |q|), where 8.5 leaves 1.5e-22.
+# _q caps q's height here, so that no product in _horner or _eta is subnormal.
 _FLAT_HEIGHT = 8.6
 
 _TWO_PI = 2.0 * math.pi
@@ -136,25 +133,12 @@ def _horner(coeffs: Tuple[int, ...], q):
     return acc
 
 
-def _delta_q_coefficients(n_terms: int) -> List[int]:
-    """Coefficients of Delta/q = prod (1 - q^n)^24 up to q^n_terms."""
-    coeffs = [0] * (n_terms + 1)
-    coeffs[0] = 1
-    for n in range(1, n_terms + 1):
-        for _ in range(24):
-            for k in range(n_terms, n - 1, -1):
-                coeffs[k] -= coeffs[k - n]
-    return coeffs
-
-
 def _sigma1(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
-# Integer q-expansion coefficients c_0 .. c_N.  DELTA_SERIES is Delta/q (so
-# the leading coefficient is for q^0), the reference for _eta^24; E2HOL_SERIES is
-# the holomorphic part of E2.
-DELTA_SERIES = tuple(_delta_q_coefficients(SERIES_TERMS))
+# The integer q-expansion coefficients c_0 .. c_N of the holomorphic part of E2,
+# which e2_period sums by Horner's rule; winding_index takes Delta/q as _eta^24.
 E2HOL_SERIES = (1, *(-24 * _sigma1(n) for n in range(1, SERIES_TERMS + 1)))
 # E2's coefficients as complex128 scalars, q's dtype, for _horner: each of its
 # in-place steps then takes numpy's loop for two complex128 operands, which gives
@@ -582,13 +566,13 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
     rule over one period, on the routes' window centred at axis.balance,
     converges geometrically.  The first round's grid (_Round) has m uniform
     intervals of at most the axis's step, m even: its first m nodes give T_m and
-    their even nodes T_(m/2).  While |T_m - T_(m/2)| > _QUAD_TOL the grid
-    doubles, one batch of midpoints a round, up to _MAX_NODES.  That check
-    sees the discretisation, not the rounding, so the batches also sum the
-    witness: the fold's relative error scale 2^-52 |z| / Im z times
-    |E2(z) dz/dt|.  A witness above _ROUNDING_BUDGET after any batch raises
-    QuadratureFailure at once: more nodes refine the witness's integral but
-    do not shrink it.
+    their even nodes T_(m/2).  The batches also sum the witness: the fold's
+    relative error scale 2^-52 |z| / Im z times |E2(z) dz/dt|.  While
+    |T_m - T_(m/2)| > max(_QUAD_TOL, witness) the grid doubles, one batch of
+    midpoints a round, up to _MAX_NODES: a difference below the witness is
+    rounding, which no doubling resolves.  A witness above _ROUNDING_BUDGET
+    after any batch raises QuadratureFailure at once: more nodes refine the
+    witness's integral but do not shrink it.
     """
     rnd = _first_round(gamma)
     axis, nodes, lo, h = rnd.axis, rnd.m, rnd.lo, rnd.h
@@ -600,7 +584,7 @@ def _trapezoid(gamma: Mat2) -> Tuple[complex, float]:
         witness = _FLOAT_SPACING * scale_sum  # a power of 2 scales a sum exactly
         if witness > _ROUNDING_BUDGET:
             raise QuadratureFailure(f"rounding witness {witness:.1e} above budget for {gamma}")
-        if abs(total - coarse) <= _QUAD_TOL:
+        if abs(total - coarse) <= max(_QUAD_TOL, witness):
             return total, witness
         if 2 * nodes > _MAX_NODES:
             raise QuadratureFailure(f"trapezoid sums unsettled on {nodes} nodes for {gamma}")
@@ -615,6 +599,7 @@ def e2_period(gamma: Mat2) -> float:
     """Period of the closed 1-form E2(z) dz over one loop of the axis (_trapezoid),
     refused as soon as its rounding witness is above _ROUNDING_BUDGET."""
     total, _ = _trapezoid(gamma)
+    # a guard: no input is known to reach it, even with the witness's budget lifted
     if abs(total.imag) > 1e-6:
         raise QuadratureFailure(f"period has imaginary part {total.imag} for {gamma}")
     return float(total.real)

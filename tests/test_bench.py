@@ -43,6 +43,7 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
         "commit",
         "dirty",
         "source_lines",
+        "code_lines",
         "routes_us",
         "winding_steps",
         "first_round_nodes",
@@ -64,6 +65,11 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
     assert sorted(lines) == sorted(modules + ["total"])
     assert lines["total"] == sum(lines[m] for m in modules)
     assert lines["winding.py"] == len((ROOT / "src" / "modwind" / "winding.py").read_text().splitlines())
+    # the lines that hold code: fewer in each module, and the same modules and total
+    code = tree["code_lines"]
+    assert sorted(code) == sorted(lines) and code["total"] == sum(code[m] for m in modules)
+    assert all(0 < code[m] < lines[m] for m in modules)
+    assert code["winding.py"] == bench.code_lines((ROOT / "src" / "modwind" / "winding.py").read_text())
     assert set(tree["routes_us"]) == {"winding_index", "e2_period", "both"}
     for strata in tree["routes_us"].values():
         assert set(strata) == {"generic", "cusp"}
@@ -80,6 +86,25 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
 
     assert tree["winding_steps"] == {s: winding_index(word_to_matrix(w)).steps for s, w in words}
     assert tree["first_round_nodes"] == {s: _first_round(word_to_matrix(w)).t.size for s, w in words}
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(bench):
+    source = (
+        '"""Module docstring,\n\non three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "X = 1  # code with a comment\n"
+        "\n"
+        "class C:\n"
+        '    """One line."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        '        return """a string\n        on two lines"""\n'
+    )
+    # X, class C, def f and the two lines of the return
+    assert bench.code_lines(source) == 5
+    assert bench.code_lines("") == 0
 
 
 def test_times_the_benchmark_routes_words(bench, tmp_path, monkeypatch):

@@ -756,8 +756,9 @@ def test_demo_runs(path):
     assert done.stdout.strip()
 
 
-# A public function earns its place by a caller in the program, a demo or the
-# benchmark; one that only tests call is dead weight in the API.
+# A public name, function, class or constant, earns its place by a read in the
+# program, a demo or the benchmark; one that only tests read is dead weight in
+# the API.
 CALLER_SOURCES = sorted(
     path
     for pattern in ("src/modwind/*.py", "demos/*.py", "perfbench/*.py")
@@ -767,24 +768,19 @@ CALLER_SOURCES = sorted(
 
 
 def names_read(source: str) -> set:
-    """Names the source reads, bare or as an attribute."""
+    """Names the source loads, bare or as an attribute; an assignment's target is no read."""
     return {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
 
 
 def uncalled_exports(source: str, callers: list) -> list:
-    """Top-level functions in the source's __all__ that no caller source names."""
-    tree = ast.parse(source)
-    exported = exported_names(tree)
+    """The names in the source's __all__, functions, classes and constants alike,
+    that no caller source reads."""
     read = set().union(*map(names_read, callers))
-    return sorted(
-        node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in exported and node.name not in read
-    )
+    return sorted(exported_names(ast.parse(source)) - read)
 
 
 def test_uncalled_export_detected():
@@ -797,8 +793,10 @@ def test_uncalled_export_detected():
         "class C:\n    pass\n"
         "K = 1\n"
     )
-    assert uncalled_exports(source, [source]) == ["f", "h"]
-    assert uncalled_exports(source, [source, "import m\nm.f()\nx = h\n"]) == []
+    # K's own assignment, and one through an attribute, are stores, not reads
+    assert uncalled_exports(source, [source]) == ["C", "K", "f", "h"]
+    assert uncalled_exports(source, [source, "import m\nm.K = 2\n"]) == ["C", "K", "f", "h"]
+    assert uncalled_exports(source, [source, "import m\nm.f()\nx = h\ny = m.C(K)\n"]) == []
 
 
 def test_caller_sources_found():

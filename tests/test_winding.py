@@ -24,7 +24,6 @@ from modwind.geodesics import _reduced_cycle, word_to_matrix
 from modwind.matrices import Mat2, S, T, geodesic_length
 from modwind.rademacher import psi, psi_cf
 from modwind.winding import (
-    DELTA_SERIES,
     E2HOL_SERIES,
     WindingResult,
     axis_point,
@@ -108,6 +107,21 @@ def scalar_reduce(z):
         else:
             return w, c * z + d
     raise RuntimeError("fold did not terminate")
+
+
+def delta_q_coefficients(n_terms):
+    """Coefficients of Delta/q = prod (1 - q^n)^24 up to q^n_terms, in exact integers."""
+    coeffs = [1] + [0] * n_terms
+    for n in range(1, n_terms + 1):
+        for _ in range(24):
+            for k in range(n_terms, n - 1, -1):
+                coeffs[k] -= coeffs[k - n]
+    return coeffs
+
+
+# Delta/q to q^11 (so the leading coefficient is for q^0): the reference that the
+# routes' _eta^24 is checked against, as long as E2HOL_SERIES
+DELTA_SERIES = tuple(delta_q_coefficients(11))
 
 
 def scalar_horner(coeffs, q):
@@ -342,12 +356,14 @@ class TestOneEvaluationPerRound:
         g = word_to_matrix((1, 60, 1, 40))
         res = winding_index(g)
         assert len(delta) == 2 and sum(delta) == res.steps + 1 + inside_the_zone(g)
-        # the cusp excursions of (2, 5000, 3, 9000) double e2_period's grid: each
-        # later batch is the midpoint after each node of the uniform grid so far
+        # on first steps twice the routes' own, (1, 3000) doubles e2_period's grid
+        # twice: each later batch is the midpoint after each node of the uniform
+        # grid so far
+        monkeypatch.setattr(winding, "_FIRST_STEPS", tuple(2.0 * h for h in winding._FIRST_STEPS))
         batches = recorded_batches(monkeypatch)
         winding._first_round.cache_clear()
-        g = word_to_matrix((2, 5000, 3, 9000))
-        assert e2_period(g) == pytest.approx(psi_cf((2, 5000, 3, 9000)), abs=1e-6)
+        g = word_to_matrix((1, 3000))
+        assert e2_period(g) == pytest.approx(psi_cf((1, 3000)), abs=1e-6)
         (first, _), *later = batches
         grid = first[: grid_intervals(g)]
         assert len(later) >= 2
@@ -836,9 +852,12 @@ class TestRefine:
 def test_chunked_rows_join_to_the_same_bits(monkeypatch, w):
     # slices of 32 points: the first round stays one batch of more than 32
     # nodes, and each later round is several slices, whose rows _in_chunks
-    # joins row by row: winding_index's split of (1, 60, 1, 40), and e2_period's
-    # doublings on (1, 10^7), whose grid doubles, and on (2, 5000, 3, 9000),
-    # whose grid doubles at least twice
+    # joins row by row: winding_index's splits of (1, 60, 1, 40) and
+    # (2, 5000, 3, 9000), and e2_period's doublings on (1, 10^7), whose grid
+    # doubles at least twice on first steps twice the routes' own;
+    # (2, 5000, 3, 9000)'s sums settle on its first round
+    if w == (1, 10**7):
+        monkeypatch.setattr(winding, "_FIRST_STEPS", tuple(2.0 * h for h in winding._FIRST_STEPS))
     g = word_to_matrix(w)
     winding._first_round.cache_clear()
     index, witness = repr(winding_index(g)), repr(winding._trapezoid(g))
@@ -852,14 +871,15 @@ def test_chunked_rows_join_to_the_same_bits(monkeypatch, w):
         assert first.size == first_grid(g).size > 32
         assert all(t.size <= 32 for t, _ in later)
         added = sum(t.size for t, _ in later)
-        if (route, w) == (winding_index, (1, 60, 1, 40)):
+        if route is winding_index and w in ((1, 60, 1, 40), (2, 5000, 3, 9000)):
             assert added > 64
         if (route, w) == (winding._trapezoid, (1, 10**7)):
             # one doubling at least: m midpoints
             assert added >= first.size - 1 > 64
-        if (route, w) == (winding._trapezoid, (2, 5000, 3, 9000)):
             # at least two doublings: m midpoints, then 2m
             assert added >= 3 * (first.size - 1)
+        if (route, w) == (winding._trapezoid, (2, 5000, 3, 9000)):
+            assert added == 0
 
 
 class TestLastAxisKept:
@@ -1393,7 +1413,7 @@ class TestSeriesTables:
         # tails sum |c_n| |q|^n over n > terms at the largest |q| after the fold,
         # from 60-term tables (the terms past 60 are below 1e-130)
         q = math.exp(-math.pi * math.sqrt(3.0))
-        delta = winding._delta_q_coefficients(60)
+        delta = delta_q_coefficients(60)
         e2 = [1] + [24 * winding._sigma1(n) for n in range(1, 61)]
 
         def tail(coeffs, terms):
@@ -1451,7 +1471,7 @@ class TestSeriesTables:
         # tails past q^0 at |q| = e^(-2 pi y), from 60-term tables: at or above
         # the flat height both series are their constant term within 1e-22,
         # and 0.1 lower at least one tail is not
-        delta = winding._delta_q_coefficients(60)
+        delta = delta_q_coefficients(60)
         e2 = [1] + [24 * winding._sigma1(n) for n in range(1, 61)]
 
         def tails(y):
@@ -1965,6 +1985,52 @@ class TestE2Period:
             z, dz = axis_point(g, lo + h * k)
             terms.append(h * 2.0**-52 * abs(z) / z.imag * abs(scalar_e2(z) * dz))
         assert witness == pytest.approx(math.fsum(terms), rel=1e-12)
+
+    def test_settles_where_the_difference_is_rounding(self, monkeypatch):
+        # (1, 10^7): its first round's sums differ by 5.8e-6, over 100 times the
+        # witness of 3.5e-8, so the grid doubles; the next differ by 8.3e-10, only
+        # 1.2 times below _QUAD_TOL but 42 times below the witness, a difference
+        # that no doubling resolves, and the sums settle.  Each check clears
+        # max(_QUAD_TOL, witness) at least tenfold on the route's own rows and on
+        # the scalar reference, and a tenth of _QUAD_TOL changes no bit
+        g = word_to_matrix((1, 10**7))
+        m = grid_intervals(g)
+        sizes = counted(monkeypatch, "_nodes")
+        batches = recorded_batches(monkeypatch)
+        total, witness = winding._trapezoid(g)
+        assert sizes == [m + 1, m]
+        with monkeypatch.context() as tighter:
+            tighter.setattr(winding, "_QUAD_TOL", 0.1 * winding._QUAD_TOL)
+            winding._first_round.cache_clear()
+            assert winding._trapezoid(g) == (total, witness) and sizes[2:] == [m + 1, m]
+        threshold = max(winding._QUAD_TOL, witness)
+        ell = geodesic_length(g.trace)
+        lo, h = winding._axis_for(g).balance - 0.5 * ell, ell / m
+        own = np.concatenate([winding._e2_rows(*rows) for _, rows in batches[:2]])
+        scalar = []
+        for t in np.concatenate([batches[0][0], batches[1][0]]):
+            z, dz = axis_point(g, float(t))
+            scalar.append(scalar_e2(z) * dz)
+        for f in (own, np.array(scalar)):
+            first, midpoints = f[:m], f[m + 1 :]
+            halves, whole = 2.0 * h * first[::2].sum(), h * first.sum()
+            doubled = 0.5 * (whole + h * midpoints.sum())
+            assert abs(whole - halves) >= 10.0 * threshold
+            assert abs(doubled - whole) <= 0.1 * threshold
+            assert abs(doubled - total) <= witness
+        assert abs(total.real - psi_cf((1, 10**7))) <= witness
+
+    def test_unsettled_at_the_node_cap_refused_before_the_midpoints(self, monkeypatch):
+        # (1, 10^7) doubles its grid once; with the cap at its first round's m the
+        # doubling is refused before any midpoint is evaluated
+        g = word_to_matrix((1, 10**7))
+        m = grid_intervals(g)
+        assert m == 216
+        monkeypatch.setattr(winding, "_MAX_NODES", m)
+        sizes = counted(monkeypatch, "_nodes")
+        with pytest.raises(QuadratureFailure, match=f"trapezoid sums unsettled on {m} nodes"):
+            e2_period(g)
+        assert sizes == [m + 1]
 
     def test_refuse_never_wrong(self):
         outcomes = set()

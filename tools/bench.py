@@ -25,17 +25,20 @@ is written to the root of this checkout.
 The fingerprint records the CPU count, the machine, Python, numpy, the BLAS
 numpy was built with and OPENBLAS_NUM_THREADS; each tree records its git
 commit, whether its src/ differs from that commit, and the lines of each
-module under src/modwind.  Other load on the host slows the runs, so each
-run records the `some` avg10 of /proc/pressure/cpu (the percentage of the
-last 10 s in which a runnable task waited for a CPU) just before and just
-after it, or null where the file is absent; and a tree lists under "spread"
-each route and stratum whose quartiles lie more than SPREAD of its median
-apart, whose figures a reader should not compare.
+module under src/modwind, all of them and those that hold code (not blank,
+not a comment, not in a docstring).  Other load on the host slows the runs,
+so each run records the `some` avg10 of /proc/pressure/cpu (the percentage
+of the last 10 s in which a runnable task waited for a CPU) just before and
+just after it, or null where the file is absent; and a tree lists under
+"spread" each route and stratum whose quartiles lie more than SPREAD of its
+median apart, whose figures a reader should not compare.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import math
 import os
@@ -45,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -157,10 +161,27 @@ def git_state(tree):
     return head.stdout.strip(), bool(changes.stdout.strip())
 
 
-def source_lines(tree):
-    """{module: line count} under tree/src/modwind, with their total."""
+def code_lines(text):
+    """The number of lines of the Python source text that hold code: a token other
+    than a comment, and outside the docstrings of the module, its classes and functions."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in layout:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docstrings)
+
+
+def source_lines(tree, count=lambda text: len(text.splitlines())):
+    """{module: count(its text)} under tree/src/modwind, with their total: by
+    default each module's lines."""
     modules = sorted((Path(tree) / "src" / "modwind").glob("*.py"))
-    lines = {p.name: len(p.read_text().splitlines()) for p in modules}
+    lines = {p.name: count(p.read_text()) for p in modules}
     lines["total"] = sum(lines.values())
     return lines
 
@@ -209,6 +230,7 @@ def report(tag, trees, words):
             "commit": commit,
             "dirty": dirty,
             "source_lines": source_lines(tree),
+            "code_lines": source_lines(tree, code_lines),
             "routes_us": routes_us,
             "winding_steps": {s: times[label][0][s]["steps"] for s in strata},
             "first_round_nodes": {s: times[label][0][s]["nodes"] for s in strata},
