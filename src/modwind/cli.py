@@ -56,8 +56,8 @@ MAX_ENTRY_BITS = 4096
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 
 # verify --sample is refused above this before the census is built; the
-# winding suite costs about 0.2 ms a sampled class (0.16-0.33 ms, median 0.23,
-# in 16 timings of 10,000 samples at T = 15.0663 on a shared 2-core x86-64 host;
+# winding suite costs about 0.2 ms a sampled class (0.19-0.30 ms, median 0.23,
+# in 8 timings of 10,000 samples at T = 15.0663 on a shared 2-core x86-64 host;
 # README).
 MAX_SAMPLE = 10_000
 

@@ -115,11 +115,15 @@ class CyclicWord:
         object.__setattr__(self, "entries", entries)
 
 
+_set_entries = CyclicWord.entries.__set__
+
+
 def _canonical_word(entries: Tuple[int, ...]) -> CyclicWord:
     """CyclicWord(entries) without its checks, for entries that this module has
-    validated and put in least even rotation."""
+    validated and put in least even rotation; the slot's setter stores past the
+    frozen __setattr__."""
     word = object.__new__(CyclicWord)
-    object.__setattr__(word, "entries", entries)
+    _set_entries(word, entries)
     return word
 
 
@@ -151,9 +155,10 @@ def word_to_matrix(word) -> Mat2:
     return Mat2(*_word_product_entries(validate_entries(word)))
 
 
-def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
-    """(P, Q, digits): the first reduced state of the continued-fraction walk on
-    alpha = (P + sqrt(D)) / Q, D = t^2 - 4, and the digits of one period from it.
+def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int], Tuple[int, int, int, int]]:
+    """(P, Q, digits, product): the first reduced state of the continued-fraction
+    walk on alpha = (P + sqrt(D)) / Q, D = t^2 - 4, the digits of one period from
+    it, and the entries (p, q, r, s) of the product of the factors A_a over them.
 
     (a b; c d) of det 1 and trace t > 2 fixes alpha at P = a - d, Q = 2c, and Q
     divides D - P^2 = 4bc.  A step reads a = floor(alpha) and moves to
@@ -165,7 +170,9 @@ def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
     walk becomes reduced, stays so, and returns after one period.  So it tests
     reducedness only until the state is reduced, and then compares P and Q
     with that start at even steps, stepping with Q > 0.  Both phases together
-    take at most _WALK_STEPS steps before they return.
+    take at most _WALK_STEPS steps before they return.  The period's product is
+    multiplied out as its digits are read: the pair (a, b) takes (p q; r s) by
+    A_a A_b = (ab + 1, a; b, 1) to (ub + p, u; vb + r, v), u = pa + q, v = ra + s.
     """
     if t <= 2:
         raise NotHyperbolic(f"trace {short_int(t)} (need trace > 2)")
@@ -175,14 +182,17 @@ def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
     for used in range(pairs):
         if Q - root <= P <= root < P + Q:
             break
-        for _ in range(2):
-            a = (P + root) // Q if Q > 0 else ~((P + root) // -Q)
-            P = a * Q - P
-            Q = (D - P * P) // Q
+        a = (P + root) // Q if Q > 0 else ~((P + root) // -Q)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        a = (P + root) // Q if Q > 0 else ~((P + root) // -Q)
+        P = a * Q - P
+        Q = (D - P * P) // Q
     else:
         raise CapExceeded(f"the walk did not cycle in {_WALK_STEPS} steps at trace {short_int(t)}")
     # reduced from here on, so Q > root - P >= 0 at every step
     start_P, start_Q, digits = P, Q, []
+    p, q, r, s = 1, 0, 0, 1
     for _ in range(pairs - used):
         a = (P + root) // Q
         P = a * Q - P
@@ -191,8 +201,10 @@ def _reduced_cycle(t: int, P: int, Q: int) -> Tuple[int, int, List[int]]:
         P = b * Q - P
         Q = (D - P * P) // Q
         digits += a, b
+        u, v = p * a + q, r * a + s
+        p, q, r, s = u * b + p, u, v * b + r, v
         if P == start_P and Q == start_Q:
-            return P, Q, digits
+            return P, Q, digits, (p, q, r, s)
     raise CapExceeded(f"the walk did not cycle in {_WALK_STEPS} steps at trace {short_int(t)}")
 
 
@@ -201,15 +213,14 @@ def matrix_to_word(gamma: Mat2) -> CyclicWord:
     walk reads from the first reduced state until it returns, an even-length word whose
     product is SL(2,Z)-conjugate to gamma.  No floating point is used."""
     t = gamma.trace
-    P, Q, cycle = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    P, Q, cycle, (p, _, r, s) = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
     # the walk returns after the least even multiple of the period of its
     # states, which the digits share, so the cycle is no power of a shorter
-    # even block: only gamma can be a proper power, of the cycle's product
-    k, _ = _least_even_rotation(cycle)
-    p, _, r, s = _word_product_entries(cycle)
+    # even block: only gamma can be a proper power, of the cycle's product;
     # with det 1, trace, p - s and 2r fix the product's matrix
     if (p + s, p - s, 2 * r) != (t, P, Q):
         raise NotPrimitive(f"{gamma} is a proper power")
+    k, _ = _least_even_rotation(cycle)
     return _canonical_word(tuple(cycle[k:] + cycle[:k]))
 
 
@@ -358,8 +369,9 @@ class Census:
 
     def rows(self, index=None) -> Iterator[Tuple[Tuple[int, ...], int, float, int]]:
         """Every row as Python values (entries, trace, length, psi), in order, or
-        the rows at an array of row indices in that order; IndexError for one
-        out of range, TypeError for indices that are not one axis of integers
+        the rows at an array of row indices in that order, a negative index
+        counting from the end as in a sequence; IndexError for one outside
+        [-len, len), TypeError for indices that are not one axis of integers
         (numpy would read booleans as a mask).
 
         Each chunk gathers its lengths with one numpy take and its words with

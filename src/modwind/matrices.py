@@ -182,15 +182,23 @@ def _dedekind12(h: int, k: int, h_inv: int) -> int:
     give G(h, k) = a_1 - a_2 + ... + h/k + 1/(hk) - r'/h - 3 + c_(n-1).  As
     x = h h' + k r' is 1 mod hk with 0 < x < 2hk and h', r' >= 1, x = hk + 1,
     so 1/(hk) - r'/h = h'/k - 1 and c_n = 4 - c_(n-1).  k = 1 is the empty sum.
+
+    The quotients are taken two at a time, the first added and the second
+    subtracted, with a and b taking turns as the divisor; the remainder that
+    ends the pass tells an odd n (c_n = 3) from an even one (c_n = 1).
     """
     if k == 1:
         return 0
-    total, sign, a, b = 0, 1, k, h
-    while b:
-        total += sign * (a // b)
-        a, b, sign = b, a % b, -sign
-    # sign is -1 after an odd number of quotients
-    return k * total + h + h_inv - k * (3 if sign < 0 else 1)
+    total, a, b = 0, k, h
+    while True:
+        total += a // b
+        a %= b
+        if not a:
+            return k * (total - 3) + h + h_inv
+        total -= b // a
+        b %= a
+        if not b:
+            return k * (total - 1) + h + h_inv
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:

@@ -88,15 +88,22 @@ def psi_cocycle(gamma: Mat2) -> int:
     Euclid step that at least halves |c|, until c = 0; the remainder R is
     +-T^m with phi(R) = b d.  As phi(T^n S) = n and c(T^n S) = 1, the defect
     gives phi(T^n S R) = n + phi(R) - 3 sign(c_R c), so each step adds
-    n - 3 sign(c_R c).  The peeled exponents are multiplied back onto R and
-    the product is checked against the input.
+    n - 3 sign(c_R c), read from the signs of c_R and c: n at c_R = 0, which
+    only the last step has, n - 3 if they agree and n + 3 if not.  The peeled
+    exponents are multiplied back onto R and the product is checked against
+    the input.
     """
     entries = a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     phi, steps, trace_sign = 0, [], sign0(c * (a + d))
-    while c != 0:
+    while c:
         n = (2 * a + c) // (2 * c)
         next_c = n * c - a
-        phi += n - 3 * sign0(next_c * c)
+        if not next_c:
+            phi += n
+        elif (next_c > 0) == (c > 0):
+            phi += n - 3
+        else:
+            phi += n + 3
         a, b, c, d = c, d, next_c, n * d - b
         steps.append(n)
     phi += b * d

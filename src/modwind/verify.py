@@ -53,7 +53,7 @@ from .winding import e2_period, winding_index
 __all__ = ["SuiteResult", "run_all", "VERIFY_MAX_TRACE_CAP"]
 
 # word_census checks every class of the census with the exact symbols, at
-# about 14 us a class (12-20 us, median 14.3, in 15 timings at T = 15.0663,
+# about 10 us a class (8.5-11.4 us, median 10.4, in 15 timings at T = 15.0663,
 # 249,076 classes, on a shared 2-core x86-64 host, Python 3.11, numpy 2.4), so
 # run_all refuses a census past this trace cap (at T below 15.0674) before any
 # suite runs.
@@ -67,13 +67,16 @@ class SuiteResult:
     failed: int
     details: List[str] = field(default_factory=list)
 
-    def check(self, ok: bool, note: str) -> None:
+    def check(self, ok: bool, note: str, *args) -> None:
+        """Count one check; a failure keeps its note, note.format(*args) if args are
+        given, among the first 20: most checks pass, so a note is formatted only
+        when one fails."""
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.details) < 20:
-                self.details.append(note)
+                self.details.append(note.format(*args) if args else note)
 
 
 def _random_element(rng: random.Random, max_factors: int = 8) -> Mat2:
@@ -111,14 +114,14 @@ def suite_dedekind_reciprocity(rng: random.Random) -> SuiteResult:
             h = rng.randint(1, k - 1)
         lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
         rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12
-        res.check(lhs == rhs, f"reciprocity failed at (h,k)=({h},{k})")
+        res.check(lhs == rhs, "reciprocity failed at (h,k)=({},{})", h, k)
     # recursion against the direct defining sum on small moduli
     for _ in range(200):
         k = rng.randint(1, 300)
         h = rng.randint(-2 * k, 2 * k)
         res.check(
             dedekind_sum(h, k) == dedekind_sum_direct(h % k if k > 1 else 0, k),
-            f"recursion vs direct failed at (h,k)=({h},{k})",
+            "recursion vs direct failed at (h,k)=({},{})", h, k,
         )
     return res
 
@@ -133,9 +136,9 @@ def suite_omega_cocycle(rng: random.Random) -> SuiteResult:
         l = _random_element(rng)
         lhs = omega(g, h) + omega(g @ h, l)
         rhs = omega(g, h @ l) + omega(h, l)
-        res.check(lhs == rhs, f"cocycle failed at {g}, {h}, {l}")
-        res.check(omega(IDENTITY, g) == 0, f"omega(I, g) != 0 for {g}")
-        res.check(omega(g, g.inverse()) in (0, 1), f"omega(g, g^-1) out of range for {g}")
+        res.check(lhs == rhs, "cocycle failed at {}, {}, {}", g, h, l)
+        res.check(omega(IDENTITY, g) == 0, "omega(I, g) != 0 for {}", g)
+        res.check(omega(g, g.inverse()) in (0, 1), "omega(g, g^-1) out of range for {}", g)
     return res
 
 
@@ -149,7 +152,7 @@ def suite_multiplier_law(rng: random.Random) -> SuiteResult:
         for r in (0.3, 1.0, 2.5):
             lhs = chi_r(g @ h, r)
             rhs = chi_r(g, r) * chi_r(h, r) * cmath.exp(2j * math.pi * r * w)
-            res.check(abs(lhs - rhs) <= 1e-9, f"law failed at r={r}, {g}, {h}")
+            res.check(abs(lhs - rhs) <= 1e-9, "law failed at r={}, {}, {}", r, g, h)
     return res
 
 
@@ -161,7 +164,7 @@ def suite_s_cocycle(rng: random.Random) -> SuiteResult:
         h = _random_element(rng)
         res.check(
             s_symbol(g @ h) - s_symbol(g) - s_symbol(h) == 12 * omega(g, h),
-            f"S cocycle failed at {g}, {h}",
+            "S cocycle failed at {}, {}", g, h,
         )
     return res
 
@@ -172,9 +175,9 @@ def suite_psi_conjugacy(rng: random.Random) -> SuiteResult:
     for _ in range(1000):
         g = _random_hyperbolic(rng)
         tau = _random_element(rng, 8)
-        res.check(psi(tau @ g @ tau.inverse()) == psi(g), f"conjugacy failed at {g}, {tau}")
-        res.check(psi(g.inverse()) == -psi(g), f"psi(g^-1) != -psi(g) at {g}")
-        res.check(psi(-g) == psi(g), f"psi(-g) != psi(g) at {g}")
+        res.check(psi(tau @ g @ tau.inverse()) == psi(g), "conjugacy failed at {}, {}", g, tau)
+        res.check(psi(g.inverse()) == -psi(g), "psi(g^-1) != -psi(g) at {}", g)
+        res.check(psi(-g) == psi(g), "psi(-g) != psi(g) at {}", g)
     return res
 
 
@@ -185,7 +188,7 @@ def suite_psi_homogeneity(rng: random.Random) -> SuiteResult:
         g = _random_hyperbolic(rng)
         base = psi(g)
         for n in (-3, -2, -1, 1, 2, 3):
-            res.check(psi(g.power(n)) == n * base, f"homogeneity failed at {g}, n={n}")
+            res.check(psi(g.power(n)) == n * base, "homogeneity failed at {}, n={}", g, n)
     return res
 
 
@@ -204,7 +207,7 @@ def suite_phi_power_recursion(rng: random.Random) -> SuiteResult:
             )
             res.check(
                 phi_closed(powers[n]) == n * base - 3 * defect,
-                f"power recursion failed at {g}, n={n}",
+                "power recursion failed at {}, n={}", g, n,
             )
     return res
 
@@ -219,7 +222,7 @@ def suite_phi_limit(rng: random.Random) -> SuiteResult:
             val = phi_closed(g.power(n))
             res.check(
                 abs(Fraction(val, n) - target) <= Fraction(6, n),
-                f"limit envelope failed at {g}, n={n}",
+                "limit envelope failed at {}, n={}", g, n,
             )
     return res
 
@@ -238,7 +241,7 @@ def suite_phi_word(rng: random.Random) -> SuiteResult:
                 f = ("S", rng.randint(-3, 3))
             factors.append(f)
             g = g @ word_factor_matrix(f)
-        res.check(phi_word(factors) == phi_closed(g), f"word/closed mismatch at {factors}")
+        res.check(phi_word(factors) == phi_closed(g), "word/closed mismatch at {}", factors)
     return res
 
 
@@ -253,14 +256,14 @@ def suite_word_census(census: Census) -> SuiteResult:
         psi_of = {entries: psi_val for entries, _, _, psi_val in rows}
         for entries, _, _, psi_val in rows:
             m = word_to_matrix(entries)
-            res.check(psi_cf(entries) == psi(m) == psi_val, f"psi mismatch at {entries}")
-            res.check(m.trace == trace, f"trace mismatch at {entries}")
+            res.check(psi_cf(entries) == psi(m) == psi_val, "psi mismatch at {}", entries)
+            res.check(m.trace == trace, "trace mismatch at {}", entries)
             rev = canonical_form(entries[::-1]).entries
-            res.check(rev in psi_of, f"reversal missing for {entries}")
-            res.check(psi_of.get(rev) == -psi_val, f"reversal psi not negated at {entries}")
+            res.check(rev in psi_of, "reversal missing for {}", entries)
+            res.check(psi_of.get(rev) == -psi_val, "reversal psi not negated at {}", entries)
             n = len(entries)
             if n // 2 % 2 == 1 and entries == entries[: n // 2] * 2:
-                res.check(psi_val == 0, f"inert class with psi != 0: {entries}")
+                res.check(psi_val == 0, "inert class with psi != 0: {}", entries)
     return res
 
 
@@ -304,11 +307,11 @@ def suite_winding_sample(census: Census, sample: int, seed: int) -> SuiteResult:
     for entries, _, _, psi_val in census.rows(stratified_sample(census, sample, seed)):
         m = word_to_matrix(entries)
         wi = winding_index(m)
-        res.check(wi.index == psi_val, f"index {wi.index} != psi {psi_val} at {entries}")
+        res.check(wi.index == psi_val, "index {} != psi {} at {}", wi.index, psi_val, entries)
         period = e2_period(m)
         res.check(
             abs(period - psi_val) <= 1e-6,
-            f"period {period} != psi {psi_val} at {entries}",
+            "period {} != psi {} at {}", period, psi_val, entries,
         )
     return res
 
@@ -324,8 +327,8 @@ def suite_roundtrip(rng: random.Random) -> SuiteResult:
         tau = _random_element(rng, 6)
         g = tau @ word_to_matrix(entries) @ tau.inverse()
         word = matrix_to_word(g)
-        res.check(is_primitive(word), f"roundtrip word imprimitive for {g}")
-        res.check(psi_cf(word) == psi(g), f"roundtrip psi mismatch for {g}")
+        res.check(is_primitive(word), "roundtrip word imprimitive for {}", g)
+        res.check(psi_cf(word) == psi(g), "roundtrip psi mismatch for {}", g)
     return res
 
 

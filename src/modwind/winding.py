@@ -264,7 +264,7 @@ def _axis_for(gamma: Mat2) -> _Axis:
         root = math.sqrt(t * t - 4) if t > 2 else 0.0  # the walk refuses t <= 2
     except OverflowError:
         raise CapExceeded(f"fixed points of trace {short_int(t)} past the float range") from None
-    P, Q, digits = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    P, Q, digits, _ = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
     r, _ = _least_even_rotation(digits)
     k = (r + (digits[r:] + digits[:r]).index(max(digits))) % len(digits)
     step = _FIRST_STEPS[min(sorted(digits)[-2], len(_FIRST_STEPS) - 1)]

@@ -36,6 +36,7 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
         "repeats": 7,
         "seed": 1,
         "words": {"generic": 1, "cusp": 1},
+        "queries": 1000,
         "spread_limit": bench.SPREAD,
     }
     (label, tree), = record["trees"].items()
@@ -45,6 +46,7 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
         "source_lines",
         "code_lines",
         "routes_us",
+        "exact_us",
         "winding_steps",
         "first_round_nodes",
         "cpu_pressure",
@@ -76,6 +78,18 @@ def test_writes_the_schema_on_two_words(bench, tmp_path, monkeypatch):
         for q in strata.values():
             # one run: its median and quartiles are its one figure
             assert 0 < q["q1"] == q["median"] == q["q3"] < 1e6
+    # the exact layer: each function's median over its calls, one run's figure
+    assert set(tree["exact_us"]) == set(bench.EXACT) == {
+        "matrix_to_word",
+        "psi",
+        "psi_cocycle",
+        "psi_cf",
+        "s_symbol",
+        "omega",
+        "dedekind_sum",
+    }
+    for q in tree["exact_us"].values():
+        assert 0 < q["q1"] == q["median"] == q["q3"] < 1e3
     # a class's best time of both routes together is at least each route's best
     for stratum in ("generic", "cusp"):
         both = tree["routes_us"]["both"][stratum]["median"]
@@ -112,11 +126,15 @@ def test_times_the_benchmark_routes_words(bench, tmp_path, monkeypatch):
     # leaves nothing under perfbench/
     before = set(PERFBENCH.rglob("*"))
     runs = []
-    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(words) or {})
+    exact = dict.fromkeys(bench.EXACT, 1.0)
+    monkeypatch.setattr(bench, "child_run", lambda tree, words: runs.append(words) or {"routes": {}, "exact": exact})
     monkeypatch.setattr(bench, "OUT", tmp_path)
     bench.main(["--tag", "tiny"])
-    expect = runpy.run_path(str(PERFBENCH / "gen.py"))["routes_words"](bench.SEED)
+    gen = runpy.run_path(str(PERFBENCH / "gen.py"))
+    expect = gen["routes_words"](bench.SEED)
     assert len(expect) == 120 and bench.RUNS == 10 and runs == [expect] * 10
+    # the exact layer's queries are the symbols workload's first block
+    assert bench.symbols_queries() == gen["symbols_queries"](bench.SEED, 1)[0]
     # no __pycache__ (nor anything else) appears there
     assert set(PERFBENCH.rglob("*")) == before
 
@@ -167,7 +185,10 @@ def test_each_run_records_the_pressure_around_it(bench, tmp_path, monkeypatch):
     readings, events = iter(range(100)), []
     monkeypatch.setattr(bench, "cpu_pressure", lambda: events.append("read") or float(next(readings)))
     monkeypatch.setattr(bench, "RUNS", 2)
-    run = {"cusp": {"winding_index": 1.0, "e2_period": 1.0, "both": 2.0, "steps": 5, "nodes": 7}}
+    run = {
+        "routes": {"cusp": {"winding_index": 1.0, "e2_period": 1.0, "both": 2.0, "steps": 5, "nodes": 7}},
+        "exact": dict.fromkeys(bench.EXACT, 1.0),
+    }
     monkeypatch.setattr(bench, "child_run", lambda tree, words: events.append(tree) or run)
     record = bench.report("t", [("base", "B"), ("head", "H")], [("cusp", (1, 2))])
     assert events == ["read", "B", "read", "read", "H", "read", "read", "H", "read", "read", "B", "read"]

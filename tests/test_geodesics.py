@@ -464,7 +464,7 @@ class TestMatrixToWord:
         powers = [w * k for w in short for k in (2, 3)]
         for w in short + list(itertools.product(range(1, 5), repeat=6)) + powers:
             g = word_to_matrix(w)
-            _, _, cycle = _reduced_cycle(g.trace, g.a - g.d, 2 * g.c)
+            _, _, cycle, _ = _reduced_cycle(g.trace, g.a - g.d, 2 * g.c)
             assert geodesics._least_even_rotation(tuple(cycle))[1] == len(cycle), w
             if is_primitive(w):
                 assert matrix_to_word(g) == canonical_form(w)
@@ -528,7 +528,7 @@ def is_reduced(g):
 
 
 def walk(g):
-    """(P, Q, digits) of the walk from g's state (a - d, 2c)."""
+    """(P, Q, digits, product) of the walk from g's state (a - d, 2c)."""
     return _reduced_cycle(g.trace, g.a - g.d, 2 * g.c)
 
 
@@ -548,10 +548,11 @@ class TestReducedConjugate:
         for _ in range(300):
             w = tuple(rng.randint(1, 9) for _ in range(2 * rng.randint(1, 4)))
             g = word_to_matrix(w)
-            P, Q, digits = walk(g)
+            P, Q, digits, product = walk(g)
             assert (P, Q) == (g.a - g.d, 2 * g.c)
+            assert product == word_to_matrix(digits).entries()
             if reference_is_primitive(w):
-                assert tuple(digits) == w
+                assert tuple(digits) == w and product == g.entries()
 
     def test_conjugates_reduced_in_the_same_class(self):
         rng = random.Random(13)
@@ -565,7 +566,7 @@ class TestReducedConjugate:
             cases.append((w, g if g.trace > 0 else -g))
         for w, g in cases:
             t = g.trace
-            P, Q, _ = walk(g)
+            P, Q, _, _ = walk(g)
             assert (t * t - 4 - P * P) % Q == 0
             red = state_matrix(t, P, Q)
             assert is_reduced(red)
@@ -581,7 +582,8 @@ class TestReducedConjugate:
 
 def one_loop_walk(t, P, Q):
     """_reduced_cycle as one loop that tests every even state for reducedness and
-    steps with the general floor, reading geodesics._WALK_STEPS as it does."""
+    steps with the general floor, reading geodesics._WALK_STEPS as it does; the
+    period's product is multiplied out afterwards, from its digits."""
     if t <= 2:
         raise NotHyperbolic(f"trace {t} (need trace > 2)")
     D = t * t - 4
@@ -591,7 +593,7 @@ def one_loop_walk(t, P, Q):
         if start is None and Q - root <= P <= root < P + Q:
             start, digits = (P, Q), []
         elif (P, Q) == start:
-            return P, Q, digits
+            return P, Q, digits, geodesics._word_product_entries(digits)
         for _ in range(2):
             a = floor_quadratic(P, Q, root)
             P = a * Q - P
@@ -646,7 +648,9 @@ class TestTwoPhaseWalk:
         starts = self.starts()
         for start in starts:
             assert _reduced_cycle(*start) == one_loop_walk(*start), start
-        assert any(Q < 0 for _, _, Q in starts)
+        # the product the walk multiplies out as it reads the digits, from
+        # starts of either sign of c
+        assert any(Q < 0 for _, _, Q in starts) and any(Q > 0 for _, _, Q in starts)
         assert max(steps_to_reduced(*start) for start in starts) >= 40
 
     def test_cap_as_one_loop(self, monkeypatch):

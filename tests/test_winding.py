@@ -59,7 +59,7 @@ def top_conjugate(gamma):
     (a - d +- sqrt(D)) / 2c, attracting first.
     """
     t = gamma.trace
-    P, Q, digits = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
+    P, Q, digits, _ = _reduced_cycle(t, gamma.a - gamma.d, 2 * gamma.c)
     g = Mat2((t + P) // 2, (t * t - 4 - P * P) // (2 * Q), Q // 2, (t - P) // 2)
     rotations = [tuple(digits[r:] + digits[:r]) for r in range(0, len(digits), 2)]
     word = min(rotations)

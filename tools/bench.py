@@ -1,4 +1,5 @@
-"""Write BENCH_<tag>.json: the machine, the source lines and the numerical routes' times.
+"""Write BENCH_<tag>.json: the machine, the source lines, the numerical routes' times
+and the exact layer's.
 
 Usage, from the root of a checkout:
 
@@ -17,7 +18,18 @@ split between the two routes compares only across trees that share the
 same work; "both" compares across any two.  The file gives the median
 and quartiles over the runs, and the medians over a stratum's words of
 winding_index's steps (its grid's intervals) and of the nodes of the first
-round that both routes share, which do not change from run to run.  With --base, the runs alternate between the tree at PATH ("base") and
+round that both routes share, which do not change from run to run.
+
+Each run then times the exact layer as the symbols workload calls it, on
+the first block of perfbench/gen.py's symbols_queries(SEED, 1), also run
+from source: matrix_to_word on each query's matrix g of trace > 0, psi and
+psi_cocycle on g, psi_cf on its word, s_symbol on g, tau and g tau, omega on
+(g, tau) and dedekind_sum on (d, |c|) of g.  Each call is timed alone,
+REPEATS times, its clock reads included; a run's figure for a function is
+the median over its calls of each call's best, in us, and the file gives
+their median and quartiles over the runs.
+
+With --base, the runs alternate between the tree at PATH ("base") and
 this one ("head"), so one file holds a change's before and after on one
 machine.  PATH must hold src/modwind, checked before the first run.  The file
 is written to the root of this checkout.
@@ -30,8 +42,9 @@ not a comment, not in a docstring).  Other load on the host slows the runs,
 so each run records the `some` avg10 of /proc/pressure/cpu (the percentage
 of the last 10 s in which a runnable task waited for a CPU) just before and
 just after it, or null where the file is absent; and a tree lists under
-"spread" each route and stratum whose quartiles lie more than SPREAD of its
-median apart, whose figures a reader should not compare.
+"spread" each route and stratum, and each exact function as "exact/NAME",
+whose quartiles lie more than SPREAD of its median apart, whose figures a
+reader should not compare.
 """
 
 from __future__ import annotations
@@ -61,12 +74,19 @@ REPEATS = 7
 SPREAD = 0.1
 PRESSURE = Path("/proc/pressure/cpu")
 ROUTES = ("winding_index", "e2_period", "both")
+EXACT = ("matrix_to_word", "psi", "psi_cocycle", "psi_cf", "s_symbol", "omega", "dedekind_sum")
 
 
 def routes_words():
     """[(stratum, word)]: the routes workload's words at SEED.  run_path compiles
     gen.py from its source and writes no bytecode next to it."""
     return runpy.run_path(str(ROOT / "perfbench" / "gen.py"))["routes_words"](SEED)
+
+
+def symbols_queries():
+    """The queries of the symbols workload's first block at SEED, read as routes_words reads its words."""
+    (block,) = runpy.run_path(str(ROOT / "perfbench" / "gen.py"))["symbols_queries"](SEED, 1)
+    return block
 
 
 def time_routes(words):
@@ -102,12 +122,45 @@ def time_routes(words):
     return out
 
 
+def time_exact(queries):
+    """{function: median over its calls of each call's best us} for each of EXACT,
+    on the symbols queries, in this process."""
+    from modwind.geodesics import matrix_to_word
+    from modwind.matrices import Mat2, dedekind_sum, omega
+    from modwind.rademacher import psi, psi_cf, psi_cocycle, s_symbol
+
+    calls = {name: [] for name in EXACT}
+    for q in queries:
+        g, tau = Mat2(*q["g"]), Mat2(*q["tau"])
+        h = g if g.trace > 0 else -g  # matrix_to_word takes the trace > 2 sign
+        calls["matrix_to_word"].append((matrix_to_word, (h,)))
+        calls["psi"].append((psi, (g,)))
+        calls["psi_cocycle"].append((psi_cocycle, (g,)))
+        calls["psi_cf"].append((psi_cf, (matrix_to_word(h),)))
+        calls["s_symbol"] += [(s_symbol, (m,)) for m in (g @ tau, g, tau)]
+        calls["omega"].append((omega, (g, tau)))
+        calls["dedekind_sum"].append((dedekind_sum, (g.d, abs(g.c))))
+    clock = time.perf_counter
+    out = {}
+    for name, timed in calls.items():
+        best = [math.inf] * len(timed)
+        for _ in range(REPEATS):
+            for k, (fn, args) in enumerate(timed):
+                start = clock()
+                fn(*args)
+                best[k] = min(best[k], clock() - start)
+        out[name] = 1e6 * statistics.median(best)
+    return out
+
+
 def child_run(tree, words):
-    """time_routes in a fresh interpreter that imports modwind from tree/src."""
+    """{"routes": time_routes on the words, "exact": time_exact on symbols_queries()}
+    in a fresh interpreter that imports modwind from tree/src."""
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); sys.path.insert(0, sys.argv[2] + '/src');"
         "import bench, modwind; assert modwind.__file__.startswith(sys.argv[2]), modwind.__file__;"
-        "print(json.dumps(bench.time_routes(json.loads(sys.stdin.read()))))"
+        "routes = bench.time_routes(json.loads(sys.stdin.read()));"
+        "print(json.dumps({'routes': routes, 'exact': bench.time_exact(bench.symbols_queries())}))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "tools"), str(tree)],
@@ -130,11 +183,12 @@ def cpu_pressure():
     return float(fields["avg10"]) if some[0] == "some" and "avg10" in fields else None
 
 
-def spread(routes_us):
-    """["route/stratum"] of each figure whose quartiles lie more than SPREAD of its median apart."""
+def spread(figures):
+    """["route/stratum"] of each figure {route: {stratum: quartiles}} whose quartiles
+    lie more than SPREAD of its median apart."""
     return [
         f"{route}/{stratum}"
-        for route, strata in routes_us.items()
+        for route, strata in figures.items()
         for stratum, q in strata.items()
         if q["q3"] - q["q1"] > SPREAD * q["median"]
     ]
@@ -202,7 +256,7 @@ def fingerprint():
 
 def report(tag, trees, words):
     """The BENCH record of the named trees [(label, path)] on the words
-    [(stratum, word)], their RUNS runs alternating."""
+    [(stratum, word)] and the symbols queries, their RUNS runs alternating."""
     times = {label: [] for label, _ in trees}
     pressure = {label: [] for label, _ in trees}
     for k in range(RUNS):
@@ -218,24 +272,28 @@ def report(tag, trees, words):
             "repeats": REPEATS,
             "seed": SEED,
             "words": dict(Counter(s for s, _ in words)),
+            "queries": len(symbols_queries()),
             "spread_limit": SPREAD,
         },
         "trees": {},
     }
     for label, tree in trees:
-        strata = times[label][0].keys()
+        runs = [run["routes"] for run in times[label]]
+        strata = runs[0].keys()
         commit, dirty = git_state(tree)
-        routes_us = {route: {s: quartiles([run[s][route] for run in times[label]]) for s in strata} for route in ROUTES}
+        routes_us = {route: {s: quartiles([run[s][route] for run in runs]) for s in strata} for route in ROUTES}
+        exact_us = {name: quartiles([run["exact"][name] for run in times[label]]) for name in EXACT}
         out["trees"][label] = {
             "commit": commit,
             "dirty": dirty,
             "source_lines": source_lines(tree),
             "code_lines": source_lines(tree, code_lines),
             "routes_us": routes_us,
-            "winding_steps": {s: times[label][0][s]["steps"] for s in strata},
-            "first_round_nodes": {s: times[label][0][s]["nodes"] for s in strata},
+            "exact_us": exact_us,
+            "winding_steps": {s: runs[0][s]["steps"] for s in strata},
+            "first_round_nodes": {s: runs[0][s]["nodes"] for s in strata},
             "cpu_pressure": pressure[label],
-            "spread": spread(routes_us),
+            "spread": spread({**routes_us, "exact": exact_us}),
         }
     return out
 
